@@ -13,34 +13,50 @@ the centralized version with the same input data".
 Maximum-rate requests are handled through the paper's *modified system*: each
 session with a finite requested rate gets a private virtual link of capacity
 ``D_s = min(r_s, C_e0)`` prepended to its path.
+
+Cost: the estimates live in a lazy-deletion binary heap keyed
+``(B_e, first-seen link index)``, and a round recomputes only the links crossed
+by the sessions it fixed.  Every session is fixed once, so one call costs
+O(sum of |pi(s)| * log L) for L links instead of a rescan of every link per
+round.
 """
 
+import heapq
+import math
+
 from repro.fairness.algebra import default_algebra
-from repro.fairness.allocation import RateAllocation
+from repro.fairness.allocation import OracleError, RateAllocation
 
 
 def _build_link_table(sessions, algebra):
-    """Map link key -> (capacity, set of crossing session ids).
+    """Index the links of the modified system in order of first appearance.
 
-    Real links are keyed by their endpoints; the virtual demand link of a
-    session ``s`` is keyed by ``("demand", s)``.  Capacities are lifted into
-    the algebra's number type so division chains stay exact under ExactAlgebra.
+    Returns ``(capacities, members, paths)``: per link index, the capacity
+    lifted into the algebra's number type (so division chains stay exact
+    under ExactAlgebra) and the positions of the sessions crossing it; per
+    session position, the indices of its links.  The virtual demand link of a
+    session is private to it.
     """
-    import math
-
-    capacities = {}
-    members = {}
-    for session in sessions:
+    index = {}
+    capacities = []
+    members = []
+    paths = []
+    for position, session in enumerate(sessions):
+        path = []
         for link in session.links:
-            key = link.endpoints
-            capacities[key] = algebra.divide(link.capacity, 1)
-            members.setdefault(key, set()).add(session.session_id)
+            link_index = index.setdefault(link.endpoints, len(capacities))
+            if link_index == len(capacities):
+                capacities.append(algebra.divide(link.capacity, 1))
+                members.append([])
+            members[link_index].append(position)
+            path.append(link_index)
         demand = session.effective_demand()
         if not math.isinf(demand):
-            key = ("demand", session.session_id)
-            capacities[key] = algebra.divide(demand, 1)
-            members[key] = {session.session_id}
-    return capacities, members
+            path.append(len(capacities))
+            capacities.append(algebra.divide(demand, 1))
+            members.append([position])
+        paths.append(path)
+    return capacities, members, paths
 
 
 def centralized_bneck(sessions, algebra=None):
@@ -52,6 +68,9 @@ def centralized_bneck(sessions, algebra=None):
 
     Returns:
         A :class:`~repro.fairness.allocation.RateAllocation`.
+
+    Raises:
+        OracleError: when some session crosses no link at all.
     """
     algebra = algebra or default_algebra()
     sessions = list(sessions)
@@ -59,55 +78,52 @@ def centralized_bneck(sessions, algebra=None):
     if not sessions:
         return allocation
 
-    capacities, members = _build_link_table(sessions, algebra)
+    capacities, members, paths = _build_link_table(sessions, algebra)
+    # Per link: |R_e| (zero once the link is removed) and the load of the
+    # already-fixed sessions crossing it (the F_e sum).  Every session fixed in
+    # a round gets the same minimal rate, so F_e grows by ``minimum * moved``.
+    unfixed = [len(positions) for positions in members]
+    fixed_load = [0] * len(capacities)
+    estimates = [algebra.divide(c, n) for c, n in zip(capacities, unfixed)]
+    heap = [(estimate, link) for link, estimate in enumerate(estimates)]
+    heapq.heapify(heap)
+    rates = [None] * len(sessions)
 
-    restricted = {key: set(ids) for key, ids in members.items()}   # R_e
-    # Load of the already-fixed sessions crossing each link (the F_e sum),
-    # maintained incrementally: every session fixed in a round got the same
-    # minimal rate, so the sum grows by ``minimum * |moved|`` per link.
-    fixed_load = {key: 0 for key in members}
-    rates = {}                                                     # lambda*_s
-    # Kept as an insertion-ordered list so the minimum tie-break among
-    # near-equal estimates does not depend on set (hash) iteration order.
-    live_links = [key for key, ids in restricted.items() if ids]
+    while heap:
+        minimum, link = heapq.heappop(heap)
+        if not unfixed[link] or estimates[link] != minimum:
+            continue                                   # stale heap entry
+        # The round's minimal links: every live estimate equal to the minimum.
+        minimal = [link]
+        while heap:
+            estimate, other = heap[0]
+            if unfixed[other] and estimates[other] == estimate:
+                if not algebra.equal(estimate, minimum):
+                    break
+                minimal.append(other)
+            heapq.heappop(heap)
+        for link in minimal:
+            unfixed[link] = 0
+        moved = {}
+        for link in minimal:
+            for position in members[link]:
+                if rates[position] is None:
+                    rates[position] = minimum
+                    for crossed in paths[position]:
+                        if unfixed[crossed]:
+                            moved[crossed] = moved.get(crossed, 0) + 1
+        for crossed, count in moved.items():
+            fixed_load[crossed] = fixed_load[crossed] + minimum * count
+            unfixed[crossed] -= count
+            if unfixed[crossed]:
+                estimates[crossed] = algebra.divide(
+                    capacities[crossed] - fixed_load[crossed], unfixed[crossed]
+                )
+                heapq.heappush(heap, (estimates[crossed], crossed))
 
-    # Each round fixes the rate of at least one session, so the loop runs at
-    # most once per session.
-    for _ in range(len(sessions) + 1):
-        if not live_links:
-            break
-        estimates = {}
-        for key in live_links:
-            estimates[key] = algebra.divide(
-                capacities[key] - fixed_load[key], len(restricted[key])
-            )
-        minimum = algebra.minimum(estimates.values())
-        minimal_links = {
-            key for key in live_links if algebra.equal(estimates[key], minimum)
-        }
-        newly_fixed = set()
-        for key in minimal_links:
-            newly_fixed |= restricted[key]
-        for session_id in newly_fixed:
-            rates[session_id] = minimum
-        next_live = []
-        for key in live_links:
-            if key in minimal_links:
-                continue
-            members_here = restricted[key]
-            moved = members_here & newly_fixed
-            if moved:
-                fixed_load[key] = fixed_load[key] + minimum * len(moved)
-                members_here -= moved
-            if members_here:
-                next_live.append(key)
-        live_links = next_live
-    else:
-        if live_links:
-            raise RuntimeError("Centralized B-Neck did not terminate")
-
-    for session in sessions:
-        # A session crossing only unsaturated links with infinite demand cannot
-        # occur over real (finite-capacity) links, so every session has a rate.
-        allocation.set_rate(session.session_id, rates[session.session_id])
+    unresolved = [s.session_id for s, rate in zip(sessions, rates) if rate is None]
+    if unresolved:
+        raise OracleError("centralized B-Neck", unresolved, "sessions cross no link")
+    for session, rate in zip(sessions, rates):
+        allocation.set_rate(session.session_id, rate)
     return allocation

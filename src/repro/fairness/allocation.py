@@ -3,6 +3,24 @@
 from repro.fairness.algebra import default_algebra
 
 
+class OracleError(RuntimeError):
+    """An allocation oracle could not assign a rate to every session.
+
+    Attributes:
+        oracle: name of the oracle that failed.
+        session_ids: ids of the sessions left without a rate, in input order.
+    """
+
+    def __init__(self, oracle, session_ids, reason):
+        self.oracle = oracle
+        self.session_ids = list(session_ids)
+        RuntimeError.__init__(
+            self,
+            "%s: %s; %d sessions unresolved, first: %r"
+            % (oracle, reason, len(self.session_ids), self.session_ids[:5]),
+        )
+
+
 class RateAllocation(object):
     """A mapping from session id to assigned rate, plus comparison helpers.
 

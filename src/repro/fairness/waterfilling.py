@@ -6,15 +6,23 @@ It is intentionally implemented differently from the Centralized B-Neck of
 Figure 1 (which discovers bottlenecks in increasing rate order) so that the two
 serve as independent oracles for each other in the test suite.
 
-The algorithm: grow the rate of every unfrozen session at the same pace; a
-session freezes when one of its links saturates or when it reaches its own
-maximum requested rate.  Repeat until every session is frozen.
+The algorithm: grow the rate of every unfrozen session at the same pace (the
+common *level*); a session freezes when one of its links saturates or when it
+reaches its own maximum requested rate.  Repeat until every session is frozen.
+
+The filling is event-driven rather than stepped.  Sessions are pre-sorted by
+effective demand and consumed through a pointer, and each link's saturation
+level ``(C_e - frozen load) / unfrozen members`` sits in a lazy-deletion heap,
+so the level jumps straight to the next demand or saturation event.  Freezing a
+session updates only the links it crosses, and one call costs
+O(sum of |pi(s)| * log L) for L links.
 """
 
+import heapq
 import math
 
 from repro.fairness.algebra import default_algebra
-from repro.fairness.allocation import RateAllocation
+from repro.fairness.allocation import OracleError, RateAllocation
 
 
 def water_filling(sessions, algebra=None):
@@ -29,6 +37,10 @@ def water_filling(sessions, algebra=None):
     Returns:
         A :class:`~repro.fairness.allocation.RateAllocation` with one entry per
         session.
+
+    Raises:
+        OracleError: when unfrozen sessions have infinite demands and cross
+            only infinite-capacity links, so the level never stops growing.
     """
     algebra = algebra or default_algebra()
     sessions = list(sessions)
@@ -36,106 +48,70 @@ def water_filling(sessions, algebra=None):
     if not sessions:
         return allocation
 
-    # Rates start at integer zero so that, under the exact algebra, every
-    # arithmetic step stays rational (int + Fraction is a Fraction, whereas
-    # float + Fraction falls back to float).
-    rates = {session.session_id: 0 for session in sessions}
-    frozen = set()
-
-    # Index sessions by link once; capacities are lifted into the algebra's
-    # number type so divisions chain exactly under ExactAlgebra.
-    link_members = {}
-    link_objects = {}
-    link_capacity = {}
-    for session in sessions:
+    # Index links in order of first appearance.  Capacities and demands are
+    # lifted into the algebra's number type so divisions chain exactly under
+    # ExactAlgebra; loads start at integer zero for the same reason.
+    index = {}
+    capacity = []
+    members = []
+    paths = []
+    for position, session in enumerate(sessions):
+        path = []
         for link in session.links:
-            link_objects[link.endpoints] = link
-            link_capacity[link.endpoints] = algebra.divide(link.capacity, 1)
-            link_members.setdefault(link.endpoints, []).append(session)
+            link_index = index.setdefault(link.endpoints, len(capacity))
+            if link_index == len(capacity):
+                capacity.append(algebra.divide(link.capacity, 1))
+                members.append([])
+            members[link_index].append(position)
+            path.append(link_index)
+        paths.append(path)
+    demands = [algebra.divide(session.effective_demand(), 1) for session in sessions]
+    by_demand = sorted(range(len(sessions)), key=demands.__getitem__)
 
-    # Per-link bookkeeping maintained incrementally as rates grow and
-    # sessions freeze, so a round costs O(links + unfrozen) instead of
-    # O(links x members):
-    #
-    # * ``active_counts[e]``: unfrozen members of ``e``;
-    # * ``loads[e]``: total allocated rate crossing ``e``.  It tracks every
-    #   rate change exactly (the uniform increment contributes
-    #   ``increment * active_count``; demand clamps contribute their delta),
-    #   so it only deviates from a from-scratch sum by accumulated rounding
-    #   noise, orders of magnitude below the algebra's tolerance.
-    active_counts = {ep: len(members) for ep, members in link_members.items()}
-    loads = {ep: 0 for ep in link_members}
-    path_keys = {s.session_id: [link.endpoints for link in s.links] for s in sessions}
-    demands = {s.session_id: s.effective_demand() for s in sessions}
+    active = [len(positions) for positions in members]    # unfrozen members
+    frozen_load = [0] * len(capacity)
+    saturation = [algebra.divide(c, n) for c, n in zip(capacity, active)]
+    heap = [(level, link) for link, level in enumerate(saturation)]
+    heapq.heapify(heap)
+    rates = [None] * len(sessions)
 
-    def freeze(session_id):
-        frozen.add(session_id)
-        for endpoints in path_keys[session_id]:
-            active_counts[endpoints] -= 1
+    def freeze(position, level):
+        rates[position] = level
+        for link in paths[position]:
+            frozen_load[link] = frozen_load[link] + level
+            active[link] -= 1
+            if active[link]:
+                saturation[link] = algebra.divide(capacity[link] - frozen_load[link], active[link])
+                heapq.heappush(heap, (saturation[link], link))
 
-    max_iterations = len(sessions) + len(link_objects) + 1
-    for _ in range(max_iterations):
-        unfrozen = [session for session in sessions if session.session_id not in frozen]
-        if not unfrozen:
+    def live_heap_top():
+        # Drop entries of links that changed level or have no unfrozen member.
+        while heap and (not active[heap[0][1]] or saturation[heap[0][1]] != heap[0][0]):
+            heapq.heappop(heap)
+        return heap[0][0] if heap else math.inf
+
+    pointer = 0
+    while True:
+        while pointer < len(by_demand) and rates[by_demand[pointer]] is not None:
+            pointer += 1
+        if pointer == len(by_demand):
             break
+        level = min(demands[by_demand[pointer]], live_heap_top())
+        if math.isinf(level):
+            unresolved = [s.session_id for s, rate in zip(sessions, rates) if rate is None]
+            raise OracleError("water-filling", unresolved, "unconstrained sessions remain")
+        # Freeze every session whose demand the level reached, then every
+        # member of every link it saturates (cascading within the level).
+        while pointer < len(by_demand) and algebra.less_equal(demands[by_demand[pointer]], level):
+            if rates[by_demand[pointer]] is None:
+                freeze(by_demand[pointer], level)
+            pointer += 1
+        while algebra.less_equal(live_heap_top(), level):
+            link = heapq.heappop(heap)[1]
+            for position in members[link]:
+                if rates[position] is None:
+                    freeze(position, level)
 
-        # The common rate increment is limited by the tightest link headroom
-        # share and by the closest per-session demand.
-        increment = math.inf
-        for endpoints, active_count in active_counts.items():
-            if not active_count:
-                continue
-            headroom = link_capacity[endpoints] - loads[endpoints]
-            if headroom < 0:
-                headroom = 0
-            share = algebra.divide(headroom, active_count)
-            if algebra.less(share, increment):
-                increment = share
-        for session in unfrozen:
-            remaining_demand = demands[session.session_id] - rates[session.session_id]
-            if algebra.less(remaining_demand, increment):
-                increment = remaining_demand
-
-        if math.isinf(increment):
-            # No link constrains any unfrozen session and all demands are
-            # infinite; this cannot happen for sessions routed over real links.
-            raise RuntimeError("water-filling diverged: unconstrained sessions remain")
-
-        if increment > 0:
-            for session in unfrozen:
-                rates[session.session_id] += increment
-            for endpoints, active_count in active_counts.items():
-                if active_count:
-                    loads[endpoints] += increment * active_count
-
-        # Freeze sessions that hit their demand.
-        for session in unfrozen:
-            session_id = session.session_id
-            if algebra.greater_equal(rates[session_id], demands[session_id]):
-                clamped = min(rates[session_id], demands[session_id])
-                if clamped != rates[session_id]:
-                    delta = clamped - rates[session_id]
-                    for endpoints in path_keys[session_id]:
-                        loads[endpoints] += delta
-                    rates[session_id] = clamped
-                freeze(session_id)
-
-        # Freeze sessions crossing a saturated link.
-        for endpoints, members in link_members.items():
-            if not active_counts[endpoints]:
-                continue
-            if algebra.greater_equal(loads[endpoints], link_capacity[endpoints]):
-                for member in members:
-                    if member.session_id not in frozen:
-                        freeze(member.session_id)
-    else:
-        remaining = [s.session_id for s in sessions if s.session_id not in frozen]
-        if remaining:
-            raise RuntimeError(
-                "water-filling did not converge; %d sessions left: %r"
-                % (len(remaining), remaining[:5])
-            )
-
-    for session in sessions:
-        allocation.set_rate(session.session_id, rates[session.session_id])
+    for session, rate in zip(sessions, rates):
+        allocation.set_rate(session.session_id, rate)
     return allocation
