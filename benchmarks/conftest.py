@@ -1,7 +1,8 @@
 """Shared configuration of the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures (see the
-experiment index in ``DESIGN.md``).  The workloads are scaled down from the
+Every benchmark regenerates one of the paper's tables or figures; the first
+line of each file's docstring names it (``test_bench_experiment1_time.py`` is
+Figure 5, left).  The workloads are scaled down from the
 paper's (which used up to 300,000 sessions on an 11,000-router topology) so the
 whole suite completes in a few minutes of pure Python; the *shapes* of the
 series -- who wins, growth trends, crossovers -- are what is being reproduced.

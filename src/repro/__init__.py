@@ -2,8 +2,7 @@
 
 Mozo, Lopez-Presa, Fernandez Anta (IEEE NCA 2011).
 
-The library is organised as one package per system of the paper (see
-``DESIGN.md`` for the full inventory):
+The library is organised as one package per system of the paper:
 
 * :mod:`repro.simulator` -- discrete-event simulation engine;
 * :mod:`repro.network` -- network graph, routing, sessions, topologies;

@@ -13,10 +13,10 @@ Because none of these protocols can detect that the allocation has converged,
 the probing never stops: the control-packet rate is constant over time, which
 is the defining contrast with B-Neck (Figure 8 of the paper).
 
-Two simulation simplifications keep large sweeps tractable (documented in
-DESIGN.md): a whole probe cycle's link updates are applied in one atomic event
-at the emission time (per-hop timestamps are still used for packet accounting),
-and the source's rate update fires one path round-trip-time later.  Both are
+Two simulation simplifications keep large sweeps tractable: a whole probe
+cycle's link updates are applied in one atomic event at the emission time
+(per-hop timestamps are still used for packet accounting), and the source's
+rate update fires one path round-trip-time later.  Both are
 negligible at the LAN delays used by Experiment 3.
 """
 

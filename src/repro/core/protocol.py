@@ -65,7 +65,6 @@ from repro.core.destination_node import DestinationNodeTask
 from repro.core.packets import decode_packet, encode_packet
 from repro.core.router_link import RouterLinkTask
 from repro.core.source_node import SourceNodeTask
-from repro.fairness.algebra import default_algebra
 from repro.fairness.allocation import RateAllocation
 from repro.network.routing import PathComputer, path_links
 from repro.network.session import Session, SessionRegistry
@@ -101,7 +100,6 @@ class BNeckProtocol(object):
     Args:
         network: the :class:`~repro.network.graph.Network` to run over.
         simulator: optional simulator (one is created if omitted).
-        algebra: optional rate algebra; defaults to tolerance-based floats.
         tracer: optional :class:`~repro.simulator.tracing.PacketTracer`.
         routing_metric: ``"hops"`` (paper default) or ``"delay"``.
         trace_packets: when false (and no explicit ``tracer`` is given) a
@@ -120,13 +118,12 @@ class BNeckProtocol(object):
             instant.  Ignored when ``batch_notifications`` is false.
     """
 
-    def __init__(self, network, simulator=None, algebra=None, tracer=None,
+    def __init__(self, network, simulator=None, tracer=None,
                  routing_metric="hops", trace_packets=True,
                  notification_log=None, batch_notifications=True,
                  notification_batch_window=None):
         self.network = network
         self.simulator = simulator or Simulator()
-        self.algebra = algebra or default_algebra()
         if tracer is None:
             tracer = PacketTracer() if trace_packets else NullPacketTracer()
         self.tracer = tracer
@@ -318,7 +315,7 @@ class BNeckProtocol(object):
         self._sessions[session.session_id] = session
         self._applications[session.session_id] = application
 
-        source = SourceNodeTask(self.simulator, self, session, self.algebra)
+        source = SourceNodeTask(self.simulator, self, session)
         destination = DestinationNodeTask(self.simulator, self, session)
         plan = self._shard_plan
         if plan is not None:
@@ -508,7 +505,7 @@ class BNeckProtocol(object):
     def _router_link_for(self, link):
         key = link.endpoints
         if key not in self._router_links:
-            task = RouterLinkTask(self.simulator, self, link, self.algebra)
+            task = RouterLinkTask(self.simulator, self, link)
             if self._shard_plan is not None:
                 # The RouterLink actor lives where its link transmits from, so
                 # a hop is cross-shard exactly when the link is a cut edge.
@@ -899,7 +896,7 @@ class BNeckProtocol(object):
         Before a session's first Response this is 0 (B-Neck is conservative:
         transient rates never exceed the final max-min rates).
         """
-        allocation = RateAllocation(algebra=self.algebra)
+        allocation = RateAllocation()
         for session in self.registry:
             source = self._sources[session.session_id]
             allocation.set_rate(session.session_id, source.current_rate())
@@ -907,7 +904,7 @@ class BNeckProtocol(object):
 
     def notified_allocation(self):
         """The last ``API.Rate`` value of every active session (0 if none yet)."""
-        allocation = RateAllocation(algebra=self.algebra)
+        allocation = RateAllocation()
         for session in self.registry:
             rate = self._last_rate.get(session.session_id, 0.0)
             allocation.set_rate(session.session_id, rate)

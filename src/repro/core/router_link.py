@@ -4,12 +4,15 @@ One RouterLink instance controls one directed link and keeps per-session state
 for every session whose path crosses the link.  Its handlers are a line-by-line
 transcription of Figure 2, with two presentational differences:
 
-* rate comparisons go through the configured
-  :class:`~repro.fairness.algebra.RateAlgebra` instead of raw ``==``/``<``;
+* rates are floats, so ``==``/``<`` are the tolerance compares of
+  :mod:`repro.core.state` (exactly ``FloatAlgebra()``'s decisions), inlined
+  as plain float compares plus ``math.isclose``;
 * packet forwarding is delegated to the protocol orchestrator
   (:class:`~repro.core.protocol.BNeckProtocol`), which knows each session's
   path and the per-hop link delays.
 """
+
+from math import isclose
 
 from repro.core.packets import (
     BOTTLENECK,
@@ -22,20 +25,20 @@ from repro.core.packets import (
     UPDATE,
     Update,
 )
-from repro.core.state import IDLE, LinkState, WAITING_PROBE, WAITING_RESPONSE
+from repro.core.state import ABS_TOL, REL_TOL, LinkState, rates_equal
+from repro.core.state import IDLE, WAITING_PROBE, WAITING_RESPONSE
 from repro.simulator.process import Process
 
 
 class RouterLinkTask(Process):
     """Runs the B-Neck link algorithm for one directed link."""
 
-    def __init__(self, simulator, protocol, link, algebra):
+    def __init__(self, simulator, protocol, link):
         super(RouterLinkTask, self).__init__(simulator, "RL(%s->%s)" % link.endpoints)
         self.protocol = protocol
         self.link = link
         self.link_id = link.endpoints
-        self.state = LinkState(self.link_id, link.capacity, algebra)
-        self.algebra = algebra
+        self.state = LinkState(self.link_id, link.capacity)
 
     # ----------------------------------------------------------- dispatching
 
@@ -75,16 +78,17 @@ class RouterLinkTask(Process):
         not actually below the current bottleneck rate (highest rates first,
         recomputing ``B_e`` after each move), then ask every settled session in
         ``R_e`` whose recorded rate exceeds ``B_e`` to run a new Probe cycle.
+        Returns the resulting ``B_e``.
         """
         state = self.state
-        algebra = self.algebra
-        while True:
-            rate = state.bottleneck_rate()
+        rate = state.bottleneck_rate()
+        while state.unrestricted:
             rated = state.unrestricted_rated()
             offender_rates = [
                 recorded
                 for _session_id, recorded in rated
-                if algebra.greater_equal(recorded, rate)
+                if recorded >= rate
+                or isclose(recorded, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
             ]
             if not offender_rates:
                 break
@@ -94,21 +98,16 @@ class RouterLinkTask(Process):
             moved = sorted(
                 session_id
                 for session_id, recorded in rated
-                if algebra.equal(recorded, largest)
+                if rates_equal(recorded, largest)
             )
             for session_id in moved:
                 state.add_restricted(session_id)
+            rate = state.bottleneck_rate()
 
-        rate = state.bottleneck_rate()
-        for session_id in sorted(state.restricted):
-            recorded = state.rate_of(session_id)
-            if (
-                recorded is not None
-                and state.state_of(session_id) == IDLE
-                and algebra.greater(recorded, rate)
-            ):
-                state.set_state(session_id, WAITING_PROBE)
-                self._send_upstream_update(session_id)
+        for session_id in state.idle_restricted_above(rate):
+            state.set_state(session_id, WAITING_PROBE)
+            self._send_upstream_update(session_id)
+        return rate
 
     # ---------------------------------------------------------------- handlers
 
@@ -117,14 +116,7 @@ class RouterLinkTask(Process):
         state = self.state
         state.add_restricted(packet.session_id)
         state.set_state(packet.session_id, WAITING_RESPONSE)
-        self.process_new_restricted()
-        rate = state.bottleneck_rate()
-        forwarded_rate = packet.rate
-        forwarded_eta = packet.restricting_link
-        if self.algebra.greater(forwarded_rate, rate):
-            forwarded_rate = rate
-            forwarded_eta = self.link_id
-        self._send_downstream(Join(packet.session_id, forwarded_rate, forwarded_eta))
+        self._forward_clamped(Join, packet, self.process_new_restricted())
 
     def on_probe(self, packet):
         """Figure 2, lines 30-36."""
@@ -132,14 +124,15 @@ class RouterLinkTask(Process):
         state.set_state(packet.session_id, WAITING_RESPONSE)
         if packet.session_id in state.unrestricted:
             state.add_restricted(packet.session_id)
-        self.process_new_restricted()
-        rate = state.bottleneck_rate()
-        forwarded_rate = packet.rate
-        forwarded_eta = packet.restricting_link
-        if self.algebra.greater(forwarded_rate, rate):
-            forwarded_rate = rate
-            forwarded_eta = self.link_id
-        self._send_downstream(Probe(packet.session_id, forwarded_rate, forwarded_eta))
+        self._forward_clamped(Probe, packet, self.process_new_restricted())
+
+    def _forward_clamped(self, packet_type, packet, rate):
+        """Forward a Join/Probe, lowering its rate to ``B_e`` = ``rate`` (and
+        naming this link as the restriction) when it exceeds ``B_e``."""
+        forwarded_rate, eta = packet.rate, packet.restricting_link
+        if forwarded_rate > rate and not rates_equal(forwarded_rate, rate):
+            forwarded_rate, eta = rate, self.link_id
+        self._send_downstream(packet_type(packet.session_id, forwarded_rate, eta))
 
     def on_response(self, packet):
         """Figure 2, lines 18-28."""
@@ -153,10 +146,10 @@ class RouterLinkTask(Process):
             state.set_state(session_id, WAITING_PROBE)
         else:
             local_rate = state.bottleneck_rate()
-            restricted_here = eta == self.link_id
-            accepted = (
-                restricted_here and self.algebra.equal(rate, local_rate)
-            ) or (not restricted_here and self.algebra.less_equal(rate, local_rate))
+            if eta == self.link_id:
+                accepted = rates_equal(rate, local_rate)
+            else:
+                accepted = rate <= local_rate or rates_equal(rate, local_rate)
             if accepted:
                 state.set_state(session_id, IDLE)
                 state.set_rate(session_id, rate)
@@ -202,36 +195,22 @@ class RouterLinkTask(Process):
             # session: forward with beta = TRUE.
             self._send_downstream(SetBottleneck(session_id, True))
             return
-        if (
-            state.state_of(session_id) == IDLE
-            and recorded is not None
-            and self.algebra.less(recorded, rate)
-        ):
+        if state.state_of(session_id) != IDLE or recorded is None:
+            # A new Probe cycle for the session is already under way at this
+            # link; the stale SetBottleneck is dropped (also below when the
+            # recorded rate exceeds B_e).
+            return
+        if recorded < rate and not rates_equal(recorded, rate):
             # The session is not restricted here: move it to F_e and wake the
             # sessions that were settled at the old bottleneck rate, since the
             # recomputed B_e can only grow.
-            settled = [
-                other_id
-                for other_id in sorted(state.restricted)
-                if state.state_of(other_id) == IDLE
-                and state.rate_of(other_id) is not None
-                and self.algebra.equal(state.rate_of(other_id), rate)
-            ]
-            for other_id in settled:
+            for other_id in state.settled_at(rate):
                 state.set_state(other_id, WAITING_PROBE)
                 self._send_upstream_update(other_id)
             state.add_unrestricted(session_id)
             self._send_downstream(SetBottleneck(session_id, packet.found_bottleneck))
-            return
-        if (
-            state.state_of(session_id) == IDLE
-            and recorded is not None
-            and self.algebra.equal(recorded, rate)
-        ):
+        elif rates_equal(recorded, rate):
             self._send_downstream(SetBottleneck(session_id, packet.found_bottleneck))
-            return
-        # Otherwise a new Probe cycle for the session is already under way at
-        # this link; the stale SetBottleneck is dropped.
 
     # --------------------------------------------------- capacity dynamics
 
@@ -258,9 +237,8 @@ class RouterLinkTask(Process):
         state.set_capacity(new_capacity)
         if not state.restricted and not state.unrestricted:
             return
-        if not state.restricted and self.algebra.greater(
-            state.unrestricted_load(), new_capacity
-        ):
+        load = state.unrestricted_load()
+        if not state.restricted and load > new_capacity and not rates_equal(load, new_capacity):
             # With R_e empty, B_e is infinite and process_new_restricted is
             # inert -- yet a deep capacity drop can leave the F_e load alone
             # exceeding C_e.  Seed the recomputation by pulling the
@@ -273,17 +251,13 @@ class RouterLinkTask(Process):
                 victim = min(
                     session_id
                     for session_id, rate in rated
-                    if self.algebra.equal(rate, largest)
+                    if rates_equal(rate, largest)
                 )
                 state.add_restricted(victim)
-        self.process_new_restricted()
-        rate = state.bottleneck_rate()
+        rate = self.process_new_restricted()
         for session_id in sorted(state.restricted):
-            if (
-                state.state_of(session_id) == IDLE
-                and not self.algebra.equal(
-                    state.rate_of(session_id) or 0.0, rate
-                )
+            if state.state_of(session_id) == IDLE and not rates_equal(
+                state.rate_of(session_id) or 0.0, rate
             ):
                 state.set_state(session_id, WAITING_PROBE)
                 self._send_upstream_update(session_id)
@@ -292,14 +266,10 @@ class RouterLinkTask(Process):
         """Figure 2, lines 57-62."""
         state = self.state
         session_id = packet.session_id
-        rate = state.bottleneck_rate()
         to_update = [
             other_id
-            for other_id in sorted(state.restricted)
+            for other_id in state.settled_at(state.bottleneck_rate())
             if other_id != session_id
-            and state.state_of(other_id) == IDLE
-            and state.rate_of(other_id) is not None
-            and self.algebra.equal(state.rate_of(other_id), rate)
         ]
         state.forget(session_id)
         for other_id in to_update:

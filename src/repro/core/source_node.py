@@ -24,22 +24,21 @@ from repro.core.packets import (
     UPDATE,
     Update,
 )
-from repro.core.state import IDLE, LinkState, WAITING_RESPONSE
+from repro.core.state import IDLE, LinkState, WAITING_RESPONSE, rates_equal
 from repro.simulator.process import Process
 
 
 class SourceNodeTask(Process):
     """Runs the B-Neck source algorithm for one session."""
 
-    def __init__(self, simulator, protocol, session, algebra):
+    def __init__(self, simulator, protocol, session):
         super(SourceNodeTask, self).__init__(simulator, "SN(%s)" % session.session_id)
         self.protocol = protocol
         self.session = session
         self.session_id = session.session_id
         self.access_link = session.access_link
         self.link_id = self.access_link.endpoints
-        self.state = LinkState(self.link_id, self.access_link.capacity, algebra)
-        self.algebra = algebra
+        self.state = LinkState(self.link_id, self.access_link.capacity)
         self.demand = None                # D_s
         self.update_received = False      # upd_rcv_s
         self.bottleneck_received = False  # bneck_rcv_s
@@ -60,7 +59,7 @@ class SourceNodeTask(Process):
 
     def is_quiescent_for_session(self):
         """True when the source is idle and has been told its final rate."""
-        return self.state.is_idle(self.session_id) and self.bottleneck_received
+        return self.state.state_of(self.session_id) == IDLE and self.bottleneck_received
 
     # ------------------------------------------------------------- forwarding
 
@@ -135,8 +134,8 @@ class SourceNodeTask(Process):
             rate = self.state.rate_of(self.session_id)
             self.bottleneck_received = True
             self.protocol.notify_rate(self.session_id, rate)
-            demand_is_rate = self.algebra.equal(self.demand, rate)
-            if self.algebra.greater(self.demand, rate):
+            demand_is_rate = rates_equal(self.demand, rate)
+            if not demand_is_rate and self.demand > rate:
                 self.state.add_unrestricted(self.session_id)
             self._send_downstream(SetBottleneck(self.session_id, demand_is_rate))
 
@@ -152,14 +151,14 @@ class SourceNodeTask(Process):
             self.state.set_state(self.session_id, IDLE)
             self.bottleneck_received = True
             self.protocol.notify_rate(self.session_id, packet.rate)
-            demand_is_rate = self.algebra.equal(self.demand, packet.rate)
-            if self.algebra.greater(self.demand, packet.rate):
+            demand_is_rate = rates_equal(self.demand, packet.rate)
+            if not demand_is_rate and self.demand > packet.rate:
                 self.state.add_unrestricted(self.session_id)
             self._send_downstream(SetBottleneck(self.session_id, demand_is_rate))
         else:  # tau == RESPONSE
             self.state.set_rate(self.session_id, packet.rate)
             self.state.set_state(self.session_id, IDLE)
-            if self.algebra.equal(self.demand, packet.rate):
+            if rates_equal(self.demand, packet.rate):
                 self.bottleneck_received = True
                 self.protocol.notify_rate(self.session_id, packet.rate)
                 self._send_downstream(SetBottleneck(self.session_id, True))

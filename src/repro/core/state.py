@@ -11,11 +11,17 @@ For every link ``e`` the protocol keeps (Section III-C):
 
 The same container is used by the RouterLink task, by the SourceNode task (for
 the session's access link) and by the stability checker of Definition 2.
+
+Rates are floats.  Comparisons decide exactly as ``FloatAlgebra()``: equality
+is :func:`rates_equal`, ``a > b`` is ``a > b and not isclose(a, b, ...)`` and
+``a >= b`` is ``a >= b or isclose(a, b, ...)``, with ``REL_TOL``/``ABS_TOL``.
 """
 
 import math
+from math import isclose
 
-from repro.fairness.algebra import default_algebra
+from repro.fairness.algebra import ABSOLUTE_TOLERANCE as ABS_TOL
+from repro.fairness.algebra import RELATIVE_TOLERANCE as REL_TOL
 
 IDLE = "IDLE"
 WAITING_PROBE = "WAITING_PROBE"
@@ -23,24 +29,30 @@ WAITING_RESPONSE = "WAITING_RESPONSE"
 
 SESSION_STATES = (IDLE, WAITING_PROBE, WAITING_RESPONSE)
 
+# Read in place of an unrecorded rate: NaN is equal to, above and below nothing.
+_UNRECORDED = math.nan
+
+
+def rates_equal(first, second):
+    """Rate equality within tolerance; exactly ``FloatAlgebra().equal``."""
+    return first == second or isclose(first, second, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
 
 class LinkState(object):
     """The B-Neck bookkeeping of one directed link."""
 
-    def __init__(self, link_id, capacity, algebra=None):
+    def __init__(self, link_id, capacity):
         if capacity <= 0:
             raise ValueError("link capacity must be positive, got %r" % capacity)
         self.link_id = link_id
         self.capacity = capacity
-        self.algebra = algebra or default_algebra()
         self.restricted = set()        # R_e
         self.unrestricted = set()      # F_e
         self._mu = {}                  # session id -> mu^e_s
         self._rate = {}                # session id -> lambda^e_s
         # Incrementally maintained sum of the F_e rates, so bottleneck_rate()
         # is O(1).  Every mutation of F_e or of an F_e member's rate must go
-        # through the mutation methods below to keep it in sync.  Starts at
-        # integer zero so exact (Fraction-valued) algebras stay exact.
+        # through the mutation methods below to keep it in sync.
         self._unrestricted_load = 0
 
     # --------------------------------------------------------------- queries
@@ -61,15 +73,11 @@ class LinkState(object):
         """``lambda^e_s`` (``None`` when the link has not recorded one yet)."""
         return self._rate.get(session_id)
 
-    def is_idle(self, session_id):
-        return self.state_of(session_id) == IDLE
-
     def bottleneck_rate(self):
         """``B_e``; infinite when ``R_e`` is empty (the link restricts nobody)."""
         if not self.restricted:
             return math.inf
-        remaining = self.capacity - self._unrestricted_load
-        return self.algebra.divide(remaining, len(self.restricted))
+        return (self.capacity - self._unrestricted_load) / len(self.restricted)
 
     def unrestricted_load(self):
         """The maintained sum of the ``F_e`` rates (unknown rates count as 0)."""
@@ -83,6 +91,29 @@ class LinkState(object):
             for session_id in self.unrestricted
             if session_id in rate_table
         ]
+
+    def settled_at(self, rate):
+        """Sorted ids of the IDLE ``R_e`` members recorded at ``rate``."""
+        mu_of = self._mu.get
+        rate_of = self._rate.get
+        return sorted([
+            session_id
+            for session_id in self.restricted
+            if mu_of(session_id, IDLE) == IDLE
+            and isclose(rate_of(session_id, _UNRECORDED), rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+        ])
+
+    def idle_restricted_above(self, rate):
+        """Sorted ids of the IDLE ``R_e`` members recorded strictly above ``rate``."""
+        mu_of = self._mu.get
+        rate_of = self._rate.get
+        return sorted([
+            session_id
+            for session_id in self.restricted
+            if rate_of(session_id, _UNRECORDED) > rate
+            and mu_of(session_id, IDLE) == IDLE
+            and not isclose(rate_of(session_id), rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+        ])
 
     def _recomputed_unrestricted_load(self):
         """The F_e load summed from scratch; used by consistency tests."""
@@ -151,30 +182,28 @@ class LinkState(object):
         if not self.restricted:
             return False
         rate = self.bottleneck_rate()
+        mu = self._mu
+        rate_table = self._rate
         for session_id in self.restricted:
-            if self.state_of(session_id) != IDLE:
-                return False
-            recorded = self._rate.get(session_id)
-            if recorded is None or not self.algebra.equal(recorded, rate):
+            if mu.get(session_id, IDLE) != IDLE or not isclose(
+                rate_table.get(session_id, _UNRECORDED), rate, rel_tol=REL_TOL, abs_tol=ABS_TOL
+            ):
                 return False
         return True
 
     def is_stable(self):
         """The per-link stability predicate of Definition 2."""
-        for session_id in self.sessions():
-            if self.state_of(session_id) != IDLE:
-                return False
+        if any(self._mu.get(session_id, IDLE) != IDLE for session_id in self.sessions()):
+            return False
         rate = self.bottleneck_rate()
-        for session_id in self.restricted:
-            recorded = self._rate.get(session_id)
-            if recorded is None or not self.algebra.equal(recorded, rate):
-                return False
-        if self.restricted:
-            for session_id in self.unrestricted:
-                recorded = self._rate.get(session_id)
-                if recorded is None or not self.algebra.less(recorded, rate):
-                    return False
-        return True
+        rate_table = self._rate
+        if len(self.settled_at(rate)) != len(self.restricted):
+            return False
+        return not self.restricted or all(
+            rate_table.get(session_id, _UNRECORDED) < rate
+            and not isclose(rate_table[session_id], rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+            for session_id in self.unrestricted
+        )
 
     def snapshot(self):
         """A plain-dict view used by tests and debugging output."""

@@ -12,6 +12,7 @@ a single call gives the strongest correctness statement available:
 """
 
 from repro.core.centralized import centralized_bneck
+from repro.fairness.algebra import default_algebra
 from repro.fairness.verification import verify_allocation
 from repro.fairness.waterfilling import water_filling
 
@@ -73,7 +74,7 @@ def validate_against_oracle(protocol, allocation=None, algebra=None):
     Returns:
         A :class:`ValidationResult`.
     """
-    algebra = algebra or protocol.algebra
+    algebra = algebra or default_algebra()
     sessions = protocol.active_sessions()
     distributed = allocation if allocation is not None else protocol.current_allocation()
     centralized = centralized_bneck(sessions, algebra=algebra)

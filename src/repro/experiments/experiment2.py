@@ -12,7 +12,8 @@ compressed into the first millisecond of its phase:
 The paper reports (a) the time each phase needs to reach quiescence again and
 (b) the number of control packets of each type transmitted per 5 ms interval
 (Figure 6).  Counts are scaled down from the paper's 100,000-session population
-by default (see DESIGN.md); the ratios between phases are preserved.
+to ``Experiment2Config.initial_sessions`` (500 by default); the ratios between
+phases are preserved.
 """
 
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec

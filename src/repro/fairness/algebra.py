@@ -4,12 +4,18 @@ Max-min fair rates are produced by chains of subtractions and divisions
 (``Be = (Ce - sum(rates)) / |Re|``), and both the centralized and the
 distributed algorithms compare rates for *equality* ("all the sessions ... have
 been assigned the same rate").  With IEEE floats those equalities only hold up
-to rounding error, so every comparison in the library goes through a
-:class:`RateAlgebra`:
+to rounding error, so the oracles (centralized B-Neck, water-filling, the
+max-min certificate), rate allocations and the baseline protocols compare
+through a :class:`RateAlgebra`:
 
 * :class:`FloatAlgebra` (the default) compares with a relative tolerance;
 * :class:`ExactAlgebra` lifts every division into :class:`fractions.Fraction`
   so equalities are exact -- used by the correctness tests.
+
+The distributed B-Neck protocol itself always runs on floats: it inlines
+:class:`FloatAlgebra`'s comparisons with the same two tolerances
+(:data:`RELATIVE_TOLERANCE`, :data:`ABSOLUTE_TOLERANCE`; see
+:mod:`repro.core.state`), so it decides exactly as ``FloatAlgebra()`` would.
 """
 
 import fractions
@@ -19,6 +25,10 @@ import math
 # hot path, where repeated attribute lookups on ``math`` are measurable.
 _isclose = math.isclose
 _isinf = math.isinf
+
+# The default float tolerances, shared with the protocol's inlined compares.
+RELATIVE_TOLERANCE = 1e-9
+ABSOLUTE_TOLERANCE = 1e-6
 
 
 class RateAlgebra(object):
@@ -72,7 +82,8 @@ class FloatAlgebra(RateAlgebra):
     realistic topologies.
     """
 
-    def __init__(self, relative_tolerance=1e-9, absolute_tolerance=1e-6):
+    def __init__(self, relative_tolerance=RELATIVE_TOLERANCE,
+                 absolute_tolerance=ABSOLUTE_TOLERANCE):
         self.relative_tolerance = relative_tolerance
         self.absolute_tolerance = absolute_tolerance
 

@@ -45,14 +45,20 @@ def _bfs_path(network, source, target):
         return [source]
     predecessor = {source: None}
     frontier = collections.deque([source])
+    node = network.node
     while frontier:
         current = frontier.popleft()
         for neighbor in network.neighbors(current):
             if neighbor in predecessor:
                 continue
-            predecessor[neighbor] = current
             if neighbor == target:
+                predecessor[neighbor] = current
                 return _reconstruct(predecessor, target)
+            # Hosts are leaves that forward nothing: only the target host
+            # may end a path, so no other host is ever worth expanding.
+            if node(neighbor).is_host:
+                continue
+            predecessor[neighbor] = current
             frontier.append(neighbor)
     return None
 

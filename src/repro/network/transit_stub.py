@@ -103,7 +103,7 @@ class TransitStubParameters(object):
 
 # Default parameter sets.  The paper's Small network has 110 routers; Medium
 # and Big are scaled down from 1,100 and 11,000 routers to keep pure-Python
-# simulations tractable (see DESIGN.md, substitutions table).
+# simulations tractable.  The paper's own sizes are the PAPER_* sets below.
 SMALL_PARAMETERS = TransitStubParameters(1, 10, 2, 5)          # 110 routers
 MEDIUM_PARAMETERS = TransitStubParameters(1, 11, 3, 9)         # 308 routers
 BIG_PARAMETERS = TransitStubParameters(2, 11, 5, 9)            # 1,012 routers

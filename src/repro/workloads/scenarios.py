@@ -22,7 +22,8 @@ NETWORK_SIZES = {
     "medium": MEDIUM_PARAMETERS,
     "big": BIG_PARAMETERS,
     # The paper's full-scale Medium/Big parameter sets, for users willing to
-    # wait (see DESIGN.md on scaling).
+    # wait: pure-Python runs at this scale take tens of seconds to minutes
+    # (benchmarks/test_bench_paper_scale.py runs them in the slow tier).
     "paper-medium": PAPER_MEDIUM_PARAMETERS,
     "paper-big": PAPER_BIG_PARAMETERS,
 }

@@ -22,7 +22,6 @@ from repro.core.packets import (
 )
 from repro.core.router_link import RouterLinkTask
 from repro.core.state import IDLE, WAITING_PROBE, WAITING_RESPONSE
-from repro.fairness.algebra import FloatAlgebra
 from repro.network.graph import Link
 from repro.network.units import MBPS
 from repro.simulator.simulation import Simulator
@@ -34,7 +33,7 @@ LINK_ID = ("r1", "r2")
 @pytest.fixture
 def task(recorder):
     link = Link("r1", "r2", 100 * MBPS, 1e-6)
-    return RouterLinkTask(Simulator(), recorder, link, FloatAlgebra())
+    return RouterLinkTask(Simulator(), recorder, link)
 
 
 def settle(task, session_id, rate, restricted=True):

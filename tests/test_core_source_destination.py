@@ -17,7 +17,6 @@ from repro.core.packets import (
 )
 from repro.core.source_node import SourceNodeTask
 from repro.core.state import IDLE, WAITING_RESPONSE
-from repro.fairness.algebra import FloatAlgebra
 from repro.network.units import MBPS
 from repro.simulator.simulation import Simulator
 from tests.conftest import make_session
@@ -31,7 +30,7 @@ def session(single_link_network):
 
 @pytest.fixture
 def source(recorder, session):
-    return SourceNodeTask(Simulator(), recorder, session, FloatAlgebra())
+    return SourceNodeTask(Simulator(), recorder, session)
 
 
 @pytest.fixture

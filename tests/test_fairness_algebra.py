@@ -1,11 +1,18 @@
-"""Unit tests for the rate algebras."""
+"""Unit tests for the rate algebras and the protocol's inlined float compares."""
 
 import fractions
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.fairness.algebra import FloatAlgebra, default_algebra
+from repro.core.state import ABS_TOL, IDLE, REL_TOL, WAITING_PROBE, LinkState, rates_equal
+from repro.fairness.algebra import (
+    ABSOLUTE_TOLERANCE,
+    RELATIVE_TOLERANCE,
+    FloatAlgebra,
+    default_algebra,
+)
 
 
 class TestFloatAlgebra(object):
@@ -87,3 +94,124 @@ def test_float_and_exact_agree_on_clear_cut_cases(float_algebra, exact_algebra):
     for first, second in [(1.0, 2.0), (5.0, 5.0), (7.5, 2.5)]:
         assert float_algebra.equal(first, second) == exact_algebra.equal(first, second)
         assert float_algebra.less(first, second) == exact_algebra.less(first, second)
+
+
+# --------------------------------------------------------------------------
+# The protocol's inlined float compares (repro.core.state) must decide
+# exactly as FloatAlgebra() does, on every pair of rates.
+
+FLOAT = FloatAlgebra()
+SPECIAL_RATES = st.sampled_from([0.0, -0.0, math.inf, -math.inf])
+PLAIN_RATES = st.floats(0.0, 1e9, allow_nan=False)
+
+
+def straddle(first, offset, nudge):
+    """A rate at ``offset`` tolerance widths from ``first``, moved by ``nudge``
+    ulps, so pairs land on both sides of the tolerance boundary."""
+    second = first + offset * max(RELATIVE_TOLERANCE * abs(first), ABSOLUTE_TOLERANCE)
+    for _ in range(abs(nudge)):
+        second = math.nextafter(second, math.copysign(math.inf, nudge))
+    return second
+
+
+@st.composite
+def rate_pairs(draw):
+    kind = draw(st.sampled_from(["independent", "straddle", "equal", "special"]))
+    first = draw(PLAIN_RATES)
+    if kind == "independent":
+        return first, draw(st.one_of(PLAIN_RATES, SPECIAL_RATES))
+    if kind == "equal":
+        return first, first
+    if kind == "special":
+        return draw(SPECIAL_RATES), draw(st.one_of(PLAIN_RATES, SPECIAL_RATES))
+    offset = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) | st.floats(-3.0, 3.0))
+    return first, straddle(first, offset, draw(st.integers(-2, 2)))
+
+
+def inline_greater(first, second):
+    return first > second and not math.isclose(first, second, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
+
+def inline_greater_equal(first, second):
+    return first >= second or math.isclose(first, second, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
+
+def test_protocol_tolerances_are_the_float_algebra_defaults():
+    assert (REL_TOL, ABS_TOL) == (RELATIVE_TOLERANCE, ABSOLUTE_TOLERANCE)
+    algebra = FloatAlgebra()
+    assert algebra.relative_tolerance == REL_TOL
+    assert algebra.absolute_tolerance == ABS_TOL
+
+
+@settings(max_examples=1500, deadline=None)
+@given(rate_pairs())
+def test_inline_compares_match_float_algebra(pair):
+    for first, second in (pair, pair[::-1]):
+        assert rates_equal(first, second) == FLOAT.equal(first, second)
+        assert inline_greater(first, second) == FLOAT.greater(first, second)
+        assert inline_greater(second, first) == FLOAT.less(first, second)
+        assert inline_greater_equal(first, second) == FLOAT.greater_equal(first, second)
+        assert inline_greater_equal(second, first) == FLOAT.less_equal(first, second)
+        # The source node's form of "greater", given equality at hand.
+        assert (not rates_equal(first, second) and first > second) == FLOAT.greater(
+            first, second
+        )
+
+
+@st.composite
+def link_states(draw):
+    """A LinkState whose recorded R_e rates sit on and around its B_e."""
+    # Small capacities put B_e where the absolute tolerance dominates.
+    state = LinkState(("a", "b"), draw(st.sampled_from([1.0, 700.0, 1e6, 3e7, 1e9])))
+    for index in range(draw(st.integers(0, 3))):
+        session_id = "f%d" % index
+        state.add_unrestricted(session_id)
+        state.set_state(session_id, draw(st.sampled_from([IDLE, WAITING_PROBE])))
+        state.set_rate(session_id, state.capacity * draw(st.floats(0.0, 0.33)))
+    members = ["r%d" % index for index in range(draw(st.integers(0, 6)))]
+    for session_id in members:
+        state.add_restricted(session_id)
+    rate = state.bottleneck_rate()
+    for session_id in members:
+        state.set_state(session_id, draw(st.sampled_from([IDLE, IDLE, WAITING_PROBE])))
+        if draw(st.integers(0, 5)):
+            offset = draw(st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-3.0, 3.0))
+            state.set_rate(session_id, straddle(rate, offset, draw(st.integers(-2, 2))))
+    return state
+
+
+@settings(max_examples=400, deadline=None)
+@given(link_states())
+def test_link_state_queries_match_float_algebra(state):
+    rate = state.bottleneck_rate()
+    idle_rated = sorted(
+        session_id
+        for session_id in state.restricted
+        if state.state_of(session_id) == IDLE and state.rate_of(session_id) is not None
+    )
+    assert state.settled_at(rate) == [
+        session_id for session_id in idle_rated if FLOAT.equal(state.rate_of(session_id), rate)
+    ]
+    assert state.idle_restricted_above(rate) == [
+        session_id for session_id in idle_rated if FLOAT.greater(state.rate_of(session_id), rate)
+    ]
+    settled = all(
+        state.state_of(session_id) == IDLE
+        and state.rate_of(session_id) is not None
+        and FLOAT.equal(state.rate_of(session_id), rate)
+        for session_id in state.restricted
+    )
+    assert state.all_restricted_settled() == (bool(state.restricted) and settled)
+    stable = (
+        all(state.state_of(session_id) == IDLE for session_id in state.sessions())
+        and settled
+        and (
+            not state.restricted
+            or all(
+                state.rate_of(session_id) is not None
+                and FLOAT.less(state.rate_of(session_id), rate)
+                for session_id in state.unrestricted
+            )
+        )
+    )
+    assert state.is_stable() == stable

@@ -56,6 +56,33 @@ def test_no_path_raises():
         shortest_path(network, "a", "b")
 
 
+def test_hop_routing_never_transits_a_host():
+    # A host wired to two routers is still a leaf: the only two-hop route
+    # through it must lose to the router-only one, while a path *to* the host
+    # still ends there.
+    network = Network()
+    for name in ("a", "b", "c"):
+        network.add_router(name)
+    network.add_host("h")
+    network.add_link("a", "h", 10 * MBPS, microseconds(1))
+    network.add_link("h", "b", 10 * MBPS, microseconds(1))
+    network.add_link("a", "c", 10 * MBPS, microseconds(1))
+    network.add_link("c", "b", 10 * MBPS, microseconds(1))
+    assert shortest_path(network, "a", "b") == ["a", "c", "b"]
+    assert shortest_path(network, "a", "h") == ["a", "h"]
+    assert shortest_path(network, "h", "c") == ["h", "a", "c"]
+
+
+def test_hop_routing_ignores_attached_hosts():
+    bare = line_topology(4)
+    crowded = line_topology(4)
+    for router in ("r0", "r1", "r2", "r3"):
+        for _ in range(5):
+            crowded.attach_host(router, 100 * MBPS, microseconds(1))
+    for source, target in (("r0", "r3"), ("r3", "r0"), ("r1", "r2")):
+        assert shortest_path(crowded, source, target) == shortest_path(bare, source, target)
+
+
 def test_path_links_matches_node_path():
     network = line_topology(4)
     node_path = shortest_path(network, "r0", "r3")
