@@ -32,7 +32,11 @@ RESPONSE_TYPES = (RESPONSE, UPDATE, BOTTLENECK)
 
 
 class _Packet(object):
-    """Common base: every packet belongs to one session."""
+    """Common base: every packet belongs to one session.
+
+    Subclasses with more fields assign ``session_id`` themselves: packets
+    are built on every hop, and a ``super()`` call per packet shows.
+    """
 
     type_name = "Packet"
     __slots__ = ("session_id",)
@@ -62,7 +66,7 @@ class Join(_Packet):
     __slots__ = ("rate", "restricting_link")
 
     def __init__(self, session_id, rate, restricting_link):
-        super(Join, self).__init__(session_id)
+        self.session_id = session_id
         self.rate = rate
         self.restricting_link = restricting_link
 
@@ -80,7 +84,7 @@ class Probe(_Packet):
     __slots__ = ("rate", "restricting_link")
 
     def __init__(self, session_id, rate, restricting_link):
-        super(Probe, self).__init__(session_id)
+        self.session_id = session_id
         self.rate = rate
         self.restricting_link = restricting_link
 
@@ -105,7 +109,7 @@ class Response(_Packet):
     def __init__(self, session_id, tau, rate, restricting_link):
         if tau not in RESPONSE_TYPES:
             raise ValueError("unknown Response tau %r" % (tau,))
-        super(Response, self).__init__(session_id)
+        self.session_id = session_id
         self.tau = tau
         self.rate = rate
         self.restricting_link = restricting_link
@@ -149,7 +153,7 @@ class SetBottleneck(_Packet):
     __slots__ = ("found_bottleneck",)
 
     def __init__(self, session_id, found_bottleneck):
-        super(SetBottleneck, self).__init__(session_id)
+        self.session_id = session_id
         self.found_bottleneck = bool(found_bottleneck)
 
     def __reduce__(self):

@@ -51,6 +51,7 @@ nothing) without affecting protocol behaviour.
 """
 
 import math
+from functools import partial
 
 from repro.core.actions import (
     CapacityChangeAction,
@@ -76,26 +77,43 @@ UPSTREAM = "upstream"
 
 
 class _SessionWiring(object):
-    """Per-session forwarding table: ordered protocol stages and path links."""
+    """Per-session forwarding table: the path's stages and each one's index."""
 
-    __slots__ = ("session", "stages", "links", "index_by_key")
+    __slots__ = ("stages", "index_of")
 
-    def __init__(self, session, stages, links):
-        self.session = session
+    def __init__(self, stages):
         self.stages = stages
-        self.links = links
-        self.index_by_key = {}
-        # Stage 0 (the source) is addressed by the access link it owns; stages
-        # 1..k by the link their RouterLink controls; the destination by a
-        # dedicated key.
-        self.index_by_key[links[0].endpoints] = 0
-        for position in range(1, len(links)):
-            self.index_by_key[links[position].endpoints] = position
-        self.index_by_key[("destination", session.session_id)] = len(links)
+        self.index_of = {stage: index for index, stage in enumerate(stages)}
+
+
+def _wire_stage(stage, link, reverse):
+    """Store the delay of the link ``stage`` transmits on (its key is the
+    stage's ``link_id``) and the delay and key of its reverse, which carries
+    upstream packets to the stage."""
+    stage.hop_delay = link.control_delay()
+    stage.back_delay = reverse.control_delay()
+    stage.back_key = reverse.endpoints
+
+
+def _deliver(protocol, target, packet):
+    """Hand a packet that finished its hop, local or cross-shard, to its
+    target stage (a plain function: the callback binds no method object)."""
+    protocol.in_flight_packets -= 1
+    target.receive(packet, None)
 
 
 class BNeckProtocol(object):
     """B-Neck running over a network on a discrete-event simulator.
+
+    Forwarding: a session's path is a list of *stages* (source, the
+    RouterLinks of its transit links, destination), and a task sends by
+    passing itself as the sender.  A downstream hop crosses the sender's
+    link (``hop_delay``, keyed ``link_id``), an upstream hop the reverse of
+    the target's (``back_delay``/``back_key``); :func:`_wire_stage` stores
+    both once per stage, so each packet is one ``schedule_callback`` (or
+    one ``post_remote`` across shards) and resolves no link.  :meth:`join`
+    resolves every reverse link first, so a path over a one-way link is
+    refused before anything is registered.
 
     Args:
         network: the :class:`~repro.network.graph.Network` to run over.
@@ -201,8 +219,7 @@ class BNeckProtocol(object):
     def _deliver_remote(self, descriptor):
         """Deliver a cross-shard packet descriptor to its target stage."""
         session_id, stage_index, packet = descriptor
-        self.in_flight_packets -= 1
-        self._wirings[session_id].stages[stage_index].receive(packet, None)
+        _deliver(self, self._wirings[session_id].stages[stage_index], packet)
 
     @staticmethod
     def _encode_outbox(entries):
@@ -310,12 +327,16 @@ class BNeckProtocol(object):
                 "apply_actions (ExperimentRunner.install and the phase "
                 "machinery do this automatically)"
             )
+        # Upstream packets cross each path link's reverse: look them all up
+        # before registering anything, so a one-way link leaves no trace.
+        reverses = [self._reverse_link(session.session_id, link) for link in session.links]
         if application is None:
             application = SessionApplication(session.session_id, session.demand)
         self._sessions[session.session_id] = session
         self._applications[session.session_id] = application
 
         source = SourceNodeTask(self.simulator, self, session)
+        _wire_stage(source, session.access_link, reverses[0])
         destination = DestinationNodeTask(self.simulator, self, session)
         plan = self._shard_plan
         if plan is not None:
@@ -325,10 +346,10 @@ class BNeckProtocol(object):
         self._destinations[session.session_id] = destination
 
         stages = [source]
-        for link in session.transit_links:
-            stages.append(self._router_link_for(link))
+        for link, reverse in zip(session.transit_links, reverses[1:]):
+            stages.append(self._router_link_for(link, reverse))
         stages.append(destination)
-        self._wirings[session.session_id] = _SessionWiring(session, stages, session.links)
+        self._wirings[session.session_id] = _SessionWiring(stages)
 
         def activate():
             self.registry.add(session)
@@ -502,10 +523,20 @@ class BNeckProtocol(object):
         else:
             self.simulator.schedule_at(at, callback, tag=tag)
 
-    def _router_link_for(self, link):
+    def _reverse_link(self, session_id, link):
+        try:
+            return self.network.reverse_link(link)
+        except KeyError:
+            raise ValueError(
+                "session %r crosses link %r -> %r, which has no reverse link "
+                "for upstream packets" % (session_id, link.source, link.target)
+            ) from None
+
+    def _router_link_for(self, link, reverse):
         key = link.endpoints
         if key not in self._router_links:
             task = RouterLinkTask(self.simulator, self, link)
+            _wire_stage(task, link, reverse)
             if self._shard_plan is not None:
                 # The RouterLink actor lives where its link transmits from, so
                 # a hop is cross-shard exactly when the link is a cut edge.
@@ -515,48 +546,43 @@ class BNeckProtocol(object):
 
     # ---------------------------------------------------------------- forwarding
 
-    def forward_downstream(self, link_id, packet):
-        """Deliver ``packet`` to the next stage of its session's path."""
+    def forward_downstream(self, sender, packet):
+        """Deliver ``packet`` from stage ``sender`` to the next stage of its
+        session's path, across the link ``sender`` transmits on."""
         wiring = self._wirings[packet.session_id]
-        index = wiring.index_by_key[link_id]
-        crossing = wiring.links[index]
-        target = wiring.stages[index + 1]
-        self._transmit(packet, crossing, target, DOWNSTREAM, index + 1)
+        index = wiring.index_of[sender] + 1
+        self._transmit(
+            packet, sender.hop_delay, sender.link_id, wiring.stages[index], DOWNSTREAM, index
+        )
 
-    def forward_upstream(self, link_id, packet):
-        """Deliver ``packet`` to the previous stage of its session's path."""
+    def forward_upstream(self, sender, packet):
+        """Deliver ``packet`` from stage ``sender`` to the previous stage of
+        its session's path, across the reverse of that stage's link.
+
+        A RouterLink also sends Update/Bottleneck packets of *other*
+        sessions this way: they start at its position in that session's
+        path."""
         wiring = self._wirings[packet.session_id]
-        index = wiring.index_by_key[link_id]
-        if index == 0:
+        index = wiring.index_of[sender] - 1
+        if index < 0:
             # The source is the first stage; nothing lies upstream of it.
             return
-        crossing = self.network.reverse_link(wiring.links[index - 1])
-        target = wiring.stages[index - 1]
-        self._transmit(packet, crossing, target, UPSTREAM, index - 1)
-
-    # A RouterLink that originates an Update/Bottleneck for *another* session
-    # uses the same routing logic: the packet starts at this link's position in
-    # that session's path and travels towards that session's source.
-    send_upstream_from = forward_upstream
+        target = wiring.stages[index]
+        self._transmit(packet, target.back_delay, target.back_key, target, UPSTREAM, index)
 
     def forward_upstream_from_destination(self, session_id, packet):
         """Deliver a packet sent upstream by the destination node."""
-        wiring = self._wirings[session_id]
-        crossing = self.network.reverse_link(wiring.links[-1])
-        target = wiring.stages[-2]
-        self._transmit(packet, crossing, target, UPSTREAM, len(wiring.stages) - 2)
+        stages = self._wirings[session_id].stages
+        index = len(stages) - 2
+        target = stages[index]
+        self._transmit(packet, target.back_delay, target.back_key, target, UPSTREAM, index)
 
-    def _transmit(self, packet, link, target, direction, stage_index):
-        if self._trace_packets:
-            self.tracer.record(
-                self.simulator.now,
-                packet.type_name,
-                packet.session_id,
-                link=link.endpoints,
-                direction=direction,
-            )
-        self.in_flight_packets += 1
+    def _transmit(self, packet, delay, link_key, target, direction, stage_index):
         simulator = self.simulator
+        type_name = packet.type_name
+        if self._trace_packets:
+            self.tracer.record(simulator.now, type_name, packet.session_id, link_key, direction)
+        self.in_flight_packets += 1
 
         if self._shard_plan is not None:
             shard = target.shard_id
@@ -565,20 +591,13 @@ class BNeckProtocol(object):
                 # engine's mailbox; it is delivered at the next epoch barrier
                 # (or pushed directly while the engine is idle).
                 simulator.post_remote(
-                    shard,
-                    link.control_delay(),
-                    (packet.session_id, stage_index, packet),
-                    tag=packet.type_name,
+                    shard, delay, (packet.session_id, stage_index, packet), tag=type_name
                 )
                 return
 
-        def deliver():
-            self.in_flight_packets -= 1
-            target.receive(packet, None)
-
-        # Packet deliveries are never cancelled: store the bare callback (no
-        # Event handle allocation) on the queue's fast path.
-        simulator.schedule_callback(link.control_delay(), deliver, tag=packet.type_name)
+        # Packet deliveries are never cancelled: a bare callback (no Event
+        # handle) on the simulator's fast path.
+        simulator.schedule_callback(delay, partial(_deliver, self, target, packet), type_name)
 
     # --------------------------------------------------------------- API.Rate
 

@@ -8,8 +8,10 @@ transcription of Figure 2, with two presentational differences:
   :mod:`repro.core.state` (exactly ``FloatAlgebra()``'s decisions), inlined
   as plain float compares plus ``math.isclose``;
 * packet forwarding is delegated to the protocol orchestrator
-  (:class:`~repro.core.protocol.BNeckProtocol`), which knows each session's
-  path and the per-hop link delays.
+  (:class:`~repro.core.protocol.BNeckProtocol`): a handler passes the task
+  itself as the sender; a hop's link key is the sender's ``link_id`` or
+  the target's ``back_key``, and its delay the ``hop_delay``/``back_delay``
+  the orchestrator stored on the stages when it wired them.
 """
 
 from math import isclose
@@ -39,6 +41,8 @@ class RouterLinkTask(Process):
         self.link = link
         self.link_id = link.endpoints
         self.state = LinkState(self.link_id, link.capacity)
+        # Delay of this link, and delay and key of its reverse: set by the protocol.
+        self.hop_delay = self.back_delay = self.back_key = None
 
     # ----------------------------------------------------------- dispatching
 
@@ -56,18 +60,18 @@ class RouterLinkTask(Process):
     # ----------------------------------------------------- downstream helpers
 
     def _send_downstream(self, packet):
-        self.protocol.forward_downstream(self.link_id, packet)
+        self.protocol.forward_downstream(self, packet)
 
     def _send_upstream(self, packet):
-        self.protocol.forward_upstream(self.link_id, packet)
+        self.protocol.forward_upstream(self, packet)
 
     def _send_upstream_update(self, session_id):
         """Send an Update for *another* session towards its own source."""
-        self.protocol.send_upstream_from(self.link_id, Update(session_id))
+        self.protocol.forward_upstream(self, Update(session_id))
 
     def _send_upstream_bottleneck(self, session_id):
         """Send a Bottleneck for *another* session towards its own source."""
-        self.protocol.send_upstream_from(self.link_id, Bottleneck(session_id))
+        self.protocol.forward_upstream(self, Bottleneck(session_id))
 
     # -------------------------------------------------- ProcessNewRestricted
 

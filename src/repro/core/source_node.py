@@ -39,6 +39,8 @@ class SourceNodeTask(Process):
         self.access_link = session.access_link
         self.link_id = self.access_link.endpoints
         self.state = LinkState(self.link_id, self.access_link.capacity)
+        # Delay of the access link, and delay and key of its reverse: set by the protocol.
+        self.hop_delay = self.back_delay = self.back_key = None
         self.demand = None                # D_s
         self.update_received = False      # upd_rcv_s
         self.bottleneck_received = False  # bneck_rcv_s
@@ -64,7 +66,7 @@ class SourceNodeTask(Process):
     # ------------------------------------------------------------- forwarding
 
     def _send_downstream(self, packet):
-        self.protocol.forward_downstream(self.link_id, packet)
+        self.protocol.forward_downstream(self, packet)
 
     # ----------------------------------------------------------- API handlers
 

@@ -82,10 +82,19 @@ class Link(object):
         propagation_delay,
         control_packet_bits=DEFAULT_CONTROL_PACKET_BITS,
     ):
-        if capacity <= 0:
-            raise ValueError("link capacity must be positive, got %r" % capacity)
-        if propagation_delay < 0:
-            raise ValueError("propagation delay must be non-negative")
+        # `set_capacity`'s rule, as chained compares (no call per link):
+        # they are false for NaN, which would corrupt heap order, as well as
+        # for the infinities.
+        if not 0 < capacity < math.inf:
+            raise ValueError(
+                "link %r -> %r: capacity must be positive and finite, got %r"
+                % (source, target, capacity)
+            )
+        if not 0 <= propagation_delay < math.inf:
+            raise ValueError(
+                "link %r -> %r: propagation delay must be non-negative and "
+                "finite, got %r" % (source, target, propagation_delay)
+            )
         self.source = source
         self.target = target
         self.capacity = capacity

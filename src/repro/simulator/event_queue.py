@@ -25,6 +25,12 @@ The simulation loop consumes raw tuples through :meth:`EventQueue.pop_entry`;
 :meth:`EventQueue.pop` keeps the historical Event-returning interface for
 callers that want a handle (synthesizing an already-consumed :class:`Event`
 for bare entries).
+
+The queue counts *cancelled entries still in the heap* rather than live
+ones, so a push is nothing but a ``heappush``.  That lets the owning
+:class:`~repro.simulator.simulation.Simulator` push packet deliveries onto
+the queue's heap directly, with the queue's sequence counter (see
+:meth:`~repro.simulator.simulation.Simulator.schedule_callback`).
 """
 
 import heapq
@@ -90,12 +96,14 @@ class Event(object):
 class EventQueue(object):
     """Min-heap of timed callbacks ordered by (time, insertion order)."""
 
-    __slots__ = ("_heap", "_counter", "_live")
+    __slots__ = ("_heap", "_counter", "_cancelled")
 
     def __init__(self):
         self._heap = []
         self._counter = itertools.count()
-        self._live = 0
+        # Cancelled entries not yet popped: len(heap) minus this is the
+        # number of live events.
+        self._cancelled = 0
 
     def push(self, time, callback, tag=None):
         """Schedule ``callback`` at absolute ``time`` and return an :class:`Event`.
@@ -108,7 +116,6 @@ class EventQueue(object):
         sequence = next(self._counter)
         event = Event(time, sequence, callback, tag=tag)
         heapq.heappush(self._heap, (time, sequence, callback, tag, event))
-        self._live += 1
         return event
 
     def push_callback(self, time, callback, tag=None):
@@ -123,7 +130,6 @@ class EventQueue(object):
         if time < 0:
             raise ValueError("event time must be non-negative, got %r" % time)
         heapq.heappush(self._heap, (time, next(self._counter), callback, tag, None))
-        self._live += 1
 
     def pop_entry(self):
         """Remove and return the earliest live heap entry as a raw tuple.
@@ -140,9 +146,9 @@ class EventQueue(object):
             event = entry[4]
             if event is not None:
                 if event.cancelled:
+                    self._cancelled -= 1
                     continue
                 event.consumed = True
-            self._live -= 1
             return entry
         return None
 
@@ -169,6 +175,7 @@ class EventQueue(object):
             event = heap[0][4]
             if event is not None and event.cancelled:
                 heapq.heappop(heap)
+                self._cancelled -= 1
                 continue
             return heap[0][0]
         return None
@@ -183,7 +190,7 @@ class EventQueue(object):
         if event.cancelled or event.consumed:
             return
         event.cancelled = True
-        self._live -= 1
+        self._cancelled += 1
 
     def clear(self):
         """Drop every pending event.
@@ -197,14 +204,15 @@ class EventQueue(object):
             event = entry[4]
             if event is not None:
                 event.cancelled = True
-        self._heap = []
-        self._live = 0
+        # In place: the owning simulator holds the same list (module docstring).
+        self._heap.clear()
+        self._cancelled = 0
 
     def __len__(self):
-        return self._live
+        return len(self._heap) - self._cancelled
 
     def __bool__(self):
-        return self._live > 0
+        return len(self._heap) > self._cancelled
 
     def __repr__(self):
-        return "EventQueue(pending=%d)" % self._live
+        return "EventQueue(pending=%d)" % len(self)

@@ -53,6 +53,7 @@ implementation could stretch a reported phase by up to one window.
 
 import heapq
 import itertools
+from heapq import heappush
 
 from repro.simulator.errors import SimulationLimitExceeded
 from repro.simulator.event_queue import EventQueue
@@ -71,6 +72,10 @@ class Simulator(object):
 
     def __init__(self, max_events=None, max_time=None, tracer=None):
         self._queue = EventQueue()
+        # The queue's own heap and sequence counter: schedule_callback pushes
+        # onto the heap without a queue call.
+        self._heap = self._queue._heap
+        self._sequence = self._queue._counter
         self._now = 0.0
         self._events_processed = 0
         self._running = False
@@ -135,11 +140,13 @@ class Simulator(object):
         The fast path for the packet-delivery majority: the queue stores the
         bare callback with no :class:`~repro.simulator.event_queue.Event`
         handle, so nothing is returned and the entry cannot be cancelled.
-        Ordering is identical to :meth:`schedule`.
+        Ordering is identical to :meth:`schedule`: the entry is the same
+        bare tuple :meth:`~repro.simulator.event_queue.EventQueue.push_callback`
+        builds, pushed straight onto the queue's heap.
         """
         if delay < 0:
             raise ValueError("delay must be non-negative, got %r" % delay)
-        self._queue.push_callback(self._now + delay, callback, tag=tag)
+        heappush(self._heap, (self._now + delay, next(self._sequence), callback, tag, None))
 
     def call_at_instant_end(self, callback):
         """Defer ``callback`` to the end of the current instant.

@@ -130,7 +130,8 @@ class PacketTracer(object):
         self.total += 1
         self.by_type[packet_type] += 1
         self.by_session[session_id] += 1
-        self.last_packet_time = max(self.last_packet_time, time)
+        if time > self.last_packet_time:
+            self.last_packet_time = time
         if self.interval is not None:
             bucket = int(time / self.interval)
             self._interval_counts[bucket][packet_type] += 1

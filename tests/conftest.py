@@ -139,16 +139,11 @@ class ForwardingRecorder(object):
         self.notifications = []
         self._last_rates = {}
 
-    def forward_downstream(self, link_id, packet):
-        self.downstream.append((link_id, packet))
+    def forward_downstream(self, sender, packet):
+        self.downstream.append((sender.link_id, packet))
 
-    def forward_upstream(self, link_id, packet):
-        self.upstream.append((link_id, packet))
-
-    # RouterLink uses this alias when originating Update/Bottleneck packets
-    # for sessions other than the one whose packet triggered the handler.
-    def send_upstream_from(self, link_id, packet):
-        self.forward_upstream(link_id, packet)
+    def forward_upstream(self, sender, packet):
+        self.upstream.append((sender.link_id, packet))
 
     def forward_upstream_from_destination(self, session_id, packet):
         self.upstream.append((("destination", session_id), packet))

@@ -1,0 +1,98 @@
+"""A call-count budget for the simulation hot path.
+
+A small flash crowd (the shape of perfbench's ``crowd`` workload, scaled
+down) runs to quiescence under :mod:`cProfile`, and the number of calls into
+the ``repro`` package's Python functions per processed event must stay
+within a budget.  The test counts calls, not time, so it is deterministic: a
+change that puts one more Python frame on every packet's path fails it, on
+any machine.
+
+Built-in (C) calls and standard-library frames are not counted, so the
+count is fixed by this package's code, not by the interpreter.  The one
+version difference is comprehensions: up to CPython 3.11 each list, dict
+or set comprehension runs in its own frame, and from 3.12 on they are
+inlined (PEP 709) and not counted, so newer interpreters count fewer calls.
+
+Measured on CPython 3.11.7: 20.4 calls per event when every hop resolved its
+reverse link and the link's delay and key per packet and the simulator
+pushed through the event queue; 16.0 with per-stage hop data and the
+single-push send path, of which 0.6 are comprehension frames (so about 15.5
+on 3.12).  Nearly every event is a packet delivery, so one more frame per
+packet adds about 1.0.
+"""
+
+import cProfile
+import math
+import os
+import pstats
+import random
+
+import repro
+from repro.core.protocol import BNeckProtocol
+from repro.core.validation import validate_against_oracle
+from repro.network.transit_stub import (
+    HOST_LINK_CAPACITY,
+    HOST_LINK_DELAY,
+    LAN,
+    small_network,
+    stub_routers,
+)
+
+SESSIONS = 40
+# Calls per processed event: the measured 16.0 plus half a frame per event.
+CALLS_PER_EVENT_BUDGET = 16.5
+PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+
+
+def _flash_crowd():
+    """Greedy sessions join towards one stub domain within a millisecond;
+    a fifth leave and a fifth change rate behind them."""
+    rng = random.Random(11)
+    network = small_network(LAN, seed=1)
+    protocol = BNeckProtocol(network)
+    routers = sorted(stub_routers(network))
+    domains = {}
+    for router in routers:
+        domains.setdefault(router.rsplit(".", 1)[0], []).append(router)
+    targets = domains[sorted(domains)[0]]
+    outside = [router for router in routers if router not in targets]
+    session_ids = []
+    for _ in range(SESSIONS):
+        source = network.attach_host(rng.choice(outside), HOST_LINK_CAPACITY, HOST_LINK_DELAY)
+        destination = network.attach_host(
+            rng.choice(targets), HOST_LINK_CAPACITY, HOST_LINK_DELAY
+        )
+        session, _ = protocol.open_session(
+            source.node_id, destination.node_id, math.inf, at=rng.uniform(1e-4, 1.1e-3)
+        )
+        session_ids.append(session.session_id)
+    churned = rng.sample(session_ids, SESSIONS * 2 // 5)
+    for session_id in churned[: SESSIONS // 5]:
+        protocol.leave(session_id, at=rng.uniform(3e-3, 4e-3))
+    for session_id in churned[SESSIONS // 5:]:
+        protocol.change(session_id, 5e6, at=rng.uniform(6e-3, 7e-3))
+    return protocol
+
+
+def _python_calls_per_event(protocol):
+    profile = cProfile.Profile()
+    profile.enable()
+    protocol.run_until_quiescent()
+    profile.disable()
+    calls = sum(
+        total_calls
+        for (filename, _, _), (_, total_calls, _, _, _) in pstats.Stats(profile).stats.items()
+        if os.path.abspath(filename).startswith(PACKAGE_DIR)
+    )
+    return calls / protocol.simulator.events_processed
+
+
+def test_python_calls_per_event_within_budget():
+    protocol = _flash_crowd()
+    calls_per_event = _python_calls_per_event(protocol)
+    assert protocol.tracer.total > 10000
+    assert validate_against_oracle(protocol).valid
+    assert calls_per_event <= CALLS_PER_EVENT_BUDGET, (
+        "%.2f package calls per event exceed the budget of %.1f: something "
+        "added work to every event or packet" % (calls_per_event, CALLS_PER_EVENT_BUDGET)
+    )

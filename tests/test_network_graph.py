@@ -1,5 +1,7 @@
 """Unit tests for the network graph model."""
 
+import math
+
 import pytest
 
 from repro.network.graph import Link, Network
@@ -66,6 +68,26 @@ class TestNodesAndLinks(object):
             Link("a", "b", 0.0, 1e-6)
         with pytest.raises(ValueError):
             Link("a", "b", 10 * MBPS, -1e-6)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf])
+    def test_non_finite_capacity_rejected(self, capacity):
+        # A NaN capacity used to give a NaN control delay, and NaN event
+        # times silently corrupt the event heap's order.
+        with pytest.raises(ValueError, match="'a' -> 'b'.*capacity"):
+            Link("a", "b", capacity, 1e-6)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_non_finite_propagation_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match="'a' -> 'b'.*propagation delay"):
+            Link("a", "b", 1e6, delay)
+
+    def test_add_link_with_nan_delay_leaves_the_graph_unchanged(self):
+        network = Network()
+        network.add_router("x")
+        network.add_router("y")
+        with pytest.raises(ValueError):
+            network.add_link("x", "y", 10 * MBPS, math.nan)
+        assert network.number_of_links() == 0
 
     def test_control_delay_combines_propagation_and_transmission(self):
         link = Link("a", "b", 100 * MBPS, microseconds(5), control_packet_bits=1000.0)

@@ -1,0 +1,150 @@
+"""Per-stage hop data of the packet transport.
+
+Every stage that transmits (a session's source and the RouterLinks of its
+transit links) stores, once, the control delay of the link it sends on
+(``hop_delay``; the link's key is the stage's ``link_id``) and the delay and
+key of that link's reverse (``back_delay``/``back_key``).  Forwarding reads
+only those, so they must match the network's links exactly.
+"""
+
+import pytest
+
+from repro.core.packets import Update
+from repro.core.protocol import BNeckProtocol
+from repro.core.validation import validate_against_oracle
+from repro.network.graph import Network
+from repro.network.transit_stub import (
+    HOST_LINK_CAPACITY,
+    HOST_LINK_DELAY,
+    LAN,
+    medium_network,
+    stub_routers,
+)
+from repro.network.units import MBPS
+from repro.simulator.clock import microseconds
+from repro.simulator.tracing import PacketTracer
+
+
+def _open(protocol, source_router, destination_router):
+    network = protocol.network
+    source = network.attach_host(source_router, HOST_LINK_CAPACITY, HOST_LINK_DELAY)
+    destination = network.attach_host(destination_router, HOST_LINK_CAPACITY, HOST_LINK_DELAY)
+    session, _ = protocol.open_session(source.node_id, destination.node_id)
+    return session
+
+
+@pytest.fixture(scope="module")
+def medium_run():
+    """Sessions across a Medium LAN network, plus one whose two hosts hang
+    off the same router (path host -> router -> host), run to quiescence."""
+    network = medium_network(LAN, seed=4)
+    protocol = BNeckProtocol(network, tracer=PacketTracer(keep_records=True))
+    routers = stub_routers(network)
+    pairs = [(routers[0], routers[-1]), (routers[3], routers[len(routers) // 2]),
+             (routers[-1], routers[0]), (routers[7], routers[7])]
+    sessions = [_open(protocol, source, destination) for source, destination in pairs]
+    protocol.run_until_quiescent()
+    return protocol, sessions
+
+
+def _stages_with_links(protocol, session):
+    yield protocol.source(session.session_id), session.access_link
+    for link in session.transit_links:
+        yield protocol.router_link(link.endpoints), link
+
+
+def test_same_router_session_has_one_transit_stage(medium_run):
+    _protocol, sessions = medium_run
+    shared = sessions[-1]
+    assert len(shared.links) == 2
+    assert shared.links[0].target == shared.links[1].source
+
+
+def test_every_stage_stores_its_link_and_reverse(medium_run):
+    protocol, sessions = medium_run
+    network = protocol.network
+    checked = 0
+    for session in sessions:
+        for stage, link in _stages_with_links(protocol, session):
+            reverse = network.reverse_link(link)
+            assert stage.hop_delay == link.control_delay()
+            assert stage.link_id == link.endpoints
+            assert stage.back_delay == reverse.control_delay()
+            assert stage.back_key == reverse.endpoints
+            checked += 1
+    assert checked == sum(len(session.links) for session in sessions)
+
+
+def test_every_record_names_a_link_of_its_session(medium_run):
+    protocol, sessions = medium_run
+    by_id = {session.session_id: session for session in sessions}
+    records = protocol.tracer.records
+    assert len(records) == protocol.tracer.total > 0
+    for record in records:
+        links = by_id[record.session_id].links
+        if record.direction == "downstream":
+            assert record.link in [link.endpoints for link in links]
+        else:
+            assert record.link in [(link.target, link.source) for link in links]
+
+
+def test_upstream_from_the_source_is_dropped_and_not_counted(medium_run):
+    protocol, sessions = medium_run
+    session_id = sessions[0].session_id
+    simulator = protocol.simulator
+    before = (protocol.tracer.total, simulator.pending_events, protocol.in_flight_packets)
+    protocol.forward_upstream(protocol.source(session_id), Update(session_id))
+    assert (protocol.tracer.total, simulator.pending_events,
+            protocol.in_flight_packets) == before
+
+
+def test_hops_use_the_delay_of_the_link_they_cross():
+    """Each direction of the host -> router -> host path has its own delay,
+    so a hop that used the wrong link's delay would arrive at the wrong time.
+    A lone session's packets form one chain: each is sent when the previous
+    one arrives."""
+    network = Network("asymmetric")
+    network.add_router("r")
+    network.add_host("h1", attached_router="r")
+    network.add_host("h2", attached_router="r")
+    delays = {("h1", "r"): 1, ("r", "h2"): 2, ("h2", "r"): 4, ("r", "h1"): 8}
+    for (source, target), micros in delays.items():
+        network.add_link(source, target, 100 * MBPS, microseconds(micros),
+                         bidirectional=False)
+    protocol = BNeckProtocol(network, tracer=PacketTracer(keep_records=True))
+    protocol.open_session("h1", "h2", session_id="s")
+    quiescence = protocol.run_until_quiescent()
+
+    records = protocol.tracer.records
+    assert [(record.packet_type, record.link) for record in records] == [
+        ("Join", ("h1", "r")), ("Join", ("r", "h2")),
+        ("Response", ("h2", "r")), ("Response", ("r", "h1")),
+        ("SetBottleneck", ("h1", "r")), ("SetBottleneck", ("r", "h2")),
+    ]
+    arrival = 0.0
+    for record in records:
+        assert record.time == pytest.approx(arrival, rel=1e-12)
+        arrival = record.time + network.link(*record.link).control_delay()
+    assert quiescence == pytest.approx(arrival, rel=1e-12)
+
+
+def test_join_over_a_one_way_link_is_refused_before_registering():
+    network = Network("one-way")
+    network.add_router("r")
+    network.add_host("h1", attached_router="r")
+    network.add_host("h2", attached_router="r")
+    network.add_link("h1", "r", 100 * MBPS, microseconds(1))
+    network.add_link("r", "h2", 100 * MBPS, microseconds(1), bidirectional=False)
+    protocol = BNeckProtocol(network)
+    session = protocol.create_session("h1", "h2", session_id="s")
+    with pytest.raises(ValueError, match=r"'r' -> 'h2'.*no reverse link"):
+        protocol.join(session)
+    with pytest.raises(KeyError):
+        protocol.session("s")
+    assert protocol.router_link_states() == []
+
+    # Once the reverse link exists the same session object joins cleanly.
+    network.add_link("h2", "r", 100 * MBPS, microseconds(1), bidirectional=False)
+    protocol.join(session)
+    protocol.run_until_quiescent()
+    assert validate_against_oracle(protocol).valid

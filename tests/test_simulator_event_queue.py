@@ -1,5 +1,7 @@
 """Unit tests for the event queue."""
 
+import heapq
+
 import pytest
 
 from repro.simulator.event_queue import EventQueue
@@ -249,3 +251,23 @@ def test_many_events_keep_global_order():
     while queue:
         popped.append(queue.pop().time)
     assert popped == sorted(times)
+
+
+def test_direct_heap_entries_count_as_live_through_cancel_peek_and_clear():
+    # The owning simulator pushes bare entries straight onto the queue's
+    # heap; the live count is the heap size minus unpopped cancels.
+    queue = EventQueue()
+    heap, counter = queue._heap, queue._counter
+    early = queue.push(1.0, lambda: None, tag="early")
+    heapq.heappush(heap, (2.0, next(counter), lambda: None, "direct", None))
+    queue.push_callback(3.0, lambda: None, tag="bare")
+    assert len(queue) == 3
+    queue.cancel(early)
+    assert len(queue) == 2 and queue
+    assert queue.peek_time() == 2.0  # drops the cancelled head
+    assert len(queue) == 2
+    assert queue.pop().tag == "direct"
+    queue.clear()
+    assert heap == [] and len(queue) == 0 and not queue
+    heapq.heappush(heap, (4.0, next(counter), lambda: None, "after", None))
+    assert len(queue) == 1 and queue.pop().tag == "after"
