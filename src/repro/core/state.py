@@ -9,6 +9,13 @@ For every link ``e`` the protocol keeps (Section III-C):
   ``s`` is in ``F_e``, or in ``R_e`` with ``mu^e_s = IDLE``);
 * the bottleneck-rate estimate ``B_e = (C_e - sum of F_e rates) / |R_e|``.
 
+Besides the ``F_e`` load behind ``B_e``, a link counts its *busy* ``R_e``
+members, those not IDLE.  The ``R_e`` scans exit on the count alone when it
+decides them: :meth:`LinkState.all_restricted_settled` is false while any
+member is busy, and :meth:`LinkState.settled_at` and
+:meth:`LinkState.idle_restricted_above` find nobody when every member is.
+Otherwise they scan as before, and their results are sorted by id.
+
 The same container is used by the RouterLink task, by the SourceNode task (for
 the session's access link) and by the stability checker of Definition 2.
 
@@ -54,6 +61,8 @@ class LinkState(object):
         # is O(1).  Every mutation of F_e or of an F_e member's rate must go
         # through the mutation methods below to keep it in sync.
         self._unrestricted_load = 0
+        # Number of R_e members whose mu is not IDLE, kept by the same methods.
+        self._busy = 0
 
     # --------------------------------------------------------------- queries
 
@@ -94,6 +103,8 @@ class LinkState(object):
 
     def settled_at(self, rate):
         """Sorted ids of the IDLE ``R_e`` members recorded at ``rate``."""
+        if self._busy == len(self.restricted):
+            return []
         mu_of = self._mu.get
         rate_of = self._rate.get
         return sorted([
@@ -105,6 +116,8 @@ class LinkState(object):
 
     def idle_restricted_above(self, rate):
         """Sorted ids of the IDLE ``R_e`` members recorded strictly above ``rate``."""
+        if self._busy == len(self.restricted):
+            return []
         mu_of = self._mu.get
         rate_of = self._rate.get
         return sorted([
@@ -119,11 +132,17 @@ class LinkState(object):
         """The F_e load summed from scratch; used by consistency tests."""
         return sum(self._rate.get(session_id, 0.0) for session_id in self.unrestricted)
 
+    def _recomputed_busy(self):
+        """The non-IDLE R_e members counted from scratch; used by consistency tests."""
+        return sum(self._mu.get(session_id, IDLE) != IDLE for session_id in self.restricted)
+
     # ------------------------------------------------------------- mutations
 
     def set_state(self, session_id, state):
         if state not in SESSION_STATES:
             raise ValueError("unknown session state %r" % (state,))
+        if session_id in self.restricted:
+            self._busy += (state != IDLE) - (self._mu.get(session_id, IDLE) != IDLE)
         self._mu[session_id] = state
 
     def set_capacity(self, capacity):
@@ -146,23 +165,30 @@ class LinkState(object):
         if session_id in self.unrestricted:
             self.unrestricted.remove(session_id)
             self._drop_unrestricted_rate(session_id)
-        self.restricted.add(session_id)
+        if session_id not in self.restricted:
+            self.restricted.add(session_id)
+            self._busy += self._mu.get(session_id, IDLE) != IDLE
 
     def add_unrestricted(self, session_id):
         """Put the session in ``F_e`` (removing it from ``R_e`` if needed)."""
-        self.restricted.discard(session_id)
+        self._leave_restricted(session_id)
         if session_id not in self.unrestricted:
             self.unrestricted.add(session_id)
             self._unrestricted_load += self._rate.get(session_id, 0)
 
     def forget(self, session_id):
         """Drop every trace of the session (used on ``Leave``)."""
-        self.restricted.discard(session_id)
+        self._leave_restricted(session_id)
         if session_id in self.unrestricted:
             self.unrestricted.remove(session_id)
             self._drop_unrestricted_rate(session_id)
         self._mu.pop(session_id, None)
         self._rate.pop(session_id, None)
+
+    def _leave_restricted(self, session_id):
+        if session_id in self.restricted:
+            self.restricted.remove(session_id)
+            self._busy -= self._mu.get(session_id, IDLE) != IDLE
 
     def _drop_unrestricted_rate(self, session_id):
         if self.unrestricted:
@@ -179,7 +205,7 @@ class LinkState(object):
 
         every session in ``R_e`` is IDLE and recorded at exactly ``B_e``.
         """
-        if not self.restricted:
+        if self._busy or not self.restricted:
             return False
         rate = self.bottleneck_rate()
         mu = self._mu

@@ -161,6 +161,9 @@ class Network(object):
         self._nodes = {}
         self._links = {}
         self._adjacency = {}
+        # node id -> its non-host out-neighbours, built at the first
+        # `relay_neighbors` call for the node (see there).
+        self._relays = {}
         self._host_counter = 0
 
     # ------------------------------------------------------------------ nodes
@@ -235,6 +238,11 @@ class Network(object):
         link = Link(source, target, capacity, propagation_delay, control_bits)
         self._links[key] = link
         self._adjacency[source].append(target)
+        # A new relay makes the source's cached relay list stale; links to
+        # hosts leave it valid, and an empty cache (a network being built)
+        # has nothing to drop.
+        if self._relays and self._nodes[target].kind != HOST:
+            self._relays.pop(source, None)
         return link
 
     def link(self, source, target):
@@ -255,6 +263,23 @@ class Network(object):
     def neighbors(self, node_id):
         """Node ids reachable through one outgoing link."""
         return list(self._adjacency[node_id])
+
+    def relay_neighbors(self, node_id):
+        """The node's non-host out-neighbours, in adjacency order.
+
+        Hosts are leaves that forward nothing, so a route can only pass
+        through these.  The tuple is built at the first call for the node and
+        kept until a link from the node to a non-host is added.
+        """
+        relays = self._relays.get(node_id)
+        if relays is None:
+            nodes = self._nodes
+            relays = self._relays[node_id] = tuple(
+                neighbor
+                for neighbor in self._adjacency[node_id]
+                if nodes[neighbor].kind != HOST
+            )
+        return relays
 
     def out_links(self, node_id):
         """Outgoing links of a node."""

@@ -8,6 +8,12 @@ destination node".  Two metrics are supported:
 * ``"delay"`` -- Dijkstra over link propagation delays, useful for WAN-flavored
   examples.
 
+Under either metric hosts never relay: a path may start or end at a host but
+never passes through one.  Both searches expand only
+:meth:`~repro.network.graph.Network.relay_neighbors`, which the network
+builds lazily per node, so the hosts attached over a workload add nothing to
+the cost of a search.
+
 :class:`PathComputer` caches router-to-router paths, which matters when a
 workload creates tens of thousands of sessions over the same backbone.
 """
@@ -41,35 +47,36 @@ def path_links(network, node_path):
 
 
 def _bfs_path(network, source, target):
+    # Hosts never relay, so only `relay_neighbors` are expanded.  The target
+    # (host or router) is entered from the first popped node linked to it,
+    # which is the predecessor a scan of every out-neighbour would give it.
     if source == target:
         return [source]
     predecessor = {source: None}
     frontier = collections.deque([source])
-    node = network.node
+    relay_neighbors = network.relay_neighbors
+    has_link = network.has_link
     while frontier:
         current = frontier.popleft()
-        for neighbor in network.neighbors(current):
-            if neighbor in predecessor:
-                continue
-            if neighbor == target:
+        if has_link(current, target):
+            predecessor[target] = current
+            return _reconstruct(predecessor, target)
+        for neighbor in relay_neighbors(current):
+            if neighbor not in predecessor:
                 predecessor[neighbor] = current
-                return _reconstruct(predecessor, target)
-            # Hosts are leaves that forward nothing: only the target host
-            # may end a path, so no other host is ever worth expanding.
-            if node(neighbor).is_host:
-                continue
-            predecessor[neighbor] = current
-            frontier.append(neighbor)
+                frontier.append(neighbor)
     return None
 
 
 def _dijkstra_path(network, source, target):
+    # The same relay rule as `_bfs_path`: a host is entered only as the target.
     if source == target:
         return [source]
     distances = {source: 0.0}
     predecessor = {source: None}
     heap = [(0.0, source)]
     visited = set()
+    link = network.link
     while heap:
         distance, current = heapq.heappop(heap)
         if current in visited:
@@ -77,9 +84,13 @@ def _dijkstra_path(network, source, target):
         visited.add(current)
         if current == target:
             return _reconstruct(predecessor, target)
-        for link in network.out_links(current):
-            neighbor = link.target
-            candidate = distance + link.propagation_delay
+        neighbors = network.relay_neighbors(current)
+        if network.has_link(current, target):
+            # A router target is relaxed twice at the same distance; the
+            # strict compare below makes the second time a no-op.
+            neighbors += (target,)
+        for neighbor in neighbors:
+            candidate = distance + link(current, neighbor).propagation_delay
             if neighbor not in distances or candidate < distances[neighbor]:
                 distances[neighbor] = candidate
                 predecessor[neighbor] = current

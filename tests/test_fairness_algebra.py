@@ -6,7 +6,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.state import ABS_TOL, IDLE, REL_TOL, WAITING_PROBE, LinkState, rates_equal
+from repro.core.state import (
+    ABS_TOL,
+    IDLE,
+    REL_TOL,
+    SESSION_STATES,
+    WAITING_PROBE,
+    LinkState,
+    rates_equal,
+)
 from repro.fairness.algebra import (
     ABSOLUTE_TOLERANCE,
     RELATIVE_TOLERANCE,
@@ -183,6 +191,11 @@ def link_states(draw):
 @settings(max_examples=400, deadline=None)
 @given(link_states())
 def test_link_state_queries_match_float_algebra(state):
+    assert_queries_match_full_scan(state)
+
+
+def assert_queries_match_full_scan(state):
+    """Each R_e query equals a scan of every member with FloatAlgebra."""
     rate = state.bottleneck_rate()
     idle_rated = sorted(
         session_id
@@ -215,3 +228,33 @@ def test_link_state_queries_match_float_algebra(state):
         )
     )
     assert state.is_stable() == stable
+
+
+# The busy count (non-IDLE R_e members) that lets the R_e scans exit early
+# must follow every mutation, in any order.
+
+MUTATIONS = ["add_restricted", "add_unrestricted", "set_state", "set_rate", "forget"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_busy_count_follows_every_mutation(data):
+    state = LinkState(("a", "b"), data.draw(st.sampled_from([1.0, 700.0, 3e7])))
+    sessions = ["s%d" % index for index in range(data.draw(st.integers(1, 5)))]
+    for _ in range(data.draw(st.integers(1, 40))):
+        mutation = data.draw(st.sampled_from(MUTATIONS))
+        session_id = data.draw(st.sampled_from(sessions))
+        if mutation == "set_state":
+            state.set_state(session_id, data.draw(st.sampled_from(SESSION_STATES)))
+        elif mutation == "set_rate":
+            rate = state.bottleneck_rate()
+            if math.isinf(rate):
+                rate = state.capacity * data.draw(st.floats(0.0, 1.0))
+            else:
+                offset = data.draw(st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-3.0, 3.0))
+                rate = straddle(rate, offset, data.draw(st.integers(-2, 2)))
+            state.set_rate(session_id, rate)
+        else:
+            getattr(state, mutation)(session_id)
+        assert state._busy == state._recomputed_busy()
+        assert_queries_match_full_scan(state)

@@ -14,7 +14,8 @@ After quiescence every run must satisfy:
 * the allocation passes :func:`~repro.core.validation.validate_against_oracle`
   (centralized B-Neck, water-filling and the max-min certificate);
 * every RouterLink and every active source is stable (Definition 2);
-* every link's incrementally maintained ``F_e`` load equals a recomputation.
+* every link's incrementally maintained ``F_e`` load and count of busy
+  (non-IDLE) ``R_e`` members equal a recomputation.
 """
 
 import math
@@ -150,6 +151,7 @@ def assert_converged(protocol):
             rel_tol=1e-12,
             abs_tol=1e-6,
         ), state
+        assert state._busy == state._recomputed_busy() == 0, state
 
 
 @settings(max_examples=150, deadline=None)
