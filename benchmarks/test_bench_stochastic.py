@@ -1,7 +1,7 @@
 """Stochastic-scenario benchmarks: sustained open-loop churn.
 
 The fast tier times the Poisson-churn scenario (Poisson arrivals with
-exponential holding times, emitted as broadcastable action batches) on the
+exponential holding times, emitted as action batches) on the
 Medium transit-stub network and is guarded against regressions by
 ``benchmarks/baseline.json`` (see ``scripts/check_bench_regression.py``).
 The ``slow_bench`` tier runs a paper-medium sustained-churn case -- many
@@ -16,13 +16,11 @@ from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.workloads.stochastic import PoissonChurnWorkload
 
 
-def _run_poisson(size, seed, workload, engine="sequential", trace_packets=True,
-                 notification_log=None):
+def _run_poisson(size, seed, workload, trace_packets=True, notification_log=None):
     spec = ScenarioSpec(
         size=size,
         delay_model="lan",
         seed=seed,
-        engine=engine,
         trace_packets=trace_packets,
         notification_log=notification_log,
     )

@@ -22,14 +22,7 @@ packets spent on the reconfiguration.
 
 Run with::
 
-    python examples/dynamic_sessions.py [--engine sequential|sharded[:K]]
-
-The ``--engine`` flag picks the execution engine for the walkthrough.  This
-example drives the session API directly with a custom printing application
-(which cannot be replayed inside worker processes), so the parallel engine
-falls back to its bit-identical serial sharded schedule here; use
-``examples/experiment1_sweep.py --engine sharded:K/parallel`` or the sharded
-benchmarks for workloads that exercise the persistent worker pool.
+    python examples/dynamic_sessions.py
 """
 
 import argparse
@@ -39,7 +32,6 @@ from repro import MBPS, parking_lot_topology
 from repro.core import SessionApplication
 from repro.experiments import ExperimentRunner, ScenarioSpec
 from repro.simulator.clock import microseconds
-from repro.simulator.sharding import parse_engine
 
 
 class PrintingApplication(SessionApplication):
@@ -65,38 +57,15 @@ def run_step(runner, description):
 
 def parse_arguments(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--engine",
-        default="sequential",
-        help=(
-            "execution engine: 'sequential' (default) or 'sharded[:K]'; "
-            "'sharded:K/parallel' runs this walkthrough on the bit-identical "
-            "serial sharded schedule (see the module docstring)"
-        ),
-    )
     return parser.parse_args(argv)
 
 
 def main(argv=None):
-    arguments = parse_arguments(argv)
-    try:
-        _kind, shards, parallel = parse_engine(arguments.engine)
-    except ValueError as error:
-        print("ERROR: %s" % error, file=sys.stderr)
-        return 2
-    engine = arguments.engine
-    if parallel:
-        engine = "sharded:%d" % shards
-        print(
-            "note: this walkthrough joins sessions with a custom printing "
-            "application, which cannot be replayed in worker processes; "
-            "running the bit-identical serial schedule %r instead" % engine
-        )
+    parse_arguments(argv)
     # Three 100 Mbps links in a row: r0 - r1 - r2 - r3.
     spec = ScenarioSpec(
         name="parking-lot",
         network_builder=lambda: parking_lot_topology(3, capacity=100 * MBPS),
-        engine=engine,
     )
     with ExperimentRunner(spec) as runner:
         network, protocol = runner.network, runner.protocol

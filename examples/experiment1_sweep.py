@@ -44,31 +44,17 @@ def parse_arguments(argv=None):
         help="delay scenarios to sweep",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--engine",
-        default="sequential",
-        help=(
-            "execution engine for every run: 'sequential' (default), "
-            "'sharded[:K]' (serial lockstep shards) or 'sharded:K/parallel' "
-            "(persistent worker pool, one process per shard)"
-        ),
-    )
     return parser.parse_args(argv)
 
 
 def main(argv=None):
     arguments = parse_arguments(argv)
-    try:
-        config = Experiment1Config(
-            session_counts=tuple(arguments.counts),
-            sizes=tuple(arguments.sizes),
-            delay_models=tuple(arguments.delay_models),
-            seed=arguments.seed,
-            engine=arguments.engine,
-        )
-    except ValueError as error:
-        print("ERROR: %s" % error, file=sys.stderr)
-        return 2
+    config = Experiment1Config(
+        session_counts=tuple(arguments.counts),
+        sizes=tuple(arguments.sizes),
+        delay_models=tuple(arguments.delay_models),
+        seed=arguments.seed,
+    )
     rows = run_experiment1(config, progress=lambda row: print("finished %r" % row))
     print()
     print(format_experiment1_table(rows))

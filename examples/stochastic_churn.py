@@ -1,4 +1,4 @@
-"""Stochastic scenario walkthrough: open-loop churn on any execution engine.
+"""Stochastic scenario walkthrough: open-loop churn, validated round by round.
 
 Runs one of the stochastic workloads from :mod:`repro.workloads.stochastic`
 through the shared :class:`~repro.experiments.runner.ExperimentRunner` entry
@@ -15,12 +15,12 @@ point and prints one row per round (quiescence time, control packets,
 * ``capacity-dynamics`` -- deep link-capacity cuts and a final restore, each
   validated against the water-filling oracle on the updated network.
 
-Every scenario is resolved into broadcastable action batches on the driver,
-so the same seed replays bit-identically on every engine::
+Every scenario is resolved into action batches up front, so the same seed
+replays bit-identically::
 
     python examples/stochastic_churn.py --workload poisson-churn
-    python examples/stochastic_churn.py --workload capacity-dynamics --engine sharded:4
-    python examples/stochastic_churn.py --workload flash-crowd --engine sharded:2/parallel
+    python examples/stochastic_churn.py --workload capacity-dynamics --seed 13
+    python examples/stochastic_churn.py --workload flash-crowd --size medium
 
 The script exits non-zero if any round fails oracle validation.
 """
@@ -52,32 +52,17 @@ def parse_arguments(argv=None):
         "--delay-model", default="lan", choices=["lan", "wan"], help="delay scenario"
     )
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--engine",
-        default="sequential",
-        help=(
-            "execution engine: 'sequential' (default), 'sharded[:K]' (serial "
-            "lockstep shards) or 'sharded:K/parallel' (persistent worker "
-            "pool); the scenario replays bit-identically on all of them"
-        ),
-    )
     return parser.parse_args(argv)
 
 
 def main(argv=None):
     arguments = parse_arguments(argv)
-    try:
-        spec = ScenarioSpec(
-            size=arguments.size,
-            delay_model=arguments.delay_model,
-            seed=arguments.seed,
-            engine=arguments.engine,
-            workload=arguments.workload,
-        )
-    except ValueError as error:
-        print("ERROR: %s" % error, file=sys.stderr)
-        return 2
-
+    spec = ScenarioSpec(
+        size=arguments.size,
+        delay_model=arguments.delay_model,
+        seed=arguments.seed,
+        workload=arguments.workload,
+    )
     with ExperimentRunner(spec) as runner:
         try:
             measurements = runner.run_scenario()

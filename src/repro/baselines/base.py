@@ -291,9 +291,9 @@ class BaselineProtocol(object):
     def active_sessions(self):
         return self.registry.active_sessions()
 
-    def run(self, until=None, stop_condition=None):
+    def run(self, until=None):
         """Run to a horizon.  Baselines never become quiescent on their own."""
-        return self.simulator.run(until=until, stop_condition=stop_condition)
+        return self.simulator.run(until=until)
 
     def __repr__(self):
         return "%s(network=%r, sessions=%d, now=%r)" % (

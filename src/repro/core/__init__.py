@@ -14,8 +14,8 @@ The package mirrors the paper's Section III structure:
 * :mod:`~repro.core.destination_node` -- the DestinationNode task (Figure 4).
 * :mod:`~repro.core.api` -- the session-facing primitives
   (``API.Join`` / ``API.Leave`` / ``API.Change`` / ``API.Rate``).
-* :mod:`~repro.core.actions` -- joins/leaves/changes as broadcastable data
-  records, replayable in every process of a persistent-worker parallel run.
+* :mod:`~repro.core.actions` -- joins, leaves, rate and capacity changes as
+  data records: the workloads' schedule format.
 * :mod:`~repro.core.notifications` -- pluggable ``API.Rate`` record storage
   (full / ring-buffer / null) behind ``BNeckProtocol.notifications``.
 * :mod:`~repro.core.protocol` -- :class:`BNeckProtocol`, which instantiates the

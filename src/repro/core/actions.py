@@ -1,14 +1,9 @@
-"""Broadcastable session actions: joins, leaves and rate changes as data.
+"""Session actions: joins, leaves, rate and capacity changes as data.
 
-The persistent-worker parallel engine (:mod:`repro.simulator.sharding`) keeps
-one process per shard resident across experiment phases.  Phase N+1's schedule
-is computed on the driver (where the workload generator and its random streams
-live) *after* phase N's quiescence time is known, and must then be replayed
-bit-identically in every worker process.  Pre-bound callbacks cannot travel
-across a pipe, so the workload layer describes its schedule with the three
-action records below -- plain picklable data resolving every random choice
-(endpoints, demands, times) on the driver -- and every process replays them
-through the same :func:`replay_actions` code path:
+The workloads describe their schedules with the four action records below:
+plain data resolving every random choice (endpoints, demands, times) before
+anything is applied, so a seeded schedule can be built, inspected and
+replayed through the one :func:`replay_actions` code path:
 
 * a :class:`JoinAction` attaches one fresh source and one fresh destination
   host, creates the session along the shortest path, and schedules its
@@ -21,16 +16,13 @@ through the same :func:`replay_actions` code path:
   :meth:`repro.core.router_link.RouterLinkTask.capacity_changed`).
 
 Replay is deterministic: host attachment, session creation and API scheduling
-happen in action order, so every process pushes the same events in the same
-relative order onto the same lanes.  The actions carry tuple-based
-``__reduce__`` implementations, keeping their pickles small and cheap (they
-ride the same wire as the batch-encoded packet outboxes).
+happen in action order, so a batch always pushes the same events in the same
+relative order.
 
-:meth:`repro.core.protocol.BNeckProtocol.apply_actions` is the
-engine-transparent entry point: on a sequential or serial-sharded engine it
-replays locally; on a persistent-parallel engine it broadcasts the batch to
-every worker first.  The module-level :func:`replay_actions` works with any
-protocol exposing the shared session API (the baselines included).
+:meth:`repro.core.protocol.BNeckProtocol.apply_actions` checks a whole batch
+before replaying it; :func:`schedule_actions` uses it when the protocol has
+one.  The module-level :func:`replay_actions` works with any protocol exposing
+the shared session API (the baselines included).
 """
 
 import math
@@ -66,20 +58,6 @@ class JoinAction(object):
         self.host_capacity = host_capacity
         self.host_delay = host_delay
 
-    def __reduce__(self):
-        return (
-            JoinAction,
-            (
-                self.session_id,
-                self.source_router,
-                self.destination_router,
-                self.demand,
-                self.at,
-                self.host_capacity,
-                self.host_delay,
-            ),
-        )
-
     def __repr__(self):
         return "JoinAction(%r, %r -> %r, demand=%r, at=%r)" % (
             self.session_id,
@@ -100,9 +78,6 @@ class LeaveAction(object):
         self.session_id = session_id
         self.at = at
 
-    def __reduce__(self):
-        return (LeaveAction, (self.session_id, self.at))
-
     def __repr__(self):
         return "LeaveAction(%r, at=%r)" % (self.session_id, self.at)
 
@@ -118,9 +93,6 @@ class ChangeAction(object):
         self.demand = demand
         self.at = at
 
-    def __reduce__(self):
-        return (ChangeAction, (self.session_id, self.demand, self.at))
-
     def __repr__(self):
         return "ChangeAction(%r, demand=%r, at=%r)" % (
             self.session_id,
@@ -133,9 +105,8 @@ class CapacityChangeAction(object):
     """A change of one directed link's data-plane capacity at an absolute time.
 
     ``source`` / ``target`` name the directed router-to-router link whose
-    ``Ce`` changes to ``capacity`` at time ``at``.  Replay schedules the
-    change on the lane owning the link's transmitting router; when it fires,
-    the network link is mutated and the RouterLink task (if any session
+    ``Ce`` changes to ``capacity`` at time ``at``.  When the replayed change
+    fires, the network link is mutated and the RouterLink task (if any session
     crosses the link) re-runs its bottleneck computation so the protocol
     reconverges to the max-min allocation of the updated network.  The link's
     *control* delay is deliberately left at its construction-time value (see
@@ -150,9 +121,6 @@ class CapacityChangeAction(object):
         self.target = target
         self.capacity = capacity
         self.at = at
-
-    def __reduce__(self):
-        return (CapacityChangeAction, (self.source, self.target, self.capacity, self.at))
 
     def __repr__(self):
         return "CapacityChangeAction(%r -> %r, capacity=%r, at=%r)" % (
@@ -222,11 +190,11 @@ def replay_actions(protocol, actions):
 
 
 def schedule_actions(protocol, actions):
-    """Apply an action batch through the protocol's engine-transparent entry.
+    """Apply an action batch through the protocol's own entry point.
 
-    Protocols exposing ``apply_actions`` (B-Neck) broadcast the batch to any
-    live persistent workers; the baselines -- which share the session API but
-    not the sharded machinery -- are replayed directly.
+    Protocols exposing ``apply_actions`` (B-Neck) check the whole batch
+    before replaying it; the baselines, which share the session API, are
+    replayed directly.
     """
     apply_actions = getattr(protocol, "apply_actions", None)
     if apply_actions is not None:
@@ -235,20 +203,19 @@ def schedule_actions(protocol, actions):
 
 
 def validate_actions(actions):
-    """Sanity-check a batch before broadcasting it to worker processes.
+    """Sanity-check a batch before any of it is applied.
 
     Every action must carry a concrete absolute time: ``at=None`` (meaning
-    "right now") is resolved on the driver *before* an action is built,
-    because "now" differs between the driver and a worker replaying the
-    batch.
+    "right now") is resolved *before* an action is built, so a batch means
+    the same schedule whenever it is replayed.
     """
     for action in actions:
         if action.kind not in ("join", "leave", "change", "capacity"):
             raise ValueError("unknown session action kind %r" % (action.kind,))
         at = action.at
         if not isinstance(at, (int, float)) or math.isnan(at) or math.isinf(at):
-            # An infinite time would livelock the epoch loop: t_min = inf
-            # makes every epoch end at inf without ever consuming the event.
+            # An event at infinity would move the clock to infinity, and
+            # every later action into the past.
             raise ValueError(
                 "action %r needs a finite absolute time, got %r" % (action, at)
             )

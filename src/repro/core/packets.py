@@ -6,21 +6,6 @@ the link ``eta`` that imposed the strongest restriction so far; ``Response``
 carries the action indicator ``tau`` (one of ``RESPONSE``, ``UPDATE``,
 ``BOTTLENECK``); ``SetBottleneck`` carries the boolean ``beta`` used to detect
 that no link confirmed itself as a bottleneck for the session.
-
-Wire format
------------
-
-Cross-shard hops in the parallel sharded engine ship packets between worker
-processes at every epoch barrier.  Two mechanisms keep that cheap:
-
-* every packet class implements a tuple-based ``__reduce__``, so a pickled
-  packet is one memoized class reference plus a flat argument tuple (no
-  per-object ``__getstate__`` dance over ``__slots__``);
-* :func:`encode_packet` / :func:`decode_packet` go one step further and turn a
-  packet into a plain ``(type_code, field...)`` tuple of primitives -- the
-  representation the sharded engine's batch-encoded outboxes use, where an
-  entire epoch's mail pickles as one list of flat tuples with no packet
-  objects on the wire at all.
 """
 
 # Values of the Response packet's tau field.
@@ -70,9 +55,6 @@ class Join(_Packet):
         self.rate = rate
         self.restricting_link = restricting_link
 
-    def __reduce__(self):
-        return (Join, (self.session_id, self.rate, self.restricting_link))
-
     def _fields(self):
         return ("session_id", "rate", "restricting_link")
 
@@ -87,9 +69,6 @@ class Probe(_Packet):
         self.session_id = session_id
         self.rate = rate
         self.restricting_link = restricting_link
-
-    def __reduce__(self):
-        return (Probe, (self.session_id, self.rate, self.restricting_link))
 
     def _fields(self):
         return ("session_id", "rate", "restricting_link")
@@ -114,9 +93,6 @@ class Response(_Packet):
         self.rate = rate
         self.restricting_link = restricting_link
 
-    def __reduce__(self):
-        return (Response, (self.session_id, self.tau, self.rate, self.restricting_link))
-
     def _fields(self):
         return ("session_id", "tau", "rate", "restricting_link")
 
@@ -127,18 +103,12 @@ class Update(_Packet):
     type_name = "Update"
     __slots__ = ()
 
-    def __reduce__(self):
-        return (Update, (self.session_id,))
-
 
 class Bottleneck(_Packet):
     """Sent upstream to tell the source its current rate is the max-min rate."""
 
     type_name = "Bottleneck"
     __slots__ = ()
-
-    def __reduce__(self):
-        return (Bottleneck, (self.session_id,))
 
 
 class SetBottleneck(_Packet):
@@ -156,9 +126,6 @@ class SetBottleneck(_Packet):
         self.session_id = session_id
         self.found_bottleneck = bool(found_bottleneck)
 
-    def __reduce__(self):
-        return (SetBottleneck, (self.session_id, self.found_bottleneck))
-
     def _fields(self):
         return ("session_id", "found_bottleneck")
 
@@ -168,9 +135,6 @@ class Leave(_Packet):
 
     type_name = "Leave"
     __slots__ = ()
-
-    def __reduce__(self):
-        return (Leave, (self.session_id,))
 
 
 PACKET_TYPES = (
@@ -182,26 +146,3 @@ PACKET_TYPES = (
     SetBottleneck.type_name,
     Leave.type_name,
 )
-
-# ------------------------------------------------------------------ wire codec
-#
-# Flat-tuple encoding used by the sharded engine's batch-encoded outboxes:
-# ``encode_packet`` maps a packet to ``(type_code, field...)`` built from
-# primitives only, and ``decode_packet`` rebuilds the packet through the
-# constructor table below.  Codes are positional in ``PACKET_CLASSES`` and are
-# part of the (process-internal) wire format, not a public identifier.
-
-PACKET_CLASSES = (Join, Probe, Response, Update, Bottleneck, SetBottleneck, Leave)
-
-_TYPE_CODES = {cls: code for code, cls in enumerate(PACKET_CLASSES)}
-
-
-def encode_packet(packet):
-    """Encode a packet as a flat ``(type_code, constructor_args...)`` tuple."""
-    cls, args = packet.__reduce__()
-    return (_TYPE_CODES[cls],) + args
-
-
-def decode_packet(encoded):
-    """Rebuild a packet from :func:`encode_packet` output."""
-    return PACKET_CLASSES[encoded[0]](*encoded[1:])

@@ -19,7 +19,6 @@ preserved.  Pass larger ``session_counts`` to push further.
 
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.transit_stub import LAN, WAN
-from repro.simulator.sharding import parse_engine
 from repro.workloads.generator import infinite_demand
 from repro.workloads.scenarios import NetworkScenario
 
@@ -40,7 +39,6 @@ class Experiment1Config(object):
         demand_sampler=None,
         seed=0,
         validate=True,
-        engine=None,
     ):
         self.session_counts = tuple(session_counts)
         self.sizes = tuple(sizes)
@@ -49,10 +47,6 @@ class Experiment1Config(object):
         self.demand_sampler = demand_sampler or infinite_demand()
         self.seed = seed
         self.validate = validate
-        # "sequential" (default) | "sharded[:K]" | "sharded:K/parallel";
-        # validated eagerly so a bad knob fails before any run starts.
-        parse_engine(engine)
-        self.engine = engine
 
     def scenarios(self):
         return [
@@ -118,9 +112,7 @@ def run_experiment1_case(scenario, session_count, config=None):
     """Run one (scenario, session count) cell and return its :class:`Experiment1Row`."""
     config = config or Experiment1Config()
     with ExperimentRunner(
-        ScenarioSpec.from_network_scenario(
-            scenario, validate=config.validate, engine=config.engine
-        ),
+        ScenarioSpec.from_network_scenario(scenario, validate=config.validate),
         generator_seed=config.seed + session_count,
     ) as runner:
         runner.populate(

@@ -26,9 +26,7 @@ workloads this way).
 from repro.core.actions import schedule_actions
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
-from repro.network.partition import partition_network
 from repro.network.transit_stub import LAN
-from repro.simulator.sharding import SEQUENTIAL, ShardedSimulator, parse_engine
 from repro.simulator.tracing import NullPacketTracer, PacketTracer
 from repro.workloads.dynamics import apply_phase
 from repro.workloads.generator import WorkloadGenerator
@@ -69,15 +67,6 @@ class ScenarioSpec(object):
             like ``"poisson-churn"``, a class, or an instance -- see
             :mod:`repro.workloads.stochastic`), the default for
             :meth:`ExperimentRunner.run_scenario`.
-        engine: execution engine -- ``"sequential"`` (default, the
-            single-queue :class:`~repro.simulator.simulation.Simulator`),
-            ``"sharded:K"`` (K event-queue shards advancing in lockstep
-            epochs, deterministic and bit-identical in final allocations to
-            sequential), or ``"sharded:K/parallel"`` (a persistent pool of
-            one worker process per shard, resident across runs: multi-phase
-            churn where each phase is scheduled after the previous phase's
-            quiescence runs on all cores, sharing the serial engines'
-            bit-exact schedule).  Incompatible with ``protocol_factory``.
     """
 
     def __init__(
@@ -96,21 +85,10 @@ class ScenarioSpec(object):
         notification_batch_window=None,
         routing_metric="hops",
         validate=True,
-        engine=SEQUENTIAL,
         workload=None,
     ):
         if network is None and network_builder is None and size is None:
             raise ValueError("need a network, a network_builder or a named size")
-        engine_kind, engine_shards, engine_parallel = parse_engine(engine)
-        if engine_kind != SEQUENTIAL and protocol_factory is not None:
-            raise ValueError(
-                "engine=%r cannot be combined with protocol_factory (the "
-                "factory owns simulator construction)" % (engine,)
-            )
-        self.engine = engine if engine is not None else SEQUENTIAL
-        self.engine_kind = engine_kind
-        self.engine_shards = engine_shards
-        self.engine_parallel = engine_parallel
         self.size = size
         self.delay_model = delay_model
         self.seed = seed
@@ -170,33 +148,21 @@ class ScenarioSpec(object):
     def build_protocol(self, network, tracer):
         if self.protocol_factory is not None:
             return self.protocol_factory(network, tracer)
-        simulator = None
-        plan = None
-        if self.engine_kind != SEQUENTIAL:
-            plan = partition_network(network, self.engine_shards)
-            simulator = ShardedSimulator(
-                plan, parallel=self.engine_parallel, seed=self.seed
-            )
-        protocol = BNeckProtocol(
+        return BNeckProtocol(
             network,
-            simulator=simulator,
             tracer=tracer,
             routing_metric=self.routing_metric,
             notification_log=self.notification_log,
             batch_notifications=self.batch_notifications,
             notification_batch_window=self.notification_batch_window,
         )
-        if plan is not None:
-            protocol.use_shard_plan(plan)
-        return protocol
 
     def __repr__(self):
-        return "ScenarioSpec(%r, seed=%d, log=%r, batch=%r, engine=%r)" % (
+        return "ScenarioSpec(%r, seed=%d, log=%r, batch=%r)" % (
             self.label,
             self.seed,
             self.notification_log,
             self.batch_notifications,
-            self.engine,
         )
 
 
@@ -293,13 +259,10 @@ class ExperimentRunner(object):
     def install(self, specs):
         """Install pre-generated session specs and track their ids as active.
 
-        Specs travel as broadcastable
-        :class:`~repro.core.actions.JoinAction` records through the
-        protocol's engine-transparent entry point (via
+        Specs travel as :class:`~repro.core.actions.JoinAction` records
+        through the protocol's ``apply_actions`` (via
         :meth:`~repro.workloads.generator.WorkloadGenerator.install`), so
-        installing works identically before a run, between phases on a
-        serial engine, and between phases of a persistent-worker parallel
-        run (where the batch is replayed in every worker).  Returns
+        installing works the same before a run and between phases.  Returns
         ``{session_id: session}``.
         """
         installed = self.generator.install(self.protocol, specs)
@@ -307,13 +270,14 @@ class ExperimentRunner(object):
         return installed
 
     def apply_actions(self, actions):
-        """Broadcast a pre-resolved action batch and maintain membership.
+        """Apply a pre-resolved action batch and maintain membership.
 
         ``actions`` are :mod:`repro.core.actions` records (joins, leaves,
         changes, capacity changes) with every random choice resolved -- the
         currency of the stochastic workload library.  The batch goes through
-        the protocol's engine-transparent entry point, and the runner's
-        ``active_ids`` tracks the joins and leaves it contains.
+        the protocol's ``apply_actions``, and the runner's ``active_ids``
+        tracks the joins and leaves it contains; a batch the protocol
+        rejects leaves ``active_ids`` unchanged.
         """
         actions = list(actions)
         result = schedule_actions(self.protocol, actions)
@@ -330,7 +294,7 @@ class ExperimentRunner(object):
         ``workload`` (default: the spec's ``workload``) resolves through
         :func:`repro.workloads.stochastic.make_workload`; extra keyword
         arguments construct it when a name or class is given.  Each round the
-        workload yields is broadcast, run to quiescence, measured and -- per
+        workload yields is applied, run to quiescence, measured and -- per
         the spec -- validated against the centralized/water-filling oracles,
         so every capacity change is checked on the *updated* network.
         Returns one :class:`RunMeasurement` per round.
@@ -380,10 +344,10 @@ class ExperimentRunner(object):
         """Run consecutive churn phases, each to quiescence; returns the outcomes.
 
         The first phase starts at the simulator's current time (so phases
-        scheduled after an earlier checkpoint are real future schedules on
-        every engine, rather than relying on past-dated API calls executing
-        immediately); each subsequent phase starts at the previous phase's
-        observed quiescence time plus ``inter_phase_gap``.
+        scheduled after an earlier checkpoint are real future schedules,
+        rather than relying on past-dated API calls executing immediately);
+        each subsequent phase starts at the previous phase's observed
+        quiescence time plus ``inter_phase_gap``.
         """
         outcomes = []
         start_time = self.protocol.simulator.now
@@ -406,22 +370,12 @@ class ExperimentRunner(object):
         return self.protocol.run_until_quiescent()
 
     def close(self):
-        """Release engine resources (persistent parallel workers, if any).
-
-        Optional -- the worker pool is also reaped when the engine is garbage
-        collected -- but deterministic teardown is friendlier in loops over
-        many runners.  Idempotent; serial engines ignore it.
-        """
-        shutdown = getattr(self.protocol.simulator, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
+        """Release the run's resources.  A run holds none that outlive it,
+        so this does nothing; it exists for ``with`` blocks and callers that
+        close runners explicitly."""
 
     def __enter__(self):
-        """Context-manager support: ``with ExperimentRunner(spec) as runner``.
-
-        Guarantees :meth:`close` runs even when a phase raises mid-run, so a
-        failing experiment can never leak a persistent worker pool.
-        """
+        """Context-manager support: ``with ExperimentRunner(spec) as runner``."""
         return self
 
     def __exit__(self, exc_type, exc_value, traceback):

@@ -9,7 +9,6 @@ examples).
 """
 
 from repro.network.graph import Link, Network, Node
-from repro.network.partition import ShardPlan, partition_network
 from repro.network.routing import PathComputer, shortest_path
 from repro.network.session import Session, SessionRegistry
 from repro.network.topology import (
@@ -40,7 +39,6 @@ __all__ = [
     "PathComputer",
     "Session",
     "SessionRegistry",
-    "ShardPlan",
     "TransitStubParameters",
     "big_network",
     "dumbbell_topology",
@@ -48,7 +46,6 @@ __all__ = [
     "line_topology",
     "medium_network",
     "parking_lot_topology",
-    "partition_network",
     "random_mesh_topology",
     "shortest_path",
     "single_link_topology",

@@ -102,11 +102,8 @@ class Link(object):
         self.control_packet_bits = control_packet_bits
         # The per-packet control delay is computed once instead of on every
         # transmission.  It is *pinned* at the construction-time capacity even
-        # when `set_capacity` later changes the data-plane bandwidth: the
-        # paper's control traffic does not consume data bandwidth, and a fixed
-        # control delay keeps the sharded engines' lookahead bound (min
-        # cut-link control delay, computed at partition time) valid under
-        # capacity dynamics.
+        # when `set_capacity` later changes the data-plane bandwidth, because
+        # the paper's control traffic does not consume data bandwidth.
         self._control_delay = propagation_delay + control_packet_bits / capacity
 
     @property
@@ -124,7 +121,7 @@ class Link(object):
         control-packet delay keeps its construction-time value (see the
         comment in ``__init__``).  Callers driving a live protocol should go
         through :meth:`repro.core.protocol.BNeckProtocol.change_capacity`
-        (or a broadcast :class:`~repro.core.actions.CapacityChangeAction`),
+        (or a :class:`~repro.core.actions.CapacityChangeAction`),
         which also re-runs the bottleneck computation at the affected
         RouterLink.
         """

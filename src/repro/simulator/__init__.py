@@ -6,8 +6,8 @@ small, deterministic, pure-Python discrete-event engine.  It provides:
 * :class:`~repro.simulator.event_queue.EventQueue` -- a priority queue of timed
   events with deterministic tie-breaking.
 * :class:`~repro.simulator.simulation.Simulator` -- the simulation loop, with
-  support for running until the event queue drains (*quiescence*), until a time
-  horizon, or until a predicate holds.
+  support for running until the event queue drains (*quiescence*) or until a
+  time horizon.
 * :class:`~repro.simulator.process.Process` -- base class for simulated actors
   (protocol tasks) whose handlers execute atomically.
 * :class:`~repro.simulator.tracing.PacketTracer` -- control-packet accounting
@@ -35,7 +35,6 @@ from repro.simulator.errors import (
 from repro.simulator.event_queue import Event, EventQueue
 from repro.simulator.process import Process
 from repro.simulator.random_source import RandomSource
-from repro.simulator.sharding import ShardedSimulator, ShardLane, parse_engine
 from repro.simulator.simulation import Simulator
 from repro.simulator.statistics import (
     Histogram,
@@ -48,8 +47,6 @@ from repro.simulator.tracing import (
     NullPacketTracer,
     PacketRecord,
     PacketTracer,
-    TraceEvent,
-    Tracer,
 )
 
 __all__ = [
@@ -64,20 +61,15 @@ __all__ = [
     "Process",
     "RandomSource",
     "SECOND",
-    "ShardLane",
-    "ShardedSimulator",
     "SimulationError",
     "SimulationLimitExceeded",
     "SimulationNotRunning",
     "Simulator",
     "SummaryStatistics",
     "TimeSeries",
-    "TraceEvent",
-    "Tracer",
     "format_time",
     "microseconds",
     "milliseconds",
-    "parse_engine",
     "percentile",
     "seconds",
     "summarize",

@@ -29,8 +29,8 @@ for bare entries).
 The queue counts *cancelled entries still in the heap* rather than live
 ones, so a push is nothing but a ``heappush``.  That lets the owning
 :class:`~repro.simulator.simulation.Simulator` push packet deliveries onto
-the queue's heap directly, with the queue's sequence counter (see
-:meth:`~repro.simulator.simulation.Simulator.schedule_callback`).
+the queue's public ``heap`` directly, with its public ``sequence`` counter
+(see :meth:`~repro.simulator.simulation.Simulator.schedule_callback`).
 """
 
 import heapq
@@ -94,13 +94,22 @@ class Event(object):
 
 
 class EventQueue(object):
-    """Min-heap of timed callbacks ordered by (time, insertion order)."""
+    """Min-heap of timed callbacks ordered by (time, insertion order).
 
-    __slots__ = ("_heap", "_counter", "_cancelled")
+    Attributes:
+        heap: the ``(time, sequence, callback, tag, event)`` entries, a
+            :mod:`heapq` list.  Pushing a bare ``(time, next(sequence),
+            callback, tag, None)`` entry onto it directly is equivalent to
+            :meth:`push_callback`; nothing else may write to it.
+        sequence: the insertion counter (an :func:`itertools.count`) every
+            entry draws its tie-breaking sequence number from.
+    """
+
+    __slots__ = ("heap", "sequence", "_cancelled")
 
     def __init__(self):
-        self._heap = []
-        self._counter = itertools.count()
+        self.heap = []
+        self.sequence = itertools.count()
         # Cancelled entries not yet popped: len(heap) minus this is the
         # number of live events.
         self._cancelled = 0
@@ -113,9 +122,9 @@ class EventQueue(object):
         """
         if time < 0:
             raise ValueError("event time must be non-negative, got %r" % time)
-        sequence = next(self._counter)
+        sequence = next(self.sequence)
         event = Event(time, sequence, callback, tag=tag)
-        heapq.heappush(self._heap, (time, sequence, callback, tag, event))
+        heapq.heappush(self.heap, (time, sequence, callback, tag, event))
         return event
 
     def push_callback(self, time, callback, tag=None):
@@ -129,7 +138,7 @@ class EventQueue(object):
         """
         if time < 0:
             raise ValueError("event time must be non-negative, got %r" % time)
-        heapq.heappush(self._heap, (time, next(self._counter), callback, tag, None))
+        heapq.heappush(self.heap, (time, next(self.sequence), callback, tag, None))
 
     def pop_entry(self):
         """Remove and return the earliest live heap entry as a raw tuple.
@@ -140,7 +149,7 @@ class EventQueue(object):
         not disturb the live-event count.  Returns ``None`` when the queue
         holds no live events.
         """
-        heap = self._heap
+        heap = self.heap
         while heap:
             entry = heapq.heappop(heap)
             event = entry[4]
@@ -170,7 +179,7 @@ class EventQueue(object):
 
     def peek_time(self):
         """Return the time of the earliest live event, or ``None`` if empty."""
-        heap = self._heap
+        heap = self.heap
         while heap:
             event = heap[0][4]
             if event is not None and event.cancelled:
@@ -200,19 +209,19 @@ class EventQueue(object):
         corrupting the live-event count.  Bare entries have no handle and are
         simply discarded.
         """
-        for entry in self._heap:
+        for entry in self.heap:
             event = entry[4]
             if event is not None:
                 event.cancelled = True
         # In place: the owning simulator holds the same list (module docstring).
-        self._heap.clear()
+        self.heap.clear()
         self._cancelled = 0
 
     def __len__(self):
-        return len(self._heap) - self._cancelled
+        return len(self.heap) - self._cancelled
 
     def __bool__(self):
-        return len(self._heap) > self._cancelled
+        return len(self.heap) > self._cancelled
 
     def __repr__(self):
         return "EventQueue(pending=%d)" % len(self)

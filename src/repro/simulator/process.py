@@ -13,24 +13,11 @@ paper's ``when received ... do`` blocks.
 
 
 class Process(object):
-    """An actor with atomic message handlers, bound to a simulator.
-
-    Every process carries a *shard placement*: the index of the execution
-    shard that owns it under a sharded engine (see
-    :mod:`repro.simulator.sharding`).  The single-queue engine ignores it;
-    the default of shard 0 means an unplaced actor still runs correctly on a
-    sharded engine, it just never benefits from parallelism.
-    """
-
-    shard_id = 0
+    """An actor with atomic message handlers, bound to a simulator."""
 
     def __init__(self, simulator, name):
         self.simulator = simulator
         self.name = name
-
-    def place_on_shard(self, shard_id):
-        """Pin this actor to an execution shard (the shard-placement hook)."""
-        self.shard_id = shard_id
 
     # ------------------------------------------------------------- messaging
 

@@ -31,10 +31,10 @@ session receives within one instant, its application sees a single batched
 callback carrying the final value (see
 :meth:`repro.core.protocol.BNeckProtocol.notify_rate`).
 
-A run that returns mid-instant (via :meth:`Simulator.stop` or a
-``stop_condition``) leaves the instant incomplete: its deferred callbacks stay
-queued and run when a later ``run`` call finishes the instant.  Runs that end
-because the queue drained or a time horizon was crossed always flush first.
+A run that returns mid-instant (via :meth:`Simulator.stop`) leaves the
+instant incomplete: its deferred callbacks stay queued and run when a later
+``run`` call finishes the instant.  Runs that end because the queue drained
+or a time horizon was crossed always flush first.
 
 Bookkeeping timers
 ------------------
@@ -66,16 +66,14 @@ class Simulator(object):
         max_events: optional safety cap on processed events; exceeded caps
             raise :class:`SimulationLimitExceeded`.
         max_time: optional safety cap on the simulation clock.
-        tracer: optional object with an ``on_event(time, tag)`` hook invoked
-            for every processed event.
     """
 
-    def __init__(self, max_events=None, max_time=None, tracer=None):
+    def __init__(self, max_events=None, max_time=None):
         self._queue = EventQueue()
-        # The queue's own heap and sequence counter: schedule_callback pushes
-        # onto the heap without a queue call.
-        self._heap = self._queue._heap
-        self._sequence = self._queue._counter
+        # The queue's public heap and sequence counter: schedule_callback
+        # pushes onto the heap without a queue call.
+        self._heap = self._queue.heap
+        self._sequence = self._queue.sequence
         self._now = 0.0
         self._events_processed = 0
         self._running = False
@@ -84,7 +82,6 @@ class Simulator(object):
         self._timer_counter = itertools.count()
         self.max_events = max_events
         self.max_time = max_time
-        self.tracer = tracer
         self._stop_requested = False
 
     # ------------------------------------------------------------------ clock
@@ -218,24 +215,20 @@ class Simulator(object):
             return False
         self._now = entry[0]
         self._events_processed += 1
-        if self.tracer is not None:
-            self.tracer.on_event(self._now, entry[3])
         entry[2]()
         return True
 
     def _unconstrained(self):
-        """True when no per-event bookkeeping (limits, tracing) is needed."""
-        return self.max_events is None and self.max_time is None and self.tracer is None
+        """True when no per-event limit check is needed."""
+        return self.max_events is None and self.max_time is None
 
-    def run(self, until=None, stop_condition=None):
+    def run(self, until=None):
         """Run the simulation.
 
         Args:
             until: optional absolute time horizon.  Events scheduled after the
                 horizon stay in the queue; the clock is advanced to ``until``
                 when the horizon is hit with work still pending.
-            stop_condition: optional zero-argument predicate evaluated after
-                every event; the run stops once it returns ``True``.
 
         Returns:
             The simulation time at which the run stopped.
@@ -243,10 +236,10 @@ class Simulator(object):
         self._running = True
         self._stop_requested = False
         try:
-            if until is None and stop_condition is None and self._unconstrained():
+            if until is None and self._unconstrained():
                 self._drain_fast()
             else:
-                self._run_general(until, stop_condition)
+                self._run_general(until)
         finally:
             self._running = False
         if until is not None and not self._queue and self._now < until:
@@ -255,31 +248,22 @@ class Simulator(object):
             self._now = until
         if self._timers and not self._stop_requested:
             # Runs that ended by draining (or crossing a horizon) fire their
-            # matured bookkeeping timers; runs ended early by stop() or a
-            # stop_condition leave them pending, like unfinished instants.
+            # matured bookkeeping timers; runs ended early by stop() leave
+            # them pending, like unfinished instants.
             next_time = self._queue.peek_time()
             if next_time is None or (until is not None and next_time > until):
                 self._fire_timers(until)
         return self._now
 
-    def _run_general(self, until, stop_condition):
-        """The fully-featured run loop: horizon, limits, tracer, predicate."""
+    def _run_general(self, until):
+        """The fully-featured run loop: horizon and limits."""
         while True:
             if self._stop_requested:
                 break
             if self._instant_callbacks and self._instant_finished():
                 # The current instant is exhausted: flush its deferred work
-                # before the clock may advance (or the run return).  The
-                # predicate is re-evaluated right after -- flushed callbacks
-                # (batched API.Rate deliveries) are exactly what stop
-                # conditions tend to watch.
+                # before the clock may advance (or the run return).
                 self._flush_instant()
-                if stop_condition is not None and stop_condition():
-                    # Record the early termination (as ShardedSimulator does)
-                    # so the end-of-run timer flush knows this run was paused,
-                    # not drained.
-                    self._stop_requested = True
-                    break
                 continue
             next_time = self._queue.peek_time()
             if next_time is None:
@@ -291,16 +275,13 @@ class Simulator(object):
                 self._fire_timers(next_time)
             self._check_limits(next_time)
             self.step()
-            if stop_condition is not None and stop_condition():
-                self._stop_requested = True
-                break
 
     def _drain_fast(self, check_stop=True):
-        """Drain the queue with no limit checks and no tracer hook.
+        """Drain the queue with no limit checks.
 
         Processes exactly the same events in exactly the same order as the
-        general loop; it only skips the per-event bookkeeping that is a no-op
-        when ``max_events``/``max_time``/``tracer`` are unset.
+        general loop; it only skips the per-event limit checks, which are
+        no-ops when ``max_events``/``max_time`` are unset.
 
         Args:
             check_stop: honour :meth:`stop` between events (:meth:`run`

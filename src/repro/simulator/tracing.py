@@ -1,4 +1,4 @@
-"""Control-packet accounting and event tracing.
+"""Control-packet accounting.
 
 The paper's evaluation reports, for every experiment, the number of control
 packets transmitted -- in total (Figure 5, right), per packet type and 5 ms
@@ -12,40 +12,6 @@ put on a link.
 """
 
 import collections
-
-
-class TraceEvent(object):
-    """A generic trace record: something happened at a time."""
-
-    __slots__ = ("time", "kind", "detail")
-
-    def __init__(self, time, kind, detail=None):
-        self.time = time
-        self.kind = kind
-        self.detail = detail
-
-    def __repr__(self):
-        return "TraceEvent(%r, %r, %r)" % (self.time, self.kind, self.detail)
-
-
-class Tracer(object):
-    """Optional simulator hook that records every processed event's tag."""
-
-    def __init__(self, enabled=True):
-        self.enabled = enabled
-        self.events = []
-
-    def on_event(self, time, tag):
-        if self.enabled:
-            self.events.append(TraceEvent(time, tag))
-
-    def count_by_kind(self):
-        """Return ``{tag: count}`` over all recorded events."""
-        counts = collections.Counter(event.kind for event in self.events)
-        return dict(counts)
-
-    def clear(self):
-        self.events = []
 
 
 class PacketRecord(object):

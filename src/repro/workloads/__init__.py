@@ -12,8 +12,7 @@ provides as reusable building blocks:
   (the churn patterns of Experiments 2 and 3);
 * :mod:`~repro.workloads.stochastic` -- open-loop stochastic scenarios
   (Poisson churn, flash crowds, heavy-tailed demand storms, link-capacity
-  dynamics), emitted as broadcastable action batches that replay identically
-  on every execution engine.
+  dynamics), emitted as action batches that a seed pins exactly.
 """
 
 from repro.workloads.dynamics import DynamicPhase, PhaseOutcome, apply_phase

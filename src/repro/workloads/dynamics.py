@@ -7,15 +7,12 @@ measures how long the protocol takes to become quiescent again.  A
 :class:`DynamicPhase` describes one such phase; :func:`apply_phase` schedules
 its actions on a protocol and reports a :class:`PhaseOutcome`.
 
-A phase's schedule is emitted as *broadcastable actions*
-(:mod:`repro.core.actions`), not pre-bound callbacks: :func:`phase_actions`
-resolves every random choice (who leaves, who changes, new demands, action
-times, join endpoints) against the generator's random streams on the driver,
-producing plain data records.  :func:`apply_phase` then hands the batch to the
-protocol's engine-transparent ``apply_actions`` entry point -- on the
-persistent-worker parallel engine the batch is replayed identically in every
-worker process, which is what lets multi-phase churn (phase N+1 scheduled
-after phase N's observed quiescence time) run on all cores.
+A phase's schedule is emitted as *actions* (:mod:`repro.core.actions`), not
+pre-bound callbacks: :func:`phase_actions` resolves every random choice (who
+leaves, who changes, new demands, action times, join endpoints) against the
+generator's random streams, producing plain data records.
+:func:`apply_phase` then hands the batch to the protocol's ``apply_actions``,
+which checks the whole batch before replaying it.
 """
 
 import math
@@ -121,7 +118,7 @@ def phase_actions(
     demand_sampler=None,
     change_demand_sampler=None,
 ):
-    """Resolve one churn phase into a broadcastable action batch.
+    """Resolve one churn phase into an action batch.
 
     Consumes the generator's random streams exactly as the historical
     callback-scheduling implementation did (victim picks, then leave times,
@@ -198,10 +195,9 @@ def apply_phase(
 ):
     """Schedule one phase of churn on ``protocol`` and (optionally) run it out.
 
-    The phase is resolved into broadcastable actions by :func:`phase_actions`
-    and applied through the protocol's engine-transparent ``apply_actions``
-    entry point, so the same call works on the sequential, serial-sharded and
-    persistent-worker parallel engines.
+    The phase is resolved into actions by :func:`phase_actions` and applied
+    through the protocol's ``apply_actions`` (see
+    :func:`repro.core.actions.schedule_actions`).
 
     Args:
         protocol: a :class:`~repro.core.protocol.BNeckProtocol` (or a baseline

@@ -132,11 +132,10 @@ class WorkloadGenerator(object):
         """Attach hosts, create the sessions and schedule their joins.
 
         Specs are converted into :class:`~repro.core.actions.JoinAction`
-        records and applied through the protocol's engine-transparent entry
-        point (one code path with the persistent-parallel broadcast
-        machinery, so schedules stay bit-identical however a session is
-        installed).  Returns ``{session_id: session}`` for the installed
-        specs.
+        records and applied through the protocol's ``apply_actions`` (one
+        code path with every other workload, so schedules stay bit-identical
+        however a session is installed).  Returns ``{session_id: session}``
+        for the installed specs.
         """
         actions = [
             join_action_from_spec(spec, self.host_capacity, self.host_delay)

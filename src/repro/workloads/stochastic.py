@@ -3,7 +3,7 @@
 Experiment 2 of the paper only exercises compressed five-phase churn bursts.
 This module opens the scenario-diversity axis with *open-loop* stochastic
 processes -- the workload does not react to protocol state, so an entire
-segment of it can be resolved on the driver up front and emitted as plain
+segment of it can be resolved up front and emitted as plain
 :mod:`repro.core.actions` batches:
 
 * :class:`PoissonChurnWorkload` -- Poisson session arrivals with
@@ -16,23 +16,22 @@ segment of it can be resolved on the driver up front and emitted as plain
   recoveries (:class:`~repro.core.actions.CapacityChangeAction`), validated
   against the water-filling oracle at every quiescence point.
 
-The action-broadcast contract
------------------------------
+The round contract
+------------------
 
 A workload yields *rounds*: ``(label, actions)`` batches in which every
 random choice (endpoints, demands, times, links, factors) has already been
-resolved against the driver's seeded random streams, and every action carries
-an absolute time at or after the yield-time clock.  Because the batch is
-plain data applied through the protocol's engine-transparent
-``apply_actions`` entry point, the same scenario replays bit-identically on
-the sequential, serial-sharded and persistent-worker parallel engines (the
-cross-engine goldens in ``tests/data/cross_engine_goldens.json`` enforce
-this).  Rounds are generated lazily: each one anchors at the simulator clock
-*after* the previous round reached quiescence, so sustained processes of any
-length stay legal for live worker pools (which reject past-dated actions).
+resolved against the seeded random streams, and every action carries an
+absolute time at or after the yield-time clock.  Because the batch is plain
+data applied through the protocol's ``apply_actions``, a seed pins the whole
+scenario, packet for packet (the goldens in
+``tests/data/cross_engine_goldens.json`` enforce this).  Rounds are generated
+lazily: each one anchors at the simulator clock *after* the previous round
+reached quiescence, so no action of a sustained process of any length is
+dated in the past.
 
 :meth:`repro.experiments.runner.ExperimentRunner.run_scenario` drives a
-workload end to end -- broadcast a round, run to quiescence, validate against
+workload end to end -- apply a round, run to quiescence, validate against
 the centralized/water-filling oracles, repeat -- and
 ``ScenarioSpec(workload=...)`` names one declaratively (see
 ``docs/workloads.md`` for the authoring guide).
@@ -110,9 +109,8 @@ def crossed_router_links(protocol):
     """The directed router-to-router links crossed by active sessions, sorted.
 
     This is the interesting candidate set for capacity dynamics: changing an
-    uncrossed link's capacity perturbs nothing.  Computed from driver-side
-    session paths only, so it is identical on every engine at any quiescence
-    point (session membership is part of the bit-identity contract).
+    uncrossed link's capacity perturbs nothing.  Computed from session paths
+    only, so it depends on session membership and nothing else.
     """
     network = protocol.network
     crossed = set()
@@ -125,10 +123,10 @@ def crossed_router_links(protocol):
 
 
 class StochasticWorkload(object):
-    """Base class: a named generator of broadcastable action rounds.
+    """Base class: a named generator of action rounds.
 
     Subclasses implement :meth:`rounds`, a *lazy* generator of
-    ``(label, actions)`` batches.  Between two yields the caller broadcasts
+    ``(label, actions)`` batches.  Between two yields the caller applies
     the batch and runs the protocol to quiescence, so each round must read
     ``runner.protocol.simulator.now`` afresh and date its actions strictly
     inside the future.  All randomness must come from the runner's generator

@@ -11,7 +11,6 @@ from repro.core.packets import (
     Bottleneck,
     Join,
     Leave,
-    PACKET_CLASSES,
     PACKET_TYPES,
     Probe,
     RESPONSE,
@@ -19,8 +18,6 @@ from repro.core.packets import (
     SetBottleneck,
     UPDATE,
     Update,
-    decode_packet,
-    encode_packet,
 )
 from repro.core.state import IDLE, LinkState, WAITING_PROBE, WAITING_RESPONSE
 from repro.network.units import MBPS
@@ -72,42 +69,13 @@ def _one_of_each_packet():
     ]
 
 
-class TestPacketWireFormat(object):
-    """Tuple-based ``__reduce__`` plus the flat wire codec of the outboxes."""
-
-    def test_reduce_is_tuple_based(self):
-        for packet in _one_of_each_packet():
-            cls, args = packet.__reduce__()
-            assert cls is type(packet)
-            assert isinstance(args, tuple)
-            rebuilt = cls(*args)
-            for field in packet._fields():
-                assert getattr(rebuilt, field) == getattr(packet, field)
-
+class TestPacketPickling(object):
     def test_pickle_round_trip(self):
         for packet in _one_of_each_packet():
             clone = pickle.loads(pickle.dumps(packet))
             assert type(clone) is type(packet)
             for field in packet._fields():
                 assert getattr(clone, field) == getattr(packet, field)
-
-    def test_wire_codec_round_trip(self):
-        for packet in _one_of_each_packet():
-            encoded = encode_packet(packet)
-            assert isinstance(encoded, tuple)
-            assert isinstance(encoded[0], int)
-            # Primitives only: the wire never carries packet objects.
-            for value in encoded[1:]:
-                assert isinstance(value, (str, float, int, bool, tuple, type(None)))
-            clone = decode_packet(encoded)
-            assert type(clone) is type(packet)
-            for field in packet._fields():
-                assert getattr(clone, field) == getattr(packet, field)
-
-    def test_type_codes_cover_every_packet_class(self):
-        assert len(PACKET_CLASSES) == len(PACKET_TYPES)
-        codes = {encode_packet(packet)[0] for packet in _one_of_each_packet()}
-        assert codes == set(range(len(PACKET_CLASSES)))
 
 
 class TestLinkState(object):

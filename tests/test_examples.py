@@ -39,26 +39,6 @@ def test_dynamic_sessions_walkthrough(capsys):
     assert "quiescent again" in output
 
 
-def test_dynamic_sessions_sharded_engine(capsys):
-    module = load_example("dynamic_sessions")
-    assert module.main(["--engine", "sharded:2"]) == 0
-    output = capsys.readouterr().out
-    assert "80.00 Mbps" in output
-
-
-def test_dynamic_sessions_parallel_engine_falls_back_to_serial(capsys):
-    module = load_example("dynamic_sessions")
-    assert module.main(["--engine", "sharded:2/parallel"]) == 0
-    output = capsys.readouterr().out
-    assert "bit-identical serial schedule" in output
-    assert "80.00 Mbps" in output
-
-
-def test_dynamic_sessions_rejects_bad_engine(capsys):
-    module = load_example("dynamic_sessions")
-    assert module.main(["--engine", "sharded:0"]) == 2
-
-
 def test_wan_vs_lan_small_counts(capsys):
     module = load_example("wan_vs_lan")
     module.main(["10"])
@@ -66,27 +46,6 @@ def test_wan_vs_lan_small_counts(capsys):
     assert "small-lan" in output
     assert "small-wan" in output
     assert "longer to become quiescent" in output
-
-
-def test_experiment1_sweep_parallel_engine(capsys):
-    module = load_example("experiment1_sweep")
-    exit_code = module.main(
-        ["--counts", "5", "--sizes", "small", "--delay-models", "lan",
-         "--engine", "sharded:2/parallel"]
-    )
-    assert exit_code == 0
-    output = capsys.readouterr().out
-    assert "small-lan" in output
-
-
-def test_experiment1_sweep_rejects_bad_engine(capsys):
-    module = load_example("experiment1_sweep")
-    exit_code = module.main(
-        ["--counts", "5", "--sizes", "small", "--delay-models", "lan",
-         "--engine", "sharded:2/turbo"]
-    )
-    assert exit_code == 2
-    assert "sharded:K[/parallel]" in capsys.readouterr().err
 
 
 def test_experiment1_sweep_tiny(capsys):
@@ -111,17 +70,22 @@ def test_stochastic_churn_default_workload(capsys):
     assert "sessions active at the end" in output
 
 
-def test_stochastic_churn_capacity_dynamics_parallel_engine(capsys):
+def test_stochastic_churn_capacity_dynamics(capsys):
     module = load_example("stochastic_churn")
-    assert module.main(
-        ["--workload", "capacity-dynamics", "--engine", "sharded:2/parallel",
-         "--seed", "13"]
-    ) == 0
+    assert module.main(["--workload", "capacity-dynamics", "--seed", "13"]) == 0
     output = capsys.readouterr().out
     assert "capacity-dynamics restore" in output
     assert "NO" not in output
 
 
-def test_stochastic_churn_rejects_bad_engine():
+@pytest.mark.parametrize("delay_model", ["lan", "wan"])
+@pytest.mark.parametrize(
+    "workload", ["capacity-dynamics", "flash-crowd", "heavy-tailed-demand", "poisson-churn"]
+)
+def test_stochastic_churn_every_workload_validates(capsys, workload, delay_model):
     module = load_example("stochastic_churn")
-    assert module.main(["--engine", "sharded:0"]) == 2
+    assert module.main(["--workload", workload, "--delay-model", delay_model]) == 0
+    output = capsys.readouterr().out
+    assert "%s " % workload in output
+    assert "NO" not in output
+    assert "sessions active at the end" in output

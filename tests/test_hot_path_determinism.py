@@ -12,10 +12,8 @@ Three families of guarantees are pinned down here:
   is enqueued with a fresh ``(time, sequence)`` slot, so it interleaves
   deterministically with packet deliveries pending at the same instant instead
   of jumping the queue.
-* **Cross-engine determinism**: the same scenarios executed on the sharded
-  engine (2 and 4 shards, serial lockstep) must reproduce the *sequential*
-  goldens' final allocations bit-exactly, and their own packet/event counts
-  pinned in ``tests/data/cross_engine_goldens.json``.
+* **Multi-phase churn determinism**: five-phase churn reproduces the per-phase
+  and final counts pinned in ``tests/data/cross_engine_goldens.json``.
 """
 
 import json
@@ -26,13 +24,10 @@ import pytest
 
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
-from repro.network.partition import partition_network
 from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
-from repro.simulator.sharding import ShardedSimulator
 from repro.simulator.simulation import Simulator
-from repro.simulator.tracing import NullPacketTracer
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import NetworkScenario
 
@@ -48,19 +43,12 @@ with open(CROSS_ENGINE_GOLDEN_PATH) as handle:
     CROSS_ENGINE_GOLDENS = json.load(handle)
 
 
-def _run_scenario(key, trace_packets=True, shards=None):
+def _run_scenario(key, trace_packets=True):
     size, delay, seed, count = key.split("-")
     seed = int(seed[1:])
     count = int(count[1:])
     network = NetworkScenario(size, delay, seed=seed).build()
-    simulator = None
-    plan = None
-    if shards is not None:
-        plan = partition_network(network, shards)
-        simulator = ShardedSimulator(plan, seed=seed)
-    protocol = BNeckProtocol(network, simulator=simulator, trace_packets=trace_packets)
-    if plan is not None:
-        protocol.use_shard_plan(plan)
+    protocol = BNeckProtocol(network, trace_packets=trace_packets)
     generator = WorkloadGenerator(network, seed=seed + count)
     generator.populate(protocol, count, join_window=(0.0, 1e-3))
     quiescence = protocol.run_until_quiescent()
@@ -80,18 +68,6 @@ class TestSeedDeterminism(object):
         assert {sid: repr(rate) for sid, rate in allocation.items()} == golden["allocation"]
         assert validate_against_oracle(protocol).valid
 
-    def test_null_tracer_does_not_change_the_simulation(self):
-        key = sorted(GOLDENS)[-1]
-        golden = GOLDENS[key]
-        protocol, quiescence = _run_scenario(key, trace_packets=False)
-        assert isinstance(protocol.tracer, NullPacketTracer)
-        assert protocol.tracer.total == 0
-        # Tracing off must be invisible to the simulation itself.
-        assert protocol.simulator.events_processed == golden["events"]
-        assert repr(quiescence) == golden["quiescence"]
-        allocation = protocol.current_allocation().as_dict()
-        assert {sid: repr(rate) for sid, rate in allocation.items()} == golden["allocation"]
-
     def test_incremental_unrestricted_load_stays_in_sync(self):
         protocol, _ = _run_scenario(sorted(GOLDENS)[0])
         states = protocol.all_link_states()
@@ -102,52 +78,18 @@ class TestSeedDeterminism(object):
             )
 
 
-class TestCrossEngineDeterminism(object):
-    """Sequential vs. sharded:2 vs. sharded:4 on the golden scenarios.
-
-    The sharded engine reorders event execution across lanes, yet the final
-    allocation must stay *bit-identical* to the sequential engine's committed
-    goldens -- the correctness contract of the sharding refactor.  Packet and
-    event counts are additionally pinned per engine (they are allowed to
-    differ from sequential in principle, since cross-shard ties resolve in
-    mailbox order; in practice the scenarios below reproduce them exactly).
-    """
-
-    @pytest.mark.parametrize("key", sorted(GOLDENS))
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_sharded_reproduces_sequential_allocation_bits(self, key, shards):
-        protocol, quiescence = _run_scenario(key, shards=shards)
-        allocation = protocol.current_allocation().as_dict()
-        assert {
-            sid: repr(rate) for sid, rate in allocation.items()
-        } == GOLDENS[key]["allocation"]
-        golden = CROSS_ENGINE_GOLDENS[key]["sharded:%d" % shards]
-        assert protocol.tracer.total == golden["packets"]
-        assert protocol.simulator.events_processed == golden["events"]
-        assert repr(quiescence) == golden["quiescence"]
-        assert dict(protocol.tracer.by_type) == golden["by_type"]
-        assert validate_against_oracle(protocol).valid
-
-
 class TestMultiPhaseChurnDeterminism(object):
-    """Five-phase Experiment-2-style churn, bit-identical on every engine.
+    """Five-phase Experiment-2-style churn, bit-identical to its golden.
 
-    Phase N+1 is scheduled only after phase N's *observed* quiescence time --
-    the workload shape the persistent-worker parallel engine exists for.  The
-    committed golden was captured from the sequential engine; the serial
-    sharded engines and the persistent-parallel engines (2 and 4 shards) must
-    reproduce its per-phase quiescence times, per-phase packet deltas, packet
-    and event totals, ``API.Rate`` callback count and final allocation
-    bit-exactly.
+    Phase N+1 is scheduled only after phase N's *observed* quiescence time.
+    The run must reproduce the committed per-phase quiescence times,
+    per-phase packet deltas, packet and event totals, ``API.Rate`` callback
+    count and final allocation bit-exactly.
     """
 
     CHURN_KEY = "churn-medium-lan-s5-n60"
 
-    ENGINES = ["sequential", "sharded:2", "sharded:4"]
-    if hasattr(os, "fork"):
-        ENGINES += ["sharded:2/parallel", "sharded:4/parallel"]
-
-    def _run_churn(self, engine):
+    def _run_churn(self):
         from repro.experiments.runner import ExperimentRunner, ScenarioSpec
         from repro.workloads.dynamics import DynamicPhase
         from repro.workloads.generator import uniform_demand
@@ -155,7 +97,7 @@ class TestMultiPhaseChurnDeterminism(object):
         _name, size, delay, seed, count = self.CHURN_KEY.split("-")
         seed = int(seed[1:])
         count = int(count[1:])
-        spec = ScenarioSpec(size=size, delay_model=delay, seed=seed, engine=engine)
+        spec = ScenarioSpec(size=size, delay_model=delay, seed=seed)
         runner = ExperimentRunner(spec, generator_seed=seed)
         churn = count // 5
         phases = [
@@ -173,15 +115,10 @@ class TestMultiPhaseChurnDeterminism(object):
         final = runner.checkpoint("after churn")
         return runner, outcomes, final
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_churn_reproduces_the_sequential_golden(self, engine):
+    def test_churn_reproduces_the_golden(self):
         golden = CROSS_ENGINE_GOLDENS[self.CHURN_KEY]["sequential"]
-        runner, outcomes, final = self._run_churn(engine)
+        runner, outcomes, final = self._run_churn()
         protocol = runner.protocol
-        if engine.endswith("/parallel"):
-            # The run must actually have executed on the worker pool, not
-            # have fallen back to serial.
-            assert protocol.simulator.workers_live
         assert final.validated
         assert [repr(o.quiescence_time) for o in outcomes] == golden["phase_quiescence"]
         assert [o.packets for o in outcomes] == golden["phase_packets"]
@@ -193,7 +130,6 @@ class TestMultiPhaseChurnDeterminism(object):
         assert {
             sid: repr(rate) for sid, rate in sorted(allocation.items())
         } == golden["allocation"]
-        runner.close()
 
 
 class TestCancelAccounting(object):

@@ -255,9 +255,9 @@ def test_many_events_keep_global_order():
 
 def test_direct_heap_entries_count_as_live_through_cancel_peek_and_clear():
     # The owning simulator pushes bare entries straight onto the queue's
-    # heap; the live count is the heap size minus unpopped cancels.
+    # public heap; the live count is the heap size minus unpopped cancels.
     queue = EventQueue()
-    heap, counter = queue._heap, queue._counter
+    heap, counter = queue.heap, queue.sequence
     early = queue.push(1.0, lambda: None, tag="early")
     heapq.heappush(heap, (2.0, next(counter), lambda: None, "direct", None))
     queue.push_callback(3.0, lambda: None, tag="bare")

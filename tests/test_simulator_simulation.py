@@ -71,15 +71,6 @@ def test_schedule_at_absolute_time(simulator):
     assert fired == [2.5]
 
 
-def test_stop_condition_halts_run(simulator):
-    fired = []
-    for index in range(10):
-        simulator.schedule(index * 0.1 + 0.1, lambda index=index: fired.append(index))
-    simulator.run(stop_condition=lambda: len(fired) >= 3)
-    assert len(fired) == 3
-    assert simulator.pending_events == 7
-
-
 def test_stop_request_halts_run(simulator):
     fired = []
 
@@ -127,22 +118,6 @@ def test_step_returns_false_when_empty(simulator):
     simulator.schedule(0.1, lambda: None)
     assert simulator.step() is True
     assert simulator.step() is False
-
-
-def test_tracer_hook_sees_every_event_tag():
-    class RecordingTracer(object):
-        def __init__(self):
-            self.tags = []
-
-        def on_event(self, time, tag):
-            self.tags.append(tag)
-
-    tracer = RecordingTracer()
-    simulator = Simulator(tracer=tracer)
-    simulator.schedule(0.1, lambda: None, tag="alpha")
-    simulator.schedule(0.2, lambda: None, tag="beta")
-    simulator.run_until_quiescent()
-    assert tracer.tags == ["alpha", "beta"]
 
 
 def test_events_processed_counts(simulator):
@@ -287,20 +262,6 @@ def test_step_completes_the_instant_before_advancing(simulator):
     assert not simulator.step()
 
 
-def test_stop_condition_reevaluated_after_instant_flush(simulator):
-    # A predicate that only flips inside the flushed callback (the shape of
-    # "wait for a batched API.Rate delivery") must stop the run at the flush,
-    # not one event later.
-    delivered = []
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(
-        lambda: delivered.append("rate")))
-    simulator.schedule(2.0, lambda: delivered.append("overshoot"))
-    simulator.run(stop_condition=lambda: bool(delivered))
-    assert delivered == ["rate"]
-    assert simulator.now == 1.0
-    assert simulator.pending_events == 1
-
-
 def test_instant_flush_is_not_an_event(simulator):
     simulator.schedule(1.0, lambda: simulator.call_at_instant_end(lambda: None))
     simulator.run_until_quiescent()
@@ -375,16 +336,14 @@ class TestBookkeepingTimers(object):
         simulator.run_until_quiescent()
         assert order == ["a", "b", "event"]
 
-    def test_condition_stopped_runs_leave_timers_pending(self):
-        # A stop_condition firing on the event that empties the queue must
-        # not flush future-dated timers: the run is paused, not drained
-        # (matching the sharded engine's behavior).
+    def test_stopped_runs_leave_timers_pending(self):
+        # A stop() on the event that empties the queue must not flush
+        # future-dated timers: the run is paused, not drained.
         simulator = Simulator()
         fired = []
-        done = []
-        simulator.schedule(1.0, lambda: done.append(True))
+        simulator.schedule(1.0, simulator.stop)
         simulator.schedule_bookkeeping(5.0, fired.append)
-        simulator.run(stop_condition=lambda: bool(done))
+        simulator.run()
         assert fired == []
         assert simulator.pending_bookkeeping == 1
         simulator.run_until_quiescent()

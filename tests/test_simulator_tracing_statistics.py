@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simulator.statistics import Histogram, TimeSeries, mean, percentile, summarize
-from repro.simulator.tracing import PacketTracer, Tracer
+from repro.simulator.tracing import PacketTracer
 
 
 class TestPacketTracer(object):
@@ -70,20 +70,6 @@ class TestPacketTracer(object):
         assert tracer.total == 0
         assert tracer.records == []
         assert tracer.interval_series() == []
-
-
-class TestTracer(object):
-    def test_counts_event_tags(self):
-        tracer = Tracer()
-        tracer.on_event(0.1, "Join")
-        tracer.on_event(0.2, "Join")
-        tracer.on_event(0.3, "Response")
-        assert tracer.count_by_kind() == {"Join": 2, "Response": 1}
-
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.on_event(0.1, "Join")
-        assert tracer.events == []
 
 
 class TestStatistics(object):

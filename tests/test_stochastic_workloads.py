@@ -1,35 +1,41 @@
-"""Tests for the stochastic scenario engine and link-capacity dynamics.
+"""Tests for the stochastic scenarios and link-capacity dynamics.
 
-Four families of guarantees:
+Five families of guarantees:
 
-* **Cross-engine bit-identity**: a Poisson-churn run and a capacity-dynamics
-  run reproduce the committed sequential goldens
-  (``tests/data/cross_engine_goldens.json``) on the sequential,
-  sharded:2/sharded:4 serial and persistent-parallel engines -- per-round
+* **Bit-identity**: a Poisson-churn run and a capacity-dynamics run reproduce
+  the committed goldens (``tests/data/cross_engine_goldens.json``) -- per-round
   quiescence times, packets, events, callbacks and the final allocation,
   bit-exactly.
+* **Every workload**: each registered workload, on LAN and WAN delays,
+  reconverges after every round to a stable allocation that passes the
+  oracles, replays bit-identically, and follows its generator seed.
 * **Capacity-change semantics**: after every
   :class:`~repro.core.actions.CapacityChangeAction` quiescence point the
   allocation matches the water-filling oracle on the *updated* capacities,
   including the empty-``R_e`` oversubscription case (a deep cut on a link
-  whose sessions were all restricted elsewhere) and the driver-side network
-  mirror of a persistent-parallel run.
+  whose sessions were all restricted elsewhere); a batch whose last action
+  has a bad time, a bad capacity, a host or unknown link or an unknown kind
+  is rejected before any of it is applied.
 * **Workload-generator validation** (regressions): ``pick_sessions`` no
   longer silently clamps, ``random_times`` rejects inverted windows, and a
   phase asking for more churn than the live population records the shortfall
   in :attr:`~repro.workloads.dynamics.PhaseOutcome.shortfalls`.
 * **Runner lifecycle**: ``ExperimentRunner`` is a context manager that closes
-  the engine even when the body raises.
+  the runner even when the body raises.
 """
 
 import json
 import math
 import os
+import pickle
 
 import pytest
 
 from repro.core.actions import (
     CapacityChangeAction,
+    ChangeAction,
+    JoinAction,
+    LeaveAction,
     replay_actions,
     validate_actions,
 )
@@ -61,38 +67,27 @@ with open(GOLDEN_PATH) as handle:
 
 STOCHASTIC_KEYS = sorted(key for key in GOLDENS if key.startswith("stochastic-"))
 
-ENGINES = ["sequential", "sharded:2", "sharded:4"]
-if hasattr(os, "fork"):
-    ENGINES += ["sharded:2/parallel", "sharded:4/parallel"]
 
-
-def _run_golden_scenario(key, engine):
+def _run_golden_scenario(key):
     golden = GOLDENS[key]["sequential"]
     _prefix, _workload, size, delay, seed = key.rsplit("-", 4)
     spec = ScenarioSpec(
         size=size,
         delay_model=delay,
         seed=int(seed[1:]),
-        engine=engine,
         workload=golden["workload"],
     )
     with ExperimentRunner(spec) as runner:
-        measurements = runner.run_scenario()
-        workers_live = getattr(runner.protocol.simulator, "workers_live", False)
-        return runner, measurements, golden, workers_live
+        return runner, runner.run_scenario(), golden
 
 
-class TestCrossEngineGoldens(object):
-    """The stochastic scenarios replay bit-identically on every engine."""
+class TestStochasticGoldens(object):
+    """The stochastic scenarios replay bit-identically."""
 
     @pytest.mark.parametrize("key", STOCHASTIC_KEYS)
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_reproduces_the_sequential_golden(self, key, engine):
-        runner, measurements, golden, workers_live = _run_golden_scenario(key, engine)
+    def test_reproduces_the_golden(self, key):
+        runner, measurements, golden = _run_golden_scenario(key)
         protocol = runner.protocol
-        if engine.endswith("/parallel"):
-            # The run must actually have executed on the worker pool.
-            assert workers_live
         assert [m.description for m in measurements] == golden["round_labels"]
         assert [repr(m.quiescence_time) for m in measurements] == (
             golden["round_quiescence"]
@@ -108,6 +103,52 @@ class TestCrossEngineGoldens(object):
         assert {
             sid: repr(rate) for sid, rate in sorted(allocation.items())
         } == golden["allocation"]
+
+
+class _UnknownKindAction(object):
+    kind = "teleport"
+
+    def __init__(self, at):
+        self.at = at
+
+
+def _bad_action(name, network, at):
+    """The bad action ``name`` for a batch due at ``at`` on ``network``."""
+    host = network.hosts()[0]
+    transit = next(
+        link for link in network.links()
+        if network.node(link.source).is_router and network.node(link.target).is_router
+    )
+    if name.startswith("capacity-"):
+        capacity = {"zero": 0.0, "negative": -1e6, "nan": math.nan, "inf": math.inf}
+        return CapacityChangeAction(
+            transit.source, transit.target, capacity[name[len("capacity-"):]], at
+        )
+    return {
+        "time-none": CapacityChangeAction(transit.source, transit.target, 1e6, None),
+        "time-nan": CapacityChangeAction(transit.source, transit.target, 1e6, math.nan),
+        "time-inf": LeaveAction("s0", math.inf),
+        "time-not-a-number": ChangeAction("s0", 1e6, "soon"),
+        "host-link": CapacityChangeAction(host.node_id, host.attached_router, 1e6, at),
+        "unknown-link": CapacityChangeAction("r-nowhere", "also-nowhere", 1e6, at),
+        "unknown-kind": _UnknownKindAction(at),
+    }[name]
+
+
+# Every way a batch's last action can fail the up-front check, and its error.
+BAD_LAST_ACTIONS = [
+    ("time-none", ValueError),
+    ("time-nan", ValueError),
+    ("time-inf", ValueError),
+    ("time-not-a-number", ValueError),
+    ("capacity-zero", ValueError),
+    ("capacity-negative", ValueError),
+    ("capacity-nan", ValueError),
+    ("capacity-inf", ValueError),
+    ("host-link", ValueError),
+    ("unknown-link", KeyError),
+    ("unknown-kind", ValueError),
+]
 
 
 class TestCapacityChangeSemantics(object):
@@ -184,23 +225,48 @@ class TestCapacityChangeSemantics(object):
         with pytest.raises(KeyError):
             protocol.change_capacity("r0", "nowhere", 10 * MBPS)
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX fork")
-    def test_bad_capacity_action_is_rejected_before_the_broadcast(self):
-        """A typo'd link must fail driver-side, leaving the live worker pool
-        usable -- not fail mid-replay after the workers got the batch."""
-        spec = ScenarioSpec(
-            size="small", seed=4, engine="sharded:2/parallel", validate=False
-        )
+    @pytest.mark.parametrize("flavour", ["joins", "churn"])
+    @pytest.mark.parametrize("bad, error", BAD_LAST_ACTIONS)
+    def test_a_bad_last_action_leaves_the_batch_unapplied(self, bad, error, flavour):
+        """Joins (or a leave, a change and a join) followed by one bad action
+        -- a bad time, a bad capacity, a host or unknown link, an unknown
+        kind -- must raise before any action of the batch is applied."""
+        spec = ScenarioSpec(size="small", seed=4, validate=False)
         with ExperimentRunner(spec) as runner:
             runner.populate(8, join_window=(0.0, 1e-3))
-            runner.checkpoint("join")  # forks the persistent pool
-            protocol = runner.protocol
-            assert protocol.simulator.workers_live
-            with pytest.raises(KeyError):
-                protocol.change_capacity("r-nowhere", "also-nowhere", 1e6)
-            # The pool survived the rejected batch and still runs.
-            assert protocol.simulator.workers_live
-            assert runner.checkpoint("still running").quiescence_time >= 0.0
+            runner.checkpoint("join")
+            protocol, network = runner.protocol, runner.network
+            at = protocol.simulator.now + 1e-3
+            stubs = [node.node_id for node in network.routers() if node.tier == "stub"]
+            joins = [
+                JoinAction("late-%d" % index, stubs[index], stubs[-1 - index],
+                           10 * MBPS, at, 1000 * MBPS, microseconds(1))
+                for index in range(3)
+            ]
+            if flavour == "joins":
+                batch = joins
+            else:
+                first, second = runner.active_ids[:2]
+                batch = [LeaveAction(first, at), ChangeAction(second, 5 * MBPS, at), joins[0]]
+            active_ids = list(runner.active_ids)
+            demands = {sid: protocol.session(sid).demand for sid in active_ids}
+            hosts = len(network.hosts())
+            capacities = {link.endpoints: link.capacity for link in network.links()}
+
+            with pytest.raises(error):
+                runner.apply_actions(batch + [_bad_action(bad, network, at)])
+
+            assert protocol.simulator.pending_events == 0
+            assert len(network.hosts()) == hosts
+            assert {link.endpoints: link.capacity for link in network.links()} == capacities
+            for join in joins:
+                assert join.session_id not in protocol.registry
+                with pytest.raises(KeyError):
+                    protocol.session(join.session_id)
+            assert runner.active_ids == active_ids
+            assert {sid: protocol.session(sid).demand for sid in active_ids} == demands
+            protocol.run_until_quiescent()
+            assert sorted(s.session_id for s in protocol.active_sessions()) == sorted(active_ids)
 
     def test_validate_actions_rejects_bad_capacity(self):
         with pytest.raises(ValueError, match="positive finite capacity"):
@@ -212,6 +278,25 @@ class TestCapacityChangeSemantics(object):
         with pytest.raises(ValueError, match="finite absolute time"):
             validate_actions([CapacityChangeAction("a", "b", 1.0, None)])
 
+    @pytest.mark.parametrize(
+        "action",
+        [
+            JoinAction("j", "r0", "r1", 10 * MBPS, 1e-3, 1000 * MBPS, microseconds(1)),
+            LeaveAction("j", 2e-3),
+            ChangeAction("j", math.inf, 3e-3),
+            CapacityChangeAction("r0", "r1", 50 * MBPS, 4e-3),
+        ],
+        ids=lambda action: action.kind,
+    )
+    def test_actions_pickle_with_every_field(self, action):
+        """Actions are plain slotted data: a batch can be stored and replayed."""
+        clone = pickle.loads(pickle.dumps(action))
+        assert type(clone) is type(action)
+        assert [getattr(clone, name) for name in type(action).__slots__] == [
+            getattr(action, name) for name in type(action).__slots__
+        ]
+        assert repr(clone) == repr(action)
+
     def test_replay_on_protocol_without_support_is_an_error(self):
         class Bare(object):
             network = None
@@ -219,15 +304,10 @@ class TestCapacityChangeSemantics(object):
         with pytest.raises(ValueError, match="capacity-change"):
             replay_actions(Bare(), [CapacityChangeAction("a", "b", 1.0, 1e-3)])
 
-    @pytest.mark.parametrize(
-        "engine",
-        ["sequential", "sharded:2"]
-        + (["sharded:2/parallel"] if hasattr(os, "fork") else []),
-    )
-    def test_allocation_matches_waterfilling_after_every_event(self, engine):
+    def test_allocation_matches_waterfilling_after_every_event(self):
         """The acceptance criterion: each capacity-change quiescence point
         validates against the water-filling oracle on updated capacities."""
-        spec = ScenarioSpec(size="small", delay_model="lan", seed=13, engine=engine)
+        spec = ScenarioSpec(size="small", delay_model="lan", seed=13)
         workload = CapacityDynamicsWorkload(sessions=30, events=3)
         with ExperimentRunner(spec) as runner:
             observed_capacities = []
@@ -240,8 +320,7 @@ class TestCapacityChangeSemantics(object):
                 runner.apply_actions(actions)
                 measurement = runner.checkpoint(label)
                 assert measurement.validated, label
-                # The driver's network mirror carries the new capacities
-                # (in parallel mode via the end-of-run state sync) ...
+                # The network carries the new capacities ...
                 for (source, target), capacity in changed.items():
                     assert runner.network.link(source, target).capacity == capacity
                 # ... and the independent water-filling oracle on that updated
@@ -377,22 +456,6 @@ class TestRunnerContextManager(object):
                 raise RuntimeError("boom")
         assert closed == ["clean", "error"]
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX fork")
-    def test_raising_scenario_does_not_leak_the_worker_pool(self):
-        spec = ScenarioSpec(
-            size="small", seed=4, engine="sharded:2/parallel", validate=False
-        )
-        with pytest.raises(RuntimeError, match="mid-scenario"):
-            with ExperimentRunner(spec) as runner:
-                runner.populate(10, join_window=(0.0, 1e-3))
-                runner.checkpoint("join")  # forks the persistent pool
-                simulator = runner.protocol.simulator
-                assert simulator.workers_live
-                raise RuntimeError("mid-scenario")
-        # __exit__ shut the pool down; the engine reports it retired.
-        assert not simulator.workers_live
-        assert simulator._pool_retired
-
 
 class TestWorkloadRegistryAndRunner(object):
     def test_registry_names_all_four_scenarios(self):
@@ -489,3 +552,55 @@ class TestWorkloadRegistryAndRunner(object):
 
         with pytest.raises(NotImplementedError):
             list(Incomplete().rounds(None))
+
+
+def _workload_fingerprint(name, delay_model, generator_seed=None):
+    """Run workload ``name`` on Small; return the runner and its replayable result."""
+    spec = ScenarioSpec(size="small", delay_model=delay_model, seed=3, workload=name)
+    with ExperimentRunner(spec, generator_seed=generator_seed) as runner:
+        measurements = runner.run_scenario()
+        protocol = runner.protocol
+        return runner, measurements, {
+            "rounds": [
+                (m.description, repr(m.quiescence_time), m.packets, m.rate_callbacks)
+                for m in measurements
+            ],
+            "events": protocol.simulator.events_processed,
+            "by_type": dict(protocol.tracer.by_type),
+            "active": list(runner.active_ids),
+            "allocation": {
+                sid: repr(rate)
+                for sid, rate in sorted(protocol.current_allocation().as_dict().items())
+            },
+        }
+
+
+@pytest.mark.parametrize("delay_model", ["lan", "wan"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+class TestEveryWorkload(object):
+    """Each registered workload, on both delay models of Small."""
+
+    def test_every_round_reconverges_to_a_stable_max_min_allocation(self, name, delay_model):
+        runner, measurements, _ = _workload_fingerprint(name, delay_model)
+        protocol = runner.protocol
+        assert len(measurements) >= 2
+        assert all(m.validated for m in measurements)
+        assert protocol.quiescent
+        assert validate_against_oracle(protocol).valid
+        assert set(runner.active_ids) == {
+            session.session_id for session in protocol.active_sessions()
+        }
+        for state in protocol.all_link_states():
+            assert state.is_stable(), state
+            assert state._busy == state._recomputed_busy() == 0, state
+
+    def test_replays_bit_identically(self, name, delay_model):
+        first = _workload_fingerprint(name, delay_model)[2]
+        assert _workload_fingerprint(name, delay_model)[2] == first
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_the_generator_seed_drives_the_workload(name):
+    """Same topology, another generator seed: another schedule."""
+    first = _workload_fingerprint(name, "lan", generator_seed=1)[2]
+    assert _workload_fingerprint(name, "lan", generator_seed=2)[2] != first
