@@ -13,44 +13,20 @@ Reproduced qualitative findings:
 * once quiescence is reached no packet at all is transmitted until the next
   phase starts.
 
-The five-phase run opts into the ring-buffer :class:`NotificationLog` and the
-per-instant batched ``API.Rate`` pipeline: a churn run does not need the full
-(unbounded) notification record, and the comparison bench below pins down that
-batching + bounded logging change *nothing* about the simulation -- final
-notified allocations and per-phase quiescence times are bit-identical to the
-synchronous full-record configuration -- while delivering fewer application
-callbacks at lower wall-clock cost.
+``API.Rate`` reaches each session's application once per simulation instant,
+the protocol's only delivery mode; it schedules no events, so it cannot
+change the phase timings or the packet series reported here.
 """
 
-import time
-
 from repro.experiments.experiment2 import Experiment2Config, run_experiment2
-from repro.experiments.reporting import format_experiment2_table, format_table
+from repro.experiments.reporting import format_experiment2_table
 
-# Ring-buffer log: Experiment 2 only reads phase/interval aggregates, never
-# the per-notification record, so a churn run keeps memory flat.
 CONFIG = Experiment2Config(
     size="medium",
     initial_sessions=400,
     churn_fraction=0.2,
     seed=3,
-    notification_log="ring",
 )
-
-
-def _config(notification_log, batch_notifications, notification_batch_window=None):
-    # Slightly smaller than the Figure-6 run: the comparison runs the workload
-    # three times, and 300 sessions show the same ~19% callback reduction
-    # while keeping the default benchmark tier fast.
-    return Experiment2Config(
-        size="medium",
-        initial_sessions=300,
-        churn_fraction=0.2,
-        seed=3,
-        notification_log=notification_log,
-        batch_notifications=batch_notifications,
-        notification_batch_window=notification_batch_window,
-    )
 
 
 def test_figure6_dynamic_phases(benchmark, print_table):
@@ -73,75 +49,4 @@ def test_figure6_dynamic_phases(benchmark, print_table):
     print_table(
         "Figure 6 -- packets per type per 5 ms interval, and per-phase quiescence",
         format_experiment2_table(result),
-    )
-
-
-BATCH_WINDOW = 1e-3  # one churn window: coalesce each burst's transient
-
-
-def test_batched_pipeline_vs_synchronous_delivery(print_table):
-    """Batching + bounded logging: fewer callbacks, same allocations, less time."""
-    timings = {}
-
-    def timed(label, config):
-        started = time.perf_counter()
-        result = run_experiment2(config)
-        timings[label] = time.perf_counter() - started
-        assert result.validated
-        return result
-
-    synchronous = timed(
-        "synchronous", _config(notification_log="full", batch_notifications=False)
-    )
-    instant = timed(
-        "instant", _config(notification_log="ring", batch_notifications=True)
-    )
-    windowed = timed(
-        "windowed",
-        _config(
-            notification_log="null",
-            batch_notifications=True,
-            notification_batch_window=BATCH_WINDOW,
-        ),
-    )
-
-    # The notification pipeline is observation-only: final notified rates are
-    # bit-identical whichever variant records/delivers the notifications.
-    assert instant.final_allocation == synchronous.final_allocation
-    assert windowed.final_allocation == synchronous.final_allocation
-    assert instant.phase_packets() == synchronous.phase_packets()
-    assert windowed.phase_packets() == synchronous.phase_packets()
-
-    # Per-instant batching leaves the event stream untouched bit for bit;
-    # windowed flushes may stretch each reported phase by at most one window.
-    assert instant.phase_durations() == synchronous.phase_durations()
-    for name, duration in synchronous.phase_durations().items():
-        assert duration <= windowed.phase_durations()[name] <= duration + BATCH_WINDOW
-
-    # Coalescing can only reduce the application-facing callback stream, and
-    # the windowed pipeline must reduce it measurably under churn.
-    assert 0 < instant.rate_callbacks <= synchronous.rate_callbacks
-    assert windowed.rate_callbacks < synchronous.rate_callbacks
-
-    def row(label, result):
-        saved = synchronous.rate_callbacks - result.rate_callbacks
-        return (
-            label,
-            "%.3f" % timings[label.split()[0]],
-            result.rate_callbacks,
-            "%d (%.1f%%)" % (saved, 100.0 * saved / synchronous.rate_callbacks),
-        )
-
-    print_table(
-        "Batched notification pipeline vs. synchronous per-packet delivery "
-        "(identical five-phase churn, final allocations bit-identical)",
-        format_table(
-            ("pipeline", "wall-clock [s]", "API.Rate callbacks", "callbacks saved"),
-            [
-                ("synchronous + full log", "%.3f" % timings["synchronous"],
-                 synchronous.rate_callbacks, "-"),
-                row("instant batching + ring log", instant),
-                row("windowed (1 ms) batching + null log", windowed),
-            ],
-        ),
     )

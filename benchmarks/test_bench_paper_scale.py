@@ -14,9 +14,9 @@ Everything here is marked ``slow_bench`` and deselected by default (see
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_paper_scale.py -m slow_bench -s
 
-CI runs this tier on manual dispatch and nightly.  The runs opt into the
-ring-buffer notification log and windowed ``API.Rate`` batching -- at this
-scale the full per-notification record is pure allocator churn.
+CI runs this tier on manual dispatch and nightly.  The runs use the
+protocol's one ``API.Rate`` path: one delivery per session per simulation
+instant, recorded by each session's application.
 """
 
 import pytest
@@ -37,7 +37,6 @@ def _mass_join(size, print_table):
         delay_model="lan",
         seed=0,
         trace_packets=False,
-        notification_log="ring",
     )
     with ExperimentRunner(spec) as runner:
         runner.populate(MASS_JOIN_SESSIONS, join_window=(0.0, 1e-3))
@@ -80,8 +79,6 @@ def test_paper_medium_five_phase_churn(print_table):
         initial_sessions=CHURN_SESSIONS,
         churn_fraction=0.2,
         seed=0,
-        notification_log="ring",
-        notification_batch_window=1e-3,
     )
     result = run_experiment2(config)
     assert result.validated

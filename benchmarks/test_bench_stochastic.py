@@ -16,13 +16,12 @@ from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.workloads.stochastic import PoissonChurnWorkload
 
 
-def _run_poisson(size, seed, workload, trace_packets=True, notification_log=None):
+def _run_poisson(size, seed, workload, trace_packets=True):
     spec = ScenarioSpec(
         size=size,
         delay_model="lan",
         seed=seed,
         trace_packets=trace_packets,
-        notification_log=notification_log,
     )
     with ExperimentRunner(spec) as runner:
         measurements = runner.run_scenario(workload)
@@ -81,7 +80,6 @@ def test_paper_medium_sustained_churn(print_table):
         seed=3,
         workload=workload,
         trace_packets=False,
-        notification_log="ring",
     )
     measurements = result["measurements"]
     assert len(measurements) == 6

@@ -1,9 +1,9 @@
-"""Setuptools shim.
+"""Project metadata and packaging.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists so
-that ``pip install -e .`` also works in offline environments that lack the
-``wheel`` package required by PEP 517 editable builds
-(``pip install -e . --no-use-pep517 --no-build-isolation``).
+This file is the project's metadata: there is no ``pyproject.toml``.  Install
+with ``pip install -e .``; where the ``wheel`` package required by PEP 517
+editable builds is missing, use
+``pip install -e . --no-use-pep517 --no-build-isolation``.
 """
 
 from setuptools import find_packages, setup

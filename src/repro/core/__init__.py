@@ -13,11 +13,11 @@ The package mirrors the paper's Section III structure:
 * :mod:`~repro.core.source_node` -- the SourceNode task (Figure 3).
 * :mod:`~repro.core.destination_node` -- the DestinationNode task (Figure 4).
 * :mod:`~repro.core.api` -- the session-facing primitives
-  (``API.Join`` / ``API.Leave`` / ``API.Change`` / ``API.Rate``).
+  (``API.Join`` / ``API.Leave`` / ``API.Change`` / ``API.Rate``);
+  ``SessionApplication.notifications`` is the record of every ``API.Rate``
+  delivered, once per session per simulation instant.
 * :mod:`~repro.core.actions` -- joins, leaves, rate and capacity changes as
   data records: the workloads' schedule format.
-* :mod:`~repro.core.notifications` -- pluggable ``API.Rate`` record storage
-  (full / ring-buffer / null) behind ``BNeckProtocol.notifications``.
 * :mod:`~repro.core.protocol` -- :class:`BNeckProtocol`, which instantiates the
   tasks over a network + simulator, routes packets along session paths with
   link delays, and exposes quiescence-and-rates helpers.
@@ -28,12 +28,6 @@ The package mirrors the paper's Section III structure:
 
 from repro.core.api import RateNotification, SessionApplication
 from repro.core.centralized import centralized_bneck
-from repro.core.notifications import (
-    NotificationLog,
-    NullNotificationLog,
-    RingNotificationLog,
-    make_notification_log,
-)
 from repro.core.actions import (
     CapacityChangeAction,
     ChangeAction,
@@ -72,11 +66,8 @@ __all__ = [
     "Leave",
     "LeaveAction",
     "LinkState",
-    "NotificationLog",
-    "NullNotificationLog",
     "PACKET_TYPES",
     "Probe",
-    "RingNotificationLog",
     "RESPONSE",
     "RateNotification",
     "Response",
@@ -91,7 +82,6 @@ __all__ = [
     "centralized_bneck",
     "check_stability",
     "join_action_from_spec",
-    "make_notification_log",
     "replay_actions",
     "validate_against_oracle",
 ]

@@ -10,44 +10,23 @@ network and a discrete-event simulator:
 * it routes packets hop by hop along session paths (downstream) and reverse
   paths (upstream), applying each link's control-packet delay and accounting
   every transmission in a :class:`~repro.simulator.tracing.PacketTracer`;
-* it exposes the session API (``join`` / ``leave`` / ``change``), records every
-  ``API.Rate`` notification, and provides quiescence and allocation helpers
-  used by the experiments and tests.
+* it exposes the session API (``join`` / ``leave`` / ``change``), delivers
+  every ``API.Rate`` notification, and provides quiescence and allocation
+  helpers used by the experiments and tests.
 
-Notification batching
+Notification delivery
 ---------------------
 
-``API.Rate`` deliveries to :class:`~repro.core.api.SessionApplication`
-objects are *batched per simulation instant* by default: however many times a
-session's rate is renegotiated within one timestamp, the application receives
-a single ``deliver_rate`` callback carrying the final value, executed at the
-end of the instant through
-:meth:`~repro.simulator.simulation.Simulator.call_at_instant_end`.  Batching
-never alters the simulation itself (notifications schedule no events), so
-packet counts, event counts and final allocations are bit-identical with
-batching on or off; only the application-facing callback stream is coalesced.
-Pass ``batch_notifications=False`` for the historical synchronous per-packet
-delivery.
-
-With nonzero link delays a session's consecutive renegotiations land on
-*distinct* instants (each re-probe costs at least a round trip), so
-per-instant coalescing alone rarely drops callbacks.  For churn-heavy
-experiments, ``notification_batch_window=w`` widens the batch to logical
-windows of ``w`` seconds: pending rates are delivered at the next multiple of
-``w``, coalescing the whole convergence transient of a churn burst into one
-application update per session per window.  Windowed flushes run as
-out-of-band *bookkeeping timers*
-(:meth:`~repro.simulator.simulation.Simulator.schedule_bookkeeping`), so --
-exactly like per-instant batching -- they never appear in
-``events_processed``, never stretch a reported quiescence time, and never
-count against ``Simulator.max_events`` / ``max_time`` caps; applications
-still observe the window-boundary timestamp.
-
-The record of ``API.Rate`` invocations is kept in a pluggable *notification
-log* (see :mod:`repro.core.notifications`): the default retains everything
-(list-compatible via the ``notifications`` attribute); churn-heavy runs can
-pass ``notification_log="ring"`` (bounded memory) or ``"null"`` (keep
-nothing) without affecting protocol behaviour.
+``API.Rate`` reaches a session's :class:`~repro.core.api.SessionApplication`
+once per simulation instant: however many times the session's rate is
+renegotiated within one timestamp, the application receives a single
+``deliver_rate`` callback carrying the final value, executed at the end of the
+instant through
+:meth:`~repro.simulator.simulation.Simulator.call_at_instant_end`.  Delivery
+schedules no events, so it never alters the simulation.  The application's
+``notifications`` list is the record of every delivered ``API.Rate``;
+:meth:`BNeckProtocol.last_notified_rate` tracks each ``notify_rate`` call
+synchronously, ahead of the delivery.
 """
 
 import math
@@ -59,7 +38,6 @@ from repro.core.actions import (
     validate_actions,
 )
 from repro.core.api import SessionApplication
-from repro.core.notifications import make_notification_log
 from repro.core.destination_node import DestinationNodeTask
 from repro.core.router_link import RouterLinkTask
 from repro.core.source_node import SourceNodeTask
@@ -120,22 +98,10 @@ class BNeckProtocol(object):
             :class:`~repro.simulator.tracing.NullPacketTracer` is installed
             and the per-packet accounting in :meth:`_transmit` is skipped
             entirely -- use for runs that only report times, not counts.
-        notification_log: where ``API.Rate`` records are kept -- ``"full"``
-            (default, unbounded), ``"ring"`` / ``"ring:N"``, ``"null"``, or a
-            log object (see :func:`repro.core.notifications.make_notification_log`).
-        batch_notifications: when true (default) application ``API.Rate``
-            callbacks are coalesced per simulation instant (see the module
-            docstring); when false each ``notify_rate`` call reaches the
-            application synchronously.
-        notification_batch_window: optional window width (seconds) for
-            coalescing across instants; ``None`` (default) batches per
-            instant.  Ignored when ``batch_notifications`` is false.
     """
 
     def __init__(self, network, simulator=None, tracer=None,
-                 routing_metric="hops", trace_packets=True,
-                 notification_log=None, batch_notifications=True,
-                 notification_batch_window=None):
+                 routing_metric="hops", trace_packets=True):
         self.network = network
         self.simulator = simulator or Simulator()
         if tracer is None:
@@ -153,14 +119,6 @@ class BNeckProtocol(object):
         self._wirings = {}
         self._sessions = {}
         self._last_rate = {}
-        self.notification_log = make_notification_log(notification_log)
-        self.batch_notifications = bool(batch_notifications)
-        if notification_batch_window is not None and notification_batch_window <= 0:
-            raise ValueError(
-                "notification_batch_window must be positive, got %r"
-                % (notification_batch_window,)
-            )
-        self.notification_batch_window = notification_batch_window
         self._pending_rates = {}
         self.rate_callbacks = 0
         self.in_flight_packets = 0
@@ -388,46 +346,19 @@ class BNeckProtocol(object):
 
     # --------------------------------------------------------------- API.Rate
 
-    @property
-    def notifications(self):
-        """The retained ``API.Rate`` records (sequence-compatible log)."""
-        return self.notification_log
-
     def notify_rate(self, session_id, rate):
-        """Record an ``API.Rate`` invocation and deliver it to the application.
+        """``API.Rate``: tell a session its rate, delivered at the instant's end.
 
-        With ``batch_notifications`` (the default) the application callback is
-        deferred to the end of the current simulation instant and coalesced:
-        only the last rate a session was notified within the instant reaches
-        ``deliver_rate``.  Records, ``last_notified_rate`` and the returned
-        notification object always reflect every invocation.
+        The application callback is deferred to the end of the current
+        simulation instant and coalesced: only the last rate a session was
+        notified within the instant reaches ``deliver_rate``.
+        ``last_notified_rate`` reflects every invocation at once.
         """
-        time = self.simulator.now
-        notification = self.notification_log.record(time, session_id, rate)
         self._last_rate[session_id] = rate
-        if self.batch_notifications:
-            pending = self._pending_rates
-            if not pending:
-                window = self.notification_batch_window
-                if window is None:
-                    self.simulator.call_at_instant_end(self._flush_pending_rates)
-                else:
-                    # Flush at the next window boundary strictly after `now`,
-                    # through an out-of-band bookkeeping timer: the flush is
-                    # pure observation, so it must not occupy an event-queue
-                    # slot (it would show in ``events_processed`` and could
-                    # stretch a reported quiescence time by up to one window).
-                    boundary = (math.floor(time / window) + 1.0) * window
-                    self.simulator.schedule_bookkeeping(
-                        boundary - time, self._flush_pending_rates_window
-                    )
-            pending[session_id] = rate
-        else:
-            application = self._applications.get(session_id)
-            if application is not None:
-                self.rate_callbacks += 1
-                application.deliver_rate(time, rate)
-        return notification
+        pending = self._pending_rates
+        if not pending:
+            self.simulator.call_at_instant_end(self._flush_pending_rates)
+        pending[session_id] = rate
 
     def _flush_pending_rates(self):
         """End-of-instant hook: deliver one coalesced ``API.Rate`` per session.
@@ -436,28 +367,11 @@ class BNeckProtocol(object):
         notified in the order of their *first* rate update within the instant,
         each carrying its *final* rate.
         """
-        self._deliver_pending_batch(self.simulator.now)
-
-    def _flush_pending_rates_window(self, due):
-        """Windowed-flush bookkeeping timer: deliver at the window boundary.
-
-        Fires between events (see
-        :meth:`repro.simulator.simulation.Simulator.schedule_bookkeeping`);
-        applications see the boundary timestamp ``due`` regardless of where
-        between two events the timer actually ran.
-        """
-        self._deliver_pending_batch(due)
-
-    def _deliver_pending_batch(self, time):
-        """Deliver the coalesced rates, stamped ``time``."""
-        pending = self._pending_rates
-        if not pending:
-            return
-        batch = list(pending.items())
-        pending.clear()
+        time = self.simulator.now
+        batch, self._pending_rates = self._pending_rates, {}
         applications = self._applications
         delivered = 0
-        for session_id, rate in batch:
+        for session_id, rate in batch.items():
             application = applications.get(session_id)
             if application is not None:
                 delivered += 1

@@ -51,9 +51,6 @@ class Experiment2Config(object):
         demand_high=80e6,
         seed=0,
         validate=True,
-        notification_log=None,
-        batch_notifications=True,
-        notification_batch_window=None,
     ):
         self.size = size
         self.delay_model = delay_model
@@ -66,9 +63,6 @@ class Experiment2Config(object):
         self.demand_high = demand_high
         self.seed = seed
         self.validate = validate
-        self.notification_log = notification_log
-        self.batch_notifications = batch_notifications
-        self.notification_batch_window = notification_batch_window
 
     def phases(self):
         return DEFAULT_PHASES(self.initial_sessions, self.churn_fraction, self.window)
@@ -83,9 +77,6 @@ class Experiment2Config(object):
             delay_model=self.delay_model,
             seed=self.seed,
             tracer_interval=self.interval,
-            notification_log=self.notification_log,
-            batch_notifications=self.batch_notifications,
-            notification_batch_window=self.notification_batch_window,
             validate=self.validate,
         )
 

@@ -36,23 +36,15 @@ instant incomplete: its deferred callbacks stay queued and run when a later
 ``run`` call finishes the instant.  Runs that end because the queue drained
 or a time horizon was crossed always flush first.
 
-Bookkeeping timers
-------------------
+Out-of-band work
+----------------
 
-:meth:`Simulator.schedule_bookkeeping` registers an out-of-band timer that is
-*not* a simulation event: it fires ``callback(due)`` between events -- always
-before any event with ``time >= due`` executes, and at the latest when a run
-ends -- without ever touching the event queue.  Timers therefore never show in
-``events_processed``, never hold up quiescence detection, never stretch a
-reported quiescence time, and never count against ``max_events`` /
-``max_time``.  Their callbacks receive the due time explicitly (the clock is
-not advanced for them) and must not schedule simulation events.  The protocol
-uses them for windowed ``API.Rate`` flushes, whose old event-based
-implementation could stretch a reported phase by up to one window.
+End-of-instant callbacks are the simulator's only work outside the event
+queue.  They never show in ``events_processed``, never stretch a reported
+quiescence time and never count against ``max_events`` / ``max_time``.  The
+protocol's per-instant ``API.Rate`` delivery is their one user.
 """
 
-import heapq
-import itertools
 from heapq import heappush
 
 from repro.simulator.errors import SimulationLimitExceeded
@@ -78,8 +70,6 @@ class Simulator(object):
         self._events_processed = 0
         self._running = False
         self._instant_callbacks = []
-        self._timers = []
-        self._timer_counter = itertools.count()
         self.max_events = max_events
         self.max_time = max_time
         self._stop_requested = False
@@ -109,11 +99,6 @@ class Simulator(object):
         mid-instant); quiescent simulators always report 0.
         """
         return len(self._instant_callbacks)
-
-    @property
-    def pending_bookkeeping(self):
-        """Bookkeeping timers not yet fired (they never block quiescence)."""
-        return len(self._timers)
 
     # ------------------------------------------------------------- scheduling
 
@@ -155,28 +140,6 @@ class Simulator(object):
         schedule new events.  See the module docstring for the full contract.
         """
         self._instant_callbacks.append(callback)
-
-    def schedule_bookkeeping(self, delay, callback):
-        """Schedule an out-of-band *bookkeeping timer* (see module docstring).
-
-        ``callback(due)`` fires between events -- before any event with
-        ``time >= due`` executes, and at the latest when the current (or
-        next) run ends -- without occupying an event-queue slot: it is
-        invisible to ``events_processed``, quiescence times and safety caps.
-        The callback must not schedule simulation events.
-        """
-        if delay < 0:
-            raise ValueError("delay must be non-negative, got %r" % delay)
-        heapq.heappush(
-            self._timers, (self._now + delay, next(self._timer_counter), callback)
-        )
-
-    def _fire_timers(self, cap):
-        """Fire bookkeeping timers with ``due <= cap`` (``None`` fires all)."""
-        timers = self._timers
-        while timers and (cap is None or timers[0][0] <= cap):
-            due, _sequence, callback = heapq.heappop(timers)
-            callback(due)
 
     def cancel(self, event):
         """Cancel a previously scheduled event."""
@@ -246,13 +209,6 @@ class Simulator(object):
             # The queue drained before the horizon: advance the clock so
             # repeated run(until=...) calls observe monotonic time.
             self._now = until
-        if self._timers and not self._stop_requested:
-            # Runs that ended by draining (or crossing a horizon) fire their
-            # matured bookkeeping timers; runs ended early by stop() leave
-            # them pending, like unfinished instants.
-            next_time = self._queue.peek_time()
-            if next_time is None or (until is not None and next_time > until):
-                self._fire_timers(until)
         return self._now
 
     def _run_general(self, until):
@@ -271,8 +227,6 @@ class Simulator(object):
             if until is not None and next_time > until:
                 self._now = until
                 break
-            if self._timers and self._timers[0][0] <= next_time:
-                self._fire_timers(next_time)
             self._check_limits(next_time)
             self.step()
 
@@ -297,8 +251,6 @@ class Simulator(object):
             entry = pop()
             if entry is None:
                 break
-            if self._timers and self._timers[0][0] <= entry[0]:
-                self._fire_timers(entry[0])
             self._now = entry[0]
             self._events_processed += 1
             entry[2]()
@@ -313,8 +265,6 @@ class Simulator(object):
         """
         if self._unconstrained():
             self._drain_fast(check_stop=False)
-            if self._timers:
-                self._fire_timers(None)
             # After a drain the clock sits on the last processed event (or is
             # untouched when the queue was already empty).
             return self._now
@@ -326,13 +276,9 @@ class Simulator(object):
             next_time = self._queue.peek_time()
             if next_time is None:
                 break
-            if self._timers and self._timers[0][0] <= next_time:
-                self._fire_timers(next_time)
             self._check_limits(next_time)
             self.step()
             last_event_time = self._now
-        if self._timers:
-            self._fire_timers(None)
         return last_event_time
 
     def _check_limits(self, next_time):

@@ -12,6 +12,7 @@ put on a link.
 """
 
 import collections
+import math
 
 
 class PacketRecord(object):
@@ -77,11 +78,18 @@ class PacketTracer(object):
     The ``enabled`` attribute is what the protocol hot path checks before
     calling :meth:`record`; it is always true for this class (use
     :class:`NullPacketTracer` to turn packet accounting off).
+
+    ``interval``, when given, is the histogram bucket width in seconds and
+    must be positive and finite.
     """
 
     enabled = True
 
     def __init__(self, keep_records=False, interval=None):
+        if interval is not None and not (interval > 0 and math.isfinite(interval)):
+            raise ValueError(
+                "PacketTracer interval must be positive and finite, got %r" % (interval,)
+            )
         self.keep_records = keep_records
         self.interval = interval
         self.records = []

@@ -1,4 +1,4 @@
-"""Batched ``API.Rate`` delivery semantics.
+"""Per-instant ``API.Rate`` delivery semantics.
 
 Pinned guarantees:
 
@@ -6,12 +6,11 @@ Pinned guarantees:
   renegotiated within one simulation instant, its application receives exactly
   one ``deliver_rate`` callback carrying the final value, at the instant's
   timestamp, after every event of the instant.
-* **Observation-only**: batching and the notification-log variants never
-  change the simulation; ``tests/test_golden_invariance.py`` runs every
-  golden scenario under each configuration.
-* **Windowed batching** (opt-in) coalesces across instants at window
-  boundaries, still delivering the final rate, while ``last_notified_rate``
-  stays synchronously up to date.
+* ``last_notified_rate`` stays synchronously up to date with every
+  ``notify_rate`` call, ahead of the coalesced delivery.
+* Delivery is out-of-band work of the simulator: it is not an event, never
+  moves the quiescence time, never trips a safety cap, and a run that stops
+  mid-instant holds it until a later run finishes the instant.
 """
 
 import pytest
@@ -21,20 +20,21 @@ from repro.core.protocol import BNeckProtocol
 from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
+from repro.simulator.simulation import Simulator
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import NetworkScenario
 
-def _single_link_protocol(**kwargs):
+def _single_link_protocol(simulator=None):
     network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-    protocol = BNeckProtocol(network, **kwargs)
+    protocol = BNeckProtocol(network, simulator=simulator)
     source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
     sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
     return protocol, source.node_id, sink.node_id
 
 
 class TestPerInstantCoalescing(object):
-    def _notify_twice_in_one_instant(self, **kwargs):
-        protocol, source, sink = _single_link_protocol(**kwargs)
+    def _notify_twice_in_one_instant(self):
+        protocol, source, sink = _single_link_protocol()
         session, application = protocol.open_session(source, sink, session_id="a")
         protocol.run_until_quiescent()
         baseline = application.notification_count
@@ -54,16 +54,7 @@ class TestPerInstantCoalescing(object):
         protocol, application, baseline = self._notify_twice_in_one_instant()
         assert application.notification_count == baseline + 1
         assert application.current_rate == 70 * MBPS
-        # The record side still saw both invocations.
-        assert protocol.notification_log.recorded == baseline + 2
         assert protocol.last_notified_rate("a") == 70 * MBPS
-
-    def test_unbatched_delivers_every_invocation(self):
-        protocol, application, baseline = self._notify_twice_in_one_instant(
-            batch_notifications=False
-        )
-        assert application.notification_count == baseline + 2
-        assert application.current_rate == 70 * MBPS
 
     def test_batched_delivery_carries_the_instant_timestamp(self):
         protocol, application, _ = self._notify_twice_in_one_instant()
@@ -122,105 +113,66 @@ class TestPerInstantCoalescing(object):
         )
 
 
-class TestWindowedBatching(object):
-    def test_coalesces_across_instants_within_the_window(self):
-        protocol, source, sink = _single_link_protocol(
-            notification_batch_window=1e-3
-        )
-        session, application = protocol.open_session(source, sink, session_id="a")
-        simulator = protocol.simulator
+class TestDeliveryIsOutOfBand(object):
+    """The coalesced delivery rides on the simulator's end-of-instant flush."""
+
+    def _quiescent_session(self, simulator=None):
+        protocol, source, sink = _single_link_protocol(simulator)
+        _, application = protocol.open_session(source, sink, session_id="a")
         protocol.run_until_quiescent()
+        return protocol, application
+
+    def test_updates_in_different_instants_deliver_separately(self):
+        protocol, application = self._quiescent_session()
         baseline = application.notification_count
-
-        # Three renegotiations at distinct instants inside one 1 ms window.
-        simulator.schedule_at(10e-3 + 1e-4, lambda: protocol.notify_rate("a", 1.0))
-        simulator.schedule_at(10e-3 + 2e-4, lambda: protocol.notify_rate("a", 2.0))
-        simulator.schedule_at(10e-3 + 3e-4, lambda: protocol.notify_rate("a", 3.0))
+        protocol.simulator.schedule(1e-3, lambda: protocol.notify_rate("a", 10 * MBPS))
+        protocol.simulator.schedule(2e-3, lambda: protocol.notify_rate("a", 20 * MBPS))
         protocol.run_until_quiescent()
+        delivered = application.notifications[baseline:]
+        assert [n.rate for n in delivered] == [10 * MBPS, 20 * MBPS]
+        assert delivered[1].time - delivered[0].time == pytest.approx(1e-3)
 
-        assert application.notification_count == baseline + 1
-        assert application.current_rate == 3.0
-        # Delivery happened at the window boundary.
-        assert application.notifications[-1].time == pytest.approx(11e-3)
-        # last_notified_rate tracked every invocation synchronously.
-        assert protocol.last_notified_rate("a") == 3.0
-
-    def test_updates_in_different_windows_deliver_separately(self):
-        protocol, source, sink = _single_link_protocol(
-            notification_batch_window=1e-3
-        )
-        session, application = protocol.open_session(source, sink, session_id="a")
-        simulator = protocol.simulator
-        protocol.run_until_quiescent()
-        baseline = application.notification_count
-
-        simulator.schedule_at(10e-3 + 1e-4, lambda: protocol.notify_rate("a", 1.0))
-        simulator.schedule_at(12e-3 + 1e-4, lambda: protocol.notify_rate("a", 2.0))
-        protocol.run_until_quiescent()
-        assert application.notification_count == baseline + 2
-
-    def test_rejects_non_positive_window(self):
-        with pytest.raises(ValueError):
-            _single_link_protocol(notification_batch_window=0.0)
-
-    def test_windowed_flush_is_invisible_to_simulation_metrics(self):
-        """The flush is bookkeeping, not an event (ROADMAP follow-up).
-
-        A windowed run must report the same ``events_processed`` and the same
-        quiescence time as the equivalent per-instant run: the flush never
-        occupies an event-queue slot and never stretches a reported phase by
-        up to one window (the historical quirk of the event-based flush).
-        """
-
-        def run(**kwargs):
-            protocol, source, sink = _single_link_protocol(**kwargs)
-            protocol.open_session(source, sink, session_id="a")
-            quiescence = protocol.run_until_quiescent()
-            return protocol, quiescence
-
-        plain, plain_quiescence = run()
-        windowed, windowed_quiescence = run(notification_batch_window=1e-3)
-        assert windowed.simulator.events_processed == plain.simulator.events_processed
-        assert windowed_quiescence == plain_quiescence
-        assert windowed.simulator.pending_events == 0
-        assert windowed.simulator.pending_bookkeeping == 0
-        # The application still saw its rate, stamped at the window boundary.
-        application = windowed.application("a")
-        assert application.notification_count >= 1
-        assert application.notifications[-1].time >= windowed_quiescence
-
-    def test_windowed_flush_fires_even_past_the_last_event(self):
-        # The last rate update of a run typically lands mid-window: the flush
-        # boundary lies *after* the quiescence time, yet the application must
-        # still receive the final rate when the run drains.
-        protocol, source, sink = _single_link_protocol(notification_batch_window=1.0)
-        session, application = protocol.open_session(source, sink, session_id="a")
+    def test_delivery_is_invisible_to_simulation_metrics(self):
+        protocol, application = self._quiescent_session()
+        events = protocol.simulator.events_processed
+        protocol.simulator.schedule(1e-3, lambda: protocol.notify_rate("a", 10 * MBPS))
         quiescence = protocol.run_until_quiescent()
-        assert quiescence < 1.0
-        assert application.current_rate == pytest.approx(100 * MBPS)
-        assert application.notifications[-1].time == pytest.approx(1.0)
+        # One event ran; its delivery added a callback but no event, and the
+        # reported quiescence is the event's own time.
+        assert protocol.simulator.events_processed == events + 1
+        assert quiescence == protocol.simulator.now
+        assert application.notifications[-1].time == quiescence
 
-    def test_windowed_flush_does_not_trip_safety_caps(self):
-        network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-        from repro.simulator.simulation import Simulator
+    def test_last_instant_delivers_before_the_run_returns(self):
+        protocol, application = self._quiescent_session()
+        assert protocol.simulator.pending_instant_callbacks == 0
+        assert protocol.simulator.pending_events == 0
+        assert application.current_rate == protocol.last_notified_rate("a")
+        assert protocol.rate_callbacks == application.notification_count
 
-        probe = BNeckProtocol(network)
-        source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
-        sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
-        probe.open_session(source.node_id, sink.node_id, session_id="a")
-        probe.run_until_quiescent()
-        budget = probe.simulator.events_processed
+    def test_delivery_does_not_trip_safety_caps(self):
+        protocol, application = self._quiescent_session()
+        # A fresh run whose event cap is exactly its event count: the
+        # deliveries of its instants must not count against the cap.
+        capped = Simulator(max_events=protocol.simulator.events_processed)
+        again, replayed = self._quiescent_session(capped)
+        assert capped.events_processed == protocol.simulator.events_processed
+        assert [(n.time, n.rate) for n in replayed.notifications] == [
+            (n.time, n.rate) for n in application.notifications
+        ]
 
-        capped_network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-        protocol = BNeckProtocol(
-            capped_network,
-            simulator=Simulator(max_events=budget),
-            notification_batch_window=1e-3,
-        )
-        capped_source = capped_network.attach_host("r0", 1000 * MBPS, microseconds(1))
-        capped_sink = capped_network.attach_host("r1", 1000 * MBPS, microseconds(1))
-        protocol.open_session(capped_source.node_id, capped_sink.node_id, session_id="a")
-        # With the historical event-based flush this run needed budget + 1
-        # events; the bookkeeping timer keeps it exactly at the cap.
+    def test_stopped_run_holds_the_delivery_until_the_instant_ends(self):
+        protocol, application = self._quiescent_session()
+        baseline = application.notification_count
+
+        def update_and_stop():
+            protocol.notify_rate("a", 10 * MBPS)
+            protocol.simulator.stop()
+
+        protocol.simulator.schedule(1e-3, update_and_stop)
+        protocol.run()
+        assert protocol.last_notified_rate("a") == 10 * MBPS
+        assert application.notification_count == baseline
         protocol.run_until_quiescent()
-        assert protocol.simulator.events_processed == budget
+        assert application.notification_count == baseline + 1
+        assert application.current_rate == 10 * MBPS

@@ -38,10 +38,10 @@ class TestSingleSessions(object):
 
     def test_rate_notifications_are_recorded_with_time(self, single_link_network):
         protocol = BNeckProtocol(single_link_network)
-        open_bneck_session(protocol, "r0", "r1", "solo")
+        _, application = open_bneck_session(protocol, "r0", "r1", "solo")
         protocol.run_until_quiescent()
-        assert len(protocol.notifications) == 1
-        notification = protocol.notifications[0]
+        assert len(application.notifications) == 1
+        notification = application.notifications[0]
         assert notification.session_id == "solo"
         assert notification.time > 0.0
         assert protocol.last_notified_rate("solo") == pytest.approx(100 * MBPS)

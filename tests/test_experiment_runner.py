@@ -64,17 +64,6 @@ class TestScenarioSpec(object):
         assert isinstance(tracer, PacketTracer)
         assert tracer.interval == 5e-3
 
-    def test_notification_knobs_reach_the_protocol(self):
-        spec = ScenarioSpec(
-            size="small",
-            notification_log="ring:16",
-            batch_notifications=False,
-        )
-        runner = ExperimentRunner(spec)
-        assert runner.protocol.notification_log.kind == "ring"
-        assert runner.protocol.notification_log.capacity == 16
-        assert runner.protocol.batch_notifications is False
-
     def test_protocol_factory_override(self):
         built = {}
 

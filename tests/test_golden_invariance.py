@@ -2,18 +2,21 @@
 
 The goldens (``tests/data/hot_path_goldens.json`` and the ``sequential``
 entries of ``tests/data/cross_engine_goldens.json``) pin one schedule per
-scenario.  The protocol has knobs that only change how results are recorded
-or delivered:
-
-* the ``API.Rate`` notification log (``full``, ``ring`` or ``null``);
-* the packet tracer (``trace_packets=False`` installs a null tracer, and
-  ``tracer_interval`` one that also keeps per-interval histograms);
-* per-instant coalescing of ``API.Rate`` deliveries (``batch_notifications``).
+scenario.  The packet tracer's knobs change how packets are counted but not
+what is sent: ``trace_packets=False`` installs a
+null tracer, and ``tracer_interval`` one that also keeps per-interval
+histograms.
 
 Each scenario is run under each knob, and every golden field the knob cannot
 affect must come out bit-identical: event counts, quiescence times, packet
-counts per type and per round, callbacks and the final allocation.  The same
-fingerprints are also computed in a fresh interpreter under a fixed
+counts per type and per round, callbacks and the final allocation.
+
+One default run of every scenario also checks the applications, the single
+record of ``API.Rate``: each active session's agrees with
+``last_notified_rate`` and never got two deliveries at one timestamp; all of
+them together hold exactly ``rate_callbacks`` deliveries, in time order and
+within the run; and ``notified_allocation`` is the final allocation.  The
+same fingerprints are also computed in a fresh interpreter under a fixed
 ``PYTHONHASHSEED``, so no result depends on string hashing.
 
 Run this file as a script to print every scenario's fingerprint as JSON.
@@ -66,7 +69,7 @@ def _mass_join(key, knobs):
         protocol, count, join_window=(0.0, 1e-3)
     )
     quiescence = protocol.run_until_quiescent()
-    return {
+    return protocol, {
         "packets": protocol.tracer.total,
         "by_type": dict(protocol.tracer.by_type),
         "events": protocol.simulator.events_processed,
@@ -94,7 +97,7 @@ def _five_phase_churn(key, knobs):
         )
         assert runner.checkpoint("after churn").validated
         protocol = runner.protocol
-        return {
+        return protocol, {
             "phase_quiescence": [repr(o.quiescence_time) for o in outcomes],
             "phase_packets": [o.packets for o in outcomes],
             "packets": protocol.tracer.total,
@@ -119,7 +122,7 @@ def _stochastic(key, knobs):
         measurements = runner.run_scenario()
         assert all(m.validated for m in measurements)
         protocol = runner.protocol
-        return {
+        return protocol, {
             "workload": GOLDENS[key]["workload"],
             "round_labels": [m.description for m in measurements],
             "round_quiescence": [repr(m.quiescence_time) for m in measurements],
@@ -133,13 +136,19 @@ def _stochastic(key, knobs):
         }
 
 
-def fingerprint(key, **knobs):
-    """Run golden scenario ``key`` with protocol ``knobs``; return its golden fields."""
+def run_golden(key, **knobs):
+    """Run golden scenario ``key`` with protocol ``knobs``; return the
+    protocol and the scenario's golden fields."""
     if key.startswith("stochastic-"):
         return _stochastic(key, knobs)
     if key.startswith("churn-"):
         return _five_phase_churn(key, knobs)
     return _mass_join(key, knobs)
+
+
+def fingerprint(key, **knobs):
+    """The golden fields of scenario ``key`` run with protocol ``knobs``."""
+    return run_golden(key, **knobs)[1]
 
 
 def _golden_without(key, *fields):
@@ -157,10 +166,6 @@ def _no_packets(value):
 
 @pytest.mark.parametrize("key", KEYS)
 class TestKnobsKeepTheGolden(object):
-    @pytest.mark.parametrize("log", ["ring", "null"])
-    def test_notification_log(self, key, log):
-        assert fingerprint(key, notification_log=log) == GOLDENS[key]
-
     def test_interval_packet_tracer(self, key):
         assert fingerprint(key, tracer_interval=1e-4) == GOLDENS[key]
 
@@ -173,14 +178,57 @@ class TestKnobsKeepTheGolden(object):
             if name in GOLDENS[key]:
                 assert result[name] == _no_packets(GOLDENS[key][name]), name
 
-    def test_synchronous_rate_delivery(self, key):
-        # Delivering every API.Rate at once only adds callbacks: packets,
-        # events, quiescence and the allocation stay those of the golden.
-        result = fingerprint(key, batch_notifications=False)
-        callbacks = result.pop("rate_callbacks", None)
-        assert result == _golden_without(key, "rate_callbacks")
-        if "rate_callbacks" in GOLDENS[key]:
-            assert callbacks >= GOLDENS[key]["rate_callbacks"]
+
+@pytest.fixture(scope="module", params=KEYS)
+def default_run(request):
+    """One default-knob run of each golden scenario, shared by the checks of
+    the single ``API.Rate`` record below."""
+    protocol, result = run_golden(request.param)
+    return request.param, protocol, result
+
+
+def test_applications_record_the_last_notified_rate(default_run):
+    key, protocol, result = default_run
+    assert result == GOLDENS[key]
+    sessions = protocol.active_sessions()
+    assert sessions
+    for session in sessions:
+        application = protocol.application(session.session_id)
+        assert application.current_rate == protocol.last_notified_rate(session.session_id)
+        times = [notification.time for notification in application.notifications]
+        assert len(times) == len(set(times)), session.session_id
+
+
+def test_applications_hold_every_delivered_rate(default_run):
+    # Departed sessions keep their application, so the records of every
+    # session ever joined add up to the protocol's callback count.
+    key, protocol, _ = default_run
+    recorded = sum(
+        application.notification_count
+        for application in protocol._applications.values()
+    )
+    assert recorded == protocol.rate_callbacks
+    if "rate_callbacks" in GOLDENS[key]:
+        assert recorded == GOLDENS[key]["rate_callbacks"]
+
+
+def test_notified_allocation_is_the_final_allocation(default_run):
+    key, protocol, _ = default_run
+    notified = protocol.notified_allocation().as_dict()
+    assert notified == protocol.current_allocation().as_dict()
+    assert {sid: repr(rate) for sid, rate in sorted(notified.items())} == (
+        GOLDENS[key]["allocation"]
+    )
+
+
+def test_deliveries_are_time_ordered_within_the_run(default_run):
+    _, protocol, _ = default_run
+    end = protocol.simulator.now
+    for session_id, application in protocol._applications.items():
+        times = [notification.time for notification in application.notifications]
+        assert times == sorted(times), session_id
+        assert all(0.0 <= time <= end for time in times), session_id
+        assert {n.session_id for n in application.notifications} <= {session_id}
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
-"""No module of the library reads another module's private fields.
+"""No module of the library reads another module's private fields, and no
+module or class body anywhere in the repo defines one name twice.
 
-The test parses every module under ``src/repro`` and reports each place
+The first test parses every module under ``src/repro`` and reports each place
 where code reaches a ``_private`` name through something other than ``self``,
 ``cls`` or a class defined in the same file:
 
@@ -11,6 +12,12 @@ where code reaches a ``_private`` name through something other than ``self``,
 Dunder names (``__class__``, ``__name__`` ...) are public protocol, not
 private fields.  There is no allowlist: a module that needs another's state
 must go through a public name.
+
+The second parses every Python file under ``src/``, ``tests/``,
+``benchmarks/``, ``examples/`` and ``scripts/`` and reports each function or
+class that a later definition in the same module or class body shadows: the
+first copy is dead code, and a shadowed test never runs.  Property setters
+and deleters reuse their getter's name on purpose and are exempt.
 """
 
 import ast
@@ -18,7 +25,9 @@ import os
 
 import pytest
 
-SOURCE_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
+REPO_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SOURCE_ROOT = os.path.join(REPO_ROOT, "src", "repro")
+CHECKED_DIRECTORIES = ("src", "tests", "benchmarks", "examples", "scripts")
 
 REFLECTION_FUNCTIONS = ("getattr", "hasattr", "setattr", "delattr")
 
@@ -27,8 +36,8 @@ def _is_private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _module_paths():
-    for directory, _subdirectories, files in os.walk(SOURCE_ROOT):
+def _module_paths(root=SOURCE_ROOT):
+    for directory, _subdirectories, files in os.walk(root):
         for name in sorted(files):
             if name.endswith(".py"):
                 yield os.path.join(directory, name)
@@ -105,4 +114,85 @@ def test_no_module_reads_another_modules_private_fields():
         relative = os.path.relpath(path, SOURCE_ROOT)
         for line, text in reach_ins(source, path):
             violations.append("%s:%d: %s" % (relative, line, text))
+    assert violations == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_accessor(node):
+    """A property setter or deleter, which reuses its getter's name."""
+    return any(
+        isinstance(decorator, ast.Attribute) and decorator.attr in ("setter", "deleter")
+        for decorator in node.decorator_list
+    )
+
+
+def shadowed_definitions(source, filename="<source>"):
+    """``(line, name, first line)`` of every function or class that a later
+    definition in the same module or class body shadows."""
+    tree = ast.parse(source, filename)
+    scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    found = []
+    for scope in scopes:
+        first_lines = {}
+        for node in scope.body:
+            if not isinstance(node, DEFINITIONS) or _is_accessor(node):
+                continue
+            if node.name in first_lines:
+                found.append((node.lineno, node.name, first_lines[node.name]))
+            else:
+                first_lines[node.name] = node.lineno
+    return sorted(found)
+
+
+SHADOWED = {
+    "module-function": "def f():\n    pass\n\ndef f():\n    pass\n",
+    "module-class": "class A(object):\n    pass\n\nclass A(object):\n    pass\n",
+    "method": "class A(object):\n    def f(self):\n        pass\n    def f(self):\n        pass\n",
+    "nested-class-method": (
+        "class A(object):\n    class B(object):\n        def f(self):\n            pass\n"
+        "        def f(self):\n            pass\n"
+    ),
+}
+
+DISTINCT = {
+    "property-accessors": (
+        "class A(object):\n    @property\n    def x(self):\n        return 1\n"
+        "    @x.setter\n    def x(self, value):\n        pass\n"
+        "    @x.deleter\n    def x(self):\n        pass\n"
+    ),
+    "same-name-in-two-classes": (
+        "class A(object):\n    def f(self):\n        pass\n\n"
+        "class B(object):\n    def f(self):\n        pass\n"
+    ),
+    "conditional-variants": (
+        "import sys\nif sys.maxsize:\n    def f():\n        pass\n"
+        "else:\n    def f():\n        pass\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHADOWED))
+def test_the_scan_catches_shadowed_definitions(case):
+    assert shadowed_definitions(SHADOWED[case])
+
+
+@pytest.mark.parametrize("case", sorted(DISTINCT))
+def test_the_scan_allows_distinct_definitions(case):
+    assert shadowed_definitions(DISTINCT[case]) == []
+
+
+def test_no_module_or_class_defines_a_name_twice():
+    violations = []
+    for directory in CHECKED_DIRECTORIES:
+        for path in _module_paths(os.path.join(REPO_ROOT, directory)):
+            with open(path) as handle:
+                source = handle.read()
+            relative = os.path.relpath(path, REPO_ROOT)
+            for line, name, first_line in shadowed_definitions(source, path):
+                violations.append(
+                    "%s:%d: %s shadows the definition at line %d"
+                    % (relative, line, name, first_line)
+                )
     assert violations == []

@@ -269,82 +269,90 @@ def test_instant_flush_is_not_an_event(simulator):
     assert simulator.now == 1.0
 
 
-class TestBookkeepingTimers(object):
-    """schedule_bookkeeping: out-of-band timers that are not events."""
+def test_stopped_run_leaves_the_instant_incomplete(simulator):
+    # stop() mid-instant pauses the run: the rest of the instant and its
+    # deferred work wait for the next run, which finishes them in order.
+    fired = []
 
-    def test_fires_before_any_event_at_or_after_its_due_time(self):
-        simulator = Simulator()
-        order = []
-        simulator.schedule(1.0, lambda: order.append("early"))
-        simulator.schedule(3.0, lambda: order.append("late"))
-        simulator.schedule_bookkeeping(2.0, lambda due: order.append(("timer", due)))
-        simulator.run_until_quiescent()
-        assert order == ["early", ("timer", 2.0), "late"]
+    def first():
+        fired.append("first")
+        simulator.call_at_instant_end(lambda: fired.append("deferred"))
+        simulator.stop()
 
-    def test_is_invisible_to_events_and_quiescence(self):
-        simulator = Simulator()
-        fired = []
-        simulator.schedule(1.0, lambda: None)
-        simulator.schedule_bookkeeping(5.0, fired.append)
-        assert simulator.pending_events == 1
-        assert simulator.pending_bookkeeping == 1
-        quiescence = simulator.run_until_quiescent()
-        # The timer fired (at run end; its due lies past the last event) but
-        # neither the event count, the clock nor the quiescence time moved.
-        assert fired == [5.0]
-        assert simulator.events_processed == 1
-        assert quiescence == 1.0
-        assert simulator.now == 1.0
-        assert simulator.pending_bookkeeping == 0
+    simulator.schedule(1.0, first)
+    simulator.schedule(1.0, lambda: fired.append("second"))
+    simulator.run()
+    assert fired == ["first"]
+    assert simulator.pending_instant_callbacks == 1
+    simulator.run_until_quiescent()
+    assert fired == ["first", "second", "deferred"]
+    assert simulator.pending_instant_callbacks == 0
 
-    def test_horizon_runs_fire_only_matured_timers(self):
-        simulator = Simulator()
-        fired = []
-        simulator.schedule(1.0, lambda: None)
-        simulator.schedule(9.0, lambda: None)
-        simulator.schedule_bookkeeping(2.0, lambda due: fired.append(due))
-        simulator.schedule_bookkeeping(8.0, lambda due: fired.append(due))
-        simulator.run(until=5.0)
-        assert fired == [2.0]
-        assert simulator.pending_bookkeeping == 1
-        simulator.run_until_quiescent()
-        assert fired == [2.0, 8.0]
 
-    def test_stopped_runs_leave_timers_pending(self):
-        simulator = Simulator()
-        fired = []
-        simulator.schedule(1.0, simulator.stop)
-        simulator.schedule(2.0, lambda: None)
-        simulator.schedule_bookkeeping(1.5, fired.append)
-        simulator.run()
-        assert fired == []
-        assert simulator.pending_bookkeeping == 1
-        simulator.run_until_quiescent()
-        assert fired == [1.5]
+def test_stop_on_the_last_event_still_defers_the_flush(simulator):
+    fired = []
 
-    def test_rejects_negative_delay(self):
-        simulator = Simulator()
-        with pytest.raises(ValueError):
-            simulator.schedule_bookkeeping(-1.0, lambda due: None)
+    def last():
+        simulator.call_at_instant_end(lambda: fired.append("deferred"))
+        simulator.stop()
 
-    def test_ties_run_in_registration_order(self):
-        simulator = Simulator()
-        order = []
-        simulator.schedule_bookkeeping(1.0, lambda due: order.append("a"))
-        simulator.schedule_bookkeeping(1.0, lambda due: order.append("b"))
-        simulator.schedule(2.0, lambda: order.append("event"))
-        simulator.run_until_quiescent()
-        assert order == ["a", "b", "event"]
+    simulator.schedule(1.0, last)
+    simulator.run()
+    assert fired == []
+    assert simulator.pending_events == 0
+    assert simulator.pending_instant_callbacks == 1
+    simulator.run()
+    assert fired == ["deferred"]
+    assert simulator.events_processed == 1
+    assert simulator.now == 1.0
 
-    def test_stopped_runs_leave_timers_pending(self):
-        # A stop() on the event that empties the queue must not flush
-        # future-dated timers: the run is paused, not drained.
-        simulator = Simulator()
-        fired = []
-        simulator.schedule(1.0, simulator.stop)
-        simulator.schedule_bookkeeping(5.0, fired.append)
-        simulator.run()
-        assert fired == []
-        assert simulator.pending_bookkeeping == 1
-        simulator.run_until_quiescent()
-        assert fired == [5.0]
+
+def test_horizon_run_leaves_later_instants_untouched(simulator):
+    fired = []
+    simulator.schedule(9.0, lambda: simulator.call_at_instant_end(
+        lambda: fired.append("deferred")))
+    simulator.run(until=5.0)
+    assert fired == []
+    assert simulator.pending_events == 1
+    assert simulator.pending_instant_callbacks == 0
+    simulator.run_until_quiescent()
+    assert fired == ["deferred"]
+
+
+def test_instant_flush_does_not_count_against_max_events(simulator):
+    simulator.max_events = 2
+    fired = []
+
+    def redefer(count):
+        fired.append(count)
+        if count < 5:
+            simulator.call_at_instant_end(lambda: redefer(count + 1))
+
+    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(lambda: redefer(1)))
+    simulator.schedule(2.0, lambda: None)
+    assert simulator.run_until_quiescent() == 2.0
+    assert fired == [1, 2, 3, 4, 5]
+    assert simulator.events_processed == 2
+
+
+def test_instant_flush_at_max_time_does_not_raise(simulator):
+    simulator.max_time = 1.0
+    fired = []
+    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(
+        lambda: fired.append(simulator.now)))
+    assert simulator.run() == 1.0
+    assert fired == [1.0]
+
+
+def test_general_loop_quiescence_ignores_the_flush(simulator):
+    # max_events forces the fully-featured loop; the flush of the last
+    # instant runs but the reported quiescence time is that instant's.
+    simulator.max_events = 100
+    fired = []
+    simulator.schedule(0.5, lambda: None)
+    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(
+        lambda: fired.append(simulator.now)))
+    assert simulator.run_until_quiescent() == 1.0
+    assert fired == [1.0]
+    assert simulator.now == 1.0
+    assert simulator.events_processed == 2

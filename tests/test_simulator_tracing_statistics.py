@@ -57,6 +57,11 @@ class TestPacketTracer(object):
         with pytest.raises(ValueError):
             tracer.interval_series()
 
+    @pytest.mark.parametrize("interval", [0.0, -5e-3, float("nan"), float("inf")])
+    def test_rejects_a_bad_interval(self, interval):
+        with pytest.raises(ValueError, match="got %s" % interval):
+            PacketTracer(interval=interval)
+
     def test_last_packet_time_tracked(self):
         tracer = PacketTracer()
         tracer.record(0.3, "Join", "s1")
