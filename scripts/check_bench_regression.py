@@ -17,7 +17,9 @@ Absolute wall-clock times only compare meaningfully on similar hardware, so
 when the two files were produced on machines with different CPU counts (e.g.
 a 1-core dev container vs. a 4-vCPU CI runner) the comparison is reported but
 never fails: the right fix is refreshing the baseline on the CI runner class,
-not chasing a cross-machine ratio.
+not chasing a cross-machine ratio.  The skipped gate is not silent: the
+script also prints a GitHub Actions ``::warning::`` annotation, which shows
+on the run's and the pull request's pages.
 
 Usage::
 
@@ -35,6 +37,11 @@ def load_benchmarks(path):
         data = json.load(handle)
     benches = {bench["fullname"]: bench["stats"] for bench in data.get("benchmarks", [])}
     return benches, data.get("machine_info", {})
+
+
+def escape_annotation(message):
+    """Escape ``message`` as the data of a GitHub Actions workflow command."""
+    return message.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
 
 
 def main(argv=None):
@@ -77,8 +84,8 @@ def main(argv=None):
 
     print()
     if regressions and not comparable:
-        print(
-            "WARNING: %d benchmark(s) beyond the %.0f%% threshold, but the "
+        message = (
+            "%d benchmark(s) beyond the %.0f%% threshold, but the "
             "baseline was produced on a machine with a different CPU count "
             "(%r vs %r) -- not failing.  Refresh benchmarks/baseline.json on "
             "this runner class (workflow_dispatch with refresh-baseline)."
@@ -89,6 +96,8 @@ def main(argv=None):
                 current_machine.get("cpu", {}).get("count"),
             )
         )
+        print("WARNING: " + message)
+        print("::warning title=Benchmark gate skipped::" + escape_annotation(message))
         return 0
     if regressions:
         print(

@@ -107,7 +107,6 @@ class BaselineProtocol(object):
             # per-packet accounting entirely.
             tracer = PacketTracer() if trace_packets else NullPacketTracer()
         self.tracer = tracer
-        self._trace_packets = getattr(tracer, "enabled", True)
         self.probe_interval = probe_interval
         self.registry = SessionRegistry()
         self.path_computer = PathComputer(network, metric=routing_metric)
@@ -119,6 +118,16 @@ class BaselineProtocol(object):
         self._session_counter = 0
         self.probe_cycles = 0
         self._ticking = False
+
+    @property
+    def tracer(self):
+        """The packet tracer; assigning one also sets whether probes record."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer):
+        self._tracer = tracer
+        self._trace_packets = getattr(tracer, "enabled", True)
 
     # ----------------------------------------------------------- controllers
 
@@ -211,7 +220,7 @@ class BaselineProtocol(object):
         now = self.simulator.now
         self.probe_cycles += 1
 
-        tracer = self.tracer
+        tracer = self._tracer
         trace = self._trace_packets
         granted = demand
         elapsed = 0.0

@@ -35,14 +35,14 @@ class DestinationNodeTask(Process):
         self.no_bottleneck_updates = 0
         self.left = False
 
-    def _send_upstream(self, packet):
-        self.protocol.forward_upstream_from_destination(self.session_id, packet)
-
-    # Packet-type -> unbound handler, built once at class definition time (see
-    # the assignment below the handler definitions).
+    # Packet class -> unbound handler, built once below the handler
+    # definitions; ``delivery`` (the table the protocol resolves at send
+    # time) sends every one of them through ``receive`` and its ``left``
+    # guard.
     _DISPATCH = None
+    delivery = None
 
-    def receive(self, message, sender):
+    def receive(self, message, sender=None):
         if self.left:
             return
         handler = self._DISPATCH.get(message.__class__)
@@ -53,7 +53,8 @@ class DestinationNodeTask(Process):
     def on_probe_cycle_end(self, message):
         """Figure 4, lines 3-7: close the Probe cycle."""
         self.closed_probe_cycles += 1
-        self._send_upstream(
+        self.protocol.forward_upstream_from_destination(
+            self.session_id,
             Response(message.session_id, RESPONSE, message.rate, message.restricting_link)
         )
 
@@ -61,7 +62,9 @@ class DestinationNodeTask(Process):
         """Figure 4, lines 9-10: no link confirmed a bottleneck -> re-probe."""
         if not message.found_bottleneck:
             self.no_bottleneck_updates += 1
-            self._send_upstream(Update(message.session_id))
+            self.protocol.forward_upstream_from_destination(
+                self.session_id, Update(message.session_id)
+            )
 
     def on_leave(self, message):
         self.left = True
@@ -73,3 +76,6 @@ DestinationNodeTask._DISPATCH = {
     SetBottleneck: DestinationNodeTask.on_set_bottleneck,
     Leave: DestinationNodeTask.on_leave,
 }
+DestinationNodeTask.delivery = dict.fromkeys(
+    DestinationNodeTask._DISPATCH, DestinationNodeTask.receive
+)

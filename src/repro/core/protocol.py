@@ -10,6 +10,8 @@ network and a discrete-event simulator:
 * it routes packets hop by hop along session paths (downstream) and reverse
   paths (upstream), applying each link's control-packet delay and accounting
   every transmission in a :class:`~repro.simulator.tracing.PacketTracer`;
+  each hop is one bare entry on the simulator's queue whose callback is the
+  receiving task's handler for the packet;
 * it exposes the session API (``join`` / ``leave`` / ``change``), delivers
   every ``API.Rate`` notification, and provides quiescence and allocation
   helpers used by the experiments and tests.
@@ -31,6 +33,7 @@ synchronously, ahead of the delivery.
 
 import math
 from functools import partial
+from heapq import heappush
 
 from repro.core.actions import (
     CapacityChangeAction,
@@ -39,11 +42,13 @@ from repro.core.actions import (
 )
 from repro.core.api import SessionApplication
 from repro.core.destination_node import DestinationNodeTask
+from repro.core.packets import PACKET_TYPES
 from repro.core.router_link import RouterLinkTask
 from repro.core.source_node import SourceNodeTask
 from repro.fairness.allocation import RateAllocation
 from repro.network.routing import PathComputer, path_links
 from repro.network.session import Session, SessionRegistry
+from repro.simulator.event_queue import ENTRY_TAG
 from repro.simulator.simulation import Simulator
 from repro.simulator.tracing import NullPacketTracer, PacketTracer
 
@@ -70,11 +75,9 @@ def _wire_stage(stage, link, reverse):
     stage.back_key = reverse.endpoints
 
 
-def _deliver(protocol, target, packet):
-    """Hand a packet that finished its hop to its target stage (a plain
-    function: the callback binds no method object)."""
-    protocol.in_flight_packets -= 1
-    target.receive(packet, None)
+def _unhandled(target, packet):
+    """The error for a packet its target stage has no handler for."""
+    return TypeError("%s cannot handle %r" % (target.name, packet))
 
 
 class BNeckProtocol(object):
@@ -82,12 +85,18 @@ class BNeckProtocol(object):
 
     Forwarding: a session's path is a list of *stages* (source, the
     RouterLinks of its transit links, destination), and a task sends by
-    passing itself as the sender.  A downstream hop crosses the sender's
-    link (``hop_delay``, keyed ``link_id``), an upstream hop the reverse of
-    the target's (``back_delay``/``back_key``); :func:`_wire_stage` stores
-    both once per stage, so each packet is one ``schedule_callback`` and
-    resolves no link.  :meth:`join` resolves every reverse link first, so a
-    path over a one-way link is refused before anything is registered.
+    calling a ``forward_*`` method with itself as the sender.  A downstream
+    hop crosses the sender's link (``hop_delay``, keyed ``link_id``), an
+    upstream hop the reverse of the target's (``back_delay``/``back_key``);
+    :func:`_wire_stage` stores both once per stage, so a hop resolves no
+    link.  The ``forward_*`` method does the whole send: it looks the
+    packet's handler up in the target's ``delivery`` table, records the
+    packet when tracing, and pushes one bare ``(time, sequence, callback,
+    type name, None)`` entry onto the simulator's queue, drawing one
+    sequence number.  The callback is the handler bound to the target and
+    the packet, so a delivery runs no frame before it.  :meth:`join`
+    resolves every reverse link first, so a path over a one-way link is
+    refused before anything is registered.
 
     Args:
         network: the :class:`~repro.network.graph.Network` to run over.
@@ -96,8 +105,9 @@ class BNeckProtocol(object):
         routing_metric: ``"hops"`` (paper default) or ``"delay"``.
         trace_packets: when false (and no explicit ``tracer`` is given) a
             :class:`~repro.simulator.tracing.NullPacketTracer` is installed
-            and the per-packet accounting in :meth:`_transmit` is skipped
-            entirely -- use for runs that only report times, not counts.
+            and the per-packet accounting of the ``forward_*`` methods is
+            skipped entirely -- use for runs that only report times, not
+            counts.  Assigning :attr:`tracer` later switches it on or off.
     """
 
     def __init__(self, network, simulator=None, tracer=None,
@@ -107,9 +117,9 @@ class BNeckProtocol(object):
         if tracer is None:
             tracer = PacketTracer() if trace_packets else NullPacketTracer()
         self.tracer = tracer
-        # Hoisted once: _transmit runs per packet and must not pay a dynamic
-        # getattr there.  Rebind this flag if you ever swap `tracer` later.
-        self._trace_packets = getattr(tracer, "enabled", True)
+        # The queue's heap and counter, pushed to directly on every hop.
+        self._heap = self.simulator.queue.heap
+        self._sequence = self.simulator.queue.sequence
         self.registry = SessionRegistry()
         self.path_computer = PathComputer(network, metric=routing_metric)
         self._router_links = {}
@@ -121,8 +131,24 @@ class BNeckProtocol(object):
         self._last_rate = {}
         self._pending_rates = {}
         self.rate_callbacks = 0
-        self.in_flight_packets = 0
         self._session_counter = 0
+
+    @property
+    def tracer(self):
+        """The packet tracer; assigning one also sets whether sends record."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer):
+        self._tracer = tracer
+        # Read once here, not per packet.
+        self._trace_packets = getattr(tracer, "enabled", True)
+
+    @property
+    def in_flight_packets(self):
+        """Control packets on a link: the queued entries tagged with a packet
+        type, recounted from the simulator's queue on every read."""
+        return sum(1 for entry in self.simulator.queue.heap if entry[ENTRY_TAG] in PACKET_TYPES)
 
     # ------------------------------------------------------------------ actions
 
@@ -305,16 +331,30 @@ class BNeckProtocol(object):
 
     # ---------------------------------------------------------------- forwarding
 
+    # Each method below is one whole send: resolve the target stage and its
+    # handler, record the packet when tracing, push one bare queue entry.
+    # They are spelled out three times because a shared helper would put a
+    # frame on every packet's path.
+
     def forward_downstream(self, sender, packet):
-        """Deliver ``packet`` from stage ``sender`` to the next stage of its
+        """Send ``packet`` from stage ``sender`` to the next stage of its
         session's path, across the link ``sender`` transmits on."""
         wiring = self._wirings[packet.session_id]
-        index = wiring.index_of[sender] + 1
-        self._transmit(packet, sender.hop_delay, sender.link_id, wiring.stages[index], DOWNSTREAM)
+        target = wiring.stages[wiring.index_of[sender] + 1]
+        try:
+            handler = target.delivery[packet.__class__]
+        except KeyError:
+            raise _unhandled(target, packet) from None
+        now = self.simulator.now
+        type_name = packet.type_name
+        if self._trace_packets:
+            self._tracer.record(now, type_name, packet.session_id, sender.link_id, DOWNSTREAM)
+        heappush(self._heap, (now + sender.hop_delay, next(self._sequence),
+                              partial(handler, target, packet), type_name, None))
 
     def forward_upstream(self, sender, packet):
-        """Deliver ``packet`` from stage ``sender`` to the previous stage of
-        its session's path, across the reverse of that stage's link.
+        """Send ``packet`` from stage ``sender`` to the previous stage of its
+        session's path, across the reverse of that stage's link.
 
         A RouterLink also sends Update/Bottleneck packets of *other*
         sessions this way: they start at its position in that session's
@@ -325,24 +365,31 @@ class BNeckProtocol(object):
             # The source is the first stage; nothing lies upstream of it.
             return
         target = wiring.stages[index]
-        self._transmit(packet, target.back_delay, target.back_key, target, UPSTREAM)
-
-    def forward_upstream_from_destination(self, session_id, packet):
-        """Deliver a packet sent upstream by the destination node."""
-        stages = self._wirings[session_id].stages
-        index = len(stages) - 2
-        target = stages[index]
-        self._transmit(packet, target.back_delay, target.back_key, target, UPSTREAM)
-
-    def _transmit(self, packet, delay, link_key, target, direction):
-        simulator = self.simulator
+        try:
+            handler = target.delivery[packet.__class__]
+        except KeyError:
+            raise _unhandled(target, packet) from None
+        now = self.simulator.now
         type_name = packet.type_name
         if self._trace_packets:
-            self.tracer.record(simulator.now, type_name, packet.session_id, link_key, direction)
-        self.in_flight_packets += 1
-        # Packet deliveries are never cancelled: a bare callback (no Event
-        # handle) on the simulator's fast path.
-        simulator.schedule_callback(delay, partial(_deliver, self, target, packet), type_name)
+            self._tracer.record(now, type_name, packet.session_id, target.back_key, UPSTREAM)
+        heappush(self._heap, (now + target.back_delay, next(self._sequence),
+                              partial(handler, target, packet), type_name, None))
+
+    def forward_upstream_from_destination(self, session_id, packet):
+        """Send a packet upstream from the destination node of ``session_id``."""
+        stages = self._wirings[session_id].stages
+        target = stages[len(stages) - 2]
+        try:
+            handler = target.delivery[packet.__class__]
+        except KeyError:
+            raise _unhandled(target, packet) from None
+        now = self.simulator.now
+        type_name = packet.type_name
+        if self._trace_packets:
+            self._tracer.record(now, type_name, packet.session_id, target.back_key, UPSTREAM)
+        heappush(self._heap, (now + target.back_delay, next(self._sequence),
+                              partial(handler, target, packet), type_name, None))
 
     # --------------------------------------------------------------- API.Rate
 

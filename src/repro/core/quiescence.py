@@ -6,9 +6,10 @@ not empty, every session in ``F_e`` is recorded below ``B_e``.  The *network*
 is stable when every link is stable and no B-Neck packet is in transit or being
 processed.
 
-Because the simulator executes handlers atomically and the only scheduled
-events of a steady-state B-Neck run are packet deliveries, "no packet in
-transit" is equivalent to "the protocol's in-flight counter is zero".
+Because the simulator executes handlers atomically and every packet in
+transit is one queued delivery tagged with its packet type, "no packet in
+transit" is equivalent to "no such delivery is queued", which the protocol's
+``in_flight_packets`` recounts.
 Permanent stability implies quiescence (Lemma 1), and stability implies the
 recorded rates are the max-min fair rates (Lemma 2); the test suite checks both
 by combining :func:`check_stability` with the centralized oracle.

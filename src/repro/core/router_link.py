@@ -8,10 +8,13 @@ transcription of Figure 2, with two presentational differences:
   :mod:`repro.core.state` (exactly ``FloatAlgebra()``'s decisions), inlined
   as plain float compares plus ``math.isclose``;
 * packet forwarding is delegated to the protocol orchestrator
-  (:class:`~repro.core.protocol.BNeckProtocol`): a handler passes the task
-  itself as the sender; a hop's link key is the sender's ``link_id`` or
-  the target's ``back_key``, and its delay the ``hop_delay``/``back_delay``
-  the orchestrator stored on the stages when it wired them.
+  (:class:`~repro.core.protocol.BNeckProtocol`): a handler calls its
+  ``forward_downstream``/``forward_upstream`` with the task itself as the
+  sender.  A hop's link key is the sender's ``link_id`` or the target's
+  ``back_key``, and its delay the ``hop_delay``/``back_delay`` the
+  orchestrator stored on the stages when it wired them.  The orchestrator
+  looks the packet's handler up in the target's :attr:`RouterLinkTask.delivery`
+  table when it sends, so a delivery calls the ``on_*`` handler directly.
 """
 
 from math import isclose
@@ -46,32 +49,16 @@ class RouterLinkTask(Process):
 
     # ----------------------------------------------------------- dispatching
 
-    # Packet-type -> unbound handler, built once at class definition time (see
-    # the assignment below the handler definitions) so ``receive`` does a
-    # single dict lookup per packet instead of rebuilding the table.
-    _DISPATCH = None
+    # Packet class -> the unbound handler a delivery calls, built once below
+    # the handler definitions.  The protocol resolves it at send time.
+    delivery = None
 
-    def receive(self, message, sender):
-        handler = self._DISPATCH.get(message.__class__)
+    def receive(self, message, sender=None):
+        """Handle ``message`` now (deliveries call the handler directly)."""
+        handler = self.delivery.get(message.__class__)
         if handler is None:
             raise TypeError("%s cannot handle %r" % (self.name, message))
         handler(self, message)
-
-    # ----------------------------------------------------- downstream helpers
-
-    def _send_downstream(self, packet):
-        self.protocol.forward_downstream(self, packet)
-
-    def _send_upstream(self, packet):
-        self.protocol.forward_upstream(self, packet)
-
-    def _send_upstream_update(self, session_id):
-        """Send an Update for *another* session towards its own source."""
-        self.protocol.forward_upstream(self, Update(session_id))
-
-    def _send_upstream_bottleneck(self, session_id):
-        """Send a Bottleneck for *another* session towards its own source."""
-        self.protocol.forward_upstream(self, Bottleneck(session_id))
 
     # -------------------------------------------------- ProcessNewRestricted
 
@@ -110,7 +97,7 @@ class RouterLinkTask(Process):
 
         for session_id in state.idle_restricted_above(rate):
             state.set_state(session_id, WAITING_PROBE)
-            self._send_upstream_update(session_id)
+            self.protocol.forward_upstream(self, Update(session_id))
         return rate
 
     # ---------------------------------------------------------------- handlers
@@ -136,7 +123,9 @@ class RouterLinkTask(Process):
         forwarded_rate, eta = packet.rate, packet.restricting_link
         if forwarded_rate > rate and not rates_equal(forwarded_rate, rate):
             forwarded_rate, eta = rate, self.link_id
-        self._send_downstream(packet_type(packet.session_id, forwarded_rate, eta))
+        self.protocol.forward_downstream(
+            self, packet_type(packet.session_id, forwarded_rate, eta)
+        )
 
     def on_response(self, packet):
         """Figure 2, lines 18-28."""
@@ -168,15 +157,15 @@ class RouterLinkTask(Process):
                 eta = self.link_id
                 for other_id in sorted(state.restricted):
                     if other_id != session_id:
-                        self._send_upstream_bottleneck(other_id)
-        self._send_upstream(Response(session_id, tau, rate, eta))
+                        self.protocol.forward_upstream(self, Bottleneck(other_id))
+        self.protocol.forward_upstream(self, Response(session_id, tau, rate, eta))
 
     def on_update(self, packet):
         """Figure 2, lines 38-40."""
         state = self.state
         if state.state_of(packet.session_id) == IDLE:
             state.set_state(packet.session_id, WAITING_PROBE)
-            self._send_upstream(Update(packet.session_id))
+            self.protocol.forward_upstream(self, Update(packet.session_id))
 
     def on_bottleneck(self, packet):
         """Figure 2, lines 42-43."""
@@ -185,7 +174,7 @@ class RouterLinkTask(Process):
             state.state_of(packet.session_id) == IDLE
             and packet.session_id in state.restricted
         ):
-            self._send_upstream(Bottleneck(packet.session_id))
+            self.protocol.forward_upstream(self, Bottleneck(packet.session_id))
 
     def on_set_bottleneck(self, packet):
         """Figure 2, lines 45-55."""
@@ -197,7 +186,7 @@ class RouterLinkTask(Process):
         if state.all_restricted_settled():
             # This link is itself a bottleneck, so a bottleneck exists for the
             # session: forward with beta = TRUE.
-            self._send_downstream(SetBottleneck(session_id, True))
+            self.protocol.forward_downstream(self, SetBottleneck(session_id, True))
             return
         if state.state_of(session_id) != IDLE or recorded is None:
             # A new Probe cycle for the session is already under way at this
@@ -210,11 +199,15 @@ class RouterLinkTask(Process):
             # recomputed B_e can only grow.
             for other_id in state.settled_at(rate):
                 state.set_state(other_id, WAITING_PROBE)
-                self._send_upstream_update(other_id)
+                self.protocol.forward_upstream(self, Update(other_id))
             state.add_unrestricted(session_id)
-            self._send_downstream(SetBottleneck(session_id, packet.found_bottleneck))
+            self.protocol.forward_downstream(
+                self, SetBottleneck(session_id, packet.found_bottleneck)
+            )
         elif rates_equal(recorded, rate):
-            self._send_downstream(SetBottleneck(session_id, packet.found_bottleneck))
+            self.protocol.forward_downstream(
+                self, SetBottleneck(session_id, packet.found_bottleneck)
+            )
 
     # --------------------------------------------------- capacity dynamics
 
@@ -264,7 +257,7 @@ class RouterLinkTask(Process):
                 state.rate_of(session_id) or 0.0, rate
             ):
                 state.set_state(session_id, WAITING_PROBE)
-                self._send_upstream_update(session_id)
+                self.protocol.forward_upstream(self, Update(session_id))
 
     def on_leave(self, packet):
         """Figure 2, lines 57-62."""
@@ -278,11 +271,11 @@ class RouterLinkTask(Process):
         state.forget(session_id)
         for other_id in to_update:
             state.set_state(other_id, WAITING_PROBE)
-            self._send_upstream_update(other_id)
-        self._send_downstream(Leave(session_id))
+            self.protocol.forward_upstream(self, Update(other_id))
+        self.protocol.forward_downstream(self, Leave(session_id))
 
 
-RouterLinkTask._DISPATCH = {
+RouterLinkTask.delivery = {
     Join: RouterLinkTask.on_join,
     Probe: RouterLinkTask.on_probe,
     Response: RouterLinkTask.on_response,

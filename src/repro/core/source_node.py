@@ -63,11 +63,6 @@ class SourceNodeTask(Process):
         """True when the source is idle and has been told its final rate."""
         return self.state.state_of(self.session_id) == IDLE and self.bottleneck_received
 
-    # ------------------------------------------------------------- forwarding
-
-    def _send_downstream(self, packet):
-        self.protocol.forward_downstream(self, packet)
-
     # ----------------------------------------------------------- API handlers
 
     def api_join(self, requested_rate):
@@ -81,13 +76,13 @@ class SourceNodeTask(Process):
         self.state.set_state(self.session_id, WAITING_RESPONSE)
         self.update_received = False
         self.bottleneck_received = False
-        self._send_downstream(Join(self.session_id, self.demand, self.link_id))
+        self.protocol.forward_downstream(self, Join(self.session_id, self.demand, self.link_id))
 
     def api_leave(self):
         """Figure 3, lines 8-9 (``API.Leave``)."""
         self.state.forget(self.session_id)
         self.left = True
-        self._send_downstream(Leave(self.session_id))
+        self.protocol.forward_downstream(self, Leave(self.session_id))
 
     def api_change(self, requested_rate):
         """Figure 3, lines 11-18 (``API.Change``)."""
@@ -99,17 +94,20 @@ class SourceNodeTask(Process):
             self.update_received = False
             self.bottleneck_received = False
             self.state.set_state(self.session_id, WAITING_RESPONSE)
-            self._send_downstream(Probe(self.session_id, self.demand, self.link_id))
+            self.protocol.forward_downstream(self, Probe(self.session_id, self.demand, self.link_id))
         else:
             self.update_received = True
 
     # -------------------------------------------------------- packet handlers
 
-    # Packet-type -> unbound handler, built once at class definition time (see
-    # the assignment below the handler definitions).
+    # Packet class -> unbound handler, built once below the handler
+    # definitions; ``delivery`` (the table the protocol resolves at send
+    # time) sends every one of them through ``receive``, whose ``left``
+    # guard drops packets still in flight after ``API.Leave``.
     _DISPATCH = None
+    delivery = None
 
-    def receive(self, message, sender):
+    def receive(self, message, sender=None):
         if self.left:
             # Packets may still be in flight after API.Leave; they concern a
             # session that no longer exists and are dropped.
@@ -126,7 +124,7 @@ class SourceNodeTask(Process):
                 self.state.add_restricted(self.session_id)
             self.bottleneck_received = False
             self.state.set_state(self.session_id, WAITING_RESPONSE)
-            self._send_downstream(Probe(self.session_id, self.demand, self.link_id))
+            self.protocol.forward_downstream(self, Probe(self.session_id, self.demand, self.link_id))
         else:
             self.update_received = True
 
@@ -139,7 +137,7 @@ class SourceNodeTask(Process):
             demand_is_rate = rates_equal(self.demand, rate)
             if not demand_is_rate and self.demand > rate:
                 self.state.add_unrestricted(self.session_id)
-            self._send_downstream(SetBottleneck(self.session_id, demand_is_rate))
+            self.protocol.forward_downstream(self, SetBottleneck(self.session_id, demand_is_rate))
 
     def on_response(self, packet):
         """Figure 3, lines 33-47."""
@@ -147,7 +145,7 @@ class SourceNodeTask(Process):
             self.update_received = False
             self.bottleneck_received = False
             self.state.set_state(self.session_id, WAITING_RESPONSE)
-            self._send_downstream(Probe(self.session_id, self.demand, self.link_id))
+            self.protocol.forward_downstream(self, Probe(self.session_id, self.demand, self.link_id))
         elif packet.tau == BOTTLENECK:
             self.state.set_rate(self.session_id, packet.rate)
             self.state.set_state(self.session_id, IDLE)
@@ -156,14 +154,14 @@ class SourceNodeTask(Process):
             demand_is_rate = rates_equal(self.demand, packet.rate)
             if not demand_is_rate and self.demand > packet.rate:
                 self.state.add_unrestricted(self.session_id)
-            self._send_downstream(SetBottleneck(self.session_id, demand_is_rate))
+            self.protocol.forward_downstream(self, SetBottleneck(self.session_id, demand_is_rate))
         else:  # tau == RESPONSE
             self.state.set_rate(self.session_id, packet.rate)
             self.state.set_state(self.session_id, IDLE)
             if rates_equal(self.demand, packet.rate):
                 self.bottleneck_received = True
                 self.protocol.notify_rate(self.session_id, packet.rate)
-                self._send_downstream(SetBottleneck(self.session_id, True))
+                self.protocol.forward_downstream(self, SetBottleneck(self.session_id, True))
 
 
 SourceNodeTask._DISPATCH = {
@@ -171,3 +169,4 @@ SourceNodeTask._DISPATCH = {
     Bottleneck: SourceNodeTask.on_bottleneck,
     Response: SourceNodeTask.on_response,
 }
+SourceNodeTask.delivery = dict.fromkeys(SourceNodeTask._DISPATCH, SourceNodeTask.receive)

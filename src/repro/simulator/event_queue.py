@@ -21,16 +21,18 @@ Python on the hot path.  Two entry flavours share that layout:
   simulation events are packet deliveries that are never cancelled; storing
   them bare skips one object allocation (and its GC tracking) per packet.
 
-The simulation loop consumes raw tuples through :meth:`EventQueue.pop_entry`;
+The queue counts *cancelled entries still in the heap* rather than live
+ones, so a push is nothing but a ``heappush`` and a bare head is always
+live.  That makes the public ``heap`` and ``sequence`` the packet path's
+whole interface: the B-Neck protocol's ``forward_*`` methods push every
+delivery onto ``heap`` as a bare entry drawing one ``next(sequence)``, and
+the simulator's drain loop pops a bare head with ``heappop`` directly,
+calling :meth:`EventQueue.pop_entry` only when the head is cancellable.
+
+:meth:`EventQueue.pop_entry` returns raw tuples and skips cancelled ones;
 :meth:`EventQueue.pop` keeps the historical Event-returning interface for
 callers that want a handle (synthesizing an already-consumed :class:`Event`
 for bare entries).
-
-The queue counts *cancelled entries still in the heap* rather than live
-ones, so a push is nothing but a ``heappush``.  That lets the owning
-:class:`~repro.simulator.simulation.Simulator` push packet deliveries onto
-the queue's public ``heap`` directly, with its public ``sequence`` counter
-(see :meth:`~repro.simulator.simulation.Simulator.schedule_callback`).
 """
 
 import heapq

@@ -2,13 +2,10 @@
 
 A :class:`Process` is an actor attached to a :class:`~repro.simulator.simulation.Simulator`.
 Concrete protocol tasks (the B-Neck RouterLink / SourceNode / DestinationNode
-tasks, and the baseline protocols' per-link controllers) subclass it and use
-:meth:`send` to deliver messages to peer processes after a link delay, and
-:meth:`call_later` for timers.
-
-Messages are delivered by invoking ``receive(message, sender)`` on the target
-process at the delivery time; the handler executes atomically, mirroring the
-paper's ``when received ... do`` blocks.
+tasks) subclass it.  They do not send through the process: the protocol that
+owns them puts each packet on its link and, at the delivery time, calls the
+target task's handler for the packet, which executes atomically, mirroring
+the paper's ``when received ... do`` blocks.
 """
 
 
@@ -19,29 +16,9 @@ class Process(object):
         self.simulator = simulator
         self.name = name
 
-    # ------------------------------------------------------------- messaging
-
-    def send(self, target, message, delay, tag=None):
-        """Deliver ``message`` to ``target`` after ``delay`` seconds.
-
-        The delivery is modelled as a single event: at ``now + delay`` the
-        target's :meth:`receive` handler runs atomically.
-        """
-        if tag is None:
-            tag = type(message).__name__
-        return self.simulator.schedule(
-            delay, lambda: target.receive(message, self), tag=tag
-        )
-
-    def call_later(self, delay, callback, tag=None):
-        """Schedule a local timer callback on this process."""
-        if tag is None:
-            tag = "%s.timer" % self.name
-        return self.simulator.schedule(delay, callback, tag=tag)
-
     # --------------------------------------------------------------- handlers
 
-    def receive(self, message, sender):
+    def receive(self, message, sender=None):
         """Handle a delivered message.  Subclasses must override."""
         raise NotImplementedError(
             "%s does not handle messages (received %r from %r)"

@@ -1,13 +1,14 @@
 """The simulation loop.
 
-A :class:`Simulator` owns the event queue and the clock.  Protocol tasks
-schedule work through :meth:`Simulator.schedule` (relative delay) or
+A :class:`Simulator` owns the event queue and the clock.  Work is scheduled
+through :meth:`Simulator.schedule` (relative delay) or
 :meth:`Simulator.schedule_at` (absolute time); each scheduled callback executes
 atomically at its firing time, matching the paper's model of ``when`` blocks
 that are "executed atomically, and activated asynchronously when an event is
-triggered".  :meth:`Simulator.schedule_callback` is the fast path for the
-non-cancellable majority (packet deliveries): it stores a bare callback in the
-heap with no :class:`~repro.simulator.event_queue.Event` handle allocation.
+triggered".  Packet deliveries, the non-cancellable majority, do not go
+through the simulator: the protocol pushes each one as a bare entry onto the
+public ``queue``'s heap (see :mod:`repro.simulator.event_queue`), and the
+drain loop pops bare heads straight off that heap.
 
 Because B-Neck is *quiescent*, a steady-state simulation terminates on its own:
 once the max-min fair rates are computed, no task schedules further events and
@@ -45,7 +46,7 @@ quiescence time and never count against ``max_events`` / ``max_time``.  The
 protocol's per-instant ``API.Rate`` delivery is their one user.
 """
 
-from heapq import heappush
+from heapq import heappop
 
 from repro.simulator.errors import SimulationLimitExceeded
 from repro.simulator.event_queue import EventQueue
@@ -58,15 +59,16 @@ class Simulator(object):
         max_events: optional safety cap on processed events; exceeded caps
             raise :class:`SimulationLimitExceeded`.
         max_time: optional safety cap on the simulation clock.
+
+    Attributes:
+        now: current simulation time in seconds.  Only the run loop writes
+            it.
+        queue: the :class:`~repro.simulator.event_queue.EventQueue`.
     """
 
     def __init__(self, max_events=None, max_time=None):
-        self._queue = EventQueue()
-        # The queue's public heap and sequence counter: schedule_callback
-        # pushes onto the heap without a queue call.
-        self._heap = self._queue.heap
-        self._sequence = self._queue.sequence
-        self._now = 0.0
+        self.queue = EventQueue()
+        self.now = 0.0
         self._events_processed = 0
         self._running = False
         self._instant_callbacks = []
@@ -77,11 +79,6 @@ class Simulator(object):
     # ------------------------------------------------------------------ clock
 
     @property
-    def now(self):
-        """Current simulation time in seconds."""
-        return self._now
-
-    @property
     def events_processed(self):
         """Number of events executed so far."""
         return self._events_processed
@@ -89,7 +86,7 @@ class Simulator(object):
     @property
     def pending_events(self):
         """Number of live events still waiting in the queue."""
-        return len(self._queue)
+        return len(self.queue)
 
     @property
     def pending_instant_callbacks(self):
@@ -106,29 +103,15 @@ class Simulator(object):
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError("delay must be non-negative, got %r" % delay)
-        return self._queue.push(self._now + delay, callback, tag=tag)
+        return self.queue.push(self.now + delay, callback, tag=tag)
 
     def schedule_at(self, time, callback, tag=None):
         """Schedule ``callback`` at an absolute simulation time."""
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                "cannot schedule in the past (now=%r, requested=%r)" % (self._now, time)
+                "cannot schedule in the past (now=%r, requested=%r)" % (self.now, time)
             )
-        return self._queue.push(time, callback, tag=tag)
-
-    def schedule_callback(self, delay, callback, tag=None):
-        """Schedule a *non-cancellable* callback ``delay`` seconds from now.
-
-        The fast path for the packet-delivery majority: the queue stores the
-        bare callback with no :class:`~repro.simulator.event_queue.Event`
-        handle, so nothing is returned and the entry cannot be cancelled.
-        Ordering is identical to :meth:`schedule`: the entry is the same
-        bare tuple :meth:`~repro.simulator.event_queue.EventQueue.push_callback`
-        builds, pushed straight onto the queue's heap.
-        """
-        if delay < 0:
-            raise ValueError("delay must be non-negative, got %r" % delay)
-        heappush(self._heap, (self._now + delay, next(self._sequence), callback, tag, None))
+        return self.queue.push(time, callback, tag=tag)
 
     def call_at_instant_end(self, callback):
         """Defer ``callback`` to the end of the current instant.
@@ -143,7 +126,7 @@ class Simulator(object):
 
     def cancel(self, event):
         """Cancel a previously scheduled event."""
-        self._queue.cancel(event)
+        self.queue.cancel(event)
 
     def stop(self):
         """Request that the current :meth:`run` call returns before the next event."""
@@ -160,8 +143,8 @@ class Simulator(object):
 
     def _instant_finished(self):
         """True when no live event shares the current timestamp."""
-        next_time = self._queue.peek_time()
-        return next_time is None or next_time > self._now
+        next_time = self.queue.peek_time()
+        return next_time is None or next_time > self.now
 
     def step(self):
         """Execute the next pending unit of work.
@@ -173,10 +156,10 @@ class Simulator(object):
         if self._instant_callbacks and self._instant_finished():
             self._flush_instant()
             return True
-        entry = self._queue.pop_entry()
+        entry = self.queue.pop_entry()
         if entry is None:
             return False
-        self._now = entry[0]
+        self.now = entry[0]
         self._events_processed += 1
         entry[2]()
         return True
@@ -205,11 +188,11 @@ class Simulator(object):
                 self._run_general(until)
         finally:
             self._running = False
-        if until is not None and not self._queue and self._now < until:
+        if until is not None and not self.queue and self.now < until:
             # The queue drained before the horizon: advance the clock so
             # repeated run(until=...) calls observe monotonic time.
-            self._now = until
-        return self._now
+            self.now = until
+        return self.now
 
     def _run_general(self, until):
         """The fully-featured run loop: horizon and limits."""
@@ -221,11 +204,11 @@ class Simulator(object):
                 # before the clock may advance (or the run return).
                 self._flush_instant()
                 continue
-            next_time = self._queue.peek_time()
+            next_time = self.queue.peek_time()
             if next_time is None:
                 break
             if until is not None and next_time > until:
-                self._now = until
+                self.now = until
                 break
             self._check_limits(next_time)
             self.step()
@@ -243,15 +226,22 @@ class Simulator(object):
                 because it never observed the stop flag, and a stale flag
                 from an earlier stopped ``run`` must not end it early.
         """
-        pop = self._queue.pop_entry
+        heap = self.queue.heap
+        pop_entry = self.queue.pop_entry
         while not (check_stop and self._stop_requested):
             if self._instant_callbacks and self._instant_finished():
                 self._flush_instant()
                 continue
-            entry = pop()
-            if entry is None:
+            if not heap:
                 break
-            self._now = entry[0]
+            if heap[0][4] is None:
+                # A bare head (a packet delivery) is live: no queue call.
+                entry = heappop(heap)
+            else:
+                entry = pop_entry()
+                if entry is None:
+                    break
+            self.now = entry[0]
             self._events_processed += 1
             entry[2]()
 
@@ -267,38 +257,38 @@ class Simulator(object):
             self._drain_fast(check_stop=False)
             # After a drain the clock sits on the last processed event (or is
             # untouched when the queue was already empty).
-            return self._now
-        last_event_time = self._now
+            return self.now
+        last_event_time = self.now
         while True:
             if self._instant_callbacks and self._instant_finished():
                 self._flush_instant()
                 continue
-            next_time = self._queue.peek_time()
+            next_time = self.queue.peek_time()
             if next_time is None:
                 break
             self._check_limits(next_time)
             self.step()
-            last_event_time = self._now
+            last_event_time = self.now
         return last_event_time
 
     def _check_limits(self, next_time):
         if self.max_events is not None and self._events_processed >= self.max_events:
             raise SimulationLimitExceeded(
                 "event limit of %d exceeded at t=%r (possible livelock)"
-                % (self.max_events, self._now),
+                % (self.max_events, self.now),
                 events_processed=self._events_processed,
-                current_time=self._now,
+                current_time=self.now,
             )
         if self.max_time is not None and next_time > self.max_time:
             raise SimulationLimitExceeded(
                 "time limit of %r exceeded (next event at %r)" % (self.max_time, next_time),
                 events_processed=self._events_processed,
-                current_time=self._now,
+                current_time=self.now,
             )
 
     def __repr__(self):
         return "Simulator(now=%r, pending=%d, processed=%d)" % (
-            self._now,
-            len(self._queue),
+            self.now,
+            len(self.queue),
             self._events_processed,
         )

@@ -17,8 +17,11 @@ Measured on CPython 3.11.7: 20.4 calls per event when every hop resolved its
 reverse link and the link's delay and key per packet and the simulator
 pushed through the event queue; 16.0 with per-stage hop data and the
 single-push send path, of which 0.6 are comprehension frames (so about 15.5
-on 3.12).  Nearly every event is a packet delivery, so one more frame per
-packet adds about 1.0.
+on 3.12), later 15.6; 8.8 once each send became one ``forward_*`` call
+pushing one queue entry whose callback is the receiving handler (no
+``_send_*``, ``_transmit``, ``_deliver`` or ``receive`` frame, and no
+``pop_entry`` call for a bare head).  Nearly every event is a packet
+delivery, so one more frame per packet adds about 1.0.
 
 Routing has a budget of its own: the hosts a workload attaches are leaves
 that never relay, so routing a fixed set of router pairs must make the same
@@ -48,8 +51,8 @@ from repro.network.transit_stub import (
 )
 
 SESSIONS = 40
-# Calls per processed event: the measured 16.0 plus half a frame per event.
-CALLS_PER_EVENT_BUDGET = 16.5
+# Calls per processed event: the measured 8.8 plus half a frame per event.
+CALLS_PER_EVENT_BUDGET = 9.3
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 

@@ -1,0 +1,213 @@
+"""Direct packet delivery: one queue entry per hop, calling the handler.
+
+A ``forward_*`` call is a packet's whole send: it resolves the target
+stage and the target's handler for the packet, records the packet when
+tracing, and pushes one bare entry onto the simulator's queue whose
+callback is that handler bound to the target and the packet.  These tests
+pin down what that path promises:
+
+* ``in_flight_packets`` is a recount of the queued packet deliveries at
+  any point of a run, never counts a pending API call, and is 0 at the
+  quiescence of every golden scenario;
+* a packet class the target has no handler for raises ``TypeError``
+  naming the target when it is sent, and leaves nothing queued or counted;
+* a tracer assigned after construction counts every packet, for B-Neck
+  and for the baselines.
+"""
+
+import math
+import re
+from functools import partial
+
+import pytest
+
+from repro.baselines.bfyz import BFYZProtocol
+from repro.core.packets import (
+    Bottleneck,
+    Join,
+    Leave,
+    Probe,
+    Response,
+    RESPONSE,
+    SetBottleneck,
+    Update,
+)
+from repro.core.protocol import BNeckProtocol
+from repro.core.router_link import RouterLinkTask
+from repro.network.topology import single_link_topology
+from repro.network.units import MBPS
+from repro.simulator.clock import microseconds
+from repro.simulator.tracing import PacketTracer
+from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.scenarios import NetworkScenario
+from test_golden_invariance import GOLDENS, KEYS, run_golden
+
+PACKET_CLASSES = (Join, Probe, Response, Update, Bottleneck, SetBottleneck, Leave)
+MASS_JOIN_KEY = "small-lan-s2-n20"
+
+
+class Stray(Update):
+    """A packet class no stage has a handler for."""
+
+    type_name = "Stray"
+    __slots__ = ()
+
+
+def _queued_deliveries(protocol):
+    """Queued entries whose callback delivers a packet to a stage, counted
+    from the callbacks themselves rather than from the entries' tags."""
+    return sum(
+        1
+        for entry in protocol.simulator.queue.heap
+        if isinstance(entry[2], partial) and isinstance(entry[2].args[-1], PACKET_CLASSES)
+    )
+
+
+def _mass_join(key, protocol_factory):
+    """Hot-path golden ``key``: its sessions join within 1 ms (not yet run)."""
+    size, delay, seed, count = key.split("-")
+    seed, count = int(seed[1:]), int(count[1:])
+    network = NetworkScenario(size, delay, seed=seed).build()
+    protocol = protocol_factory(network)
+    WorkloadGenerator(network, seed=seed + count).populate(
+        protocol, count, join_window=(0.0, 1e-3)
+    )
+    return protocol
+
+
+def _single_session():
+    network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
+    protocol = BNeckProtocol(network)
+    source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
+    sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
+    protocol.open_session(source.node_id, sink.node_id, session_id="a")
+    protocol.run_until_quiescent()
+    return protocol
+
+
+# ------------------------------------------------------------ in-flight count
+
+
+def test_in_flight_packets_recount_mid_run():
+    protocol = _mass_join(MASS_JOIN_KEY, BNeckProtocol)
+    simulator = protocol.simulator
+    seen = []
+    for checkpoint in (1, 10, 50, 150, 300):
+        while simulator.events_processed < checkpoint:
+            assert simulator.step()
+        in_flight = protocol.in_flight_packets
+        assert in_flight == _queued_deliveries(protocol), checkpoint
+        seen.append(in_flight)
+    assert max(seen) > 0
+    protocol.run_until_quiescent()
+    assert protocol.in_flight_packets == _queued_deliveries(protocol) == 0
+
+
+def test_in_flight_packets_skip_a_pending_join():
+    protocol = _mass_join(MASS_JOIN_KEY, BNeckProtocol)
+    simulator = protocol.simulator
+    network = protocol.network
+    routers = sorted(node.node_id for node in network.routers())
+    late_source = network.attach_host(routers[0], 1000 * MBPS, microseconds(1))
+    late_sink = network.attach_host(routers[-1], 1000 * MBPS, microseconds(1))
+    protocol.open_session(late_source.node_id, late_sink.node_id, session_id="late", at=1.0)
+
+    def pending_joins():
+        return [entry[3] for entry in simulator.queue.heap].count("API.Join")
+
+    # Run until every join but the late one has fired.
+    while pending_joins() > 1:
+        assert simulator.step()
+    in_flight = protocol.in_flight_packets
+    assert 0 < in_flight == _queued_deliveries(protocol)
+    # Every queued entry is a packet delivery except the future API.Join.
+    assert simulator.pending_events == in_flight + 1
+    protocol.run_until_quiescent()
+    assert "late" in protocol.registry
+    assert protocol.in_flight_packets == 0
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_no_packet_in_flight_at_the_quiescence_of_every_golden(key):
+    protocol, result = run_golden(key)
+    assert result == GOLDENS[key]
+    assert protocol.simulator.pending_events == 0
+    assert protocol.in_flight_packets == 0
+
+
+def test_each_queued_delivery_calls_the_handler_itself():
+    protocol = _mass_join(MASS_JOIN_KEY, BNeckProtocol)
+    simulator = protocol.simulator
+    while not any(entry[3] == "Join" and isinstance(entry[2].args[0], RouterLinkTask)
+                  for entry in simulator.queue.heap):
+        assert simulator.step()
+    for entry in simulator.queue.heap:
+        if entry[3] == "Join" and isinstance(entry[2].args[0], RouterLinkTask):
+            assert entry[2].func is RouterLinkTask.on_join
+            assert entry[4] is None
+
+
+# ---------------------------------------------------------- unknown packets
+
+
+def _last_router_link(protocol):
+    return protocol.router_link(protocol.session("a").links[-1].endpoints)
+
+
+@pytest.mark.parametrize("send, target", [
+    (lambda protocol: protocol.forward_downstream(protocol.source("a"), Stray("a")),
+     lambda protocol: protocol.router_link(("r0", "r1"))),
+    (lambda protocol: protocol.forward_upstream(
+        protocol.router_link(("r0", "r1")), Stray("a")),
+     lambda protocol: protocol.source("a")),
+    (lambda protocol: protocol.forward_downstream(
+        _last_router_link(protocol), Response("a", RESPONSE, 1.0, None)),
+     lambda protocol: protocol.destination("a")),
+    (lambda protocol: protocol.forward_upstream_from_destination("a", Stray("a")),
+     _last_router_link),
+], ids=["to-router-link", "to-source", "to-destination", "from-destination"])
+def test_unknown_packet_class_raises_at_send_and_queues_nothing(send, target):
+    protocol = _single_session()
+    simulator = protocol.simulator
+    name = target(protocol).name
+    assert name[:3] in ("RL(", "SN(", "DN(")
+    before = (protocol.tracer.total, simulator.pending_events,
+              len(simulator.queue.heap), protocol.in_flight_packets)
+    with pytest.raises(TypeError, match="^%s cannot handle " % re.escape(name)):
+        send(protocol)
+    assert (protocol.tracer.total, simulator.pending_events,
+            len(simulator.queue.heap), protocol.in_flight_packets) == before
+
+
+# ------------------------------------------------------------- tracer swaps
+
+
+@pytest.mark.parametrize("key", ["small-lan-s2-n20", "small-wan-s2-n20"])
+def test_tracer_assigned_after_construction_counts_every_packet(key):
+    def untraced_then_traced(network):
+        protocol = BNeckProtocol(network, trace_packets=False)
+        protocol.tracer = PacketTracer()
+        return protocol
+
+    protocol = _mass_join(key, untraced_then_traced)
+    protocol.run_until_quiescent()
+    assert protocol.tracer.total == GOLDENS[key]["packets"]
+    assert dict(protocol.tracer.by_type) == GOLDENS[key]["by_type"]
+
+
+def _bfyz_packets(**knobs):
+    network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
+    protocol = BFYZProtocol(network, probe_interval=1e-4, **knobs)
+    if "trace_packets" in knobs:
+        protocol.tracer = PacketTracer()
+    source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
+    sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
+    protocol.open_session(source.node_id, sink.node_id, math.inf, session_id="a")
+    protocol.run(until=1e-3)
+    return protocol.tracer.total
+
+
+def test_baseline_tracer_assigned_after_construction_counts_every_packet():
+    traced = _bfyz_packets()
+    assert traced > 0
+    assert _bfyz_packets(trace_packets=False) == traced

@@ -20,33 +20,6 @@ class Echo(Process):
 
 
 class TestProcess(object):
-    def test_send_delivers_after_delay(self):
-        simulator = Simulator()
-        alice = Echo(simulator, "alice")
-        bob = Echo(simulator, "bob")
-        alice.send(bob, "hello", delay=0.25)
-        assert bob.received == []
-        simulator.run_until_quiescent()
-        assert bob.received == [("hello", alice)]
-        assert simulator.now == pytest.approx(0.25)
-
-    def test_send_uses_message_type_as_default_tag(self):
-        simulator = Simulator()
-        alice = Echo(simulator, "alice")
-        bob = Echo(simulator, "bob")
-        event = alice.send(bob, {"kind": "probe"}, delay=0.1)
-        assert event.tag == "dict"
-        tagged = alice.send(bob, "x", delay=0.1, tag="custom")
-        assert tagged.tag == "custom"
-
-    def test_call_later_runs_local_timer(self):
-        simulator = Simulator()
-        alice = Echo(simulator, "alice")
-        fired = []
-        alice.call_later(0.5, lambda: fired.append(simulator.now))
-        simulator.run_until_quiescent()
-        assert fired == [0.5]
-
     def test_base_receive_is_abstract(self):
         simulator = Simulator()
         process = Process(simulator, "bare")

@@ -127,29 +127,43 @@ def test_events_processed_counts(simulator):
     assert simulator.events_processed == 4
 
 
-# -------------------------------------------------- non-cancellable callbacks
+# ------------------------------------------------------------ bare entries
 
 
-def test_schedule_callback_fires_in_order_with_events(simulator):
+def test_bare_entries_fire_in_order_with_events(simulator):
     fired = []
     simulator.schedule(0.2, lambda: fired.append("event"))
-    simulator.schedule_callback(0.1, lambda: fired.append("bare-early"))
-    simulator.schedule_callback(0.2, lambda: fired.append("bare-tied"))
+    simulator.queue.push_callback(0.1, lambda: fired.append("bare-early"))
+    simulator.queue.push_callback(0.2, lambda: fired.append("bare-tied"))
     simulator.run_until_quiescent()
     # The tie at t=0.2 breaks by insertion order: the Event came first.
     assert fired == ["bare-early", "event", "bare-tied"]
     assert simulator.events_processed == 3
 
 
-def test_schedule_callback_negative_delay_rejected(simulator):
-    with pytest.raises(ValueError):
-        simulator.schedule_callback(-0.1, lambda: None)
-
-
-def test_schedule_callback_counts_as_pending(simulator):
-    simulator.schedule_callback(0.5, lambda: None)
+def test_bare_entries_count_as_pending(simulator):
+    simulator.queue.push_callback(0.5, lambda: None)
     assert simulator.pending_events == 1
     simulator.run_until_quiescent()
+    assert simulator.pending_events == 0
+
+
+def test_drain_skips_a_cancelled_head_before_bare_entries(simulator):
+    fired = []
+    cancelled = simulator.schedule(0.1, lambda: fired.append("cancelled"))
+    simulator.queue.push_callback(0.2, lambda: fired.append("bare"))
+    simulator.schedule(0.3, lambda: fired.append("event"))
+    simulator.cancel(cancelled)
+    assert simulator.run_until_quiescent() == 0.3
+    assert fired == ["bare", "event"]
+    assert simulator.events_processed == 2
+    assert simulator.pending_events == 0
+
+
+def test_drain_stops_on_a_queue_of_cancelled_events(simulator):
+    simulator.cancel(simulator.schedule(0.1, lambda: None))
+    assert simulator.run() == 0.0
+    assert simulator.events_processed == 0
     assert simulator.pending_events == 0
 
 
