@@ -93,9 +93,9 @@ def test_paper_medium_five_phase_churn(print_table):
         format_table(
             ("phase", "quiescence [ms]", "packets", "API.Rate callbacks"),
             [
-                (outcome.phase.name, outcome.duration * 1e3, outcome.packets,
-                 outcome.rate_callbacks)
-                for outcome in result.outcomes
+                (phase.name, duration * 1e3, measurement.packets,
+                 measurement.rate_callbacks)
+                for phase, duration, measurement in result.phase_rows()
             ],
         ),
     )

@@ -1,10 +1,12 @@
 """Stochastic scenario walkthrough: open-loop churn, validated round by round.
 
-Runs one of the stochastic workloads from :mod:`repro.workloads.stochastic`
+Runs one of the registered workloads from :mod:`repro.workloads.stochastic`
 through the shared :class:`~repro.experiments.runner.ExperimentRunner` entry
 point and prints one row per round (quiescence time, control packets,
 ``API.Rate`` callbacks, oracle validation):
 
+* ``phase-churn`` -- the paper's Experiment 2: five phases of churn (mass
+  join, leave, rate change, join, mixed), one round each;
 * ``poisson-churn`` -- Poisson session arrivals with exponential holding
   times (sustained open-loop churn; the population climbs toward the
   M/M/inf steady state);

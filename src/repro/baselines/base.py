@@ -22,6 +22,7 @@ negligible at the LAN delays used by Experiment 3.
 
 import math
 
+from repro.core.actions import replay_actions, validate_actions
 from repro.fairness.algebra import default_algebra
 from repro.fairness.allocation import RateAllocation
 from repro.network.routing import PathComputer, path_links
@@ -141,6 +142,16 @@ class BaselineProtocol(object):
         return self._controllers[key]
 
     # --------------------------------------------------------------- sessions
+
+    def apply_actions(self, actions):
+        """Apply a batch of session actions (same contract as B-Neck).
+
+        The whole batch is checked by
+        :func:`~repro.core.actions.validate_actions` before any of it is
+        replayed; a batch that fails the check raises and schedules nothing.
+        Returns ``{session_id: session}`` for the joins.
+        """
+        return replay_actions(self, validate_actions(list(actions)))
 
     def create_session(self, source_host, destination_host, demand=math.inf, session_id=None):
         """Build a session along the shortest path (same contract as B-Neck)."""

@@ -19,10 +19,11 @@ Replay is deterministic: host attachment, session creation and API scheduling
 happen in action order, so a batch always pushes the same events in the same
 relative order.
 
-:meth:`repro.core.protocol.BNeckProtocol.apply_actions` checks a whole batch
-before replaying it; :func:`schedule_actions` uses it when the protocol has
-one.  The module-level :func:`replay_actions` works with any protocol exposing
-the shared session API (the baselines included).
+Every protocol applies a batch through its own ``apply_actions``
+(:meth:`repro.core.protocol.BNeckProtocol.apply_actions`,
+:meth:`repro.baselines.base.BaselineProtocol.apply_actions`), which checks the
+whole batch with :func:`validate_actions` before it replays any of it through
+:func:`replay_actions`.
 """
 
 import math
@@ -187,19 +188,6 @@ def replay_actions(protocol, actions):
         else:
             raise ValueError("unknown session action kind %r" % (kind,))
     return joined
-
-
-def schedule_actions(protocol, actions):
-    """Apply an action batch through the protocol's own entry point.
-
-    Protocols exposing ``apply_actions`` (B-Neck) check the whole batch
-    before replaying it; the baselines, which share the session API, are
-    replayed directly.
-    """
-    apply_actions = getattr(protocol, "apply_actions", None)
-    if apply_actions is not None:
-        return apply_actions(actions)
-    return replay_actions(protocol, actions)
 
 
 def validate_actions(actions):

@@ -14,25 +14,17 @@ The paper reports (a) the time each phase needs to reach quiescence again and
 (Figure 6).  Counts are scaled down from the paper's 100,000-session population
 to ``Experiment2Config.initial_sessions`` (500 by default); the ratios between
 phases are preserved.
+
+The phases run as a :class:`~repro.workloads.stochastic.PhaseChurnWorkload`
+through :meth:`~repro.experiments.runner.ExperimentRunner.run_scenario`, one
+round per phase, so every phase is validated at its own quiescence point.
 """
 
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.transit_stub import LAN
-from repro.workloads.dynamics import DynamicPhase
 from repro.workloads.generator import uniform_demand
 from repro.workloads.scenarios import NetworkScenario
-
-
-def DEFAULT_PHASES(initial_sessions, churn_fraction=0.2, window=1e-3):
-    """The paper's five phases, scaled to ``initial_sessions``."""
-    churn = max(1, int(round(initial_sessions * churn_fraction)))
-    return [
-        DynamicPhase("join", joins=initial_sessions, window=window),
-        DynamicPhase("leave", leaves=churn, window=window),
-        DynamicPhase("change", changes=churn, window=window),
-        DynamicPhase("join2", joins=churn, window=window),
-        DynamicPhase("mixed", joins=churn, leaves=churn, changes=churn, window=window),
-    ]
+from repro.workloads.stochastic import DEFAULT_PHASES, PhaseChurnWorkload
 
 
 class Experiment2Config(object):
@@ -89,58 +81,65 @@ class Experiment2Config(object):
 
 
 class Experiment2Result(object):
-    """Per-phase quiescence timings plus the per-interval packet-type series."""
+    """Per-phase quiescence timings plus the per-interval packet-type series.
 
-    def __init__(self, config, outcomes, interval_series, validated, rate_callbacks=0,
-                 final_allocation=None):
+    ``records`` are the workload's :data:`~repro.workloads.stochastic.PhaseRecord`
+    entries and ``measurements`` the runner's
+    :class:`~repro.experiments.runner.RunMeasurement` of each phase, in
+    phase order.
+    """
+
+    def __init__(self, config, records, measurements, interval_series,
+                 rate_callbacks=0, final_allocation=None):
         self.config = config
-        self.outcomes = outcomes
+        self.records = records
+        self.measurements = measurements
         self.interval_series = interval_series
-        self.validated = validated
+        self.validated = all(measurement.validated for measurement in measurements)
         self.rate_callbacks = rate_callbacks
         self.final_allocation = final_allocation or {}
 
+    def phase_rows(self):
+        """``(phase, seconds until quiescence, measurement)`` per phase."""
+        return [
+            (record.phase, measurement.quiescence_time - record.start_time, measurement)
+            for record, measurement in zip(self.records, self.measurements)
+        ]
+
     def phase_durations(self):
         """``{phase name: seconds until quiescence}``."""
-        return {outcome.phase.name: outcome.duration for outcome in self.outcomes}
+        return {phase.name: duration for phase, duration, _ in self.phase_rows()}
 
     def phase_packets(self):
         """``{phase name: control packets transmitted during the phase}``."""
-        return {outcome.phase.name: outcome.packets for outcome in self.outcomes}
+        return {phase.name: measurement.packets for phase, _, measurement in self.phase_rows()}
 
     def total_packets(self):
-        return sum(outcome.packets for outcome in self.outcomes)
+        return sum(measurement.packets for measurement in self.measurements)
 
     def __repr__(self):
         return "Experiment2Result(phases=%d, total_packets=%d, validated=%r)" % (
-            len(self.outcomes),
+            len(self.measurements),
             self.total_packets(),
             self.validated,
         )
 
 
-def run_experiment2(config=None, progress=None):
+def run_experiment2(config=None):
     """Run Experiment 2 and return an :class:`Experiment2Result`."""
     config = config or Experiment2Config()
-    demand_sampler = uniform_demand(config.demand_low, config.demand_high)
-    with ExperimentRunner(
-        config.spec(), generator_seed=config.seed, progress=progress
-    ) as runner:
-        outcomes = runner.run_phases(
-            config.phases(),
-            demand_sampler=demand_sampler,
-            inter_phase_gap=config.inter_phase_gap,
-        )
-
-        validated = True
-        if config.validate:
-            validated = runner.validate()
-
+    workload = PhaseChurnWorkload(
+        config.phases(),
+        uniform_demand(config.demand_low, config.demand_high),
+        gap=config.inter_phase_gap,
+    )
+    with ExperimentRunner(config.spec()) as runner:
+        measurements = runner.run_scenario(workload)
         return Experiment2Result(
             config=config,
-            outcomes=outcomes,
+            records=workload.records,
+            measurements=measurements,
             interval_series=runner.tracer.interval_series(),
-            validated=validated,
             rate_callbacks=runner.protocol.rate_callbacks,
             final_allocation=runner.protocol.notified_allocation().as_dict(),
         )

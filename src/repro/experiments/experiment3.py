@@ -19,6 +19,7 @@ subset of {B-Neck, BFYZ, CG, RCP} on the *same* workload.
 from repro.baselines.bfyz import BFYZProtocol
 from repro.baselines.cg import CGProtocol
 from repro.baselines.rcp import RCPProtocol
+from repro.core.actions import LeaveAction
 from repro.core.centralized import centralized_bneck
 from repro.core.protocol import BNeckProtocol
 from repro.experiments.metrics import (
@@ -183,12 +184,14 @@ def _drive_protocol(name, runner, config):
     installed = runner.install(specs)
     join_time_of = {spec.session_id: spec.join_time for spec in specs}
     leavers = generator.pick_sessions(list(installed), config.leave_count)
+    leaves = []
     for session_id in leavers:
         # A session can only leave after it has joined; its departure still
         # falls inside the churn window, as in the paper.
         earliest = join_time_of[session_id]
         when = generator.random_times(1, (earliest, config.churn_window))[0]
-        protocol.leave(session_id, at=max(when, earliest))
+        leaves.append(LeaveAction(session_id, max(when, earliest)))
+    runner.apply_actions(leaves)
 
     surviving = [
         session for session_id, session in installed.items() if session_id not in set(leavers)

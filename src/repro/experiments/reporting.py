@@ -59,14 +59,14 @@ def format_experiment2_table(result):
     phase_headers = ("phase", "joins", "leaves", "changes", "quiescence [ms]", "packets")
     phase_rows = [
         (
-            outcome.phase.name,
-            outcome.phase.joins,
-            outcome.phase.leaves,
-            outcome.phase.changes,
-            outcome.duration * 1e3,
-            outcome.packets,
+            phase.name,
+            phase.joins,
+            phase.leaves,
+            phase.changes,
+            duration * 1e3,
+            measurement.packets,
         )
-        for outcome in result.outcomes
+        for phase, duration, measurement in result.phase_rows()
     ]
     phase_table = format_table(phase_headers, phase_rows)
 

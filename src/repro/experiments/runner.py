@@ -22,12 +22,10 @@ with the hand-built teaching topologies), and the baseline protocols through
 workloads this way).
 """
 
-from repro.core.actions import schedule_actions
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
 from repro.network.transit_stub import LAN
 from repro.simulator.tracing import NullPacketTracer, PacketTracer
-from repro.workloads.dynamics import apply_phase
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import NetworkScenario
 from repro.workloads.stochastic import make_workload
@@ -204,14 +202,10 @@ class ExperimentRunner(object):
         spec: the :class:`ScenarioSpec` to realise.
         generator_seed: seed of the :class:`~repro.workloads.generator.WorkloadGenerator`
             (defaults to ``spec.seed``).
-        progress: optional callable invoked with every
-            :class:`~repro.workloads.dynamics.PhaseOutcome` produced by
-            :meth:`run_phase` / :meth:`run_phases`.
     """
 
-    def __init__(self, spec, generator_seed=None, progress=None):
+    def __init__(self, spec, generator_seed=None):
         self.spec = spec
-        self.progress = progress
         self.network = spec.build_network()
         self.tracer = spec.build_tracer()
         self.protocol = spec.build_protocol(self.network, self.tracer)
@@ -260,7 +254,7 @@ class ExperimentRunner(object):
         rejects leaves ``active_ids`` unchanged.
         """
         actions = list(actions)
-        result = schedule_actions(self.protocol, actions)
+        result = self.protocol.apply_actions(actions)
         joined = [action.session_id for action in actions if action.kind == "join"]
         left = {action.session_id for action in actions if action.kind == "leave"}
         self.active_ids = [
@@ -269,7 +263,7 @@ class ExperimentRunner(object):
         return result
 
     def run_scenario(self, workload=None, **parameters):
-        """Drive a stochastic workload end to end; returns the measurements.
+        """Drive a workload end to end; returns the measurements.
 
         ``workload`` (default: the spec's ``workload``) resolves through
         :func:`repro.workloads.stochastic.make_workload`; extra keyword
@@ -298,46 +292,6 @@ class ExperimentRunner(object):
                 )
             measurements.append(measurement)
         return measurements
-
-    def run_phase(self, phase, start_time=None, demand_sampler=None,
-                  change_demand_sampler=None, run_to_quiescence=True):
-        """Apply one churn phase, maintain membership, and report its outcome."""
-        outcome = apply_phase(
-            self.protocol,
-            self.generator,
-            phase,
-            self.active_ids,
-            start_time=start_time,
-            demand_sampler=demand_sampler,
-            change_demand_sampler=change_demand_sampler,
-            run_to_quiescence=run_to_quiescence,
-        )
-        removed = set(outcome.left_ids)
-        self.active_ids = [
-            session_id for session_id in self.active_ids if session_id not in removed
-        ] + outcome.joined_ids
-        if self.progress is not None:
-            self.progress(outcome)
-        return outcome
-
-    def run_phases(self, phases, demand_sampler=None, inter_phase_gap=0.0):
-        """Run consecutive churn phases, each to quiescence; returns the outcomes.
-
-        The first phase starts at the simulator's current time (so phases
-        scheduled after an earlier checkpoint are real future schedules,
-        rather than relying on past-dated API calls executing immediately);
-        each subsequent phase starts at the previous phase's observed
-        quiescence time plus ``inter_phase_gap``.
-        """
-        outcomes = []
-        start_time = self.protocol.simulator.now
-        for phase in phases:
-            outcome = self.run_phase(
-                phase, start_time=start_time, demand_sampler=demand_sampler
-            )
-            outcomes.append(outcome)
-            start_time = outcome.quiescence_time + inter_phase_gap
-        return outcomes
 
     # ------------------------------------------------------------------ driving
 

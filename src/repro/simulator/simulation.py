@@ -32,10 +32,10 @@ session receives within one instant, its application sees a single batched
 callback carrying the final value (see
 :meth:`repro.core.protocol.BNeckProtocol.notify_rate`).
 
-A run that returns mid-instant (via :meth:`Simulator.stop`) leaves the
-instant incomplete: its deferred callbacks stay queued and run when a later
-``run`` call finishes the instant.  Runs that end because the queue drained
-or a time horizon was crossed always flush first.
+A run ends only when the queue drains or a time horizon is crossed, and it
+flushes the instant first; so after a run no deferred callback is pending.
+Only :meth:`Simulator.step`, which executes a single unit of work, can leave
+an instant half done.
 
 Out-of-band work
 ----------------
@@ -70,11 +70,9 @@ class Simulator(object):
         self.queue = EventQueue()
         self.now = 0.0
         self._events_processed = 0
-        self._running = False
         self._instant_callbacks = []
         self.max_events = max_events
         self.max_time = max_time
-        self._stop_requested = False
 
     # ------------------------------------------------------------------ clock
 
@@ -92,8 +90,8 @@ class Simulator(object):
     def pending_instant_callbacks(self):
         """Number of end-of-instant callbacks not yet flushed.
 
-        Non-zero only while a run is mid-instant (or after a run was stopped
-        mid-instant); quiescent simulators always report 0.
+        Non-zero only while an instant is unfinished: inside a run, or after
+        :meth:`step` executed part of one.
         """
         return len(self._instant_callbacks)
 
@@ -127,10 +125,6 @@ class Simulator(object):
     def cancel(self, event):
         """Cancel a previously scheduled event."""
         self.queue.cancel(event)
-
-    def stop(self):
-        """Request that the current :meth:`run` call returns before the next event."""
-        self._stop_requested = True
 
     # ---------------------------------------------------------------- running
 
@@ -179,15 +173,10 @@ class Simulator(object):
         Returns:
             The simulation time at which the run stopped.
         """
-        self._running = True
-        self._stop_requested = False
-        try:
-            if until is None and self._unconstrained():
-                self._drain_fast()
-            else:
-                self._run_general(until)
-        finally:
-            self._running = False
+        if until is None and self._unconstrained():
+            self._drain_fast()
+        else:
+            self._run_general(until)
         if until is not None and not self.queue and self.now < until:
             # The queue drained before the horizon: advance the clock so
             # repeated run(until=...) calls observe monotonic time.
@@ -197,8 +186,6 @@ class Simulator(object):
     def _run_general(self, until):
         """The fully-featured run loop: horizon and limits."""
         while True:
-            if self._stop_requested:
-                break
             if self._instant_callbacks and self._instant_finished():
                 # The current instant is exhausted: flush its deferred work
                 # before the clock may advance (or the run return).
@@ -213,22 +200,16 @@ class Simulator(object):
             self._check_limits(next_time)
             self.step()
 
-    def _drain_fast(self, check_stop=True):
+    def _drain_fast(self):
         """Drain the queue with no limit checks.
 
         Processes exactly the same events in exactly the same order as the
         general loop; it only skips the per-event limit checks, which are
         no-ops when ``max_events``/``max_time`` are unset.
-
-        Args:
-            check_stop: honour :meth:`stop` between events (:meth:`run`
-                semantics).  :meth:`run_until_quiescent` passes ``False``
-                because it never observed the stop flag, and a stale flag
-                from an earlier stopped ``run`` must not end it early.
         """
         heap = self.queue.heap
         pop_entry = self.queue.pop_entry
-        while not (check_stop and self._stop_requested):
+        while True:
             if self._instant_callbacks and self._instant_finished():
                 self._flush_instant()
                 continue
@@ -251,25 +232,11 @@ class Simulator(object):
         The returned value is the timestamp of the last processed event, i.e.
         the instant at which the network stopped carrying control traffic.
         End-of-instant callbacks do not delay the reported time: they execute
-        at the timestamp of the instant they belong to.
+        at the timestamp of the instant they belong to.  This is :meth:`run`
+        with no horizon: after a drain the clock sits on the last processed
+        event (or is untouched when the queue was already empty).
         """
-        if self._unconstrained():
-            self._drain_fast(check_stop=False)
-            # After a drain the clock sits on the last processed event (or is
-            # untouched when the queue was already empty).
-            return self.now
-        last_event_time = self.now
-        while True:
-            if self._instant_callbacks and self._instant_finished():
-                self._flush_instant()
-                continue
-            next_time = self.queue.peek_time()
-            if next_time is None:
-                break
-            self._check_limits(next_time)
-            self.step()
-            last_event_time = self.now
-        return last_event_time
+        return self.run()
 
     def _check_limits(self, next_time):
         if self.max_events is not None and self._events_processed >= self.max_events:

@@ -8,14 +8,15 @@ provides as reusable building blocks:
 * :mod:`~repro.workloads.generator` -- populations of sessions with random
   endpoints (uniform over stub routers), random demands and random join times
   inside a window;
-* :mod:`~repro.workloads.dynamics` -- phases of joins, leaves and rate changes
-  (the churn patterns of Experiments 2 and 3);
-* :mod:`~repro.workloads.stochastic` -- open-loop stochastic scenarios
-  (Poisson churn, flash crowds, heavy-tailed demand storms, link-capacity
-  dynamics), emitted as action batches that a seed pins exactly.
+* :mod:`~repro.workloads.stochastic` -- workloads emitted as rounds of
+  action batches that a seed pins exactly: Experiment 2's phases of joins,
+  leaves and rate changes, and open-loop stochastic scenarios (Poisson
+  churn, flash crowds, heavy-tailed demand storms, link-capacity dynamics).
+
+Every workload is driven by
+:meth:`repro.experiments.runner.ExperimentRunner.run_scenario`.
 """
 
-from repro.workloads.dynamics import DynamicPhase, PhaseOutcome, apply_phase
 from repro.workloads.generator import (
     SessionSpec,
     WorkloadGenerator,
@@ -32,8 +33,10 @@ from repro.workloads.scenarios import (
 from repro.workloads.stochastic import (
     WORKLOADS,
     CapacityDynamicsWorkload,
+    DynamicPhase,
     FlashCrowdWorkload,
     HeavyTailedDemandWorkload,
+    PhaseChurnWorkload,
     PoissonChurnWorkload,
     StochasticWorkload,
     make_workload,
@@ -49,13 +52,12 @@ __all__ = [
     "HOST_LINK_DELAY",
     "NETWORK_SIZES",
     "NetworkScenario",
-    "PhaseOutcome",
+    "PhaseChurnWorkload",
     "PoissonChurnWorkload",
     "SessionSpec",
     "StochasticWorkload",
     "WORKLOADS",
     "WorkloadGenerator",
-    "apply_phase",
     "build_network",
     "infinite_demand",
     "make_workload",

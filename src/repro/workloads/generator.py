@@ -12,7 +12,7 @@ and returning a maximum requested rate (possibly infinite).
 
 import math
 
-from repro.core.actions import join_action_from_spec, schedule_actions
+from repro.core.actions import join_action_from_spec
 from repro.network.transit_stub import HOST_LINK_CAPACITY, HOST_LINK_DELAY, stub_routers
 from repro.simulator.random_source import RandomSource
 
@@ -141,7 +141,7 @@ class WorkloadGenerator(object):
             join_action_from_spec(spec, self.host_capacity, self.host_delay)
             for spec in specs
         ]
-        return schedule_actions(protocol, actions)
+        return protocol.apply_actions(actions)
 
     def populate(self, protocol, count, join_window=(0.0, 1e-3), demand_sampler=None, prefix="s"):
         """``generate`` + ``install`` in one call; returns ``{session_id: session}``."""
@@ -157,7 +157,7 @@ class WorkloadGenerator(object):
         default -- silently shrinking the sample used to under-report churn.
         Pass ``clamp=True`` for best-effort sampling (the phase machinery does,
         and records the shortfall in
-        :attr:`~repro.workloads.dynamics.PhaseOutcome.shortfalls`).
+        :attr:`~repro.workloads.stochastic.PhaseChurnWorkload.records`).
         """
         session_ids = list(session_ids)
         if count > len(session_ids):
@@ -175,7 +175,7 @@ class WorkloadGenerator(object):
         start, end = window
         if end < start:
             # An inverted window used to emit times *outside* the phase,
-            # which schedule_actions then scheduled in the past.
+            # which apply_actions then scheduled in the past.
             raise ValueError(
                 "random_times window start %r exceeds its end %r; pass the "
                 "window as (start, end) with start <= end" % (start, end)

@@ -1,11 +1,10 @@
-"""Open-loop stochastic scenarios: sustained churn, flash crowds, capacity dynamics.
+"""Workloads as rounds: the paper's phase churn and open-loop stochastic scenarios.
 
-Experiment 2 of the paper only exercises compressed five-phase churn bursts.
-This module opens the scenario-diversity axis with *open-loop* stochastic
-processes -- the workload does not react to protocol state, so an entire
-segment of it can be resolved up front and emitted as plain
-:mod:`repro.core.actions` batches:
+Every workload is resolved into plain :mod:`repro.core.actions` batches:
 
+* :class:`PhaseChurnWorkload` -- the paper's Experiment 2: consecutive
+  phases of churn (mass join, leave, rate change, join, mixed), each
+  compressed into a short window;
 * :class:`PoissonChurnWorkload` -- Poisson session arrivals with
   exponentially distributed holding times (an M/M/∞-style session process);
 * :class:`FlashCrowdWorkload` -- a burst of correlated joins whose
@@ -15,6 +14,9 @@ segment of it can be resolved up front and emitted as plain
 * :class:`CapacityDynamicsWorkload` -- link-capacity degradations and
   recoveries (:class:`~repro.core.actions.CapacityChangeAction`), validated
   against the water-filling oracle at every quiescence point.
+
+The stochastic ones are *open-loop*: the workload does not react to protocol
+state, so an entire segment of it can be resolved up front.
 
 The round contract
 ------------------
@@ -30,12 +32,15 @@ lazily: each one anchors at the simulator clock *after* the previous round
 reached quiescence, so no action of a sustained process of any length is
 dated in the past.
 
-:meth:`repro.experiments.runner.ExperimentRunner.run_scenario` drives a
-workload end to end -- apply a round, run to quiescence, validate against
-the centralized/water-filling oracles, repeat -- and
+:meth:`repro.experiments.runner.ExperimentRunner.run_scenario` is the one
+driver of every workload -- apply a round, run to quiescence, validate
+against the centralized/water-filling oracles, measure, repeat -- and
 ``ScenarioSpec(workload=...)`` names one declaratively (see
 ``docs/workloads.md`` for the authoring guide).
 """
+
+import math
+from collections import namedtuple
 
 from repro.core.actions import (
     CapacityChangeAction,
@@ -141,6 +146,152 @@ class StochasticWorkload(object):
 
     def __repr__(self):
         return "%s(name=%r)" % (type(self).__name__, self.name)
+
+
+class DynamicPhase(object):
+    """One phase of session churn.
+
+    Attributes:
+        name: label used in reports ("join", "leave", "change", "mixed", ...).
+        joins: number of sessions that join during the phase window.
+        leaves: number of active sessions that leave.
+        changes: number of active sessions that change their maximum rate.
+        window: length (seconds) of the burst at the beginning of the phase.
+    """
+
+    def __init__(self, name, joins=0, leaves=0, changes=0, window=1e-3):
+        if min(joins, leaves, changes) < 0:
+            raise ValueError("phase action counts must be non-negative")
+        if window <= 0:
+            raise ValueError("phase window must be positive")
+        self.name = name
+        self.joins = joins
+        self.leaves = leaves
+        self.changes = changes
+        self.window = window
+
+    def total_actions(self):
+        return self.joins + self.leaves + self.changes
+
+    def __repr__(self):
+        return "DynamicPhase(%r, joins=%d, leaves=%d, changes=%d, window=%r)" % (
+            self.name,
+            self.joins,
+            self.leaves,
+            self.changes,
+            self.window,
+        )
+
+
+def DEFAULT_PHASES(initial_sessions, churn_fraction=0.2, window=1e-3):
+    """The paper's five phases, scaled to ``initial_sessions``."""
+    churn = max(1, int(round(initial_sessions * churn_fraction)))
+    return [
+        DynamicPhase("join", joins=initial_sessions, window=window),
+        DynamicPhase("leave", leaves=churn, window=window),
+        DynamicPhase("change", changes=churn, window=window),
+        DynamicPhase("join2", joins=churn, window=window),
+        DynamicPhase("mixed", joins=churn, leaves=churn, changes=churn, window=window),
+    ]
+
+
+def phase_actions(generator, phase, active_ids, start_time, demand_sampler):
+    """Resolve one churn phase into an action batch.
+
+    Consumes the generator's random streams in a fixed order (victim picks,
+    then leave times, then change times, then per-change demands, then join
+    specs), so fixed-seed schedules are bit-identical to earlier releases.
+
+    Returns ``(actions, shortfalls)``: ``actions`` are ordered leaves,
+    changes, joins -- the order they must be applied in -- and
+    ``shortfalls`` records any request the live population could not supply
+    (``{"leaves"|"changes": (requested, applied)}``; empty when every
+    request was met).  Shortfalls are *surfaced*, not fatal: the sample is
+    clamped to the population, but the caller can see how much churn was
+    lost.
+    """
+    window = (start_time, start_time + phase.window)
+    left_ids = (
+        generator.pick_sessions(active_ids, phase.leaves, clamp=True)
+        if phase.leaves
+        else []
+    )
+    left = set(left_ids)
+    remaining = [session_id for session_id in active_ids if session_id not in left]
+    changed_ids = (
+        generator.pick_sessions(remaining, phase.changes, clamp=True)
+        if phase.changes
+        else []
+    )
+    shortfalls = {}
+    if len(left_ids) < phase.leaves:
+        shortfalls["leaves"] = (phase.leaves, len(left_ids))
+    if len(changed_ids) < phase.changes:
+        shortfalls["changes"] = (phase.changes, len(changed_ids))
+
+    actions = []
+    for session_id, when in zip(left_ids, generator.random_times(len(left_ids), window)):
+        actions.append(LeaveAction(session_id, when))
+    for session_id, when in zip(changed_ids, generator.random_times(len(changed_ids), window)):
+        new_demand = generator.random_demand(demand_sampler)
+        if math.isinf(new_demand):
+            new_demand = generator.host_capacity
+        actions.append(ChangeAction(session_id, new_demand, when))
+    if phase.joins:
+        specs = generator.generate(
+            phase.joins,
+            join_window=window,
+            demand_sampler=demand_sampler,
+            prefix="%s-" % phase.name,
+        )
+        for spec in specs:
+            actions.append(
+                join_action_from_spec(spec, generator.host_capacity, generator.host_delay)
+            )
+    return actions, shortfalls
+
+
+#: What one phase of a :class:`PhaseChurnWorkload` run started at and lost.
+PhaseRecord = namedtuple("PhaseRecord", ("phase", "start_time", "shortfalls"))
+
+
+@register_workload
+class PhaseChurnWorkload(StochasticWorkload):
+    """The paper's Experiment 2: consecutive phases of churn, one per round.
+
+    Each :class:`DynamicPhase` becomes one round whose leaves, changes and
+    joins all fall inside its ``window``.  The first phase starts at the
+    simulator clock, each later one ``gap`` seconds after the previous
+    phase's quiescence.  Leaves and changes pick their victims among
+    ``runner.active_ids``.  New sessions are named ``"<phase>-<n>"``.
+
+    ``records`` holds one :data:`PhaseRecord` per phase of the latest run
+    (its start time and its shortfalls, see :func:`phase_actions`); each
+    call of :meth:`rounds` starts it afresh.  By default the phases are the
+    paper's five, sized for the Small topology, and demands are uniform in
+    ``[1, 80]`` Mb/s.
+    """
+
+    name = "phase-churn"
+
+    def __init__(self, phases=None, demand_sampler=None, gap=1e-3):
+        self.phases = DEFAULT_PHASES(40) if phases is None else list(phases)
+        self.demand_sampler = (
+            uniform_demand(1e6, 80e6) if demand_sampler is None else demand_sampler
+        )
+        self.gap = gap
+        self.records = []
+
+    def rounds(self, runner):
+        simulator = runner.protocol.simulator
+        self.records = []
+        for phase in self.phases:
+            start = simulator.now + self.gap if self.records else simulator.now
+            actions, shortfalls = phase_actions(
+                runner.generator, phase, runner.active_ids, start, self.demand_sampler
+            )
+            self.records.append(PhaseRecord(phase, start, shortfalls))
+            yield ("%s %s" % (self.name, phase.name), actions)
 
 
 @register_workload

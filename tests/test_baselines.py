@@ -1,16 +1,19 @@
 """Tests for the non-quiescent baseline protocols (BFYZ, CG, RCP)."""
 
+import math
+
 import pytest
 
 from repro.baselines.bfyz import BFYZProtocol, ConsistentMarkingController
 from repro.baselines.cg import CGProtocol, ConstantStateController
 from repro.baselines.rcp import RCPLinkController, RCPProtocol
+from repro.core.actions import JoinAction, LeaveAction
 from repro.core.centralized import centralized_bneck
 from repro.fairness.algebra import FloatAlgebra
 from repro.network.graph import Link
 from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
-from repro.simulator.clock import milliseconds
+from repro.simulator.clock import microseconds, milliseconds
 from tests.conftest import attach_endpoints
 
 
@@ -166,6 +169,19 @@ class TestBaselineProtocols(object):
         open_session(protocol, "r0", "r1", "capped", demand=10 * MBPS)
         protocol.run(until=milliseconds(60))
         assert protocol.current_allocation().rate("capped") <= 10 * MBPS * 1.001
+
+    def test_a_nan_time_batch_is_rejected_whole(self, protocol_class):
+        network = single_link_topology(capacity=100 * MBPS)
+        protocol = make_protocol(protocol_class, network)
+        batch = [
+            JoinAction("j", "r0", "r1", 10 * MBPS, 1e-3, 1000 * MBPS, microseconds(1)),
+            LeaveAction("j", math.nan),
+        ]
+        with pytest.raises(ValueError, match="finite absolute time"):
+            protocol.apply_actions(batch)
+        assert protocol.simulator.pending_events == 0
+        assert network.hosts() == []
+        assert len(protocol.registry) == 0
 
     def test_change_updates_demand(self, protocol_class):
         network = single_link_topology(capacity=100 * MBPS)

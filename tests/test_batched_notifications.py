@@ -9,8 +9,8 @@ Pinned guarantees:
 * ``last_notified_rate`` stays synchronously up to date with every
   ``notify_rate`` call, ahead of the coalesced delivery.
 * Delivery is out-of-band work of the simulator: it is not an event, never
-  moves the quiescence time, never trips a safety cap, and a run that stops
-  mid-instant holds it until a later run finishes the instant.
+  moves the quiescence time, never trips a safety cap, and a run returns only
+  after the delivery of its last instant.
 """
 
 import pytest
@@ -160,19 +160,3 @@ class TestDeliveryIsOutOfBand(object):
         assert [(n.time, n.rate) for n in replayed.notifications] == [
             (n.time, n.rate) for n in application.notifications
         ]
-
-    def test_stopped_run_holds_the_delivery_until_the_instant_ends(self):
-        protocol, application = self._quiescent_session()
-        baseline = application.notification_count
-
-        def update_and_stop():
-            protocol.notify_rate("a", 10 * MBPS)
-            protocol.simulator.stop()
-
-        protocol.simulator.schedule(1e-3, update_and_stop)
-        protocol.run()
-        assert protocol.last_notified_rate("a") == 10 * MBPS
-        assert application.notification_count == baseline
-        protocol.run_until_quiescent()
-        assert application.notification_count == baseline + 1
-        assert application.current_rate == 10 * MBPS

@@ -80,7 +80,8 @@ def test_stochastic_churn_capacity_dynamics(capsys):
 
 @pytest.mark.parametrize("delay_model", ["lan", "wan"])
 @pytest.mark.parametrize(
-    "workload", ["capacity-dynamics", "flash-crowd", "heavy-tailed-demand", "poisson-churn"]
+    "workload",
+    ["capacity-dynamics", "flash-crowd", "heavy-tailed-demand", "phase-churn", "poisson-churn"],
 )
 def test_stochastic_churn_every_workload_validates(capsys, workload, delay_model):
     module = load_example("stochastic_churn")

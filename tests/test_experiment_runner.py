@@ -7,8 +7,8 @@ from repro.experiments.runner import ExperimentRunner, RunMeasurement, ScenarioS
 from repro.network.topology import parking_lot_topology
 from repro.network.units import MBPS
 from repro.simulator.tracing import NullPacketTracer, PacketTracer
-from repro.workloads.dynamics import DynamicPhase
 from repro.workloads.scenarios import NetworkScenario
+from repro.workloads.stochastic import DynamicPhase, PhaseChurnWorkload
 
 
 class TestScenarioSpec(object):
@@ -100,21 +100,27 @@ class TestExperimentRunner(object):
         assert second.total_packets == first.total_packets + second.packets
         assert second.description == "second wave"
 
-    def test_run_phases_maintains_membership(self):
-        outcomes_seen = []
-        runner = ExperimentRunner(
-            ScenarioSpec(size="small", seed=5), progress=outcomes_seen.append
+    def test_phase_churn_maintains_membership(self):
+        runner = ExperimentRunner(ScenarioSpec(size="small", seed=5))
+        workload = PhaseChurnWorkload(
+            [
+                DynamicPhase("join", joins=12),
+                DynamicPhase("leave", leaves=4),
+                DynamicPhase("mixed", joins=3, leaves=2, changes=2),
+            ],
+            gap=1e-3,
         )
-        phases = [
-            DynamicPhase("join", joins=12),
-            DynamicPhase("leave", leaves=4),
-            DynamicPhase("mixed", joins=3, leaves=2, changes=2),
+        measurements = runner.run_scenario(workload)
+        assert [record.phase.name for record in workload.records] == [
+            "join", "leave", "mixed"
         ]
-        outcomes = runner.run_phases(phases, inter_phase_gap=1e-3)
-        assert [outcome.phase.name for outcome in outcomes] == ["join", "leave", "mixed"]
-        assert outcomes_seen == outcomes
+        assert [m.description for m in measurements] == [
+            "phase-churn join", "phase-churn leave", "phase-churn mixed"
+        ]
         assert len(runner.active_ids) == 12 - 4 + 3 - 2
-        assert outcomes[-1].active_after == len(runner.active_ids)
+        assert set(runner.active_ids) == {
+            session.session_id for session in runner.protocol.active_sessions()
+        }
         assert runner.validate()
 
     def test_validate_skipped_when_spec_says_so(self):

@@ -11,6 +11,7 @@ from repro.experiments.metrics import (
     error_summary,
     relative_errors,
 )
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.reporting import (
     format_experiment1_table,
     format_experiment2_table,
@@ -170,6 +171,36 @@ class TestExperiment3(object):
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):
             Experiment3Config(protocols=("bneck", "mystery"))
+
+    def test_leavers_drop_out_of_the_runner_membership(self, monkeypatch):
+        """The leaves go through ``ExperimentRunner.apply_actions``, so the
+        runner's ``active_ids`` follow them on every protocol."""
+        import repro.experiments.experiment3 as experiment3
+
+        runners = []
+
+        class RecordingRunner(ExperimentRunner):
+            def close(self):
+                runners.append(self)
+
+        monkeypatch.setattr(experiment3, "ExperimentRunner", RecordingRunner)
+        config = Experiment3Config(
+            size="small",
+            initial_sessions=12,
+            leave_count=3,
+            churn_window=2e-3,
+            sample_interval=3e-3,
+            horizon=6e-3,
+            protocols=("bneck", "bfyz"),
+            seed=6,
+        )
+        run_experiment3(config)
+        assert len(runners) == 2
+        for runner in runners:
+            assert len(runner.active_ids) == 12 - 3
+            assert set(runner.active_ids) == {
+                session.session_id for session in runner.protocol.active_sessions()
+            }
 
 
 class TestReporting(object):

@@ -32,9 +32,9 @@ import pytest
 from repro.core.protocol import BNeckProtocol
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.simulator.tracing import PacketTracer
-from repro.workloads.dynamics import DynamicPhase
 from repro.workloads.generator import WorkloadGenerator, uniform_demand
 from repro.workloads.scenarios import NetworkScenario
+from repro.workloads.stochastic import DynamicPhase, PhaseChurnWorkload
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -91,15 +91,14 @@ def _five_phase_churn(key, knobs):
         DynamicPhase("join2", joins=churn),
         DynamicPhase("mixed", joins=churn, leaves=churn, changes=churn),
     ]
+    workload = PhaseChurnWorkload(phases, uniform_demand(1e6, 80e6), gap=1e-3)
     with ExperimentRunner(spec, generator_seed=seed) as runner:
-        outcomes = runner.run_phases(
-            phases, demand_sampler=uniform_demand(1e6, 80e6), inter_phase_gap=1e-3
-        )
-        assert runner.checkpoint("after churn").validated
+        measurements = runner.run_scenario(workload)
+        assert all(m.validated for m in measurements)
         protocol = runner.protocol
         return protocol, {
-            "phase_quiescence": [repr(o.quiescence_time) for o in outcomes],
-            "phase_packets": [o.packets for o in outcomes],
+            "phase_quiescence": [repr(m.quiescence_time) for m in measurements],
+            "phase_packets": [m.packets for m in measurements],
             "packets": protocol.tracer.total,
             "by_type": dict(protocol.tracer.by_type),
             "events": protocol.simulator.events_processed,

@@ -84,15 +84,16 @@ class TestMultiPhaseChurnDeterminism(object):
     Phase N+1 is scheduled only after phase N's *observed* quiescence time.
     The run must reproduce the committed per-phase quiescence times,
     per-phase packet deltas, packet and event totals, ``API.Rate`` callback
-    count and final allocation bit-exactly.
+    count and final allocation bit-exactly.  Every phase is validated at its
+    own quiescence point.
     """
 
     CHURN_KEY = "churn-medium-lan-s5-n60"
 
     def _run_churn(self):
         from repro.experiments.runner import ExperimentRunner, ScenarioSpec
-        from repro.workloads.dynamics import DynamicPhase
         from repro.workloads.generator import uniform_demand
+        from repro.workloads.stochastic import DynamicPhase, PhaseChurnWorkload
 
         _name, size, delay, seed, count = self.CHURN_KEY.split("-")
         seed = int(seed[1:])
@@ -107,21 +108,16 @@ class TestMultiPhaseChurnDeterminism(object):
             DynamicPhase("join2", joins=churn),
             DynamicPhase("mixed", joins=churn, leaves=churn, changes=churn),
         ]
-        outcomes = runner.run_phases(
-            phases,
-            demand_sampler=uniform_demand(1e6, 80e6),
-            inter_phase_gap=1e-3,
-        )
-        final = runner.checkpoint("after churn")
-        return runner, outcomes, final
+        workload = PhaseChurnWorkload(phases, uniform_demand(1e6, 80e6), gap=1e-3)
+        return runner, runner.run_scenario(workload)
 
     def test_churn_reproduces_the_golden(self):
         golden = CROSS_ENGINE_GOLDENS[self.CHURN_KEY]["sequential"]
-        runner, outcomes, final = self._run_churn()
+        runner, measurements = self._run_churn()
         protocol = runner.protocol
-        assert final.validated
-        assert [repr(o.quiescence_time) for o in outcomes] == golden["phase_quiescence"]
-        assert [o.packets for o in outcomes] == golden["phase_packets"]
+        assert all(m.validated for m in measurements)
+        assert [repr(m.quiescence_time) for m in measurements] == golden["phase_quiescence"]
+        assert [m.packets for m in measurements] == golden["phase_packets"]
         assert protocol.tracer.total == golden["packets"]
         assert protocol.simulator.events_processed == golden["events"]
         assert dict(protocol.tracer.by_type) == golden["by_type"]

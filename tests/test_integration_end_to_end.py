@@ -12,12 +12,13 @@ import pytest
 from repro.core.protocol import BNeckProtocol
 from repro.core.quiescence import check_stability
 from repro.core.validation import validate_against_oracle
+from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.transit_stub import LAN, WAN
 from repro.network.units import MBPS
 from repro.simulator.tracing import PacketTracer
-from repro.workloads.dynamics import DynamicPhase, apply_phase
 from repro.workloads.generator import WorkloadGenerator, mixed_demand, uniform_demand
 from repro.workloads.scenarios import build_network
+from repro.workloads.stochastic import DynamicPhase, PhaseChurnWorkload
 
 
 @pytest.mark.parametrize("delay_model", [LAN, WAN])
@@ -47,11 +48,6 @@ def test_mass_arrival_on_small_transit_stub(delay_model):
 
 
 def test_five_phase_churn_on_small_network_stays_correct():
-    network = build_network("small", LAN, seed=43)
-    protocol = BNeckProtocol(network)
-    generator = WorkloadGenerator(network, seed=43)
-    demand_sampler = uniform_demand(1 * MBPS, 80 * MBPS)
-
     phases = [
         DynamicPhase("join", joins=60),
         DynamicPhase("leave", leaves=12),
@@ -59,29 +55,22 @@ def test_five_phase_churn_on_small_network_stays_correct():
         DynamicPhase("join2", joins=12),
         DynamicPhase("mixed", joins=12, leaves=12, changes=12),
     ]
-    active_ids = []
-    start_time = 0.0
+    workload = PhaseChurnWorkload(phases, uniform_demand(1 * MBPS, 80 * MBPS), gap=1e-3)
     expected_active = 0
-    for phase in phases:
-        outcome = apply_phase(
-            protocol,
-            generator,
-            phase,
-            active_ids,
-            start_time=start_time,
-            demand_sampler=demand_sampler,
-        )
-        removed = set(outcome.left_ids)
-        active_ids = [sid for sid in active_ids if sid not in removed] + outcome.joined_ids
-        expected_active = expected_active - len(outcome.left_ids) + len(outcome.joined_ids)
+    with ExperimentRunner(ScenarioSpec(size="small", delay_model=LAN, seed=43)) as runner:
+        protocol = runner.protocol
+        for label, actions in workload.rounds(runner):
+            runner.apply_actions(actions)
+            runner.checkpoint(label)
+            kinds = [action.kind for action in actions]
+            expected_active = expected_active - kinds.count("leave") + kinds.count("join")
 
-        # After every single phase the protocol is quiescent, stable and
-        # exactly max-min fair for the surviving configuration.
-        assert protocol.quiescent
-        assert check_stability(protocol).stable
-        assert validate_against_oracle(protocol).valid
-        assert len(protocol.registry) == expected_active
-        start_time = outcome.quiescence_time + 1e-3
+            # After every single phase the protocol is quiescent, stable and
+            # exactly max-min fair for the surviving configuration.
+            assert protocol.quiescent
+            assert check_stability(protocol).stable
+            assert validate_against_oracle(protocol).valid
+            assert len(protocol.registry) == expected_active
 
     # 60 join, 12 leave, 12 change (no membership effect), 12 join, then a
     # mixed phase joining and leaving 12 each: 60 sessions remain.

@@ -71,20 +71,6 @@ def test_schedule_at_absolute_time(simulator):
     assert fired == [2.5]
 
 
-def test_stop_request_halts_run(simulator):
-    fired = []
-
-    def fire_and_stop():
-        fired.append("stopped-here")
-        simulator.stop()
-
-    simulator.schedule(0.1, fire_and_stop)
-    simulator.schedule(0.2, lambda: fired.append("never"))
-    simulator.run()
-    assert fired == ["stopped-here"]
-    assert simulator.pending_events == 1
-
-
 def test_cancelled_events_do_not_fire(simulator):
     fired = []
     event = simulator.schedule(0.5, lambda: fired.append("cancelled"))
@@ -279,44 +265,6 @@ def test_step_completes_the_instant_before_advancing(simulator):
 def test_instant_flush_is_not_an_event(simulator):
     simulator.schedule(1.0, lambda: simulator.call_at_instant_end(lambda: None))
     simulator.run_until_quiescent()
-    assert simulator.events_processed == 1
-    assert simulator.now == 1.0
-
-
-def test_stopped_run_leaves_the_instant_incomplete(simulator):
-    # stop() mid-instant pauses the run: the rest of the instant and its
-    # deferred work wait for the next run, which finishes them in order.
-    fired = []
-
-    def first():
-        fired.append("first")
-        simulator.call_at_instant_end(lambda: fired.append("deferred"))
-        simulator.stop()
-
-    simulator.schedule(1.0, first)
-    simulator.schedule(1.0, lambda: fired.append("second"))
-    simulator.run()
-    assert fired == ["first"]
-    assert simulator.pending_instant_callbacks == 1
-    simulator.run_until_quiescent()
-    assert fired == ["first", "second", "deferred"]
-    assert simulator.pending_instant_callbacks == 0
-
-
-def test_stop_on_the_last_event_still_defers_the_flush(simulator):
-    fired = []
-
-    def last():
-        simulator.call_at_instant_end(lambda: fired.append("deferred"))
-        simulator.stop()
-
-    simulator.schedule(1.0, last)
-    simulator.run()
-    assert fired == []
-    assert simulator.pending_events == 0
-    assert simulator.pending_instant_callbacks == 1
-    simulator.run()
-    assert fired == ["deferred"]
     assert simulator.events_processed == 1
     assert simulator.now == 1.0
 

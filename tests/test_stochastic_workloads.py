@@ -19,7 +19,7 @@ Five families of guarantees:
 * **Workload-generator validation** (regressions): ``pick_sessions`` no
   longer silently clamps, ``random_times`` rejects inverted windows, and a
   phase asking for more churn than the live population records the shortfall
-  in :attr:`~repro.workloads.dynamics.PhaseOutcome.shortfalls`.
+  in :attr:`~repro.workloads.stochastic.PhaseChurnWorkload.records`.
 * **Runner lifecycle**: ``ExperimentRunner`` is a context manager that closes
   the runner even when the body raises.
 """
@@ -47,12 +47,11 @@ from repro.network.graph import Network
 from repro.network.topology import parking_lot_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
-from repro.workloads.dynamics import DynamicPhase, apply_phase
-from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.scenarios import build_network
 from repro.workloads.stochastic import (
     WORKLOADS,
     CapacityDynamicsWorkload,
+    DynamicPhase,
+    PhaseChurnWorkload,
     PoissonChurnWorkload,
     StochasticWorkload,
     destination_subtrees,
@@ -411,35 +410,38 @@ class TestPhaseShortfallReporting(object):
         with self._runner() as runner:
             runner.populate(4, join_window=(0.0, 1e-3))
             runner.checkpoint("join")
-            outcome = runner.run_phase(DynamicPhase("purge", leaves=10, changes=2))
+            workload = PhaseChurnWorkload([DynamicPhase("purge", leaves=10, changes=2)])
+            (measurement,) = runner.run_scenario(workload)
+            (record,) = workload.records
             # Only 4 sessions were alive: the shortfall is surfaced, not
             # silently clamped away (the historical bug).
-            assert outcome.shortfalls["leaves"] == (10, 4)
-            assert len(outcome.left_ids) == 4
+            assert record.shortfalls["leaves"] == (10, 4)
             # All sessions left before the change sample was drawn.
-            assert outcome.shortfalls["changes"] == (2, 0)
-            assert outcome.active_after == 0
+            assert record.shortfalls["changes"] == (2, 0)
+            assert runner.active_ids == []
+            assert measurement.validated
 
     def test_satisfiable_phase_reports_no_shortfall(self):
         with self._runner() as runner:
             runner.populate(6, join_window=(0.0, 1e-3))
             runner.checkpoint("join")
-            outcome = runner.run_phase(DynamicPhase("churn", leaves=2, changes=2))
-            assert outcome.shortfalls == {}
+            workload = PhaseChurnWorkload([DynamicPhase("churn", leaves=2, changes=2)])
+            runner.run_scenario(workload)
+            assert [record.shortfalls for record in workload.records] == [{}]
 
-    def test_apply_phase_on_bare_protocol_also_reports(self):
-        network = build_network("small", "lan", seed=2)
-        protocol = BNeckProtocol(network)
-        generator = WorkloadGenerator(network, seed=2)
-        generator.populate(protocol, 3, join_window=(0.0, 1e-3))
-        protocol.run_until_quiescent()
-        outcome = apply_phase(
-            protocol,
-            generator,
-            DynamicPhase("leave", leaves=5),
-            ["s1", "s2", "s3"],
+    def test_each_phase_keeps_its_own_shortfall(self):
+        """A later phase's overdraw is recorded on that phase only, and a
+        fresh run of the same workload starts its records afresh."""
+        workload = PhaseChurnWorkload(
+            [DynamicPhase("join", joins=3), DynamicPhase("leave", leaves=5)]
         )
-        assert outcome.shortfalls == {"leaves": (5, 3)}
+        for _ in range(2):
+            with self._runner(seed=2) as runner:
+                runner.run_scenario(workload)
+                assert [record.shortfalls for record in workload.records] == [
+                    {}, {"leaves": (5, 3)}
+                ]
+                assert runner.active_ids == []
 
 
 class TestRunnerContextManager(object):

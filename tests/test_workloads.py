@@ -1,4 +1,4 @@
-"""Tests for the workload generation package (scenarios, generator, dynamics)."""
+"""Tests for the workload generation package (scenarios, generator, phase churn)."""
 
 import math
 
@@ -6,9 +6,9 @@ import pytest
 
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
+from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.transit_stub import LAN, WAN
 from repro.network.units import MBPS
-from repro.workloads.dynamics import DynamicPhase, apply_phase
 from repro.workloads.generator import (
     WorkloadGenerator,
     infinite_demand,
@@ -16,6 +16,7 @@ from repro.workloads.generator import (
     uniform_demand,
 )
 from repro.workloads.scenarios import NETWORK_SIZES, NetworkScenario, build_network
+from repro.workloads.stochastic import DynamicPhase, PhaseChurnWorkload
 from repro.simulator.random_source import RandomSource
 
 
@@ -149,51 +150,39 @@ class TestDynamicPhases(object):
         assert phase.total_actions() == 6
 
     def test_apply_join_phase(self):
-        network = build_network("small", LAN, seed=9)
-        generator = WorkloadGenerator(network, seed=9)
-        protocol = BNeckProtocol(network)
-        outcome = apply_phase(
-            protocol, generator, DynamicPhase("join", joins=20), active_ids=[]
-        )
-        assert len(outcome.joined_ids) == 20
-        assert outcome.active_after == 20
-        assert outcome.duration > 0
-        assert outcome.packets > 0
-        assert protocol.quiescent
-        assert validate_against_oracle(protocol).valid
+        workload = PhaseChurnWorkload([DynamicPhase("join", joins=20)], infinite_demand())
+        with ExperimentRunner(ScenarioSpec(size="small", delay_model=LAN, seed=9)) as runner:
+            (measurement,) = runner.run_scenario(workload)
+            protocol = runner.protocol
+            assert len(runner.active_ids) == 20
+            assert measurement.quiescence_time - workload.records[0].start_time > 0
+            assert measurement.packets > 0
+            assert protocol.quiescent
+            assert validate_against_oracle(protocol).valid
 
     def test_apply_leave_and_change_phase(self):
-        network = build_network("small", LAN, seed=10)
-        generator = WorkloadGenerator(network, seed=10)
-        protocol = BNeckProtocol(network)
-        first = apply_phase(protocol, generator, DynamicPhase("join", joins=20), active_ids=[])
-        active = first.joined_ids
-        mixed = apply_phase(
-            protocol,
-            generator,
-            DynamicPhase("mixed", joins=5, leaves=5, changes=5),
-            active_ids=active,
-            demand_sampler=uniform_demand(1 * MBPS, 50 * MBPS),
-            start_time=protocol.simulator.now + 1e-3,
+        workload = PhaseChurnWorkload(
+            [
+                DynamicPhase("join", joins=20),
+                DynamicPhase("mixed", joins=5, leaves=5, changes=5),
+            ],
+            uniform_demand(1 * MBPS, 50 * MBPS),
         )
-        assert len(mixed.left_ids) == 5
-        assert len(mixed.changed_ids) == 5
-        assert len(mixed.joined_ids) == 5
-        assert mixed.active_after == 20
-        assert set(mixed.left_ids) & set(mixed.changed_ids) == set()
-        assert len(protocol.registry) == 20
-        assert validate_against_oracle(protocol).valid
-
-    def test_phase_without_running_to_quiescence(self):
-        network = build_network("small", LAN, seed=11)
-        generator = WorkloadGenerator(network, seed=11)
-        protocol = BNeckProtocol(network)
-        outcome = apply_phase(
-            protocol,
-            generator,
-            DynamicPhase("join", joins=5),
-            active_ids=[],
-            run_to_quiescence=False,
-        )
-        assert outcome.quiescence_time == outcome.start_time
-        assert protocol.simulator.pending_events > 0
+        with ExperimentRunner(ScenarioSpec(size="small", delay_model=LAN, seed=10)) as runner:
+            batches = []
+            for label, actions in workload.rounds(runner):
+                batches.append(actions)
+                runner.apply_actions(actions)
+                assert runner.checkpoint(label).validated
+            protocol = runner.protocol
+            ids = {
+                kind: {action.session_id for action in batches[1] if action.kind == kind}
+                for kind in ("leave", "change", "join")
+            }
+            assert len(ids["leave"]) == 5
+            assert len(ids["change"]) == 5
+            assert len(ids["join"]) == 5
+            assert len(runner.active_ids) == 20
+            assert ids["leave"] & ids["change"] == set()
+            assert len(protocol.registry) == 20
+            assert validate_against_oracle(protocol).valid
