@@ -26,7 +26,7 @@ from repro.core.actions import replay_actions, validate_actions
 from repro.fairness.algebra import default_algebra
 from repro.fairness.allocation import RateAllocation
 from repro.network.routing import PathComputer, path_links
-from repro.network.session import Session, SessionRegistry
+from repro.network.session import Session, SessionRegistry, check_demand
 from repro.simulator.simulation import Simulator
 from repro.simulator.tracing import NullPacketTracer, PacketTracer
 
@@ -166,6 +166,9 @@ class BaselineProtocol(object):
         """Activate a session and start its periodic probe loop."""
         if session.session_id in self._sessions:
             raise ValueError("session %r already joined" % session.session_id)
+        if at is not None and not at < math.inf:
+            # Same refusal as BNeckProtocol.join: before registering anything.
+            raise ValueError("session %r cannot join at %r" % (session.session_id, at))
         self._sessions[session.session_id] = session
 
         def activate():
@@ -197,6 +200,7 @@ class BaselineProtocol(object):
 
     def change(self, session_id, requested_rate, at=None):
         """Change a session's maximum requested rate."""
+        check_demand(requested_rate, "session %r" % (session_id,))
 
         def apply_change():
             session = self._sessions[session_id]

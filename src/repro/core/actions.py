@@ -28,6 +28,8 @@ whole batch with :func:`validate_actions` before it replays any of it through
 
 import math
 
+from repro.network.session import check_demand
+
 
 class JoinAction(object):
     """``API.Join`` of a new session, with its host attachments.
@@ -195,7 +197,9 @@ def validate_actions(actions):
 
     Every action must carry a concrete absolute time: ``at=None`` (meaning
     "right now") is resolved *before* an action is built, so a batch means
-    the same schedule whenever it is replayed.
+    the same schedule whenever it is replayed.  Every join and change must
+    carry a positive (possibly infinite) demand, and every capacity change a
+    positive finite capacity.
     """
     for action in actions:
         if action.kind not in ("join", "leave", "change", "capacity"):
@@ -207,6 +211,8 @@ def validate_actions(actions):
             raise ValueError(
                 "action %r needs a finite absolute time, got %r" % (action, at)
             )
+        if action.kind in ("join", "change"):
+            check_demand(action.demand, "action %r" % (action,))
         if action.kind == "capacity" and not (
             action.capacity > 0 and math.isfinite(action.capacity)
         ):

@@ -10,7 +10,7 @@ network and a discrete-event simulator:
 * it routes packets hop by hop along session paths (downstream) and reverse
   paths (upstream), applying each link's control-packet delay and accounting
   every transmission in a :class:`~repro.simulator.tracing.PacketTracer`;
-  each hop is one bare entry on the simulator's queue whose callback is the
+  each hop is one entry on the simulator's event heap whose callback is the
   receiving task's handler for the packet;
 * it exposes the session API (``join`` / ``leave`` / ``change``), delivers
   every ``API.Rate`` notification, and provides quiescence and allocation
@@ -47,9 +47,8 @@ from repro.core.router_link import RouterLinkTask
 from repro.core.source_node import SourceNodeTask
 from repro.fairness.allocation import RateAllocation
 from repro.network.routing import PathComputer, path_links
-from repro.network.session import Session, SessionRegistry
-from repro.simulator.event_queue import ENTRY_TAG
-from repro.simulator.simulation import Simulator
+from repro.network.session import Session, SessionRegistry, check_demand
+from repro.simulator.simulation import ENTRY_TAG, Simulator
 from repro.simulator.tracing import NullPacketTracer, PacketTracer
 
 DOWNSTREAM = "downstream"
@@ -91,12 +90,12 @@ class BNeckProtocol(object):
     :func:`_wire_stage` stores both once per stage, so a hop resolves no
     link.  The ``forward_*`` method does the whole send: it looks the
     packet's handler up in the target's ``delivery`` table, records the
-    packet when tracing, and pushes one bare ``(time, sequence, callback,
-    type name, None)`` entry onto the simulator's queue, drawing one
-    sequence number.  The callback is the handler bound to the target and
-    the packet, so a delivery runs no frame before it.  :meth:`join`
-    resolves every reverse link first, so a path over a one-way link is
-    refused before anything is registered.
+    packet when tracing, and pushes one ``(time, sequence, callback, type
+    name)`` entry onto the simulator's heap, drawing one sequence number.
+    The callback is the handler bound to the target and the packet, so a
+    delivery runs no frame before it.  :meth:`join` resolves every reverse
+    link first, so a path over a one-way link is refused before anything is
+    registered.
 
     Args:
         network: the :class:`~repro.network.graph.Network` to run over.
@@ -117,9 +116,9 @@ class BNeckProtocol(object):
         if tracer is None:
             tracer = PacketTracer() if trace_packets else NullPacketTracer()
         self.tracer = tracer
-        # The queue's heap and counter, pushed to directly on every hop.
-        self._heap = self.simulator.queue.heap
-        self._sequence = self.simulator.queue.sequence
+        # The simulator's heap and counter, pushed to directly on every hop.
+        self._heap = self.simulator.heap
+        self._sequence = self.simulator.sequence
         self.registry = SessionRegistry()
         self.path_computer = PathComputer(network, metric=routing_metric)
         self._router_links = {}
@@ -146,9 +145,9 @@ class BNeckProtocol(object):
 
     @property
     def in_flight_packets(self):
-        """Control packets on a link: the queued entries tagged with a packet
-        type, recounted from the simulator's queue on every read."""
-        return sum(1 for entry in self.simulator.queue.heap if entry[ENTRY_TAG] in PACKET_TYPES)
+        """Control packets on a link: the heap entries tagged with a packet
+        type, recounted from the simulator's heap on every read."""
+        return sum(1 for entry in self.simulator.heap if entry[ENTRY_TAG] in PACKET_TYPES)
 
     # ------------------------------------------------------------------ actions
 
@@ -192,6 +191,10 @@ class BNeckProtocol(object):
         """
         if session.session_id in self._sessions:
             raise ValueError("session %r already joined" % session.session_id)
+        if at is not None and not at < math.inf:
+            # NaN or infinity: the scheduling below would raise after the
+            # session is registered, so refuse before registering anything.
+            raise ValueError("session %r cannot join at %r" % (session.session_id, at))
         # Upstream packets cross each path link's reverse: look them all up
         # before registering anything, so a one-way link leaves no trace.
         reverses = [self._reverse_link(session.session_id, link) for link in session.links]
@@ -232,6 +235,7 @@ class BNeckProtocol(object):
 
     def change(self, session_id, requested_rate, at=None):
         """``API.Change``: request a new maximum rate, optionally at a future time."""
+        check_demand(requested_rate, "session %r" % (session_id,))
         source = self._sources[session_id]
         session = self._sessions[session_id]
 
@@ -332,7 +336,7 @@ class BNeckProtocol(object):
     # ---------------------------------------------------------------- forwarding
 
     # Each method below is one whole send: resolve the target stage and its
-    # handler, record the packet when tracing, push one bare queue entry.
+    # handler, record the packet when tracing, push one heap entry.
     # They are spelled out three times because a shared helper would put a
     # frame on every packet's path.
 
@@ -350,7 +354,7 @@ class BNeckProtocol(object):
         if self._trace_packets:
             self._tracer.record(now, type_name, packet.session_id, sender.link_id, DOWNSTREAM)
         heappush(self._heap, (now + sender.hop_delay, next(self._sequence),
-                              partial(handler, target, packet), type_name, None))
+                              partial(handler, target, packet), type_name))
 
     def forward_upstream(self, sender, packet):
         """Send ``packet`` from stage ``sender`` to the previous stage of its
@@ -374,7 +378,7 @@ class BNeckProtocol(object):
         if self._trace_packets:
             self._tracer.record(now, type_name, packet.session_id, target.back_key, UPSTREAM)
         heappush(self._heap, (now + target.back_delay, next(self._sequence),
-                              partial(handler, target, packet), type_name, None))
+                              partial(handler, target, packet), type_name))
 
     def forward_upstream_from_destination(self, session_id, packet):
         """Send a packet upstream from the destination node of ``session_id``."""
@@ -389,7 +393,7 @@ class BNeckProtocol(object):
         if self._trace_packets:
             self._tracer.record(now, type_name, packet.session_id, target.back_key, UPSTREAM)
         heappush(self._heap, (now + target.back_delay, next(self._sequence),
-                              partial(handler, target, packet), type_name, None))
+                              partial(handler, target, packet), type_name))
 
     # --------------------------------------------------------------- API.Rate
 

@@ -12,6 +12,13 @@ import math
 INFINITE_RATE = math.inf
 
 
+def check_demand(demand, owner="session"):
+    """Raise ``ValueError`` naming ``owner`` unless ``demand`` is a legal
+    maximum rate: positive, possibly infinite, not NaN."""
+    if not demand > 0:
+        raise ValueError("%s demand must be positive, got %r" % (owner, demand))
+
+
 class Session(object):
     """A single-path session.
 
@@ -42,8 +49,7 @@ class Session(object):
             raise ValueError("a session path needs at least two nodes")
         if len(links) != len(node_path) - 1:
             raise ValueError("links must match the node path")
-        if demand <= 0:
-            raise ValueError("session demand must be positive, got %r" % demand)
+        check_demand(demand)
         self.session_id = session_id
         self.source = source
         self.destination = destination
@@ -158,8 +164,7 @@ class SessionRegistry(object):
 
     def update_demand(self, session_id, demand):
         """Change the maximum requested rate of a session (``API.Change``)."""
-        if demand <= 0:
-            raise ValueError("session demand must be positive, got %r" % demand)
+        check_demand(demand)
         self._sessions[session_id].demand = demand
 
     def clear(self):

@@ -3,17 +3,15 @@
 This package replaces the Peersim (Java) simulator used in the paper with a
 small, deterministic, pure-Python discrete-event engine.  It provides:
 
-* :class:`~repro.simulator.event_queue.EventQueue` -- a priority queue of timed
-  events with deterministic tie-breaking.
-* :class:`~repro.simulator.simulation.Simulator` -- the simulation loop, with
-  support for running until the event queue drains (*quiescence*) or until a
-  time horizon.
+* :class:`~repro.simulator.simulation.Simulator` -- the simulation loop: a
+  heap of timed callbacks with deterministic ``(time, sequence)``
+  tie-breaking, run until it drains (*quiescence*) or until a time horizon.
 * :class:`~repro.simulator.process.Process` -- base class for simulated actors
   (protocol tasks) whose handlers execute atomically.
 * :class:`~repro.simulator.tracing.PacketTracer` -- control-packet accounting
   (per type, per time interval) used by the experiment harnesses.
-* :mod:`~repro.simulator.statistics` -- summary statistics and time series
-  helpers used for the figures.
+* :mod:`~repro.simulator.statistics` -- summary statistics used for the
+  figures.
 * :mod:`~repro.simulator.clock` -- time-unit helpers (the simulator clock is a
   float number of seconds).
 """
@@ -27,22 +25,11 @@ from repro.simulator.clock import (
     milliseconds,
     seconds,
 )
-from repro.simulator.errors import (
-    SimulationError,
-    SimulationLimitExceeded,
-    SimulationNotRunning,
-)
-from repro.simulator.event_queue import Event, EventQueue
+from repro.simulator.errors import SimulationError, SimulationLimitExceeded
 from repro.simulator.process import Process
 from repro.simulator.random_source import RandomSource
 from repro.simulator.simulation import Simulator
-from repro.simulator.statistics import (
-    Histogram,
-    SummaryStatistics,
-    TimeSeries,
-    percentile,
-    summarize,
-)
+from repro.simulator.statistics import SummaryStatistics, percentile, summarize
 from repro.simulator.tracing import (
     NullPacketTracer,
     PacketRecord,
@@ -50,9 +37,6 @@ from repro.simulator.tracing import (
 )
 
 __all__ = [
-    "Event",
-    "EventQueue",
-    "Histogram",
     "MICROSECOND",
     "MILLISECOND",
     "NullPacketTracer",
@@ -63,10 +47,8 @@ __all__ = [
     "SECOND",
     "SimulationError",
     "SimulationLimitExceeded",
-    "SimulationNotRunning",
     "Simulator",
     "SummaryStatistics",
-    "TimeSeries",
     "format_time",
     "microseconds",
     "milliseconds",

@@ -5,15 +5,11 @@ class SimulationError(Exception):
     """Base class for all simulator errors."""
 
 
-class SimulationNotRunning(SimulationError):
-    """Raised when an operation requires an active simulation run."""
-
-
 class SimulationLimitExceeded(SimulationError):
     """Raised when a configured safety limit (events or time) is exceeded.
 
     The distributed B-Neck protocol is quiescent, so a correct run in a steady
-    state always drains the event queue.  Hitting this limit in a test is a
+    state always drains the event heap.  Hitting this limit in a test is a
     strong signal of a livelock or of a protocol bug, which is why it is an
     error rather than a silent truncation.
     """

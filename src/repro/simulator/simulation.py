@@ -1,20 +1,41 @@
 """The simulation loop.
 
-A :class:`Simulator` owns the event queue and the clock.  Work is scheduled
+A :class:`Simulator` owns the event heap and the clock.  Work is scheduled
 through :meth:`Simulator.schedule` (relative delay) or
 :meth:`Simulator.schedule_at` (absolute time); each scheduled callback executes
 atomically at its firing time, matching the paper's model of ``when`` blocks
 that are "executed atomically, and activated asynchronously when an event is
-triggered".  Packet deliveries, the non-cancellable majority, do not go
-through the simulator: the protocol pushes each one as a bare entry onto the
-public ``queue``'s heap (see :mod:`repro.simulator.event_queue`), and the
-drain loop pops bare heads straight off that heap.
+triggered".  Nothing ever cancels a scheduled event: B-Neck has no timers, so
+every entry in the heap is live.  Packet deliveries do not go through
+:meth:`Simulator.schedule`: the protocol pushes each one straight onto the
+public ``heap``, and the drain loop pops it straight off.
 
 Because B-Neck is *quiescent*, a steady-state simulation terminates on its own:
 once the max-min fair rates are computed, no task schedules further events and
-the queue drains.  :meth:`Simulator.run` therefore runs until the queue is
+the heap drains.  :meth:`Simulator.run` therefore runs until the heap is
 empty by default, and the time of the last processed event is the
 time-to-quiescence reported by the experiments.
+
+Event order and heap micro-layout
+---------------------------------
+
+Events are ordered by ``(time, sequence)`` where ``sequence`` is a strictly
+increasing insertion counter.  Ties in time are therefore broken by insertion
+order, which keeps simulation runs fully deterministic for a given workload and
+random seed -- a requirement for the regression tests that compare distributed
+B-Neck against the centralized oracle.
+
+``Simulator.heap`` is a :mod:`heapq` list of plain ``(time, sequence,
+callback, tag)`` tuples, and ``Simulator.sequence`` is the
+:func:`itertools.count` every entry draws its sequence number from.  Tuple
+comparisons run entirely in C, so sift-up and sift-down never call back into
+Python on the hot path, and an entry allocates nothing beyond its tuple.  The
+two attributes are the packet path's whole interface: the B-Neck protocol's
+``forward_*`` methods push every delivery onto ``heap`` drawing one
+``next(sequence)``, which is exactly what :meth:`Simulator.schedule_at` does,
+and the drain loop pops the head with ``heappop``.  Times are finite and never
+behind the clock: :meth:`Simulator.schedule`, :meth:`Simulator.schedule_at`
+and ``run(until=)`` reject any other value.
 
 End-of-instant batching
 -----------------------
@@ -32,7 +53,7 @@ session receives within one instant, its application sees a single batched
 callback carrying the final value (see
 :meth:`repro.core.protocol.BNeckProtocol.notify_rate`).
 
-A run ends only when the queue drains or a time horizon is crossed, and it
+A run ends only when the heap drains or a time horizon is crossed, and it
 flushes the instant first; so after a run no deferred callback is pending.
 Only :meth:`Simulator.step`, which executes a single unit of work, can leave
 an instant half done.
@@ -41,15 +62,19 @@ Out-of-band work
 ----------------
 
 End-of-instant callbacks are the simulator's only work outside the event
-queue.  They never show in ``events_processed``, never stretch a reported
+heap.  They never show in ``events_processed``, never stretch a reported
 quiescence time and never count against ``max_events`` / ``max_time``.  The
 protocol's per-instant ``API.Rate`` delivery is their one user.
 """
 
-from heapq import heappop
+import itertools
+import math
+from heapq import heappop, heappush
 
 from repro.simulator.errors import SimulationLimitExceeded
-from repro.simulator.event_queue import EventQueue
+
+# Index of the tag in a ``(time, sequence, callback, tag)`` heap entry.
+ENTRY_TAG = 3
 
 
 class Simulator(object):
@@ -63,11 +88,17 @@ class Simulator(object):
     Attributes:
         now: current simulation time in seconds.  Only the run loop writes
             it.
-        queue: the :class:`~repro.simulator.event_queue.EventQueue`.
+        heap: the pending ``(time, sequence, callback, tag)`` entries, a
+            :mod:`heapq` list.  Pushing ``(time, next(sequence), callback,
+            tag)`` onto it directly, with ``now <= time < inf``, is
+            equivalent to :meth:`schedule_at`; nothing else may write to it.
+        sequence: the insertion counter (an :func:`itertools.count`) every
+            entry draws its tie-breaking sequence number from.
     """
 
     def __init__(self, max_events=None, max_time=None):
-        self.queue = EventQueue()
+        self.heap = []
+        self.sequence = itertools.count()
         self.now = 0.0
         self._events_processed = 0
         self._instant_callbacks = []
@@ -83,8 +114,8 @@ class Simulator(object):
 
     @property
     def pending_events(self):
-        """Number of live events still waiting in the queue."""
-        return len(self.queue)
+        """Number of events still waiting in the heap."""
+        return len(self.heap)
 
     @property
     def pending_instant_callbacks(self):
@@ -98,33 +129,36 @@ class Simulator(object):
     # ------------------------------------------------------------- scheduling
 
     def schedule(self, delay, callback, tag=None):
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative, got %r" % delay)
-        return self.queue.push(self.now + delay, callback, tag=tag)
+        """Schedule ``callback`` to run ``delay`` seconds from now.
+
+        ``delay`` must be finite and non-negative.
+        """
+        if not 0 <= delay < math.inf:
+            raise ValueError("delay must be finite and non-negative, got %r" % (delay,))
+        heappush(self.heap, (self.now + delay, next(self.sequence), callback, tag))
 
     def schedule_at(self, time, callback, tag=None):
-        """Schedule ``callback`` at an absolute simulation time."""
-        if time < self.now:
+        """Schedule ``callback`` at an absolute simulation time.
+
+        ``time`` must be finite and not before :attr:`now`.
+        """
+        if not self.now <= time < math.inf:
             raise ValueError(
-                "cannot schedule in the past (now=%r, requested=%r)" % (self.now, time)
+                "event time must be finite and not in the past (now=%r), got %r"
+                % (self.now, time)
             )
-        return self.queue.push(time, callback, tag=tag)
+        heappush(self.heap, (time, next(self.sequence), callback, tag))
 
     def call_at_instant_end(self, callback):
         """Defer ``callback`` to the end of the current instant.
 
         The callback runs after every event carrying the current timestamp has
         been processed and before the clock advances (or the run returns, when
-        the queue drains or a horizon is crossed).  Callbacks run in
+        the heap drains or a horizon is crossed).  Callbacks run in
         registration order and may register further deferred callbacks or
         schedule new events.  See the module docstring for the full contract.
         """
         self._instant_callbacks.append(callback)
-
-    def cancel(self, event):
-        """Cancel a previously scheduled event."""
-        self.queue.cancel(event)
 
     # ---------------------------------------------------------------- running
 
@@ -136,9 +170,9 @@ class Simulator(object):
             callback()
 
     def _instant_finished(self):
-        """True when no live event shares the current timestamp."""
-        next_time = self.queue.peek_time()
-        return next_time is None or next_time > self.now
+        """True when no event shares the current timestamp."""
+        heap = self.heap
+        return not heap or heap[0][0] > self.now
 
     def step(self):
         """Execute the next pending unit of work.
@@ -150,9 +184,9 @@ class Simulator(object):
         if self._instant_callbacks and self._instant_finished():
             self._flush_instant()
             return True
-        entry = self.queue.pop_entry()
-        if entry is None:
+        if not self.heap:
             return False
+        entry = heappop(self.heap)
         self.now = entry[0]
         self._events_processed += 1
         entry[2]()
@@ -166,34 +200,41 @@ class Simulator(object):
         """Run the simulation.
 
         Args:
-            until: optional absolute time horizon.  Events scheduled after the
-                horizon stay in the queue; the clock is advanced to ``until``
-                when the horizon is hit with work still pending.
+            until: optional absolute time horizon, finite and not before
+                :attr:`now`.  Events scheduled after the horizon stay in the
+                heap; the clock is advanced to ``until`` when the horizon is
+                hit with work still pending.
 
         Returns:
             The simulation time at which the run stopped.
         """
+        if until is not None and not self.now <= until < math.inf:
+            raise ValueError(
+                "run horizon must be finite and not in the past (now=%r), got %r"
+                % (self.now, until)
+            )
         if until is None and self._unconstrained():
             self._drain_fast()
         else:
             self._run_general(until)
-        if until is not None and not self.queue and self.now < until:
-            # The queue drained before the horizon: advance the clock so
+        if until is not None and not self.heap and self.now < until:
+            # The heap drained before the horizon: advance the clock so
             # repeated run(until=...) calls observe monotonic time.
             self.now = until
         return self.now
 
     def _run_general(self, until):
         """The fully-featured run loop: horizon and limits."""
+        heap = self.heap
         while True:
             if self._instant_callbacks and self._instant_finished():
                 # The current instant is exhausted: flush its deferred work
                 # before the clock may advance (or the run return).
                 self._flush_instant()
                 continue
-            next_time = self.queue.peek_time()
-            if next_time is None:
+            if not heap:
                 break
+            next_time = heap[0][0]
             if until is not None and next_time > until:
                 self.now = until
                 break
@@ -201,40 +242,33 @@ class Simulator(object):
             self.step()
 
     def _drain_fast(self):
-        """Drain the queue with no limit checks.
+        """Drain the heap with no limit checks.
 
         Processes exactly the same events in exactly the same order as the
         general loop; it only skips the per-event limit checks, which are
         no-ops when ``max_events``/``max_time`` are unset.
         """
-        heap = self.queue.heap
-        pop_entry = self.queue.pop_entry
+        heap = self.heap
         while True:
             if self._instant_callbacks and self._instant_finished():
                 self._flush_instant()
                 continue
             if not heap:
                 break
-            if heap[0][4] is None:
-                # A bare head (a packet delivery) is live: no queue call.
-                entry = heappop(heap)
-            else:
-                entry = pop_entry()
-                if entry is None:
-                    break
+            entry = heappop(heap)
             self.now = entry[0]
             self._events_processed += 1
             entry[2]()
 
     def run_until_quiescent(self):
-        """Run until the event queue drains and return the quiescence time.
+        """Run until the event heap drains and return the quiescence time.
 
         The returned value is the timestamp of the last processed event, i.e.
         the instant at which the network stopped carrying control traffic.
         End-of-instant callbacks do not delay the reported time: they execute
         at the timestamp of the instant they belong to.  This is :meth:`run`
         with no horizon: after a drain the clock sits on the last processed
-        event (or is untouched when the queue was already empty).
+        event (or is untouched when the heap was already empty).
         """
         return self.run()
 
@@ -256,6 +290,6 @@ class Simulator(object):
     def __repr__(self):
         return "Simulator(now=%r, pending=%d, processed=%d)" % (
             self.now,
-            len(self.queue),
+            len(self.heap),
             self._events_processed,
         )

@@ -1,4 +1,4 @@
-"""Summary statistics and time-series helpers for the experiment figures.
+"""Summary statistics for the experiment figures.
 
 Figure 7 of the paper reports, at fixed sampling instants, the 10th percentile,
 median, 90th percentile and mean of the relative rate error across sessions.
@@ -84,68 +84,3 @@ def summarize(values):
         minimum=data[0],
         maximum=data[-1],
     )
-
-
-class TimeSeries(object):
-    """A sequence of ``(time, value)`` samples with convenience accessors."""
-
-    def __init__(self, name=""):
-        self.name = name
-        self.samples = []
-
-    def append(self, time, value):
-        if self.samples and time < self.samples[-1][0]:
-            raise ValueError(
-                "time series %r must be appended in non-decreasing time order" % self.name
-            )
-        self.samples.append((time, value))
-
-    def times(self):
-        return [time for time, _ in self.samples]
-
-    def values(self):
-        return [value for _, value in self.samples]
-
-    def last(self):
-        if not self.samples:
-            raise ValueError("time series %r is empty" % self.name)
-        return self.samples[-1]
-
-    def __len__(self):
-        return len(self.samples)
-
-    def __iter__(self):
-        return iter(self.samples)
-
-    def __repr__(self):
-        return "TimeSeries(name=%r, samples=%d)" % (self.name, len(self.samples))
-
-
-class Histogram(object):
-    """Fixed-width histogram used for packet-count distributions."""
-
-    def __init__(self, bin_width):
-        if bin_width <= 0:
-            raise ValueError("bin_width must be positive")
-        self.bin_width = bin_width
-        self.counts = {}
-        self.total = 0
-
-    def add(self, value, weight=1):
-        bucket = int(value // self.bin_width)
-        self.counts[bucket] = self.counts.get(bucket, 0) + weight
-        self.total += weight
-
-    def as_sorted_bins(self):
-        """Return ``[(bin_start, count)]`` sorted by bin start."""
-        return [
-            (bucket * self.bin_width, self.counts[bucket])
-            for bucket in sorted(self.counts)
-        ]
-
-    def __repr__(self):
-        return "Histogram(bin_width=%r, bins=%d, total=%d)" % (
-            self.bin_width,
-            len(self.counts),
-            self.total,
-        )

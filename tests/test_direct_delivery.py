@@ -2,7 +2,7 @@
 
 A ``forward_*`` call is a packet's whole send: it resolves the target
 stage and the target's handler for the packet, records the packet when
-tracing, and pushes one bare entry onto the simulator's queue whose
+tracing, and pushes one entry onto the simulator's heap whose
 callback is that handler bound to the target and the packet.  These tests
 pin down what that path promises:
 
@@ -58,7 +58,7 @@ def _queued_deliveries(protocol):
     from the callbacks themselves rather than from the entries' tags."""
     return sum(
         1
-        for entry in protocol.simulator.queue.heap
+        for entry in protocol.simulator.heap
         if isinstance(entry[2], partial) and isinstance(entry[2].args[-1], PACKET_CLASSES)
     )
 
@@ -113,7 +113,7 @@ def test_in_flight_packets_skip_a_pending_join():
     protocol.open_session(late_source.node_id, late_sink.node_id, session_id="late", at=1.0)
 
     def pending_joins():
-        return [entry[3] for entry in simulator.queue.heap].count("API.Join")
+        return [entry[3] for entry in simulator.heap].count("API.Join")
 
     # Run until every join but the late one has fired.
     while pending_joins() > 1:
@@ -139,12 +139,12 @@ def test_each_queued_delivery_calls_the_handler_itself():
     protocol = _mass_join(MASS_JOIN_KEY, BNeckProtocol)
     simulator = protocol.simulator
     while not any(entry[3] == "Join" and isinstance(entry[2].args[0], RouterLinkTask)
-                  for entry in simulator.queue.heap):
+                  for entry in simulator.heap):
         assert simulator.step()
-    for entry in simulator.queue.heap:
+    for entry in simulator.heap:
         if entry[3] == "Join" and isinstance(entry[2].args[0], RouterLinkTask):
             assert entry[2].func is RouterLinkTask.on_join
-            assert entry[4] is None
+            assert len(entry) == 4
 
 
 # ---------------------------------------------------------- unknown packets
@@ -172,11 +172,11 @@ def test_unknown_packet_class_raises_at_send_and_queues_nothing(send, target):
     name = target(protocol).name
     assert name[:3] in ("RL(", "SN(", "DN(")
     before = (protocol.tracer.total, simulator.pending_events,
-              len(simulator.queue.heap), protocol.in_flight_packets)
+              len(simulator.heap), protocol.in_flight_packets)
     with pytest.raises(TypeError, match="^%s cannot handle " % re.escape(name)):
         send(protocol)
     assert (protocol.tracer.total, simulator.pending_events,
-            len(simulator.queue.heap), protocol.in_flight_packets) == before
+            len(simulator.heap), protocol.in_flight_packets) == before
 
 
 # ------------------------------------------------------------- tracer swaps

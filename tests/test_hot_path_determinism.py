@@ -1,13 +1,13 @@
-"""Regression tests for the hot-path refactor and event-queue accounting fixes.
+"""Regression tests for the hot-path refactor and quiescence accounting.
 
-Three families of guarantees are pinned down here:
+Four families of guarantees are pinned down here:
 
 * **Cross-process determinism**: a fixed-seed scenario reproduces exact packet
   counts, event counts, quiescence times and final allocations, independent of
   ``PYTHONHASHSEED``.  The golden values in ``tests/data/hot_path_goldens.json``
   were captured once and must never drift as the hot path evolves.
-* **Event-queue accounting**: cancelling an already-fired event must not
-  corrupt ``Simulator.pending_events`` (and with it ``BNeckProtocol.quiescent``).
+* **Quiescence accounting**: ``BNeckProtocol.quiescent`` is false while a
+  control packet is in flight and ``in_flight_packets`` is 0 once it is true.
 * **API-call scheduling**: an API call requested at exactly ``simulator.now``
   is enqueued with a fresh ``(time, sequence)`` slot, so it interleaves
   deterministically with packet deliveries pending at the same instant instead
@@ -27,7 +27,6 @@ from repro.core.validation import validate_against_oracle
 from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
-from repro.simulator.simulation import Simulator
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import NetworkScenario
 
@@ -128,44 +127,18 @@ class TestMultiPhaseChurnDeterminism(object):
         } == golden["allocation"]
 
 
-class TestCancelAccounting(object):
-    def test_cancel_after_fire_keeps_pending_events_exact(self):
-        simulator = Simulator()
-        fired = simulator.schedule(1.0, lambda: None, tag="fired")
-        simulator.schedule(2.0, lambda: None, tag="later")
-        assert simulator.pending_events == 2
-        assert simulator.step()
-        assert simulator.pending_events == 1
-        simulator.cancel(fired)          # already fired: must be a no-op
-        assert simulator.pending_events == 1
-        simulator.cancel(fired)
-        assert simulator.pending_events == 1
-        assert simulator.step()
-        assert simulator.pending_events == 0
-
-    def test_protocol_quiescence_not_fooled_by_stale_cancel(self):
-        # With the old accounting a stale cancel() made pending_events
-        # undercount, so `quiescent` could report True with a control packet
-        # still in flight.
+class TestQuiescenceAccounting(object):
+    def test_protocol_quiescence_tracks_packets_in_flight(self):
         network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
         protocol = BNeckProtocol(network)
         source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
         sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
         protocol.open_session(source.node_id, sink.node_id, session_id="a")
         simulator = protocol.simulator
-        # Fire one event, then cancel it twice after the fact.
+        # The API.Join fires and sends the session's first packet.
         assert simulator.step()
-        fired_count = simulator.events_processed
-        assert fired_count == 1
-        # The popped event is not exposed here; emulate a stale handle by
-        # scheduling + firing + cancelling our own marker event.
-        marker = simulator.schedule(0.0, lambda: None, tag="marker")
-        while not marker.consumed:
-            assert simulator.step()
-        pending_before = simulator.pending_events
-        simulator.cancel(marker)
-        simulator.cancel(marker)
-        assert simulator.pending_events == pending_before
+        assert simulator.events_processed == 1
+        assert protocol.in_flight_packets == simulator.pending_events > 0
         assert not protocol.quiescent
         protocol.run_until_quiescent()
         assert protocol.quiescent

@@ -18,6 +18,12 @@ The second parses every Python file under ``src/``, ``tests/``,
 class that a later definition in the same module or class body shadows: the
 first copy is dead code, and a shadowed test never runs.  Property setters
 and deleters reuse their getter's name on purpose and are exempt.
+
+The third parses the same files and reports each imported name that its
+module never uses, as the lint job's ``ruff check`` (rule F401) would, so a
+deletion that leaves a stale import fails here too.  A package's
+``__init__.py`` imports to re-export, and a name listed in ``__all__`` is
+exported, so both are exempt.
 """
 
 import ast
@@ -195,4 +201,96 @@ def test_no_module_or_class_defines_a_name_twice():
                     "%s:%d: %s shadows the definition at line %d"
                     % (relative, line, name, first_line)
                 )
+    assert violations == []
+
+
+def _exported_names(tree):
+    """The string entries of every ``__all__ = [...]`` / ``+=`` in a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets):
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                names.update(
+                    element.value for element in node.value.elts
+                    if isinstance(element, ast.Constant) and isinstance(element.value, str)
+                )
+    return names
+
+
+def unused_imports(source, filename="<source>"):
+    """``(line, name)`` of every imported name the module never reads.
+
+    A name is read when it is loaded anywhere in the module, on its own or
+    as the root of an attribute chain, or listed in ``__all__``.  Scopes
+    are not told apart: a local that shadows the import and is read counts
+    as a read.  ``import
+    a.b`` binds ``a``; star imports and ``__future__`` imports bind nothing
+    checked here."""
+    tree = ast.parse(source, filename)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported.append((node.lineno, alias.asname or alias.name))
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Load, ast.Del))
+    }
+    read |= _exported_names(tree)
+    return sorted((line, name) for line, name in imported if name not in read)
+
+
+UNUSED = {
+    "module": "import os\n",
+    "dotted-module": "import os.path\n",
+    "from-import": "from os import path\n",
+    "alias": "import os as system\n\nos = None\n",
+    "one-of-two": "from os import path, sep\n\nprint(sep)\n",
+}
+
+USED = {
+    "call": "import os\n\nos.getcwd()\n",
+    "dotted-module": "import os.path\n\nos.path.join('a', 'b')\n",
+    "in-a-function": "from os import sep\n\ndef f():\n    return sep\n",
+    "alias": "import os as system\n\nsystem.getcwd()\n",
+    "exported": "from os import sep\n\n__all__ = ['sep']\n",
+    "future": "from __future__ import annotations\n",
+    "decorator": "import functools\n\n@functools.lru_cache\ndef f():\n    pass\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSED))
+def test_the_scan_catches_unused_imports(case):
+    assert unused_imports(UNUSED[case])
+
+
+@pytest.mark.parametrize("case", sorted(USED))
+def test_the_scan_allows_used_and_exported_imports(case):
+    assert unused_imports(USED[case]) == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    violations = []
+    checked = 0
+    for directory in CHECKED_DIRECTORIES:
+        for path in _module_paths(os.path.join(REPO_ROOT, directory)):
+            if os.path.basename(path) == "__init__.py":
+                continue
+            checked += 1
+            with open(path) as handle:
+                source = handle.read()
+            relative = os.path.relpath(path, REPO_ROOT)
+            for line, name in unused_imports(source, path):
+                violations.append("%s:%d: %r imported but unused" % (relative, line, name))
+    assert checked > 100
     assert violations == []

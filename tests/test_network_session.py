@@ -39,9 +39,10 @@ class TestSession(object):
         with pytest.raises(ValueError):
             Session("bad", session.source, session.destination,
                     session.node_path, session.links[:-1], demand=1.0)
-        with pytest.raises(ValueError):
-            Session("bad2", session.source, session.destination,
-                    session.node_path, session.links, demand=0.0)
+        for demand in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                Session("bad2", session.source, session.destination,
+                        session.node_path, session.links, demand=demand)
 
     def test_equality_and_hash_by_id(self, parking_lot_network):
         first = make_session(parking_lot_network, "same", "r0", "r1")

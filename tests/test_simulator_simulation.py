@@ -1,5 +1,9 @@
 """Unit tests for the simulation loop."""
 
+import heapq
+import math
+import re
+
 import pytest
 
 from repro.simulator.errors import SimulationLimitExceeded
@@ -71,15 +75,6 @@ def test_schedule_at_absolute_time(simulator):
     assert fired == [2.5]
 
 
-def test_cancelled_events_do_not_fire(simulator):
-    fired = []
-    event = simulator.schedule(0.5, lambda: fired.append("cancelled"))
-    simulator.schedule(1.0, lambda: fired.append("kept"))
-    simulator.cancel(event)
-    simulator.run_until_quiescent()
-    assert fired == ["kept"]
-
-
 def test_event_limit_raises(simulator):
     simulator.max_events = 5
 
@@ -113,44 +108,141 @@ def test_events_processed_counts(simulator):
     assert simulator.events_processed == 4
 
 
+# ------------------------------------------------------------- event order
+
+
+def test_events_fire_in_time_order(simulator):
+    fired = []
+    simulator.schedule_at(2.0, lambda: fired.append(simulator.now))
+    simulator.schedule_at(1.0, lambda: fired.append(simulator.now))
+    simulator.run_until_quiescent()
+    assert fired == [1.0, 2.0]
+
+
+def test_ties_break_by_insertion_order(simulator):
+    fired = []
+    for name in ("first", "second", "third"):
+        simulator.schedule_at(1.0, lambda name=name: fired.append(name))
+    simulator.run_until_quiescent()
+    assert fired == ["first", "second", "third"]
+
+
+def test_many_events_keep_global_order(simulator):
+    fired = []
+    times = [5.0, 1.0, 3.0, 2.0, 4.0, 0.5, 2.5]
+    for time in times:
+        simulator.schedule_at(time, lambda: fired.append(simulator.now))
+    assert simulator.pending_events == len(times)
+    simulator.run_until_quiescent()
+    assert fired == sorted(times)
+
+
+def test_every_heap_entry_is_a_plain_four_tuple(simulator):
+    def callback():
+        pass
+
+    simulator.schedule(0.5, callback, tag="relative")
+    simulator.schedule_at(0.25, callback, tag="absolute")
+    assert sorted(simulator.heap) == [
+        (0.25, 1, callback, "absolute"),
+        (0.5, 0, callback, "relative"),
+    ]
+
+
 # ------------------------------------------------------------ bare entries
+# A bare entry is pushed straight onto the public heap, as the protocol
+# pushes every packet delivery, instead of going through schedule().
 
 
 def test_bare_entries_fire_in_order_with_events(simulator):
     fired = []
+    heap, sequence = simulator.heap, simulator.sequence
     simulator.schedule(0.2, lambda: fired.append("event"))
-    simulator.queue.push_callback(0.1, lambda: fired.append("bare-early"))
-    simulator.queue.push_callback(0.2, lambda: fired.append("bare-tied"))
+    heapq.heappush(heap, (0.1, next(sequence), lambda: fired.append("bare-early"), "bare"))
+    heapq.heappush(heap, (0.2, next(sequence), lambda: fired.append("bare-tied"), "bare"))
     simulator.run_until_quiescent()
-    # The tie at t=0.2 breaks by insertion order: the Event came first.
+    # The tie at t=0.2 breaks by sequence number: the event came first.
     assert fired == ["bare-early", "event", "bare-tied"]
     assert simulator.events_processed == 3
 
 
 def test_bare_entries_count_as_pending(simulator):
-    simulator.queue.push_callback(0.5, lambda: None)
+    heapq.heappush(simulator.heap, (0.5, next(simulator.sequence), lambda: None, "bare"))
     assert simulator.pending_events == 1
     simulator.run_until_quiescent()
     assert simulator.pending_events == 0
 
 
-def test_drain_skips_a_cancelled_head_before_bare_entries(simulator):
+def test_bare_entries_interleave_with_events_by_sequence_number(simulator):
     fired = []
-    cancelled = simulator.schedule(0.1, lambda: fired.append("cancelled"))
-    simulator.queue.push_callback(0.2, lambda: fired.append("bare"))
-    simulator.schedule(0.3, lambda: fired.append("event"))
-    simulator.cancel(cancelled)
-    assert simulator.run_until_quiescent() == 0.3
-    assert fired == ["bare", "event"]
-    assert simulator.events_processed == 2
+    simulator.schedule_at(1.0, lambda: fired.append("event"))
+    heapq.heappush(simulator.heap, (1.0, next(simulator.sequence),
+                                    lambda: fired.append("bare"), "bare"))
+    simulator.schedule(1.0, lambda: fired.append("event-2"))
+    assert simulator.pending_events == 3
+    assert simulator.step()
+    assert simulator.pending_events == 2
+    simulator.run_until_quiescent()
+    assert fired == ["event", "bare", "event-2"]
     assert simulator.pending_events == 0
 
 
-def test_drain_stops_on_a_queue_of_cancelled_events(simulator):
-    simulator.cancel(simulator.schedule(0.1, lambda: None))
-    assert simulator.run() == 0.0
+# -------------------------------------------------- non-finite and past times
+
+
+@pytest.mark.parametrize("delay", [math.nan, math.inf])
+def test_schedule_rejects_a_non_finite_delay(simulator, delay):
+    with pytest.raises(ValueError, match=re.escape(repr(delay))):
+        simulator.schedule(delay, lambda: None)
+    assert simulator.pending_events == 0
+
+
+@pytest.mark.parametrize("time", [math.nan, math.inf])
+def test_schedule_at_rejects_a_non_finite_time(simulator, time):
+    with pytest.raises(ValueError, match=re.escape(repr(time))):
+        simulator.schedule_at(time, lambda: None)
+    assert simulator.pending_events == 0
+
+
+def test_a_rejected_time_leaves_the_clock_and_the_run_alone(simulator):
+    fired = []
+    simulator.schedule_at(1.0, lambda: fired.append(simulator.now))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            simulator.schedule_at(bad, lambda: fired.append("bad"))
+        with pytest.raises(ValueError):
+            simulator.schedule(bad, lambda: fired.append("bad"))
+    assert simulator.run_until_quiescent() == 1.0
+    assert fired == [1.0]
+
+
+@pytest.mark.parametrize("until", [math.nan, math.inf])
+def test_run_rejects_a_non_finite_horizon(simulator, until):
+    simulator.schedule(1.0, lambda: None)
+    with pytest.raises(ValueError, match=re.escape(repr(until))):
+        simulator.run(until=until)
+    assert simulator.now == 0.0
+    assert simulator.pending_events == 1
     assert simulator.events_processed == 0
-    assert simulator.pending_events == 0
+
+
+def test_run_rejects_an_infinite_horizon_after_a_drain(simulator):
+    simulator.schedule(1.0, lambda: None)
+    simulator.run()
+    with pytest.raises(ValueError):
+        simulator.run(until=math.inf)
+    assert simulator.now == 1.0
+
+
+def test_run_rejects_a_horizon_behind_the_clock(simulator):
+    simulator.schedule(1.0, lambda: None)
+    simulator.schedule(2.0, lambda: None)
+    assert simulator.run(until=1.5) == 1.5
+    with pytest.raises(ValueError, match="0.5"):
+        simulator.run(until=0.5)
+    assert simulator.now == 1.5
+    assert simulator.run(until=1.5) == 1.5
+    assert simulator.pending_events == 1
 
 
 # ------------------------------------------------------ end-of-instant hooks

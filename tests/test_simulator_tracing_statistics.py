@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulator.statistics import Histogram, TimeSeries, mean, percentile, summarize
+from repro.simulator.statistics import mean, percentile, summarize
 from repro.simulator.tracing import PacketTracer
 
 
@@ -108,30 +108,3 @@ class TestStatistics(object):
         assert stats.p10 == pytest.approx(1.9)
         assert stats.p90 == pytest.approx(9.1)
         assert set(stats.as_dict()) == {"count", "mean", "median", "p10", "p90", "min", "max"}
-
-    def test_time_series_enforces_order(self):
-        series = TimeSeries("quiescence")
-        series.append(0.0, 1)
-        series.append(1.0, 2)
-        with pytest.raises(ValueError):
-            series.append(0.5, 3)
-        assert series.times() == [0.0, 1.0]
-        assert series.values() == [1, 2]
-        assert series.last() == (1.0, 2)
-        assert len(series) == 2
-
-    def test_time_series_empty_last_raises(self):
-        with pytest.raises(ValueError):
-            TimeSeries().last()
-
-    def test_histogram_bins(self):
-        histogram = Histogram(bin_width=10.0)
-        histogram.add(3.0)
-        histogram.add(7.0)
-        histogram.add(15.0, weight=2)
-        assert histogram.total == 4
-        assert histogram.as_sorted_bins() == [(0.0, 2), (10.0, 2)]
-
-    def test_histogram_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            Histogram(bin_width=0)
