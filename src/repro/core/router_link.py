@@ -5,8 +5,8 @@ for every session whose path crosses the link.  Its handlers are a line-by-line
 transcription of Figure 2, with two presentational differences:
 
 * rates are floats, so ``==``/``<`` are the tolerance compares of
-  :mod:`repro.core.state` (exactly ``FloatAlgebra()``'s decisions), inlined
-  as plain float compares plus ``math.isclose``;
+  :mod:`repro.core.state` (exactly ``FloatAlgebra()``'s decisions):
+  ``rates_equal``, plain float compares, and the link state's queries;
 * packet forwarding is delegated to the protocol orchestrator
   (:class:`~repro.core.protocol.BNeckProtocol`): a handler calls its
   ``forward_downstream``/``forward_upstream`` with the task itself as the
@@ -16,8 +16,6 @@ transcription of Figure 2, with two presentational differences:
   looks the packet's handler up in the target's :attr:`RouterLinkTask.delivery`
   table when it sends, so a delivery calls the ``on_*`` handler directly.
 """
-
-from math import isclose
 
 from repro.core.packets import (
     BOTTLENECK,
@@ -30,7 +28,7 @@ from repro.core.packets import (
     UPDATE,
     Update,
 )
-from repro.core.state import ABS_TOL, REL_TOL, LinkState, rates_equal
+from repro.core.state import LinkState, rates_equal
 from repro.core.state import IDLE, WAITING_PROBE, WAITING_RESPONSE
 from repro.simulator.process import Process
 
@@ -74,21 +72,16 @@ class RouterLinkTask(Process):
         state = self.state
         rate = state.bottleneck_rate()
         while state.unrestricted:
-            rated = state.unrestricted_rated()
-            offender_rates = [
-                recorded
-                for _session_id, recorded in rated
-                if recorded >= rate
-                or isclose(recorded, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
-            ]
-            if not offender_rates:
+            # The largest F_e rate is itself an offender whenever any F_e
+            # member is, so it is the largest offender rate.
+            largest = state.largest_unrestricted_offender(rate)
+            if largest is None:
                 break
-            largest = max(offender_rates)
             # Sorted so the incremental F_e load sum is updated in a
             # reproducible order (set iteration order is hash-randomized).
             moved = sorted(
                 session_id
-                for session_id, recorded in rated
+                for session_id, recorded in state.unrestricted_rated()
                 if rates_equal(recorded, largest)
             )
             for session_id in moved:

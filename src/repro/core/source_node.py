@@ -55,10 +55,6 @@ class SourceNodeTask(Process):
         rate = self.state.rate_of(self.session_id)
         return 0.0 if rate is None else rate
 
-    def notified_rate(self):
-        """The last rate delivered through ``API.Rate`` (None if none yet)."""
-        return self.protocol.last_notified_rate(self.session_id)
-
     def is_quiescent_for_session(self):
         """True when the source is idle and has been told its final rate."""
         return self.state.state_of(self.session_id) == IDLE and self.bottleneck_received

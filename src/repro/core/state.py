@@ -9,12 +9,23 @@ For every link ``e`` the protocol keeps (Section III-C):
   ``s`` is in ``F_e``, or in ``R_e`` with ``mu^e_s = IDLE``);
 * the bottleneck-rate estimate ``B_e = (C_e - sum of F_e rates) / |R_e|``.
 
-Besides the ``F_e`` load behind ``B_e``, a link counts its *busy* ``R_e``
-members, those not IDLE.  The ``R_e`` scans exit on the count alone when it
-decides them: :meth:`LinkState.all_restricted_settled` is false while any
-member is busy, and :meth:`LinkState.settled_at` and
-:meth:`LinkState.idle_restricted_above` find nobody when every member is.
-Otherwise they scan as before, and their results are sorted by id.
+Besides the ``F_e`` load behind ``B_e``, a link keeps two kinds of summary
+that let its scans exit before touching a set:
+
+* the *busy* count, the ``R_e`` members that are not IDLE:
+  :meth:`LinkState.all_restricted_settled` is false while any member is busy,
+  and :meth:`LinkState.settled_at` and :meth:`LinkState.idle_restricted_above`
+  find nobody when every member is;
+* the *rate maxima*, the largest recorded rate in ``R_e`` and in ``F_e``
+  (``-inf`` when no member has one).  Nobody in ``R_e`` is recorded above
+  ``rate`` when the ``R_e`` maximum is ``<= rate``, nobody at ``rate`` when it
+  is below ``rate`` and not within tolerance of it, and
+  :meth:`LinkState.largest_unrestricted_offender` answers from the ``F_e``
+  maximum alone.  A maximum goes stale (``None``) only when its holder lowers
+  its rate or leaves the set, and is recounted at its next read.
+
+When neither decides, the ``R_e`` scans run as before, and their results are
+sorted by id.
 
 The same container is used by the RouterLink task, by the SourceNode task (for
 the session's access link) and by the stability checker of Definition 2.
@@ -38,6 +49,8 @@ SESSION_STATES = (IDLE, WAITING_PROBE, WAITING_RESPONSE)
 
 # Read in place of an unrecorded rate: NaN is equal to, above and below nothing.
 _UNRECORDED = math.nan
+# A rate maximum over members none of which has a rate.
+_NO_RATE = -math.inf
 
 
 def rates_equal(first, second):
@@ -63,6 +76,9 @@ class LinkState(object):
         self._unrestricted_load = 0
         # Number of R_e members whose mu is not IDLE, kept by the same methods.
         self._busy = 0
+        # Largest recorded rate in R_e and in F_e, kept by the same methods;
+        # None while stale, until the next read recounts it.
+        self._restricted_max = self._unrestricted_max = _NO_RATE
 
     # --------------------------------------------------------------- queries
 
@@ -101,9 +117,25 @@ class LinkState(object):
             if session_id in rate_table
         ]
 
+    def largest_unrestricted_offender(self, rate):
+        """The largest recorded ``F_e`` rate when it is ``>= rate`` within
+        tolerance, else ``None`` (no ``F_e`` member is recorded at or above
+        ``rate``)."""
+        largest = self._unrestricted_max
+        if largest is None:
+            largest = self._unrestricted_max = self._recomputed_unrestricted_max()
+        if largest < rate and not isclose(largest, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+            return None
+        return largest
+
     def settled_at(self, rate):
         """Sorted ids of the IDLE ``R_e`` members recorded at ``rate``."""
         if self._busy == len(self.restricted):
+            return []
+        largest = self._restricted_max
+        if largest is None:
+            largest = self._restricted_max = self._recomputed_restricted_max()
+        if largest < rate and not isclose(largest, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
             return []
         mu_of = self._mu.get
         rate_of = self._rate.get
@@ -117,6 +149,11 @@ class LinkState(object):
     def idle_restricted_above(self, rate):
         """Sorted ids of the IDLE ``R_e`` members recorded strictly above ``rate``."""
         if self._busy == len(self.restricted):
+            return []
+        largest = self._restricted_max
+        if largest is None:
+            largest = self._restricted_max = self._recomputed_restricted_max()
+        if largest <= rate:
             return []
         mu_of = self._mu.get
         rate_of = self._rate.get
@@ -135,6 +172,32 @@ class LinkState(object):
     def _recomputed_busy(self):
         """The non-IDLE R_e members counted from scratch; used by consistency tests."""
         return sum(self._mu.get(session_id, IDLE) != IDLE for session_id in self.restricted)
+
+    def _recomputed_restricted_max(self):
+        """The largest recorded R_e rate found from scratch; refreshes a stale
+        maximum and is used by consistency tests."""
+        rate_table = self._rate
+        return max(
+            [
+                rate_table[session_id]
+                for session_id in self.restricted
+                if session_id in rate_table
+            ],
+            default=_NO_RATE,
+        )
+
+    def _recomputed_unrestricted_max(self):
+        """The largest recorded F_e rate found from scratch; refreshes a stale
+        maximum and is used by consistency tests."""
+        rate_table = self._rate
+        return max(
+            [
+                rate_table[session_id]
+                for session_id in self.unrestricted
+                if session_id in rate_table
+            ],
+            default=_NO_RATE,
+        )
 
     # ------------------------------------------------------------- mutations
 
@@ -155,9 +218,22 @@ class LinkState(object):
         self.capacity = capacity
 
     def set_rate(self, session_id, rate):
-        if session_id in self.unrestricted:
-            old = self._rate.get(session_id, 0)
+        old = self._rate.get(session_id, 0)
+        if session_id in self.restricted:
+            largest = self._restricted_max
+            if largest is not None:
+                if rate >= largest:
+                    self._restricted_max = rate
+                elif old == largest:
+                    self._restricted_max = None
+        elif session_id in self.unrestricted:
             self._unrestricted_load = self._unrestricted_load - old + rate
+            largest = self._unrestricted_max
+            if largest is not None:
+                if rate >= largest:
+                    self._unrestricted_max = rate
+                elif old == largest:
+                    self._unrestricted_max = None
         self._rate[session_id] = rate
 
     def add_restricted(self, session_id):
@@ -168,6 +244,9 @@ class LinkState(object):
         if session_id not in self.restricted:
             self.restricted.add(session_id)
             self._busy += self._mu.get(session_id, IDLE) != IDLE
+            largest = self._restricted_max
+            if largest is not None and self._rate.get(session_id, _NO_RATE) > largest:
+                self._restricted_max = self._rate[session_id]
 
     def add_unrestricted(self, session_id):
         """Put the session in ``F_e`` (removing it from ``R_e`` if needed)."""
@@ -175,6 +254,9 @@ class LinkState(object):
         if session_id not in self.unrestricted:
             self.unrestricted.add(session_id)
             self._unrestricted_load += self._rate.get(session_id, 0)
+            largest = self._unrestricted_max
+            if largest is not None and self._rate.get(session_id, _NO_RATE) > largest:
+                self._unrestricted_max = self._rate[session_id]
 
     def forget(self, session_id):
         """Drop every trace of the session (used on ``Leave``)."""
@@ -189,14 +271,21 @@ class LinkState(object):
         if session_id in self.restricted:
             self.restricted.remove(session_id)
             self._busy -= self._mu.get(session_id, IDLE) != IDLE
+            if not self.restricted:
+                self._restricted_max = _NO_RATE
+            elif self._rate.get(session_id) == self._restricted_max:
+                self._restricted_max = None
 
     def _drop_unrestricted_rate(self, session_id):
         if self.unrestricted:
             self._unrestricted_load -= self._rate.get(session_id, 0)
+            if self._rate.get(session_id) == self._unrestricted_max:
+                self._unrestricted_max = None
         else:
             # Re-anchor the running sum whenever F_e empties, so rounding
             # residue from long add/remove histories cannot accumulate.
             self._unrestricted_load = 0
+            self._unrestricted_max = _NO_RATE
 
     # ------------------------------------------------------- stability checks
 

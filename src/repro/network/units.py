@@ -9,13 +9,3 @@ BPS = 1.0
 KBPS = 1e3
 MBPS = 1e6
 GBPS = 1e9
-
-
-def mbps(value):
-    """Return ``value`` megabits per second in bits per second."""
-    return float(value) * MBPS
-
-
-def to_mbps(rate):
-    """Convert a rate in bits per second to megabits per second."""
-    return float(rate) / MBPS

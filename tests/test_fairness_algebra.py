@@ -4,7 +4,7 @@ import fractions
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.state import (
     ABS_TOL,
@@ -179,6 +179,11 @@ def link_states(draw):
     members = ["r%d" % index for index in range(draw(st.integers(0, 6)))]
     for session_id in members:
         state.add_restricted(session_id)
+    if members and state.unrestricted and draw(st.booleans()):
+        # Move f0 to where B_e meets its rate, so the F_e offender pass
+        # decides within the tolerance.
+        offset = draw(st.sampled_from([0.0, -0.5, 0.5, -1.0, 1.0]) | st.floats(-3.0, 3.0))
+        place_at_tie(state, "f0", offset, draw(st.integers(-2, 2)))
     rate = state.bottleneck_rate()
     for session_id in members:
         state.set_state(session_id, draw(st.sampled_from([IDLE, IDLE, WAITING_PROBE])))
@@ -188,8 +193,37 @@ def link_states(draw):
     return state
 
 
+def place_at_tie(state, session_id, offset, nudge):
+    """Set the F_e member's rate ``offset`` tolerance widths (and ``nudge``
+    ulps) from the B_e it leaves, ``(C_e - other F_e load) / (|R_e| + 1)``."""
+    other_load = state.unrestricted_load() - (state.rate_of(session_id) or 0.0)
+    tie = (state.capacity - other_load) / (len(state.restricted) + 1)
+    state.set_rate(session_id, straddle(tie, offset, nudge))
+
+
+def pinned_state(restricted_offsets):
+    """A 1 Gbps link with one F_e member half a tolerance width below B_e and
+    IDLE R_e members recorded at the given tolerance widths from B_e."""
+    state = LinkState(("a", "b"), 1e9)
+    state.add_unrestricted("f0")
+    members = ["r%d" % index for index in range(len(restricted_offsets))]
+    for session_id in members:
+        state.add_restricted(session_id)
+    place_at_tie(state, "f0", -0.5, 0)
+    rate = state.bottleneck_rate()
+    for session_id, offset in zip(members, restricted_offsets):
+        state.set_state(session_id, IDLE)
+        state.set_rate(session_id, straddle(rate, offset, 0))
+    return state
+
+
 @settings(max_examples=400, deadline=None)
 @given(link_states())
+# The R_e maximum within tolerance above B_e: a plain compare with B_e does
+# not exit idle_restricted_above, yet the scan finds nobody strictly above.
+@example(pinned_state([0.5, 0.0, -3.0]))
+# The R_e maximum within tolerance below B_e: settled_at must not exit.
+@example(pinned_state([-0.5, -3.0]))
 def test_link_state_queries_match_float_algebra(state):
     assert_queries_match_full_scan(state)
 
@@ -215,6 +249,12 @@ def assert_queries_match_full_scan(state):
         for session_id in state.restricted
     )
     assert state.all_restricted_settled() == (bool(state.restricted) and settled)
+    offenders = [
+        recorded
+        for _session_id, recorded in state.unrestricted_rated()
+        if FLOAT.greater_equal(recorded, rate)
+    ]
+    assert state.largest_unrestricted_offender(rate) == (max(offenders) if offenders else None)
     stable = (
         all(state.state_of(session_id) == IDLE for session_id in state.sessions())
         and settled
@@ -230,10 +270,19 @@ def assert_queries_match_full_scan(state):
     assert state.is_stable() == stable
 
 
-# The busy count (non-IDLE R_e members) that lets the R_e scans exit early
-# must follow every mutation, in any order.
+# The busy count (non-IDLE R_e members) and the R_e and F_e rate maxima that
+# let the scans exit early must follow every mutation, in any order.
 
-MUTATIONS = ["add_restricted", "add_unrestricted", "set_state", "set_rate", "forget"]
+MUTATIONS = [
+    "add_restricted", "add_unrestricted", "set_state", "set_rate", "set_capacity", "forget",
+]
+
+
+def assert_rate_maxima_match_recount(state):
+    """Each maintained rate maximum equals its recount, or is stale (None)
+    and so recounted at its next read."""
+    assert state._restricted_max in (None, state._recomputed_restricted_max())
+    assert state._unrestricted_max in (None, state._recomputed_unrestricted_max())
 
 
 @settings(max_examples=300, deadline=None)
@@ -254,7 +303,11 @@ def test_busy_count_follows_every_mutation(data):
                 offset = data.draw(st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-3.0, 3.0))
                 rate = straddle(rate, offset, data.draw(st.integers(-2, 2)))
             state.set_rate(session_id, rate)
+        elif mutation == "set_capacity":
+            state.set_capacity(state.capacity * data.draw(st.sampled_from([0.5, 2.0])))
         else:
             getattr(state, mutation)(session_id)
         assert state._busy == state._recomputed_busy()
+        assert_rate_maxima_match_recount(state)
         assert_queries_match_full_scan(state)
+        assert_rate_maxima_match_recount(state)
