@@ -36,7 +36,6 @@ def _mass_join(size, print_table):
         size=size,
         delay_model="lan",
         seed=0,
-        trace_packets=False,
     )
     with ExperimentRunner(spec) as runner:
         runner.populate(MASS_JOIN_SESSIONS, join_window=(0.0, 1e-3))

@@ -80,9 +80,9 @@ def test_parking_lot_scaling(benchmark, print_table):
     assert totals == sorted(totals)
 
 
-def _transit_stub_run(build, session_count, seed, trace_packets=True):
+def _transit_stub_run(build, session_count, seed):
     network = build("lan", seed=seed)
-    protocol = BNeckProtocol(network, trace_packets=trace_packets)
+    protocol = BNeckProtocol(network)
     generator = WorkloadGenerator(network, seed=seed + session_count)
     generator.populate(protocol, session_count, join_window=(0.0, 1e-3))
     start = time.perf_counter()
@@ -134,36 +134,6 @@ def test_transit_stub_scaling(benchmark, print_table):
     medium_events = [events for label, _, events, _, _, _ in rows if label == "medium"]
     assert medium_events == sorted(medium_events)
     assert all(packets > 0 for _, _, _, packets, _, _ in rows)
-
-
-def test_null_tracer_zero_overhead_path(benchmark, print_table):
-    """The untraced fast path must process the same events, only faster."""
-
-    def compare():
-        results = {}
-        for label, trace_packets in (("traced", True), ("untraced", False)):
-            protocol, _, wall_clock = _transit_stub_run(
-                medium_network, 250, seed=17, trace_packets=trace_packets
-            )
-            results[label] = (
-                wall_clock,
-                protocol.simulator.events_processed,
-                protocol.tracer.total,
-            )
-        return results
-
-    results = benchmark.pedantic(compare, iterations=1, rounds=1)
-    print_table(
-        "Ablation -- packet accounting on vs off (Medium, 250 sessions)",
-        "\n".join(
-            "%-9s  %.3f s  events=%d  packets=%d" % (label, wall, events, packets)
-            for label, (wall, events, packets) in results.items()
-        ),
-    )
-    # Tracing must be observationally irrelevant to the simulation itself.
-    assert results["traced"][1] == results["untraced"][1]
-    assert results["untraced"][2] == 0
-    assert results["traced"][2] > 0
 
 
 def test_wan_delay_reduces_packets(benchmark, print_table):

@@ -16,12 +16,11 @@ from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.workloads.stochastic import PoissonChurnWorkload
 
 
-def _run_poisson(size, seed, workload, trace_packets=True):
+def _run_poisson(size, seed, workload):
     spec = ScenarioSpec(
         size=size,
         delay_model="lan",
         seed=seed,
-        trace_packets=trace_packets,
     )
     with ExperimentRunner(spec) as runner:
         measurements = runner.run_scenario(workload)
@@ -79,7 +78,6 @@ def test_paper_medium_sustained_churn(print_table):
         "paper-medium",
         seed=3,
         workload=workload,
-        trace_packets=False,
     )
     measurements = result["measurements"]
     assert len(measurements) == 6

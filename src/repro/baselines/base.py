@@ -28,7 +28,7 @@ from repro.fairness.allocation import RateAllocation
 from repro.network.routing import PathComputer, path_links
 from repro.network.session import Session, SessionRegistry, check_demand
 from repro.simulator.simulation import Simulator
-from repro.simulator.tracing import NullPacketTracer, PacketTracer
+from repro.simulator.tracing import PacketTracer
 
 PROBE_PACKET = "Probe"
 RESPONSE_PACKET = "Response"
@@ -98,16 +98,11 @@ class BaselineProtocol(object):
         tracer=None,
         probe_interval=1e-3,
         routing_metric="hops",
-        trace_packets=True,
     ):
         self.network = network
         self.simulator = simulator or Simulator()
         self.algebra = algebra or default_algebra()
-        if tracer is None:
-            # Same opt-out contract as BNeckProtocol: time-only runs skip the
-            # per-packet accounting entirely.
-            tracer = PacketTracer() if trace_packets else NullPacketTracer()
-        self.tracer = tracer
+        self.tracer = tracer or PacketTracer()
         self.probe_interval = probe_interval
         self.registry = SessionRegistry()
         self.path_computer = PathComputer(network, metric=routing_metric)
@@ -119,16 +114,6 @@ class BaselineProtocol(object):
         self._session_counter = 0
         self.probe_cycles = 0
         self._ticking = False
-
-    @property
-    def tracer(self):
-        """The packet tracer; assigning one also sets whether probes record."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer):
-        self._tracer = tracer
-        self._trace_packets = getattr(tracer, "enabled", True)
 
     # ----------------------------------------------------------- controllers
 
@@ -235,16 +220,14 @@ class BaselineProtocol(object):
         now = self.simulator.now
         self.probe_cycles += 1
 
-        tracer = self._tracer
-        trace = self._trace_packets
+        tracer = self.tracer
         granted = demand
         elapsed = 0.0
         for link in session.links:
             elapsed += link.control_delay()
-            if trace:
-                tracer.record(
-                    now + elapsed, PROBE_PACKET, session_id, link=link.endpoints, direction="downstream"
-                )
+            tracer.record(
+                now + elapsed, PROBE_PACKET, session_id, link=link.endpoints, direction="downstream"
+            )
             controller = self._controller_for(link)
             advertised = controller.on_probe(session_id, demand, current)
             if advertised < granted:
@@ -252,10 +235,9 @@ class BaselineProtocol(object):
         for link in reversed(session.links):
             reverse = self.network.reverse_link(link)
             elapsed += reverse.control_delay()
-            if trace:
-                tracer.record(
-                    now + elapsed, RESPONSE_PACKET, session_id, link=reverse.endpoints, direction="upstream"
-                )
+            tracer.record(
+                now + elapsed, RESPONSE_PACKET, session_id, link=reverse.endpoints, direction="upstream"
+            )
         round_trip = elapsed
         result = ProbeCycleResult(session_id, max(granted, 0.0), round_trip)
 

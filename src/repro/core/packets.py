@@ -6,7 +6,12 @@ the link ``eta`` that imposed the strongest restriction so far; ``Response``
 carries the action indicator ``tau`` (one of ``RESPONSE``, ``UPDATE``,
 ``BOTTLENECK``); ``SetBottleneck`` carries the boolean ``beta`` used to detect
 that no link confirmed itself as a bottleneck for the session.
+
+Each packet class's ``kind`` is its type's index in :data:`PACKET_TYPES`,
+the list of type names the packet tracer counts by.
 """
+
+from repro.simulator.tracing import PACKET_TYPES
 
 # Values of the Response packet's tau field.
 RESPONSE = "RESPONSE"
@@ -48,6 +53,7 @@ class Join(_Packet):
     """
 
     type_name = "Join"
+    kind = PACKET_TYPES.index(type_name)
     __slots__ = ("rate", "restricting_link")
 
     def __init__(self, session_id, rate, restricting_link):
@@ -63,6 +69,7 @@ class Probe(_Packet):
     """Sent downstream whenever the session's rate must be recomputed."""
 
     type_name = "Probe"
+    kind = PACKET_TYPES.index(type_name)
     __slots__ = ("rate", "restricting_link")
 
     def __init__(self, session_id, rate, restricting_link):
@@ -83,6 +90,7 @@ class Response(_Packet):
     """
 
     type_name = "Response"
+    kind = PACKET_TYPES.index(type_name)
     __slots__ = ("tau", "rate", "restricting_link")
 
     def __init__(self, session_id, tau, rate, restricting_link):
@@ -101,6 +109,7 @@ class Update(_Packet):
     """Sent upstream to ask the source to run a new Probe cycle."""
 
     type_name = "Update"
+    kind = PACKET_TYPES.index(type_name)
     __slots__ = ()
 
 
@@ -108,6 +117,7 @@ class Bottleneck(_Packet):
     """Sent upstream to tell the source its current rate is the max-min rate."""
 
     type_name = "Bottleneck"
+    kind = PACKET_TYPES.index(type_name)
     __slots__ = ()
 
 
@@ -120,6 +130,7 @@ class SetBottleneck(_Packet):
     """
 
     type_name = "SetBottleneck"
+    kind = PACKET_TYPES.index(type_name)
     __slots__ = ("found_bottleneck",)
 
     def __init__(self, session_id, found_bottleneck):
@@ -134,15 +145,5 @@ class Leave(_Packet):
     """Sent downstream when a session terminates (``API.Leave``)."""
 
     type_name = "Leave"
+    kind = PACKET_TYPES.index(type_name)
     __slots__ = ()
-
-
-PACKET_TYPES = (
-    Join.type_name,
-    Probe.type_name,
-    Response.type_name,
-    Update.type_name,
-    Bottleneck.type_name,
-    SetBottleneck.type_name,
-    Leave.type_name,
-)

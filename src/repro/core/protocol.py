@@ -8,10 +8,11 @@ network and a discrete-event simulator:
   :class:`~repro.core.source_node.SourceNodeTask` and one
   :class:`~repro.core.destination_node.DestinationNodeTask` per session;
 * it routes packets hop by hop along session paths (downstream) and reverse
-  paths (upstream), applying each link's control-packet delay and accounting
-  every transmission in a :class:`~repro.simulator.tracing.PacketTracer`;
-  each hop is one entry on the simulator's event heap whose callback is the
-  receiving task's handler for the packet;
+  paths (upstream), applying each link's control-packet delay and counting
+  every transmission in its session's list of per-type counts, which the
+  :class:`~repro.simulator.tracing.PacketTracer` owns; each hop is one entry
+  on the simulator's event heap whose callback is the receiving task's
+  handler for the packet;
 * it exposes the session API (``join`` / ``leave`` / ``change``), delivers
   every ``API.Rate`` notification, and provides quiescence and allocation
   helpers used by the experiments and tests.
@@ -49,20 +50,23 @@ from repro.fairness.allocation import RateAllocation
 from repro.network.routing import PathComputer, path_links
 from repro.network.session import Session, SessionRegistry, check_demand
 from repro.simulator.simulation import ENTRY_TAG, Simulator
-from repro.simulator.tracing import NullPacketTracer, PacketTracer
+from repro.simulator.tracing import PacketTracer
 
 DOWNSTREAM = "downstream"
 UPSTREAM = "upstream"
 
 
 class _SessionWiring(object):
-    """Per-session forwarding table: the path's stages and each one's index."""
+    """Per-session forwarding table: the path's stages, each one's index, and
+    the session's per-type packet counts (the tracer's list, see
+    :meth:`~repro.simulator.tracing.PacketTracer.counts_for`)."""
 
-    __slots__ = ("stages", "index_of")
+    __slots__ = ("stages", "index_of", "sent")
 
-    def __init__(self, stages):
+    def __init__(self, stages, sent):
         self.stages = stages
         self.index_of = {stage: index for index, stage in enumerate(stages)}
+        self.sent = sent
 
 
 def _wire_stage(stage, link, reverse):
@@ -89,33 +93,33 @@ class BNeckProtocol(object):
     upstream hop the reverse of the target's (``back_delay``/``back_key``);
     :func:`_wire_stage` stores both once per stage, so a hop resolves no
     link.  The ``forward_*`` method does the whole send: it looks the
-    packet's handler up in the target's ``delivery`` table, records the
-    packet when tracing, and pushes one ``(time, sequence, callback, type
-    name)`` entry onto the simulator's heap, drawing one sequence number.
-    The callback is the handler bound to the target and the packet, so a
-    delivery runs no frame before it.  :meth:`join` resolves every reverse
-    link first, so a path over a one-way link is refused before anything is
-    registered.
+    packet's handler up in the target's ``delivery`` table, counts the
+    packet, and pushes one ``(time, sequence, callback, type name)`` entry
+    onto the simulator's heap, drawing one sequence number.  The callback is
+    the handler bound to the target and the packet, so a delivery runs no
+    frame before it.  :meth:`join` resolves every reverse link first, so a
+    path over a one-way link is refused before anything is registered.
+
+    Counting: each session's wiring holds the tracer's list of its per-type
+    counts (``sent``), and a send adds one to the slot of the packet's
+    ``kind`` -- no call into the tracer.  Only a timed tracer (one with an
+    interval or keeping records) needs each packet's time and link, so with
+    one a send calls :meth:`~repro.simulator.tracing.PacketTracer.record`
+    instead, which counts into the same list.
 
     Args:
         network: the :class:`~repro.network.graph.Network` to run over.
         simulator: optional simulator (one is created if omitted).
-        tracer: optional :class:`~repro.simulator.tracing.PacketTracer`.
+        tracer: optional :class:`~repro.simulator.tracing.PacketTracer`
+            (a counting one is created if omitted).
         routing_metric: ``"hops"`` (paper default) or ``"delay"``.
-        trace_packets: when false (and no explicit ``tracer`` is given) a
-            :class:`~repro.simulator.tracing.NullPacketTracer` is installed
-            and the per-packet accounting of the ``forward_*`` methods is
-            skipped entirely -- use for runs that only report times, not
-            counts.  Assigning :attr:`tracer` later switches it on or off.
     """
 
-    def __init__(self, network, simulator=None, tracer=None,
-                 routing_metric="hops", trace_packets=True):
+    def __init__(self, network, simulator=None, tracer=None, routing_metric="hops"):
         self.network = network
         self.simulator = simulator or Simulator()
-        if tracer is None:
-            tracer = PacketTracer() if trace_packets else NullPacketTracer()
-        self.tracer = tracer
+        self._wirings = {}
+        self.tracer = tracer or PacketTracer()
         # The simulator's heap and counter, pushed to directly on every hop.
         self._heap = self.simulator.heap
         self._sequence = self.simulator.sequence
@@ -125,7 +129,6 @@ class BNeckProtocol(object):
         self._sources = {}
         self._destinations = {}
         self._applications = {}
-        self._wirings = {}
         self._sessions = {}
         self._last_rate = {}
         self._pending_rates = {}
@@ -134,14 +137,17 @@ class BNeckProtocol(object):
 
     @property
     def tracer(self):
-        """The packet tracer; assigning one also sets whether sends record."""
+        """The packet tracer.  Assigning one moves every session's counting
+        to it: packets sent after the swap count in the new tracer only."""
         return self._tracer
 
     @tracer.setter
     def tracer(self, tracer):
         self._tracer = tracer
         # Read once here, not per packet.
-        self._trace_packets = getattr(tracer, "enabled", True)
+        self._timed = tracer.timed
+        for session_id, wiring in self._wirings.items():
+            wiring.sent = tracer.counts_for(session_id)
 
     @property
     def in_flight_packets(self):
@@ -213,7 +219,8 @@ class BNeckProtocol(object):
         for link, reverse in zip(session.transit_links, reverses[1:]):
             stages.append(self._router_link_for(link, reverse))
         stages.append(destination)
-        self._wirings[session.session_id] = _SessionWiring(stages)
+        self._wirings[session.session_id] = _SessionWiring(
+            stages, self._tracer.counts_for(session.session_id))
 
         def activate():
             self.registry.add(session)
@@ -336,7 +343,7 @@ class BNeckProtocol(object):
     # ---------------------------------------------------------------- forwarding
 
     # Each method below is one whole send: resolve the target stage and its
-    # handler, record the packet when tracing, push one heap entry.
+    # handler, count the packet, push one heap entry.
     # They are spelled out three times because a shared helper would put a
     # frame on every packet's path.
 
@@ -351,8 +358,10 @@ class BNeckProtocol(object):
             raise _unhandled(target, packet) from None
         now = self.simulator.now
         type_name = packet.type_name
-        if self._trace_packets:
+        if self._timed:
             self._tracer.record(now, type_name, packet.session_id, sender.link_id, DOWNSTREAM)
+        else:
+            wiring.sent[packet.kind] += 1
         heappush(self._heap, (now + sender.hop_delay, next(self._sequence),
                               partial(handler, target, packet), type_name))
 
@@ -375,14 +384,17 @@ class BNeckProtocol(object):
             raise _unhandled(target, packet) from None
         now = self.simulator.now
         type_name = packet.type_name
-        if self._trace_packets:
+        if self._timed:
             self._tracer.record(now, type_name, packet.session_id, target.back_key, UPSTREAM)
+        else:
+            wiring.sent[packet.kind] += 1
         heappush(self._heap, (now + target.back_delay, next(self._sequence),
                               partial(handler, target, packet), type_name))
 
     def forward_upstream_from_destination(self, session_id, packet):
         """Send a packet upstream from the destination node of ``session_id``."""
-        stages = self._wirings[session_id].stages
+        wiring = self._wirings[session_id]
+        stages = wiring.stages
         target = stages[len(stages) - 2]
         try:
             handler = target.delivery[packet.__class__]
@@ -390,8 +402,10 @@ class BNeckProtocol(object):
             raise _unhandled(target, packet) from None
         now = self.simulator.now
         type_name = packet.type_name
-        if self._trace_packets:
+        if self._timed:
             self._tracer.record(now, type_name, packet.session_id, target.back_key, UPSTREAM)
+        else:
+            wiring.sent[packet.kind] += 1
         heappush(self._heap, (now + target.back_delay, next(self._sequence),
                               partial(handler, target, packet), type_name))
 

@@ -25,7 +25,7 @@ workloads this way).
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
 from repro.network.transit_stub import LAN
-from repro.simulator.tracing import NullPacketTracer, PacketTracer
+from repro.simulator.tracing import PacketTracer
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import NetworkScenario
 from repro.workloads.stochastic import make_workload
@@ -49,9 +49,9 @@ class ScenarioSpec(object):
             to :class:`~repro.core.protocol.BNeckProtocol` with this spec's
             routing metric.
         tracer_interval: bucket width for per-interval packet accounting
-            (``None`` keeps a plain total-counting tracer).
-        trace_packets: disable to install a
-            :class:`~repro.simulator.tracing.NullPacketTracer` (fastest).
+            (``None`` keeps a plain counting tracer, which the protocol
+            counts into without a call per packet; with an interval every
+            packet is recorded with its time).
         routing_metric: ``"hops"`` (paper default) or ``"delay"``.
         validate: whether :meth:`ExperimentRunner.checkpoint` validates
             against the centralized oracle.
@@ -71,7 +71,6 @@ class ScenarioSpec(object):
         network_builder=None,
         protocol_factory=None,
         tracer_interval=None,
-        trace_packets=True,
         routing_metric="hops",
         validate=True,
         workload=None,
@@ -86,7 +85,6 @@ class ScenarioSpec(object):
         self.network_builder = network_builder
         self.protocol_factory = protocol_factory
         self.tracer_interval = tracer_interval
-        self.trace_packets = trace_packets
         self.routing_metric = routing_metric
         self.validate = validate
         self.workload = workload
@@ -125,11 +123,7 @@ class ScenarioSpec(object):
         return NetworkScenario(self.size, self.delay_model, seed=self.seed).build()
 
     def build_tracer(self):
-        if not self.trace_packets:
-            return NullPacketTracer()
-        if self.tracer_interval is not None:
-            return PacketTracer(interval=self.tracer_interval)
-        return PacketTracer()
+        return PacketTracer(interval=self.tracer_interval)
 
     def build_protocol(self, network, tracer):
         if self.protocol_factory is not None:

@@ -30,16 +30,11 @@ from repro.simulator.process import Process
 from repro.simulator.random_source import RandomSource
 from repro.simulator.simulation import Simulator
 from repro.simulator.statistics import SummaryStatistics, percentile, summarize
-from repro.simulator.tracing import (
-    NullPacketTracer,
-    PacketRecord,
-    PacketTracer,
-)
+from repro.simulator.tracing import PacketRecord, PacketTracer
 
 __all__ = [
     "MICROSECOND",
     "MILLISECOND",
-    "NullPacketTracer",
     "PacketRecord",
     "PacketTracer",
     "Process",

@@ -6,13 +6,24 @@ interval (Figure 6), and per interval for B-Neck vs. BFYZ (Figure 8).  Every
 packet transmission across a link is accounted for ("a Probe cycle of session s
 generates a number of packets that is twice the length of s's path").
 
-:class:`PacketTracer` is the single collection point for that accounting: the
-protocol orchestrators call :meth:`PacketTracer.record` every time a packet is
-put on a link.
+:class:`PacketTracer` is the single store of that accounting: one list of
+per-type counts per session, indexed by :data:`PACKET_TYPES`.  A protocol
+fetches a session's list once with :meth:`PacketTracer.counts_for` and
+counts each packet it puts on a link with one increment of that list, so an
+untimed tracer is never called per packet.  Only a *timed* tracer -- one
+with an ``interval`` or with ``keep_records`` -- needs each packet's time
+and link, so the protocols call :meth:`PacketTracer.record` for every packet
+instead; ``record`` counts into the same lists.
 """
 
 import collections
 import math
+
+# The seven B-Neck control-packet types; a packet's ``kind`` is its index here.
+PACKET_TYPES = ("Join", "Probe", "Response", "Update", "Bottleneck",
+                "SetBottleneck", "Leave")
+
+_KIND = {name: kind for kind, name in enumerate(PACKET_TYPES)}
 
 
 class PacketRecord(object):
@@ -37,53 +48,21 @@ class PacketRecord(object):
         )
 
 
-class NullPacketTracer(object):
-    """A tracer that records nothing, as cheaply as possible.
-
-    Protocol hot paths test the ``enabled`` attribute and skip the ``record``
-    call entirely, so an untraced simulation pays zero accounting cost per
-    packet.  The counting attributes exist (frozen at zero) so code that
-    reads ``tracer.total`` after a run keeps working.
-    """
-
-    enabled = False
-
-    def __init__(self):
-        self.records = []
-        self.total = 0
-        self.by_type = collections.Counter()
-        self.by_session = collections.Counter()
-        self.last_packet_time = 0.0
-
-    def record(self, time, packet_type, session_id, link=None, direction=None):
-        """Accepted and discarded (callers normally skip the call entirely)."""
-
-    def clear(self):
-        pass
-
-    def __repr__(self):
-        return "NullPacketTracer()"
-
-
 class PacketTracer(object):
     """Accounts every control packet put on a link.
 
-    Two collection modes are supported:
+    Counts are kept per session and per packet type, in the lists
+    :meth:`counts_for` hands out; ``total``, ``by_type`` and ``by_session``
+    sum them when read.  Two options make the tracer *timed* (``timed`` is
+    true), and the protocols then call :meth:`record` for every packet,
+    because only that call carries the packet's time and link:
 
-    * *counting only* (``keep_records=False``, the default): per-type totals
-      and per-interval histograms, cheap enough for large sweeps;
-    * *full records* (``keep_records=True``): every :class:`PacketRecord` is
-      kept, which the tests use to assert fine-grained properties.
-
-    The ``enabled`` attribute is what the protocol hot path checks before
-    calling :meth:`record`; it is always true for this class (use
-    :class:`NullPacketTracer` to turn packet accounting off).
-
-    ``interval``, when given, is the histogram bucket width in seconds and
-    must be positive and finite.
+    * ``interval``, when given, is the bucket width in seconds of the
+      per-interval histograms (Experiments 2 and 3); it must be positive and
+      finite;
+    * ``keep_records=True`` keeps every :class:`PacketRecord`, which the
+      tests use to assert fine-grained properties.
     """
-
-    enabled = True
 
     def __init__(self, keep_records=False, interval=None):
         if interval is not None and not (interval > 0 and math.isfinite(interval)):
@@ -92,20 +71,22 @@ class PacketTracer(object):
             )
         self.keep_records = keep_records
         self.interval = interval
+        self.timed = keep_records or interval is not None
         self.records = []
-        self.total = 0
-        self.by_type = collections.Counter()
-        self.by_session = collections.Counter()
+        self._counts = {}
         self._interval_counts = collections.defaultdict(collections.Counter)
-        self.last_packet_time = 0.0
+
+    def counts_for(self, session_id):
+        """The list of per-type counts of ``session_id``, indexed by
+        :data:`PACKET_TYPES`: zeroed on the first call, the same list after."""
+        counts = self._counts.get(session_id)
+        if counts is None:
+            counts = self._counts[session_id] = [0] * len(PACKET_TYPES)
+        return counts
 
     def record(self, time, packet_type, session_id, link=None, direction=None):
         """Record a packet transmission at ``time`` across ``link``."""
-        self.total += 1
-        self.by_type[packet_type] += 1
-        self.by_session[session_id] += 1
-        if time > self.last_packet_time:
-            self.last_packet_time = time
+        self.counts_for(session_id)[_KIND[packet_type]] += 1
         if self.interval is not None:
             bucket = int(time / self.interval)
             self._interval_counts[bucket][packet_type] += 1
@@ -116,11 +97,34 @@ class PacketTracer(object):
 
     # ------------------------------------------------------------ aggregates
 
+    @property
+    def total(self):
+        """Packets counted so far."""
+        return sum(sum(counts) for counts in self._counts.values())
+
+    @property
+    def by_type(self):
+        """``Counter`` of packets per type, without the types never sent."""
+        columns = zip(PACKET_TYPES, zip(*self._counts.values()))
+        return collections.Counter(
+            {name: sum(column) for name, column in columns if any(column)}
+        )
+
+    @property
+    def by_session(self):
+        """``Counter`` of packets per session, without the sessions that sent
+        none."""
+        return collections.Counter(
+            {session_id: sum(counts)
+             for session_id, counts in self._counts.items() if any(counts)}
+        )
+
     def packets_per_session(self):
         """Average number of packets per session (0.0 when no sessions)."""
-        if not self.by_session:
+        by_session = self.by_session
+        if not by_session:
             return 0.0
-        return self.total / float(len(self.by_session))
+        return sum(by_session.values()) / float(len(by_session))
 
     def interval_series(self, packet_types=None):
         """Return ``[(interval_start_time, {type: count})]`` sorted by time.
@@ -150,12 +154,12 @@ class PacketTracer(object):
         ]
 
     def clear(self):
+        """Forget every packet.  The per-session lists are zeroed in place,
+        so the protocols holding them keep counting into them."""
+        for counts in self._counts.values():
+            counts[:] = [0] * len(PACKET_TYPES)
         self.records = []
-        self.total = 0
-        self.by_type = collections.Counter()
-        self.by_session = collections.Counter()
         self._interval_counts = collections.defaultdict(collections.Counter)
-        self.last_packet_time = 0.0
 
     def __repr__(self):
         return "PacketTracer(total=%d, types=%d)" % (self.total, len(self.by_type))

@@ -23,8 +23,11 @@ pushing one queue entry whose callback is the receiving handler (no
 ``pop_entry`` call for a bare head); 8.6 once the link state kept its
 ``R_e`` and ``F_e`` rate maxima, so the ``F_e`` offender pass asks for the
 largest offender rate in one call instead of building the list of rated
-members and a comprehension over it.  Nearly every event is a packet
-delivery, so one more frame per packet adds about 1.0.
+members and a comprehension over it; 7.6 once a send counts its packet
+with one increment of the session's list of per-type counts instead of a
+``PacketTracer.record`` call.  Nearly every event is a packet delivery, so
+one more frame per packet adds about 1.0.  The default tracer must see no
+call at all per packet: the flash crowd makes none to ``record``.
 
 Routing has a budget of its own: the hosts a workload attaches are leaves
 that never relay, so routing a fixed set of router pairs must make the same
@@ -52,10 +55,11 @@ from repro.network.transit_stub import (
     small_network,
     stub_routers,
 )
+from repro.simulator.tracing import PacketTracer
 
 SESSIONS = 40
-# Calls per processed event: the measured 8.6 plus half a frame per event.
-CALLS_PER_EVENT_BUDGET = 9.1
+# Calls per processed event: the measured 7.6 plus half a frame per event.
+CALLS_PER_EVENT_BUDGET = 8.1
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 
@@ -89,28 +93,40 @@ def _flash_crowd():
     return protocol
 
 
-def _package_calls(function):
-    """Calls into the package's Python functions while ``function`` runs."""
+def _profile(function):
+    """``{function label: calls}`` of the Python functions called while
+    ``function`` runs."""
     profile = cProfile.Profile()
     profile.enable()
     function()
     profile.disable()
+    return {
+        label: total_calls
+        for label, (_, total_calls, _, _, _) in pstats.Stats(profile).stats.items()
+    }
+
+
+def _package_calls(calls):
+    """The calls of a :func:`_profile` into the package's functions."""
     return sum(
-        total_calls
-        for (filename, _, _), (_, total_calls, _, _, _) in pstats.Stats(profile).stats.items()
+        count
+        for (filename, _, _), count in calls.items()
         if os.path.abspath(filename).startswith(PACKAGE_DIR)
     )
 
 
-def _python_calls_per_event(protocol):
-    calls = _package_calls(protocol.run_until_quiescent)
-    return calls / protocol.simulator.events_processed
+def _calls_to(calls, function):
+    """The calls of a :func:`_profile` to the Python ``function``."""
+    return calls.get(cProfile.label(function.__code__), 0)
 
 
 def test_python_calls_per_event_within_budget():
     protocol = _flash_crowd()
-    calls_per_event = _python_calls_per_event(protocol)
+    calls = _profile(protocol.run_until_quiescent)
+    calls_per_event = _package_calls(calls) / protocol.simulator.events_processed
     assert protocol.tracer.total > 10000
+    assert _calls_to(calls, BNeckProtocol.forward_downstream) > 0
+    assert _calls_to(calls, PacketTracer.record) == 0
     assert validate_against_oracle(protocol).valid
     assert calls_per_event <= CALLS_PER_EVENT_BUDGET, (
         "%.2f package calls per event exceed the budget of %.1f: something "
@@ -126,7 +142,7 @@ def _routing_calls(attached_hosts):
     pairs = [(rng.choice(routers), rng.choice(routers)) for _ in range(200)]
     for _ in range(attached_hosts):
         network.attach_host(rng.choice(routers), HOST_LINK_CAPACITY, HOST_LINK_DELAY)
-    return _package_calls(lambda: [shortest_path(network, *pair) for pair in pairs])
+    return _package_calls(_profile(lambda: [shortest_path(network, *pair) for pair in pairs]))
 
 
 def test_attached_hosts_add_no_routing_calls():

@@ -1,9 +1,9 @@
 """Direct packet delivery: one queue entry per hop, calling the handler.
 
 A ``forward_*`` call is a packet's whole send: it resolves the target
-stage and the target's handler for the packet, records the packet when
-tracing, and pushes one entry onto the simulator's heap whose
-callback is that handler bound to the target and the packet.  These tests
+stage and the target's handler for the packet, counts the packet, and
+pushes one entry onto the simulator's heap whose callback is that handler
+bound to the target and the packet.  These tests
 pin down what that path promises:
 
 * ``in_flight_packets`` is a recount of the queued packet deliveries at
@@ -11,8 +11,8 @@ pin down what that path promises:
   quiescence of every golden scenario;
 * a packet class the target has no handler for raises ``TypeError``
   naming the target when it is sent, and leaves nothing queued or counted;
-* a tracer assigned after construction counts every packet, for B-Neck
-  and for the baselines.
+* a tracer swapped in after the sessions joined counts every packet and
+  the one it replaced counts none, for B-Neck and for the baselines.
 """
 
 import math
@@ -182,32 +182,34 @@ def test_unknown_packet_class_raises_at_send_and_queues_nothing(send, target):
 # ------------------------------------------------------------- tracer swaps
 
 
+@pytest.mark.parametrize("keep_records", [False, True], ids=["counting", "recording"])
 @pytest.mark.parametrize("key", ["small-lan-s2-n20", "small-wan-s2-n20"])
-def test_tracer_assigned_after_construction_counts_every_packet(key):
-    def untraced_then_traced(network):
-        protocol = BNeckProtocol(network, trace_packets=False)
-        protocol.tracer = PacketTracer()
-        return protocol
-
-    protocol = _mass_join(key, untraced_then_traced)
+def test_tracer_assigned_after_construction_counts_every_packet(key, keep_records):
+    protocol = _mass_join(key, BNeckProtocol)
+    first = protocol.tracer
+    protocol.tracer = PacketTracer(keep_records=keep_records)
     protocol.run_until_quiescent()
     assert protocol.tracer.total == GOLDENS[key]["packets"]
     assert dict(protocol.tracer.by_type) == GOLDENS[key]["by_type"]
+    assert first.total == 0
 
 
-def _bfyz_packets(**knobs):
+def _bfyz_packets(swap):
     network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-    protocol = BFYZProtocol(network, probe_interval=1e-4, **knobs)
-    if "trace_packets" in knobs:
+    protocol = BFYZProtocol(network, probe_interval=1e-4)
+    first = protocol.tracer
+    if swap:
         protocol.tracer = PacketTracer()
     source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
     sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
     protocol.open_session(source.node_id, sink.node_id, math.inf, session_id="a")
     protocol.run(until=1e-3)
+    if swap:
+        assert first.total == 0
     return protocol.tracer.total
 
 
 def test_baseline_tracer_assigned_after_construction_counts_every_packet():
-    traced = _bfyz_packets()
+    traced = _bfyz_packets(swap=False)
     assert traced > 0
-    assert _bfyz_packets(trace_packets=False) == traced
+    assert _bfyz_packets(swap=True) == traced

@@ -6,7 +6,7 @@ from repro.core.protocol import BNeckProtocol
 from repro.experiments.runner import ExperimentRunner, RunMeasurement, ScenarioSpec
 from repro.network.topology import parking_lot_topology
 from repro.network.units import MBPS
-from repro.simulator.tracing import NullPacketTracer, PacketTracer
+from repro.simulator.tracing import PacketTracer
 from repro.workloads.scenarios import NetworkScenario
 from repro.workloads.stochastic import DynamicPhase, PhaseChurnWorkload
 
@@ -56,13 +56,13 @@ class TestScenarioSpec(object):
         assert spec.build_network().name == "customized"
 
     def test_tracer_flavours(self):
-        assert isinstance(
-            ScenarioSpec(size="small", trace_packets=False).build_tracer(),
-            NullPacketTracer,
-        )
+        counting = ScenarioSpec(size="small").build_tracer()
+        assert isinstance(counting, PacketTracer)
+        assert not counting.timed
         tracer = ScenarioSpec(size="small", tracer_interval=5e-3).build_tracer()
         assert isinstance(tracer, PacketTracer)
         assert tracer.interval == 5e-3
+        assert tracer.timed
 
     def test_protocol_factory_override(self):
         built = {}

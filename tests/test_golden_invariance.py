@@ -1,15 +1,17 @@
-"""Knobs that must be invisible to the schedule, checked on every golden.
+"""Tracers that must be invisible to the schedule, checked on every golden.
 
 The goldens (``tests/data/hot_path_goldens.json`` and the ``sequential``
 entries of ``tests/data/cross_engine_goldens.json``) pin one schedule per
-scenario.  The packet tracer's knobs change how packets are counted but not
-what is sent: ``trace_packets=False`` installs a
-null tracer, and ``tracer_interval`` one that also keeps per-interval
-histograms.
+scenario.  The packet tracer changes how packets are counted but not what is
+sent: the default tracer is counted into by the protocol without a call per
+packet, while a timed one -- with an interval, or keeping every record -- is
+called for each packet.
 
-Each scenario is run under each knob, and every golden field the knob cannot
-affect must come out bit-identical: event counts, quiescence times, packet
-counts per type and per round, callbacks and the final allocation.
+Each scenario is run under each tracer, and every golden field must come out
+bit-identical: event counts, quiescence times, packet counts per type and per
+round, callbacks and the final allocation.  A tracer keeping records must
+also count exactly what the default one counts, per type and per session,
+and both must equal a recount of its records.
 
 One default run of every scenario also checks the applications, the single
 record of ``API.Rate``: each active session's agrees with
@@ -22,6 +24,7 @@ same fingerprints are also computed in a fresh interpreter under a fixed
 Run this file as a script to print every scenario's fingerprint as JSON.
 """
 
+import collections
 import json
 import os
 import subprocess
@@ -46,25 +49,29 @@ with open(os.path.join(DATA, "cross_engine_goldens.json")) as handle:
 GOLDENS.update(HOT_PATH_GOLDENS)
 KEYS = sorted(GOLDENS)
 
-# Golden fields that count packets: a null tracer records none of them.
-PACKET_FIELDS = ("packets", "by_type", "phase_packets", "round_packets")
-
 
 def _allocation(protocol):
     allocation = protocol.current_allocation().as_dict()
     return {sid: repr(rate) for sid, rate in sorted(allocation.items())}
 
 
-def _mass_join(key, knobs):
+class _TracedSpec(ScenarioSpec):
+    """A scenario spec whose run counts into a given tracer."""
+
+    def __init__(self, tracer, **kwargs):
+        super(_TracedSpec, self).__init__(**kwargs)
+        self.tracer = tracer
+
+    def build_tracer(self):
+        return self.tracer
+
+
+def _mass_join(key, tracer):
     """A hot-path golden: ``count`` sessions join within 1 ms, run to quiescence."""
     size, delay, seed, count = key.split("-")
     seed, count = int(seed[1:]), int(count[1:])
     network = NetworkScenario(size, delay, seed=seed).build()
-    knobs = dict(knobs)
-    interval = knobs.pop("tracer_interval", None)
-    if interval is not None:
-        knobs["tracer"] = PacketTracer(interval=interval)
-    protocol = BNeckProtocol(network, **knobs)
+    protocol = BNeckProtocol(network, tracer=tracer)
     WorkloadGenerator(network, seed=seed + count).populate(
         protocol, count, join_window=(0.0, 1e-3)
     )
@@ -78,11 +85,11 @@ def _mass_join(key, knobs):
     }
 
 
-def _five_phase_churn(key, knobs):
+def _five_phase_churn(key, tracer):
     """The churn golden: join, leave, change, join, mixed."""
     _name, size, delay, seed, count = key.split("-")
     seed, count = int(seed[1:]), int(count[1:])
-    spec = ScenarioSpec(size=size, delay_model=delay, seed=seed, **knobs)
+    spec = _TracedSpec(tracer, size=size, delay_model=delay, seed=seed)
     churn = count // 5
     phases = [
         DynamicPhase("join", joins=count),
@@ -107,15 +114,15 @@ def _five_phase_churn(key, knobs):
         }
 
 
-def _stochastic(key, knobs):
+def _stochastic(key, tracer):
     """A stochastic golden: the registered workload's rounds, each validated."""
     _prefix, _workload, size, delay, seed = key.rsplit("-", 4)
-    spec = ScenarioSpec(
+    spec = _TracedSpec(
+        tracer,
         size=size,
         delay_model=delay,
         seed=int(seed[1:]),
         workload=GOLDENS[key]["workload"],
-        **knobs
     )
     with ExperimentRunner(spec) as runner:
         measurements = runner.run_scenario()
@@ -135,47 +142,27 @@ def _stochastic(key, knobs):
         }
 
 
-def run_golden(key, **knobs):
-    """Run golden scenario ``key`` with protocol ``knobs``; return the
-    protocol and the scenario's golden fields."""
+def run_golden(key, tracer=None):
+    """Run golden scenario ``key`` counting into ``tracer`` (a default
+    :class:`PacketTracer` if omitted); return the protocol and the
+    scenario's golden fields."""
+    tracer = tracer or PacketTracer()
     if key.startswith("stochastic-"):
-        return _stochastic(key, knobs)
+        return _stochastic(key, tracer)
     if key.startswith("churn-"):
-        return _five_phase_churn(key, knobs)
-    return _mass_join(key, knobs)
+        return _five_phase_churn(key, tracer)
+    return _mass_join(key, tracer)
 
 
-def fingerprint(key, **knobs):
-    """The golden fields of scenario ``key`` run with protocol ``knobs``."""
-    return run_golden(key, **knobs)[1]
-
-
-def _golden_without(key, *fields):
-    return {name: value for name, value in GOLDENS[key].items() if name not in fields}
-
-
-def _no_packets(value):
-    """What a packet-count field reads when no packet was counted."""
-    if isinstance(value, dict):
-        return {}
-    if isinstance(value, list):
-        return [0] * len(value)
-    return 0
+def fingerprint(key, tracer=None):
+    """The golden fields of scenario ``key`` run counting into ``tracer``."""
+    return run_golden(key, tracer)[1]
 
 
 @pytest.mark.parametrize("key", KEYS)
 class TestKnobsKeepTheGolden(object):
     def test_interval_packet_tracer(self, key):
-        assert fingerprint(key, tracer_interval=1e-4) == GOLDENS[key]
-
-    def test_null_packet_tracer(self, key):
-        result = fingerprint(key, trace_packets=False)
-        assert _golden_without(key, *PACKET_FIELDS) == {
-            name: value for name, value in result.items() if name not in PACKET_FIELDS
-        }
-        for name in PACKET_FIELDS:
-            if name in GOLDENS[key]:
-                assert result[name] == _no_packets(GOLDENS[key][name]), name
+        assert fingerprint(key, PacketTracer(interval=1e-4)) == GOLDENS[key]
 
 
 @pytest.fixture(scope="module", params=KEYS)
@@ -184,6 +171,17 @@ def default_run(request):
     the single ``API.Rate`` record below."""
     protocol, result = run_golden(request.param)
     return request.param, protocol, result
+
+
+def test_recording_tracer_counts_what_the_default_tracer_counts(default_run):
+    key, protocol, _ = default_run
+    recording, result = run_golden(key, PacketTracer(keep_records=True))
+    assert result == GOLDENS[key]
+    records = recording.tracer.records
+    for tracer in (protocol.tracer, recording.tracer):
+        assert tracer.total == len(records)
+        assert tracer.by_type == collections.Counter(r.packet_type for r in records)
+        assert tracer.by_session == collections.Counter(r.session_id for r in records)
 
 
 def test_applications_record_the_last_notified_rate(default_run):

@@ -42,12 +42,12 @@ with open(CROSS_ENGINE_GOLDEN_PATH) as handle:
     CROSS_ENGINE_GOLDENS = json.load(handle)
 
 
-def _run_scenario(key, trace_packets=True):
+def _run_scenario(key):
     size, delay, seed, count = key.split("-")
     seed = int(seed[1:])
     count = int(count[1:])
     network = NetworkScenario(size, delay, seed=seed).build()
-    protocol = BNeckProtocol(network, trace_packets=trace_packets)
+    protocol = BNeckProtocol(network)
     generator = WorkloadGenerator(network, seed=seed + count)
     generator.populate(protocol, count, join_window=(0.0, 1e-3))
     quiescence = protocol.run_until_quiescent()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simulator.statistics import mean, percentile, summarize
-from repro.simulator.tracing import PacketTracer
+from repro.simulator.tracing import PACKET_TYPES, PacketTracer
 
 
 class TestPacketTracer(object):
@@ -62,19 +62,45 @@ class TestPacketTracer(object):
         with pytest.raises(ValueError, match="got %s" % interval):
             PacketTracer(interval=interval)
 
-    def test_last_packet_time_tracked(self):
+    def test_counts_for_hands_out_one_zeroed_list_per_session(self):
         tracer = PacketTracer()
-        tracer.record(0.3, "Join", "s1")
-        tracer.record(0.1, "Probe", "s1")
-        assert tracer.last_packet_time == 0.3
+        counts = tracer.counts_for("s1")
+        assert counts == [0] * len(PACKET_TYPES)
+        assert tracer.counts_for("s1") is counts
+        assert tracer.counts_for("s2") is not counts
+        counts[PACKET_TYPES.index("Probe")] += 2
+        tracer.record(0.0, "Probe", "s1")
+        assert counts[PACKET_TYPES.index("Probe")] == 3
+        assert tracer.total == 3
+        assert tracer.by_type == {"Probe": 3}
+        # s2 has a list but sent nothing.
+        assert tracer.by_session == {"s1": 3}
+
+    def test_only_interval_or_record_keeping_tracers_are_timed(self):
+        assert not PacketTracer().timed
+        assert PacketTracer(interval=1.0).timed
+        assert PacketTracer(keep_records=True).timed
 
     def test_clear_resets_everything(self):
         tracer = PacketTracer(keep_records=True, interval=1.0)
         tracer.record(0.3, "Join", "s1")
         tracer.clear()
         assert tracer.total == 0
+        assert tracer.by_type == {}
+        assert tracer.by_session == {}
         assert tracer.records == []
         assert tracer.interval_series() == []
+
+    def test_clear_zeroes_the_lists_in_place(self):
+        tracer = PacketTracer()
+        counts = tracer.counts_for("s1")
+        counts[PACKET_TYPES.index("Join")] += 4
+        tracer.clear()
+        assert tracer.counts_for("s1") is counts
+        assert counts == [0] * len(PACKET_TYPES)
+        counts[PACKET_TYPES.index("Leave")] += 1
+        assert tracer.total == 1
+        assert tracer.by_type == {"Leave": 1}
 
 
 class TestStatistics(object):
