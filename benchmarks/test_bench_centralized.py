@@ -2,15 +2,15 @@
 
 The paper validates every distributed run against Centralized B-Neck (itself
 equivalent to the Water-Filling algorithm).  This bench measures the cost of
-the two oracles on growing workloads and checks that they agree with each other
-and satisfy the direct max-min verification -- i.e. that the validation
-machinery used throughout the test suite is itself trustworthy and cheap
-compared to the distributed simulation.
+the two oracles and of the max-min certificate on growing workloads and checks
+that they agree with each other and satisfy the direct max-min verification --
+i.e. that the validation machinery used throughout the test suite is itself
+trustworthy and cheap compared to the distributed simulation.
 """
 
 from repro.core.centralized import centralized_bneck
 from repro.core.protocol import BNeckProtocol
-from repro.fairness.verification import is_max_min_fair
+from repro.fairness.verification import is_max_min_fair, verify_allocation
 from repro.fairness.waterfilling import water_filling
 from repro.network.transit_stub import medium_network
 from repro.workloads.generator import WorkloadGenerator, mixed_demand
@@ -42,6 +42,13 @@ def test_centralized_bneck_oracle(benchmark):
     allocation = benchmark(centralized_bneck, sessions)
     assert len(allocation) == len(sessions)
     assert is_max_min_fair(sessions, allocation)
+
+
+def test_max_min_certificate(benchmark):
+    sessions = _build_sessions(800, seed=23)
+    allocation = centralized_bneck(sessions)
+    violations = benchmark(verify_allocation, sessions, allocation)
+    assert violations == []
 
 
 def test_waterfilling_oracle_agrees(benchmark, print_table):

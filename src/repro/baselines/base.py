@@ -23,7 +23,6 @@ negligible at the LAN delays used by Experiment 3.
 import math
 
 from repro.core.actions import replay_actions, validate_actions
-from repro.fairness.algebra import default_algebra
 from repro.fairness.allocation import RateAllocation
 from repro.network.routing import PathComputer, path_links
 from repro.network.session import Session, SessionRegistry, check_demand
@@ -37,9 +36,8 @@ RESPONSE_PACKET = "Response"
 class LinkController(object):
     """Per-link state and rate computation of one baseline protocol."""
 
-    def __init__(self, link, algebra):
+    def __init__(self, link):
         self.link = link
-        self.algebra = algebra
 
     def on_probe(self, session_id, demand, current_rate):
         """Process a forward probe; return the rate this link advertises to the session."""
@@ -94,14 +92,12 @@ class BaselineProtocol(object):
         self,
         network,
         simulator=None,
-        algebra=None,
         tracer=None,
         probe_interval=1e-3,
         routing_metric="hops",
     ):
         self.network = network
         self.simulator = simulator or Simulator()
-        self.algebra = algebra or default_algebra()
         self.tracer = tracer or PacketTracer()
         self.probe_interval = probe_interval
         self.registry = SessionRegistry()
@@ -289,7 +285,7 @@ class BaselineProtocol(object):
 
     def current_allocation(self):
         """The rate each active session is currently using."""
-        allocation = RateAllocation(algebra=self.algebra)
+        allocation = RateAllocation()
         for session in self.registry:
             allocation.set_rate(session.session_id, self._rates.get(session.session_id, 0.0))
         return allocation

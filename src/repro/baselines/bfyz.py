@@ -29,8 +29,8 @@ from repro.baselines.base import BaselineProtocol, LinkController
 class ConsistentMarkingController(LinkController):
     """Per-session-state link controller computing the water-filling share."""
 
-    def __init__(self, link, algebra):
-        super(ConsistentMarkingController, self).__init__(link, algebra)
+    def __init__(self, link):
+        super(ConsistentMarkingController, self).__init__(link)
         self.recorded = {}
 
     def advertised_rate(self):
@@ -82,4 +82,4 @@ class BFYZProtocol(BaselineProtocol):
     uses_per_session_state = True
 
     def _make_controller(self, link):
-        return ConsistentMarkingController(link, self.algebra)
+        return ConsistentMarkingController(link)

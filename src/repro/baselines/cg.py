@@ -23,8 +23,8 @@ from repro.baselines.base import BaselineProtocol, LinkController
 class ConstantStateController(LinkController):
     """Constant-state link controller with damped share updates."""
 
-    def __init__(self, link, algebra, gain=0.25):
-        super(ConstantStateController, self).__init__(link, algebra)
+    def __init__(self, link, gain=0.25):
+        super(ConstantStateController, self).__init__(link)
         self.gain = gain
         self.advertised = link.capacity
         # Aggregates observed during the current control interval (reset at
@@ -71,4 +71,4 @@ class CGProtocol(BaselineProtocol):
         self.gain = gain
 
     def _make_controller(self, link):
-        return ConstantStateController(link, self.algebra, gain=self.gain)
+        return ConstantStateController(link, gain=self.gain)

@@ -24,8 +24,8 @@ from repro.baselines.base import BaselineProtocol, LinkController
 class RCPLinkController(LinkController):
     """Single-rate link controller implementing the (queue-less) RCP law."""
 
-    def __init__(self, link, algebra, alpha=0.4, average_rtt=1e-3, minimum_fraction=1e-4):
-        super(RCPLinkController, self).__init__(link, algebra)
+    def __init__(self, link, alpha=0.4, average_rtt=1e-3, minimum_fraction=1e-4):
+        super(RCPLinkController, self).__init__(link)
         self.alpha = alpha
         self.average_rtt = average_rtt
         self.minimum_rate = minimum_fraction * link.capacity
@@ -58,5 +58,5 @@ class RCPProtocol(BaselineProtocol):
 
     def _make_controller(self, link):
         return RCPLinkController(
-            link, self.algebra, alpha=self.alpha, average_rtt=self.probe_interval
+            link, alpha=self.alpha, average_rtt=self.probe_interval
         )

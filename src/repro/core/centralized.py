@@ -12,11 +12,17 @@ the centralized version with the same input data".
 
 Maximum-rate requests are handled through the paper's *modified system*: each
 session with a finite requested rate gets a private virtual link of capacity
-``D_s = min(r_s, C_e0)`` prepended to its path.
+``D_s = min(r_s, C_e0)`` added to its path.
+
+The links and their members come from a
+:class:`~repro.fairness.bottleneck.LinkTable`, the one index that validation
+shares between both oracles and the max-min certificate.  Estimates are plain
+``/`` divisions and fixed loads start at integer ``0``, so ``Fraction``
+capacities and demands give exact rates.
 
 Cost: the estimates live in a lazy-deletion binary heap keyed
-``(B_e, first-seen link index)``, and a round recomputes only the links crossed
-by the sessions it fixed.  Every session is fixed once, so one call costs
+``(B_e, link index)``, and a round recomputes only the links crossed by the
+sessions it fixed.  Every session is fixed once, so one call costs
 O(sum of |pi(s)| * log L) for L links instead of a rescan of every link per
 round.
 """
@@ -24,47 +30,16 @@ round.
 import heapq
 import math
 
-from repro.fairness.algebra import default_algebra
+from repro.fairness.algebra import rates_equal
 from repro.fairness.allocation import OracleError, RateAllocation
+from repro.fairness.bottleneck import LinkTable
 
 
-def _build_link_table(sessions, algebra):
-    """Index the links of the modified system in order of first appearance.
-
-    Returns ``(capacities, members, paths)``: per link index, the capacity
-    lifted into the algebra's number type (so division chains stay exact
-    under ExactAlgebra) and the positions of the sessions crossing it; per
-    session position, the indices of its links.  The virtual demand link of a
-    session is private to it.
-    """
-    index = {}
-    capacities = []
-    members = []
-    paths = []
-    for position, session in enumerate(sessions):
-        path = []
-        for link in session.links:
-            link_index = index.setdefault(link.endpoints, len(capacities))
-            if link_index == len(capacities):
-                capacities.append(algebra.divide(link.capacity, 1))
-                members.append([])
-            members[link_index].append(position)
-            path.append(link_index)
-        demand = session.effective_demand()
-        if not math.isinf(demand):
-            path.append(len(capacities))
-            capacities.append(algebra.divide(demand, 1))
-            members.append([position])
-        paths.append(path)
-    return capacities, members, paths
-
-
-def centralized_bneck(sessions, algebra=None):
+def centralized_bneck(sessions):
     """Compute the max-min fair rates of ``sessions`` with Centralized B-Neck.
 
     Args:
         sessions: iterable of :class:`~repro.network.session.Session`.
-        algebra: optional :class:`~repro.fairness.algebra.RateAlgebra`.
 
     Returns:
         A :class:`~repro.fairness.allocation.RateAllocation`.
@@ -72,19 +47,34 @@ def centralized_bneck(sessions, algebra=None):
     Raises:
         OracleError: when some session crosses no link at all.
     """
-    algebra = algebra or default_algebra()
-    sessions = list(sessions)
-    allocation = RateAllocation(algebra=algebra)
+    return centralized_bneck_on(LinkTable(sessions))
+
+
+def centralized_bneck_on(table):
+    """:func:`centralized_bneck` of the sessions of a
+    :class:`~repro.fairness.bottleneck.LinkTable`."""
+    sessions = table.sessions
+    allocation = RateAllocation()
     if not sessions:
         return allocation
 
-    capacities, members, paths = _build_link_table(sessions, algebra)
+    # The modified system: each session with a finite demand gets a private
+    # virtual link of capacity D_s, indexed after the table's links.
+    capacities = list(table.capacities)
+    members = list(table.members)
+    paths = []
+    for position, (path, demand) in enumerate(zip(table.paths, table.demands)):
+        if not math.isinf(demand):
+            path = path + [len(capacities)]
+            capacities.append(demand)
+            members.append([position])
+        paths.append(path)
     # Per link: |R_e| (zero once the link is removed) and the load of the
     # already-fixed sessions crossing it (the F_e sum).  Every session fixed in
     # a round gets the same minimal rate, so F_e grows by ``minimum * moved``.
     unfixed = [len(positions) for positions in members]
     fixed_load = [0] * len(capacities)
-    estimates = [algebra.divide(c, n) for c, n in zip(capacities, unfixed)]
+    estimates = [c / n for c, n in zip(capacities, unfixed)]
     heap = [(estimate, link) for link, estimate in enumerate(estimates)]
     heapq.heapify(heap)
     rates = [None] * len(sessions)
@@ -98,7 +88,7 @@ def centralized_bneck(sessions, algebra=None):
         while heap:
             estimate, other = heap[0]
             if unfixed[other] and estimates[other] == estimate:
-                if not algebra.equal(estimate, minimum):
+                if not rates_equal(estimate, minimum):
                     break
                 minimal.append(other)
             heapq.heappop(heap)
@@ -116,9 +106,7 @@ def centralized_bneck(sessions, algebra=None):
             fixed_load[crossed] = fixed_load[crossed] + minimum * count
             unfixed[crossed] -= count
             if unfixed[crossed]:
-                estimates[crossed] = algebra.divide(
-                    capacities[crossed] - fixed_load[crossed], unfixed[crossed]
-                )
+                estimates[crossed] = (capacities[crossed] - fixed_load[crossed]) / unfixed[crossed]
                 heapq.heappush(heap, (estimates[crossed], crossed))
 
     unresolved = [s.session_id for s, rate in zip(sessions, rates) if rate is None]

@@ -5,8 +5,8 @@ for every session whose path crosses the link.  Its handlers are a line-by-line
 transcription of Figure 2, with two presentational differences:
 
 * rates are floats, so ``==``/``<`` are the tolerance compares of
-  :mod:`repro.core.state` (exactly ``FloatAlgebra()``'s decisions):
-  ``rates_equal``, plain float compares, and the link state's queries;
+  :mod:`repro.fairness.algebra`: ``rates_equal``, plain float compares, and
+  the link state's queries;
 * packet forwarding is delegated to the protocol orchestrator
   (:class:`~repro.core.protocol.BNeckProtocol`): a handler calls its
   ``forward_downstream``/``forward_upstream`` with the task itself as the
@@ -28,8 +28,8 @@ from repro.core.packets import (
     UPDATE,
     Update,
 )
-from repro.core.state import LinkState, rates_equal
-from repro.core.state import IDLE, WAITING_PROBE, WAITING_RESPONSE
+from repro.core.state import IDLE, WAITING_PROBE, WAITING_RESPONSE, LinkState
+from repro.fairness.algebra import rates_equal
 from repro.simulator.process import Process
 
 

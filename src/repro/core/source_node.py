@@ -24,7 +24,8 @@ from repro.core.packets import (
     UPDATE,
     Update,
 )
-from repro.core.state import IDLE, LinkState, WAITING_RESPONSE, rates_equal
+from repro.core.state import IDLE, LinkState, WAITING_RESPONSE
+from repro.fairness.algebra import rates_equal
 from repro.simulator.process import Process
 
 

@@ -30,9 +30,11 @@ sorted by id.
 The same container is used by the RouterLink task, by the SourceNode task (for
 the session's access link) and by the stability checker of Definition 2.
 
-Rates are floats.  Comparisons decide exactly as ``FloatAlgebra()``: equality
-is :func:`rates_equal`, ``a > b`` is ``a > b and not isclose(a, b, ...)`` and
-``a >= b`` is ``a >= b or isclose(a, b, ...)``, with ``REL_TOL``/``ABS_TOL``.
+Rates are floats, compared as everywhere in the library: equality is
+:func:`repro.fairness.algebra.rates_equal`, ``a > b`` is
+``a > b and not isclose(a, b, ...)`` and ``a >= b`` is
+``a >= b or isclose(a, b, ...)``, with ``REL_TOL``/``ABS_TOL``, the tolerances
+of :mod:`repro.fairness.algebra`.
 """
 
 import math
@@ -51,11 +53,6 @@ SESSION_STATES = (IDLE, WAITING_PROBE, WAITING_RESPONSE)
 _UNRECORDED = math.nan
 # A rate maximum over members none of which has a rate.
 _NO_RATE = -math.inf
-
-
-def rates_equal(first, second):
-    """Rate equality within tolerance; exactly ``FloatAlgebra().equal``."""
-    return first == second or isclose(first, second, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
 class LinkState(object):

@@ -9,12 +9,18 @@ a single call gives the strongest correctness statement available:
 * the distributed rates equal the oracle rates;
 * the distributed rates satisfy the bottleneck characterization of max-min
   fairness directly.
+
+The active sessions are indexed once, into one
+:class:`~repro.fairness.bottleneck.LinkTable` that all three checks read;
+each oracle still runs its own algorithm on it, so they stay independent
+checks of each other.  Every rate compare is
+:func:`~repro.fairness.algebra.rates_equal`.
 """
 
-from repro.core.centralized import centralized_bneck
-from repro.fairness.algebra import default_algebra
-from repro.fairness.verification import verify_allocation
-from repro.fairness.waterfilling import water_filling
+from repro.core.centralized import centralized_bneck_on
+from repro.fairness.bottleneck import LinkTable
+from repro.fairness.verification import verify_allocation_on
+from repro.fairness.waterfilling import water_filling_on
 
 
 class ValidationResult(object):
@@ -62,29 +68,27 @@ class ValidationResult(object):
         )
 
 
-def validate_against_oracle(protocol, allocation=None, algebra=None):
+def validate_against_oracle(protocol, allocation=None):
     """Validate a (normally quiescent) protocol run against the oracles.
 
     Args:
         protocol: a :class:`~repro.core.protocol.BNeckProtocol`.
         allocation: optional allocation to check; defaults to the protocol's
             :meth:`~repro.core.protocol.BNeckProtocol.current_allocation`.
-        algebra: optional rate algebra for the comparisons.
 
     Returns:
         A :class:`ValidationResult`.
     """
-    algebra = algebra or default_algebra()
-    sessions = protocol.active_sessions()
+    table = LinkTable(protocol.active_sessions())
     distributed = allocation if allocation is not None else protocol.current_allocation()
-    centralized = centralized_bneck(sessions, algebra=algebra)
-    waterfilled = water_filling(sessions, algebra=algebra)
+    centralized = centralized_bneck_on(table)
+    waterfilled = water_filling_on(table)
 
-    matches_centralized = distributed.equals(centralized, algebra=algebra)
-    matches_waterfilling = distributed.equals(waterfilled, algebra=algebra)
-    oracles_agree = centralized.equals(waterfilled, algebra=algebra)
+    matches_centralized = distributed.equals(centralized)
+    matches_waterfilling = distributed.equals(waterfilled)
+    oracles_agree = centralized.equals(waterfilled)
     max_relative_error = distributed.max_relative_difference(centralized)
-    violations = verify_allocation(sessions, distributed, algebra=algebra)
+    violations = verify_allocation_on(table, distributed)
 
     return ValidationResult(
         matches_centralized=matches_centralized,

@@ -42,7 +42,7 @@ def error_summary(errors):
     return summarize(errors)
 
 
-def bottleneck_link_errors(sessions, assigned, reference, algebra=None):
+def bottleneck_link_errors(sessions, assigned, reference):
     """Per-bottleneck-link percentage errors of the aggregate assigned rate.
 
     Bottleneck links are identified on the *reference* (max-min fair)
@@ -50,7 +50,7 @@ def bottleneck_link_errors(sessions, assigned, reference, algebra=None):
     of the crossing sessions against their total max-min rate.
     """
     sessions = list(sessions)
-    analysis = analyze_bottlenecks(sessions, reference, algebra=algebra)
+    analysis = analyze_bottlenecks(sessions, reference)
     errors = []
     for link in analysis.saturated_links():
         endpoints = link.endpoints

@@ -3,24 +3,29 @@
 This package contains everything about max-min fairness that is independent of
 *how* the rates are computed:
 
-* :mod:`~repro.fairness.algebra` -- pluggable rate arithmetic/comparison
-  (tolerance-based floats or exact fractions), used by every algorithm in the
-  library so that "equal rates" is a well-defined notion.
+* :mod:`~repro.fairness.algebra` -- :func:`rates_equal` and its two
+  tolerances, the one rate equality of the library (protocol, oracles and
+  certificate alike), so that "equal rates" is a well-defined notion.
 * :mod:`~repro.fairness.allocation` -- the :class:`RateAllocation` result type
   with feasibility and comparison helpers.
+* :mod:`~repro.fairness.bottleneck` -- the :class:`LinkTable` that indexes a
+  session population by link once for every oracle, and bottleneck analysis
+  (Definition 1 of the paper): which links are bottlenecks of which sessions,
+  ``R*_e``, ``F*_e`` and ``B*_e``.
 * :mod:`~repro.fairness.waterfilling` -- the classic progressive-filling
   (water-filling) algorithm, used as an independent oracle.
-* :mod:`~repro.fairness.bottleneck` -- bottleneck analysis (Definition 1 of the
-  paper): which links are bottlenecks of which sessions, ``R*_e``, ``F*_e`` and
-  ``B*_e``.
-* :mod:`~repro.fairness.verification` -- direct verification that an allocation
-  is max-min fair via the bottleneck characterization theorem.
+* :mod:`~repro.fairness.verification` -- direct, linear-time verification that
+  an allocation is max-min fair via the bottleneck characterization theorem.
+
+Rates are floats; given ``Fraction`` capacities and demands the oracles
+compute exact rationals instead.
 """
 
-from repro.fairness.algebra import ExactAlgebra, FloatAlgebra, RateAlgebra, default_algebra
+from repro.fairness.algebra import rates_equal
 from repro.fairness.allocation import RateAllocation
 from repro.fairness.bottleneck import (
     BottleneckAnalysis,
+    LinkTable,
     analyze_bottlenecks,
     link_load,
     session_bottlenecks,
@@ -34,15 +39,13 @@ from repro.fairness.waterfilling import water_filling
 
 __all__ = [
     "BottleneckAnalysis",
-    "ExactAlgebra",
-    "FloatAlgebra",
+    "LinkTable",
     "MaxMinViolation",
-    "RateAlgebra",
     "RateAllocation",
     "analyze_bottlenecks",
-    "default_algebra",
     "is_max_min_fair",
     "link_load",
+    "rates_equal",
     "session_bottlenecks",
     "verify_allocation",
     "water_filling",

@@ -1,6 +1,7 @@
 """The result type of every allocation algorithm in the library."""
 
-from repro.fairness.algebra import default_algebra
+from repro.fairness.algebra import rates_equal
+from repro.fairness.bottleneck import LinkTable
 
 
 class OracleError(RuntimeError):
@@ -29,9 +30,8 @@ class RateAllocation(object):
     a :class:`RateAllocation`, so results can be compared uniformly.
     """
 
-    def __init__(self, rates=None, algebra=None):
+    def __init__(self, rates=None):
         self._rates = dict(rates or {})
-        self.algebra = algebra or default_algebra()
 
     # -------------------------------------------------------------- mapping
 
@@ -69,13 +69,12 @@ class RateAllocation(object):
 
     # ------------------------------------------------------------ comparison
 
-    def equals(self, other, algebra=None):
+    def equals(self, other):
         """True when both allocations assign equal rates to the same sessions."""
-        algebra = algebra or self.algebra
         if set(self._rates) != set(other.session_ids()):
             return False
         return all(
-            algebra.equal(float(self._rates[session_id]), float(other.rate(session_id)))
+            rates_equal(float(self._rates[session_id]), float(other.rate(session_id)))
             for session_id in self._rates
         )
 
@@ -100,23 +99,17 @@ class RateAllocation(object):
             if session.crosses(link)
         )
 
-    def is_feasible(self, sessions, algebra=None):
+    def is_feasible(self, sessions):
         """True when no link is overloaded and no session exceeds its demand."""
-        algebra = algebra or self.algebra
-        sessions = list(sessions)
-        for session in sessions:
-            rate = float(self._rates.get(session.session_id, 0.0))
-            if algebra.greater(rate, float(session.effective_demand())):
+        table = LinkTable(sessions)
+        rates = table.rates(self)
+        for rate, demand in zip(rates, table.demands):
+            demand = float(demand)
+            if rate > demand and not rates_equal(rate, demand):
                 return False
-        links = {}
-        for session in sessions:
-            for link in session.links:
-                links.setdefault(link.endpoints, (link, []))[1].append(session)
-        for link, members in links.values():
-            load = sum(
-                float(self._rates.get(session.session_id, 0.0)) for session in members
-            )
-            if algebra.greater(load, link.capacity):
+        loads, _ = table.loads_and_maxima(rates)
+        for load, capacity in zip(loads, table.capacities):
+            if load > capacity and not rates_equal(load, capacity):
                 return False
         return True
 

@@ -1,4 +1,9 @@
-"""Bottleneck analysis (Definition 1 of the paper).
+"""The link table of a session population, and bottleneck analysis
+(Definition 1 of the paper).
+
+:class:`LinkTable` indexes a population by link in one pass.  Centralized
+B-Neck, water-filling, the max-min certificate and the analyses below all read
+it, so validating a checkpoint indexes its sessions once.
 
 A link ``e`` in the path of session ``s`` is a *bottleneck of s* iff
 
@@ -6,15 +11,89 @@ A link ``e`` in the path of session ``s`` is a *bottleneck of s* iff
   and
 * no session crossing ``e`` has a larger rate than ``s``.
 
+The second condition depends only on the largest rate crossing ``e``:
+:meth:`LinkTable.loads_and_maxima` records each link's load and largest member
+rate in one pass, and ``at_most(maximum, rate of s)`` decides the condition.
+Every test of it in the library goes through that pair.
+
 From a max-min fair allocation this module derives, for every link, the paper's
 ``R*_e`` (sessions restricted at ``e``), ``F*_e`` (sessions crossing ``e`` but
 restricted elsewhere) and the bottleneck rate ``B*_e``; and, for every session,
-the set of its bottleneck links.  These are used by the verification module,
-by the Experiment 3 metrics ("error in network links" is measured over
-bottleneck links), and by several tests.
+the set of its bottleneck links.  These are used by the Experiment 3 metrics
+("error in network links" is measured over bottleneck links) and by several
+tests.
 """
 
-from repro.fairness.algebra import default_algebra
+import math
+
+from repro.fairness.algebra import rates_equal
+
+
+class LinkTable(object):
+    """A session population indexed by link.
+
+    A session's *position* is its index in :attr:`sessions`, and a link's
+    *index* its position in :attr:`links`.
+
+    Attributes:
+        sessions: the sessions, in input order.
+        links: the distinct links of their paths, in order of first appearance.
+        index: ``{link endpoints: link index}``.
+        capacities: per link index, the link's capacity.
+        members: per link index, the positions of the sessions crossing it,
+            in session order.
+        paths: per session position, the link indices of its path.
+        demands: per session position, its ``effective_demand()``.
+    """
+
+    __slots__ = ("sessions", "links", "index", "capacities", "members", "paths", "demands")
+
+    def __init__(self, sessions):
+        self.sessions = sessions = list(sessions)
+        self.index = index = {}
+        self.links = links = []
+        self.members = members = []
+        self.paths = paths = []
+        for position, session in enumerate(sessions):
+            path = []
+            for link in session.links:
+                # The key is ``link.endpoints``, built without the property call.
+                link_index = index.setdefault((link.source, link.target), len(links))
+                if link_index == len(links):
+                    links.append(link)
+                    members.append([])
+                members[link_index].append(position)
+                path.append(link_index)
+            paths.append(path)
+        self.capacities = [link.capacity for link in links]
+        self.demands = [session.effective_demand() for session in sessions]
+
+    def rates(self, allocation):
+        """Per session position, its rate in ``allocation`` as a float (0.0 if absent)."""
+        get = allocation.get
+        return [float(get(session.session_id, 0.0)) for session in self.sessions]
+
+    def loads_and_maxima(self, rates):
+        """Per link index, the sum of its members' ``rates`` (in member order)
+        and the largest of them."""
+        loads = []
+        maxima = []
+        for positions in self.members:
+            crossing = [rates[position] for position in positions]
+            loads.append(sum(crossing))
+            maxima.append(max(crossing))
+        return loads, maxima
+
+
+def at_most(rate, bound):
+    """``rate <= bound`` within tolerance.
+
+    Applied to the largest member rate of a link, it tells whether no member
+    is above ``bound``: every member rate ``x`` with ``bound < x <= rate`` is
+    within tolerance of ``bound`` too, because ``x - bound - max(rel * x, abs)``
+    grows with ``x``.  So it equals testing each member.
+    """
+    return rate <= bound or rates_equal(rate, bound)
 
 
 def link_load(sessions, allocation, link):
@@ -26,42 +105,19 @@ def link_load(sessions, allocation, link):
     )
 
 
-def members_by_link(sessions):
-    """Index ``{link_endpoints: [session, ...]}`` over the sessions' paths.
-
-    Callers that run :func:`session_bottlenecks` for many sessions of the
-    same population build this once and pass it in, instead of letting every
-    call re-scan all session paths.
-    """
-    index = {}
-    for session in sessions:
-        for link in session.links:
-            index.setdefault(link.endpoints, []).append(session)
-    return index
-
-
-def session_bottlenecks(session, sessions, allocation, algebra=None, link_members=None):
-    """Return the links of ``session`` that are bottlenecks of it.
-
-    Args:
-        link_members: optional precomputed :func:`members_by_link` index for
-            ``sessions``; it is rebuilt per call when omitted.
-    """
-    algebra = algebra or default_algebra()
-    sessions = list(sessions)
-    if link_members is None:
-        link_members = members_by_link(sessions)
+def session_bottlenecks(session, sessions, allocation):
+    """Return the links of ``session`` that are bottlenecks of it."""
+    table = LinkTable(sessions)
+    loads, maxima = table.loads_and_maxima(table.rates(allocation))
     own_rate = float(allocation.get(session.session_id, 0.0))
     result = []
     for link in session.links:
-        crossing = link_members.get(link.endpoints, ())
-        load = sum(float(allocation.get(other.session_id, 0.0)) for other in crossing)
-        if not algebra.equal(load, link.capacity):
-            continue
-        if all(
-            algebra.less_equal(float(allocation.get(other.session_id, 0.0)), own_rate)
-            for other in crossing
-        ):
+        link_index = table.index.get(link.endpoints)
+        if link_index is None:
+            load, largest = 0, -math.inf          # no session of the population crosses it
+        else:
+            load, largest = loads[link_index], maxima[link_index]
+        if rates_equal(load, link.capacity) and at_most(largest, own_rate):
             result.append(link)
     return result
 
@@ -84,16 +140,6 @@ class BottleneckAnalysis(object):
         self.bottleneck_links_of = bottleneck_links_of
         self._links = links
 
-    def system_bottlenecks(self):
-        """Links that are bottlenecks for *every* session crossing them."""
-        result = []
-        for endpoints, link in self._links.items():
-            restricted = self.restricted.get(endpoints, set())
-            unrestricted = self.unrestricted.get(endpoints, set())
-            if restricted and not unrestricted:
-                result.append(link)
-        return result
-
     def saturated_links(self):
         """Links with a non-empty restricted set (i.e. fully used links)."""
         return [
@@ -109,7 +155,7 @@ class BottleneckAnalysis(object):
         )
 
 
-def analyze_bottlenecks(sessions, allocation, algebra=None):
+def analyze_bottlenecks(sessions, allocation):
     """Build a :class:`BottleneckAnalysis` for an allocation.
 
     The allocation is normally max-min fair, in which case every session has at
@@ -117,47 +163,35 @@ def analyze_bottlenecks(sessions, allocation, algebra=None):
     still well defined for arbitrary feasible allocations, which is how the
     Experiment 3 metrics use it on the transient rates of BFYZ.
     """
-    algebra = algebra or default_algebra()
-    sessions = list(sessions)
-
-    links = {}
-    for session in sessions:
-        for link in session.links:
-            links[link.endpoints] = link
-    link_members = members_by_link(sessions)
+    table = LinkTable(sessions)
+    sessions = table.sessions
+    rates = table.rates(allocation)
+    loads, maxima = table.loads_and_maxima(rates)
 
     restricted = {}
     unrestricted = {}
     bottleneck_rate = {}
     bottleneck_links_of = {session.session_id: [] for session in sessions}
 
-    for endpoints, link in links.items():
-        members = link_members[endpoints]
-        load = sum(float(allocation.get(s.session_id, 0.0)) for s in members)
-        saturated = algebra.equal(load, link.capacity)
-        if not saturated:
-            restricted[endpoints] = set()
-            unrestricted[endpoints] = {s.session_id for s in members}
-            continue
-        largest = max(float(allocation.get(s.session_id, 0.0)) for s in members)
-        restricted_here = {
-            s.session_id
-            for s in members
-            if algebra.equal(float(allocation.get(s.session_id, 0.0)), largest)
-        }
-        restricted[endpoints] = restricted_here
-        unrestricted[endpoints] = {
-            s.session_id for s in members if s.session_id not in restricted_here
-        }
-        bottleneck_rate[endpoints] = largest
-        for session in members:
-            if session.session_id in restricted_here:
-                bottleneck_links_of[session.session_id].append(link)
+    for link, positions, load, largest in zip(table.links, table.members, loads, maxima):
+        endpoints = link.endpoints
+        restricted_here = restricted[endpoints] = set()
+        unrestricted_here = unrestricted[endpoints] = set()
+        saturated = rates_equal(load, link.capacity)
+        if saturated:
+            bottleneck_rate[endpoints] = largest
+        for position in positions:
+            session_id = sessions[position].session_id
+            if saturated and at_most(largest, rates[position]):
+                restricted_here.add(session_id)
+                bottleneck_links_of[session_id].append(link)
+            else:
+                unrestricted_here.add(session_id)
 
     return BottleneckAnalysis(
         restricted=restricted,
         unrestricted=unrestricted,
         bottleneck_rate=bottleneck_rate,
         bottleneck_links_of=bottleneck_links_of,
-        links=links,
+        links={link.endpoints: link for link in table.links},
     )

@@ -10,9 +10,15 @@ feasible allocation is max-min fair iff every session either
 This check is independent of *any* allocation algorithm in the library, which
 makes it the strongest oracle available to the property-based tests: both
 water-filling and (centralized/distributed) B-Neck results must pass it.
+
+It runs in time linear in the total path length.  One pass over a
+:class:`~repro.fairness.bottleneck.LinkTable` records each link's load and its
+largest member rate, and a session below its demand has a bottleneck iff some
+saturated link on its path has a maximum at most its rate (within tolerance).
 """
 
-from repro.fairness.algebra import default_algebra
+from repro.fairness.algebra import rates_equal
+from repro.fairness.bottleneck import LinkTable, at_most
 
 
 class MaxMinViolation(object):
@@ -29,7 +35,7 @@ class MaxMinViolation(object):
         return "MaxMinViolation(%s, %r, %s)" % (self.kind, self.subject, self.detail)
 
 
-def verify_allocation(sessions, allocation, algebra=None):
+def verify_allocation(sessions, allocation):
     """Return the list of :class:`MaxMinViolation` for an allocation.
 
     An empty list means the allocation is max-min fair (and feasible).
@@ -40,32 +46,33 @@ def verify_allocation(sessions, allocation, algebra=None):
     * ``missing-rate`` -- a session has no assigned rate;
     * ``no-bottleneck`` -- a session is below its demand yet has no bottleneck
       link, so its rate could be increased (not max-min fair).
-    """
-    algebra = algebra or default_algebra()
-    sessions = list(sessions)
-    violations = []
 
-    for session in sessions:
-        if session.session_id not in allocation:
-            violations.append(
-                MaxMinViolation("missing-rate", session.session_id, "no rate assigned")
-            )
+    Missing rates are reported alone.  Otherwise overloaded links come first,
+    in order of first appearance, then the per-session violations in session
+    order.
+    """
+    return verify_allocation_on(LinkTable(sessions), allocation)
+
+
+def verify_allocation_on(table, allocation):
+    """:func:`verify_allocation` of the sessions of a
+    :class:`~repro.fairness.bottleneck.LinkTable`."""
+    sessions = table.sessions
+    violations = [
+        MaxMinViolation("missing-rate", session.session_id, "no rate assigned")
+        for session in sessions
+        if session.session_id not in allocation
+    ]
     if violations:
         return violations
 
-    # Feasibility on links.  The per-link member lists and saturation flags
-    # computed here are reused by the per-session bottleneck checks below, so
-    # the common case (every session demand-limited or quickly matched to a
-    # bottleneck) avoids any per-session rescan of the full population.
-    links = {}
-    for session in sessions:
-        for link in session.links:
-            links.setdefault(link.endpoints, (link, []))[1].append(session)
-    saturated = {}
-    for endpoints, (link, members) in links.items():
-        load = sum(float(allocation.rate(s.session_id)) for s in members)
-        saturated[endpoints] = algebra.equal(load, link.capacity)
-        if algebra.greater(load, link.capacity):
+    rates = table.rates(allocation)
+    loads, maxima = table.loads_and_maxima(rates)
+    saturated = []
+    for link, load in zip(table.links, loads):
+        at_capacity = rates_equal(load, link.capacity)
+        saturated.append(at_capacity)
+        if load > link.capacity and not at_capacity:
             violations.append(
                 MaxMinViolation(
                     "overloaded-link",
@@ -74,11 +81,11 @@ def verify_allocation(sessions, allocation, algebra=None):
                 )
             )
 
-    # Per-session conditions.
-    for session in sessions:
-        rate = float(allocation.rate(session.session_id))
-        demand = float(session.effective_demand())
-        if algebra.greater(rate, demand):
+    for session, rate, demand, path in zip(sessions, rates, table.demands, table.paths):
+        demand = float(demand)
+        if rates_equal(rate, demand):
+            continue
+        if rate > demand:
             violations.append(
                 MaxMinViolation(
                     "demand-exceeded",
@@ -86,23 +93,7 @@ def verify_allocation(sessions, allocation, algebra=None):
                     "rate %.6g exceeds demand %.6g" % (rate, demand),
                 )
             )
-            continue
-        if algebra.equal(rate, demand):
-            continue
-        # Definition 1, specialized to an existence test (mirrors
-        # fairness.bottleneck.session_bottlenecks -- keep the two in sync).
-        has_bottleneck = False
-        for link in session.links:
-            endpoints = link.endpoints
-            if not saturated[endpoints]:
-                continue
-            if all(
-                algebra.less_equal(float(allocation.rate(other.session_id)), rate)
-                for other in links[endpoints][1]
-            ):
-                has_bottleneck = True
-                break
-        if not has_bottleneck:
+        elif not any(saturated[link] and at_most(maxima[link], rate) for link in path):
             violations.append(
                 MaxMinViolation(
                     "no-bottleneck",
@@ -114,6 +105,6 @@ def verify_allocation(sessions, allocation, algebra=None):
     return violations
 
 
-def is_max_min_fair(sessions, allocation, algebra=None):
+def is_max_min_fair(sessions, allocation):
     """True when :func:`verify_allocation` reports no violation."""
-    return not verify_allocation(sessions, allocation, algebra=algebra)
+    return not verify_allocation(sessions, allocation)

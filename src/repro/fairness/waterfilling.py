@@ -16,23 +16,28 @@ level ``(C_e - frozen load) / unfrozen members`` sits in a lazy-deletion heap,
 so the level jumps straight to the next demand or saturation event.  Freezing a
 session updates only the links it crosses, and one call costs
 O(sum of |pi(s)| * log L) for L links.
+
+The links and their members come from a
+:class:`~repro.fairness.bottleneck.LinkTable`, shared with Centralized B-Neck
+and the max-min certificate during validation.  Levels are plain ``/``
+divisions and frozen loads start at integer ``0``, so ``Fraction`` capacities
+and demands give exact rates.
 """
 
 import heapq
 import math
 
-from repro.fairness.algebra import default_algebra
 from repro.fairness.allocation import OracleError, RateAllocation
+from repro.fairness.bottleneck import LinkTable, at_most
 
 
-def water_filling(sessions, algebra=None):
+def water_filling(sessions):
     """Compute the max-min fair allocation of ``sessions``.
 
     Args:
         sessions: iterable of :class:`~repro.network.session.Session`.  Each
             session's path links carry the capacities; each session's
             ``effective_demand()`` bounds its rate.
-        algebra: optional :class:`~repro.fairness.algebra.RateAlgebra`.
 
     Returns:
         A :class:`~repro.fairness.allocation.RateAllocation` with one entry per
@@ -42,35 +47,26 @@ def water_filling(sessions, algebra=None):
         OracleError: when unfrozen sessions have infinite demands and cross
             only infinite-capacity links, so the level never stops growing.
     """
-    algebra = algebra or default_algebra()
-    sessions = list(sessions)
-    allocation = RateAllocation(algebra=algebra)
+    return water_filling_on(LinkTable(sessions))
+
+
+def water_filling_on(table):
+    """:func:`water_filling` of the sessions of a
+    :class:`~repro.fairness.bottleneck.LinkTable`."""
+    sessions = table.sessions
+    allocation = RateAllocation()
     if not sessions:
         return allocation
 
-    # Index links in order of first appearance.  Capacities and demands are
-    # lifted into the algebra's number type so divisions chain exactly under
-    # ExactAlgebra; loads start at integer zero for the same reason.
-    index = {}
-    capacity = []
-    members = []
-    paths = []
-    for position, session in enumerate(sessions):
-        path = []
-        for link in session.links:
-            link_index = index.setdefault(link.endpoints, len(capacity))
-            if link_index == len(capacity):
-                capacity.append(algebra.divide(link.capacity, 1))
-                members.append([])
-            members[link_index].append(position)
-            path.append(link_index)
-        paths.append(path)
-    demands = [algebra.divide(session.effective_demand(), 1) for session in sessions]
+    capacity = table.capacities
+    members = table.members
+    paths = table.paths
+    demands = table.demands
     by_demand = sorted(range(len(sessions)), key=demands.__getitem__)
 
     active = [len(positions) for positions in members]    # unfrozen members
     frozen_load = [0] * len(capacity)
-    saturation = [algebra.divide(c, n) for c, n in zip(capacity, active)]
+    saturation = [c / n for c, n in zip(capacity, active)]
     heap = [(level, link) for link, level in enumerate(saturation)]
     heapq.heapify(heap)
     rates = [None] * len(sessions)
@@ -81,7 +77,7 @@ def water_filling(sessions, algebra=None):
             frozen_load[link] = frozen_load[link] + level
             active[link] -= 1
             if active[link]:
-                saturation[link] = algebra.divide(capacity[link] - frozen_load[link], active[link])
+                saturation[link] = (capacity[link] - frozen_load[link]) / active[link]
                 heapq.heappush(heap, (saturation[link], link))
 
     def live_heap_top():
@@ -102,11 +98,11 @@ def water_filling(sessions, algebra=None):
             raise OracleError("water-filling", unresolved, "unconstrained sessions remain")
         # Freeze every session whose demand the level reached, then every
         # member of every link it saturates (cascading within the level).
-        while pointer < len(by_demand) and algebra.less_equal(demands[by_demand[pointer]], level):
+        while pointer < len(by_demand) and at_most(demands[by_demand[pointer]], level):
             if rates[by_demand[pointer]] is None:
                 freeze(by_demand[pointer], level)
             pointer += 1
-        while algebra.less_equal(live_heap_top(), level):
+        while at_most(live_heap_top(), level):
             link = heapq.heappop(heap)[1]
             for position in members[link]:
                 if rates[position] is None:

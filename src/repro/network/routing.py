@@ -15,7 +15,9 @@ builds lazily per node, so the hosts attached over a workload add nothing to
 the cost of a search.
 
 :class:`PathComputer` caches router-to-router paths, which matters when a
-workload creates tens of thousands of sessions over the same backbone.
+workload creates tens of thousands of sessions over the same backbone.  Its
+hop-count searches between routers read every router's relay tuple from a
+map it builds at its first search, so a search makes no call per node.
 """
 
 import collections
@@ -68,6 +70,25 @@ def _bfs_path(network, source, target):
     return None
 
 
+def _router_bfs_path(relays, source, target):
+    # `_bfs_path` for a router target, with the relay tuples in a map.  The
+    # target is entered when first discovered, while expanding the first
+    # popped node linked to it: the predecessor `_bfs_path` gives it.
+    if source == target:
+        return [source]
+    predecessor = {source: None}
+    frontier = collections.deque([source])
+    while frontier:
+        current = frontier.popleft()
+        for neighbor in relays[current]:
+            if neighbor not in predecessor:
+                predecessor[neighbor] = current
+                if neighbor == target:
+                    return _reconstruct(predecessor, target)
+                frontier.append(neighbor)
+    return None
+
+
 def _dijkstra_path(network, source, target):
     # The same relay rule as `_bfs_path`: a host is entered only as the target.
     if source == target:
@@ -111,13 +132,17 @@ class PathComputer(object):
 
     Host access links are always single-hop, so a host-to-host path is the
     concatenation ``[source_host] + router_path + [destination_host]``; only
-    the router-to-router segment is cached.
+    the router-to-router segment is cached.  Like the cache, the map of
+    router relays that hop-count searches read assumes that no link between
+    routers is added after the first search; attaching hosts changes no
+    router's relays.
     """
 
     def __init__(self, network, metric="hops"):
         self.network = network
         self.metric = metric
         self._cache = {}
+        self._relays = None
 
     def route(self, source_host, destination_host):
         """Return the node path from ``source_host`` to ``destination_host``."""
@@ -136,8 +161,22 @@ class PathComputer(object):
         """Return (and cache) the router-level path between two routers."""
         key = (ingress, egress)
         if key not in self._cache:
-            self._cache[key] = shortest_path(self.network, ingress, egress, self.metric)
+            if self.metric == "hops":
+                path = _router_bfs_path(self._router_relays(), ingress, egress)
+                if path is None:
+                    raise ValueError("no path from %r to %r" % (ingress, egress))
+            else:
+                path = shortest_path(self.network, ingress, egress, self.metric)
+            self._cache[key] = path
         return list(self._cache[key])
+
+    def _router_relays(self):
+        if self._relays is None:
+            relay_neighbors = self.network.relay_neighbors
+            self._relays = {
+                node.node_id: relay_neighbors(node.node_id) for node in self.network.routers()
+            }
+        return self._relays
 
     def route_links(self, source_host, destination_host):
         """Return the directed links of the path between two hosts."""

@@ -1,9 +1,10 @@
 """Shared fixtures and helpers of the test suite."""
 
+import fractions
+
 import pytest
 
 from repro.core.protocol import BNeckProtocol
-from repro.fairness.algebra import ExactAlgebra, FloatAlgebra
 from repro.network.graph import Network
 from repro.network.routing import PathComputer, path_links
 from repro.network.session import Session
@@ -19,16 +20,6 @@ from repro.simulator.simulation import Simulator
 
 HOST_CAPACITY = 1000 * MBPS
 HOST_DELAY = microseconds(1)
-
-
-@pytest.fixture
-def float_algebra():
-    return FloatAlgebra()
-
-
-@pytest.fixture
-def exact_algebra():
-    return ExactAlgebra()
 
 
 @pytest.fixture
@@ -57,6 +48,18 @@ def make_session(network, session_id, source_router, destination_router,
     node_path = computer.route(source_host, destination_host)
     links = path_links(network, node_path)
     return Session(session_id, source_host, destination_host, node_path, links, demand)
+
+
+def exact_single_link_sessions(demands):
+    """One session per demand over a single 100 Mbps link, with every
+    capacity and finite demand a ``Fraction``, so the oracles compute exact
+    rational rates."""
+    network = single_link_topology(capacity=fractions.Fraction(100 * 10**6))
+    return [
+        make_session(network, "s%d" % index, "r0", "r1", demand=demand,
+                     capacity=fractions.Fraction(1000 * 10**6))
+        for index, demand in enumerate(demands)
+    ]
 
 
 def open_bneck_session(protocol, source_router, destination_router,

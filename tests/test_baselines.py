@@ -9,7 +9,6 @@ from repro.baselines.cg import CGProtocol, ConstantStateController
 from repro.baselines.rcp import RCPLinkController, RCPProtocol
 from repro.core.actions import JoinAction, LeaveAction
 from repro.core.centralized import centralized_bneck
-from repro.fairness.algebra import FloatAlgebra
 from repro.network.graph import Link
 from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
@@ -31,7 +30,7 @@ def open_session(protocol, source_router, destination_router, session_id, demand
 
 class TestConsistentMarkingController(object):
     def make(self, capacity=100 * MBPS):
-        return ConsistentMarkingController(Link("a", "b", capacity, 1e-6), FloatAlgebra())
+        return ConsistentMarkingController(Link("a", "b", capacity, 1e-6))
 
     def test_empty_link_advertises_full_capacity(self):
         assert self.make().advertised_rate() == pytest.approx(100 * MBPS)
@@ -65,7 +64,7 @@ class TestConsistentMarkingController(object):
 
 class TestConstantStateController(object):
     def test_state_size_is_constant(self):
-        controller = ConstantStateController(Link("a", "b", 100 * MBPS, 1e-6), FloatAlgebra())
+        controller = ConstantStateController(Link("a", "b", 100 * MBPS, 1e-6))
         for index in range(100):
             controller.on_probe("s%d" % index, float("inf"), 0.0)
         # No per-session container: only counters and sums.
@@ -74,7 +73,7 @@ class TestConstantStateController(object):
 
     def test_damped_update_moves_towards_fair_share(self):
         controller = ConstantStateController(
-            Link("a", "b", 100 * MBPS, 1e-6), FloatAlgebra(), gain=0.5
+            Link("a", "b", 100 * MBPS, 1e-6), gain=0.5
         )
         for index in range(4):
             controller.on_probe("s%d" % index, float("inf"), 0.0)
@@ -87,7 +86,7 @@ class TestConstantStateController(object):
 
     def test_idle_link_relaxes_towards_capacity(self):
         controller = ConstantStateController(
-            Link("a", "b", 100 * MBPS, 1e-6), FloatAlgebra(), gain=1.0
+            Link("a", "b", 100 * MBPS, 1e-6), gain=1.0
         )
         controller.advertised = 10 * MBPS
         controller.periodic_update([], milliseconds(1))
@@ -96,19 +95,19 @@ class TestConstantStateController(object):
 
 class TestRCPLinkController(object):
     def test_underloaded_link_raises_its_rate(self):
-        controller = RCPLinkController(Link("a", "b", 100 * MBPS, 1e-6), FloatAlgebra())
+        controller = RCPLinkController(Link("a", "b", 100 * MBPS, 1e-6))
         controller.advertised = 10 * MBPS
         controller.periodic_update([10 * MBPS], milliseconds(1))
         assert controller.advertised > 10 * MBPS
 
     def test_overloaded_link_lowers_its_rate(self):
-        controller = RCPLinkController(Link("a", "b", 100 * MBPS, 1e-6), FloatAlgebra())
+        controller = RCPLinkController(Link("a", "b", 100 * MBPS, 1e-6))
         controller.advertised = 100 * MBPS
         controller.periodic_update([90 * MBPS, 90 * MBPS], milliseconds(1))
         assert controller.advertised < 100 * MBPS
 
     def test_rate_is_bounded(self):
-        controller = RCPLinkController(Link("a", "b", 100 * MBPS, 1e-6), FloatAlgebra())
+        controller = RCPLinkController(Link("a", "b", 100 * MBPS, 1e-6))
         for _ in range(50):
             controller.periodic_update([], milliseconds(1))
         assert controller.advertised <= 100 * MBPS

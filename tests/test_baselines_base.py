@@ -22,7 +22,7 @@ def open_session(protocol, session_id, demand=math.inf, at=None):
 
 class TestAbstractPieces(object):
     def test_link_controller_on_probe_is_abstract(self):
-        controller = LinkController(link=None, algebra=None)
+        controller = LinkController(link=None)
         with pytest.raises(NotImplementedError):
             controller.on_probe("s", 1.0, 0.0)
 

@@ -1,17 +1,17 @@
 """Unit tests for Centralized B-Neck (Figure 1)."""
 
+import fractions
 import math
 
 import pytest
 
 from repro.core.centralized import centralized_bneck
-from repro.fairness.algebra import ExactAlgebra
 from repro.fairness.verification import is_max_min_fair
 from repro.fairness.waterfilling import water_filling
 from repro.network.transit_stub import small_network, stub_routers
 from repro.network.units import MBPS
 from repro.simulator.random_source import RandomSource
-from tests.conftest import make_session
+from tests.conftest import exact_single_link_sessions, make_session
 
 
 def test_empty_input():
@@ -94,12 +94,24 @@ def test_agrees_with_water_filling_on_transit_stub():
     assert is_max_min_fair(sessions, centralized)
 
 
-def test_exact_algebra_mode(single_link_network):
-    sessions = [make_session(single_link_network, "s%d" % i, "r0", "r1") for i in range(3)]
-    allocation = centralized_bneck(sessions, algebra=ExactAlgebra())
-    import fractions
+def test_fraction_inputs_give_exact_thirds():
+    sessions = exact_single_link_sessions([math.inf] * 3)
+    allocation = centralized_bneck(sessions)
+    for index in range(3):
+        rate = allocation.rate("s%d" % index)
+        assert isinstance(rate, fractions.Fraction)
+        assert rate == fractions.Fraction(100 * 10**6, 3)
+    assert is_max_min_fair(sessions, allocation)
 
-    assert allocation.rate("s0") == fractions.Fraction(int(100 * MBPS), 3)
+
+def test_fraction_inputs_stay_exact_through_a_demand_link():
+    seventh = fractions.Fraction(100 * 10**6, 7)
+    sessions = exact_single_link_sessions([seventh] + [math.inf] * 3)
+    allocation = centralized_bneck(sessions)
+    assert allocation.rate("s0") == seventh
+    for index in range(1, 4):
+        assert allocation.rate("s%d" % index) == 2 * seventh
+    assert allocation.equals(water_filling(sessions))
 
 
 def test_every_session_gets_a_rate(dumbbell_network):

@@ -1,11 +1,11 @@
-"""Unit tests for the rate algebras and the protocol's inlined float compares."""
+"""Unit tests for the library's rate compares: ``rates_equal``, the oracles'
+``at_most`` and the protocol's inlined float compares."""
 
-import fractions
 import math
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core import router_link, source_node
 from repro.core.state import (
     ABS_TOL,
     IDLE,
@@ -13,102 +13,74 @@ from repro.core.state import (
     SESSION_STATES,
     WAITING_PROBE,
     LinkState,
-    rates_equal,
 )
-from repro.fairness.algebra import (
-    ABSOLUTE_TOLERANCE,
-    RELATIVE_TOLERANCE,
-    FloatAlgebra,
-    default_algebra,
-)
+from repro.fairness.algebra import ABSOLUTE_TOLERANCE, RELATIVE_TOLERANCE, rates_equal
+from repro.fairness.bottleneck import at_most
 
 
-class TestFloatAlgebra(object):
-    def test_exact_equality(self, float_algebra):
-        assert float_algebra.equal(5.0, 5.0)
-        assert not float_algebra.equal(5.0, 6.0)
+class FloatAlgebra(object):
+    """The float rate algebra the library once plugged into every oracle,
+    kept here as the reference every compare must decide exactly as."""
 
-    def test_tolerant_equality(self, float_algebra):
+    def equal(self, first, second):
+        if first == second:
+            return True
+        if math.isinf(first) or math.isinf(second):
+            return False
+        return math.isclose(
+            first, second, rel_tol=RELATIVE_TOLERANCE, abs_tol=ABSOLUTE_TOLERANCE
+        )
+
+    def less(self, first, second):
+        return first < second and not self.equal(first, second)
+
+    def less_equal(self, first, second):
+        return self.less(first, second) or self.equal(first, second)
+
+    def greater(self, first, second):
+        return self.less(second, first)
+
+    def greater_equal(self, first, second):
+        return self.less_equal(second, first)
+
+
+FLOAT = FloatAlgebra()
+
+
+class TestRatesEqual(object):
+    def test_exact_equality(self):
+        assert rates_equal(5.0, 5.0)
+        assert not rates_equal(5.0, 6.0)
+
+    def test_tolerant_equality(self):
         base = 100e6 / 3.0
         perturbed = base * (1.0 + 1e-12)
-        assert float_algebra.equal(base, perturbed)
-        assert not float_algebra.equal(base, base * (1.0 + 1e-6))
+        assert rates_equal(base, perturbed)
+        assert not rates_equal(base, base * (1.0 + 1e-6))
 
-    def test_less_is_strict(self, float_algebra):
+    def test_at_most_is_tolerant(self):
         base = 100e6 / 7.0
-        assert not float_algebra.less(base * (1.0 + 1e-13), base)
-        assert float_algebra.less(base, base * 1.01)
-        assert not float_algebra.less(base * 1.01, base)
+        assert at_most(base * (1.0 + 1e-13), base)
+        assert at_most(base, base * 1.01)
+        assert not at_most(base * 1.01, base)
 
-    def test_derived_comparisons(self, float_algebra):
-        assert float_algebra.less_equal(1.0, 1.0)
-        assert float_algebra.less_equal(1.0, 2.0)
-        assert float_algebra.greater(2.0, 1.0)
-        assert float_algebra.greater_equal(2.0, 2.0)
-        assert float_algebra.is_zero(0.0)
-        assert not float_algebra.is_zero(1.0)
-
-    def test_infinity_handling(self, float_algebra):
-        assert float_algebra.equal(math.inf, math.inf)
-        assert not float_algebra.equal(math.inf, 1e9)
-        assert float_algebra.less(1e9, math.inf)
-        assert not float_algebra.less(math.inf, 1e9)
-
-    def test_divide(self, float_algebra):
-        assert float_algebra.divide(10.0, 4.0) == pytest.approx(2.5)
-
-    def test_minimum(self, float_algebra):
-        assert float_algebra.minimum([3.0, 1.0, 2.0]) == 1.0
-        with pytest.raises(ValueError):
-            float_algebra.minimum([])
+    def test_infinity_handling(self):
+        assert rates_equal(math.inf, math.inf)
+        assert not rates_equal(math.inf, 1e9)
+        assert at_most(1e9, math.inf)
+        assert not at_most(math.inf, 1e9)
 
 
-class TestExactAlgebra(object):
-    def test_division_is_exact(self, exact_algebra):
-        third = exact_algebra.divide(1, 3)
-        assert third == fractions.Fraction(1, 3)
-        assert exact_algebra.equal(third + third + third, 1)
-
-    def test_equality_distinguishes_tiny_differences(self, exact_algebra):
-        third = exact_algebra.divide(1, 3)
-        assert not exact_algebra.equal(third, 0.3333333333)
-
-    def test_less(self, exact_algebra):
-        assert exact_algebra.less(exact_algebra.divide(1, 3), exact_algebra.divide(1, 2))
-        assert not exact_algebra.less(exact_algebra.divide(1, 2), exact_algebra.divide(1, 2))
-
-    def test_infinity_handling(self, exact_algebra):
-        assert exact_algebra.equal(math.inf, math.inf)
-        assert exact_algebra.less(fractions.Fraction(5), math.inf)
-        assert not exact_algebra.less(math.inf, fractions.Fraction(5))
-
-    def test_mixed_types(self, exact_algebra):
-        assert exact_algebra.equal(exact_algebra.divide(100, 4), 25.0)
-        assert exact_algebra.greater(25.5, exact_algebra.divide(100, 4))
-
-    def test_minimum(self, exact_algebra):
-        values = [exact_algebra.divide(1, 2), exact_algebra.divide(1, 3), math.inf]
-        assert exact_algebra.minimum(values) == fractions.Fraction(1, 3)
-
-
-def test_default_algebra_is_float_based():
-    algebra = default_algebra()
-    assert isinstance(algebra, FloatAlgebra)
-    # The default is shared (cheap), and usable right away.
-    assert default_algebra() is algebra
-
-
-def test_float_and_exact_agree_on_clear_cut_cases(float_algebra, exact_algebra):
-    for first, second in [(1.0, 2.0), (5.0, 5.0), (7.5, 2.5)]:
-        assert float_algebra.equal(first, second) == exact_algebra.equal(first, second)
-        assert float_algebra.less(first, second) == exact_algebra.less(first, second)
+def test_the_protocol_compares_with_the_one_rates_equal():
+    assert router_link.rates_equal is rates_equal
+    assert source_node.rates_equal is rates_equal
 
 
 # --------------------------------------------------------------------------
-# The protocol's inlined float compares (repro.core.state) must decide
-# exactly as FloatAlgebra() does, on every pair of rates.
+# Every compare -- rates_equal, the oracles' at_most and the protocol's
+# inlined float compares (repro.core.state) -- must decide exactly as the
+# reference FloatAlgebra above does, on every pair of rates.
 
-FLOAT = FloatAlgebra()
 SPECIAL_RATES = st.sampled_from([0.0, -0.0, math.inf, -math.inf])
 PLAIN_RATES = st.floats(0.0, 1e9, allow_nan=False)
 
@@ -144,11 +116,8 @@ def inline_greater_equal(first, second):
     return first >= second or math.isclose(first, second, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
-def test_protocol_tolerances_are_the_float_algebra_defaults():
+def test_protocol_tolerances_are_the_library_tolerances():
     assert (REL_TOL, ABS_TOL) == (RELATIVE_TOLERANCE, ABSOLUTE_TOLERANCE)
-    algebra = FloatAlgebra()
-    assert algebra.relative_tolerance == REL_TOL
-    assert algebra.absolute_tolerance == ABS_TOL
 
 
 @settings(max_examples=1500, deadline=None)
@@ -164,6 +133,7 @@ def test_inline_compares_match_float_algebra(pair):
         assert (not rates_equal(first, second) and first > second) == FLOAT.greater(
             first, second
         )
+        assert at_most(first, second) == FLOAT.less_equal(first, second)
 
 
 @st.composite

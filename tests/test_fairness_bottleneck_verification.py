@@ -2,10 +2,16 @@
 
 import pytest
 
+from repro.core.centralized import centralized_bneck, centralized_bneck_on
 from repro.fairness.allocation import RateAllocation
-from repro.fairness.bottleneck import analyze_bottlenecks, link_load, session_bottlenecks
-from repro.fairness.verification import is_max_min_fair, verify_allocation
-from repro.fairness.waterfilling import water_filling
+from repro.fairness.bottleneck import (
+    LinkTable,
+    analyze_bottlenecks,
+    link_load,
+    session_bottlenecks,
+)
+from repro.fairness.verification import is_max_min_fair, verify_allocation, verify_allocation_on
+from repro.fairness.waterfilling import water_filling, water_filling_on
 from repro.network.units import MBPS
 from tests.conftest import make_session
 
@@ -20,6 +26,71 @@ def parking_lot_case(parking_lot_network):
     ]
     allocation = water_filling(sessions)
     return parking_lot_network, sessions, allocation
+
+
+class TestLinkTable(object):
+    def test_links_are_indexed_in_order_of_first_appearance(self, parking_lot_case):
+        _, sessions, _ = parking_lot_case
+        table = LinkTable(sessions)
+        expected = []
+        for session in sessions:
+            for link in session.links:
+                if link.endpoints not in expected:
+                    expected.append(link.endpoints)
+        assert [link.endpoints for link in table.links] == expected
+        assert table.index == {endpoints: index for index, endpoints in enumerate(expected)}
+        assert table.capacities == [link.capacity for link in table.links]
+
+    def test_members_paths_and_demands_follow_session_order(self, parking_lot_network):
+        sessions = [
+            make_session(parking_lot_network, "long", "r0", "r3"),
+            make_session(parking_lot_network, "capped", "r1", "r3", demand=10 * MBPS),
+            make_session(parking_lot_network, "short", "r0", "r1"),
+        ]
+        table = LinkTable(iter(sessions))
+        assert table.sessions == sessions
+        for position, session in enumerate(sessions):
+            assert [table.links[index] for index in table.paths[position]] == list(session.links)
+        for link, members in zip(table.links, table.members):
+            crossing = [p for p, session in enumerate(sessions) if session.crosses(link)]
+            assert members == crossing
+        middle = table.index[parking_lot_network.link("r1", "r2").endpoints]
+        assert table.members[middle] == [0, 1]
+        assert table.demands == [session.effective_demand() for session in sessions]
+
+    def test_loads_and_maxima_per_link(self, parking_lot_case):
+        network, sessions, allocation = parking_lot_case
+        table = LinkTable(sessions)
+        rates = table.rates(allocation)
+        assert rates == [float(allocation.rate(session.session_id)) for session in sessions]
+        loads, maxima = table.loads_and_maxima(rates)
+        for link, load, largest in zip(table.links, loads, maxima):
+            assert load == pytest.approx(link_load(sessions, allocation, link))
+            assert largest == max(
+                rate for rate, session in zip(rates, sessions) if session.crosses(link)
+            )
+        first_hop = table.index[network.link("r0", "r1").endpoints]
+        assert loads[first_hop] == pytest.approx(100 * MBPS)
+        assert maxima[first_hop] == pytest.approx(100 * MBPS / 3.0)
+
+    def test_missing_rates_read_as_zero(self, parking_lot_case):
+        _, sessions, _ = parking_lot_case
+        table = LinkTable(sessions)
+        assert table.rates(RateAllocation({"long": 5 * MBPS})) == [5.0 * MBPS, 0.0, 0.0, 0.0]
+
+    def test_one_table_serves_every_oracle_and_the_certificate(self, parking_lot_case):
+        _, sessions, allocation = parking_lot_case
+        table = LinkTable(sessions)
+        assert centralized_bneck_on(table).as_dict() == centralized_bneck(sessions).as_dict()
+        assert water_filling_on(table).as_dict() == water_filling(sessions).as_dict()
+        starved = RateAllocation(
+            {session_id: rate * 0.5 for session_id, rate in allocation.as_dict().items()}
+        )
+        for checked in (allocation, starved):
+            shared = [(v.kind, v.subject, v.detail) for v in verify_allocation_on(table, checked)]
+            fresh = [(v.kind, v.subject, v.detail) for v in verify_allocation(sessions, checked)]
+            assert shared == fresh
+        assert verify_allocation_on(table, allocation) == []
 
 
 class TestBottleneckAnalysis(object):
@@ -52,13 +123,6 @@ class TestBottleneckAnalysis(object):
         analysis = analyze_bottlenecks(sessions, allocation)
         first_hop = network.link("r0", "r1").endpoints
         assert analysis.bottleneck_rate[first_hop] == pytest.approx(100 * MBPS / 3.0)
-
-    def test_system_bottlenecks(self, parking_lot_case):
-        network, sessions, allocation = parking_lot_case
-        analysis = analyze_bottlenecks(sessions, allocation)
-        system = {link.endpoints for link in analysis.system_bottlenecks()}
-        assert network.link("r0", "r1").endpoints in system
-        assert network.link("r1", "r2").endpoints not in system
 
     def test_saturated_links(self, parking_lot_case):
         network, sessions, allocation = parking_lot_case

@@ -1,14 +1,14 @@
 """Unit tests for the classic water-filling oracle."""
 
+import fractions
 import math
 
 import pytest
 
-from repro.fairness.algebra import ExactAlgebra
 from repro.fairness.verification import is_max_min_fair
 from repro.fairness.waterfilling import water_filling
 from repro.network.units import MBPS
-from tests.conftest import make_session
+from tests.conftest import exact_single_link_sessions, make_session
 
 
 def test_empty_input_gives_empty_allocation():
@@ -118,13 +118,21 @@ def test_result_is_always_max_min_fair(dumbbell_network):
     assert allocation.is_feasible(sessions)
 
 
-def test_exact_algebra_gives_exact_thirds(single_link_network):
-    sessions = [
-        make_session(single_link_network, "s%d" % index, "r0", "r1") for index in range(3)
-    ]
-    allocation = water_filling(sessions, algebra=ExactAlgebra())
-    import fractions
-
-    expected = fractions.Fraction(int(100 * MBPS), 3)
+def test_fraction_inputs_give_exact_thirds():
+    sessions = exact_single_link_sessions([math.inf] * 3)
+    allocation = water_filling(sessions)
+    expected = fractions.Fraction(100 * 10**6, 3)
     for index in range(3):
-        assert allocation.rate("s%d" % index) == expected
+        rate = allocation.rate("s%d" % index)
+        assert isinstance(rate, fractions.Fraction)
+        assert rate == expected
+    assert is_max_min_fair(sessions, allocation)
+
+
+def test_fraction_inputs_stay_exact_past_a_demand():
+    seventh = fractions.Fraction(100 * 10**6, 7)
+    sessions = exact_single_link_sessions([seventh] + [math.inf] * 3)
+    allocation = water_filling(sessions)
+    assert allocation.rate("s0") == seventh
+    for index in range(1, 4):
+        assert allocation.rate("s%d" % index) == 2 * seventh

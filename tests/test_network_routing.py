@@ -318,3 +318,28 @@ def test_attaching_hosts_leaves_routes_unchanged():
     with_hosts(network, 500, seed=7)
     assert [shortest_path(network, source, target) for source, target in pairs] == before
     assert before == [reference_bfs(network, source, target) for source, target in pairs]
+
+
+def test_path_computer_router_routes_match_the_full_scan():
+    network = medium_network(LAN, seed=1)
+    routers = [node.node_id for node in network.routers()]
+    computer = PathComputer(network)
+    rng = random.Random(8)
+    pairs = [(rng.choice(routers), rng.choice(routers)) for _ in range(1500)]
+    # Half the routes are searched before any host is attached: the relay
+    # map built at the first search stays right as hosts attach.
+    for source, target in pairs[:750]:
+        assert computer.router_route(source, target) == reference_bfs(network, source, target)
+    with_hosts(network, 400, seed=9)
+    for source, target in pairs[750:]:
+        assert computer.router_route(source, target) == reference_bfs(network, source, target)
+    assert computer.router_route(routers[0], routers[0]) == [routers[0]]
+
+
+def test_path_computer_reports_unreachable_routers():
+    network = Network("islands")
+    for router in ("a", "b", "c"):
+        network.add_router(router)
+    network.add_link("a", "b", 10 * MBPS, microseconds(1))
+    with pytest.raises(ValueError):
+        PathComputer(network).router_route("a", "c")
