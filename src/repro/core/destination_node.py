@@ -35,23 +35,12 @@ class DestinationNodeTask(Process):
         self.no_bottleneck_updates = 0
         self.left = False
 
-    # Packet class -> unbound handler, built once below the handler
-    # definitions; ``delivery`` (the table the protocol resolves at send
-    # time) sends every one of them through ``receive`` and its ``left``
-    # guard.
-    _DISPATCH = None
-    delivery = None
-
-    def receive(self, message, sender=None):
-        if self.left:
-            return
-        handler = self._DISPATCH.get(message.__class__)
-        if handler is None:
-            raise TypeError("%s cannot handle %r" % (self.name, message))
-        handler(self, message)
+    # Packets may still be in flight after a Leave; each handler drops them.
 
     def on_probe_cycle_end(self, message):
         """Figure 4, lines 3-7: close the Probe cycle."""
+        if self.left:
+            return
         self.closed_probe_cycles += 1
         self.protocol.forward_upstream_from_destination(
             self.session_id,
@@ -60,6 +49,8 @@ class DestinationNodeTask(Process):
 
     def on_set_bottleneck(self, message):
         """Figure 4, lines 9-10: no link confirmed a bottleneck -> re-probe."""
+        if self.left:
+            return
         if not message.found_bottleneck:
             self.no_bottleneck_updates += 1
             self.protocol.forward_upstream_from_destination(
@@ -70,12 +61,11 @@ class DestinationNodeTask(Process):
         self.left = True
 
 
-DestinationNodeTask._DISPATCH = {
+# Packet class -> the unbound handler a delivery calls; the protocol resolves
+# it at send time.
+DestinationNodeTask.delivery = {
     Join: DestinationNodeTask.on_probe_cycle_end,
     Probe: DestinationNodeTask.on_probe_cycle_end,
     SetBottleneck: DestinationNodeTask.on_set_bottleneck,
     Leave: DestinationNodeTask.on_leave,
 }
-DestinationNodeTask.delivery = dict.fromkeys(
-    DestinationNodeTask._DISPATCH, DestinationNodeTask.receive
-)

@@ -1,12 +1,18 @@
 """The RouterLink task (Figure 2 of the paper).
 
 One RouterLink instance controls one directed link and keeps per-session state
-for every session whose path crosses the link.  Its handlers are a line-by-line
-transcription of Figure 2, with two presentational differences:
+for every session whose path crosses the link, in a
+:class:`~repro.core.state.LinkState`.  Its handlers are a line-by-line
+transcription of Figure 2, with three presentational differences:
 
 * rates are floats, so ``==``/``<`` are the tolerance compares of
-  :mod:`repro.fairness.algebra`: ``rates_equal``, plain float compares, and
-  the link state's queries;
+  :mod:`repro.fairness.algebra`: ``rates_equal`` and plain float compares;
+* each step of a handler on the link's state is one call to the link state,
+  which keeps ``B_e`` as its attribute ``bottleneck_rate`` and performs
+  Figure 2's transitions whole: ``settle`` (an accepted Response), ``wake``
+  (IDLE to WAITING_PROBE) and ``process_new_restricted`` (lines 4-10, which
+  returns the woken sessions; the handler sends each an Update).  A capacity
+  change goes through ``set_capacity``, so ``B_e`` follows it;
 * packet forwarding is delegated to the protocol orchestrator
   (:class:`~repro.core.protocol.BNeckProtocol`): a handler calls its
   ``forward_downstream``/``forward_upstream`` with the task itself as the
@@ -45,80 +51,39 @@ class RouterLinkTask(Process):
         # Delay of this link, and delay and key of its reverse: set by the protocol.
         self.hop_delay = self.back_delay = self.back_key = None
 
-    # ----------------------------------------------------------- dispatching
-
-    # Packet class -> the unbound handler a delivery calls, built once below
-    # the handler definitions.  The protocol resolves it at send time.
-    delivery = None
-
-    def receive(self, message, sender=None):
-        """Handle ``message`` now (deliveries call the handler directly)."""
-        handler = self.delivery.get(message.__class__)
-        if handler is None:
-            raise TypeError("%s cannot handle %r" % (self.name, message))
-        handler(self, message)
-
-    # -------------------------------------------------- ProcessNewRestricted
-
-    def process_new_restricted(self):
-        """Figure 2, lines 4-10.
-
-        Move back into ``R_e`` every session recorded in ``F_e`` whose rate is
-        not actually below the current bottleneck rate (highest rates first,
-        recomputing ``B_e`` after each move), then ask every settled session in
-        ``R_e`` whose recorded rate exceeds ``B_e`` to run a new Probe cycle.
-        Returns the resulting ``B_e``.
-        """
-        state = self.state
-        rate = state.bottleneck_rate()
-        while state.unrestricted:
-            # The largest F_e rate is itself an offender whenever any F_e
-            # member is, so it is the largest offender rate.
-            largest = state.largest_unrestricted_offender(rate)
-            if largest is None:
-                break
-            # Sorted so the incremental F_e load sum is updated in a
-            # reproducible order (set iteration order is hash-randomized).
-            moved = sorted(
-                session_id
-                for session_id, recorded in state.unrestricted_rated()
-                if rates_equal(recorded, largest)
-            )
-            for session_id in moved:
-                state.add_restricted(session_id)
-            rate = state.bottleneck_rate()
-
-        for session_id in state.idle_restricted_above(rate):
-            state.set_state(session_id, WAITING_PROBE)
-            self.protocol.forward_upstream(self, Update(session_id))
-        return rate
-
     # ---------------------------------------------------------------- handlers
 
     def on_join(self, packet):
         """Figure 2, lines 12-16."""
         state = self.state
-        state.add_restricted(packet.session_id)
-        state.set_state(packet.session_id, WAITING_RESPONSE)
-        self._forward_clamped(Join, packet, self.process_new_restricted())
+        session_id = packet.session_id
+        state.add_restricted(session_id)
+        state.set_state(session_id, WAITING_RESPONSE)
+        for other_id in state.process_new_restricted():
+            self.protocol.forward_upstream(self, Update(other_id))
+        # Forward the Join, lowered to B_e (naming this link as the
+        # restriction) when its rate exceeds B_e.
+        rate = state.bottleneck_rate
+        forwarded_rate, eta = packet.rate, packet.restricting_link
+        if forwarded_rate > rate and not rates_equal(forwarded_rate, rate):
+            forwarded_rate, eta = rate, self.link_id
+        self.protocol.forward_downstream(self, Join(session_id, forwarded_rate, eta))
 
     def on_probe(self, packet):
         """Figure 2, lines 30-36."""
         state = self.state
-        state.set_state(packet.session_id, WAITING_RESPONSE)
-        if packet.session_id in state.unrestricted:
-            state.add_restricted(packet.session_id)
-        self._forward_clamped(Probe, packet, self.process_new_restricted())
-
-    def _forward_clamped(self, packet_type, packet, rate):
-        """Forward a Join/Probe, lowering its rate to ``B_e`` = ``rate`` (and
-        naming this link as the restriction) when it exceeds ``B_e``."""
+        session_id = packet.session_id
+        state.set_state(session_id, WAITING_RESPONSE)
+        if session_id in state.unrestricted:
+            state.add_restricted(session_id)
+        for other_id in state.process_new_restricted():
+            self.protocol.forward_upstream(self, Update(other_id))
+        # Forward the Probe, clamped to B_e as a Join is.
+        rate = state.bottleneck_rate
         forwarded_rate, eta = packet.rate, packet.restricting_link
         if forwarded_rate > rate and not rates_equal(forwarded_rate, rate):
             forwarded_rate, eta = rate, self.link_id
-        self.protocol.forward_downstream(
-            self, packet_type(packet.session_id, forwarded_rate, eta)
-        )
+        self.protocol.forward_downstream(self, Probe(session_id, forwarded_rate, eta))
 
     def on_response(self, packet):
         """Figure 2, lines 18-28."""
@@ -131,14 +96,13 @@ class RouterLinkTask(Process):
         if tau == UPDATE:
             state.set_state(session_id, WAITING_PROBE)
         else:
-            local_rate = state.bottleneck_rate()
+            local_rate = state.bottleneck_rate
             if eta == self.link_id:
                 accepted = rates_equal(rate, local_rate)
             else:
                 accepted = rate <= local_rate or rates_equal(rate, local_rate)
             if accepted:
-                state.set_state(session_id, IDLE)
-                state.set_rate(session_id, rate)
+                state.settle(session_id, rate)
             else:
                 # Either this link believed it was the restriction but its
                 # bottleneck rate changed meanwhile, or the rate now exceeds
@@ -155,9 +119,7 @@ class RouterLinkTask(Process):
 
     def on_update(self, packet):
         """Figure 2, lines 38-40."""
-        state = self.state
-        if state.state_of(packet.session_id) == IDLE:
-            state.set_state(packet.session_id, WAITING_PROBE)
+        if self.state.wake(packet.session_id):
             self.protocol.forward_upstream(self, Update(packet.session_id))
 
     def on_bottleneck(self, packet):
@@ -173,7 +135,7 @@ class RouterLinkTask(Process):
         """Figure 2, lines 45-55."""
         state = self.state
         session_id = packet.session_id
-        rate = state.bottleneck_rate()
+        rate = state.bottleneck_rate
         recorded = state.rate_of(session_id)
 
         if state.all_restricted_settled():
@@ -191,7 +153,7 @@ class RouterLinkTask(Process):
             # sessions that were settled at the old bottleneck rate, since the
             # recomputed B_e can only grow.
             for other_id in state.settled_at(rate):
-                state.set_state(other_id, WAITING_PROBE)
+                state.wake(other_id)
                 self.protocol.forward_upstream(self, Update(other_id))
             state.add_unrestricted(session_id)
             self.protocol.forward_downstream(
@@ -212,7 +174,8 @@ class RouterLinkTask(Process):
         converges back to the max-min allocation of the *updated* network:
 
         * a capacity drop can pull previously unrestricted sessions back under
-          this link's bottleneck rate; :meth:`process_new_restricted` moves
+          this link's bottleneck rate;
+          :meth:`~repro.core.state.LinkState.process_new_restricted` moves
           them from ``F_e`` into ``R_e`` exactly as a new restriction would;
         * every settled session in ``R_e`` then holds a rate computed for the
           old capacity (too high after a drop, too low after a raise), so each
@@ -244,12 +207,14 @@ class RouterLinkTask(Process):
                     if rates_equal(rate, largest)
                 )
                 state.add_restricted(victim)
-        rate = self.process_new_restricted()
+        for session_id in state.process_new_restricted():
+            self.protocol.forward_upstream(self, Update(session_id))
+        rate = state.bottleneck_rate
         for session_id in sorted(state.restricted):
             if state.state_of(session_id) == IDLE and not rates_equal(
                 state.rate_of(session_id) or 0.0, rate
             ):
-                state.set_state(session_id, WAITING_PROBE)
+                state.wake(session_id)
                 self.protocol.forward_upstream(self, Update(session_id))
 
     def on_leave(self, packet):
@@ -258,16 +223,18 @@ class RouterLinkTask(Process):
         session_id = packet.session_id
         to_update = [
             other_id
-            for other_id in state.settled_at(state.bottleneck_rate())
+            for other_id in state.settled_at(state.bottleneck_rate)
             if other_id != session_id
         ]
         state.forget(session_id)
         for other_id in to_update:
-            state.set_state(other_id, WAITING_PROBE)
+            state.wake(other_id)
             self.protocol.forward_upstream(self, Update(other_id))
         self.protocol.forward_downstream(self, Leave(session_id))
 
 
+# Packet class -> the unbound handler a delivery calls; the protocol resolves
+# it at send time.
 RouterLinkTask.delivery = {
     Join: RouterLinkTask.on_join,
     Probe: RouterLinkTask.on_probe,

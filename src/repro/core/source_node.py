@@ -56,10 +56,6 @@ class SourceNodeTask(Process):
         rate = self.state.rate_of(self.session_id)
         return 0.0 if rate is None else rate
 
-    def is_quiescent_for_session(self):
-        """True when the source is idle and has been told its final rate."""
-        return self.state.state_of(self.session_id) == IDLE and self.bottleneck_received
-
     # ----------------------------------------------------------- API handlers
 
     def api_join(self, requested_rate):
@@ -69,7 +65,7 @@ class SourceNodeTask(Process):
         # In the paper's "modified system" the effective bandwidth of the
         # access link is D_s = min(r, C_e); the source's link state uses it so
         # that Definition 2 (stability) holds for demand-limited sessions.
-        self.state.capacity = self.demand
+        self.state.set_capacity(self.demand)
         self.state.set_state(self.session_id, WAITING_RESPONSE)
         self.update_received = False
         self.bottleneck_received = False
@@ -84,7 +80,7 @@ class SourceNodeTask(Process):
     def api_change(self, requested_rate):
         """Figure 3, lines 11-18 (``API.Change``)."""
         self.demand = min(requested_rate, self.access_link.capacity)
-        self.state.capacity = self.demand
+        self.state.set_capacity(self.demand)
         if self.state.state_of(self.session_id) == IDLE:
             if self.session_id in self.state.unrestricted:
                 self.state.add_restricted(self.session_id)
@@ -97,25 +93,13 @@ class SourceNodeTask(Process):
 
     # -------------------------------------------------------- packet handlers
 
-    # Packet class -> unbound handler, built once below the handler
-    # definitions; ``delivery`` (the table the protocol resolves at send
-    # time) sends every one of them through ``receive``, whose ``left``
-    # guard drops packets still in flight after ``API.Leave``.
-    _DISPATCH = None
-    delivery = None
-
-    def receive(self, message, sender=None):
-        if self.left:
-            # Packets may still be in flight after API.Leave; they concern a
-            # session that no longer exists and are dropped.
-            return
-        handler = self._DISPATCH.get(message.__class__)
-        if handler is None:
-            raise TypeError("%s cannot handle %r" % (self.name, message))
-        handler(self, message)
+    # Packets may still be in flight after API.Leave; they concern a session
+    # that no longer exists, and each handler drops them.
 
     def on_update(self, packet):
         """Figure 3, lines 20-25."""
+        if self.left:
+            return
         if self.state.state_of(self.session_id) == IDLE:
             if self.session_id in self.state.unrestricted:
                 self.state.add_restricted(self.session_id)
@@ -127,6 +111,8 @@ class SourceNodeTask(Process):
 
     def on_bottleneck(self, packet):
         """Figure 3, lines 27-31."""
+        if self.left:
+            return
         if self.state.state_of(self.session_id) == IDLE and not self.bottleneck_received:
             rate = self.state.rate_of(self.session_id)
             self.bottleneck_received = True
@@ -138,14 +124,15 @@ class SourceNodeTask(Process):
 
     def on_response(self, packet):
         """Figure 3, lines 33-47."""
+        if self.left:
+            return
         if packet.tau == UPDATE or self.update_received:
             self.update_received = False
             self.bottleneck_received = False
             self.state.set_state(self.session_id, WAITING_RESPONSE)
             self.protocol.forward_downstream(self, Probe(self.session_id, self.demand, self.link_id))
         elif packet.tau == BOTTLENECK:
-            self.state.set_rate(self.session_id, packet.rate)
-            self.state.set_state(self.session_id, IDLE)
+            self.state.settle(self.session_id, packet.rate)
             self.bottleneck_received = True
             self.protocol.notify_rate(self.session_id, packet.rate)
             demand_is_rate = rates_equal(self.demand, packet.rate)
@@ -153,17 +140,17 @@ class SourceNodeTask(Process):
                 self.state.add_unrestricted(self.session_id)
             self.protocol.forward_downstream(self, SetBottleneck(self.session_id, demand_is_rate))
         else:  # tau == RESPONSE
-            self.state.set_rate(self.session_id, packet.rate)
-            self.state.set_state(self.session_id, IDLE)
+            self.state.settle(self.session_id, packet.rate)
             if rates_equal(self.demand, packet.rate):
                 self.bottleneck_received = True
                 self.protocol.notify_rate(self.session_id, packet.rate)
                 self.protocol.forward_downstream(self, SetBottleneck(self.session_id, True))
 
 
-SourceNodeTask._DISPATCH = {
+# Packet class -> the unbound handler a delivery calls; the protocol resolves
+# it at send time.
+SourceNodeTask.delivery = {
     Update: SourceNodeTask.on_update,
     Bottleneck: SourceNodeTask.on_bottleneck,
     Response: SourceNodeTask.on_response,
 }
-SourceNodeTask.delivery = dict.fromkeys(SourceNodeTask._DISPATCH, SourceNodeTask.receive)

@@ -9,23 +9,39 @@ For every link ``e`` the protocol keeps (Section III-C):
   ``s`` is in ``F_e``, or in ``R_e`` with ``mu^e_s = IDLE``);
 * the bottleneck-rate estimate ``B_e = (C_e - sum of F_e rates) / |R_e|``.
 
-Besides the ``F_e`` load behind ``B_e``, a link keeps two kinds of summary
-that let its scans exit before touching a set:
+:class:`LinkState` keeps these summaries up to date on every mutation, so
+that no handler step has to recount a set:
 
+* the ``F_e`` *load*, the sum of the recorded ``F_e`` rates;
+* ``B_e`` itself, as the plain attribute :attr:`LinkState.bottleneck_rate`
+  (``inf`` while ``R_e`` is empty).  It is reassigned, with the expression
+  above, whenever ``C_e``, ``|R_e|`` or the ``F_e`` load changes.  ``C_e`` is
+  therefore written only through :meth:`LinkState.set_capacity`;
 * the *busy* count, the ``R_e`` members that are not IDLE:
   :meth:`LinkState.all_restricted_settled` is false while any member is busy,
-  and :meth:`LinkState.settled_at` and :meth:`LinkState.idle_restricted_above`
-  find nobody when every member is;
+  and :meth:`LinkState.settled_at` and the wake-up scan of
+  :meth:`LinkState.process_new_restricted` find nobody when every member is;
 * the *rate maxima*, the largest recorded rate in ``R_e`` and in ``F_e``
   (``-inf`` when no member has one).  Nobody in ``R_e`` is recorded above
-  ``rate`` when the ``R_e`` maximum is ``<= rate``, nobody at ``rate`` when it
-  is below ``rate`` and not within tolerance of it, and
-  :meth:`LinkState.largest_unrestricted_offender` answers from the ``F_e``
-  maximum alone.  A maximum goes stale (``None``) only when its holder lowers
-  its rate or leaves the set, and is recounted at its next read.
+  ``B_e`` when the ``R_e`` maximum is ``<= B_e``, nobody at a rate when it is
+  below that rate and not within tolerance of it, and nobody in ``F_e``
+  offends ``B_e`` when the ``F_e`` maximum is below it.  A maximum goes stale
+  (``None``) only when its holder lowers its rate or leaves the set, and is
+  recounted at its next read.
 
-When neither decides, the ``R_e`` scans run as before, and their results are
-sorted by id.
+When no summary decides, the ``R_e`` scans run, and their results are sorted
+by id.
+
+Besides the single-field mutations, three methods perform whole transitions
+of Figure 2, each in one call:
+
+* :meth:`LinkState.settle` -- a Response is accepted: ``mu = IDLE`` and
+  ``lambda`` recorded;
+* :meth:`LinkState.wake` -- an IDLE session is asked for a new Probe cycle
+  (``mu = WAITING_PROBE``);
+* :meth:`LinkState.process_new_restricted` -- ProcessNewRestricted (lines
+  4-10): the ``F_e`` offenders move to ``R_e`` and the IDLE ``R_e`` members
+  recorded above ``B_e`` are woken.
 
 The same container is used by the RouterLink task, by the SourceNode task (for
 the session's access link) and by the stability checker of Definition 2.
@@ -59,23 +75,20 @@ class LinkState(object):
     """The B-Neck bookkeeping of one directed link."""
 
     def __init__(self, link_id, capacity):
-        if capacity <= 0:
-            raise ValueError("link capacity must be positive, got %r" % capacity)
         self.link_id = link_id
-        self.capacity = capacity
         self.restricted = set()        # R_e
         self.unrestricted = set()      # F_e
         self._mu = {}                  # session id -> mu^e_s
         self._rate = {}                # session id -> lambda^e_s
-        # Incrementally maintained sum of the F_e rates, so bottleneck_rate()
-        # is O(1).  Every mutation of F_e or of an F_e member's rate must go
-        # through the mutation methods below to keep it in sync.
+        # The summaries below follow every mutation made through the methods
+        # of this class: the sum of the F_e rates, the number of R_e members
+        # whose mu is not IDLE, and the largest recorded rate in R_e and in
+        # F_e (None while stale, until the next read recounts it).
         self._unrestricted_load = 0
-        # Number of R_e members whose mu is not IDLE, kept by the same methods.
         self._busy = 0
-        # Largest recorded rate in R_e and in F_e, kept by the same methods;
-        # None while stale, until the next read recounts it.
         self._restricted_max = self._unrestricted_max = _NO_RATE
+        # Sets C_e and B_e (inf while R_e is empty).
+        self.set_capacity(capacity)
 
     # --------------------------------------------------------------- queries
 
@@ -95,12 +108,6 @@ class LinkState(object):
         """``lambda^e_s`` (``None`` when the link has not recorded one yet)."""
         return self._rate.get(session_id)
 
-    def bottleneck_rate(self):
-        """``B_e``; infinite when ``R_e`` is empty (the link restricts nobody)."""
-        if not self.restricted:
-            return math.inf
-        return (self.capacity - self._unrestricted_load) / len(self.restricted)
-
     def unrestricted_load(self):
         """The maintained sum of the ``F_e`` rates (unknown rates count as 0)."""
         return self._unrestricted_load
@@ -113,17 +120,6 @@ class LinkState(object):
             for session_id in self.unrestricted
             if session_id in rate_table
         ]
-
-    def largest_unrestricted_offender(self, rate):
-        """The largest recorded ``F_e`` rate when it is ``>= rate`` within
-        tolerance, else ``None`` (no ``F_e`` member is recorded at or above
-        ``rate``)."""
-        largest = self._unrestricted_max
-        if largest is None:
-            largest = self._unrestricted_max = self._recomputed_unrestricted_max()
-        if largest < rate and not isclose(largest, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-            return None
-        return largest
 
     def settled_at(self, rate):
         """Sorted ids of the IDLE ``R_e`` members recorded at ``rate``."""
@@ -143,24 +139,12 @@ class LinkState(object):
             and isclose(rate_of(session_id, _UNRECORDED), rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
         ])
 
-    def idle_restricted_above(self, rate):
-        """Sorted ids of the IDLE ``R_e`` members recorded strictly above ``rate``."""
-        if self._busy == len(self.restricted):
-            return []
-        largest = self._restricted_max
-        if largest is None:
-            largest = self._restricted_max = self._recomputed_restricted_max()
-        if largest <= rate:
-            return []
-        mu_of = self._mu.get
-        rate_of = self._rate.get
-        return sorted([
-            session_id
-            for session_id in self.restricted
-            if rate_of(session_id, _UNRECORDED) > rate
-            and mu_of(session_id, IDLE) == IDLE
-            and not isclose(rate_of(session_id), rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
-        ])
+    def _recomputed_bottleneck_rate(self):
+        """``B_e`` from the stored capacity and the maintained ``F_e`` load,
+        with the expression each mutation assigns; used by consistency tests."""
+        if not self.restricted:
+            return math.inf
+        return (self.capacity - self._unrestricted_load) / len(self.restricted)
 
     def _recomputed_unrestricted_load(self):
         """The F_e load summed from scratch; used by consistency tests."""
@@ -206,17 +190,26 @@ class LinkState(object):
         self._mu[session_id] = state
 
     def set_capacity(self, capacity):
-        """Change ``C_e`` (link-capacity dynamics); ``B_e`` follows on its own
-        since :meth:`bottleneck_rate` recomputes from the stored capacity."""
-        if capacity <= 0 or not math.isfinite(capacity):
+        """Set ``C_e`` (at construction, on link-capacity dynamics, and to the
+        effective demand at a source) and reassign ``B_e``."""
+        # Chained compares: false for NaN as well as for the infinities.
+        if not 0 < capacity < math.inf:
             raise ValueError(
                 "link capacity must be positive and finite, got %r" % (capacity,)
             )
         self.capacity = capacity
+        restricted = self.restricted
+        self.bottleneck_rate = (
+            (self.capacity - self._unrestricted_load) / len(restricted) if restricted else math.inf
+        )
 
-    def set_rate(self, session_id, rate):
+    def settle(self, session_id, rate):
+        """An accepted Response: ``mu^e_s = IDLE`` and ``lambda^e_s = rate``,
+        in one call."""
         old = self._rate.get(session_id, 0)
         if session_id in self.restricted:
+            if self._mu.get(session_id, IDLE) != IDLE:
+                self._busy -= 1
             largest = self._restricted_max
             if largest is not None:
                 if rate >= largest:
@@ -225,13 +218,39 @@ class LinkState(object):
                     self._restricted_max = None
         elif session_id in self.unrestricted:
             self._unrestricted_load = self._unrestricted_load - old + rate
+            restricted = self.restricted
+            self.bottleneck_rate = (
+                (self.capacity - self._unrestricted_load) / len(restricted) if restricted else math.inf
+            )
             largest = self._unrestricted_max
             if largest is not None:
                 if rate >= largest:
                     self._unrestricted_max = rate
                 elif old == largest:
                     self._unrestricted_max = None
+        self._mu[session_id] = IDLE
         self._rate[session_id] = rate
+
+    def set_rate(self, session_id, rate):
+        """Record ``lambda^e_s``, leaving ``mu^e_s`` as it is: a
+        :meth:`settle` whose ``mu`` is then put back."""
+        mu = self._mu.get(session_id)
+        self.settle(session_id, rate)
+        if mu is None:
+            del self._mu[session_id]
+        elif mu != IDLE:
+            self.set_state(session_id, mu)
+
+    def wake(self, session_id):
+        """Move an IDLE session to WAITING_PROBE (it is asked for a new Probe
+        cycle); True when it was IDLE, False (and no change) otherwise."""
+        mu = self._mu
+        if mu.get(session_id, IDLE) != IDLE:
+            return False
+        if session_id in self.restricted:
+            self._busy += 1
+        mu[session_id] = WAITING_PROBE
+        return True
 
     def add_restricted(self, session_id):
         """Put the session in ``R_e`` (removing it from ``F_e`` if needed)."""
@@ -244,6 +263,7 @@ class LinkState(object):
             largest = self._restricted_max
             if largest is not None and self._rate.get(session_id, _NO_RATE) > largest:
                 self._restricted_max = self._rate[session_id]
+        self.bottleneck_rate = (self.capacity - self._unrestricted_load) / len(self.restricted)
 
     def add_unrestricted(self, session_id):
         """Put the session in ``F_e`` (removing it from ``R_e`` if needed)."""
@@ -254,6 +274,10 @@ class LinkState(object):
             largest = self._unrestricted_max
             if largest is not None and self._rate.get(session_id, _NO_RATE) > largest:
                 self._unrestricted_max = self._rate[session_id]
+        restricted = self.restricted
+        self.bottleneck_rate = (
+            (self.capacity - self._unrestricted_load) / len(restricted) if restricted else math.inf
+        )
 
     def forget(self, session_id):
         """Drop every trace of the session (used on ``Leave``)."""
@@ -263,6 +287,10 @@ class LinkState(object):
             self._drop_unrestricted_rate(session_id)
         self._mu.pop(session_id, None)
         self._rate.pop(session_id, None)
+        restricted = self.restricted
+        self.bottleneck_rate = (
+            (self.capacity - self._unrestricted_load) / len(restricted) if restricted else math.inf
+        )
 
     def _leave_restricted(self, session_id):
         if session_id in self.restricted:
@@ -284,6 +312,59 @@ class LinkState(object):
             self._unrestricted_load = 0
             self._unrestricted_max = _NO_RATE
 
+    def process_new_restricted(self):
+        """ProcessNewRestricted, Figure 2, lines 4-10.
+
+        Move back into ``R_e`` every ``F_e`` member whose recorded rate is not
+        below ``B_e`` (highest rates first, ``B_e`` reassigned after each
+        move), then set every IDLE ``R_e`` member recorded above the final
+        ``B_e`` to WAITING_PROBE.  Returns the sorted ids of those woken
+        sessions; the caller sends each an Update.
+        """
+        unrestricted = self.unrestricted
+        rate_table = self._rate
+        rate = self.bottleneck_rate
+        while unrestricted:
+            # The largest F_e rate is itself an offender whenever any F_e
+            # member is, so it is the rate to move first.
+            largest = self._unrestricted_max
+            if largest is None:
+                largest = self._unrestricted_max = self._recomputed_unrestricted_max()
+            if largest < rate and not isclose(largest, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+                break
+            # Sorted so the incremental F_e load sum is updated in a
+            # reproducible order (set iteration order is hash-randomized).
+            moved = sorted([
+                session_id
+                for session_id in unrestricted
+                if session_id in rate_table
+                and isclose(rate_table[session_id], largest, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+            ])
+            for session_id in moved:
+                self.add_restricted(session_id)
+            rate = self.bottleneck_rate
+
+        restricted = self.restricted
+        if self._busy == len(restricted):
+            return []
+        largest = self._restricted_max
+        if largest is None:
+            largest = self._restricted_max = self._recomputed_restricted_max()
+        if largest <= rate:
+            return []
+        mu = self._mu
+        woken = sorted([
+            session_id
+            for session_id in restricted
+            if rate_table.get(session_id, _UNRECORDED) > rate
+            and mu.get(session_id, IDLE) == IDLE
+            and not isclose(rate_table[session_id], rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+        ])
+        for session_id in woken:
+            mu[session_id] = WAITING_PROBE
+        self._busy += len(woken)
+        return woken
+
     # ------------------------------------------------------- stability checks
 
     def all_restricted_settled(self):
@@ -293,7 +374,7 @@ class LinkState(object):
         """
         if self._busy or not self.restricted:
             return False
-        rate = self.bottleneck_rate()
+        rate = self.bottleneck_rate
         mu = self._mu
         rate_table = self._rate
         for session_id in self.restricted:
@@ -307,7 +388,7 @@ class LinkState(object):
         """The per-link stability predicate of Definition 2."""
         if any(self._mu.get(session_id, IDLE) != IDLE for session_id in self.sessions()):
             return False
-        rate = self.bottleneck_rate()
+        rate = self.bottleneck_rate
         rate_table = self._rate
         if len(self.settled_at(rate)) != len(self.restricted):
             return False
@@ -326,7 +407,7 @@ class LinkState(object):
             "unrestricted": set(self.unrestricted),
             "mu": dict(self._mu),
             "rate": dict(self._rate),
-            "bottleneck_rate": self.bottleneck_rate(),
+            "bottleneck_rate": self.bottleneck_rate,
         }
 
     def __repr__(self):
@@ -334,5 +415,5 @@ class LinkState(object):
             self.link_id,
             len(self.restricted),
             len(self.unrestricted),
-            self.bottleneck_rate() if self.restricted else float("inf"),
+            self.bottleneck_rate,
         )

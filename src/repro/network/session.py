@@ -100,36 +100,24 @@ class Session(object):
 
 
 class SessionRegistry(object):
-    """The set of active sessions, indexed by id and by link.
+    """The set of active sessions, indexed by id.
 
-    This mirrors the paper's ``S`` (active sessions) and ``S_e`` (sessions
-    crossing link ``e``); the per-link index is what both the centralized
-    oracle and the metrics module iterate over.
+    This mirrors the paper's ``S`` (active sessions), in insertion order.
     """
 
     def __init__(self):
         self._sessions = {}
-        self._by_link = {}
 
     def add(self, session):
         """Register an active session."""
         if session.session_id in self._sessions:
             raise ValueError("duplicate session id %r" % (session.session_id,))
         self._sessions[session.session_id] = session
-        for link in session.links:
-            self._by_link.setdefault(link.endpoints, set()).add(session)
         return session
 
     def remove(self, session_id):
         """Remove a session (e.g. on ``API.Leave``) and return it."""
-        session = self._sessions.pop(session_id)
-        for link in session.links:
-            members = self._by_link.get(link.endpoints)
-            if members is not None:
-                members.discard(session)
-                if not members:
-                    del self._by_link[link.endpoints]
-        return session
+        return self._sessions.pop(session_id)
 
     def get(self, session_id):
         return self._sessions[session_id]
@@ -147,21 +135,6 @@ class SessionRegistry(object):
         """All active sessions, in insertion order."""
         return list(self._sessions.values())
 
-    def sessions_on_link(self, link):
-        """The set ``S_e`` of active sessions crossing ``link``."""
-        return set(self._by_link.get(link.endpoints, set()))
-
-    def loaded_links(self):
-        """Every link crossed by at least one active session."""
-        links = []
-        seen = set()
-        for session in self._sessions.values():
-            for link in session.links:
-                if link.endpoints not in seen:
-                    seen.add(link.endpoints)
-                    links.append(link)
-        return links
-
     def update_demand(self, session_id, demand):
         """Change the maximum requested rate of a session (``API.Change``)."""
         check_demand(demand)
@@ -169,4 +142,3 @@ class SessionRegistry(object):
 
     def clear(self):
         self._sessions = {}
-        self._by_link = {}

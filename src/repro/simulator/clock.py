@@ -26,16 +26,6 @@ def microseconds(value):
     return float(value) * MICROSECOND
 
 
-def to_milliseconds(time_value):
-    """Convert a simulator time (seconds) to milliseconds."""
-    return float(time_value) / MILLISECOND
-
-
-def to_microseconds(time_value):
-    """Convert a simulator time (seconds) to microseconds."""
-    return float(time_value) / MICROSECOND
-
-
 def format_time(time_value):
     """Format a simulator time with a human-friendly unit.
 

@@ -25,9 +25,15 @@ pushing one queue entry whose callback is the receiving handler (no
 largest offender rate in one call instead of building the list of rated
 members and a comprehension over it; 7.6 once a send counts its packet
 with one increment of the session's list of per-type counts instead of a
-``PacketTracer.record`` call.  Nearly every event is a packet delivery, so
-one more frame per packet adds about 1.0.  The default tracer must see no
-call at all per packet: the flash crowd makes none to ``record``.
+``PacketTracer.record`` call; 5.6 once each handler step on the link state
+became one call: ``B_e`` is a field instead of a method recomputing it,
+``settle`` and ``wake`` fuse the state and rate changes of a Response and an
+Update, ProcessNewRestricted runs inside the link state, and the endpoints'
+delivery tables name their handlers instead of a ``receive`` that looks
+them up again.  Nearly every event is a packet delivery, so one more frame
+per packet adds about 1.0.  The default tracer must see no call at all per
+packet, and no delivery goes through :meth:`Process.receive`: the flash
+crowd makes none to ``record`` or to ``receive``.
 
 Routing has a budget of its own: the hosts a workload attaches are leaves
 that never relay, so routing a fixed set of router pairs must make the same
@@ -60,11 +66,12 @@ from repro.network.transit_stub import (
     small_network,
     stub_routers,
 )
+from repro.simulator.process import Process
 from repro.simulator.tracing import PacketTracer
 
 SESSIONS = 40
-# Calls per processed event: the measured 7.6 plus half a frame per event.
-CALLS_PER_EVENT_BUDGET = 8.1
+# Calls per processed event: the measured 5.6 plus half a frame per event.
+CALLS_PER_EVENT_BUDGET = 6.1
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 
@@ -132,6 +139,7 @@ def test_python_calls_per_event_within_budget():
     assert protocol.tracer.total > 10000
     assert _calls_to(calls, BNeckProtocol.forward_downstream) > 0
     assert _calls_to(calls, PacketTracer.record) == 0
+    assert _calls_to(calls, Process.receive) == 0
     assert validate_against_oracle(protocol).valid
     assert calls_per_event <= CALLS_PER_EVENT_BUDGET, (
         "%.2f package calls per event exceed the budget of %.1f: something "

@@ -86,13 +86,21 @@ class TestLinkState(object):
         state = self.make_state()
         assert state.sessions() == set()
         assert not state.knows("s1")
-        assert state.bottleneck_rate() == math.inf
+        assert state.bottleneck_rate == math.inf
         assert state.state_of("s1") == IDLE
         assert state.rate_of("s1") is None
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             LinkState(("a", "b"), 0.0)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, 0, -1])
+    def test_capacity_must_be_positive_and_finite(self, capacity):
+        # NaN fails `capacity <= 0` too, and used to give B_e = nan.
+        with pytest.raises(ValueError, match=repr(capacity)):
+            LinkState(("a", "b"), capacity)
+        with pytest.raises(ValueError, match=repr(capacity)):
+            self.make_state().set_capacity(capacity)
 
     def test_membership_moves_between_sets(self):
         state = self.make_state()
@@ -112,7 +120,7 @@ class TestLinkState(object):
         state.add_unrestricted("c")
         state.set_rate("c", 30 * MBPS)
         # (90 - 30) / 2
-        assert state.bottleneck_rate() == pytest.approx(30 * MBPS)
+        assert state.bottleneck_rate == pytest.approx(30 * MBPS)
 
     def test_set_state_validates(self):
         state = self.make_state()

@@ -74,6 +74,29 @@ class TestSourceJoinLeaveChange(object):
         source.receive(Update("s1"), None)
         assert recorder.downstream_packets() == []
 
+    # One packet per handler, each of which would make the handler send or
+    # notify if the session were still active.
+    PACKETS_AFTER_LEAVE = [
+        Update("s1"),
+        Bottleneck("s1"),
+        Response("s1", UPDATE, 10 * MBPS, ("x", "y")),
+    ]
+
+    def test_every_handler_is_covered_after_leave(self):
+        assert {type(packet) for packet in self.PACKETS_AFTER_LEAVE} == set(
+            SourceNodeTask.delivery
+        )
+
+    @pytest.mark.parametrize("packet", PACKETS_AFTER_LEAVE, ids=lambda packet: packet.type_name)
+    def test_each_handler_drops_packets_after_leave(self, source, recorder, packet):
+        source.api_join(float("inf"))
+        source.api_leave()
+        recorder.clear()
+        source.receive(packet, None)
+        assert recorder.downstream_packets() == []
+        assert recorder.notifications == []
+        assert not source.state.knows("s1")
+
     def test_api_change_reprobes_when_idle(self, source, recorder):
         source.api_join(float("inf"))
         source.receive(Response("s1", RESPONSE, 40 * MBPS, ("r0", "r1")), None)
@@ -161,7 +184,8 @@ class TestSourceUpdateAndBottleneckPackets(object):
         recorder.clear()
         source.receive(Bottleneck("s1"), None)
         assert recorder.notifications == [("s1", pytest.approx(40 * MBPS))]
-        assert source.is_quiescent_for_session()
+        assert source.state.state_of("s1") == IDLE
+        assert source.bottleneck_received
         recorder.clear()
         # A duplicate Bottleneck changes nothing (bneck_rcv guard).
         source.receive(Bottleneck("s1"), None)
@@ -202,6 +226,21 @@ class TestDestinationNode(object):
     def test_set_bottleneck_with_bottleneck_is_absorbed(self, destination, recorder):
         destination.receive(SetBottleneck("s1", True), None)
         assert recorder.upstream_packets() == []
+
+    @pytest.mark.parametrize(
+        "packet",
+        [
+            Join("s1", 10 * MBPS, ("r0", "r1")),
+            Probe("s1", 10 * MBPS, ("r0", "r1")),
+            SetBottleneck("s1", False),
+        ],
+        ids=lambda packet: packet.type_name,
+    )
+    def test_each_handler_drops_packets_after_leave(self, destination, recorder, packet):
+        destination.receive(Leave("s1"), None)
+        destination.receive(packet, None)
+        assert recorder.upstream_packets() == []
+        assert destination.closed_probe_cycles == destination.no_bottleneck_updates == 0
 
     def test_leave_silences_the_destination(self, destination, recorder):
         destination.receive(Leave("s1"), None)

@@ -154,7 +154,7 @@ def link_states(draw):
         # decides within the tolerance.
         offset = draw(st.sampled_from([0.0, -0.5, 0.5, -1.0, 1.0]) | st.floats(-3.0, 3.0))
         place_at_tie(state, "f0", offset, draw(st.integers(-2, 2)))
-    rate = state.bottleneck_rate()
+    rate = state.bottleneck_rate
     for session_id in members:
         state.set_state(session_id, draw(st.sampled_from([IDLE, IDLE, WAITING_PROBE])))
         if draw(st.integers(0, 5)):
@@ -180,7 +180,7 @@ def pinned_state(restricted_offsets):
     for session_id in members:
         state.add_restricted(session_id)
     place_at_tie(state, "f0", -0.5, 0)
-    rate = state.bottleneck_rate()
+    rate = state.bottleneck_rate
     for session_id, offset in zip(members, restricted_offsets):
         state.set_state(session_id, IDLE)
         state.set_rate(session_id, straddle(rate, offset, 0))
@@ -190,17 +190,20 @@ def pinned_state(restricted_offsets):
 @settings(max_examples=400, deadline=None)
 @given(link_states())
 # The R_e maximum within tolerance above B_e: a plain compare with B_e does
-# not exit idle_restricted_above, yet the scan finds nobody strictly above.
+# not exit the wake-up scan of process_new_restricted, yet the scan finds
+# nobody strictly above.
 @example(pinned_state([0.5, 0.0, -3.0]))
 # The R_e maximum within tolerance below B_e: settled_at must not exit.
 @example(pinned_state([-0.5, -3.0]))
 def test_link_state_queries_match_float_algebra(state):
     assert_queries_match_full_scan(state)
+    assert_process_new_restricted_matches_full_scan(state)
 
 
 def assert_queries_match_full_scan(state):
     """Each R_e query equals a scan of every member with FloatAlgebra."""
-    rate = state.bottleneck_rate()
+    assert state.bottleneck_rate == state._recomputed_bottleneck_rate()
+    rate = state.bottleneck_rate
     idle_rated = sorted(
         session_id
         for session_id in state.restricted
@@ -209,9 +212,6 @@ def assert_queries_match_full_scan(state):
     assert state.settled_at(rate) == [
         session_id for session_id in idle_rated if FLOAT.equal(state.rate_of(session_id), rate)
     ]
-    assert state.idle_restricted_above(rate) == [
-        session_id for session_id in idle_rated if FLOAT.greater(state.rate_of(session_id), rate)
-    ]
     settled = all(
         state.state_of(session_id) == IDLE
         and state.rate_of(session_id) is not None
@@ -219,12 +219,6 @@ def assert_queries_match_full_scan(state):
         for session_id in state.restricted
     )
     assert state.all_restricted_settled() == (bool(state.restricted) and settled)
-    offenders = [
-        recorded
-        for _session_id, recorded in state.unrestricted_rated()
-        if FLOAT.greater_equal(recorded, rate)
-    ]
-    assert state.largest_unrestricted_offender(rate) == (max(offenders) if offenders else None)
     stable = (
         all(state.state_of(session_id) == IDLE for session_id in state.sessions())
         and settled
@@ -240,19 +234,94 @@ def assert_queries_match_full_scan(state):
     assert state.is_stable() == stable
 
 
-# The busy count (non-IDLE R_e members) and the R_e and F_e rate maxima that
-# let the scans exit early must follow every mutation, in any order.
+def reference_process_new_restricted(state):
+    """Figure 2, lines 4-10 by full scans with FloatAlgebra, over copies of
+    the state's sets and tables: ``(R_e, F_e, mu, B_e, woken ids)`` after it.
+
+    ``B_e`` is the state's expression over the same load, which a move out of
+    ``F_e`` lowers by the member's rate (re-anchored to 0 when ``F_e``
+    empties), so ties within the tolerance are decided on the same bits."""
+    restricted, unrestricted = set(state.restricted), set(state.unrestricted)
+    rates = {
+        session_id: state.rate_of(session_id)
+        for session_id in state.sessions()
+        if state.rate_of(session_id) is not None
+    }
+    mu = {session_id: state.state_of(session_id) for session_id in state.sessions()}
+    load = state.unrestricted_load()
+
+    def bottleneck_rate():
+        return (state.capacity - load) / len(restricted) if restricted else math.inf
+
+    rate = bottleneck_rate()
+    while unrestricted:
+        offenders = [
+            rates[session_id]
+            for session_id in unrestricted
+            if session_id in rates and FLOAT.greater_equal(rates[session_id], rate)
+        ]
+        if not offenders:
+            break
+        largest = max(offenders)
+        for session_id in sorted(
+            session_id
+            for session_id in unrestricted
+            if session_id in rates and FLOAT.equal(rates[session_id], largest)
+        ):
+            unrestricted.remove(session_id)
+            restricted.add(session_id)
+            load = load - rates[session_id] if unrestricted else 0
+        rate = bottleneck_rate()
+    woken = sorted(
+        session_id
+        for session_id in restricted
+        if mu[session_id] == IDLE
+        and session_id in rates
+        and FLOAT.greater(rates[session_id], rate)
+    )
+    for session_id in woken:
+        mu[session_id] = WAITING_PROBE
+    return restricted, unrestricted, mu, rate, woken
+
+
+def assert_process_new_restricted_matches_full_scan(state):
+    """process_new_restricted moves, wakes and returns what the full scans
+    do, and leaves every maintained summary equal to its recount."""
+    restricted, unrestricted, mu, rate, woken = reference_process_new_restricted(state)
+    assert state.process_new_restricted() == woken
+    assert state.restricted == restricted
+    assert state.unrestricted == unrestricted
+    assert {session_id: state.state_of(session_id) for session_id in state.sessions()} == mu
+    assert state.bottleneck_rate == rate
+    assert_summaries_match_recount(state)
+
+
+# The busy count (non-IDLE R_e members), the R_e and F_e rate maxima that let
+# the scans exit early, and the B_e attribute must follow every mutation and
+# transition, in any order.
 
 MUTATIONS = [
-    "add_restricted", "add_unrestricted", "set_state", "set_rate", "set_capacity", "forget",
+    "add_restricted", "add_unrestricted", "set_state", "set_rate", "settle", "wake",
+    "set_capacity", "process_new_restricted", "forget",
 ]
 
 
-def assert_rate_maxima_match_recount(state):
-    """Each maintained rate maximum equals its recount, or is stale (None)
-    and so recounted at its next read."""
+def assert_summaries_match_recount(state):
+    """The busy count and B_e equal their recounts, and each rate maximum
+    equals its recount or is stale (None) and so recounted at its next read."""
+    assert state._busy == state._recomputed_busy()
+    assert state.bottleneck_rate == state._recomputed_bottleneck_rate()
     assert state._restricted_max in (None, state._recomputed_restricted_max())
     assert state._unrestricted_max in (None, state._recomputed_unrestricted_max())
+
+
+def straddled_rate(data, state):
+    """A rate on or around B_e (anywhere up to C_e while B_e is infinite)."""
+    rate = state.bottleneck_rate
+    if math.isinf(rate):
+        return state.capacity * data.draw(st.floats(0.0, 1.0))
+    offset = data.draw(st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-3.0, 3.0))
+    return straddle(rate, offset, data.draw(st.integers(-2, 2)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,19 +334,22 @@ def test_busy_count_follows_every_mutation(data):
         session_id = data.draw(st.sampled_from(sessions))
         if mutation == "set_state":
             state.set_state(session_id, data.draw(st.sampled_from(SESSION_STATES)))
-        elif mutation == "set_rate":
-            rate = state.bottleneck_rate()
-            if math.isinf(rate):
-                rate = state.capacity * data.draw(st.floats(0.0, 1.0))
-            else:
-                offset = data.draw(st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-3.0, 3.0))
-                rate = straddle(rate, offset, data.draw(st.integers(-2, 2)))
-            state.set_rate(session_id, rate)
+        elif mutation in ("set_rate", "settle"):
+            before = state.state_of(session_id)
+            rate = straddled_rate(data, state)
+            getattr(state, mutation)(session_id, rate)
+            assert state.rate_of(session_id) == rate
+            assert state.state_of(session_id) == (IDLE if mutation == "settle" else before)
+        elif mutation == "wake":
+            before = state.state_of(session_id)
+            assert state.wake(session_id) == (before == IDLE)
+            assert state.state_of(session_id) == (WAITING_PROBE if before == IDLE else before)
         elif mutation == "set_capacity":
             state.set_capacity(state.capacity * data.draw(st.sampled_from([0.5, 2.0])))
+        elif mutation == "process_new_restricted":
+            assert_process_new_restricted_matches_full_scan(state)
         else:
             getattr(state, mutation)(session_id)
-        assert state._busy == state._recomputed_busy()
-        assert_rate_maxima_match_recount(state)
+        assert_summaries_match_recount(state)
         assert_queries_match_full_scan(state)
-        assert_rate_maxima_match_recount(state)
+        assert_summaries_match_recount(state)

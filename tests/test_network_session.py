@@ -72,33 +72,6 @@ class TestSessionRegistry(object):
         with pytest.raises(ValueError):
             registry.add(make_session(parking_lot_network, "s1", "r1", "r2"))
 
-    def test_sessions_on_link(self, parking_lot_network):
-        registry = SessionRegistry()
-        long_session = make_session(parking_lot_network, "long", "r0", "r3")
-        short_session = make_session(parking_lot_network, "short", "r0", "r1")
-        registry.add(long_session)
-        registry.add(short_session)
-        shared = parking_lot_network.link("r0", "r1")
-        exclusive = parking_lot_network.link("r2", "r3")
-        assert registry.sessions_on_link(shared) == {long_session, short_session}
-        assert registry.sessions_on_link(exclusive) == {long_session}
-
-    def test_sessions_on_link_updated_on_remove(self, parking_lot_network):
-        registry = SessionRegistry()
-        session = make_session(parking_lot_network, "s1", "r0", "r2")
-        registry.add(session)
-        link = parking_lot_network.link("r1", "r2")
-        assert registry.sessions_on_link(link) == {session}
-        registry.remove("s1")
-        assert registry.sessions_on_link(link) == set()
-
-    def test_loaded_links(self, parking_lot_network):
-        registry = SessionRegistry()
-        registry.add(make_session(parking_lot_network, "s1", "r0", "r1"))
-        loaded = registry.loaded_links()
-        # host -> r0, r0 -> r1, r1 -> host': three distinct directed links.
-        assert len(loaded) == 3
-
     def test_update_demand(self, parking_lot_network):
         registry = SessionRegistry()
         session = make_session(parking_lot_network, "s1", "r0", "r1", demand=math.inf)
@@ -121,4 +94,4 @@ class TestSessionRegistry(object):
         registry.add(make_session(parking_lot_network, "s1", "r0", "r1"))
         registry.clear()
         assert len(registry) == 0
-        assert registry.loaded_links() == []
+        assert registry.active_sessions() == []

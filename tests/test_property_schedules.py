@@ -152,6 +152,7 @@ def assert_converged(protocol):
             abs_tol=1e-6,
         ), state
         assert state._busy == state._recomputed_busy() == 0, state
+        assert state.bottleneck_rate == state._recomputed_bottleneck_rate(), state
         assert state._restricted_max in (None, state._recomputed_restricted_max()), state
         assert state._unrestricted_max in (None, state._recomputed_unrestricted_max()), state
 

@@ -7,8 +7,6 @@ from repro.simulator.clock import (
     microseconds,
     milliseconds,
     seconds,
-    to_microseconds,
-    to_milliseconds,
 )
 from repro.simulator.random_source import RandomSource
 
@@ -20,10 +18,6 @@ class TestClock(object):
         assert microseconds(1) == pytest.approx(1e-6)
         assert milliseconds(1000) == pytest.approx(seconds(1))
         assert microseconds(1000) == pytest.approx(milliseconds(1))
-
-    def test_round_trip_conversions(self):
-        assert to_milliseconds(milliseconds(42)) == pytest.approx(42.0)
-        assert to_microseconds(microseconds(7)) == pytest.approx(7.0)
 
     def test_format_time_picks_unit(self):
         assert format_time(2.5) == "2.500 s"

@@ -20,11 +20,25 @@ class Echo(Process):
 
 
 class TestProcess(object):
-    def test_base_receive_is_abstract(self):
+    def test_base_receive_handles_nothing(self):
         simulator = Simulator()
         process = Process(simulator, "bare")
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(TypeError, match="bare cannot handle"):
             process.receive("anything", None)
+
+    def test_receive_calls_the_delivery_handler(self):
+        class Counter(Process):
+            def on_int(self, message):
+                self.total = getattr(self, "total", 0) + message
+
+            delivery = {int: on_int}
+
+        counter = Counter(Simulator(), "counter")
+        counter.receive(2)
+        counter.receive(3, None)
+        assert counter.total == 5
+        with pytest.raises(TypeError):
+            counter.receive("five")
 
     def test_repr_mentions_name(self):
         assert "alice" in repr(Echo(Simulator(), "alice"))
