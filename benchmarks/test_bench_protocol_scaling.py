@@ -84,7 +84,7 @@ def _transit_stub_run(build, session_count, seed):
     network = build("lan", seed=seed)
     protocol = BNeckProtocol(network)
     generator = WorkloadGenerator(network, seed=seed + session_count)
-    generator.populate(protocol, session_count, join_window=(0.0, 1e-3))
+    protocol.apply_actions(generator.generate(session_count, join_window=(0.0, 1e-3)))
     start = time.perf_counter()
     quiescence = protocol.run_until_quiescent()
     wall_clock = time.perf_counter() - start

@@ -94,14 +94,13 @@ class BaselineProtocol(object):
         simulator=None,
         tracer=None,
         probe_interval=1e-3,
-        routing_metric="hops",
     ):
         self.network = network
         self.simulator = simulator or Simulator()
         self.tracer = tracer or PacketTracer()
         self.probe_interval = probe_interval
         self.registry = SessionRegistry()
-        self.path_computer = PathComputer(network, metric=routing_metric)
+        self.path_computer = PathComputer(network)
         self._controllers = {}
         self._sessions = {}
         self._rates = {}
@@ -127,12 +126,14 @@ class BaselineProtocol(object):
     def apply_actions(self, actions):
         """Apply a batch of session actions (same contract as B-Neck).
 
-        The whole batch is checked by
+        The whole batch is checked against this protocol by
         :func:`~repro.core.actions.validate_actions` before any of it is
-        replayed; a batch that fails the check raises and schedules nothing.
-        Returns ``{session_id: session}`` for the joins.
+        replayed; a batch that fails the check raises and changes nothing.
+        Capacity changes are refused: a baseline has no bottleneck
+        computation to re-run.  Returns ``{session_id: session}`` for the
+        joins.
         """
-        return replay_actions(self, validate_actions(list(actions)))
+        return replay_actions(self, validate_actions(self, list(actions)))
 
     def create_session(self, source_host, destination_host, demand=math.inf, session_id=None):
         """Build a session along the shortest path (same contract as B-Neck)."""
@@ -189,6 +190,10 @@ class BaselineProtocol(object):
             self._demands[session_id] = session.effective_demand()
 
         self._schedule_api_call(apply_change, at)
+
+    def session(self, session_id):
+        """The joined session ``session_id`` (``KeyError`` if it never joined)."""
+        return self._sessions[session_id]
 
     def open_session(self, source_host, destination_host, demand=math.inf, session_id=None, at=None):
         """Create and immediately join a session; returns ``(session, None)``."""

@@ -33,7 +33,6 @@ from repro.core.actions import (
     ChangeAction,
     JoinAction,
     LeaveAction,
-    join_action_from_spec,
     replay_actions,
 )
 from repro.core.packets import (
@@ -81,7 +80,6 @@ __all__ = [
     "WAITING_RESPONSE",
     "centralized_bneck",
     "check_stability",
-    "join_action_from_spec",
     "replay_actions",
     "validate_against_oracle",
 ]

@@ -1,29 +1,30 @@
 """Session actions: joins, leaves, rate and capacity changes as data.
 
-The workloads describe their schedules with the four action records below:
-plain data resolving every random choice (endpoints, demands, times) before
-anything is applied, so a seeded schedule can be built, inspected and
-replayed through the one :func:`replay_actions` code path:
+Every workload, generated population and test scenario describes its
+schedule with the four action records below: plain data resolving every
+random choice (endpoints, demands, times) before anything is applied, so a
+seeded schedule can be built, inspected and replayed.  :class:`JoinAction` is
+the only record of a session to create: who joins, between which routers,
+with what demand, when, and over what access links.
 
 * a :class:`JoinAction` attaches one fresh source and one fresh destination
-  host, creates the session along the shortest path, and schedules its
-  ``API.Join``;
+  host to its two routers, creates the session along the shortest path
+  between them, and schedules its ``API.Join``;
 * a :class:`LeaveAction` / :class:`ChangeAction` schedule ``API.Leave`` /
-  ``API.Change`` on an existing session;
+  ``API.Change`` on a session joined before it;
 * a :class:`CapacityChangeAction` schedules a change of one directed link's
   data-plane capacity, after which the owning RouterLink re-runs its
   bottleneck computation (see
   :meth:`repro.core.router_link.RouterLinkTask.capacity_changed`).
 
-Replay is deterministic: host attachment, session creation and API scheduling
-happen in action order, so a batch always pushes the same events in the same
-relative order.
-
 Every protocol applies a batch through its own ``apply_actions``
 (:meth:`repro.core.protocol.BNeckProtocol.apply_actions`,
 :meth:`repro.baselines.base.BaselineProtocol.apply_actions`), which checks the
-whole batch with :func:`validate_actions` before it replays any of it through
-:func:`replay_actions`.
+whole batch against itself with :func:`validate_actions` and then replays it
+through :func:`replay_actions`.  A batch that fails the check changes nothing.
+Replay is deterministic: host attachment, session creation and API scheduling
+happen in action order, so a batch always pushes the same events in the same
+relative order.
 """
 
 import math
@@ -36,8 +37,8 @@ class JoinAction(object):
 
     ``source_router`` / ``destination_router`` name the (stub) routers the
     fresh hosts attach to; ``host_capacity`` / ``host_delay`` parameterize the
-    access links exactly as :class:`~repro.workloads.generator.WorkloadGenerator`
-    would.
+    two access links.  :meth:`~repro.workloads.generator.WorkloadGenerator.generate`
+    draws these records for random populations.
     """
 
     kind = "join"
@@ -134,26 +135,15 @@ class CapacityChangeAction(object):
         )
 
 
-def join_action_from_spec(spec, host_capacity, host_delay):
-    """Turn a :class:`~repro.workloads.generator.SessionSpec` into a JoinAction."""
-    return JoinAction(
-        session_id=spec.session_id,
-        source_router=spec.source_router,
-        destination_router=spec.destination_router,
-        demand=spec.demand,
-        at=spec.join_time,
-        host_capacity=host_capacity,
-        host_delay=host_delay,
-    )
-
-
 def replay_actions(protocol, actions):
     """Apply a batch of session actions to ``protocol``, in order.
 
     Works with any protocol exposing the shared session API
-    (``network`` / ``create_session`` / ``join`` / ``leave`` / ``change``).
+    (``network`` / ``create_session`` / ``join`` / ``leave`` / ``change``,
+    and ``schedule_capacity_change`` for capacity actions).  The batch must
+    have passed :func:`validate_actions` against the same protocol.
     Returns ``{session_id: session}`` for the sessions the join actions
-    created, mirroring :meth:`~repro.workloads.generator.WorkloadGenerator.install`.
+    created.
     """
     network = protocol.network
     joined = {}
@@ -178,32 +168,31 @@ def replay_actions(protocol, actions):
             protocol.leave(action.session_id, at=action.at)
         elif kind == "change":
             protocol.change(action.session_id, action.demand, at=action.at)
-        elif kind == "capacity":
-            schedule = getattr(protocol, "schedule_capacity_change", None)
-            if schedule is None:
-                raise ValueError(
-                    "protocol %r does not support capacity-change actions "
-                    "(only BNeckProtocol re-runs the bottleneck computation "
-                    "on a capacity change)" % (protocol,)
-                )
-            schedule(action)
         else:
-            raise ValueError("unknown session action kind %r" % (kind,))
+            protocol.schedule_capacity_change(action)
     return joined
 
 
-def validate_actions(actions):
-    """Sanity-check a batch before any of it is applied.
+def validate_actions(protocol, actions):
+    """Check a whole batch against ``protocol`` before any of it is applied.
 
-    Every action must carry a concrete absolute time: ``at=None`` (meaning
-    "right now") is resolved *before* an action is built, so a batch means
-    the same schedule whenever it is replayed.  Every join and change must
-    carry a positive (possibly infinite) demand, and every capacity change a
-    positive finite capacity.
+    Every action needs a finite absolute time (``at=None`` is resolved before
+    an action is built, so a batch means the same schedule whenever it is
+    replayed); every join and change a positive, possibly infinite, demand;
+    every capacity change a positive finite capacity on a router-to-router
+    link of a protocol that supports capacity changes.  A join needs a new
+    session id, new to the batch too, valid access links, and two connected
+    routers (routed here: the path computer's cache makes the replay's
+    routing free).  A leave or a change needs a session joined on the
+    protocol or earlier in the batch.  A failure raises a ``ValueError``
+    naming the action (``KeyError`` for an unknown link) and changes nothing.
+    Returns ``actions``.
     """
+    joined = set()
     for action in actions:
-        if action.kind not in ("join", "leave", "change", "capacity"):
-            raise ValueError("unknown session action kind %r" % (action.kind,))
+        kind = action.kind
+        if kind not in ("join", "leave", "change", "capacity"):
+            raise ValueError("unknown session action kind %r" % (kind,))
         at = action.at
         if not isinstance(at, (int, float)) or math.isnan(at) or math.isinf(at):
             # An event at infinity would move the clock to infinity, and
@@ -211,13 +200,64 @@ def validate_actions(actions):
             raise ValueError(
                 "action %r needs a finite absolute time, got %r" % (action, at)
             )
-        if action.kind in ("join", "change"):
+        if kind == "capacity":
+            _check_capacity(protocol, action)
+            continue
+        if kind in ("join", "change"):
             check_demand(action.demand, "action %r" % (action,))
-        if action.kind == "capacity" and not (
-            action.capacity > 0 and math.isfinite(action.capacity)
-        ):
+        session_id = action.session_id
+        known = session_id in joined or _has_session(protocol, session_id)
+        if kind != "join":
+            if not known:
+                raise ValueError(
+                    "action %r names session %r, which has not joined" % (action, session_id)
+                )
+            continue
+        if known:
             raise ValueError(
-                "action %r needs a positive finite capacity, got %r"
-                % (action, action.capacity)
+                "action %r joins session %r, which has already joined" % (action, session_id)
             )
+        # `Link`'s rule for the two access links, as chained compares (false
+        # for NaN), checked before replay attaches either host.
+        if not (0 < action.host_capacity < math.inf and 0 <= action.host_delay < math.inf):
+            raise ValueError(
+                "action %r needs a positive finite host capacity and a "
+                "non-negative finite host delay" % (action,)
+            )
+        try:
+            protocol.path_computer.router_route(action.source_router, action.destination_router)
+        except ValueError as error:
+            raise ValueError("action %r cannot be routed: %s" % (action, error)) from None
+        joined.add(session_id)
     return actions
+
+
+def _has_session(protocol, session_id):
+    try:
+        protocol.session(session_id)
+    except KeyError:
+        return False
+    return True
+
+
+def _check_capacity(protocol, action):
+    if not (action.capacity > 0 and math.isfinite(action.capacity)):
+        raise ValueError(
+            "action %r needs a positive finite capacity, got %r"
+            % (action, action.capacity)
+        )
+    if not hasattr(protocol, "schedule_capacity_change"):
+        raise ValueError(
+            "protocol %r does not support capacity-change actions (only "
+            "BNeckProtocol re-runs the bottleneck computation on a capacity "
+            "change)" % (protocol,)
+        )
+    network = protocol.network
+    network.link(action.source, action.target)  # KeyError for an unknown link
+    for endpoint in (action.source, action.target):
+        if not network.node(endpoint).is_router:
+            raise ValueError(
+                "capacity changes apply to router-to-router links; %r -> %r "
+                "touches host %r (access-link bandwidth is a session-demand "
+                "concern: use API.Change)" % (action.source, action.target, endpoint)
+            )

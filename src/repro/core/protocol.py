@@ -112,10 +112,12 @@ class BNeckProtocol(object):
         simulator: optional simulator (one is created if omitted).
         tracer: optional :class:`~repro.simulator.tracing.PacketTracer`
             (a counting one is created if omitted).
-        routing_metric: ``"hops"`` (paper default) or ``"delay"``.
+
+    Sessions are routed by hop count between the routers their hosts attach
+    to (:class:`~repro.network.routing.PathComputer`), as in the paper.
     """
 
-    def __init__(self, network, simulator=None, tracer=None, routing_metric="hops"):
+    def __init__(self, network, simulator=None, tracer=None):
         self.network = network
         self.simulator = simulator or Simulator()
         self._wirings = {}
@@ -124,7 +126,7 @@ class BNeckProtocol(object):
         self._heap = self.simulator.heap
         self._sequence = self.simulator.sequence
         self.registry = SessionRegistry()
-        self.path_computer = PathComputer(network, metric=routing_metric)
+        self.path_computer = PathComputer(network)
         self._router_links = {}
         self._sources = {}
         self._destinations = {}
@@ -162,17 +164,13 @@ class BNeckProtocol(object):
 
         ``actions`` are :mod:`repro.core.actions` records (joins, leaves,
         changes, capacity changes) with every random choice already resolved
-        and an absolute time each.  The whole batch is checked before any of
-        it is applied: every action's time, and every capacity change's value
-        and target link.  A batch that fails the check raises and schedules
-        nothing; otherwise it is replayed in order.  Returns
-        ``{session_id: session}`` for the joins.
+        and an absolute time each.  The whole batch is checked against this
+        protocol by :func:`~repro.core.actions.validate_actions` before any
+        of it is applied; a batch that fails the check raises and changes
+        nothing (no host, session or event).  Otherwise it is replayed in
+        order.  Returns ``{session_id: session}`` for the joins.
         """
-        actions = validate_actions(list(actions))
-        for action in actions:
-            if action.kind == "capacity":
-                self._check_capacity_action(action)
-        return replay_actions(self, actions)
+        return replay_actions(self, validate_actions(self, list(actions)))
 
     # ------------------------------------------------------------------ sessions
 
@@ -274,12 +272,13 @@ class BNeckProtocol(object):
     def schedule_capacity_change(self, action):
         """Schedule one replayed :class:`~repro.core.actions.CapacityChangeAction`.
 
-        Called from :func:`repro.core.actions.replay_actions`.  The change
-        takes a deterministic ``(time, sequence)`` slot relative to the
-        packets in flight around it.
+        Called from :func:`repro.core.actions.replay_actions`, once
+        :func:`~repro.core.actions.validate_actions` has checked the link.
+        The change takes a deterministic ``(time, sequence)`` slot relative to
+        the packets in flight around it.
         """
-        link = self._check_capacity_action(action)
         key = (action.source, action.target)
+        link = self.network.link(*key)
 
         def apply_change():
             link.set_capacity(action.capacity)
@@ -288,23 +287,6 @@ class BNeckProtocol(object):
                 task.capacity_changed(action.capacity)
 
         self._schedule_api_call(apply_change, action.at, "CapacityChange")
-
-    def _check_capacity_action(self, action):
-        """Resolve a capacity action's link, rejecting host endpoints.
-
-        Raises ``KeyError`` for unknown links and ``ValueError`` for access
-        links; returns the :class:`~repro.network.graph.Link`.
-        """
-        key = (action.source, action.target)
-        link = self.network.link(*key)
-        for endpoint in key:
-            if not self.network.node(endpoint).is_router:
-                raise ValueError(
-                    "capacity changes apply to router-to-router links; %r -> %r "
-                    "touches host %r (access-link bandwidth is a session-demand "
-                    "concern: use API.Change)" % (action.source, action.target, endpoint)
-                )
-        return link
 
     def open_session(self, source_host, destination_host, demand=math.inf, session_id=None, at=None):
         """Create and immediately join a session; returns ``(session, application)``."""

@@ -110,10 +110,6 @@ class Experiment2Result(object):
         """``{phase name: seconds until quiescence}``."""
         return {phase.name: duration for phase, duration, _ in self.phase_rows()}
 
-    def phase_packets(self):
-        """``{phase name: control packets transmitted during the phase}``."""
-        return {phase.name: measurement.packets for phase, _, measurement in self.phase_rows()}
-
     def total_packets(self):
         return sum(measurement.packets for measurement in self.measurements)
 

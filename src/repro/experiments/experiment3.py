@@ -109,11 +109,6 @@ class ProtocolTimeSeries(object):
     def converged(self):
         return self.convergence_time is not None
 
-    def final_source_error(self):
-        if not self.source_error_series:
-            return None
-        return self.source_error_series[-1][1]
-
     def __repr__(self):
         return (
             "ProtocolTimeSeries(%r, samples=%d, packets=%d, converged=%r, quiescent=%r)"
@@ -176,13 +171,13 @@ def _run_one_protocol(name, config):
 def _drive_protocol(name, runner, config):
     protocol, generator = runner.protocol, runner.generator
 
-    specs = generator.generate(
+    joins = generator.generate(
         config.initial_sessions,
         join_window=(0.0, config.churn_window),
         demand_sampler=config.demand_sampler,
     )
-    installed = runner.install(specs)
-    join_time_of = {spec.session_id: spec.join_time for spec in specs}
+    installed = runner.apply_actions(joins)
+    join_time_of = {join.session_id: join.at for join in joins}
     leavers = generator.pick_sessions(list(installed), config.leave_count)
     leaves = []
     for session_id in leavers:

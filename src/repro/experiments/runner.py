@@ -12,7 +12,8 @@ Typical use::
 
     spec = ScenarioSpec(size="medium", delay_model=LAN, seed=3)
     runner = ExperimentRunner(spec, generator_seed=3)
-    runner.populate(400, join_window=(0.0, 1e-3))
+    joins = runner.generator.generate(400, join_window=(0.0, 1e-3))
+    runner.apply_actions(joins)          # runner.populate(400, ...) for short
     measurement = runner.checkpoint("mass join")
     assert measurement.validated
 
@@ -46,13 +47,11 @@ class ScenarioSpec(object):
         network: a prebuilt :class:`~repro.network.graph.Network`.
         network_builder: zero-argument callable returning a network.
         protocol_factory: ``(network, tracer) -> protocol`` override; defaults
-            to :class:`~repro.core.protocol.BNeckProtocol` with this spec's
-            routing metric.
+            to :class:`~repro.core.protocol.BNeckProtocol`.
         tracer_interval: bucket width for per-interval packet accounting
             (``None`` keeps a plain counting tracer, which the protocol
             counts into without a call per packet; with an interval every
             packet is recorded with its time).
-        routing_metric: ``"hops"`` (paper default) or ``"delay"``.
         validate: whether :meth:`ExperimentRunner.checkpoint` validates
             against the centralized oracle.
         workload: optional stochastic-workload reference (a registered name
@@ -71,7 +70,6 @@ class ScenarioSpec(object):
         network_builder=None,
         protocol_factory=None,
         tracer_interval=None,
-        routing_metric="hops",
         validate=True,
         workload=None,
     ):
@@ -85,7 +83,6 @@ class ScenarioSpec(object):
         self.network_builder = network_builder
         self.protocol_factory = protocol_factory
         self.tracer_interval = tracer_interval
-        self.routing_metric = routing_metric
         self.validate = validate
         self.workload = workload
 
@@ -128,11 +125,7 @@ class ScenarioSpec(object):
     def build_protocol(self, network, tracer):
         if self.protocol_factory is not None:
             return self.protocol_factory(network, tracer)
-        return BNeckProtocol(
-            network,
-            tracer=tracer,
-            routing_metric=self.routing_metric,
-        )
+        return BNeckProtocol(network, tracer=tracer)
 
     def __repr__(self):
         return "ScenarioSpec(%r, seed=%d)" % (self.label, self.seed)
@@ -220,22 +213,11 @@ class ExperimentRunner(object):
     # ----------------------------------------------------------------- workload
 
     def populate(self, count, join_window=(0.0, 1e-3), demand_sampler=None, prefix="s"):
-        """Generate and install ``count`` random sessions; returns ``{id: session}``."""
-        specs = self.generator.generate(count, join_window, demand_sampler, prefix)
-        return self.install(specs)
-
-    def install(self, specs):
-        """Install pre-generated session specs and track their ids as active.
-
-        Specs travel as :class:`~repro.core.actions.JoinAction` records
-        through the protocol's ``apply_actions`` (via
-        :meth:`~repro.workloads.generator.WorkloadGenerator.install`), so
-        installing works the same before a run and between phases.  Returns
-        ``{session_id: session}``.
-        """
-        installed = self.generator.install(self.protocol, specs)
-        self.active_ids.extend(installed)
-        return installed
+        """Apply ``count`` random joins from :attr:`generator`; returns
+        ``{id: session}``."""
+        return self.apply_actions(
+            self.generator.generate(count, join_window, demand_sampler, prefix)
+        )
 
     def apply_actions(self, actions):
         """Apply a pre-resolved action batch and maintain membership.

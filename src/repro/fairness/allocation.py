@@ -91,14 +91,6 @@ class RateAllocation(object):
 
     # ------------------------------------------------------------ feasibility
 
-    def link_load(self, sessions, link):
-        """Total rate assigned to sessions (from ``sessions``) crossing ``link``."""
-        return sum(
-            float(self._rates.get(session.session_id, 0.0))
-            for session in sessions
-            if session.crosses(link)
-        )
-
     def is_feasible(self, sessions):
         """True when no link is overloaded and no session exceeds its demand."""
         table = LinkTable(sessions)

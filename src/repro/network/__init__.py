@@ -9,7 +9,7 @@ examples).
 """
 
 from repro.network.graph import Link, Network, Node
-from repro.network.routing import PathComputer, shortest_path
+from repro.network.routing import PathComputer
 from repro.network.session import Session, SessionRegistry
 from repro.network.topology import (
     dumbbell_topology,
@@ -47,7 +47,6 @@ __all__ = [
     "medium_network",
     "parking_lot_topology",
     "random_mesh_topology",
-    "shortest_path",
     "single_link_topology",
     "small_network",
     "star_topology",

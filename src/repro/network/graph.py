@@ -158,9 +158,6 @@ class Network(object):
         self._nodes = {}
         self._links = {}
         self._adjacency = {}
-        # node id -> its non-host out-neighbours, built at the first
-        # `relay_neighbors` call for the node (see there).
-        self._relays = {}
         self._host_counter = 0
 
     # ------------------------------------------------------------------ nodes
@@ -183,9 +180,6 @@ class Network(object):
     def node(self, node_id):
         """Return the node with the given id (raises ``KeyError`` if absent)."""
         return self._nodes[node_id]
-
-    def has_node(self, node_id):
-        return node_id in self._nodes
 
     def nodes(self):
         """All nodes, in insertion order."""
@@ -235,11 +229,6 @@ class Network(object):
         link = Link(source, target, capacity, propagation_delay, control_bits)
         self._links[key] = link
         self._adjacency[source].append(target)
-        # A new relay makes the source's cached relay list stale; links to
-        # hosts leave it valid, and an empty cache (a network being built)
-        # has nothing to drop.
-        if self._relays and self._nodes[target].kind != HOST:
-            self._relays.pop(source, None)
         return link
 
     def link(self, source, target):
@@ -261,27 +250,6 @@ class Network(object):
         """Node ids reachable through one outgoing link."""
         return list(self._adjacency[node_id])
 
-    def relay_neighbors(self, node_id):
-        """The node's non-host out-neighbours, in adjacency order.
-
-        Hosts are leaves that forward nothing, so a route can only pass
-        through these.  The tuple is built at the first call for the node and
-        kept until a link from the node to a non-host is added.
-        """
-        relays = self._relays.get(node_id)
-        if relays is None:
-            nodes = self._nodes
-            relays = self._relays[node_id] = tuple(
-                neighbor
-                for neighbor in self._adjacency[node_id]
-                if nodes[neighbor].kind != HOST
-            )
-        return relays
-
-    def out_links(self, node_id):
-        """Outgoing links of a node."""
-        return [self._links[(node_id, target)] for target in self._adjacency[node_id]]
-
     # ------------------------------------------------------------ host helpers
 
     def attach_host(
@@ -294,8 +262,12 @@ class Network(object):
         """Create a host, connect it to ``router_id`` both ways, and return it.
 
         This is how the workload generator materialises the paper's
-        one-host-per-session sources and destinations.
+        one-host-per-session sources and destinations.  Raises ``ValueError``,
+        adding nothing, when ``router_id`` is not a router of the network.
         """
+        router = self._nodes.get(router_id)
+        if router is None or not router.is_router:
+            raise ValueError("cannot attach a host to %r: not a router" % (router_id,))
         if host_id is None:
             self._host_counter += 1
             host_id = "host-%d" % self._host_counter
@@ -310,10 +282,6 @@ class Network(object):
 
     def number_of_links(self):
         return len(self._links)
-
-    def total_capacity(self):
-        """Sum of the capacities of all directed links."""
-        return sum(link.capacity for link in self._links.values())
 
     def is_connected(self):
         """True when every node is reachable from the first node (undirected sense).

@@ -134,11 +134,3 @@ class SessionRegistry(object):
     def active_sessions(self):
         """All active sessions, in insertion order."""
         return list(self._sessions.values())
-
-    def update_demand(self, session_id, demand):
-        """Change the maximum requested rate of a session (``API.Change``)."""
-        check_demand(demand)
-        self._sessions[session_id].demand = demand
-
-    def clear(self):
-        self._sessions = {}

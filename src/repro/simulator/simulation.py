@@ -117,15 +117,6 @@ class Simulator(object):
         """Number of events still waiting in the heap."""
         return len(self.heap)
 
-    @property
-    def pending_instant_callbacks(self):
-        """Number of end-of-instant callbacks not yet flushed.
-
-        Non-zero only while an instant is unfinished: inside a run, or after
-        :meth:`step` executed part of one.
-        """
-        return len(self._instant_callbacks)
-
     # ------------------------------------------------------------- scheduling
 
     def schedule(self, delay, callback, tag=None):

@@ -153,13 +153,5 @@ class PacketTracer(object):
             (start, sum(counts.values())) for start, counts in self.interval_series()
         ]
 
-    def clear(self):
-        """Forget every packet.  The per-session lists are zeroed in place,
-        so the protocols holding them keep counting into them."""
-        for counts in self._counts.values():
-            counts[:] = [0] * len(PACKET_TYPES)
-        self.records = []
-        self._interval_counts = collections.defaultdict(collections.Counter)
-
     def __repr__(self):
         return "PacketTracer(total=%d, types=%d)" % (self.total, len(self.by_type))

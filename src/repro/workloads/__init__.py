@@ -18,7 +18,6 @@ Every workload is driven by
 """
 
 from repro.workloads.generator import (
-    SessionSpec,
     WorkloadGenerator,
     infinite_demand,
     mixed_demand,
@@ -54,7 +53,6 @@ __all__ = [
     "NetworkScenario",
     "PhaseChurnWorkload",
     "PoissonChurnWorkload",
-    "SessionSpec",
     "StochasticWorkload",
     "WORKLOADS",
     "WorkloadGenerator",

@@ -1,10 +1,13 @@
-"""Random session populations.
+"""Random session populations, as :class:`~repro.core.actions.JoinAction` records.
 
 Sessions in the evaluation are "created by choosing a source and a destination
 node, uniformly at random among all the network hosts", each host sources at
 most one session, and hosts hang off stub routers.  The generator reproduces
-this by attaching one fresh source host and one fresh destination host (both on
-uniformly chosen stub routers) per session.
+this with one :class:`~repro.core.actions.JoinAction` per session: its two
+routers are drawn uniformly among the stub routers, and the replayed join
+attaches one fresh source host and one fresh destination host to them.  The
+generator only draws; a protocol's ``apply_actions`` applies the joins, like
+every other batch of actions.
 
 Demands are drawn from a *demand sampler*: a callable taking the random source
 and returning a maximum requested rate (possibly infinite).
@@ -12,7 +15,7 @@ and returning a maximum requested rate (possibly infinite).
 
 import math
 
-from repro.core.actions import join_action_from_spec
+from repro.core.actions import JoinAction
 from repro.network.transit_stub import HOST_LINK_CAPACITY, HOST_LINK_DELAY, stub_routers
 from repro.simulator.random_source import RandomSource
 
@@ -51,34 +54,11 @@ def mixed_demand(infinite_fraction, low, high):
     return sample
 
 
-class SessionSpec(object):
-    """A session to be created: endpoints (routers), demand and join time."""
-
-    __slots__ = ("session_id", "source_router", "destination_router", "demand", "join_time")
-
-    def __init__(self, session_id, source_router, destination_router, demand, join_time):
-        self.session_id = session_id
-        self.source_router = source_router
-        self.destination_router = destination_router
-        self.demand = demand
-        self.join_time = join_time
-
-    def __repr__(self):
-        return "SessionSpec(%r, %r -> %r, demand=%r, t=%r)" % (
-            self.session_id,
-            self.source_router,
-            self.destination_router,
-            self.demand,
-            self.join_time,
-        )
-
-
 class WorkloadGenerator(object):
-    """Generates and installs random session populations on a protocol.
+    """Draws random session populations and churn from one seeded stream.
 
-    The same generator drives :class:`~repro.core.protocol.BNeckProtocol` and
-    the baselines, since they share the ``create_session`` / ``join`` /
-    ``leave`` / ``change`` API.
+    Its joins go through any protocol's ``apply_actions``:
+    :class:`~repro.core.protocol.BNeckProtocol` and the baselines share it.
     """
 
     def __init__(
@@ -89,7 +69,6 @@ class WorkloadGenerator(object):
         host_delay=HOST_LINK_DELAY,
         attachment_routers=None,
     ):
-        self.network = network
         self.random_source = RandomSource(seed).fork("workload")
         self.host_capacity = host_capacity
         self.host_delay = host_delay
@@ -100,53 +79,40 @@ class WorkloadGenerator(object):
         if len(attachment_routers) < 2:
             raise ValueError("need at least two routers to attach hosts to")
         self.attachment_routers = list(attachment_routers)
-        self._spec_counter = 0
+        self._join_counter = 0
 
     # ------------------------------------------------------------ generation
 
     def generate(self, count, join_window=(0.0, 1e-3), demand_sampler=None, prefix="s"):
-        """Generate ``count`` session specs joining inside ``join_window``."""
+        """``count`` :class:`~repro.core.actions.JoinAction` records joining
+        inside ``join_window``, with this generator's access links.
+
+        Per session it draws the router pair, then the demand, then the join
+        time.  Apply the result with a protocol's (or an
+        :class:`~repro.experiments.runner.ExperimentRunner`'s)
+        ``apply_actions``.
+        """
         if demand_sampler is None:
             demand_sampler = infinite_demand()
         start, end = join_window
         if end < start:
             raise ValueError("join_window end must not precede its start")
-        specs = []
+        joins = []
         for _ in range(count):
-            self._spec_counter += 1
+            self._join_counter += 1
             source_router, destination_router = self.random_source.pair(self.attachment_routers)
-            specs.append(
-                SessionSpec(
-                    session_id="%s%d" % (prefix, self._spec_counter),
+            joins.append(
+                JoinAction(
+                    session_id="%s%d" % (prefix, self._join_counter),
                     source_router=source_router,
                     destination_router=destination_router,
                     demand=demand_sampler(self.random_source),
-                    join_time=self.random_source.uniform(start, end),
+                    at=self.random_source.uniform(start, end),
+                    host_capacity=self.host_capacity,
+                    host_delay=self.host_delay,
                 )
             )
-        return specs
-
-    # ---------------------------------------------------------- installation
-
-    def install(self, protocol, specs):
-        """Attach hosts, create the sessions and schedule their joins.
-
-        Specs are converted into :class:`~repro.core.actions.JoinAction`
-        records and applied through the protocol's ``apply_actions`` (one
-        code path with every other workload, so schedules stay bit-identical
-        however a session is installed).  Returns ``{session_id: session}``
-        for the installed specs.
-        """
-        actions = [
-            join_action_from_spec(spec, self.host_capacity, self.host_delay)
-            for spec in specs
-        ]
-        return protocol.apply_actions(actions)
-
-    def populate(self, protocol, count, join_window=(0.0, 1e-3), demand_sampler=None, prefix="s"):
-        """``generate`` + ``install`` in one call; returns ``{session_id: session}``."""
-        specs = self.generate(count, join_window, demand_sampler, prefix)
-        return self.install(protocol, specs)
+        return joins
 
     # -------------------------------------------------------------- dynamics
 

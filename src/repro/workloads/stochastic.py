@@ -47,7 +47,6 @@ from repro.core.actions import (
     ChangeAction,
     JoinAction,
     LeaveAction,
-    join_action_from_spec,
 )
 from repro.network.transit_stub import STUB_TIER
 from repro.workloads.generator import uniform_demand
@@ -170,9 +169,6 @@ class DynamicPhase(object):
         self.changes = changes
         self.window = window
 
-    def total_actions(self):
-        return self.joins + self.leaves + self.changes
-
     def __repr__(self):
         return "DynamicPhase(%r, joins=%d, leaves=%d, changes=%d, window=%r)" % (
             self.name,
@@ -199,8 +195,8 @@ def phase_actions(generator, phase, active_ids, start_time, demand_sampler):
     """Resolve one churn phase into an action batch.
 
     Consumes the generator's random streams in a fixed order (victim picks,
-    then leave times, then change times, then per-change demands, then join
-    specs), so fixed-seed schedules are bit-identical to earlier releases.
+    then leave times, then change times, then per-change demands, then
+    joins), so fixed-seed schedules are bit-identical to earlier releases.
 
     Returns ``(actions, shortfalls)``: ``actions`` are ordered leaves,
     changes, joins -- the order they must be applied in -- and
@@ -238,16 +234,12 @@ def phase_actions(generator, phase, active_ids, start_time, demand_sampler):
             new_demand = generator.host_capacity
         actions.append(ChangeAction(session_id, new_demand, when))
     if phase.joins:
-        specs = generator.generate(
+        actions += generator.generate(
             phase.joins,
             join_window=window,
             demand_sampler=demand_sampler,
             prefix="%s-" % phase.name,
         )
-        for spec in specs:
-            actions.append(
-                join_action_from_spec(spec, generator.host_capacity, generator.host_delay)
-            )
     return actions, shortfalls
 
 
@@ -357,22 +349,18 @@ class PoissonChurnWorkload(StochasticWorkload):
                 if t >= end:
                     break
                 arrivals += 1
-                spec = generator.generate(
+                join = generator.generate(
                     1,
                     join_window=(t, t),
                     demand_sampler=sampler,
                     prefix="%s%d-" % (self.name, segment),
                 )[0]
-                actions.append(
-                    join_action_from_spec(
-                        spec, generator.host_capacity, generator.host_delay
-                    )
-                )
+                actions.append(join)
                 departure = t + rng.expovariate(1.0 / self.mean_holding)
                 if departure < end:
-                    actions.append(LeaveAction(spec.session_id, departure))
+                    actions.append(LeaveAction(join.session_id, departure))
                 else:
-                    next_carried.append((spec.session_id, departure - end))
+                    next_carried.append((join.session_id, departure - end))
             carried = next_carried
             yield ("%s segment %d (%d arrivals)" % (self.name, segment, arrivals), actions)
 
@@ -421,16 +409,12 @@ class FlashCrowdWorkload(StochasticWorkload):
 
         if self.base_sessions:
             start = runner.protocol.simulator.now + self.start_offset
-            specs = generator.generate(
+            actions = generator.generate(
                 self.base_sessions,
                 join_window=(start, start + self.base_window),
                 demand_sampler=sampler,
                 prefix="%s-base-" % self.name,
             )
-            actions = [
-                join_action_from_spec(spec, generator.host_capacity, generator.host_delay)
-                for spec in specs
-            ]
             yield ("%s base population (%d)" % (self.name, self.base_sessions), actions)
 
         subtrees = destination_subtrees(runner.network)
@@ -525,17 +509,13 @@ class HeavyTailedDemandWorkload(StochasticWorkload):
         sampler = uniform_demand(self.demand_low, self.demand_high)
 
         start = runner.protocol.simulator.now + self.start_offset
-        specs = generator.generate(
+        actions = generator.generate(
             self.sessions,
             join_window=(start, start + self.window),
             demand_sampler=sampler,
             prefix="%s-" % self.name,
         )
-        population = [spec.session_id for spec in specs]
-        actions = [
-            join_action_from_spec(spec, generator.host_capacity, generator.host_delay)
-            for spec in specs
-        ]
+        population = [join.session_id for join in actions]
         yield ("%s population (%d)" % (self.name, self.sessions), actions)
 
         for burst in range(1, self.bursts + 1):
@@ -603,16 +583,12 @@ class CapacityDynamicsWorkload(StochasticWorkload):
         sampler = uniform_demand(self.demand_low, self.demand_high)
 
         start = runner.protocol.simulator.now + self.start_offset
-        specs = generator.generate(
+        actions = generator.generate(
             self.sessions,
             join_window=(start, start + self.window),
             demand_sampler=sampler,
             prefix="%s-" % self.name,
         )
-        actions = [
-            join_action_from_spec(spec, generator.host_capacity, generator.host_delay)
-            for spec in specs
-        ]
         yield ("%s population (%d)" % (self.name, self.sessions), actions)
 
         # Original bandwidth per *directed* link, recorded for both directions

@@ -40,12 +40,12 @@ that never relay, so routing a fixed set of router pairs must make the same
 number of package calls however many hosts hang off the routers.  Measured
 on CPython 3.11.7 for 200 router pairs of Medium: 79,886 calls with no host
 and 318,364 with 2,000 hosts when the search looked up every new neighbour's
-node; 38,460 with either when it expands only the relay neighbours.  A
-:class:`~repro.network.routing.PathComputer` reads the relay tuples from a
-map it builds at its first search, so once that map exists its router routes
-make no call per node: 800 calls for the same 200 pairs, with no host or
-with 2,000, i.e. four per route (``router_route``, the map lookup, the
-search and the path reconstruction).
+node; 38,460 with either when it expanded only a per-node relay list.  A
+:class:`~repro.network.routing.PathComputer` reads each router's router
+neighbours from a map it builds at its first search, so once that map exists
+its router routes make no call per node: 800 calls for the same 200 pairs,
+with no host or with 2,000, i.e. four per route (``router_route``, the map
+lookup, the search and the path reconstruction).
 """
 
 import cProfile
@@ -57,7 +57,7 @@ import random
 import repro
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
-from repro.network.routing import PathComputer, shortest_path
+from repro.network.routing import PathComputer
 from repro.network.transit_stub import (
     HOST_LINK_CAPACITY,
     HOST_LINK_DELAY,
@@ -147,28 +147,23 @@ def test_python_calls_per_event_within_budget():
     )
 
 
-def _routing_calls(attached_hosts, router_route=False):
-    """Package calls to route 200 fixed router pairs on Medium, with
-    :func:`shortest_path` or with a :class:`PathComputer` whose relay map is
-    already built."""
+def _routing_calls(attached_hosts):
+    """Package calls to route 200 fixed router pairs on Medium with a
+    :class:`PathComputer` whose router map is already built."""
     network = medium_network(LAN, seed=1)
     routers = sorted(node.node_id for node in network.routers())
     rng = random.Random(5)
     pairs = [(rng.choice(routers), rng.choice(routers)) for _ in range(200)]
     for _ in range(attached_hosts):
         network.attach_host(rng.choice(routers), HOST_LINK_CAPACITY, HOST_LINK_DELAY)
-    if router_route:
-        computer = PathComputer(network)
-        computer.router_route(routers[0], routers[1])
-        return _package_calls(_profile(lambda: [computer.router_route(*pair) for pair in pairs]))
-    return _package_calls(_profile(lambda: [shortest_path(network, *pair) for pair in pairs]))
-
-
-def test_attached_hosts_add_no_routing_calls():
-    assert _routing_calls(0) == _routing_calls(2000)
+    computer = PathComputer(network)
+    computer.router_route(routers[0], routers[1])
+    return _package_calls(_profile(lambda: [computer.router_route(*pair) for pair in pairs]))
 
 
 def test_router_routes_make_no_call_per_node():
-    calls = _routing_calls(0, router_route=True)
-    assert calls == _routing_calls(2000, router_route=True)
+    """The same calls with no host and with 2,000: attached hosts add
+    nothing to a search."""
+    calls = _routing_calls(0)
+    assert calls == _routing_calls(2000)
     assert calls <= 4 * 200

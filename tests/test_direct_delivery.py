@@ -69,8 +69,8 @@ def _mass_join(key, protocol_factory):
     seed, count = int(seed[1:]), int(count[1:])
     network = NetworkScenario(size, delay, seed=seed).build()
     protocol = protocol_factory(network)
-    WorkloadGenerator(network, seed=seed + count).populate(
-        protocol, count, join_window=(0.0, 1e-3)
+    protocol.apply_actions(
+        WorkloadGenerator(network, seed=seed + count).generate(count, join_window=(0.0, 1e-3))
     )
     return protocol
 

@@ -116,7 +116,7 @@ class TestExperiment2(object):
         assert [phase.name for phase in phases] == ["join", "leave", "change", "join2", "mixed"]
         assert phases[0].joins == 100
         assert phases[1].leaves == 20
-        assert phases[4].total_actions() == 60
+        assert phases[4].joins + phases[4].leaves + phases[4].changes == 60
 
     def test_run_experiment2_small(self):
         config = Experiment2Config(size="small", initial_sessions=40, seed=5)
@@ -126,7 +126,7 @@ class TestExperiment2(object):
         assert set(durations) == {"join", "leave", "change", "join2", "mixed"}
         assert all(duration > 0 for duration in durations.values())
         assert result.total_packets() > 0
-        assert sum(result.phase_packets().values()) == result.total_packets()
+        assert sum(m.packets for _, _, m in result.phase_rows()) == result.total_packets()
         # The interval series accounts for every packet of the run.
         total_in_series = sum(sum(counts.values()) for _, counts in result.interval_series)
         assert total_in_series == result.total_packets()
@@ -157,7 +157,7 @@ class TestExperiment3(object):
         bneck = result.series("bneck")
         assert bneck.quiescent
         assert bneck.convergence_time is not None
-        final = bneck.final_source_error()
+        _, final = bneck.source_error_series[-1]
         assert abs(final.mean) < 1e-6
 
     def test_bfyz_keeps_sending_packets(self, result):

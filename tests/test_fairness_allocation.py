@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fairness.allocation import RateAllocation
+from repro.fairness.bottleneck import link_load
 from repro.network.units import MBPS
 from tests.conftest import make_session
 
@@ -67,8 +68,8 @@ class TestFeasibility(object):
         shared = parking_lot_network.link("r0", "r1")
         lonely = parking_lot_network.link("r2", "r3")
         sessions = [long_session, short_session]
-        assert allocation.link_load(sessions, shared) == pytest.approx(90 * MBPS)
-        assert allocation.link_load(sessions, lonely) == pytest.approx(40 * MBPS)
+        assert link_load(sessions, allocation, shared) == pytest.approx(90 * MBPS)
+        assert link_load(sessions, allocation, lonely) == pytest.approx(40 * MBPS)
 
     def test_feasible_allocation(self, parking_lot_network):
         sessions = [
@@ -95,4 +96,4 @@ class TestFeasibility(object):
         session = make_session(parking_lot_network, "s", "r0", "r1")
         allocation = RateAllocation({})
         assert allocation.is_feasible([session])
-        assert allocation.link_load([session], parking_lot_network.link("r0", "r1")) == 0.0
+        assert link_load([session], allocation, parking_lot_network.link("r0", "r1")) == 0.0

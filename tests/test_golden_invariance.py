@@ -72,8 +72,8 @@ def _mass_join(key, tracer):
     seed, count = int(seed[1:]), int(count[1:])
     network = NetworkScenario(size, delay, seed=seed).build()
     protocol = BNeckProtocol(network, tracer=tracer)
-    WorkloadGenerator(network, seed=seed + count).populate(
-        protocol, count, join_window=(0.0, 1e-3)
+    protocol.apply_actions(
+        WorkloadGenerator(network, seed=seed + count).generate(count, join_window=(0.0, 1e-3))
     )
     quiescence = protocol.run_until_quiescent()
     return protocol, {

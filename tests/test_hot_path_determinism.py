@@ -49,7 +49,7 @@ def _run_scenario(key):
     network = NetworkScenario(size, delay, seed=seed).build()
     protocol = BNeckProtocol(network)
     generator = WorkloadGenerator(network, seed=seed + count)
-    generator.populate(protocol, count, join_window=(0.0, 1e-3))
+    protocol.apply_actions(generator.generate(count, join_window=(0.0, 1e-3)))
     quiescence = protocol.run_until_quiescent()
     return protocol, quiescence
 

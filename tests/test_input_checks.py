@@ -1,19 +1,26 @@
-"""Bad demands and bad times are refused before anything is applied.
+"""Bad demands, bad times and bad session references are refused before
+anything is applied.
 
 A session's demand must be positive (infinity is legal, NaN is not) at every
 entry point: a batch of actions, a direct ``change`` and a new session.  A
 join at a non-finite time is refused before the session is registered, so a
-corrected retry succeeds.  Each case runs on B-Neck and on the BFYZ baseline,
-whose simulators carry an event cap: a bad value that slipped through would
-fail a test rather than livelock it.
+corrected retry succeeds.  A batch is checked whole against the protocol
+before any of it is replayed: a leave or change of a session that has not
+joined, a join id that is taken, a join router that is not a router, a
+router pair with no route and a bad access-link capacity or delay each
+raise a ``ValueError`` naming the action, with no host attached, no session
+registered and no event scheduled.  Each case runs on B-Neck and on the BFYZ
+baseline, whose simulators carry an event cap: a bad value that slipped
+through would fail a test rather than livelock it.
 """
 
 import math
+import re
 
 import pytest
 
 from repro.baselines.bfyz import BFYZProtocol
-from repro.core.actions import ChangeAction, JoinAction
+from repro.core.actions import CapacityChangeAction, ChangeAction, JoinAction, LeaveAction
 from repro.core.protocol import BNeckProtocol
 from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
@@ -103,3 +110,87 @@ def test_a_join_at_a_non_finite_time_registers_nothing(name, at):
     _settle(protocol)
     assert [s.session_id for s in protocol.active_sessions()] == ["a"]
     assert protocol.current_allocation().as_dict()["a"] == pytest.approx(100 * MBPS)
+
+
+def _islands_protocol(name):
+    """``s0`` joined and settled on ``r0 - r1``, next to an unconnected pair
+    of routers ``x0 - x1``."""
+    protocol = _protocol_with_one_session(name)
+    network = protocol.network
+    network.add_router("x0")
+    network.add_router("x1")
+    network.add_link("x0", "x1", 100 * MBPS, microseconds(1))
+    return protocol
+
+
+def _routed_join(session_id, source, destination, at):
+    return JoinAction(session_id, source, destination, 10 * MBPS, at, HOST_CAPACITY, HOST_DELAY)
+
+
+# Each case: the batch, given a time, and the index of the action it names.
+BAD_BATCHES = {
+    "leave-of-unknown-session": (
+        lambda at: [_join("a", 10 * MBPS, at), LeaveAction("ghost", at)], 1),
+    "change-of-unknown-session": (
+        lambda at: [_join("a", 10 * MBPS, at), ChangeAction("ghost", 5 * MBPS, at)], 1),
+    "leave-before-its-join": (
+        lambda at: [LeaveAction("a", at), _join("a", 10 * MBPS, at)], 0),
+    "change-before-its-join": (
+        lambda at: [ChangeAction("a", 5 * MBPS, at), _join("a", 10 * MBPS, at)], 0),
+    "join-repeated-in-the-batch": (
+        lambda at: [_join("a", 10 * MBPS, at), _join("a", 20 * MBPS, at)], 1),
+    "join-of-a-joined-session": (
+        lambda at: [_join("a", 10 * MBPS, at), _join("s0", 10 * MBPS, at)], 1),
+    "join-to-an-unknown-router": (
+        lambda at: [_join("a", 10 * MBPS, at), _routed_join("b", "r0", "nowhere", at)], 1),
+    "join-from-a-host": (
+        lambda at: [_join("a", 10 * MBPS, at), _routed_join("b", "host-1", "r1", at)], 1),
+    "join-between-unconnected-routers": (
+        lambda at: [_join("a", 10 * MBPS, at), _routed_join("b", "r0", "x1", at)], 1),
+    "join-with-a-zero-host-capacity": (
+        lambda at: [_join("a", 10 * MBPS, at),
+                    JoinAction("b", "r0", "r1", 10 * MBPS, at, 0.0, HOST_DELAY)], 1),
+    "join-with-a-nan-host-delay": (
+        lambda at: [_join("a", 10 * MBPS, at),
+                    JoinAction("b", "r0", "r1", 10 * MBPS, at, HOST_CAPACITY, math.nan)], 1),
+}
+
+
+def _state(protocol):
+    return (
+        protocol.simulator.pending_events,
+        protocol.network.number_of_nodes(),
+        sorted(session.session_id for session in protocol.registry),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+@pytest.mark.parametrize("case", sorted(BAD_BATCHES))
+def test_a_batch_with_a_bad_session_reference_changes_nothing(name, case):
+    protocol = _islands_protocol(name)
+    make_batch, bad_index = BAD_BATCHES[case]
+    batch = make_batch(protocol.simulator.now + 1e-3)
+    before = _state(protocol)
+    with pytest.raises(ValueError, match=re.escape(repr(batch[bad_index]))):
+        protocol.apply_actions(batch)
+    assert _state(protocol) == before
+    for action in batch:
+        if action.kind == "join" and action.session_id != "s0":
+            with pytest.raises(KeyError):
+                protocol.session(action.session_id)
+    # Without the bad action the same batch applies and settles.
+    del batch[bad_index]
+    protocol.apply_actions(batch)
+    _settle(protocol)
+    assert "s0" in protocol.registry
+
+
+def test_a_baseline_refuses_a_capacity_change_before_applying_the_batch():
+    protocol = _protocol_with_one_session("bfyz")
+    at = protocol.simulator.now + 1e-3
+    before = _state(protocol)
+    with pytest.raises(ValueError, match="capacity-change"):
+        protocol.apply_actions(
+            [_join("a", 10 * MBPS, at), CapacityChangeAction("r0", "r1", 50 * MBPS, at)]
+        )
+    assert _state(protocol) == before

@@ -27,12 +27,11 @@ def test_mass_arrival_on_small_transit_stub(delay_model):
     tracer = PacketTracer(interval=5e-3)
     protocol = BNeckProtocol(network, tracer=tracer)
     generator = WorkloadGenerator(network, seed=41)
-    generator.populate(
-        protocol,
+    protocol.apply_actions(generator.generate(
         80,
         join_window=(0.0, 1e-3),
         demand_sampler=mixed_demand(0.5, 1 * MBPS, 80 * MBPS),
-    )
+    ))
     quiescence_time = protocol.run_until_quiescent()
 
     assert quiescence_time > 0
@@ -85,7 +84,7 @@ def test_wan_and_lan_reach_the_same_rates():
         network = build_network("small", delay_model, seed=47)
         protocol = BNeckProtocol(network)
         generator = WorkloadGenerator(network, seed=47)
-        generator.populate(protocol, 50, join_window=(0.0, 1e-3))
+        protocol.apply_actions(generator.generate(50, join_window=(0.0, 1e-3)))
         quiescence[delay_model] = protocol.run_until_quiescent()
         allocations[delay_model] = protocol.current_allocation()
         assert validate_against_oracle(protocol).valid
@@ -98,9 +97,9 @@ def test_paper_scale_medium_network_spot_check():
     network = build_network("medium", LAN, seed=53)
     protocol = BNeckProtocol(network)
     generator = WorkloadGenerator(network, seed=53)
-    generator.populate(
-        protocol, 150, join_window=(0.0, 1e-3), demand_sampler=mixed_demand(0.7, 1 * MBPS, 80 * MBPS)
-    )
+    protocol.apply_actions(generator.generate(
+        150, join_window=(0.0, 1e-3), demand_sampler=mixed_demand(0.7, 1 * MBPS, 80 * MBPS)
+    ))
     protocol.run_until_quiescent()
     assert validate_against_oracle(protocol).valid
     assert check_stability(protocol).stable

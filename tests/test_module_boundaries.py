@@ -24,6 +24,14 @@ module never uses, as the lint job's ``ruff check`` (rule F401) would, so a
 deletion that leaves a stale import fails here too.  A package's
 ``__init__.py`` imports to re-export, and a name listed in ``__all__`` is
 exported, so both are exempt.
+
+The fourth reports each function, method or class under ``src/repro`` whose
+name nothing outside the tests reads: not the library itself, the examples,
+the benchmarks, ``perfbench/`` or the scripts.  Such a definition is dead
+code that only its own tests keep alive.  Names are matched without types,
+and what a package lists in ``__all__`` counts as read.  The definitions that
+the tests of other modules use as fixtures are listed, with the reason, in
+``TEST_FIXTURES``.
 """
 
 import ast
@@ -294,3 +302,162 @@ def test_no_module_imports_a_name_it_never_uses():
                 violations.append("%s:%d: %r imported but unused" % (relative, line, name))
     assert checked > 100
     assert violations == []
+
+
+REFERENCING_DIRECTORIES = ("src", "examples", "benchmarks", "perfbench", "scripts")
+
+# Definitions that nothing outside the tests references, kept because the
+# tests of *other* modules build on them.  Each entry must still be a
+# definition the scan would report; a stale entry fails the test below.
+TEST_FIXTURES = {
+    # Graph and session inspection the topology, workload and protocol tests
+    # assert on.
+    "Network.hosts",
+    "Network.number_of_nodes",
+    "Network.number_of_links",
+    "Network.is_connected",
+    "Session.path_length",
+    "transit_routers",
+    # The one dispatch left for tests that hand a packet to a task directly.
+    "Process.receive",
+    # Protocol inspection and the capacity-change shorthand of the protocol,
+    # property and stochastic tests.
+    "BNeckProtocol.change_capacity",
+    "BNeckProtocol.last_notified_rate",
+    "BNeckProtocol.router_link",
+    "SessionApplication.notification_count",
+    "RateAllocation.is_feasible",
+    "LinkState.knows",
+    "LinkState.snapshot",
+    # From-scratch recounts that the link-state tests compare the maintained
+    # values against after every mutation.
+    "LinkState._recomputed_bottleneck_rate",
+    "LinkState._recomputed_unrestricted_load",
+    "LinkState._recomputed_busy",
+}
+
+
+def definitions(source, filename="<source>"):
+    """``(line, qualified name, name)`` of every function and class defined in
+    the module body or a class body, dunder methods excepted."""
+    found = []
+    scopes = [(ast.parse(source, filename), "")]
+    while scopes:
+        scope, prefix = scopes.pop()
+        for node in scope.body:
+            if not isinstance(node, DEFINITIONS):
+                continue
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                found.append((node.lineno, prefix + node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                scopes.append((node, prefix + node.name + "."))
+    return sorted(found)
+
+
+def references(source, filename="<source>"):
+    """Every name a module reads: bare names, attribute names, the string
+    names of ``getattr``-style calls, and the entries of ``__all__`` (what a
+    package exports is its API)."""
+    tree = ast.parse(source, filename)
+    names = _exported_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in REFLECTION_FUNCTIONS
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            names.add(node.args[1].value)
+    return names
+
+
+def unreferenced(defining, referencing):
+    """``(path, line, qualified name)`` of every definition in the
+    ``{path: source}`` map ``defining`` whose name no source in
+    ``referencing`` reads.  Names are matched without types: any read of the
+    name anywhere keeps every definition of it."""
+    read = set()
+    for path, source in referencing.items():
+        read |= references(source, path)
+    return sorted(
+        (path, line, qualified)
+        for path, source in defining.items()
+        for line, qualified, name in definitions(source, path)
+        if name not in read
+    )
+
+
+def _sources(directories):
+    sources = {}
+    for directory in directories:
+        for path in _module_paths(os.path.join(REPO_ROOT, directory)):
+            with open(path) as handle:
+                sources[os.path.relpath(path, REPO_ROOT)] = handle.read()
+    return sources
+
+
+DEAD = {
+    "method": (
+        "class A(object):\n    def used(self):\n        pass\n"
+        "    def dead(self):\n        pass\n\nA().used()\n",
+        ["A.dead"],
+    ),
+    "function-and-class": (
+        "def dead():\n    pass\n\nclass Dead(object):\n    pass\n",
+        ["dead", "Dead"],
+    ),
+    "private-method": (
+        "class A(object):\n    def _dead(self):\n        pass\n\nA()\n",
+        ["A._dead"],
+    ),
+    "nested-class": (
+        "class A(object):\n    class B(object):\n        def dead(self):\n"
+        "            pass\n\nA.B\n",
+        ["A.B.dead"],
+    ),
+}
+
+LIVE = {
+    "attribute-call": "class A(object):\n    def f(self):\n        pass\n\nA().f()\n",
+    "property-read": (
+        "class A(object):\n    @property\n    def size(self):\n        return 1\n\n"
+        "print(A().size)\n"
+    ),
+    "getattr-string": "def f():\n    pass\n\nprint(getattr(object, 'f', None))\n",
+    "exported": "def f():\n    pass\n\n__all__ = ['f']\n",
+    "dunder": "class A(object):\n    def __repr__(self):\n        return 'A'\n\nA()\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEAD))
+def test_the_scan_catches_unreferenced_definitions(case):
+    source, dead = DEAD[case]
+    assert [name for _, _, name in unreferenced({"m.py": source}, {"m.py": source})] == dead
+
+
+@pytest.mark.parametrize("case", sorted(LIVE))
+def test_the_scan_allows_referenced_definitions(case):
+    assert unreferenced({"m.py": LIVE[case]}, {"m.py": LIVE[case]}) == []
+
+
+def test_a_reference_from_another_module_counts():
+    defining = {"m.py": "class A(object):\n    def f(self):\n        pass\n"}
+    assert unreferenced(defining, dict(defining, **{"user.py": "a.f()\nA\n"})) == []
+    assert unreferenced(defining, dict(defining, **{"user.py": "A\n"})) == [("m.py", 2, "A.f")]
+
+
+def test_every_library_definition_has_a_caller_outside_the_tests():
+    """A definition that only its own tests reference is dead code: delete it
+    with its tests, or give it a real caller.  Fixtures the tests of other
+    modules rely on are listed in ``TEST_FIXTURES``."""
+    library = _sources([os.path.join("src", "repro")])
+    assert len(library) > 40
+    found = unreferenced(library, _sources(REFERENCING_DIRECTORIES))
+    dead = ["%s:%d: %s" % entry for entry in found if entry[2] not in TEST_FIXTURES]
+    assert dead == []
+    assert sorted(TEST_FIXTURES) == sorted(entry[2] for entry in found)

@@ -104,16 +104,13 @@ class TestNodesAndLinks(object):
 
 
 class TestTopologyQueries(object):
-    def test_neighbors_and_out_links(self, two_router_network):
+    def test_neighbors(self, two_router_network):
         assert two_router_network.neighbors("a") == ["b"]
-        out = two_router_network.out_links("a")
-        assert len(out) == 1
-        assert out[0].endpoints == ("a", "b")
+        assert two_router_network.neighbors("b") == ["a"]
 
     def test_counting(self, two_router_network):
         assert two_router_network.number_of_nodes() == 2
         assert two_router_network.number_of_links() == 2
-        assert two_router_network.total_capacity() == pytest.approx(200 * MBPS)
 
     def test_routers_and_hosts_partition_nodes(self, two_router_network):
         two_router_network.attach_host("a", 10 * MBPS, 1e-6)
@@ -153,4 +150,15 @@ class TestHostAttachment(object):
     def test_attach_host_with_explicit_id(self, two_router_network):
         host = two_router_network.attach_host("a", 10 * MBPS, 1e-6, host_id="alice")
         assert host.node_id == "alice"
-        assert two_router_network.has_node("alice")
+        assert two_router_network.node("alice") is host
+
+    @pytest.mark.parametrize("router", ["nowhere", "alice"])
+    def test_attach_host_to_a_non_router_adds_nothing(self, two_router_network, router):
+        two_router_network.attach_host("a", 10 * MBPS, 1e-6, host_id="alice")
+        nodes, links = two_router_network.nodes(), two_router_network.links()
+        with pytest.raises(ValueError, match="%r: not a router" % router):
+            two_router_network.attach_host(router, 10 * MBPS, 1e-6)
+        with pytest.raises(ValueError, match="not a router"):
+            two_router_network.attach_host(router, 10 * MBPS, 1e-6, host_id="bob")
+        assert two_router_network.nodes() == nodes
+        assert two_router_network.links() == links

@@ -72,15 +72,6 @@ class TestSessionRegistry(object):
         with pytest.raises(ValueError):
             registry.add(make_session(parking_lot_network, "s1", "r1", "r2"))
 
-    def test_update_demand(self, parking_lot_network):
-        registry = SessionRegistry()
-        session = make_session(parking_lot_network, "s1", "r0", "r1", demand=math.inf)
-        registry.add(session)
-        registry.update_demand("s1", 5 * MBPS)
-        assert session.demand == 5 * MBPS
-        with pytest.raises(ValueError):
-            registry.update_demand("s1", 0.0)
-
     def test_iteration_and_active_sessions(self, parking_lot_network):
         registry = SessionRegistry()
         ids = ["a", "b", "c"]
@@ -88,10 +79,3 @@ class TestSessionRegistry(object):
             registry.add(make_session(parking_lot_network, session_id, "r0", "r1"))
         assert [session.session_id for session in registry] == ids
         assert [session.session_id for session in registry.active_sessions()] == ids
-
-    def test_clear(self, parking_lot_network):
-        registry = SessionRegistry()
-        registry.add(make_session(parking_lot_network, "s1", "r0", "r1"))
-        registry.clear()
-        assert len(registry) == 0
-        assert registry.active_sessions() == []

@@ -1,4 +1,4 @@
-"""Packet counts are exact, however the tracer is read, cleared or swapped.
+"""Packet counts are exact, however the tracer is read or swapped.
 
 B-Neck counts each control packet with one increment of its session's list
 of per-type counts, a list the tracer owns and hands out with
@@ -7,7 +7,6 @@ goldens:
 
 * a session that left keeps its counts, and one that joined but never sent
   a packet is absent from ``by_session``;
-* ``clear()`` zeroes the lists in place, so counting carries on exactly;
 * after a tracer swap in mid-run, the new tracer counts exactly the packets
   sent after the swap, and the old tracer's counts stop changing.
 
@@ -30,7 +29,7 @@ from repro.workloads.scenarios import NetworkScenario
 from test_golden_invariance import GOLDENS
 
 KEY = "small-lan-s2-n20"
-# Events processed before the tracer is cleared or swapped: two thirds of
+# Events processed before the tracer is swapped: two thirds of
 # the way through the golden run's 595 events.
 MIDPOINT = 400
 
@@ -39,7 +38,7 @@ def _mass_join(tracer):
     """Golden ``KEY``'s sessions, joined within 1 ms but not yet run."""
     network = NetworkScenario("small", "lan", seed=2).build()
     protocol = BNeckProtocol(network, tracer=tracer)
-    WorkloadGenerator(network, seed=22).populate(protocol, 20, join_window=(0.0, 1e-3))
+    protocol.apply_actions(WorkloadGenerator(network, seed=22).generate(20, join_window=(0.0, 1e-3)))
     return protocol
 
 
@@ -98,17 +97,6 @@ def test_a_session_that_left_keeps_its_counts_and_a_silent_one_is_absent():
     assert tracer.packets_per_session() == tracer.total / 2.0
     protocol.run_until_quiescent()
     assert tracer.by_session["late"] > 0
-
-
-@pytest.mark.parametrize("keep_records", [False, True], ids=["counting", "recording"])
-def test_clear_mid_run_counts_exactly_the_packets_sent_after_it(records, keep_records):
-    all_records, sent_by_midpoint = records
-    protocol = _mass_join(PacketTracer(keep_records=keep_records))
-    _run_to(protocol, MIDPOINT)
-    assert protocol.tracer.total == sent_by_midpoint
-    protocol.tracer.clear()
-    protocol.run_until_quiescent()
-    assert _counters(protocol.tracer) == _recount(all_records[sent_by_midpoint:])
 
 
 @pytest.mark.parametrize("new_records", [False, True], ids=["to-counting", "to-recording"])

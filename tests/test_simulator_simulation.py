@@ -320,7 +320,6 @@ def test_instant_callbacks_flush_before_horizon_return(simulator):
     simulator.schedule(5.0, lambda: fired.append("beyond"))
     simulator.run(until=2.0)
     assert fired == ["flushed"]
-    assert simulator.pending_instant_callbacks == 0
 
 
 def test_instant_callbacks_flush_in_general_loop(simulator):
@@ -345,7 +344,6 @@ def test_step_completes_the_instant_before_advancing(simulator):
     simulator.schedule(2.0, lambda: fired.append("later"))
     assert simulator.step()           # the t=1.0 event
     assert fired == []
-    assert simulator.pending_instant_callbacks == 1
     assert simulator.step()           # the flush (not an event)
     assert fired == ["deferred"]
     assert simulator.events_processed == 1
@@ -368,7 +366,6 @@ def test_horizon_run_leaves_later_instants_untouched(simulator):
     simulator.run(until=5.0)
     assert fired == []
     assert simulator.pending_events == 1
-    assert simulator.pending_instant_callbacks == 0
     simulator.run_until_quiescent()
     assert fired == ["deferred"]
 

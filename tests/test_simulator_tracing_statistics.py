@@ -81,27 +81,6 @@ class TestPacketTracer(object):
         assert PacketTracer(interval=1.0).timed
         assert PacketTracer(keep_records=True).timed
 
-    def test_clear_resets_everything(self):
-        tracer = PacketTracer(keep_records=True, interval=1.0)
-        tracer.record(0.3, "Join", "s1")
-        tracer.clear()
-        assert tracer.total == 0
-        assert tracer.by_type == {}
-        assert tracer.by_session == {}
-        assert tracer.records == []
-        assert tracer.interval_series() == []
-
-    def test_clear_zeroes_the_lists_in_place(self):
-        tracer = PacketTracer()
-        counts = tracer.counts_for("s1")
-        counts[PACKET_TYPES.index("Join")] += 4
-        tracer.clear()
-        assert tracer.counts_for("s1") is counts
-        assert counts == [0] * len(PACKET_TYPES)
-        counts[PACKET_TYPES.index("Leave")] += 1
-        assert tracer.total == 1
-        assert tracer.by_type == {"Leave": 1}
-
 
 class TestStatistics(object):
     def test_percentile_interpolates(self):

@@ -36,7 +36,6 @@ from repro.core.actions import (
     ChangeAction,
     JoinAction,
     LeaveAction,
-    replay_actions,
     validate_actions,
 )
 from repro.core.protocol import BNeckProtocol
@@ -268,14 +267,15 @@ class TestCapacityChangeSemantics(object):
             assert sorted(s.session_id for s in protocol.active_sessions()) == sorted(active_ids)
 
     def test_validate_actions_rejects_bad_capacity(self):
+        protocol = BNeckProtocol(parking_lot_topology(3))
         with pytest.raises(ValueError, match="positive finite capacity"):
-            validate_actions([CapacityChangeAction("a", "b", 0.0, 1e-3)])
+            validate_actions(protocol, [CapacityChangeAction("a", "b", 0.0, 1e-3)])
         with pytest.raises(ValueError, match="positive finite capacity"):
-            validate_actions([CapacityChangeAction("a", "b", float("nan"), 1e-3)])
+            validate_actions(protocol, [CapacityChangeAction("a", "b", float("nan"), 1e-3)])
         with pytest.raises(ValueError, match="positive finite capacity"):
-            validate_actions([CapacityChangeAction("a", "b", float("inf"), 1e-3)])
+            validate_actions(protocol, [CapacityChangeAction("a", "b", float("inf"), 1e-3)])
         with pytest.raises(ValueError, match="finite absolute time"):
-            validate_actions([CapacityChangeAction("a", "b", 1.0, None)])
+            validate_actions(protocol, [CapacityChangeAction("a", "b", 1.0, None)])
 
     @pytest.mark.parametrize(
         "action",
@@ -295,13 +295,6 @@ class TestCapacityChangeSemantics(object):
             getattr(action, name) for name in type(action).__slots__
         ]
         assert repr(clone) == repr(action)
-
-    def test_replay_on_protocol_without_support_is_an_error(self):
-        class Bare(object):
-            network = None
-
-        with pytest.raises(ValueError, match="capacity-change"):
-            replay_actions(Bare(), [CapacityChangeAction("a", "b", 1.0, 1e-3)])
 
     def test_allocation_matches_waterfilling_after_every_event(self):
         """The acceptance criterion: each capacity-change quiescence point

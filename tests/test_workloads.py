@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.actions import JoinAction
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
@@ -78,32 +79,35 @@ class TestWorkloadGenerator(object):
         network = build_network("small", LAN, seed=seed)
         return network, WorkloadGenerator(network, seed=seed)
 
-    def test_specs_have_valid_fields(self):
+    def test_joins_have_valid_fields(self):
         _, generator = self.make_generator()
-        specs = generator.generate(20, join_window=(0.0, 1e-3))
-        assert len(specs) == 20
-        assert len({spec.session_id for spec in specs}) == 20
-        for spec in specs:
-            assert spec.source_router != spec.destination_router
-            assert 0.0 <= spec.join_time <= 1e-3
-            assert spec.demand > 0
+        joins = generator.generate(20, join_window=(0.0, 1e-3))
+        assert len(joins) == 20
+        assert len({join.session_id for join in joins}) == 20
+        for join in joins:
+            assert isinstance(join, JoinAction)
+            assert join.source_router != join.destination_router
+            assert 0.0 <= join.at <= 1e-3
+            assert join.demand > 0
+            assert join.host_capacity == generator.host_capacity
+            assert join.host_delay == generator.host_delay
 
     def test_generation_is_deterministic_per_seed(self):
         _, first = self.make_generator(seed=5)
         _, second = self.make_generator(seed=5)
-        specs_a = first.generate(10)
-        specs_b = second.generate(10)
-        assert [(s.source_router, s.destination_router, s.join_time) for s in specs_a] == [
-            (s.source_router, s.destination_router, s.join_time) for s in specs_b
+        joins_a = first.generate(10)
+        joins_b = second.generate(10)
+        assert [(j.source_router, j.destination_router, j.at) for j in joins_a] == [
+            (j.source_router, j.destination_router, j.at) for j in joins_b
         ]
 
     def test_different_seeds_differ(self):
         _, first = self.make_generator(seed=5)
         _, second = self.make_generator(seed=6)
-        specs_a = first.generate(10)
-        specs_b = second.generate(10)
-        assert [(s.source_router, s.destination_router) for s in specs_a] != [
-            (s.source_router, s.destination_router) for s in specs_b
+        joins_a = first.generate(10)
+        joins_b = second.generate(10)
+        assert [(j.source_router, j.destination_router) for j in joins_a] != [
+            (j.source_router, j.destination_router) for j in joins_b
         ]
 
     def test_bad_join_window_rejected(self):
@@ -111,10 +115,10 @@ class TestWorkloadGenerator(object):
         with pytest.raises(ValueError):
             generator.generate(5, join_window=(1e-3, 0.0))
 
-    def test_install_joins_sessions_on_protocol(self):
+    def test_generated_joins_apply_on_protocol(self):
         network, generator = self.make_generator(seed=7)
         protocol = BNeckProtocol(network)
-        installed = generator.populate(protocol, 15, join_window=(0.0, 1e-3))
+        installed = protocol.apply_actions(generator.generate(15, join_window=(0.0, 1e-3)))
         assert len(installed) == 15
         protocol.run_until_quiescent()
         assert len(protocol.registry) == 15
@@ -147,7 +151,7 @@ class TestDynamicPhases(object):
         with pytest.raises(ValueError):
             DynamicPhase("bad", window=0.0)
         phase = DynamicPhase("ok", joins=2, leaves=1, changes=3)
-        assert phase.total_actions() == 6
+        assert (phase.joins, phase.leaves, phase.changes) == (2, 1, 3)
 
     def test_apply_join_phase(self):
         workload = PhaseChurnWorkload([DynamicPhase("join", joins=20)], infinite_demand())
