@@ -7,9 +7,11 @@ statistic for CI runners).  A benchmark regresses when::
 
     current_min > baseline_min * (1 + threshold)
 
-Benchmarks present on only one side are reported but never fail the check
-(new benchmarks have no baseline yet; retired ones no longer matter).  The
-baseline is refreshed through the ``workflow_dispatch`` path of the CI
+A benchmark with no baseline entry is reported as new and never fails the
+check.  A baseline entry with no current result always fails it (exit 1,
+naming the entry), whatever the CPU counts: either that benchmark stopped
+producing results, or it was deleted and its entry outlived it, so the
+baseline no longer describes what runs.  The baseline is refreshed through the ``workflow_dispatch`` path of the CI
 workflow (``refresh-baseline`` input), which uploads a fresh
 ``BENCH_baseline.json`` artifact to commit as ``benchmarks/baseline.json``.
 
@@ -79,10 +81,18 @@ def main(argv=None):
         )
         if ratio > 1.0 + args.threshold:
             regressions.append((name, ratio))
-    for name in sorted(set(baseline) - set(current)):
+    missing = sorted(set(baseline) - set(current))
+    for name in missing:
         print("%-*s  %10.4f  %10s  %7s" % (width, name, baseline[name]["min"], "-", "gone"))
 
     print()
+    if missing:
+        print(
+            "FAIL: %d baseline benchmark(s) with no current result (it stopped "
+            "running, or its entry outlived it):" % len(missing)
+        )
+        for name in missing:
+            print("  %s" % name)
     if regressions and not comparable:
         message = (
             "%d benchmark(s) beyond the %.0f%% threshold, but the "
@@ -98,7 +108,7 @@ def main(argv=None):
         )
         print("WARNING: " + message)
         print("::warning title=Benchmark gate skipped::" + escape_annotation(message))
-        return 0
+        return 1 if missing else 0
     if regressions:
         print(
             "FAIL: %d benchmark(s) regressed more than %.0f%%:"
@@ -106,6 +116,8 @@ def main(argv=None):
         )
         for name, ratio in regressions:
             print("  %s: %.2fx" % (name, ratio))
+        return 1
+    if missing:
         return 1
     print("OK: no benchmark regressed more than %.0f%%" % (args.threshold * 100))
     return 0

@@ -183,8 +183,9 @@ def validate_actions(protocol, actions):
     link of a protocol that supports capacity changes.  A join needs a new
     session id, new to the batch too, valid access links, and two connected
     routers (routed here: the path computer's cache makes the replay's
-    routing free).  A leave or a change needs a session joined on the
-    protocol or earlier in the batch.  A failure raises a ``ValueError``
+    routing free) whose route crosses no one-way link, since upstream packets
+    travel each link's reverse.  A leave or a change needs a session joined
+    on the protocol or earlier in the batch.  A failure raises a ``ValueError``
     naming the action (``KeyError`` for an unknown link) and changes nothing.
     Returns ``actions``.
     """
@@ -225,9 +226,18 @@ def validate_actions(protocol, actions):
                 "non-negative finite host delay" % (action,)
             )
         try:
-            protocol.path_computer.router_route(action.source_router, action.destination_router)
+            route = protocol.path_computer.router_route(
+                action.source_router, action.destination_router
+            )
         except ValueError as error:
             raise ValueError("action %r cannot be routed: %s" % (action, error)) from None
+        has_link = protocol.network.has_link
+        for upstream, downstream in zip(route, route[1:]):
+            if not has_link(downstream, upstream):
+                raise ValueError(
+                    "action %r routes over the one-way link %r -> %r: its "
+                    "upstream packets need the reverse link" % (action, upstream, downstream)
+                )
         joined.add(session_id)
     return actions
 

@@ -9,6 +9,14 @@ that no link confirmed itself as a bottleneck for the session.
 
 Each packet class's ``kind`` is its type's index in :data:`PACKET_TYPES`,
 the list of type names the packet tracer counts by.
+
+A packet object is built where its message starts: at a source, at a
+destination, or at a RouterLink that sends an Update or Bottleneck to another
+session.  It is owned by its one pending delivery, and once delivered by the
+handler running it.  A RouterLink forwards the object it received, changing
+its fields in place (a Join's or Probe's ``rate`` and ``restricting_link``, a
+Response's ``tau`` and ``restricting_link``, a SetBottleneck's
+``found_bottleneck``), so no two pending deliveries share a packet.
 """
 
 from repro.simulator.tracing import PACKET_TYPES
@@ -25,7 +33,7 @@ class _Packet(object):
     """Common base: every packet belongs to one session.
 
     Subclasses with more fields assign ``session_id`` themselves: packets
-    are built on every hop, and a ``super()`` call per packet shows.
+    are built once per message, and a ``super()`` call per packet shows.
     """
 
     type_name = "Packet"

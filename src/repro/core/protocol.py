@@ -468,8 +468,13 @@ class BNeckProtocol(object):
     def current_allocation(self):
         """The rate each active session currently believes it may use.
 
-        Before a session's first Response this is 0 (B-Neck is conservative:
-        transient rates never exceed the final max-min rates).
+        Before a session's first Response this is 0.  Transient rates stay
+        at or below the final max-min rates only while the session set is
+        fixed: with every join at one instant and no leave or change during
+        convergence, no notified rate exceeded its session's final rate on
+        Small and Medium.  A session that joins later lowers the final rates
+        of the sessions sharing its bottlenecks, so a rate granted before it
+        arrived can exceed them.
         """
         allocation = RateAllocation()
         for session in self.registry:

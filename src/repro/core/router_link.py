@@ -3,16 +3,24 @@
 One RouterLink instance controls one directed link and keeps per-session state
 for every session whose path crosses the link, in a
 :class:`~repro.core.state.LinkState`.  Its handlers are a line-by-line
-transcription of Figure 2, with three presentational differences:
+transcription of Figure 2, with four presentational differences:
 
 * rates are floats, so ``==``/``<`` are the tolerance compares of
   :mod:`repro.fairness.algebra`: ``rates_equal`` and plain float compares;
 * each step of a handler on the link's state is one call to the link state,
   which keeps ``B_e`` as its attribute ``bottleneck_rate`` and performs
-  Figure 2's transitions whole: ``settle`` (an accepted Response), ``wake``
-  (IDLE to WAITING_PROBE) and ``process_new_restricted`` (lines 4-10, which
-  returns the woken sessions; the handler sends each an Update).  A capacity
-  change goes through ``set_capacity``, so ``B_e`` follows it;
+  Figure 2's transitions whole: ``await_response`` (a Join or Probe arrives:
+  the session joins ``R_e`` as WAITING_RESPONSE, then lines 4-10 run),
+  ``settle`` (an accepted Response), ``wake`` (IDLE to WAITING_PROBE) and
+  ``process_new_restricted`` (lines 4-10).  The transitions that run lines
+  4-10 return the woken sessions, and the handler sends each an Update.  A
+  capacity change goes through ``set_capacity``, so ``B_e`` follows it;
+* a hop forwards the packet object it was given, as Figure 2 forwards the
+  message: a delivered packet belongs to the one handler running it, which
+  changes at most its ``lambda``/``eta`` (a Join or Probe clamped to
+  ``B_e``), its ``tau``/``eta`` (a Response) or its ``beta`` (a
+  SetBottleneck) before sending it on.  Only the Updates and Bottlenecks a
+  RouterLink sends to *other* sessions are new objects;
 * packet forwarding is delegated to the protocol orchestrator
   (:class:`~repro.core.protocol.BNeckProtocol`): a handler calls its
   ``forward_downstream``/``forward_upstream`` with the task itself as the
@@ -34,7 +42,7 @@ from repro.core.packets import (
     UPDATE,
     Update,
 )
-from repro.core.state import IDLE, WAITING_PROBE, WAITING_RESPONSE, LinkState
+from repro.core.state import IDLE, WAITING_PROBE, LinkState
 from repro.fairness.algebra import rates_equal
 from repro.simulator.process import Process
 
@@ -56,48 +64,45 @@ class RouterLinkTask(Process):
     def on_join(self, packet):
         """Figure 2, lines 12-16."""
         state = self.state
-        session_id = packet.session_id
-        state.add_restricted(session_id)
-        state.set_state(session_id, WAITING_RESPONSE)
-        for other_id in state.process_new_restricted():
+        for other_id in state.await_response(packet.session_id):
             self.protocol.forward_upstream(self, Update(other_id))
         # Forward the Join, lowered to B_e (naming this link as the
         # restriction) when its rate exceeds B_e.
         rate = state.bottleneck_rate
-        forwarded_rate, eta = packet.rate, packet.restricting_link
-        if forwarded_rate > rate and not rates_equal(forwarded_rate, rate):
-            forwarded_rate, eta = rate, self.link_id
-        self.protocol.forward_downstream(self, Join(session_id, forwarded_rate, eta))
+        if packet.rate > rate and not rates_equal(packet.rate, rate):
+            packet.rate = rate
+            packet.restricting_link = self.link_id
+        self.protocol.forward_downstream(self, packet)
 
     def on_probe(self, packet):
         """Figure 2, lines 30-36."""
         state = self.state
         session_id = packet.session_id
-        state.set_state(session_id, WAITING_RESPONSE)
-        if session_id in state.unrestricted:
-            state.add_restricted(session_id)
-        for other_id in state.process_new_restricted():
+        # Links are FIFO and a source probes only after its Join's Response
+        # and never after its Leave, so the Join has registered the session
+        # here and no Leave has removed it.
+        assert session_id in state.restricted or session_id in state.unrestricted, (
+            "Probe of session %r, unknown at link %r" % (session_id, self.link_id)
+        )
+        for other_id in state.await_response(session_id):
             self.protocol.forward_upstream(self, Update(other_id))
         # Forward the Probe, clamped to B_e as a Join is.
         rate = state.bottleneck_rate
-        forwarded_rate, eta = packet.rate, packet.restricting_link
-        if forwarded_rate > rate and not rates_equal(forwarded_rate, rate):
-            forwarded_rate, eta = rate, self.link_id
-        self.protocol.forward_downstream(self, Probe(session_id, forwarded_rate, eta))
+        if packet.rate > rate and not rates_equal(packet.rate, rate):
+            packet.rate = rate
+            packet.restricting_link = self.link_id
+        self.protocol.forward_downstream(self, packet)
 
     def on_response(self, packet):
         """Figure 2, lines 18-28."""
         state = self.state
         session_id = packet.session_id
-        tau = packet.tau
-        rate = packet.rate
-        eta = packet.restricting_link
-
-        if tau == UPDATE:
+        if packet.tau == UPDATE:
             state.set_state(session_id, WAITING_PROBE)
         else:
+            rate = packet.rate
             local_rate = state.bottleneck_rate
-            if eta == self.link_id:
+            if packet.restricting_link == self.link_id:
                 accepted = rates_equal(rate, local_rate)
             else:
                 accepted = rate <= local_rate or rates_equal(rate, local_rate)
@@ -107,20 +112,20 @@ class RouterLinkTask(Process):
                 # Either this link believed it was the restriction but its
                 # bottleneck rate changed meanwhile, or the rate now exceeds
                 # the local bottleneck rate: ask for a new Probe cycle.
-                tau = UPDATE
+                packet.tau = UPDATE
                 state.set_state(session_id, WAITING_PROBE)
             if state.all_restricted_settled():
-                tau = BOTTLENECK
-                eta = self.link_id
+                packet.tau = BOTTLENECK
+                packet.restricting_link = self.link_id
                 for other_id in sorted(state.restricted):
                     if other_id != session_id:
                         self.protocol.forward_upstream(self, Bottleneck(other_id))
-        self.protocol.forward_upstream(self, Response(session_id, tau, rate, eta))
+        self.protocol.forward_upstream(self, packet)
 
     def on_update(self, packet):
         """Figure 2, lines 38-40."""
         if self.state.wake(packet.session_id):
-            self.protocol.forward_upstream(self, Update(packet.session_id))
+            self.protocol.forward_upstream(self, packet)
 
     def on_bottleneck(self, packet):
         """Figure 2, lines 42-43."""
@@ -129,7 +134,7 @@ class RouterLinkTask(Process):
             state.state_of(packet.session_id) == IDLE
             and packet.session_id in state.restricted
         ):
-            self.protocol.forward_upstream(self, Bottleneck(packet.session_id))
+            self.protocol.forward_upstream(self, packet)
 
     def on_set_bottleneck(self, packet):
         """Figure 2, lines 45-55."""
@@ -141,7 +146,8 @@ class RouterLinkTask(Process):
         if state.all_restricted_settled():
             # This link is itself a bottleneck, so a bottleneck exists for the
             # session: forward with beta = TRUE.
-            self.protocol.forward_downstream(self, SetBottleneck(session_id, True))
+            packet.found_bottleneck = True
+            self.protocol.forward_downstream(self, packet)
             return
         if state.state_of(session_id) != IDLE or recorded is None:
             # A new Probe cycle for the session is already under way at this
@@ -156,13 +162,9 @@ class RouterLinkTask(Process):
                 state.wake(other_id)
                 self.protocol.forward_upstream(self, Update(other_id))
             state.add_unrestricted(session_id)
-            self.protocol.forward_downstream(
-                self, SetBottleneck(session_id, packet.found_bottleneck)
-            )
+            self.protocol.forward_downstream(self, packet)
         elif rates_equal(recorded, rate):
-            self.protocol.forward_downstream(
-                self, SetBottleneck(session_id, packet.found_bottleneck)
-            )
+            self.protocol.forward_downstream(self, packet)
 
     # --------------------------------------------------- capacity dynamics
 
@@ -230,7 +232,7 @@ class RouterLinkTask(Process):
         for other_id in to_update:
             state.wake(other_id)
             self.protocol.forward_upstream(self, Update(other_id))
-        self.protocol.forward_downstream(self, Leave(session_id))
+        self.protocol.forward_downstream(self, packet)
 
 
 # Packet class -> the unbound handler a delivery calls; the protocol resolves

@@ -18,23 +18,26 @@ that no handler step has to recount a set:
   above, whenever ``C_e``, ``|R_e|`` or the ``F_e`` load changes.  ``C_e`` is
   therefore written only through :meth:`LinkState.set_capacity`;
 * the *busy* count, the ``R_e`` members that are not IDLE:
-  :meth:`LinkState.all_restricted_settled` is false while any member is busy,
-  and :meth:`LinkState.settled_at` and the wake-up scan of
-  :meth:`LinkState.process_new_restricted` find nobody when every member is;
-* the *rate maxima*, the largest recorded rate in ``R_e`` and in ``F_e``
-  (``-inf`` when no member has one).  Nobody in ``R_e`` is recorded above
-  ``B_e`` when the ``R_e`` maximum is ``<= B_e``, nobody at a rate when it is
-  below that rate and not within tolerance of it, and nobody in ``F_e``
-  offends ``B_e`` when the ``F_e`` maximum is below it.  A maximum goes stale
-  (``None``) only when its holder lowers its rate or leaves the set, and is
-  recounted at its next read.
+  :meth:`LinkState.all_restricted_settled` is false while any member is
+  busy;
+* the *rate index*, a map from each recorded rate to the set of IDLE
+  ``R_e`` members recorded at it.  Every member of a bucket holds that rate,
+  so comparing a key with a rate compares each member exactly: the wake-up
+  scan of :meth:`LinkState.process_new_restricted`, :meth:`LinkState.settled_at`
+  and :meth:`LinkState.all_restricted_settled` walk the few distinct keys
+  instead of every ``R_e`` member, and the woken and settled ids they return
+  are sorted;
+* the ``F_e`` *rate maximum*, the largest recorded ``F_e`` rate (``-inf``
+  when no member has one): nobody in ``F_e`` offends ``B_e`` when it is
+  below ``B_e``.  It goes stale (``None``) only when its holder lowers its
+  rate or leaves ``F_e``, and is recounted at its next read.
 
-When no summary decides, the ``R_e`` scans run, and their results are sorted
-by id.
-
-Besides the single-field mutations, three methods perform whole transitions
+Besides the single-field mutations, four methods perform whole transitions
 of Figure 2, each in one call:
 
+* :meth:`LinkState.await_response` -- a Join or Probe arrives (lines 13-14
+  and 31-32): the session joins ``R_e`` as WAITING_RESPONSE and
+  ProcessNewRestricted runs;
 * :meth:`LinkState.settle` -- a Response is accepted: ``mu = IDLE`` and
   ``lambda`` recorded;
 * :meth:`LinkState.wake` -- an IDLE session is asked for a new Probe cycle
@@ -82,11 +85,13 @@ class LinkState(object):
         self._rate = {}                # session id -> lambda^e_s
         # The summaries below follow every mutation made through the methods
         # of this class: the sum of the F_e rates, the number of R_e members
-        # whose mu is not IDLE, and the largest recorded rate in R_e and in
-        # F_e (None while stale, until the next read recounts it).
+        # whose mu is not IDLE, the IDLE R_e members with a recorded rate by
+        # that rate (no empty bucket is kept), and the largest recorded rate
+        # in F_e (None while stale, until the next read recounts it).
         self._unrestricted_load = 0
         self._busy = 0
-        self._restricted_max = self._unrestricted_max = _NO_RATE
+        self._idle_by_rate = {}
+        self._unrestricted_max = _NO_RATE
         # Sets C_e and B_e (inf while R_e is empty).
         self.set_capacity(capacity)
 
@@ -123,21 +128,12 @@ class LinkState(object):
 
     def settled_at(self, rate):
         """Sorted ids of the IDLE ``R_e`` members recorded at ``rate``."""
-        if self._busy == len(self.restricted):
-            return []
-        largest = self._restricted_max
-        if largest is None:
-            largest = self._restricted_max = self._recomputed_restricted_max()
-        if largest < rate and not isclose(largest, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-            return []
-        mu_of = self._mu.get
-        rate_of = self._rate.get
-        return sorted([
-            session_id
-            for session_id in self.restricted
-            if mu_of(session_id, IDLE) == IDLE
-            and isclose(rate_of(session_id, _UNRECORDED), rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
-        ])
+        settled = []
+        for recorded, members in self._idle_by_rate.items():
+            if isclose(recorded, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+                settled.extend(members)
+        settled.sort()
+        return settled
 
     def _recomputed_bottleneck_rate(self):
         """``B_e`` from the stored capacity and the maintained ``F_e`` load,
@@ -154,18 +150,13 @@ class LinkState(object):
         """The non-IDLE R_e members counted from scratch; used by consistency tests."""
         return sum(self._mu.get(session_id, IDLE) != IDLE for session_id in self.restricted)
 
-    def _recomputed_restricted_max(self):
-        """The largest recorded R_e rate found from scratch; refreshes a stale
-        maximum and is used by consistency tests."""
-        rate_table = self._rate
-        return max(
-            [
-                rate_table[session_id]
-                for session_id in self.restricted
-                if session_id in rate_table
-            ],
-            default=_NO_RATE,
-        )
+    def _recomputed_idle_by_rate(self):
+        """The rate index built from scratch; used by consistency tests."""
+        index = {}
+        for session_id in self.restricted:
+            if self._mu.get(session_id, IDLE) == IDLE and session_id in self._rate:
+                index.setdefault(self._rate[session_id], set()).add(session_id)
+        return index
 
     def _recomputed_unrestricted_max(self):
         """The largest recorded F_e rate found from scratch; refreshes a stale
@@ -182,11 +173,35 @@ class LinkState(object):
 
     # ------------------------------------------------------------- mutations
 
+    def _index(self, session_id, rate):
+        """File an IDLE R_e member under its recorded rate."""
+        members = self._idle_by_rate.get(rate)
+        if members is None:
+            self._idle_by_rate[rate] = {session_id}
+        else:
+            members.add(session_id)
+
+    def _unindex(self, session_id, rate):
+        """Take an IDLE R_e member out of its rate's bucket."""
+        members = self._idle_by_rate[rate]
+        if len(members) == 1:
+            del self._idle_by_rate[rate]
+        else:
+            members.remove(session_id)
+
     def set_state(self, session_id, state):
         if state not in SESSION_STATES:
             raise ValueError("unknown session state %r" % (state,))
         if session_id in self.restricted:
-            self._busy += (state != IDLE) - (self._mu.get(session_id, IDLE) != IDLE)
+            was_idle = self._mu.get(session_id, IDLE) == IDLE
+            if was_idle != (state == IDLE):
+                self._busy += 1 if was_idle else -1
+                rate = self._rate.get(session_id)
+                if rate is not None:
+                    if was_idle:
+                        self._unindex(session_id, rate)
+                    else:
+                        self._index(session_id, rate)
         self._mu[session_id] = state
 
     def set_capacity(self, capacity):
@@ -206,17 +221,22 @@ class LinkState(object):
     def settle(self, session_id, rate):
         """An accepted Response: ``mu^e_s = IDLE`` and ``lambda^e_s = rate``,
         in one call."""
-        old = self._rate.get(session_id, 0)
+        old = self._rate.get(session_id)
         if session_id in self.restricted:
+            index = self._idle_by_rate
             if self._mu.get(session_id, IDLE) != IDLE:
                 self._busy -= 1
-            largest = self._restricted_max
-            if largest is not None:
-                if rate >= largest:
-                    self._restricted_max = rate
-                elif old == largest:
-                    self._restricted_max = None
+            elif old is not None:
+                self._unindex(session_id, old)
+            # _index, inlined: a Response settles at every hop.
+            members = index.get(rate)
+            if members is None:
+                index[rate] = {session_id}
+            else:
+                members.add(session_id)
         elif session_id in self.unrestricted:
+            if old is None:
+                old = 0
             self._unrestricted_load = self._unrestricted_load - old + rate
             restricted = self.restricted
             self.bottleneck_rate = (
@@ -249,8 +269,43 @@ class LinkState(object):
             return False
         if session_id in self.restricted:
             self._busy += 1
+            rate = self._rate.get(session_id)
+            if rate is not None:
+                # _unindex, inlined: Updates wake sessions at every hop.
+                members = self._idle_by_rate[rate]
+                if len(members) == 1:
+                    del self._idle_by_rate[rate]
+                else:
+                    members.remove(session_id)
         mu[session_id] = WAITING_PROBE
         return True
+
+    def await_response(self, session_id):
+        """A Join or Probe arrives, Figure 2, lines 13-14 and 31-32: put the
+        session in ``R_e`` (moving it from ``F_e`` if it is there), set
+        ``mu^e_s = WAITING_RESPONSE`` and run ProcessNewRestricted.  Returns
+        the sorted ids of the sessions it woke."""
+        restricted = self.restricted
+        if session_id in restricted:
+            if self._mu.get(session_id, IDLE) == IDLE:
+                self._busy += 1
+                rate = self._rate.get(session_id)
+                if rate is not None:
+                    # _unindex, inlined: a Probe arrives at every hop.
+                    members = self._idle_by_rate[rate]
+                    if len(members) == 1:
+                        del self._idle_by_rate[rate]
+                    else:
+                        members.remove(session_id)
+        else:
+            if session_id in self.unrestricted:
+                self.unrestricted.remove(session_id)
+                self._drop_unrestricted_rate(session_id)
+            restricted.add(session_id)
+            self._busy += 1
+        self._mu[session_id] = WAITING_RESPONSE
+        self.bottleneck_rate = (self.capacity - self._unrestricted_load) / len(restricted)
+        return self.process_new_restricted()
 
     def add_restricted(self, session_id):
         """Put the session in ``R_e`` (removing it from ``F_e`` if needed)."""
@@ -259,10 +314,10 @@ class LinkState(object):
             self._drop_unrestricted_rate(session_id)
         if session_id not in self.restricted:
             self.restricted.add(session_id)
-            self._busy += self._mu.get(session_id, IDLE) != IDLE
-            largest = self._restricted_max
-            if largest is not None and self._rate.get(session_id, _NO_RATE) > largest:
-                self._restricted_max = self._rate[session_id]
+            if self._mu.get(session_id, IDLE) != IDLE:
+                self._busy += 1
+            elif session_id in self._rate:
+                self._index(session_id, self._rate[session_id])
         self.bottleneck_rate = (self.capacity - self._unrestricted_load) / len(self.restricted)
 
     def add_unrestricted(self, session_id):
@@ -295,11 +350,10 @@ class LinkState(object):
     def _leave_restricted(self, session_id):
         if session_id in self.restricted:
             self.restricted.remove(session_id)
-            self._busy -= self._mu.get(session_id, IDLE) != IDLE
-            if not self.restricted:
-                self._restricted_max = _NO_RATE
-            elif self._rate.get(session_id) == self._restricted_max:
-                self._restricted_max = None
+            if self._mu.get(session_id, IDLE) != IDLE:
+                self._busy -= 1
+            elif session_id in self._rate:
+                self._unindex(session_id, self._rate[session_id])
 
     def _drop_unrestricted_rate(self, session_id):
         if self.unrestricted:
@@ -344,22 +398,20 @@ class LinkState(object):
                 self.add_restricted(session_id)
             rate = self.bottleneck_rate
 
-        restricted = self.restricted
-        if self._busy == len(restricted):
-            return []
-        largest = self._restricted_max
-        if largest is None:
-            largest = self._restricted_max = self._recomputed_restricted_max()
-        if largest <= rate:
-            return []
+        # Every member of a bucket recorded above B_e is woken: the bucket
+        # goes whole.
+        index = self._idle_by_rate
+        above = []
+        for recorded in index:
+            if recorded > rate and not isclose(recorded, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+                above.append(recorded)
+        if not above:
+            return above
+        woken = []
+        for recorded in above:
+            woken.extend(index.pop(recorded))
+        woken.sort()
         mu = self._mu
-        woken = sorted([
-            session_id
-            for session_id in restricted
-            if rate_table.get(session_id, _UNRECORDED) > rate
-            and mu.get(session_id, IDLE) == IDLE
-            and not isclose(rate_table[session_id], rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
-        ])
         for session_id in woken:
             mu[session_id] = WAITING_PROBE
         self._busy += len(woken)
@@ -371,18 +423,18 @@ class LinkState(object):
         """The bottleneck-detection condition of Figure 2, lines 25 and 46:
 
         every session in ``R_e`` is IDLE and recorded at exactly ``B_e``.
+        With no member busy, that is: every rate key is ``B_e`` and the
+        buckets hold all of ``R_e`` (none is unrecorded).
         """
         if self._busy or not self.restricted:
             return False
         rate = self.bottleneck_rate
-        mu = self._mu
-        rate_table = self._rate
-        for session_id in self.restricted:
-            if mu.get(session_id, IDLE) != IDLE or not isclose(
-                rate_table.get(session_id, _UNRECORDED), rate, rel_tol=REL_TOL, abs_tol=ABS_TOL
-            ):
+        settled = 0
+        for recorded, members in self._idle_by_rate.items():
+            if not isclose(recorded, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
                 return False
-        return True
+            settled += len(members)
+        return settled == len(self.restricted)
 
     def is_stable(self):
         """The per-link stability predicate of Definition 2."""

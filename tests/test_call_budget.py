@@ -30,7 +30,11 @@ became one call: ``B_e`` is a field instead of a method recomputing it,
 ``settle`` and ``wake`` fuse the state and rate changes of a Response and an
 Update, ProcessNewRestricted runs inside the link state, and the endpoints'
 delivery tables name their handlers instead of a ``receive`` that looks
-them up again.  Nearly every event is a packet delivery, so one more frame
+them up again; 4.6 once a RouterLink forwards the packet it received
+instead of building a new one per hop, a Join or Probe takes one link-state
+call (``await_response``) instead of two or three, and the link state indexes
+its IDLE ``R_e`` members by recorded rate, so no scan recounts a stale
+``R_e`` maximum.  Nearly every event is a packet delivery, so one more frame
 per packet adds about 1.0.  The default tracer must see no call at all per
 packet, and no delivery goes through :meth:`Process.receive`: the flash
 crowd makes none to ``record`` or to ``receive``.
@@ -70,8 +74,8 @@ from repro.simulator.process import Process
 from repro.simulator.tracing import PacketTracer
 
 SESSIONS = 40
-# Calls per processed event: the measured 5.6 plus half a frame per event.
-CALLS_PER_EVENT_BUDGET = 6.1
+# Calls per processed event: the measured 4.6 plus 0.4 of a frame per event.
+CALLS_PER_EVENT_BUDGET = 5.0
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 

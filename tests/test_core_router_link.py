@@ -3,7 +3,9 @@
 These tests drive a single RouterLinkTask directly, with a recorder in place of
 the protocol orchestrator, so each ``when received ...`` block of Figure 2 can
 be checked in isolation: which per-link state it mutates and which packets it
-forwards or originates.
+forwards or originates.  A hop forwards the very packet object it received,
+with at most its rate, restricting link, tau or beta changed; the Updates and
+Bottlenecks it sends to other sessions are new objects.
 """
 
 import pytest
@@ -246,3 +248,108 @@ class TestLeave(object):
     def test_leave_of_unknown_session_is_harmless(self, task, recorder):
         task.receive(Leave("ghost"), None)
         assert isinstance(recorder.downstream_packets()[0], Leave)
+
+
+def _no_one_else(task):
+    pass
+
+
+def _settled_alone(task):
+    settle(task, "s1", 100 * MBPS)
+
+
+def _waiting_alone(task):
+    task.state.add_restricted("s1")
+    task.state.set_state("s1", WAITING_RESPONSE)
+
+
+def _settled_below(task):
+    settle(task, "s1", 20 * MBPS)
+    settle(task, "s2", 40 * MBPS)
+
+
+# Each case: how to prepare the link, the packet to deliver, the direction it
+# is forwarded in and the fields it must carry then.
+FORWARDED = {
+    "join-clamped": (
+        _no_one_else, lambda: Join("s1", 500 * MBPS, ("h", "r1")), "downstream",
+        {"rate": 100 * MBPS, "restricting_link": LINK_ID}),
+    "join-unclamped": (
+        _no_one_else, lambda: Join("s1", 10 * MBPS, ("h", "r1")), "downstream",
+        {"rate": 10 * MBPS, "restricting_link": ("h", "r1")}),
+    "probe-clamped": (
+        _settled_alone, lambda: Probe("s1", 500 * MBPS, ("h", "r1")), "downstream",
+        {"rate": 100 * MBPS, "restricting_link": LINK_ID}),
+    "probe-unclamped": (
+        _settled_alone, lambda: Probe("s1", 10 * MBPS, ("h", "r1")), "downstream",
+        {"rate": 10 * MBPS, "restricting_link": ("h", "r1")}),
+    "response-bottleneck": (
+        _waiting_alone, lambda: Response("s1", RESPONSE, 100 * MBPS, ("r5", "r6")), "upstream",
+        {"tau": BOTTLENECK, "rate": 100 * MBPS, "restricting_link": LINK_ID}),
+    "response-accepted": (
+        _waiting_alone, lambda: Response("s1", RESPONSE, 30 * MBPS, ("r5", "r6")), "upstream",
+        {"tau": RESPONSE, "rate": 30 * MBPS, "restricting_link": ("r5", "r6")}),
+    "response-rejected": (
+        _waiting_alone, lambda: Response("s1", RESPONSE, 30 * MBPS, LINK_ID), "upstream",
+        {"tau": UPDATE, "rate": 30 * MBPS, "restricting_link": LINK_ID}),
+    "response-update": (
+        _waiting_alone, lambda: Response("s1", UPDATE, 30 * MBPS, ("r5", "r6")), "upstream",
+        {"tau": UPDATE, "rate": 30 * MBPS, "restricting_link": ("r5", "r6")}),
+    "update": (_settled_alone, lambda: Update("s1"), "upstream", {}),
+    "bottleneck": (_settled_alone, lambda: Bottleneck("s1"), "upstream", {}),
+    "set-bottleneck-here": (
+        _settled_alone, lambda: SetBottleneck("s1", False), "downstream",
+        {"found_bottleneck": True}),
+    "set-bottleneck-elsewhere": (
+        _settled_below, lambda: SetBottleneck("s1", False), "downstream",
+        {"found_bottleneck": False}),
+    "leave": (_settled_alone, lambda: Leave("s1"), "downstream", {}),
+}
+
+
+class TestForwardInPlace(object):
+    @pytest.mark.parametrize("case", sorted(FORWARDED))
+    def test_a_hop_forwards_the_packet_it_received(self, task, recorder, case):
+        prepare, make_packet, direction, fields = FORWARDED[case]
+        prepare(task)
+        packet = make_packet()
+        task.receive(packet, None)
+        sent = recorder.downstream if direction == "downstream" else recorder.upstream
+        forwarded = [p for _, p in sent if p.session_id == "s1"]
+        assert len(forwarded) == 1
+        assert forwarded[0] is packet
+        for name, value in fields.items():
+            assert getattr(packet, name) == value, name
+
+    def test_updates_to_other_sessions_are_new_packets(self, task, recorder):
+        settle(task, "a", 50 * MBPS)
+        settle(task, "b", 50 * MBPS)
+        join = Join("new", 500 * MBPS, ("h", "r1"))
+        task.receive(join, None)
+        updates = recorder.upstream_packets()
+        assert [(type(p), p.session_id) for p in updates] == [(Update, "a"), (Update, "b")]
+        assert updates[0] is not updates[1]
+        assert recorder.downstream_packets() == [join]
+
+    def test_bottlenecks_to_other_sessions_are_new_packets(self, task, recorder):
+        settle(task, "a", 100 * MBPS / 3)
+        settle(task, "b", 100 * MBPS / 3)
+        task.state.add_restricted("s1")
+        task.state.set_state("s1", WAITING_RESPONSE)
+        response = Response("s1", RESPONSE, 100 * MBPS / 3, LINK_ID)
+        task.receive(response, None)
+        sent = recorder.upstream_packets()
+        assert sent[-1] is response and response.tau == BOTTLENECK
+        bottlenecks = sent[:-1]
+        assert [(type(p), p.session_id) for p in bottlenecks] == [
+            (Bottleneck, "a"), (Bottleneck, "b")]
+        assert len({id(p) for p in sent}) == 3
+
+    def test_leave_wakes_others_with_new_updates(self, task, recorder):
+        settle(task, "leaving", 50 * MBPS)
+        settle(task, "staying", 50 * MBPS)
+        leave = Leave("leaving")
+        task.receive(leave, None)
+        assert recorder.downstream_packets() == [leave]
+        [update] = recorder.upstream_packets()
+        assert isinstance(update, Update) and update.session_id == "staying"

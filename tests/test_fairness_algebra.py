@@ -12,6 +12,7 @@ from repro.core.state import (
     REL_TOL,
     SESSION_STATES,
     WAITING_PROBE,
+    WAITING_RESPONSE,
     LinkState,
 )
 from repro.fairness.algebra import ABSOLUTE_TOLERANCE, RELATIVE_TOLERANCE, rates_equal
@@ -234,24 +235,31 @@ def assert_queries_match_full_scan(state):
     assert state.is_stable() == stable
 
 
-def reference_process_new_restricted(state):
-    """Figure 2, lines 4-10 by full scans with FloatAlgebra, over copies of
-    the state's sets and tables: ``(R_e, F_e, mu, B_e, woken ids)`` after it.
-
-    ``B_e`` is the state's expression over the same load, which a move out of
-    ``F_e`` lowers by the member's rate (re-anchored to 0 when ``F_e``
-    empties), so ties within the tolerance are decided on the same bits."""
-    restricted, unrestricted = set(state.restricted), set(state.unrestricted)
+def link_tables(state):
+    """Copies of a link state's ``R_e``, ``F_e``, rates, ``mu`` and F_e load,
+    the inputs of :func:`reference_process_new_restricted`."""
     rates = {
         session_id: state.rate_of(session_id)
         for session_id in state.sessions()
         if state.rate_of(session_id) is not None
     }
     mu = {session_id: state.state_of(session_id) for session_id in state.sessions()}
-    load = state.unrestricted_load()
+    return (
+        set(state.restricted), set(state.unrestricted), rates, mu, state.unrestricted_load()
+    )
+
+
+def reference_process_new_restricted(capacity, restricted, unrestricted, rates, mu, load):
+    """Figure 2, lines 4-10 by full scans with FloatAlgebra, over the tables
+    of :func:`link_tables` (updated in place): ``(R_e, F_e, mu, B_e, woken
+    ids)`` after it.
+
+    ``B_e`` is the state's expression over the same load, which a move out of
+    ``F_e`` lowers by the member's rate (re-anchored to 0 when ``F_e``
+    empties), so ties within the tolerance are decided on the same bits."""
 
     def bottleneck_rate():
-        return (state.capacity - load) / len(restricted) if restricted else math.inf
+        return (capacity - load) / len(restricted) if restricted else math.inf
 
     rate = bottleneck_rate()
     while unrestricted:
@@ -284,11 +292,13 @@ def reference_process_new_restricted(state):
     return restricted, unrestricted, mu, rate, woken
 
 
-def assert_process_new_restricted_matches_full_scan(state):
-    """process_new_restricted moves, wakes and returns what the full scans
-    do, and leaves every maintained summary equal to its recount."""
-    restricted, unrestricted, mu, rate, woken = reference_process_new_restricted(state)
-    assert state.process_new_restricted() == woken
+def assert_transition_matches(state, transition, expected):
+    """``transition()`` returns the woken ids of ``expected`` (a result of
+    :func:`reference_process_new_restricted`) and leaves the state with its
+    sets, ``mu`` and ``B_e``, and every maintained summary equal to its
+    recount."""
+    restricted, unrestricted, mu, rate, woken = expected
+    assert transition() == woken
     assert state.restricted == restricted
     assert state.unrestricted == unrestricted
     assert {session_id: state.state_of(session_id) for session_id in state.sessions()} == mu
@@ -296,22 +306,51 @@ def assert_process_new_restricted_matches_full_scan(state):
     assert_summaries_match_recount(state)
 
 
-# The busy count (non-IDLE R_e members), the R_e and F_e rate maxima that let
-# the scans exit early, and the B_e attribute must follow every mutation and
-# transition, in any order.
+def assert_process_new_restricted_matches_full_scan(state):
+    """process_new_restricted moves, wakes and returns what the full scans
+    do."""
+    expected = reference_process_new_restricted(state.capacity, *link_tables(state))
+    assert_transition_matches(state, state.process_new_restricted, expected)
+
+
+def assert_await_response_matches_full_scan(state, session_id):
+    """await_response puts the session in R_e as WAITING_RESPONSE (taking
+    its rate off the F_e load, re-anchored to 0 when F_e empties), then
+    moves, wakes and returns what the full scans do."""
+    restricted, unrestricted, rates, mu, load = link_tables(state)
+    if session_id in unrestricted:
+        unrestricted.remove(session_id)
+        load = load - rates.get(session_id, 0) if unrestricted else 0
+    restricted.add(session_id)
+    mu[session_id] = WAITING_RESPONSE
+    expected = reference_process_new_restricted(
+        state.capacity, restricted, unrestricted, rates, mu, load
+    )
+    assert_transition_matches(state, lambda: state.await_response(session_id), expected)
+    assert state.state_of(session_id) == WAITING_RESPONSE
+
+
+# The busy count (non-IDLE R_e members), the index of the IDLE R_e members by
+# recorded rate, the F_e rate maximum that lets the offender pass exit early,
+# and the B_e attribute must follow every mutation and transition, in any
+# order.
 
 MUTATIONS = [
     "add_restricted", "add_unrestricted", "set_state", "set_rate", "settle", "wake",
-    "set_capacity", "process_new_restricted", "forget",
+    "set_capacity", "process_new_restricted", "await_response", "forget",
 ]
 
 
 def assert_summaries_match_recount(state):
-    """The busy count and B_e equal their recounts, and each rate maximum
-    equals its recount or is stale (None) and so recounted at its next read."""
+    """The busy count, the rate index and B_e equal their recounts, and the
+    F_e rate maximum equals its recount or is stale (None) and so recounted
+    at its next read."""
     assert state._busy == state._recomputed_busy()
     assert state.bottleneck_rate == state._recomputed_bottleneck_rate()
-    assert state._restricted_max in (None, state._recomputed_restricted_max())
+    assert state._idle_by_rate == state._recomputed_idle_by_rate()
+    assert all(state._idle_by_rate.values()), "an empty bucket is kept"
+    for recorded, members in state._idle_by_rate.items():
+        assert all(state.rate_of(session_id) == recorded for session_id in members)
     assert state._unrestricted_max in (None, state._recomputed_unrestricted_max())
 
 
@@ -348,6 +387,8 @@ def test_busy_count_follows_every_mutation(data):
             state.set_capacity(state.capacity * data.draw(st.sampled_from([0.5, 2.0])))
         elif mutation == "process_new_restricted":
             assert_process_new_restricted_matches_full_scan(state)
+        elif mutation == "await_response":
+            assert_await_response_matches_full_scan(state, session_id)
         else:
             getattr(state, mutation)(session_id)
         assert_summaries_match_recount(state)

@@ -7,8 +7,8 @@ join at a non-finite time is refused before the session is registered, so a
 corrected retry succeeds.  A batch is checked whole against the protocol
 before any of it is replayed: a leave or change of a session that has not
 joined, a join id that is taken, a join router that is not a router, a
-router pair with no route and a bad access-link capacity or delay each
-raise a ``ValueError`` naming the action, with no host attached, no session
+router pair with no route, a route over a one-way router link and a bad
+access-link capacity or delay each raise a ``ValueError`` naming the action, with no host attached, no session
 registered and no event scheduled.  Each case runs on B-Neck and on the BFYZ
 baseline, whose simulators carry an event cap: a bad value that slipped
 through would fail a test rather than livelock it.
@@ -22,7 +22,7 @@ import pytest
 from repro.baselines.bfyz import BFYZProtocol
 from repro.core.actions import CapacityChangeAction, ChangeAction, JoinAction, LeaveAction
 from repro.core.protocol import BNeckProtocol
-from repro.network.topology import single_link_topology
+from repro.network.topology import line_topology, single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
 from repro.simulator.simulation import Simulator
@@ -194,3 +194,27 @@ def test_a_baseline_refuses_a_capacity_change_before_applying_the_batch():
             [_join("a", 10 * MBPS, at), CapacityChangeAction("r0", "r1", 50 * MBPS, at)]
         )
     assert _state(protocol) == before
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_a_join_over_a_one_way_router_link_changes_nothing(name):
+    """Upstream packets cross the reverse of every path link, so a route over
+    a one-way router link is refused before any host is attached."""
+    network = line_topology(3, capacity=100 * MBPS, delay=microseconds(1))
+    network.add_link("r2", "r0", 100 * MBPS, microseconds(1), bidirectional=False)
+    protocol = PROTOCOLS[name](network, simulator=Simulator(max_events=100000))
+    protocol.apply_actions([_routed_join("s0", "r0", "r2", 0.0)])
+    _settle(protocol)
+    at = protocol.simulator.now + 1e-3
+    batch = [_routed_join("a", "r0", "r2", at), _routed_join("b", "r2", "r0", at)]
+    before = _state(protocol)
+    with pytest.raises(ValueError, match=re.escape("%r routes over the one-way link 'r2' -> 'r0'"
+                                                   % (batch[1],))):
+        protocol.apply_actions(batch)
+    assert _state(protocol) == before
+    with pytest.raises(KeyError):
+        protocol.session("a")
+    # Without the one-way join the same batch applies and settles.
+    protocol.apply_actions(batch[:1])
+    _settle(protocol)
+    assert sorted(session.session_id for session in protocol.active_sessions()) == ["a", "s0"]

@@ -334,6 +334,7 @@ TEST_FIXTURES = {
     "LinkState._recomputed_bottleneck_rate",
     "LinkState._recomputed_unrestricted_load",
     "LinkState._recomputed_busy",
+    "LinkState._recomputed_idle_by_rate",
 }
 
 

@@ -14,11 +14,16 @@ After quiescence every run must satisfy:
 * the allocation passes :func:`~repro.core.validation.validate_against_oracle`
   (centralized B-Neck, water-filling and the max-min certificate);
 * every RouterLink and every active source is stable (Definition 2);
-* every link's incrementally maintained ``F_e`` load and count of busy
-  (non-IDLE) ``R_e`` members equal a recomputation.
+* every link's incrementally maintained ``F_e`` load, count of busy
+  (non-IDLE) ``R_e`` members and index of IDLE ``R_e`` members by recorded
+  rate equal a recomputation.
+
+And after every delivery of every run, no packet object is held by two
+pending deliveries: each hop forwards the packet it was given.
 """
 
 import math
+from functools import partial
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -139,6 +144,19 @@ def churn_and_capacity(protocol, links, churn, capacity_changes, base_us, joined
         )
 
 
+def run_checking_packet_ownership(protocol):
+    """Run to quiescence one event at a time; after each event, no packet
+    object is held by two pending heap entries.  A delivery's callback is
+    ``partial(handler, target, packet)``."""
+    simulator = protocol.simulator
+    while simulator.step():
+        assert simulator.events_processed <= simulator.max_events
+        packets = [
+            entry[2].args[1] for entry in simulator.heap if isinstance(entry[2], partial)
+        ]
+        assert len({id(packet) for packet in packets}) == len(packets), packets
+
+
 def assert_converged(protocol):
     assert protocol.quiescent
     result = validate_against_oracle(protocol)
@@ -153,7 +171,7 @@ def assert_converged(protocol):
         ), state
         assert state._busy == state._recomputed_busy() == 0, state
         assert state.bottleneck_rate == state._recomputed_bottleneck_rate(), state
-        assert state._restricted_max in (None, state._recomputed_restricted_max()), state
+        assert state._idle_by_rate == state._recomputed_idle_by_rate(), state
         assert state._unrestricted_max in (None, state._recomputed_unrestricted_max()), state
 
 
@@ -164,7 +182,7 @@ def test_churn_during_convergence(schedule):
     links, sessions, churn, capacity_changes = schedule
     protocol, joined_at = build(links, sessions)
     churn_and_capacity(protocol, links, churn, capacity_changes, 0, joined_at)
-    protocol.run_until_quiescent()
+    run_checking_packet_ownership(protocol)
     assert_converged(protocol)
     active = {"s%d" % index for index in range(len(sessions))}
     active -= {"s%d" % index for action, index, _, _ in churn if action == "leave"}
@@ -195,9 +213,9 @@ def test_churn_after_quiescence(schedule):
     """The same actions, but against a converged network: it must reconverge."""
     links, sessions, churn, capacity_changes = schedule
     protocol, _ = build(links, sessions)
-    protocol.run_until_quiescent()
+    run_checking_packet_ownership(protocol)
     assert_converged(protocol)
     base_us = int(math.ceil(protocol.simulator.now / microseconds(1)))
     churn_and_capacity(protocol, links, churn, capacity_changes, base_us)
-    protocol.run_until_quiescent()
+    run_checking_packet_ownership(protocol)
     assert_converged(protocol)
