@@ -8,7 +8,8 @@ carries the action indicator ``tau`` (one of ``RESPONSE``, ``UPDATE``,
 that no link confirmed itself as a bottleneck for the session.
 
 Each packet class's ``kind`` is its type's index in :data:`PACKET_TYPES`,
-the list of type names the packet tracer counts by.
+the list of type names the packet tracer counts by, and
+:data:`PACKET_CLASSES` lists the seven classes in that order.
 
 A packet object is built where its message starts: at a source, at a
 destination, or at a RouterLink that sends an Update or Bottleneck to another
@@ -155,3 +156,6 @@ class Leave(_Packet):
     type_name = "Leave"
     kind = PACKET_TYPES.index(type_name)
     __slots__ = ()
+
+
+PACKET_CLASSES = (Join, Probe, Response, Update, Bottleneck, SetBottleneck, Leave)

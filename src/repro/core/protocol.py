@@ -10,9 +10,9 @@ network and a discrete-event simulator:
 * it routes packets hop by hop along session paths (downstream) and reverse
   paths (upstream), applying each link's control-packet delay and counting
   every transmission in its session's list of per-type counts, which the
-  :class:`~repro.simulator.tracing.PacketTracer` owns; each hop is one entry
-  on the simulator's event heap whose callback is the receiving task's
-  handler for the packet;
+  :class:`~repro.simulator.tracing.PacketTracer` owns; each hop is one
+  ``(time, sequence, handler, target, packet)`` entry on the simulator's
+  event heap, and its delivery is the call ``handler(target, packet)``;
 * it exposes the session API (``join`` / ``leave`` / ``change``), delivers
   every ``API.Rate`` notification, and provides quiescence and allocation
   helpers used by the experiments and tests.
@@ -33,7 +33,6 @@ synchronously, ahead of the delivery.
 """
 
 import math
-from functools import partial
 from heapq import heappush
 
 from repro.core.actions import (
@@ -43,13 +42,13 @@ from repro.core.actions import (
 )
 from repro.core.api import SessionApplication
 from repro.core.destination_node import DestinationNodeTask
-from repro.core.packets import PACKET_TYPES
+from repro.core.packets import PACKET_CLASSES
 from repro.core.router_link import RouterLinkTask
 from repro.core.source_node import SourceNodeTask
 from repro.fairness.allocation import RateAllocation
 from repro.network.routing import PathComputer, path_links
 from repro.network.session import Session, SessionRegistry, check_demand
-from repro.simulator.simulation import ENTRY_TAG, Simulator
+from repro.simulator.simulation import Simulator
 from repro.simulator.tracing import PacketTracer
 
 DOWNSTREAM = "downstream"
@@ -94,11 +93,12 @@ class BNeckProtocol(object):
     :func:`_wire_stage` stores both once per stage, so a hop resolves no
     link.  The ``forward_*`` method does the whole send: it looks the
     packet's handler up in the target's ``delivery`` table, counts the
-    packet, and pushes one ``(time, sequence, callback, type name)`` entry
-    onto the simulator's heap, drawing one sequence number.  The callback is
-    the handler bound to the target and the packet, so a delivery runs no
-    frame before it.  :meth:`join` resolves every reverse link first, so a
-    path over a one-way link is refused before anything is registered.
+    packet, and pushes one ``(time, sequence, handler, target, packet)``
+    entry onto the simulator's heap, drawing one sequence number.  The
+    handler is the unbound ``on_*`` function itself, so a delivery builds no
+    closure and runs no frame before it.  :meth:`join` resolves every
+    reverse link first, so a path over a one-way link is refused before
+    anything is registered.
 
     Counting: each session's wiring holds the tracer's list of its per-type
     counts (``sent``), and a send adds one to the slot of the packet's
@@ -153,9 +153,9 @@ class BNeckProtocol(object):
 
     @property
     def in_flight_packets(self):
-        """Control packets on a link: the heap entries tagged with a packet
-        type, recounted from the simulator's heap on every read."""
-        return sum(1 for entry in self.simulator.heap if entry[ENTRY_TAG] in PACKET_TYPES)
+        """Control packets on a link: the heap entries whose last field is a
+        packet, recounted from the simulator's heap on every read."""
+        return sum(1 for entry in self.simulator.heap if isinstance(entry[4], PACKET_CLASSES))
 
     # ------------------------------------------------------------------ actions
 
@@ -339,13 +339,13 @@ class BNeckProtocol(object):
         except KeyError:
             raise _unhandled(target, packet) from None
         now = self.simulator.now
-        type_name = packet.type_name
         if self._timed:
-            self._tracer.record(now, type_name, packet.session_id, sender.link_id, DOWNSTREAM)
+            self._tracer.record(now, packet.type_name, packet.session_id, sender.link_id,
+                                DOWNSTREAM)
         else:
             wiring.sent[packet.kind] += 1
         heappush(self._heap, (now + sender.hop_delay, next(self._sequence),
-                              partial(handler, target, packet), type_name))
+                              handler, target, packet))
 
     def forward_upstream(self, sender, packet):
         """Send ``packet`` from stage ``sender`` to the previous stage of its
@@ -365,13 +365,13 @@ class BNeckProtocol(object):
         except KeyError:
             raise _unhandled(target, packet) from None
         now = self.simulator.now
-        type_name = packet.type_name
         if self._timed:
-            self._tracer.record(now, type_name, packet.session_id, target.back_key, UPSTREAM)
+            self._tracer.record(now, packet.type_name, packet.session_id, target.back_key,
+                                UPSTREAM)
         else:
             wiring.sent[packet.kind] += 1
         heappush(self._heap, (now + target.back_delay, next(self._sequence),
-                              partial(handler, target, packet), type_name))
+                              handler, target, packet))
 
     def forward_upstream_from_destination(self, session_id, packet):
         """Send a packet upstream from the destination node of ``session_id``."""
@@ -383,13 +383,13 @@ class BNeckProtocol(object):
         except KeyError:
             raise _unhandled(target, packet) from None
         now = self.simulator.now
-        type_name = packet.type_name
         if self._timed:
-            self._tracer.record(now, type_name, packet.session_id, target.back_key, UPSTREAM)
+            self._tracer.record(now, packet.type_name, packet.session_id, target.back_key,
+                                UPSTREAM)
         else:
             wiring.sent[packet.kind] += 1
         heappush(self._heap, (now + target.back_delay, next(self._sequence),
-                              partial(handler, target, packet), type_name))
+                              handler, target, packet))
 
     # --------------------------------------------------------------- API.Rate
 

@@ -6,9 +6,14 @@ for every session whose path crosses the link, in a
 transcription of Figure 2, with four presentational differences:
 
 * rates are floats, so ``==``/``<`` are the tolerance compares of
-  :mod:`repro.fairness.algebra`: ``rates_equal`` and plain float compares;
+  :mod:`repro.fairness.algebra`, written inline as :mod:`repro.core.state`
+  writes them: ``a == b`` is ``isclose(a, b, rel_tol=REL_TOL,
+  abs_tol=ABS_TOL)`` and ``a < b`` is ``a < b and not isclose(...)``, so no
+  compare puts a frame on a packet's path;
 * each step of a handler on the link's state is one call to the link state,
-  which keeps ``B_e`` as its attribute ``bottleneck_rate`` and performs
+  which keeps ``B_e`` as its attribute ``bottleneck_rate``, answers a
+  handler's test of a session in one query (``idle_restricted``: IDLE in
+  ``R_e``; ``idle_rate``: the rate an IDLE session recorded) and performs
   Figure 2's transitions whole: ``await_response`` (a Join or Probe arrives:
   the session joins ``R_e`` as WAITING_RESPONSE, then lines 4-10 run),
   ``settle`` (an accepted Response), ``wake`` (IDLE to WAITING_PROBE) and
@@ -31,6 +36,8 @@ transcription of Figure 2, with four presentational differences:
   table when it sends, so a delivery calls the ``on_*`` handler directly.
 """
 
+from math import isclose
+
 from repro.core.packets import (
     BOTTLENECK,
     Bottleneck,
@@ -43,7 +50,8 @@ from repro.core.packets import (
     Update,
 )
 from repro.core.state import IDLE, WAITING_PROBE, LinkState
-from repro.fairness.algebra import rates_equal
+from repro.fairness.algebra import ABSOLUTE_TOLERANCE as ABS_TOL
+from repro.fairness.algebra import RELATIVE_TOLERANCE as REL_TOL
 from repro.simulator.process import Process
 
 
@@ -69,7 +77,7 @@ class RouterLinkTask(Process):
         # Forward the Join, lowered to B_e (naming this link as the
         # restriction) when its rate exceeds B_e.
         rate = state.bottleneck_rate
-        if packet.rate > rate and not rates_equal(packet.rate, rate):
+        if packet.rate > rate and not isclose(packet.rate, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
             packet.rate = rate
             packet.restricting_link = self.link_id
         self.protocol.forward_downstream(self, packet)
@@ -88,7 +96,7 @@ class RouterLinkTask(Process):
             self.protocol.forward_upstream(self, Update(other_id))
         # Forward the Probe, clamped to B_e as a Join is.
         rate = state.bottleneck_rate
-        if packet.rate > rate and not rates_equal(packet.rate, rate):
+        if packet.rate > rate and not isclose(packet.rate, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
             packet.rate = rate
             packet.restricting_link = self.link_id
         self.protocol.forward_downstream(self, packet)
@@ -103,9 +111,10 @@ class RouterLinkTask(Process):
             rate = packet.rate
             local_rate = state.bottleneck_rate
             if packet.restricting_link == self.link_id:
-                accepted = rates_equal(rate, local_rate)
+                accepted = isclose(rate, local_rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
             else:
-                accepted = rate <= local_rate or rates_equal(rate, local_rate)
+                accepted = rate <= local_rate or isclose(
+                    rate, local_rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
             if accepted:
                 state.settle(session_id, rate)
             else:
@@ -129,32 +138,27 @@ class RouterLinkTask(Process):
 
     def on_bottleneck(self, packet):
         """Figure 2, lines 42-43."""
-        state = self.state
-        if (
-            state.state_of(packet.session_id) == IDLE
-            and packet.session_id in state.restricted
-        ):
+        if self.state.idle_restricted(packet.session_id):
             self.protocol.forward_upstream(self, packet)
 
     def on_set_bottleneck(self, packet):
         """Figure 2, lines 45-55."""
         state = self.state
-        session_id = packet.session_id
-        rate = state.bottleneck_rate
-        recorded = state.rate_of(session_id)
-
         if state.all_restricted_settled():
             # This link is itself a bottleneck, so a bottleneck exists for the
             # session: forward with beta = TRUE.
             packet.found_bottleneck = True
             self.protocol.forward_downstream(self, packet)
             return
-        if state.state_of(session_id) != IDLE or recorded is None:
+        session_id = packet.session_id
+        recorded = state.idle_rate(session_id)
+        if recorded is None:
             # A new Probe cycle for the session is already under way at this
             # link; the stale SetBottleneck is dropped (also below when the
             # recorded rate exceeds B_e).
             return
-        if recorded < rate and not rates_equal(recorded, rate):
+        rate = state.bottleneck_rate
+        if recorded < rate and not isclose(recorded, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
             # The session is not restricted here: move it to F_e and wake the
             # sessions that were settled at the old bottleneck rate, since the
             # recomputed B_e can only grow.
@@ -163,7 +167,7 @@ class RouterLinkTask(Process):
                 self.protocol.forward_upstream(self, Update(other_id))
             state.add_unrestricted(session_id)
             self.protocol.forward_downstream(self, packet)
-        elif rates_equal(recorded, rate):
+        elif isclose(recorded, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
             self.protocol.forward_downstream(self, packet)
 
     # --------------------------------------------------- capacity dynamics
@@ -193,7 +197,11 @@ class RouterLinkTask(Process):
         if not state.restricted and not state.unrestricted:
             return
         load = state.unrestricted_load()
-        if not state.restricted and load > new_capacity and not rates_equal(load, new_capacity):
+        if (
+            not state.restricted
+            and load > new_capacity
+            and not isclose(load, new_capacity, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+        ):
             # With R_e empty, B_e is infinite and process_new_restricted is
             # inert -- yet a deep capacity drop can leave the F_e load alone
             # exceeding C_e.  Seed the recomputation by pulling the
@@ -206,15 +214,15 @@ class RouterLinkTask(Process):
                 victim = min(
                     session_id
                     for session_id, rate in rated
-                    if rates_equal(rate, largest)
+                    if isclose(rate, largest, rel_tol=REL_TOL, abs_tol=ABS_TOL)
                 )
                 state.add_restricted(victim)
         for session_id in state.process_new_restricted():
             self.protocol.forward_upstream(self, Update(session_id))
         rate = state.bottleneck_rate
         for session_id in sorted(state.restricted):
-            if state.state_of(session_id) == IDLE and not rates_equal(
-                state.rate_of(session_id) or 0.0, rate
+            if state.state_of(session_id) == IDLE and not isclose(
+                state.rate_of(session_id) or 0.0, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL
             ):
                 state.wake(session_id)
                 self.protocol.forward_upstream(self, Update(session_id))

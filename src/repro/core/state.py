@@ -113,6 +113,17 @@ class LinkState(object):
         """``lambda^e_s`` (``None`` when the link has not recorded one yet)."""
         return self._rate.get(session_id)
 
+    def idle_restricted(self, session_id):
+        """True when the session is in ``R_e`` with ``mu^e_s = IDLE``."""
+        return session_id in self.restricted and self._mu.get(session_id, IDLE) == IDLE
+
+    def idle_rate(self, session_id):
+        """``lambda^e_s`` of an IDLE session; ``None`` when ``mu^e_s`` is not
+        IDLE or the link has not recorded a rate."""
+        if self._mu.get(session_id, IDLE) != IDLE:
+            return None
+        return self._rate.get(session_id)
+
     def unrestricted_load(self):
         """The maintained sum of the ``F_e`` rates (unknown rates count as 0)."""
         return self._unrestricted_load

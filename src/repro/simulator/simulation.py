@@ -26,16 +26,21 @@ random seed -- a requirement for the regression tests that compare distributed
 B-Neck against the centralized oracle.
 
 ``Simulator.heap`` is a :mod:`heapq` list of plain ``(time, sequence,
-callback, tag)`` tuples, and ``Simulator.sequence`` is the
-:func:`itertools.count` every entry draws its sequence number from.  Tuple
-comparisons run entirely in C, so sift-up and sift-down never call back into
-Python on the hot path, and an entry allocates nothing beyond its tuple.  The
-two attributes are the packet path's whole interface: the B-Neck protocol's
-``forward_*`` methods push every delivery onto ``heap`` drawing one
-``next(sequence)``, which is exactly what :meth:`Simulator.schedule_at` does,
-and the drain loop pops the head with ``heappop``.  Times are finite and never
-behind the clock: :meth:`Simulator.schedule`, :meth:`Simulator.schedule_at`
-and ``run(until=)`` reject any other value.
+handler, target, packet)`` tuples, and ``Simulator.sequence`` is the
+:func:`itertools.count` every entry draws its sequence number from.  Running
+an entry is the call ``handler(target, packet)``.  No two entries share a
+``(time, sequence)`` pair, so tuple comparisons run entirely in C and never
+reach the last three fields: sift-up and sift-down never call back into
+Python, and an entry allocates nothing beyond its tuple.  The two attributes
+are the packet path's whole interface: the B-Neck protocol's ``forward_*``
+methods push every delivery onto ``heap`` as the receiving task's unbound
+handler, the task and the packet, drawing one ``next(sequence)``, and the
+drain loop pops the head with ``heappop`` and makes the call.  The rare
+callbacks of :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at`
+take the same shape: their entry is ``(time, sequence, _call, callback,
+tag)``, where ``_call(callback, tag)`` calls ``callback()``.  Times are
+finite and never behind the clock: :meth:`Simulator.schedule`,
+:meth:`Simulator.schedule_at` and ``run(until=)`` reject any other value.
 
 End-of-instant batching
 -----------------------
@@ -73,8 +78,11 @@ from heapq import heappop, heappush
 
 from repro.simulator.errors import SimulationLimitExceeded
 
-# Index of the tag in a ``(time, sequence, callback, tag)`` heap entry.
-ENTRY_TAG = 3
+
+def _call(callback, tag):
+    """The handler of a :meth:`Simulator.schedule` entry: run its callback
+    (the tag only labels the entry)."""
+    callback()
 
 
 class Simulator(object):
@@ -88,10 +96,12 @@ class Simulator(object):
     Attributes:
         now: current simulation time in seconds.  Only the run loop writes
             it.
-        heap: the pending ``(time, sequence, callback, tag)`` entries, a
-            :mod:`heapq` list.  Pushing ``(time, next(sequence), callback,
-            tag)`` onto it directly, with ``now <= time < inf``, is
-            equivalent to :meth:`schedule_at`; nothing else may write to it.
+        heap: the pending ``(time, sequence, handler, target, packet)``
+            entries, a :mod:`heapq` list; an entry runs as ``handler(target,
+            packet)``.  Pushing ``(time, next(sequence), handler, target,
+            packet)`` onto it directly, with ``now <= time < inf``, is
+            equivalent to scheduling that call with :meth:`schedule_at`;
+            nothing else may write to it.
         sequence: the insertion counter (an :func:`itertools.count`) every
             entry draws its tie-breaking sequence number from.
     """
@@ -109,7 +119,11 @@ class Simulator(object):
 
     @property
     def events_processed(self):
-        """Number of events executed so far."""
+        """Number of events executed so far.
+
+        Exact between runs, also after a callback raised.  While a run with
+        no horizon and no limits drains the heap, it is brought up to date
+        only when the drain returns or raises."""
         return self._events_processed
 
     @property
@@ -126,7 +140,7 @@ class Simulator(object):
         """
         if not 0 <= delay < math.inf:
             raise ValueError("delay must be finite and non-negative, got %r" % (delay,))
-        heappush(self.heap, (self.now + delay, next(self.sequence), callback, tag))
+        heappush(self.heap, (self.now + delay, next(self.sequence), _call, callback, tag))
 
     def schedule_at(self, time, callback, tag=None):
         """Schedule ``callback`` at an absolute simulation time.
@@ -138,7 +152,7 @@ class Simulator(object):
                 "event time must be finite and not in the past (now=%r), got %r"
                 % (self.now, time)
             )
-        heappush(self.heap, (time, next(self.sequence), callback, tag))
+        heappush(self.heap, (time, next(self.sequence), _call, callback, tag))
 
     def call_at_instant_end(self, callback):
         """Defer ``callback`` to the end of the current instant.
@@ -177,10 +191,9 @@ class Simulator(object):
             return True
         if not self.heap:
             return False
-        entry = heappop(self.heap)
-        self.now = entry[0]
+        self.now, _, handler, target, packet = heappop(self.heap)
         self._events_processed += 1
-        entry[2]()
+        handler(target, packet)
         return True
 
     def _unconstrained(self):
@@ -237,19 +250,24 @@ class Simulator(object):
 
         Processes exactly the same events in exactly the same order as the
         general loop; it only skips the per-event limit checks, which are
-        no-ops when ``max_events``/``max_time`` are unset.
+        no-ops when ``max_events``/``max_time`` are unset.  It counts the
+        events it runs in a local and adds them to ``events_processed`` on
+        the way out, also when a callback raises.
         """
         heap = self.heap
-        while True:
-            if self._instant_callbacks and self._instant_finished():
-                self._flush_instant()
-                continue
-            if not heap:
-                break
-            entry = heappop(heap)
-            self.now = entry[0]
-            self._events_processed += 1
-            entry[2]()
+        processed = 0
+        try:
+            while True:
+                if self._instant_callbacks and self._instant_finished():
+                    self._flush_instant()
+                    continue
+                if not heap:
+                    break
+                self.now, _, handler, target, packet = heappop(heap)
+                processed += 1
+                handler(target, packet)
+        finally:
+            self._events_processed += processed
 
     def run_until_quiescent(self):
         """Run until the event heap drains and return the quiescence time.

@@ -2,9 +2,9 @@
 
 A ``forward_*`` call is a packet's whole send: it resolves the target
 stage and the target's handler for the packet, counts the packet, and
-pushes one entry onto the simulator's heap whose callback is that handler
-bound to the target and the packet.  These tests
-pin down what that path promises:
+pushes one ``(time, sequence, handler, target, packet)`` entry onto the
+simulator's heap, whose delivery is the call ``handler(target, packet)``.
+These tests pin down what that path promises:
 
 * ``in_flight_packets`` is a recount of the queued packet deliveries at
   any point of a run, never counts a pending API call, and is 0 at the
@@ -37,6 +37,7 @@ from repro.core.router_link import RouterLinkTask
 from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
+from repro.simulator.process import Process
 from repro.simulator.tracing import PacketTracer
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import NetworkScenario
@@ -54,12 +55,12 @@ class Stray(Update):
 
 
 def _queued_deliveries(protocol):
-    """Queued entries whose callback delivers a packet to a stage, counted
-    from the callbacks themselves rather than from the entries' tags."""
+    """Queued entries that deliver a packet to a stage, counted from their
+    target and packet fields rather than from the packet alone."""
     return sum(
         1
         for entry in protocol.simulator.heap
-        if isinstance(entry[2], partial) and isinstance(entry[2].args[-1], PACKET_CLASSES)
+        if isinstance(entry[3], Process) and isinstance(entry[4], PACKET_CLASSES)
     )
 
 
@@ -113,7 +114,7 @@ def test_in_flight_packets_skip_a_pending_join():
     protocol.open_session(late_source.node_id, late_sink.node_id, session_id="late", at=1.0)
 
     def pending_joins():
-        return [entry[3] for entry in simulator.heap].count("API.Join")
+        return [entry[4] for entry in simulator.heap].count("API.Join")
 
     # Run until every join but the late one has fired.
     while pending_joins() > 1:
@@ -135,16 +136,20 @@ def test_no_packet_in_flight_at_the_quiescence_of_every_golden(key):
     assert protocol.in_flight_packets == 0
 
 
+def _is_join_to_a_router_link(entry):
+    return isinstance(entry[4], Join) and isinstance(entry[3], RouterLinkTask)
+
+
 def test_each_queued_delivery_calls_the_handler_itself():
     protocol = _mass_join(MASS_JOIN_KEY, BNeckProtocol)
     simulator = protocol.simulator
-    while not any(entry[3] == "Join" and isinstance(entry[2].args[0], RouterLinkTask)
-                  for entry in simulator.heap):
+    while not any(_is_join_to_a_router_link(entry) for entry in simulator.heap):
         assert simulator.step()
     for entry in simulator.heap:
-        if entry[3] == "Join" and isinstance(entry[2].args[0], RouterLinkTask):
-            assert entry[2].func is RouterLinkTask.on_join
-            assert len(entry) == 4
+        assert len(entry) == 5
+        assert not isinstance(entry[2], partial)
+        if _is_join_to_a_router_link(entry):
+            assert entry[2] is RouterLinkTask.on_join
 
 
 # ---------------------------------------------------------- unknown packets

@@ -72,15 +72,11 @@ class TestRatesEqual(object):
         assert not at_most(math.inf, 1e9)
 
 
-def test_the_protocol_compares_with_the_one_rates_equal():
-    assert router_link.rates_equal is rates_equal
-    assert source_node.rates_equal is rates_equal
-
-
 # --------------------------------------------------------------------------
 # Every compare -- rates_equal, the oracles' at_most and the protocol's
-# inlined float compares (repro.core.state) -- must decide exactly as the
-# reference FloatAlgebra above does, on every pair of rates.
+# inlined float compares (repro.core.state, repro.core.router_link) -- must
+# decide exactly as the reference FloatAlgebra above does, on every pair of
+# rates.
 
 SPECIAL_RATES = st.sampled_from([0.0, -0.0, math.inf, -math.inf])
 PLAIN_RATES = st.floats(0.0, 1e9, allow_nan=False)
@@ -119,6 +115,8 @@ def inline_greater_equal(first, second):
 
 def test_protocol_tolerances_are_the_library_tolerances():
     assert (REL_TOL, ABS_TOL) == (RELATIVE_TOLERANCE, ABSOLUTE_TOLERANCE)
+    assert (router_link.REL_TOL, router_link.ABS_TOL) == (RELATIVE_TOLERANCE, ABSOLUTE_TOLERANCE)
+    assert source_node.rates_equal is rates_equal
 
 
 @settings(max_examples=1500, deadline=None)
@@ -233,6 +231,10 @@ def assert_queries_match_full_scan(state):
         )
     )
     assert state.is_stable() == stable
+    for session_id in sorted(state.sessions()) + ["unknown"]:
+        idle = state.state_of(session_id) == IDLE
+        assert state.idle_restricted(session_id) == (idle and session_id in state.restricted)
+        assert state.idle_rate(session_id) == (state.rate_of(session_id) if idle else None)
 
 
 def link_tables(state):

@@ -23,10 +23,10 @@ pending deliveries: each hop forwards the packet it was given.
 """
 
 import math
-from functools import partial
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.packets import PACKET_CLASSES
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
 from repro.network.graph import Network
@@ -146,15 +146,20 @@ def churn_and_capacity(protocol, links, churn, capacity_changes, base_us, joined
 
 def run_checking_packet_ownership(protocol):
     """Run to quiescence one event at a time; after each event, no packet
-    object is held by two pending heap entries.  A delivery's callback is
-    ``partial(handler, target, packet)``."""
+    object is held by two pending heap entries.  A delivery's entry is
+    ``(time, sequence, handler, target, packet)``.  Every run this is given
+    has a join or a leave to send, so a run that never sees a pending packet
+    has missed the deliveries and would pass vacuously."""
     simulator = protocol.simulator
+    seen = 0
     while simulator.step():
         assert simulator.events_processed <= simulator.max_events
         packets = [
-            entry[2].args[1] for entry in simulator.heap if isinstance(entry[2], partial)
+            entry[4] for entry in simulator.heap if isinstance(entry[4], PACKET_CLASSES)
         ]
         assert len({id(packet) for packet in packets}) == len(packets), packets
+        seen += len(packets)
+    assert seen > 0
 
 
 def assert_converged(protocol):

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from repro.simulator.errors import SimulationLimitExceeded
-from repro.simulator.simulation import Simulator
+from repro.simulator.simulation import Simulator, _call
 
 
 def test_clock_starts_at_zero(simulator):
@@ -137,29 +137,40 @@ def test_many_events_keep_global_order(simulator):
     assert fired == sorted(times)
 
 
-def test_every_heap_entry_is_a_plain_four_tuple(simulator):
+def test_every_heap_entry_is_a_plain_five_tuple(simulator):
     def callback():
         pass
 
     simulator.schedule(0.5, callback, tag="relative")
     simulator.schedule_at(0.25, callback, tag="absolute")
     assert sorted(simulator.heap) == [
-        (0.25, 1, callback, "absolute"),
-        (0.5, 0, callback, "relative"),
+        (0.25, 1, _call, callback, "absolute"),
+        (0.5, 0, _call, callback, "relative"),
     ]
 
 
+def test_a_scheduled_entry_runs_its_callback_through_the_trampoline(simulator):
+    fired = []
+    simulator.schedule(0.5, lambda: fired.append(simulator.now), tag="tagged")
+    time, _, handler, callback, tag = simulator.heap[0]
+    assert (time, handler, tag) == (0.5, _call, "tagged")
+    handler(callback, tag)
+    assert fired == [0.0]
+
+
 # ------------------------------------------------------------ bare entries
-# A bare entry is pushed straight onto the public heap, as the protocol
-# pushes every packet delivery, instead of going through schedule().
+# A bare entry ``(time, sequence, handler, target, packet)`` is pushed
+# straight onto the public heap, as the protocol pushes every packet
+# delivery, instead of going through schedule(); it runs as
+# ``handler(target, packet)``.
 
 
 def test_bare_entries_fire_in_order_with_events(simulator):
     fired = []
     heap, sequence = simulator.heap, simulator.sequence
     simulator.schedule(0.2, lambda: fired.append("event"))
-    heapq.heappush(heap, (0.1, next(sequence), lambda: fired.append("bare-early"), "bare"))
-    heapq.heappush(heap, (0.2, next(sequence), lambda: fired.append("bare-tied"), "bare"))
+    heapq.heappush(heap, (0.1, next(sequence), list.append, fired, "bare-early"))
+    heapq.heappush(heap, (0.2, next(sequence), list.append, fired, "bare-tied"))
     simulator.run_until_quiescent()
     # The tie at t=0.2 breaks by sequence number: the event came first.
     assert fired == ["bare-early", "event", "bare-tied"]
@@ -167,7 +178,7 @@ def test_bare_entries_fire_in_order_with_events(simulator):
 
 
 def test_bare_entries_count_as_pending(simulator):
-    heapq.heappush(simulator.heap, (0.5, next(simulator.sequence), lambda: None, "bare"))
+    heapq.heappush(simulator.heap, (0.5, next(simulator.sequence), list.append, [], "bare"))
     assert simulator.pending_events == 1
     simulator.run_until_quiescent()
     assert simulator.pending_events == 0
@@ -176,8 +187,7 @@ def test_bare_entries_count_as_pending(simulator):
 def test_bare_entries_interleave_with_events_by_sequence_number(simulator):
     fired = []
     simulator.schedule_at(1.0, lambda: fired.append("event"))
-    heapq.heappush(simulator.heap, (1.0, next(simulator.sequence),
-                                    lambda: fired.append("bare"), "bare"))
+    heapq.heappush(simulator.heap, (1.0, next(simulator.sequence), list.append, fired, "bare"))
     simulator.schedule(1.0, lambda: fired.append("event-2"))
     assert simulator.pending_events == 3
     assert simulator.step()
@@ -185,6 +195,59 @@ def test_bare_entries_interleave_with_events_by_sequence_number(simulator):
     simulator.run_until_quiescent()
     assert fired == ["event", "bare", "event-2"]
     assert simulator.pending_events == 0
+
+
+# ------------------------------------------------- a callback raising mid-run
+
+
+class Boom(Exception):
+    pass
+
+
+def _raise_boom(target, packet):
+    raise Boom(packet)
+
+
+def _schedule_a_raise_between(simulator, fired):
+    """Two events, a bare entry that raises, then two more events (one of
+    them at the raising instant)."""
+    simulator.schedule_at(1.0, lambda: fired.append(1.0))
+    simulator.schedule_at(2.0, lambda: fired.append(2.0))
+    heapq.heappush(simulator.heap, (3.0, next(simulator.sequence), _raise_boom, None, "boom"))
+    simulator.schedule_at(3.0, lambda: fired.append(3.0))
+    simulator.schedule_at(4.0, lambda: fired.append(4.0))
+
+
+@pytest.mark.parametrize("limits", [{}, {"max_events": 100}], ids=["drain", "general"])
+def test_events_processed_stays_exact_when_a_callback_raises(limits):
+    simulator = Simulator(**limits)
+    fired = []
+    _schedule_a_raise_between(simulator, fired)
+    with pytest.raises(Boom, match="boom"):
+        simulator.run()
+    # The two events before it and the raising one ran.
+    assert fired == [1.0, 2.0]
+    assert simulator.events_processed == 3
+    assert simulator.now == 3.0
+    assert simulator.pending_events == 2
+    # A following run carries on from the right count.
+    assert simulator.run() == 4.0
+    assert fired == [1.0, 2.0, 3.0, 4.0]
+    assert simulator.events_processed == 5
+    assert simulator.pending_events == 0
+
+
+def test_a_raise_inside_a_drain_keeps_the_count_of_earlier_runs(simulator):
+    simulator.schedule_at(0.5, lambda: None)
+    simulator.run(until=0.75)
+    assert simulator.events_processed == 1
+    fired = []
+    _schedule_a_raise_between(simulator, fired)
+    with pytest.raises(Boom):
+        simulator.run_until_quiescent()
+    assert simulator.events_processed == 4
+    simulator.run_until_quiescent()
+    assert simulator.events_processed == 6
 
 
 # -------------------------------------------------- non-finite and past times
