@@ -5,8 +5,8 @@ exponential holding times, emitted as action batches) on the
 Medium transit-stub network and is guarded against regressions by
 ``benchmarks/baseline.json`` (see ``scripts/check_bench_regression.py``).
 The ``slow_bench`` tier runs a paper-medium sustained-churn case -- many
-consecutive open-loop segments, every quiescence point validated against the
-centralized/water-filling oracles -- in the nightly/manual CI job.
+consecutive open-loop segments, every quiescence point validated by the
+checkpoint verdict -- in the nightly/manual CI job.
 """
 
 import pytest

@@ -15,7 +15,7 @@ point and prints one row per round (quiescence time, control packets,
 * ``heavy-tailed-demand`` -- storms of rate changes with Pareto-distributed
   new demands;
 * ``capacity-dynamics`` -- deep link-capacity cuts and a final restore, each
-  validated against the water-filling oracle on the updated network.
+  validated on the updated network.
 
 Every scenario is resolved into action batches up front, so the same seed
 replays bit-identically::

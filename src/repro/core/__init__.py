@@ -21,9 +21,9 @@ The package mirrors the paper's Section III structure:
 * :mod:`~repro.core.protocol` -- :class:`BNeckProtocol`, which instantiates the
   tasks over a network + simulator, routes packets along session paths with
   link delays, and exposes quiescence-and-rates helpers.
-* :mod:`~repro.core.quiescence` -- the stability predicate of Definition 2.
-* :mod:`~repro.core.validation` -- validation of distributed runs against the
-  centralized oracle, as done in the paper's evaluation.
+* :mod:`~repro.core.validation` -- the checkpoint verdict on a distributed
+  run: stability (Definition 2), equality with Centralized B-Neck as in the
+  paper's evaluation, and the max-min certificate.
 """
 
 from repro.core.api import RateNotification, SessionApplication
@@ -49,9 +49,9 @@ from repro.core.packets import (
     Update,
 )
 from repro.core.protocol import BNeckProtocol
-from repro.core.quiescence import StabilityReport, check_stability
 from repro.core.state import IDLE, LinkState, WAITING_PROBE, WAITING_RESPONSE
-from repro.core.validation import ValidationResult, validate_against_oracle
+from repro.core.validation import StabilityReport, ValidationResult
+from repro.core.validation import check_stability, validate_against_oracle
 
 __all__ = [
     "BNeckProtocol",

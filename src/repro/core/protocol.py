@@ -259,9 +259,10 @@ class BNeckProtocol(object):
         network link is mutated and the affected RouterLink re-runs its
         bottleneck computation
         (:meth:`~repro.core.router_link.RouterLinkTask.capacity_changed`);
-        once the protocol requiesces, the allocation again matches the
-        water-filling oracle on the *updated* capacities.  ``at=None`` pins
-        the change to the current time.
+        once the protocol requiesces, the run again passes
+        :func:`~repro.core.validation.validate_against_oracle` on the
+        *updated* capacities.  ``at=None`` pins the change to the current
+        time.
         """
         when = self.simulator.now if at is None else at
         actions = [CapacityChangeAction(source, target, capacity, when)]

@@ -332,22 +332,41 @@ class LinkState(object):
         self.bottleneck_rate = (self.capacity - self._unrestricted_load) / len(self.restricted)
 
     def add_unrestricted(self, session_id):
-        """Put the session in ``F_e`` (removing it from ``R_e`` if needed)."""
-        self._leave_restricted(session_id)
-        if session_id not in self.unrestricted:
-            self.unrestricted.add(session_id)
-            self._unrestricted_load += self._rate.get(session_id, 0)
-            largest = self._unrestricted_max
-            if largest is not None and self._rate.get(session_id, _NO_RATE) > largest:
-                self._unrestricted_max = self._rate[session_id]
+        """Put the session in ``F_e`` (removing it from ``R_e`` if needed),
+        in one call."""
         restricted = self.restricted
+        rate = self._rate.get(session_id)
+        if session_id in restricted:
+            # _unindex, inlined: SetBottleneck moves sessions to F_e hop by hop.
+            restricted.remove(session_id)
+            if self._mu.get(session_id, IDLE) != IDLE:
+                self._busy -= 1
+            elif rate is not None:
+                members = self._idle_by_rate[rate]
+                if len(members) == 1:
+                    del self._idle_by_rate[rate]
+                else:
+                    members.remove(session_id)
+        unrestricted = self.unrestricted
+        if session_id not in unrestricted:
+            unrestricted.add(session_id)
+            if rate is not None:
+                self._unrestricted_load += rate
+                largest = self._unrestricted_max
+                if largest is not None and rate > largest:
+                    self._unrestricted_max = rate
         self.bottleneck_rate = (
             (self.capacity - self._unrestricted_load) / len(restricted) if restricted else math.inf
         )
 
     def forget(self, session_id):
         """Drop every trace of the session (used on ``Leave``)."""
-        self._leave_restricted(session_id)
+        if session_id in self.restricted:
+            self.restricted.remove(session_id)
+            if self._mu.get(session_id, IDLE) != IDLE:
+                self._busy -= 1
+            elif session_id in self._rate:
+                self._unindex(session_id, self._rate[session_id])
         if session_id in self.unrestricted:
             self.unrestricted.remove(session_id)
             self._drop_unrestricted_rate(session_id)
@@ -357,14 +376,6 @@ class LinkState(object):
         self.bottleneck_rate = (
             (self.capacity - self._unrestricted_load) / len(restricted) if restricted else math.inf
         )
-
-    def _leave_restricted(self, session_id):
-        if session_id in self.restricted:
-            self.restricted.remove(session_id)
-            if self._mu.get(session_id, IDLE) != IDLE:
-                self._busy -= 1
-            elif session_id in self._rate:
-                self._unindex(session_id, self._rate[session_id])
 
     def _drop_unrestricted_rate(self, session_id):
         if self.unrestricted:
@@ -448,18 +459,26 @@ class LinkState(object):
         return settled == len(self.restricted)
 
     def is_stable(self):
-        """The per-link stability predicate of Definition 2."""
-        if any(self._mu.get(session_id, IDLE) != IDLE for session_id in self.sessions()):
-            return False
-        rate = self.bottleneck_rate
+        """The per-link stability predicate of Definition 2, read off ``B_e``
+        and the ``mu`` and ``lambda`` tables of the members: the busy count,
+        the rate index and the ``F_e`` maximum take no part, so the
+        predicate stays independent of them."""
+        mu = self._mu
         rate_table = self._rate
-        if len(self.settled_at(rate)) != len(self.restricted):
-            return False
-        return not self.restricted or all(
-            rate_table.get(session_id, _UNRECORDED) < rate
-            and not isclose(rate_table[session_id], rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
-            for session_id in self.unrestricted
-        )
+        rate = self.bottleneck_rate
+        for session_id in self.restricted:
+            if mu.get(session_id, IDLE) != IDLE or not isclose(
+                rate_table.get(session_id, _UNRECORDED), rate, rel_tol=REL_TOL, abs_tol=ABS_TOL
+            ):
+                return False
+        # With R_e empty, B_e is infinite and no F_e rate is checked.
+        for session_id in self.unrestricted:
+            recorded = rate_table.get(session_id, _UNRECORDED)
+            if mu.get(session_id, IDLE) != IDLE or self.restricted and (
+                not recorded < rate or isclose(recorded, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+            ):
+                return False
+        return True
 
     def snapshot(self):
         """A plain-dict view used by tests and debugging output."""

@@ -3,8 +3,8 @@
 Every experiment (and example, and benchmark) repeats the same skeleton: build
 a network from a named scenario, put a protocol with a packet tracer on it,
 generate a random workload, run to quiescence (or a horizon), validate the
-final allocation against the centralized oracle, and report packet/event
-counts.  :class:`ScenarioSpec` captures the *what* declaratively;
+run with the checkpoint verdict of :mod:`repro.core.validation`, and report
+packet/event counts.  :class:`ScenarioSpec` captures the *what* declaratively;
 :class:`ExperimentRunner` owns the *how* and hands back
 :class:`RunMeasurement` snapshots.
 
@@ -53,7 +53,7 @@ class ScenarioSpec(object):
             counts into without a call per packet; with an interval every
             packet is recorded with its time).
         validate: whether :meth:`ExperimentRunner.checkpoint` validates
-            against the centralized oracle.
+            the run with :meth:`ExperimentRunner.validate`.
         workload: optional stochastic-workload reference (a registered name
             like ``"poisson-churn"``, a class, or an instance -- see
             :mod:`repro.workloads.stochastic`), the default for
@@ -245,9 +245,10 @@ class ExperimentRunner(object):
         :func:`repro.workloads.stochastic.make_workload`; extra keyword
         arguments construct it when a name or class is given.  Each round the
         workload yields is applied, run to quiescence, measured and -- per
-        the spec -- validated against the centralized/water-filling oracles,
-        so every capacity change is checked on the *updated* network.
-        Returns one :class:`RunMeasurement` per round.
+        the spec -- validated by :meth:`validate`, so every capacity change
+        is checked on the *updated* network.  Returns one
+        :class:`RunMeasurement` per round; a round that fails validation
+        raises a ``RuntimeError`` naming the first cause.
         """
         if workload is None:
             workload = self.spec.workload
@@ -263,8 +264,8 @@ class ExperimentRunner(object):
             measurement = self.checkpoint(label)
             if not measurement.validated:
                 raise RuntimeError(
-                    "allocation failed oracle validation after round %r of "
-                    "workload %r" % (label, workload.name)
+                    "validation failed after round %r of workload %r: %s"
+                    % (label, workload.name, validate_against_oracle(self.protocol).reason)
                 )
             measurements.append(measurement)
         return measurements
@@ -295,7 +296,10 @@ class ExperimentRunner(object):
     # ---------------------------------------------------------------- measuring
 
     def validate(self):
-        """Validate the current allocation against the centralized oracle."""
+        """The checkpoint verdict of
+        :func:`~repro.core.validation.validate_against_oracle` on the current
+        run: the network is stable (Definition 2), the allocation equals
+        Centralized B-Neck's and the max-min certificate finds no violation."""
         return validate_against_oracle(self.protocol).valid
 
     def checkpoint(self, description=None):

@@ -13,7 +13,8 @@ This package contains everything about max-min fairness that is independent of
   (Definition 1 of the paper): which links are bottlenecks of which sessions,
   ``R*_e``, ``F*_e`` and ``B*_e``.
 * :mod:`~repro.fairness.waterfilling` -- the classic progressive-filling
-  (water-filling) algorithm, used as an independent oracle.
+  (water-filling) algorithm, the tests' independent reference for
+  Centralized B-Neck.
 * :mod:`~repro.fairness.verification` -- direct, linear-time verification that
   an allocation is max-min fair via the bottleneck characterization theorem.
 

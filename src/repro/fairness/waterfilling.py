@@ -18,10 +18,10 @@ session updates only the links it crosses, and one call costs
 O(sum of |pi(s)| * log L) for L links.
 
 The links and their members come from a
-:class:`~repro.fairness.bottleneck.LinkTable`, shared with Centralized B-Neck
-and the max-min certificate during validation.  Levels are plain ``/``
-divisions and frozen loads start at integer ``0``, so ``Fraction`` capacities
-and demands give exact rates.
+:class:`~repro.fairness.bottleneck.LinkTable`, the index Centralized B-Neck
+and the max-min certificate read too.  Levels are plain ``/`` divisions and
+frozen loads start at integer ``0``, so ``Fraction`` capacities and demands
+give exact rates.
 """
 
 import heapq
@@ -47,12 +47,7 @@ def water_filling(sessions):
         OracleError: when unfrozen sessions have infinite demands and cross
             only infinite-capacity links, so the level never stops growing.
     """
-    return water_filling_on(LinkTable(sessions))
-
-
-def water_filling_on(table):
-    """:func:`water_filling` of the sessions of a
-    :class:`~repro.fairness.bottleneck.LinkTable`."""
+    table = LinkTable(sessions)
     sessions = table.sessions
     allocation = RateAllocation()
     if not sessions:

@@ -13,7 +13,7 @@ Every workload is resolved into plain :mod:`repro.core.actions` batches:
   with Pareto-distributed (heavy-tailed) new demands;
 * :class:`CapacityDynamicsWorkload` -- link-capacity degradations and
   recoveries (:class:`~repro.core.actions.CapacityChangeAction`), validated
-  against the water-filling oracle at every quiescence point.
+  on the updated network at every quiescence point.
 
 The stochastic ones are *open-loop*: the workload does not react to protocol
 state, so an entire segment of it can be resolved up front.
@@ -34,7 +34,8 @@ dated in the past.
 
 :meth:`repro.experiments.runner.ExperimentRunner.run_scenario` is the one
 driver of every workload -- apply a round, run to quiescence, validate
-against the centralized/water-filling oracles, measure, repeat -- and
+with the checkpoint verdict of :mod:`repro.core.validation`, measure,
+repeat -- and
 ``ScenarioSpec(workload=...)`` names one declaratively (see
 ``docs/workloads.md`` for the authoring guide).
 """
@@ -544,7 +545,7 @@ class CapacityDynamicsWorkload(StochasticWorkload):
     ``[factor_low, factor_high]`` of the link's *original* bandwidth --
     modelling partial degradation (factors < 1) or upgrades (factors > 1).
     Every event is followed by a quiescence point where the allocation is
-    validated against the water-filling oracle on the *updated* capacities;
+    validated on the *updated* capacities;
     a final round (``restore``) returns every touched link to its original
     bandwidth and validates once more.
     """

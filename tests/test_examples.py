@@ -26,7 +26,10 @@ def test_quickstart_runs_and_validates(capsys):
     module.main()
     output = capsys.readouterr().out
     assert "quiescent" in output
-    assert "validation against the centralized oracle: OK" in output
+    assert "validation: OK" in output
+    assert "stable, no packet in flight (Definition 2): True" in output
+    assert "rates equal Centralized B-Neck's:           True" in output
+    assert "max-min certificate violations:             0" in output
     assert "45.00 Mbps" in output
 
 

@@ -11,7 +11,7 @@ from repro.fairness.bottleneck import (
     session_bottlenecks,
 )
 from repro.fairness.verification import is_max_min_fair, verify_allocation, verify_allocation_on
-from repro.fairness.waterfilling import water_filling, water_filling_on
+from repro.fairness.waterfilling import water_filling
 from repro.network.units import MBPS
 from tests.conftest import make_session
 
@@ -82,7 +82,6 @@ class TestLinkTable(object):
         _, sessions, allocation = parking_lot_case
         table = LinkTable(sessions)
         assert centralized_bneck_on(table).as_dict() == centralized_bneck(sessions).as_dict()
-        assert water_filling_on(table).as_dict() == water_filling(sessions).as_dict()
         starved = RateAllocation(
             {session_id: rate * 0.5 for session_id, rate in allocation.as_dict().items()}
         )

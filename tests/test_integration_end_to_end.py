@@ -9,8 +9,8 @@ paper's Experiments 1 and 2.
 
 import pytest
 
+from repro.core import check_stability
 from repro.core.protocol import BNeckProtocol
-from repro.core.quiescence import check_stability
 from repro.core.validation import validate_against_oracle
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.transit_stub import LAN, WAN

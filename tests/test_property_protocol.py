@@ -16,9 +16,10 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core import check_stability
 from repro.core.protocol import BNeckProtocol
-from repro.core.quiescence import check_stability
 from repro.core.validation import validate_against_oracle
+from repro.fairness.waterfilling import water_filling
 from repro.network.graph import Network
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds, milliseconds
@@ -194,7 +195,8 @@ def test_capacity_changes_reconverge_to_waterfilling(plan):
         assert protocol.quiescent
         assert protocol.network.link(source, target).capacity == new_capacity
         result = validate_against_oracle(protocol)
-        assert result.valid and result.matches_waterfilling, (
+        filled = water_filling(protocol.active_sessions())
+        assert result.valid and result.distributed.equals(filled), (
             "rates diverge from water-filling after %s->%s x%s: %r"
             % (source, target, factor, result)
         )

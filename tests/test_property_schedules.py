@@ -11,9 +11,10 @@ tolerance in the protocol's rate compares decides.
 
 After quiescence every run must satisfy:
 
-* the allocation passes :func:`~repro.core.validation.validate_against_oracle`
-  (centralized B-Neck, water-filling and the max-min certificate);
-* every RouterLink and every active source is stable (Definition 2);
+* the run passes :func:`~repro.core.validation.validate_against_oracle`:
+  every RouterLink and every active source is stable (Definition 2), no
+  packet is in flight, the rates equal Centralized B-Neck's and the max-min
+  certificate finds no violation;
 * every link's incrementally maintained ``F_e`` load, count of busy
   (non-IDLE) ``R_e`` members and index of IDLE ``R_e`` members by recorded
   rate equal a recomputation.
@@ -165,7 +166,7 @@ def run_checking_packet_ownership(protocol):
 def assert_converged(protocol):
     assert protocol.quiescent
     result = validate_against_oracle(protocol)
-    assert result.valid, "allocation diverges from the oracles: %r" % result
+    assert result.valid, "the checkpoint verdict fails: %r" % result
     for state in protocol.all_link_states():
         assert state.is_stable(), "unstable after quiescence: %r" % (state,)
         assert math.isclose(
