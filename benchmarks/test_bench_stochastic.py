@@ -30,6 +30,7 @@ def _run_poisson(size, seed, workload):
             "packets": runner.tracer.total,
             "active": len(runner.active_ids),
             "allocation": runner.protocol.current_allocation().as_dict(),
+            "runner": runner,
         }
 
 
@@ -69,7 +70,11 @@ def test_paper_medium_sustained_churn(print_table):
 
     Six consecutive Poisson segments keep a large session population in
     steady churn (the open-loop regime Experiment 2's one-shot bursts never
-    reach); every segment boundary is a validated quiescence point.
+    reach); every segment boundary is a validated quiescence point.  After
+    the run, an empty batch releases the last departures, and the protocol
+    must then hold no more RouterLinks than the directed router-to-router
+    links plus the held sessions (one egress link each): departed sessions
+    leave none behind.
     """
     workload = PoissonChurnWorkload(
         arrival_rate=40000.0, mean_holding=8e-3, horizon=10e-3, segments=6
@@ -83,6 +88,15 @@ def test_paper_medium_sustained_churn(print_table):
     assert len(measurements) == 6
     assert all(measurement.validated for measurement in measurements)
     assert result["active"] > 100
+    runner = result["runner"]
+    runner.apply_actions([])
+    network = runner.network
+    router_to_router = sum(
+        1 for link in network.links()
+        if network.node(link.source).is_router and network.node(link.target).is_router
+    )
+    held = len(runner.protocol.active_sessions())
+    assert len(runner.protocol.router_link_states()) <= router_to_router + held
     print_table(
         "Paper-medium sustained Poisson churn (%d segments)" % len(measurements),
         format_table(

@@ -166,6 +166,7 @@ class BaselineProtocol(object):
 
     def leave(self, session_id, at=None):
         """Deactivate a session; its pending probes stop rescheduling."""
+        self._sessions[session_id].left = True
 
         def deactivate():
             if session_id in self.registry:

@@ -11,7 +11,8 @@ with what demand, when, and over what access links.
   host to its two routers, creates the session along the shortest path
   between them, and schedules its ``API.Join``;
 * a :class:`LeaveAction` / :class:`ChangeAction` schedule ``API.Leave`` /
-  ``API.Change`` on a session joined before it;
+  ``API.Change`` on a session joined before it and not left: a protocol's
+  ``leave`` marks the session ``left``, and no later action may name it;
 * a :class:`CapacityChangeAction` schedules a change of one directed link's
   data-plane capacity, after which the owning RouterLink re-runs its
   bottleneck computation (see
@@ -185,11 +186,14 @@ def validate_actions(protocol, actions):
     routers (routed here: the path computer's cache makes the replay's
     routing free) whose route crosses no one-way link, since upstream packets
     travel each link's reverse.  A leave or a change needs a session joined
-    on the protocol or earlier in the batch.  A failure raises a ``ValueError``
-    naming the action (``KeyError`` for an unknown link) and changes nothing.
-    Returns ``actions``.
+    on the protocol or earlier in the batch, and not dated before a join in
+    the batch, whose leave was applied neither in an earlier batch nor
+    earlier in this one.  A failure raises a
+    ``ValueError`` naming the action (``KeyError`` for an unknown link) and
+    changes nothing.  Returns ``actions``.
     """
-    joined = set()
+    joined = {}  # session id -> time, for the joins of the batch
+    left = set()
     for action in actions:
         kind = action.kind
         if kind not in ("join", "leave", "change", "capacity"):
@@ -207,12 +211,24 @@ def validate_actions(protocol, actions):
         if kind in ("join", "change"):
             check_demand(action.demand, "action %r" % (action,))
         session_id = action.session_id
-        known = session_id in joined or _has_session(protocol, session_id)
+        session = _session_or_none(protocol, session_id)
+        known = session_id in joined or session is not None
         if kind != "join":
             if not known:
                 raise ValueError(
                     "action %r names session %r, which has not joined" % (action, session_id)
                 )
+            if session_id in left or session is not None and session.left:
+                raise ValueError(
+                    "action %r names session %r, which has already left" % (action, session_id)
+                )
+            if at < joined.get(session_id, at):
+                raise ValueError(
+                    "action %r is dated before the join of session %r at %r"
+                    % (action, session_id, joined[session_id])
+                )
+            if kind == "leave":
+                left.add(session_id)
             continue
         if known:
             raise ValueError(
@@ -238,16 +254,15 @@ def validate_actions(protocol, actions):
                     "action %r routes over the one-way link %r -> %r: its "
                     "upstream packets need the reverse link" % (action, upstream, downstream)
                 )
-        joined.add(session_id)
+        joined[session_id] = at
     return actions
 
 
-def _has_session(protocol, session_id):
+def _session_or_none(protocol, session_id):
     try:
-        protocol.session(session_id)
+        return protocol.session(session_id)
     except KeyError:
-        return False
-    return True
+        return None
 
 
 def _check_capacity(protocol, action):

@@ -15,7 +15,35 @@ network and a discrete-event simulator:
   event heap, and its delivery is the call ``handler(target, packet)``;
 * it exposes the session API (``join`` / ``leave`` / ``change``), delivers
   every ``API.Rate`` notification, and provides quiescence and allocation
-  helpers used by the experiments and tests.
+  helpers used by the experiments and tests;
+* it releases what a departed session leaves behind, as B-Neck's Leave
+  erases the session's state at every link it crosses.
+
+Departed sessions
+-----------------
+
+Once a session's ``API.Leave`` has ended it (removed it from the active
+set), the protocol records it.  The next :meth:`BNeckProtocol.apply_actions`
+whose batch passes validation, made while the simulator's heap is empty (so
+no pending delivery can still name the session), releases every recorded
+session before replaying the batch:
+
+* its SourceNode and DestinationNode tasks and its wiring are dropped;
+* every RouterLink of its path forgets it
+  (:meth:`~repro.core.state.LinkState.forget`), which clears the ``mu`` and
+  ``rate`` entries a late Response or Update re-creates behind the Leave;
+* the RouterLink of its egress link, which runs into its own destination
+  host, is deleted, and both hosts are detached from the network
+  (:meth:`~repro.network.graph.Network.detach_host`) with their four access
+  links.  A host that a held session still names stays, with its egress
+  RouterLink.
+
+A departed session keeps its :class:`~repro.network.session.Session`
+(:meth:`BNeckProtocol.session`, and the refusal to join its id again), its
+:class:`~repro.core.api.SessionApplication` with the ``API.Rate`` history,
+its packet counts in the tracer and its :meth:`BNeckProtocol.last_notified_rate`.
+So memory and the stability check of each checkpoint follow the sessions the
+protocol holds, not every session it ever joined.
 
 Notification delivery
 ---------------------
@@ -134,6 +162,9 @@ class BNeckProtocol(object):
         self._sessions = {}
         self._last_rate = {}
         self._pending_rates = {}
+        # Ids of the sessions whose API.Leave has ended them and which are
+        # not released yet, in leave order.
+        self._departed = []
         self.rate_callbacks = 0
         self._session_counter = 0
 
@@ -167,10 +198,47 @@ class BNeckProtocol(object):
         and an absolute time each.  The whole batch is checked against this
         protocol by :func:`~repro.core.actions.validate_actions` before any
         of it is applied; a batch that fails the check raises and changes
-        nothing (no host, session or event).  Otherwise it is replayed in
-        order.  Returns ``{session_id: session}`` for the joins.
+        nothing (no host, session or event, and nothing is released).
+        Otherwise, when the simulator's heap is empty, the sessions whose
+        ``API.Leave`` has executed are released (see the module docstring),
+        and then the batch is replayed in order.  Returns
+        ``{session_id: session}`` for the joins.
         """
-        return replay_actions(self, validate_actions(self, list(actions)))
+        actions = validate_actions(self, list(actions))
+        if not self._heap:
+            self._release_departed()
+        return replay_actions(self, actions)
+
+    def _release_departed(self):
+        """Drop the tasks, link state, egress RouterLink and hosts of every
+        session recorded as departed.  Called with no event pending."""
+        departed = self._departed
+        if not departed:
+            return
+        self._departed = []
+        sessions = self._sessions
+        for session_id in departed:
+            del self._sources[session_id]
+            del self._destinations[session_id]
+            for task in self._wirings.pop(session_id).stages[1:-1]:
+                task.state.forget(session_id)
+        # Hosts a held session names stay (a direct ``open_session`` may
+        # share a host between sessions).
+        kept = set()
+        for session_id in self._wirings:
+            session = sessions[session_id]
+            kept.add(session.source)
+            kept.add(session.destination)
+        network = self.network
+        for session_id in departed:
+            session = sessions[session_id]
+            if session.destination not in kept:
+                del self._router_links[session.links[-1].endpoints]
+            for host in (session.source, session.destination):
+                if host not in kept:
+                    network.detach_host(host)
+                    # Released once, if another departed session names it.
+                    kept.add(host)
 
     # ------------------------------------------------------------------ sessions
 
@@ -228,12 +296,20 @@ class BNeckProtocol(object):
         return application
 
     def leave(self, session_id, at=None):
-        """``API.Leave``: terminate an active session, optionally at a future time."""
+        """``API.Leave``: terminate an active session, optionally at a future time.
+
+        Once the leave has ended the active session, it is recorded as
+        departed; the next :meth:`apply_actions` on an empty heap releases
+        its tasks, link state and hosts, and keeps its session record,
+        application, packet counts and last notified rate.
+        """
         source = self._sources[session_id]
+        self._sessions[session_id].left = True
 
         def deactivate():
             if session_id in self.registry:
                 self.registry.remove(session_id)
+                self._departed.append(session_id)
             source.api_leave()
 
         self._schedule_api_call(deactivate, at, "API.Leave")
@@ -433,19 +509,28 @@ class BNeckProtocol(object):
     # -------------------------------------------------------------- inspection
 
     def source(self, session_id):
-        """The SourceNode task of a session."""
+        """The SourceNode task of a session (``KeyError`` once a departed
+        session is released)."""
         return self._sources[session_id]
 
     def destination(self, session_id):
-        """The DestinationNode task of a session."""
+        """The DestinationNode task of a session (``KeyError`` once a
+        departed session is released)."""
         return self._destinations[session_id]
 
     def router_link(self, endpoints):
-        """The RouterLink task controlling the directed link ``endpoints``."""
+        """The RouterLink task controlling the directed link ``endpoints``.
+
+        A RouterLink is created when a session first crosses its link; the
+        one of a departed session's egress link (into its destination host)
+        is deleted when the session is released, router-to-router ones stay.
+        """
         return self._router_links[endpoints]
 
     def router_link_states(self):
-        """The :class:`~repro.core.state.LinkState` of every RouterLink task."""
+        """The :class:`~repro.core.state.LinkState` of every RouterLink task:
+        the links held sessions cross, router-to-router links crossed before,
+        and the egress links of departed sessions not yet released."""
         return [task.state for task in self._router_links.values()]
 
     def all_link_states(self):

@@ -275,6 +275,25 @@ class Network(object):
         self.add_link(host_id, router_id, capacity, propagation_delay, bidirectional=True)
         return host
 
+    def detach_host(self, host_id):
+        """Remove a host and the links between it and its neighbours.
+
+        The counterpart of :meth:`attach_host`: the host node, both access
+        links and the router's adjacency entry go.  Host ids are never
+        reused, since the id counter keeps counting.  Raises ``ValueError``,
+        removing nothing, when ``host_id`` is not a host of the network.
+        """
+        host = self._nodes.get(host_id)
+        if host is None or not host.is_host:
+            raise ValueError("cannot detach %r: not a host" % (host_id,))
+        links = self._links
+        adjacency = self._adjacency
+        for neighbor in adjacency.pop(host_id):
+            del links[(host_id, neighbor)]
+            if links.pop((neighbor, host_id), None) is not None:
+                adjacency[neighbor].remove(host_id)
+        del self._nodes[host_id]
+
     # ------------------------------------------------------------------ stats
 
     def number_of_nodes(self):

@@ -32,6 +32,8 @@ class Session(object):
             hop into the destination host.
         demand: maximum rate requested by the session (``r_s``), in bits per
             second; ``math.inf`` means "no explicit limit".
+        left: true once the protocol has applied the session's leave (set
+            by its ``leave``); no later action may name the session.
     """
 
     __slots__ = (
@@ -41,7 +43,7 @@ class Session(object):
         "node_path",
         "links",
         "demand",
-        "_link_keys",
+        "left",
     )
 
     def __init__(self, session_id, source, destination, node_path, links, demand=INFINITE_RATE):
@@ -56,9 +58,7 @@ class Session(object):
         self.node_path = list(node_path)
         self.links = list(links)
         self.demand = demand
-        # The path is immutable, so membership tests ("does the session cross
-        # this link?") are precomputed into an O(1) endpoint-key lookup.
-        self._link_keys = frozenset(link.endpoints for link in self.links)
+        self.left = False
 
     @property
     def access_link(self):
@@ -80,8 +80,9 @@ class Session(object):
         return min(self.demand, self.access_link.capacity)
 
     def crosses(self, link):
-        """True when ``link`` is on this session's path."""
-        return link.endpoints in self._link_keys
+        """True when ``link`` is on this session's path (links compare by
+        endpoints)."""
+        return link in self.links
 
     def __repr__(self):
         return "Session(%r, %r -> %r, hops=%d, demand=%r)" % (

@@ -9,11 +9,14 @@ rates, re-notifications, packet activity and stability after every step.
 import pytest
 
 from repro.core import check_stability, validate_against_oracle
+from repro.core.actions import JoinAction, LeaveAction
 from repro.core.protocol import BNeckProtocol
-from repro.network.topology import dumbbell_topology
+from repro.experiments.runner import ExperimentRunner, ScenarioSpec
+from repro.network.topology import dumbbell_topology, line_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import milliseconds
-from tests.conftest import open_bneck_session, parking_lot_protocol
+from repro.workloads.stochastic import PoissonChurnWorkload
+from tests.conftest import attach_endpoints, open_bneck_session, parking_lot_protocol
 
 
 class TestDepartures(object):
@@ -190,3 +193,141 @@ class TestMixedChurn(object):
             assert application.current_rate == pytest.approx(100 * MBPS / 8.0)
         assert validate_against_oracle(protocol).valid
         assert check_stability(protocol)
+
+
+def _kept_record(protocol, session_id):
+    """What a departed session keeps: its session, application, packet
+    count and last notified rate."""
+    return (
+        protocol.session(session_id),
+        protocol.application(session_id),
+        protocol.tracer.by_session[session_id],
+        protocol.last_notified_rate(session_id),
+    )
+
+
+def _assert_released(protocol, session_id):
+    session = protocol.session(session_id)
+    with pytest.raises(KeyError):
+        protocol.source(session_id)
+    with pytest.raises(KeyError):
+        protocol.destination(session_id)
+    for host in (session.source, session.destination):
+        with pytest.raises(KeyError):
+            protocol.network.node(host)
+    for state in protocol.router_link_states():
+        assert state.link_id[1] != session.destination
+        snapshot = state.snapshot()
+        assert session_id not in snapshot["mu"]
+        assert session_id not in snapshot["rate"]
+        assert session_id not in snapshot["restricted"]
+        assert session_id not in snapshot["unrestricted"]
+
+
+class TestReleaseOfDepartedSessions(object):
+    """A departed session's tasks, link state and hosts are released by the
+    next batch applied on an empty heap; its records stay."""
+
+    def test_churn_releases_every_departed_session(self):
+        with ExperimentRunner(ScenarioSpec(size="small", seed=1)) as runner:
+            protocol = runner.protocol
+            workload = PoissonChurnWorkload(
+                arrival_rate=4000.0, mean_holding=4e-3, horizon=5e-3, segments=5)
+            joined = []
+            for label, actions in workload.rounds(runner):
+                assert protocol.quiescent
+                departed = [session_id for session_id in joined
+                            if session_id not in protocol.registry]
+                kept = {session_id: _kept_record(protocol, session_id)
+                        for session_id in departed}
+                runner.apply_actions(actions)
+                for session_id in departed:
+                    _assert_released(protocol, session_id)
+                    assert _kept_record(protocol, session_id) == kept[session_id]
+                joined += [action.session_id for action in actions if action.kind == "join"]
+                assert runner.checkpoint(label).validated
+            assert len(departed) > 20
+            # Two hosts per session not released: the held ones and those
+            # that left in the last round, which no batch has released yet.
+            assert len(protocol.network.hosts()) == 2 * (len(joined) - len(departed))
+
+    def test_a_refused_batch_releases_nothing(self):
+        with ExperimentRunner(ScenarioSpec(size="small", seed=1)) as runner:
+            protocol = runner.protocol
+            runner.populate(5)
+            runner.checkpoint()
+            runner.apply_actions([LeaveAction("s1", protocol.simulator.now + 1e-4)])
+            runner.checkpoint()
+            session = protocol.session("s1")
+            states = len(protocol.router_link_states())
+            hosts = len(protocol.network.hosts())
+            with pytest.raises(ValueError, match="has already left"):
+                runner.apply_actions([LeaveAction("s1", protocol.simulator.now + 1e-4)])
+            assert protocol.source("s1").left
+            assert protocol.destination("s1").left
+            assert protocol.network.node(session.destination).is_host
+            assert len(protocol.router_link_states()) == states
+            assert len(protocol.network.hosts()) == hosts
+            # The next accepted batch releases it.
+            runner.apply_actions([LeaveAction("s2", protocol.simulator.now + 1e-4)])
+            _assert_released(protocol, "s1")
+            assert len(protocol.network.hosts()) == hosts - 2
+            assert runner.checkpoint().validated
+
+    def test_a_late_response_leaves_no_trace_after_the_release(self):
+        """A Leave sent right behind the Join passes each link before the
+        Join's Response returns upstream, which records the session there
+        again; the release clears those entries."""
+        protocol = BNeckProtocol(line_topology(4, capacity=100 * MBPS, delay=1e-6))
+        protocol.apply_actions([JoinAction("stay", "r0", "r3", 50 * MBPS, 0.0, 1000 * MBPS, 1e-6)])
+        protocol.run_until_quiescent()
+        at = protocol.simulator.now + 1e-3
+        protocol.apply_actions([JoinAction("quick", "r0", "r3", 10 * MBPS, at, 1000 * MBPS, 1e-6),
+                                LeaveAction("quick", at + 2e-6)])
+        protocol.run_until_quiescent()
+        ghosts = [state.link_id for state in protocol.router_link_states()
+                  if "quick" in state.snapshot()["mu"] and not state.knows("quick")]
+        assert ("r0", "r1") in ghosts
+        protocol.apply_actions([])
+        _assert_released(protocol, "quick")
+        assert validate_against_oracle(protocol).valid
+
+    def test_no_release_while_events_are_pending(self, single_link_network):
+        protocol = BNeckProtocol(single_link_network)
+        open_bneck_session(protocol, "r0", "r1", "leaving")
+        open_bneck_session(protocol, "r0", "r1", "staying")
+        protocol.run_until_quiescent()
+        protocol.leave("leaving")
+        # The Leave is still travelling: nothing may be released yet.
+        protocol.apply_actions([LeaveAction("staying", protocol.simulator.now + 1e-3)])
+        protocol.source("leaving")
+        protocol.run_until_quiescent()
+        protocol.apply_actions([JoinAction("next", "r0", "r1", 10 * MBPS,
+                                           protocol.simulator.now + 1e-3, 1000 * MBPS, 1e-6)])
+        _assert_released(protocol, "leaving")
+        _assert_released(protocol, "staying")
+        protocol.run_until_quiescent()
+        assert protocol.current_allocation().as_dict() == {"next": pytest.approx(10 * MBPS)}
+        assert validate_against_oracle(protocol).valid
+
+    def test_a_host_a_held_session_names_is_kept(self, single_link_network):
+        """Sessions opened directly may share a destination host: it stays,
+        with its egress RouterLink, while a held session ends there."""
+        protocol = BNeckProtocol(single_link_network)
+        network = protocol.network
+        source_a, sink = attach_endpoints(network, "r0", "r1")
+        source_b = network.attach_host("r0", 1000 * MBPS, 1e-6).node_id
+        protocol.open_session(source_a, sink, session_id="a")
+        _, staying = protocol.open_session(source_b, sink, session_id="b")
+        protocol.run_until_quiescent()
+        protocol.leave("a")
+        protocol.run_until_quiescent()
+        protocol.apply_actions([])
+        with pytest.raises(KeyError):
+            network.node(source_a)
+        assert network.node(sink).is_host
+        assert not protocol.router_link(("r1", sink)).state.knows("a")
+        protocol.change("b", 30 * MBPS)
+        protocol.run_until_quiescent()
+        assert staying.current_rate == pytest.approx(30 * MBPS)
+        assert validate_against_oracle(protocol).valid

@@ -6,10 +6,12 @@ entry point: a batch of actions, a direct ``change`` and a new session.  A
 join at a non-finite time is refused before the session is registered, so a
 corrected retry succeeds.  A batch is checked whole against the protocol
 before any of it is replayed: a leave or change of a session that has not
-joined, a join id that is taken, a join router that is not a router, a
-router pair with no route, a route over a one-way router link and a bad
-access-link capacity or delay each raise a ``ValueError`` naming the action, with no host attached, no session
-registered and no event scheduled.  Each case runs on B-Neck and on the BFYZ
+joined, is dated before its join in the batch, or whose leave was applied
+before (in an earlier batch or earlier in the same one), a join id that is
+taken, a join router that is not a router, a router pair with no route, a
+route over a one-way router link and a bad access-link capacity or delay
+each raise a ``ValueError`` naming the action, with no host attached, no
+session registered and no event scheduled.  Each case runs on B-Neck and on the BFYZ
 baseline, whose simulators carry an event cap: a bad value that slipped
 through would fail a test rather than livelock it.
 """
@@ -114,8 +116,12 @@ def test_a_join_at_a_non_finite_time_registers_nothing(name, at):
 
 def _islands_protocol(name):
     """``s0`` joined and settled on ``r0 - r1``, next to an unconnected pair
-    of routers ``x0 - x1``."""
+    of routers ``x0 - x1``; ``gone`` joined and left in earlier batches."""
     protocol = _protocol_with_one_session(name)
+    protocol.apply_actions([_join("gone", 10 * MBPS, protocol.simulator.now + 1e-3)])
+    _settle(protocol)
+    protocol.apply_actions([LeaveAction("gone", protocol.simulator.now + 1e-3)])
+    _settle(protocol)
     network = protocol.network
     network.add_router("x0")
     network.add_router("x1")
@@ -137,6 +143,19 @@ BAD_BATCHES = {
         lambda at: [LeaveAction("a", at), _join("a", 10 * MBPS, at)], 0),
     "change-before-its-join": (
         lambda at: [ChangeAction("a", 5 * MBPS, at), _join("a", 10 * MBPS, at)], 0),
+    "leave-of-a-departed-session": (
+        lambda at: [_join("a", 10 * MBPS, at), LeaveAction("gone", at)], 1),
+    "change-of-a-departed-session": (
+        lambda at: [_join("a", 10 * MBPS, at), ChangeAction("gone", 5 * MBPS, at)], 1),
+    "leave-repeated-in-the-batch": (
+        lambda at: [_join("a", 10 * MBPS, at), LeaveAction("a", at), LeaveAction("a", at)], 2),
+    "leave-dated-before-its-join": (
+        lambda at: [_join("a", 10 * MBPS, at + 1e-3), LeaveAction("a", at)], 1),
+    "change-dated-before-its-join": (
+        lambda at: [_join("a", 10 * MBPS, at + 1e-3), ChangeAction("a", 5 * MBPS, at)], 1),
+    "change-after-its-leave-in-the-batch": (
+        lambda at: [_join("a", 10 * MBPS, at), LeaveAction("a", at),
+                    ChangeAction("a", 5 * MBPS, at)], 2),
     "join-repeated-in-the-batch": (
         lambda at: [_join("a", 10 * MBPS, at), _join("a", 20 * MBPS, at)], 1),
     "join-of-a-joined-session": (

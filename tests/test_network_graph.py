@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.network.graph import Link, Network
+from repro.network.routing import PathComputer
+from repro.network.topology import line_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
 
@@ -162,3 +164,48 @@ class TestHostAttachment(object):
             two_router_network.attach_host(router, 10 * MBPS, 1e-6, host_id="bob")
         assert two_router_network.nodes() == nodes
         assert two_router_network.links() == links
+
+
+class TestHostDetachment(object):
+    def test_detach_host_removes_the_node_both_links_and_the_adjacency_entry(
+            self, two_router_network):
+        network = two_router_network
+        kept = network.attach_host("a", 10 * MBPS, 1e-6, host_id="kept")
+        host = network.attach_host("a", 10 * MBPS, 1e-6, host_id="alice")
+        network.detach_host(host.node_id)
+        with pytest.raises(KeyError):
+            network.node("alice")
+        assert not network.has_link("alice", "a")
+        assert not network.has_link("a", "alice")
+        assert network.neighbors("a") == ["b", kept.node_id]
+        assert [node.node_id for node in network.hosts()] == ["kept"]
+        assert network.number_of_links() == 4
+        assert network.is_connected()
+
+    @pytest.mark.parametrize("node_id", ["a", "nowhere"])
+    def test_detach_host_refuses_a_router_or_an_unknown_id(self, two_router_network, node_id):
+        network = two_router_network
+        network.attach_host("a", 10 * MBPS, 1e-6, host_id="alice")
+        nodes, links = network.nodes(), network.links()
+        neighbors = {node.node_id: network.neighbors(node.node_id) for node in nodes}
+        with pytest.raises(ValueError, match="cannot detach %r: not a host" % node_id):
+            network.detach_host(node_id)
+        assert network.nodes() == nodes
+        assert network.links() == links
+        assert {node.node_id: network.neighbors(node.node_id) for node in nodes} == neighbors
+
+    def test_a_host_attached_after_a_detach_is_routed_as_before(self):
+        network = line_topology(3, capacity=100 * MBPS, delay=microseconds(1))
+        paths = PathComputer(network)
+        first = network.attach_host("r0", 10 * MBPS, 1e-6)
+        sink = network.attach_host("r2", 10 * MBPS, 1e-6)
+        before = paths.route(first.node_id, sink.node_id)
+        network.detach_host(first.node_id)
+        with pytest.raises(ValueError, match="not a host attached to a router"):
+            paths.route(first.node_id, sink.node_id)
+        second = network.attach_host("r0", 10 * MBPS, 1e-6)
+        assert second.node_id != first.node_id
+        assert paths.route(second.node_id, sink.node_id) == [second.node_id] + before[1:]
+        # The route search's router -> router-neighbour map holds no host.
+        assert set(paths._relays) == {"r0", "r1", "r2"}
+        assert all(network.node(n).is_router for relays in paths._relays.values() for n in relays)
