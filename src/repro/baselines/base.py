@@ -20,13 +20,8 @@ rate update fires one path round-trip-time later.  Both are
 negligible at the LAN delays used by Experiment 3.
 """
 
-import math
-
-from repro.core.actions import replay_actions, validate_actions
+from repro.core.actions import SessionProtocol
 from repro.fairness.allocation import RateAllocation
-from repro.network.routing import PathComputer, path_links
-from repro.network.session import Session, SessionRegistry, check_demand
-from repro.simulator.simulation import Simulator
 from repro.simulator.tracing import PacketTracer
 
 PROBE_PACKET = "Probe"
@@ -72,14 +67,18 @@ class ProbeCycleResult(object):
         )
 
 
-class BaselineProtocol(object):
+class BaselineProtocol(SessionProtocol):
     """A periodically probing, non-quiescent rate allocation protocol.
 
     Subclasses provide :meth:`_make_controller` returning the protocol-specific
-    :class:`LinkController`.  The public session API mirrors
-    :class:`~repro.core.protocol.BNeckProtocol` (``create_session`` / ``join`` /
-    ``leave`` / ``change`` / ``current_allocation``), so the experiment
-    harnesses and the workload generator drive both interchangeably.
+    :class:`LinkController`.  The session lifecycle is
+    :class:`~repro.core.actions.SessionProtocol`'s, the same as
+    :class:`~repro.core.protocol.BNeckProtocol`'s, so the experiment harnesses
+    and the workload generator drive both interchangeably.  A departed
+    session is released as soon as its leave takes effect: its demand, and
+    the controllers of its access and egress links once its hosts are
+    detached.  Capacity changes are refused: a baseline has no bottleneck
+    computation to re-run.
     """
 
     name = "baseline"
@@ -95,18 +94,12 @@ class BaselineProtocol(object):
         tracer=None,
         probe_interval=1e-3,
     ):
-        self.network = network
-        self.simulator = simulator or Simulator()
+        super(BaselineProtocol, self).__init__(network, simulator)
         self.tracer = tracer or PacketTracer()
         self.probe_interval = probe_interval
-        self.registry = SessionRegistry()
-        self.path_computer = PathComputer(network)
-        self._controllers = {}
-        self._sessions = {}
         self._rates = {}
         self._demands = {}
         self._active = set()
-        self._session_counter = 0
         self.probe_cycles = 0
         self._ticking = False
 
@@ -117,99 +110,37 @@ class BaselineProtocol(object):
 
     def _controller_for(self, link):
         key = link.endpoints
-        if key not in self._controllers:
-            self._controllers[key] = self._make_controller(link)
-        return self._controllers[key]
+        if key not in self._per_link:
+            self._per_link[key] = self._make_controller(link)
+        return self._per_link[key]
 
     # --------------------------------------------------------------- sessions
 
-    def apply_actions(self, actions):
-        """Apply a batch of session actions (same contract as B-Neck).
+    def _activate(self, session):
+        """Start the session's periodic probe loop."""
+        session_id = session.session_id
+        self._active.add(session_id)
+        self._demands[session_id] = session.effective_demand()
+        self._rates[session_id] = 0.0
+        self._ensure_periodic_updates()
+        self._probe(session_id)
 
-        The whole batch is checked against this protocol by
-        :func:`~repro.core.actions.validate_actions` before any of it is
-        replayed; a batch that fails the check raises and changes nothing.
-        Capacity changes are refused: a baseline has no bottleneck
-        computation to re-run.  Returns ``{session_id: session}`` for the
-        joins.
-        """
-        return replay_actions(self, validate_actions(self, list(actions)))
+    def _deactivate(self, session):
+        """Stop the session's probe loop, and release it at once."""
+        session_id = session.session_id
+        self._active.discard(session_id)
+        self._rates.pop(session_id, None)
+        for link in session.links:
+            controller = self._per_link.get(link.endpoints)
+            if controller is not None:
+                controller.on_leave(session_id)
+        self._release_departed()
 
-    def create_session(self, source_host, destination_host, demand=math.inf, session_id=None):
-        """Build a session along the shortest path (same contract as B-Neck)."""
-        if session_id is None:
-            self._session_counter += 1
-            session_id = "%s-session-%d" % (self.name, self._session_counter)
-        node_path = self.path_computer.route(source_host, destination_host)
-        links = path_links(self.network, node_path)
-        return Session(session_id, source_host, destination_host, node_path, links, demand)
+    def _change(self, session):
+        self._demands[session.session_id] = session.effective_demand()
 
-    def join(self, session, at=None, application=None):
-        """Activate a session and start its periodic probe loop."""
-        if session.session_id in self._sessions:
-            raise ValueError("session %r already joined" % session.session_id)
-        if at is not None and not at < math.inf:
-            # Same refusal as BNeckProtocol.join: before registering anything.
-            raise ValueError("session %r cannot join at %r" % (session.session_id, at))
-        self._sessions[session.session_id] = session
-
-        def activate():
-            self.registry.add(session)
-            self._active.add(session.session_id)
-            self._demands[session.session_id] = session.effective_demand()
-            self._rates[session.session_id] = 0.0
-            self._ensure_periodic_updates()
-            self._probe(session.session_id)
-
-        self._schedule_api_call(activate, at)
-        return application
-
-    def leave(self, session_id, at=None):
-        """Deactivate a session; its pending probes stop rescheduling."""
-        self._sessions[session_id].left = True
-
-        def deactivate():
-            if session_id in self.registry:
-                self.registry.remove(session_id)
-            self._active.discard(session_id)
-            self._rates.pop(session_id, None)
-            session = self._sessions[session_id]
-            for link in session.links:
-                controller = self._controllers.get(link.endpoints)
-                if controller is not None:
-                    controller.on_leave(session_id)
-
-        self._schedule_api_call(deactivate, at)
-
-    def change(self, session_id, requested_rate, at=None):
-        """Change a session's maximum requested rate."""
-        check_demand(requested_rate, "session %r" % (session_id,))
-
-        def apply_change():
-            session = self._sessions[session_id]
-            session.demand = requested_rate
-            self._demands[session_id] = session.effective_demand()
-
-        self._schedule_api_call(apply_change, at)
-
-    def session(self, session_id):
-        """The joined session ``session_id`` (``KeyError`` if it never joined)."""
-        return self._sessions[session_id]
-
-    def open_session(self, source_host, destination_host, demand=math.inf, session_id=None, at=None):
-        """Create and immediately join a session; returns ``(session, None)``."""
-        session = self.create_session(source_host, destination_host, demand, session_id)
-        self.join(session, at=at)
-        return session, None
-
-    def _schedule_api_call(self, callback, at):
-        # Same discipline as BNeckProtocol: a call at exactly ``now`` is
-        # enqueued so it takes a deterministic (time, sequence) slot instead
-        # of running synchronously ahead of same-instant events.
-        if at is None or at < self.simulator.now:
-            callback()
-        else:
-            self.simulator.schedule_at(at, callback, tag="%s.api" % self.name)
+    def _release(self, session_id):
+        del self._demands[session_id]
 
     # ------------------------------------------------------------ probe cycle
 
@@ -281,7 +212,7 @@ class BaselineProtocol(object):
             rate = self._rates.get(session.session_id, 0.0)
             for link in session.links:
                 rates_by_link.setdefault(link.endpoints, []).append(rate)
-        for key, controller in self._controllers.items():
+        for key, controller in self._per_link.items():
             controller.periodic_update(rates_by_link.get(key, []), interval)
         self.simulator.schedule(
             interval, lambda: self._periodic_tick(interval), tag="%s.tick" % self.name
@@ -295,18 +226,3 @@ class BaselineProtocol(object):
         for session in self.registry:
             allocation.set_rate(session.session_id, self._rates.get(session.session_id, 0.0))
         return allocation
-
-    def active_sessions(self):
-        return self.registry.active_sessions()
-
-    def run(self, until=None):
-        """Run to a horizon.  Baselines never become quiescent on their own."""
-        return self.simulator.run(until=until)
-
-    def __repr__(self):
-        return "%s(network=%r, sessions=%d, now=%r)" % (
-            type(self).__name__,
-            self.network.name,
-            len(self.registry),
-            self.simulator.now,
-        )

@@ -18,19 +18,20 @@ with what demand, when, and over what access links.
   bottleneck computation (see
   :meth:`repro.core.router_link.RouterLinkTask.capacity_changed`).
 
-Every protocol applies a batch through its own ``apply_actions``
-(:meth:`repro.core.protocol.BNeckProtocol.apply_actions`,
-:meth:`repro.baselines.base.BaselineProtocol.apply_actions`), which checks the
-whole batch against itself with :func:`validate_actions` and then replays it
-through :func:`replay_actions`.  A batch that fails the check changes nothing.
-Replay is deterministic: host attachment, session creation and API scheduling
-happen in action order, so a batch always pushes the same events in the same
-relative order.
+Every protocol extends :class:`SessionProtocol`, the one session lifecycle:
+its ``apply_actions`` checks the whole batch against the protocol with
+:func:`validate_actions`, releases departed sessions, and then replays the
+batch through :func:`replay_actions`.  A batch that fails the check changes
+nothing.  Replay is deterministic: host attachment, session creation and API
+scheduling happen in action order, so a batch always pushes the same events
+in the same relative order.
 """
 
 import math
 
-from repro.network.session import check_demand
+from repro.network.routing import PathComputer, path_links
+from repro.network.session import Session, SessionRegistry, check_demand
+from repro.simulator.simulation import Simulator
 
 
 class JoinAction(object):
@@ -186,11 +187,13 @@ def validate_actions(protocol, actions):
     routers (routed here: the path computer's cache makes the replay's
     routing free) whose route crosses no one-way link, since upstream packets
     travel each link's reverse.  A leave or a change needs a session joined
-    on the protocol or earlier in the batch, and not dated before a join in
-    the batch, whose leave was applied neither in an earlier batch nor
-    earlier in this one.  A failure raises a
-    ``ValueError`` naming the action (``KeyError`` for an unknown link) and
-    changes nothing.  Returns ``actions``.
+    on the protocol or earlier in the batch, whose leave was applied neither
+    in an earlier batch nor earlier in this one, and is not dated before the
+    session's join: the join's time in the batch, or the
+    :attr:`~repro.network.session.Session.joined_at` its protocol recorded
+    when an earlier batch joined it.  A failure raises a ``ValueError``
+    naming the action (``KeyError`` for an unknown link) and changes nothing.
+    Returns ``actions``.
     """
     joined = {}  # session id -> time, for the joins of the batch
     left = set()
@@ -222,10 +225,11 @@ def validate_actions(protocol, actions):
                 raise ValueError(
                     "action %r names session %r, which has already left" % (action, session_id)
                 )
-            if at < joined.get(session_id, at):
+            joined_at = joined[session_id] if session is None else session.joined_at
+            if at < joined_at:
                 raise ValueError(
                     "action %r is dated before the join of session %r at %r"
-                    % (action, session_id, joined[session_id])
+                    % (action, session_id, joined_at)
                 )
             if kind == "leave":
                 left.add(session_id)
@@ -286,3 +290,218 @@ def _check_capacity(protocol, action):
                 "touches host %r (access-link bandwidth is a session-demand "
                 "concern: use API.Change)" % (action.source, action.target, endpoint)
             )
+
+
+class SessionProtocol(object):
+    """The session lifecycle every protocol shares.
+
+    The paper's session API is ``API.Join``, ``API.Leave``, ``API.Change``
+    and ``API.Rate``; Experiment 3 drives B-Neck and the baselines through
+    it alike.  This base owns the whole lifecycle: batches
+    (:meth:`apply_actions`), session creation, the refusals of each call, the
+    ``(time, sequence)`` slot of every API call and the release of departed
+    sessions.  A protocol supplies only its own steps:
+
+    * ``_setup(session, application)`` builds what the session needs before
+      it joins, and returns what :meth:`join` returns.  It may refuse with a
+      ``ValueError``, before anything is registered;
+    * ``_activate(session)``, ``_deactivate(session)`` and
+      ``_change(session)`` run when the session's join, leave or change takes
+      effect;
+    * ``_release(session_id)`` drops the per-session state of a departed
+      session.
+
+    A protocol keeps its per-link state (B-Neck's RouterLink tasks, a
+    baseline's link controllers) in ``_per_link``, keyed by link endpoints.
+
+    Once a session's leave has ended it, the session is departed.  Releasing
+    it runs the protocol's ``_release`` step and detaches each of its hosts
+    that no held (joined, not released) session names, through
+    :meth:`~repro.network.graph.Network.detach_host`, dropping the
+    ``_per_link`` entries of the host's two access links.  When a protocol
+    releases differs:
+
+    * B-Neck releases at the next :meth:`apply_actions` whose batch passes
+      validation, made while the simulator's heap is empty: until then a
+      late Response or Update may still name the session;
+    * a baseline releases at once, in its ``_deactivate`` step: a pending
+      probe cycle of a departed session returns before it reads anything.
+
+    A released session keeps its :class:`~repro.network.session.Session`, so
+    :meth:`session` still finds it and :meth:`join` still refuses its id,
+    and its packet counts in the tracer.
+    """
+
+    def __init__(self, network, simulator=None):
+        self.network = network
+        self.simulator = simulator or Simulator()
+        self.registry = SessionRegistry()
+        self.path_computer = PathComputer(network)
+        self._sessions = {}
+        self._per_link = {}
+        # Host id -> the number of held sessions naming it.
+        self._host_users = {}
+        # Ids of the sessions whose API.Leave has ended them and which are
+        # not released yet, in leave order.
+        self._departed = []
+        self._session_counter = 0
+
+    def _setup(self, session, application):
+        return application
+
+    def apply_actions(self, actions):
+        """Apply a batch of session actions.
+
+        ``actions`` are :mod:`repro.core.actions` records with every random
+        choice already resolved and an absolute time each.  The whole batch
+        is checked against this protocol by :func:`validate_actions` before
+        any of it is applied; a batch that fails the check raises and changes
+        nothing (no host, session or event, and nothing is released).
+        Otherwise, when the simulator's heap is empty, the departed sessions
+        are released, and then the batch is replayed in order.  Returns
+        ``{session_id: session}`` for the joins.
+        """
+        actions = validate_actions(self, list(actions))
+        if not self.simulator.heap:
+            self._release_departed()
+        return replay_actions(self, actions)
+
+    def create_session(self, source_host, destination_host, demand=math.inf, session_id=None):
+        """Build a :class:`~repro.network.session.Session` along the shortest
+        path (``session-<n>`` when no id is given).
+
+        This only constructs the object; call :meth:`join` to activate it.
+        """
+        if session_id is None:
+            self._session_counter += 1
+            session_id = "session-%d" % self._session_counter
+        node_path = self.path_computer.route(source_host, destination_host)
+        links = path_links(self.network, node_path)
+        return Session(session_id, source_host, destination_host, node_path, links, demand)
+
+    def join(self, session, at=None, application=None):
+        """``API.Join``: activate a session, optionally at a future time.
+
+        Refuses a session id that has joined before, and a NaN or infinite
+        ``at``, before anything is registered.  Records the time the join
+        takes effect as the session's ``joined_at``.
+        """
+        session_id = session.session_id
+        if session_id in self._sessions:
+            raise ValueError("session %r already joined" % (session_id,))
+        if at is not None and not at < math.inf:
+            # NaN or infinity: the scheduling below would raise after the
+            # session is registered.
+            raise ValueError("session %r cannot join at %r" % (session_id, at))
+        application = self._setup(session, application)
+        self._sessions[session_id] = session
+        users = self._host_users
+        for host in (session.source, session.destination):
+            users[host] = users.get(host, 0) + 1
+        now = self.simulator.now
+        session.joined_at = now if at is None or at < now else at
+
+        def activate():
+            self.registry.add(session)
+            self._activate(session)
+
+        self._schedule_api_call(activate, at, "API.Join")
+        return application
+
+    def leave(self, session_id, at=None):
+        """``API.Leave``: terminate a session, optionally at a future time.
+
+        Marks the session ``left`` at once; once the leave has ended the
+        active session, the session is departed (see the class docstring).
+        """
+        session = self._held_session(session_id, at)
+        session.left = True
+
+        def deactivate():
+            if session_id in self.registry:
+                self.registry.remove(session_id)
+                self._departed.append(session_id)
+            self._deactivate(session)
+
+        self._schedule_api_call(deactivate, at, "API.Leave")
+
+    def change(self, session_id, requested_rate, at=None):
+        """``API.Change``: request a new maximum rate, optionally at a future time."""
+        check_demand(requested_rate, "session %r" % (session_id,))
+        session = self._held_session(session_id, at)
+
+        def apply_change():
+            session.demand = requested_rate
+            self._change(session)
+
+        self._schedule_api_call(apply_change, at, "API.Change")
+
+    def _held_session(self, session_id, at):
+        """The session a leave or change at ``at`` names: joined (``KeyError``
+        otherwise), not left, and not dated before its join."""
+        session = self._sessions[session_id]
+        if session.left:
+            raise ValueError("session %r has already left" % (session_id,))
+        when = self.simulator.now if at is None else at
+        if when < session.joined_at:
+            raise ValueError(
+                "session %r cannot leave or change at %r, before its join at %r"
+                % (session_id, when, session.joined_at)
+            )
+        return session
+
+    def session(self, session_id):
+        """The joined session ``session_id`` (``KeyError`` if it never joined)."""
+        return self._sessions[session_id]
+
+    def open_session(self, source_host, destination_host, demand=math.inf, session_id=None, at=None):
+        """Create and immediately join a session; returns ``(session, application)``."""
+        session = self.create_session(source_host, destination_host, demand, session_id)
+        return session, self.join(session, at=at)
+
+    def active_sessions(self):
+        """The currently active sessions (the paper's set ``S``)."""
+        return self.registry.active_sessions()
+
+    def run(self, until=None):
+        """Run up to a time horizon."""
+        return self.simulator.run(until=until)
+
+    def _schedule_api_call(self, callback, at, tag):
+        # Calls with no requested time (or a time already in the past) execute
+        # immediately.  A call at exactly ``now`` is *enqueued*, not executed
+        # synchronously: it must take its (time, sequence) slot in the event
+        # queue so it interleaves deterministically with packet deliveries
+        # scheduled at the same instant.
+        if at is None or at < self.simulator.now:
+            callback()
+        else:
+            self.simulator.schedule_at(at, callback, tag=tag)
+
+    def _release_departed(self):
+        """Release every departed session: the protocol's step, then each
+        host no held session names, with the per-link state of its links."""
+        departed, self._departed = self._departed, []
+        sessions = self._sessions
+        users = self._host_users
+        per_link = self._per_link
+        for session_id in departed:
+            self._release(session_id)
+            session = sessions[session_id]
+            for host, link in ((session.source, session.links[0]),
+                               (session.destination, session.links[-1])):
+                users[host] -= 1
+                if not users[host]:
+                    # A host attaches to one router: these are its two links.
+                    del users[host]
+                    per_link.pop(link.endpoints, None)
+                    per_link.pop(link.endpoints[::-1], None)
+                    self.network.detach_host(host)
+
+    def __repr__(self):
+        return "%s(network=%r, sessions=%d, now=%r)" % (
+            type(self).__name__,
+            self.network.name,
+            len(self.registry),
+            self.simulator.now,
+        )

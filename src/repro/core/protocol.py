@@ -22,24 +22,20 @@ network and a discrete-event simulator:
 Departed sessions
 -----------------
 
-Once a session's ``API.Leave`` has ended it (removed it from the active
-set), the protocol records it.  The next :meth:`BNeckProtocol.apply_actions`
-whose batch passes validation, made while the simulator's heap is empty (so
-no pending delivery can still name the session), releases every recorded
-session before replaying the batch:
+:class:`~repro.core.actions.SessionProtocol`, the session lifecycle B-Neck
+shares with the baselines, records each session whose ``API.Leave`` has
+ended it and releases it at the next
+:meth:`~repro.core.actions.SessionProtocol.apply_actions` whose batch passes
+validation, made while the simulator's heap is empty (so no pending delivery
+can still name the session).  B-Neck's release step drops the session's
+SourceNode and DestinationNode tasks and its wiring, and every RouterLink of
+its path forgets it (:meth:`~repro.core.state.LinkState.forget`), which
+clears the ``mu`` and ``rate`` entries a late Response or Update re-creates
+behind the Leave.  The base then detaches each of its hosts that no held
+session names (:meth:`~repro.network.graph.Network.detach_host`), with the
+RouterLink of the egress link into a detached destination host.
 
-* its SourceNode and DestinationNode tasks and its wiring are dropped;
-* every RouterLink of its path forgets it
-  (:meth:`~repro.core.state.LinkState.forget`), which clears the ``mu`` and
-  ``rate`` entries a late Response or Update re-creates behind the Leave;
-* the RouterLink of its egress link, which runs into its own destination
-  host, is deleted, and both hosts are detached from the network
-  (:meth:`~repro.network.graph.Network.detach_host`) with their four access
-  links.  A host that a held session still names stays, with its egress
-  RouterLink.
-
-A departed session keeps its :class:`~repro.network.session.Session`
-(:meth:`BNeckProtocol.session`, and the refusal to join its id again), its
+A departed session keeps its :class:`~repro.network.session.Session`, its
 :class:`~repro.core.api.SessionApplication` with the ``API.Rate`` history,
 its packet counts in the tracer and its :meth:`BNeckProtocol.last_notified_rate`.
 So memory and the stability check of each checkpoint follow the sessions the
@@ -60,23 +56,15 @@ schedules no events, so it never alters the simulation.  The application's
 synchronously, ahead of the delivery.
 """
 
-import math
 from heapq import heappush
 
-from repro.core.actions import (
-    CapacityChangeAction,
-    replay_actions,
-    validate_actions,
-)
+from repro.core.actions import CapacityChangeAction, SessionProtocol
 from repro.core.api import SessionApplication
 from repro.core.destination_node import DestinationNodeTask
 from repro.core.packets import PACKET_CLASSES
 from repro.core.router_link import RouterLinkTask
 from repro.core.source_node import SourceNodeTask
 from repro.fairness.allocation import RateAllocation
-from repro.network.routing import PathComputer, path_links
-from repro.network.session import Session, SessionRegistry, check_demand
-from repro.simulator.simulation import Simulator
 from repro.simulator.tracing import PacketTracer
 
 DOWNSTREAM = "downstream"
@@ -110,7 +98,7 @@ def _unhandled(target, packet):
     return TypeError("%s cannot handle %r" % (target.name, packet))
 
 
-class BNeckProtocol(object):
+class BNeckProtocol(SessionProtocol):
     """B-Neck running over a network on a discrete-event simulator.
 
     Forwarding: a session's path is a list of *stages* (source, the
@@ -124,9 +112,9 @@ class BNeckProtocol(object):
     packet, and pushes one ``(time, sequence, handler, target, packet)``
     entry onto the simulator's heap, drawing one sequence number.  The
     handler is the unbound ``on_*`` function itself, so a delivery builds no
-    closure and runs no frame before it.  :meth:`join` resolves every
-    reverse link first, so a path over a one-way link is refused before
-    anything is registered.
+    closure and runs no frame before it.  A join resolves every reverse
+    link first, so a path over a one-way link is refused before anything is
+    registered.
 
     Counting: each session's wiring holds the tracer's list of its per-type
     counts (``sent``), and a send adds one to the slot of the packet's
@@ -146,27 +134,18 @@ class BNeckProtocol(object):
     """
 
     def __init__(self, network, simulator=None, tracer=None):
-        self.network = network
-        self.simulator = simulator or Simulator()
+        super(BNeckProtocol, self).__init__(network, simulator)
         self._wirings = {}
         self.tracer = tracer or PacketTracer()
         # The simulator's heap and counter, pushed to directly on every hop.
         self._heap = self.simulator.heap
         self._sequence = self.simulator.sequence
-        self.registry = SessionRegistry()
-        self.path_computer = PathComputer(network)
-        self._router_links = {}
         self._sources = {}
         self._destinations = {}
         self._applications = {}
-        self._sessions = {}
         self._last_rate = {}
         self._pending_rates = {}
-        # Ids of the sessions whose API.Leave has ended them and which are
-        # not released yet, in leave order.
-        self._departed = []
         self.rate_callbacks = 0
-        self._session_counter = 0
 
     @property
     def tracer(self):
@@ -188,143 +167,49 @@ class BNeckProtocol(object):
         packet, recounted from the simulator's heap on every read."""
         return sum(1 for entry in self.simulator.heap if isinstance(entry[4], PACKET_CLASSES))
 
-    # ------------------------------------------------------------------ actions
-
-    def apply_actions(self, actions):
-        """Apply a batch of session actions.
-
-        ``actions`` are :mod:`repro.core.actions` records (joins, leaves,
-        changes, capacity changes) with every random choice already resolved
-        and an absolute time each.  The whole batch is checked against this
-        protocol by :func:`~repro.core.actions.validate_actions` before any
-        of it is applied; a batch that fails the check raises and changes
-        nothing (no host, session or event, and nothing is released).
-        Otherwise, when the simulator's heap is empty, the sessions whose
-        ``API.Leave`` has executed are released (see the module docstring),
-        and then the batch is replayed in order.  Returns
-        ``{session_id: session}`` for the joins.
-        """
-        actions = validate_actions(self, list(actions))
-        if not self._heap:
-            self._release_departed()
-        return replay_actions(self, actions)
-
-    def _release_departed(self):
-        """Drop the tasks, link state, egress RouterLink and hosts of every
-        session recorded as departed.  Called with no event pending."""
-        departed = self._departed
-        if not departed:
-            return
-        self._departed = []
-        sessions = self._sessions
-        for session_id in departed:
-            del self._sources[session_id]
-            del self._destinations[session_id]
-            for task in self._wirings.pop(session_id).stages[1:-1]:
-                task.state.forget(session_id)
-        # Hosts a held session names stay (a direct ``open_session`` may
-        # share a host between sessions).
-        kept = set()
-        for session_id in self._wirings:
-            session = sessions[session_id]
-            kept.add(session.source)
-            kept.add(session.destination)
-        network = self.network
-        for session_id in departed:
-            session = sessions[session_id]
-            if session.destination not in kept:
-                del self._router_links[session.links[-1].endpoints]
-            for host in (session.source, session.destination):
-                if host not in kept:
-                    network.detach_host(host)
-                    # Released once, if another departed session names it.
-                    kept.add(host)
-
     # ------------------------------------------------------------------ sessions
 
-    def create_session(self, source_host, destination_host, demand=math.inf, session_id=None):
-        """Build a :class:`~repro.network.session.Session` along the shortest path.
-
-        This only constructs the object; call :meth:`join` to activate it.
-        """
-        if session_id is None:
-            self._session_counter += 1
-            session_id = "session-%d" % self._session_counter
-        node_path = self.path_computer.route(source_host, destination_host)
-        links = path_links(self.network, node_path)
-        session = Session(session_id, source_host, destination_host, node_path, links, demand)
-        return session
-
-    def join(self, session, at=None, application=None):
-        """``API.Join``: activate a session, optionally at a future time.
-
-        Returns the :class:`~repro.core.api.SessionApplication` that will
-        receive the session's ``API.Rate`` notifications.
-        """
-        if session.session_id in self._sessions:
-            raise ValueError("session %r already joined" % session.session_id)
-        if at is not None and not at < math.inf:
-            # NaN or infinity: the scheduling below would raise after the
-            # session is registered, so refuse before registering anything.
-            raise ValueError("session %r cannot join at %r" % (session.session_id, at))
+    def _setup(self, session, application):
+        """Build the session's tasks and wiring, and return the
+        :class:`~repro.core.api.SessionApplication` that will receive its
+        ``API.Rate`` notifications."""
+        session_id = session.session_id
         # Upstream packets cross each path link's reverse: look them all up
         # before registering anything, so a one-way link leaves no trace.
-        reverses = [self._reverse_link(session.session_id, link) for link in session.links]
+        reverses = [self._reverse_link(session_id, link) for link in session.links]
         if application is None:
-            application = SessionApplication(session.session_id, session.demand)
-        self._sessions[session.session_id] = session
-        self._applications[session.session_id] = application
+            application = SessionApplication(session_id, session.demand)
+        self._applications[session_id] = application
 
         source = SourceNodeTask(self.simulator, self, session)
         _wire_stage(source, session.access_link, reverses[0])
         destination = DestinationNodeTask(self.simulator, self, session)
-        self._sources[session.session_id] = source
-        self._destinations[session.session_id] = destination
+        self._sources[session_id] = source
+        self._destinations[session_id] = destination
 
         stages = [source]
         for link, reverse in zip(session.transit_links, reverses[1:]):
             stages.append(self._router_link_for(link, reverse))
         stages.append(destination)
-        self._wirings[session.session_id] = _SessionWiring(
-            stages, self._tracer.counts_for(session.session_id))
-
-        def activate():
-            self.registry.add(session)
-            source.api_join(session.demand)
-
-        self._schedule_api_call(activate, at, "API.Join")
+        self._wirings[session_id] = _SessionWiring(stages, self._tracer.counts_for(session_id))
         return application
 
-    def leave(self, session_id, at=None):
-        """``API.Leave``: terminate an active session, optionally at a future time.
+    def _activate(self, session):
+        self._sources[session.session_id].api_join(session.demand)
 
-        Once the leave has ended the active session, it is recorded as
-        departed; the next :meth:`apply_actions` on an empty heap releases
-        its tasks, link state and hosts, and keeps its session record,
-        application, packet counts and last notified rate.
-        """
-        source = self._sources[session_id]
-        self._sessions[session_id].left = True
+    def _deactivate(self, session):
+        self._sources[session.session_id].api_leave()
 
-        def deactivate():
-            if session_id in self.registry:
-                self.registry.remove(session_id)
-                self._departed.append(session_id)
-            source.api_leave()
+    def _change(self, session):
+        self._sources[session.session_id].api_change(session.demand)
 
-        self._schedule_api_call(deactivate, at, "API.Leave")
-
-    def change(self, session_id, requested_rate, at=None):
-        """``API.Change``: request a new maximum rate, optionally at a future time."""
-        check_demand(requested_rate, "session %r" % (session_id,))
-        source = self._sources[session_id]
-        session = self._sessions[session_id]
-
-        def apply_change():
-            session.demand = requested_rate
-            source.api_change(requested_rate)
-
-        self._schedule_api_call(apply_change, at, "API.Change")
+    def _release(self, session_id):
+        """Drop the session's tasks and wiring; every RouterLink of its path
+        forgets it."""
+        del self._sources[session_id]
+        del self._destinations[session_id]
+        for task in self._wirings.pop(session_id).stages[1:-1]:
+            task.state.forget(session_id)
 
     def change_capacity(self, source, target, capacity, at=None, both_directions=False):
         """Change a router-to-router link's data-plane capacity, mid-flight.
@@ -359,28 +244,11 @@ class BNeckProtocol(object):
 
         def apply_change():
             link.set_capacity(action.capacity)
-            task = self._router_links.get(key)
+            task = self._per_link.get(key)
             if task is not None:
                 task.capacity_changed(action.capacity)
 
         self._schedule_api_call(apply_change, action.at, "CapacityChange")
-
-    def open_session(self, source_host, destination_host, demand=math.inf, session_id=None, at=None):
-        """Create and immediately join a session; returns ``(session, application)``."""
-        session = self.create_session(source_host, destination_host, demand, session_id)
-        application = self.join(session, at=at)
-        return session, application
-
-    def _schedule_api_call(self, callback, at, tag):
-        # Calls with no requested time (or a time already in the past) execute
-        # immediately.  A call at exactly ``now`` is *enqueued*, not executed
-        # synchronously: it must take its (time, sequence) slot in the event
-        # queue so it interleaves deterministically with packet deliveries
-        # scheduled at the same instant.
-        if at is None or at < self.simulator.now:
-            callback()
-        else:
-            self.simulator.schedule_at(at, callback, tag=tag)
 
     def _reverse_link(self, session_id, link):
         try:
@@ -393,11 +261,11 @@ class BNeckProtocol(object):
 
     def _router_link_for(self, link, reverse):
         key = link.endpoints
-        if key not in self._router_links:
+        if key not in self._per_link:
             task = RouterLinkTask(self.simulator, self, link)
             _wire_stage(task, link, reverse)
-            self._router_links[key] = task
-        return self._router_links[key]
+            self._per_link[key] = task
+        return self._per_link[key]
 
     # ---------------------------------------------------------------- forwarding
 
@@ -525,13 +393,13 @@ class BNeckProtocol(object):
         one of a departed session's egress link (into its destination host)
         is deleted when the session is released, router-to-router ones stay.
         """
-        return self._router_links[endpoints]
+        return self._per_link[endpoints]
 
     def router_link_states(self):
         """The :class:`~repro.core.state.LinkState` of every RouterLink task:
         the links held sessions cross, router-to-router links crossed before,
         and the egress links of departed sessions not yet released."""
-        return [task.state for task in self._router_links.values()]
+        return [task.state for task in self._per_link.values()]
 
     def all_link_states(self):
         """Every link state: RouterLinks plus the access links owned by sources
@@ -545,9 +413,6 @@ class BNeckProtocol(object):
 
     def application(self, session_id):
         return self._applications[session_id]
-
-    def session(self, session_id):
-        return self._sessions[session_id]
 
     # -------------------------------------------------------------- allocation
 
@@ -576,10 +441,6 @@ class BNeckProtocol(object):
             allocation.set_rate(session.session_id, rate)
         return allocation
 
-    def active_sessions(self):
-        """The currently active sessions (the paper's set ``S``)."""
-        return self.registry.active_sessions()
-
     # --------------------------------------------------------------- execution
 
     @property
@@ -591,13 +452,3 @@ class BNeckProtocol(object):
         """Run until the event queue drains; returns the quiescence time."""
         return self.simulator.run_until_quiescent()
 
-    def run(self, until=None):
-        """Run up to a time horizon (used when mixing with workload schedules)."""
-        return self.simulator.run(until=until)
-
-    def __repr__(self):
-        return "BNeckProtocol(network=%r, sessions=%d, now=%r)" % (
-            self.network.name,
-            len(self.registry),
-            self.simulator.now,
-        )

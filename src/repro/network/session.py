@@ -34,6 +34,9 @@ class Session(object):
             second; ``math.inf`` means "no explicit limit".
         left: true once the protocol has applied the session's leave (set
             by its ``leave``); no later action may name the session.
+        joined_at: the time the protocol's ``join`` scheduled the session's
+            ``API.Join`` for (``None`` before it joins); no leave or change
+            may be dated before it.
     """
 
     __slots__ = (
@@ -44,6 +47,7 @@ class Session(object):
         "links",
         "demand",
         "left",
+        "joined_at",
     )
 
     def __init__(self, session_id, source, destination, node_path, links, demand=INFINITE_RATE):
@@ -59,6 +63,7 @@ class Session(object):
         self.links = list(links)
         self.demand = demand
         self.left = False
+        self.joined_at = None
 
     @property
     def access_link(self):

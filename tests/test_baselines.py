@@ -10,7 +10,7 @@ from repro.baselines.rcp import RCPLinkController, RCPProtocol
 from repro.core.actions import JoinAction, LeaveAction
 from repro.core.centralized import centralized_bneck
 from repro.network.graph import Link
-from repro.network.topology import single_link_topology
+from repro.network.topology import line_topology, single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds, milliseconds
 from tests.conftest import attach_endpoints
@@ -190,6 +190,41 @@ class TestBaselineProtocols(object):
         protocol.change("s", 5 * MBPS)
         protocol.run(until=milliseconds(80))
         assert protocol.current_allocation().rate("s") <= 5 * MBPS * 1.001
+
+
+@pytest.mark.parametrize("protocol_class", [BFYZProtocol, RCPProtocol])
+def test_departed_sessions_release_their_hosts_and_access_controllers(protocol_class):
+    """Five rounds of 40 joins that all leave again: every departed session
+    is released as its leave takes effect, with the heap never empty, so no
+    host and no controller of an access or egress link stays behind."""
+    network = line_topology(3, capacity=100 * MBPS, delay=microseconds(1))
+    protocol = make_protocol(protocol_class, network)
+    routers = ["r0", "r1", "r2"]
+    for round_index in range(5):
+        start = protocol.simulator.now + 1e-4
+        joins = [
+            JoinAction("s%d-%d" % (round_index, index), routers[index % 3],
+                       routers[(index + 1) % 3], math.inf, start + index * 1e-5,
+                       1000 * MBPS, microseconds(1))
+            for index in range(40)
+        ]
+        protocol.apply_actions(joins)
+        protocol.run(until=start + milliseconds(3))
+        assert len(protocol.active_sessions()) == 40
+        protocol.apply_actions([
+            LeaveAction(join.session_id, protocol.simulator.now + index * 1e-5)
+            for index, join in enumerate(joins)
+        ])
+        protocol.run(until=protocol.simulator.now + milliseconds(1))
+    assert protocol.active_sessions() == []
+    assert network.hosts() == []
+    assert sorted(protocol._per_link) == [
+        ("r0", "r1"), ("r1", "r0"), ("r1", "r2"), ("r2", "r1")]
+    # A released session keeps its record and its id.
+    assert protocol.session("s0-0").left
+    with pytest.raises(ValueError, match="already joined"):
+        protocol.apply_actions([JoinAction("s0-0", "r0", "r1", math.inf,
+                                           protocol.simulator.now, 1000 * MBPS, 0.0)])
 
 
 class TestBFYZTransientOverestimation(object):

@@ -69,13 +69,6 @@ class TestProbeLoop(object):
         assert protocol.probe_cycles >= 1
         assert len(protocol.registry) == 1
 
-    def test_duplicate_join_rejected(self):
-        network = single_link_topology()
-        protocol = BFYZProtocol(network)
-        session = open_session(protocol, "dup")
-        with pytest.raises(ValueError):
-            protocol.join(session)
-
     def test_current_allocation_tracks_only_active_sessions(self):
         network = single_link_topology()
         protocol = BFYZProtocol(network, probe_interval=milliseconds(1))

@@ -167,12 +167,6 @@ class TestPacketAccounting(object):
 
 
 class TestProtocolApiMisuse(object):
-    def test_duplicate_join_rejected(self, single_link_network):
-        protocol = BNeckProtocol(single_link_network)
-        session, _ = open_bneck_session(protocol, "r0", "r1", "dup")
-        with pytest.raises(ValueError):
-            protocol.join(session)
-
     def test_unknown_session_lookup_fails(self, single_link_network):
         protocol = BNeckProtocol(single_link_network)
         with pytest.raises(KeyError):

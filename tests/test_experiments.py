@@ -203,6 +203,41 @@ class TestExperiment3(object):
             }
 
 
+    def test_every_protocol_runs_the_churn_and_releases_as_documented(self, monkeypatch):
+        """A reduced Experiment 3 on all four protocols.  Each run finishes
+        and B-Neck quiesces.  A baseline releases a departed session as its
+        leave takes effect, so only the survivors' hosts stay attached;
+        B-Neck releases at the next batch, and the experiment applies none
+        after its leaves."""
+        import repro.experiments.experiment3 as experiment3
+
+        runners = []
+
+        class RecordingRunner(ExperimentRunner):
+            def close(self):
+                runners.append(self)
+
+        monkeypatch.setattr(experiment3, "ExperimentRunner", RecordingRunner)
+        config = Experiment3Config(
+            size="small",
+            initial_sessions=30,
+            leave_count=10,
+            churn_window=2e-3,
+            sample_interval=3e-3,
+            horizon=9e-3,
+            protocols=("bneck", "bfyz", "cg", "rcp"),
+            seed=6,
+        )
+        result = run_experiment3(config)
+        assert result.protocol_names() == ["bneck", "bfyz", "cg", "rcp"]
+        for name in config.protocols:
+            assert len(result.series(name).source_error_series) == 3
+        assert result.series("bneck").quiescent
+        hosts = [len(runner.network.hosts()) for runner in runners]
+        assert hosts == [2 * 30, 2 * 20, 2 * 20, 2 * 20]
+        for runner in runners:
+            assert len(runner.protocol.active_sessions()) == 20
+
 class TestReporting(object):
     def test_format_table_alignment(self):
         text = format_table(("name", "value"), [("alpha", 1.0), ("b", 123456)])

@@ -153,18 +153,6 @@ class TestSameInstantApiCalls(object):
         sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
         return protocol, source.node_id, sink.node_id
 
-    def test_join_at_now_is_enqueued_not_synchronous(self):
-        protocol, source, sink = self._single_session_protocol()
-        session = protocol.create_session(source, sink, session_id="a")
-        assert protocol.simulator.now == 0.0
-        protocol.join(session, at=0.0)
-        # The activation must wait for its (time, sequence) slot.
-        assert "a" not in protocol.registry
-        assert protocol.simulator.pending_events == 1
-        protocol.run_until_quiescent()
-        assert "a" in protocol.registry
-        assert protocol.current_allocation().as_dict()["a"] == pytest.approx(100 * MBPS)
-
     def test_api_call_at_now_runs_after_events_already_queued_at_that_time(self):
         protocol, source, sink = self._single_session_protocol()
         session, _ = protocol.open_session(source, sink, session_id="a")

@@ -3,17 +3,17 @@ anything is applied.
 
 A session's demand must be positive (infinity is legal, NaN is not) at every
 entry point: a batch of actions, a direct ``change`` and a new session.  A
-join at a non-finite time is refused before the session is registered, so a
-corrected retry succeeds.  A batch is checked whole against the protocol
-before any of it is replayed: a leave or change of a session that has not
-joined, is dated before its join in the batch, or whose leave was applied
-before (in an earlier batch or earlier in the same one), a join id that is
-taken, a join router that is not a router, a router pair with no route, a
-route over a one-way router link and a bad access-link capacity or delay
-each raise a ``ValueError`` naming the action, with no host attached, no
-session registered and no event scheduled.  Each case runs on B-Neck and on the BFYZ
+batch is checked whole against the protocol before any of it is replayed: a
+leave or change of a session that has not joined, is dated before its join
+(in the batch, or in an earlier batch), or whose leave was applied before
+(in an earlier batch or earlier in the same one), a join id that is taken, a
+join router that is not a router, a router pair with no route, a route over
+a one-way router link and a bad access-link capacity or delay each raise a
+``ValueError`` naming the action, with no host attached, no session
+registered and no event scheduled.  Each case runs on B-Neck and on the BFYZ
 baseline, whose simulators carry an event cap: a bad value that slipped
-through would fail a test rather than livelock it.
+through would fail a test rather than livelock it.  The refusals of direct
+calls, on all four protocols, are in ``test_session_lifecycle.py``.
 """
 
 import math
@@ -92,26 +92,6 @@ def test_a_direct_change_to_a_bad_demand_raises(name, demand):
     assert protocol.simulator.pending_events == pending
     _settle(protocol)
     assert protocol.current_allocation().as_dict()["s0"] == pytest.approx(10 * MBPS)
-
-
-@pytest.mark.parametrize("name", sorted(PROTOCOLS))
-@pytest.mark.parametrize("at", [math.nan, math.inf], ids=repr)
-def test_a_join_at_a_non_finite_time_registers_nothing(name, at):
-    network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-    protocol = PROTOCOLS[name](network, simulator=Simulator(max_events=100000))
-    source = network.attach_host("r0", HOST_CAPACITY, HOST_DELAY).node_id
-    sink = network.attach_host("r1", HOST_CAPACITY, HOST_DELAY).node_id
-    session = protocol.create_session(source, sink, session_id="a")
-    with pytest.raises(ValueError, match=repr(at)):
-        protocol.join(session, at=at)
-    assert protocol.simulator.pending_events == 0
-    with pytest.raises(ValueError):
-        protocol.open_session(source, sink, session_id="b", at=at)
-    # The corrected retry is not refused as "already joined".
-    protocol.join(session, at=1e-3)
-    _settle(protocol)
-    assert [s.session_id for s in protocol.active_sessions()] == ["a"]
-    assert protocol.current_allocation().as_dict()["a"] == pytest.approx(100 * MBPS)
 
 
 def _islands_protocol(name):
@@ -202,6 +182,31 @@ def test_a_batch_with_a_bad_session_reference_changes_nothing(name, case):
     protocol.apply_actions(batch)
     _settle(protocol)
     assert "s0" in protocol.registry
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+@pytest.mark.parametrize("kind", ["leave", "change"])
+def test_an_action_dated_before_a_join_of_an_earlier_batch_changes_nothing(name, kind):
+    """Batch 1 joins ``a`` at 5 ms; batch 2 names it at 1 ms, before the
+    join has run.  Accepted, a leave would run first and leave ``a`` active
+    for good, and a change would reach links that do not know ``a`` yet."""
+    network = line_topology(3, capacity=100 * MBPS, delay=microseconds(1))
+    protocol = PROTOCOLS[name](network, simulator=Simulator(max_events=100000))
+    protocol.apply_actions([_routed_join("a", "r0", "r2", 5e-3)])
+    bad = LeaveAction("a", 1e-3) if kind == "leave" else ChangeAction("a", 5 * MBPS, 1e-3)
+    before = _state(protocol)
+    with pytest.raises(ValueError, match=re.escape(
+            "%r is dated before the join of session 'a' at 0.005" % (bad,))):
+        protocol.apply_actions([bad])
+    assert _state(protocol) == before
+    assert not protocol.session("a").left
+    assert protocol.session("a").joined_at == 5e-3
+    # Dated at the join, the same action applies and settles.
+    bad.at = 5e-3
+    protocol.apply_actions([bad])
+    protocol.run(until=12e-3)
+    rates = protocol.current_allocation().as_dict()
+    assert rates == ({} if kind == "leave" else {"a": pytest.approx(5 * MBPS)})
 
 
 def test_a_baseline_refuses_a_capacity_change_before_applying_the_batch():
