@@ -21,10 +21,10 @@ with what demand, when, and over what access links.
 Every protocol extends :class:`SessionProtocol`, the one session lifecycle:
 its ``apply_actions`` checks the whole batch against the protocol with
 :func:`validate_actions`, releases departed sessions, and then replays the
-batch through :func:`replay_actions`.  A batch that fails the check changes
-nothing.  Replay is deterministic: host attachment, session creation and API
-scheduling happen in action order, so a batch always pushes the same events
-in the same relative order.
+batch through :func:`replay_actions` along the routes the check found.  A
+batch that fails the check changes nothing.  Replay is deterministic: host
+attachment, session creation and API scheduling happen in action order, so a
+batch always pushes the same events in the same relative order.
 """
 
 import math
@@ -137,33 +137,25 @@ class CapacityChangeAction(object):
         )
 
 
-def replay_actions(protocol, actions):
+def replay_actions(protocol, actions, routes):
     """Apply a batch of session actions to ``protocol``, in order.
 
-    Works with any protocol exposing the shared session API
-    (``network`` / ``create_session`` / ``join`` / ``leave`` / ``change``,
-    and ``schedule_capacity_change`` for capacity actions).  The batch must
-    have passed :func:`validate_actions` against the same protocol.
-    Returns ``{session_id: session}`` for the sessions the join actions
-    created.
+    The batch must have passed :func:`validate_actions` against the same
+    protocol, whose result ``routes`` gives each join's router path: no join
+    is routed again.  Returns ``{session_id: session}`` for the joins.
     """
     network = protocol.network
     joined = {}
     for action in actions:
         kind = action.kind
         if kind == "join":
-            source_host = network.attach_host(
-                action.source_router, action.host_capacity, action.host_delay
+            source, destination = (
+                network.attach_host(router, action.host_capacity, action.host_delay).node_id
+                for router in (action.source_router, action.destination_router)
             )
-            destination_host = network.attach_host(
-                action.destination_router, action.host_capacity, action.host_delay
-            )
-            session = protocol.create_session(
-                source_host.node_id,
-                destination_host.node_id,
-                demand=action.demand,
-                session_id=action.session_id,
-            )
+            node_path = [source] + routes[action.session_id] + [destination]
+            session = Session(action.session_id, source, destination, node_path,
+                              path_links(network, node_path), action.demand)
             protocol.join(session, at=action.at)
             joined[action.session_id] = session
         elif kind == "leave":
@@ -184,19 +176,19 @@ def validate_actions(protocol, actions):
     every capacity change a positive finite capacity on a router-to-router
     link of a protocol that supports capacity changes.  A join needs a new
     session id, new to the batch too, valid access links, and two connected
-    routers (routed here: the path computer's cache makes the replay's
-    routing free) whose route crosses no one-way link, since upstream packets
+    routers whose route crosses no one-way link, since upstream packets
     travel each link's reverse.  A leave or a change needs a session joined
     on the protocol or earlier in the batch, whose leave was applied neither
     in an earlier batch nor earlier in this one, and is not dated before the
     session's join: the join's time in the batch, or the
     :attr:`~repro.network.session.Session.joined_at` its protocol recorded
-    when an earlier batch joined it.  A failure raises a ``ValueError``
-    naming the action (``KeyError`` for an unknown link) and changes nothing.
-    Returns ``actions``.
+    when an earlier batch joined it; nor a leave before a change of it.  A
+    failure raises a ``ValueError`` naming the action (``KeyError`` for an
+    unknown link) and changes nothing.  Returns ``{session_id: router_path}``.
     """
-    joined = {}  # session id -> time, for the joins of the batch
+    dates = {}  # session id -> (join time, latest change time), so far
     left = set()
+    routes = {}
     for action in actions:
         kind = action.kind
         if kind not in ("join", "leave", "change", "capacity"):
@@ -215,7 +207,7 @@ def validate_actions(protocol, actions):
             check_demand(action.demand, "action %r" % (action,))
         session_id = action.session_id
         session = _session_or_none(protocol, session_id)
-        known = session_id in joined or session is not None
+        known = session_id in dates or session is not None
         if kind != "join":
             if not known:
                 raise ValueError(
@@ -225,13 +217,18 @@ def validate_actions(protocol, actions):
                 raise ValueError(
                     "action %r names session %r, which has already left" % (action, session_id)
                 )
-            joined_at = joined[session_id] if session is None else session.joined_at
+            joined_at, changed_at = dates.get(session_id) or (session.joined_at, session.changed_at)
             if at < joined_at:
                 raise ValueError(
                     "action %r is dated before the join of session %r at %r"
                     % (action, session_id, joined_at)
                 )
-            if kind == "leave":
+            if kind == "change":
+                dates[session_id] = (joined_at, max(changed_at, at))
+            elif at < changed_at:
+                raise ValueError("action %r is dated before a change of session %r at %r"
+                                 % (action, session_id, changed_at))
+            else:
                 left.add(session_id)
             continue
         if known:
@@ -258,8 +255,9 @@ def validate_actions(protocol, actions):
                     "action %r routes over the one-way link %r -> %r: its "
                     "upstream packets need the reverse link" % (action, upstream, downstream)
                 )
-        joined[session_id] = at
-    return actions
+        dates[session_id] = (at, -math.inf)
+        routes[session_id] = route
+    return routes
 
 
 def _session_or_none(protocol, session_id):
@@ -361,10 +359,11 @@ class SessionProtocol(object):
         are released, and then the batch is replayed in order.  Returns
         ``{session_id: session}`` for the joins.
         """
-        actions = validate_actions(self, list(actions))
+        actions = list(actions)
+        routes = validate_actions(self, actions)
         if not self.simulator.heap:
             self._release_departed()
-        return replay_actions(self, actions)
+        return replay_actions(self, actions, routes)
 
     def create_session(self, source_host, destination_host, demand=math.inf, session_id=None):
         """Build a :class:`~repro.network.session.Session` along the shortest
@@ -414,7 +413,10 @@ class SessionProtocol(object):
         Marks the session ``left`` at once; once the leave has ended the
         active session, the session is departed (see the class docstring).
         """
-        session = self._held_session(session_id, at)
+        session, when = self._held_session(session_id, at)
+        if when < session.changed_at:
+            raise ValueError("session %r cannot leave at %r, before its change at %r"
+                             % (session_id, when, session.changed_at))
         session.left = True
 
         def deactivate():
@@ -428,17 +430,18 @@ class SessionProtocol(object):
     def change(self, session_id, requested_rate, at=None):
         """``API.Change``: request a new maximum rate, optionally at a future time."""
         check_demand(requested_rate, "session %r" % (session_id,))
-        session = self._held_session(session_id, at)
+        session, when = self._held_session(session_id, at)
 
         def apply_change():
             session.demand = requested_rate
             self._change(session)
 
         self._schedule_api_call(apply_change, at, "API.Change")
+        session.changed_at = max(session.changed_at, when)
 
     def _held_session(self, session_id, at):
-        """The session a leave or change at ``at`` names: joined (``KeyError``
-        otherwise), not left, and not dated before its join."""
+        """The session a leave or change at ``at`` names (joined, ``KeyError``
+        otherwise; not left; not dated before its join), and the date."""
         session = self._sessions[session_id]
         if session.left:
             raise ValueError("session %r has already left" % (session_id,))
@@ -448,7 +451,7 @@ class SessionProtocol(object):
                 "session %r cannot leave or change at %r, before its join at %r"
                 % (session_id, when, session.joined_at)
             )
-        return session
+        return session, when
 
     def session(self, session_id):
         """The joined session ``session_id`` (``KeyError`` if it never joined)."""

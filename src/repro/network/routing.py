@@ -5,8 +5,7 @@ destination node", by hop count.  Hosts hang off routers through dedicated
 access links and never relay (Section II), so a session's path is its source
 host, a shortest router path between the two hosts' attached routers, and its
 destination host.  :class:`PathComputer` is the one route search: a
-breadth-first search between routers, whose result it caches, which matters
-when a workload creates tens of thousands of sessions over the same backbone.
+breadth-first search between routers that keeps nothing per router pair.
 """
 
 import collections
@@ -48,19 +47,17 @@ def _reconstruct(predecessor, target):
 
 
 class PathComputer(object):
-    """Hop-count routes between hosts, with a router-to-router path cache.
+    """Hop-count routes between hosts and between routers.
 
     A host-to-host route is ``[source_host] + router_path + [destination_host]``,
-    where ``router_path`` is the cached shortest path between the hosts'
-    attached routers.  The searches read each router's router neighbours
-    from a map built at the first search; like the cache, it assumes that no
-    router and no link between routers is added after that.  Attaching hosts
-    changes neither.
+    where ``router_path`` is a shortest path between the hosts' attached
+    routers.  The searches read each router's router neighbours from a map
+    built at the first search, which assumes that no router and no link
+    between routers is added after that.  Attaching hosts changes neither.
     """
 
     def __init__(self, network):
         self.network = network
-        self._cache = {}
         self._relays = None
 
     def route(self, source_host, destination_host):
@@ -81,23 +78,19 @@ class PathComputer(object):
         return [source_host] + self.router_route(*routers) + [destination_host]
 
     def router_route(self, ingress, egress):
-        """Return (and cache) a shortest router path between two routers.
+        """Return a new list: a shortest router path between two routers.
 
         Raises ``ValueError`` naming an endpoint that is not a router, or when
         no path exists.
         """
-        key = (ingress, egress)
-        path = self._cache.get(key)
+        relays = self._router_relays()
+        for router in (ingress, egress):
+            if router not in relays:
+                raise ValueError("%r is not a router" % (router,))
+        path = _shortest_router_path(relays, ingress, egress)
         if path is None:
-            relays = self._router_relays()
-            for router in key:
-                if router not in relays:
-                    raise ValueError("%r is not a router" % (router,))
-            path = _shortest_router_path(relays, ingress, egress)
-            if path is None:
-                raise ValueError("no path from %r to %r" % (ingress, egress))
-            self._cache[key] = path
-        return list(path)
+            raise ValueError("no path from %r to %r" % (ingress, egress))
+        return path
 
     def _router_relays(self):
         if self._relays is None:

@@ -37,6 +37,8 @@ class Session(object):
         joined_at: the time the protocol's ``join`` scheduled the session's
             ``API.Join`` for (``None`` before it joins); no leave or change
             may be dated before it.
+        changed_at: the latest date of a change the protocol's ``change``
+            scheduled (``-math.inf`` before any); no leave may precede it.
     """
 
     __slots__ = (
@@ -48,6 +50,7 @@ class Session(object):
         "demand",
         "left",
         "joined_at",
+        "changed_at",
     )
 
     def __init__(self, session_id, source, destination, node_path, links, demand=INFINITE_RATE):
@@ -64,6 +67,7 @@ class Session(object):
         self.demand = demand
         self.left = False
         self.joined_at = None
+        self.changed_at = -math.inf
 
     @property
     def access_link(self):

@@ -5,7 +5,8 @@ A session's demand must be positive (infinity is legal, NaN is not) at every
 entry point: a batch of actions, a direct ``change`` and a new session.  A
 batch is checked whole against the protocol before any of it is replayed: a
 leave or change of a session that has not joined, is dated before its join
-(in the batch, or in an earlier batch), or whose leave was applied before
+(in the batch, or in an earlier batch), a leave dated before a change of its
+session (likewise), or whose leave was applied before
 (in an earlier batch or earlier in the same one), a join id that is taken, a
 join router that is not a router, a router pair with no route, a route over
 a one-way router link and a bad access-link capacity or delay each raise a
@@ -207,6 +208,37 @@ def test_an_action_dated_before_a_join_of_an_earlier_batch_changes_nothing(name,
     protocol.run(until=12e-3)
     rates = protocol.current_allocation().as_dict()
     assert rates == ({} if kind == "leave" else {"a": pytest.approx(5 * MBPS)})
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+@pytest.mark.parametrize("split", [False, True], ids=["one-batch", "two-batches"])
+def test_a_leave_dated_before_a_pending_change_changes_nothing(name, split):
+    """``a`` joined at 0 and the run is at 2 ms; a change of ``a`` at 5 ms
+    comes before a leave of it at 3 ms, in the same batch or in an earlier
+    one.  Accepted, the leave would run first and the change would reach a
+    departed session: B-Neck's Probe meets links that no longer know ``a``,
+    and BFYZ keeps a demand for it."""
+    network = line_topology(3, capacity=100 * MBPS, delay=microseconds(1))
+    protocol = PROTOCOLS[name](network, simulator=Simulator(max_events=100000))
+    protocol.apply_actions([_join("a", 10 * MBPS, 0.0)])
+    protocol.run(until=2e-3)
+    change = ChangeAction("a", 5 * MBPS, 5e-3)
+    leave = LeaveAction("a", 3e-3)
+    batch = [change, leave]
+    if split:
+        protocol.apply_actions([batch.pop(0)])
+    before = _state(protocol)
+    with pytest.raises(ValueError, match=re.escape(
+            "%r is dated before a change of session 'a' at 0.005" % (leave,))):
+        protocol.apply_actions(batch)
+    assert _state(protocol) == before
+    assert not protocol.session("a").left
+    # Dated at the change, the same leave applies after it and settles.
+    leave.at = 5e-3
+    protocol.apply_actions(batch)
+    protocol.run(until=12e-3)
+    assert protocol.active_sessions() == []
+    assert protocol.current_allocation().as_dict() == {}
 
 
 def test_a_baseline_refuses_a_capacity_change_before_applying_the_batch():

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from repro.core.actions import JoinAction
+from repro.core.protocol import BNeckProtocol
 from repro.network import routing
 from repro.network.graph import Network
 from repro.network.routing import PathComputer, path_links
@@ -100,30 +102,6 @@ class TestPathComputer(object):
         assert links[-1].target == sink.node_id
         for first, second in zip(links, links[1:]):
             assert first.target == second.source
-
-    def test_router_segment_is_cached(self, monkeypatch):
-        searches = []
-
-        def counting_search(relays, source, target):
-            searches.append((source, target))
-            return search(relays, source, target)
-
-        search = routing._shortest_router_path
-        monkeypatch.setattr(routing, "_shortest_router_path", counting_search)
-        network = star_topology(3)
-        computer = PathComputer(network)
-        hosts = []
-        for _ in range(3):
-            hosts.append(
-                (
-                    network.attach_host("leaf0", 100 * MBPS, microseconds(1)).node_id,
-                    network.attach_host("leaf1", 100 * MBPS, microseconds(1)).node_id,
-                )
-            )
-        for source, sink in hosts:
-            computer.route(source, sink)
-        # All three host pairs share the same router segment: one search.
-        assert searches == [("leaf0", "leaf1")]
 
     def test_router_route_returns_copy(self):
         network = star_topology(2)
@@ -253,6 +231,48 @@ def test_path_computer_router_routes_match_the_full_scan():
     for source, target in pairs[750:]:
         assert computer.router_route(source, target) == reference_bfs(network, source, target)
     assert computer.router_route(routers[0], routers[0]) == [routers[0]]
+
+
+def test_a_batch_routes_each_join_once(monkeypatch):
+    """``apply_actions`` searches each join's router path once, when it
+    checks the batch, and the replay builds the session along that path
+    without asking for a host-to-host route.  Nothing is kept per router
+    pair: the pair the batch names twice is searched twice."""
+    searches = []
+    host_routes = []
+
+    def counting_search(relays, source, target):
+        searches.append((source, target))
+        return search(relays, source, target)
+
+    def counting_route(computer, source_host, destination_host):
+        host_routes.append((source_host, destination_host))
+        return route(computer, source_host, destination_host)
+
+    search = routing._shortest_router_path
+    route = PathComputer.route
+    monkeypatch.setattr(routing, "_shortest_router_path", counting_search)
+    monkeypatch.setattr(PathComputer, "route", counting_route)
+    network = small_network(LAN, seed=1)
+    routers = sorted(node.node_id for node in network.routers())
+    rng = random.Random(10)
+    pairs = [(rng.choice(routers), rng.choice(routers)) for _ in range(5)]
+    pairs.append(pairs[0])
+    batch = [
+        JoinAction("s%d" % index, source, target, 10 * MBPS, milliseconds(1),
+                   HOST_LINK_CAPACITY, HOST_LINK_DELAY)
+        for index, (source, target) in enumerate(pairs)
+    ]
+    sessions = BNeckProtocol(network).apply_actions(batch)
+    assert searches == pairs
+    assert host_routes == []
+    for action in batch:
+        session = sessions[action.session_id]
+        assert session.node_path == [session.source] + reference_bfs(
+            network, action.source_router, action.destination_router
+        ) + [session.destination]
+        assert network.node(session.source).attached_router == action.source_router
+        assert network.node(session.destination).attached_router == action.destination_router
 
 
 def test_path_computer_reports_unreachable_routers():

@@ -11,7 +11,9 @@ test here runs on all four:
 * a call requested at exactly ``now`` is enqueued with its ``API.*`` tag,
   not run synchronously;
 * a direct leave or change dated before the session's join, or naming a
-  session that has left, is refused and schedules nothing.
+  session that has left, is refused and schedules nothing;
+* a direct leave dated before a change already scheduled for the session is
+  refused; a change may be dated before another.
 """
 
 import math
@@ -149,5 +151,22 @@ def test_a_direct_leave_or_change_before_the_join_or_after_the_leave_is_refused(
         protocol.leave("a", at=7e-3)
     with pytest.raises(ValueError, match="already left"):
         protocol.change("a", 5 * MBPS, at=7e-3)
+    protocol.run(until=8e-3)
+    assert protocol.active_sessions() == []
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_a_direct_leave_before_a_scheduled_change_is_refused(name):
+    protocol, source, sink = _protocol(name)
+    protocol.open_session(source, sink, session_id="a")
+    protocol.change("a", 5 * MBPS, at=5e-3)
+    protocol.change("a", 8 * MBPS, at=4e-3)
+    pending = protocol.simulator.pending_events
+    for at in (None, 3e-3, 4.5e-3):
+        with pytest.raises(ValueError, match="cannot leave at .*, before its change at 0.005"):
+            protocol.leave("a", at=at)
+    assert protocol.simulator.pending_events == pending
+    assert not protocol.session("a").left
+    protocol.leave("a", at=5e-3)
     protocol.run(until=8e-3)
     assert protocol.active_sessions() == []
