@@ -159,12 +159,27 @@ class Network(object):
         self._links = {}
         self._adjacency = {}
         self._host_counter = 0
+        self._router_changes = 0
+
+    @property
+    def router_changes(self):
+        """How many times :meth:`add_router` and :meth:`add_link` have added.
+
+        Route searches keep a map of the router graph and rebuild it when
+        this count has moved.  :meth:`attach_host` and :meth:`detach_host`
+        leave it as is, so joins and departures never rebuild the map.  A
+        host linked by hand with :meth:`add_link` moves it too, which costs
+        only a needless rebuild.
+        """
+        return self._router_changes
 
     # ------------------------------------------------------------------ nodes
 
     def add_router(self, node_id, tier=None):
         """Add a router node and return it."""
-        return self._add_node(Node(node_id, ROUTER, tier=tier))
+        router = self._add_node(Node(node_id, ROUTER, tier=tier))
+        self._router_changes += 1
+        return router
 
     def add_host(self, node_id, attached_router=None):
         """Add a host node and return it."""
@@ -216,6 +231,7 @@ class Network(object):
             self._add_directed_link(
                 target, source, capacity, propagation_delay, control_packet_bits
             )
+        self._router_changes += 1
         return forward
 
     def _add_directed_link(self, source, target, capacity, propagation_delay, control_bits):
@@ -272,7 +288,11 @@ class Network(object):
             self._host_counter += 1
             host_id = "host-%d" % self._host_counter
         host = self.add_host(host_id, attached_router=router_id)
-        self.add_link(host_id, router_id, capacity, propagation_delay, bidirectional=True)
+        # Not through add_link: attaching a host leaves router_changes as is.
+        for source, target in ((host_id, router_id), (router_id, host_id)):
+            self._add_directed_link(
+                source, target, capacity, propagation_delay, DEFAULT_CONTROL_PACKET_BITS
+            )
         return host
 
     def detach_host(self, host_id):

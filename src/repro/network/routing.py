@@ -52,13 +52,15 @@ class PathComputer(object):
     A host-to-host route is ``[source_host] + router_path + [destination_host]``,
     where ``router_path`` is a shortest path between the hosts' attached
     routers.  The searches read each router's router neighbours from a map
-    built at the first search, which assumes that no router and no link
-    between routers is added after that.  Attaching hosts changes neither.
+    that is rebuilt whenever :attr:`Network.router_changes` has moved since
+    it was built, that is after a router or a link was added.  Attaching and
+    detaching hosts leaves that count as is, so joins never rebuild the map.
     """
 
     def __init__(self, network):
         self.network = network
         self._relays = None
+        self._relays_built_at = None
 
     def route(self, source_host, destination_host):
         """Return the node path from ``source_host`` to ``destination_host``.
@@ -83,7 +85,9 @@ class PathComputer(object):
         Raises ``ValueError`` naming an endpoint that is not a router, or when
         no path exists.
         """
-        relays = self._router_relays()
+        if self._relays_built_at != self.network.router_changes:
+            self._build_relays()
+        relays = self._relays
         for router in (ingress, egress):
             if router not in relays:
                 raise ValueError("%r is not a router" % (router,))
@@ -92,14 +96,13 @@ class PathComputer(object):
             raise ValueError("no path from %r to %r" % (ingress, egress))
         return path
 
-    def _router_relays(self):
-        if self._relays is None:
-            network = self.network
-            routers = {node.node_id for node in network.routers()}
-            self._relays = {
-                router: tuple(
-                    neighbor for neighbor in network.neighbors(router) if neighbor in routers
-                )
-                for router in routers
-            }
-        return self._relays
+    def _build_relays(self):
+        network = self.network
+        self._relays_built_at = network.router_changes
+        routers = {node.node_id for node in network.routers()}
+        self._relays = {
+            router: tuple(
+                neighbor for neighbor in network.neighbors(router) if neighbor in routers
+            )
+            for router in routers
+        }

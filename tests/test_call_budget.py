@@ -55,10 +55,12 @@ on CPython 3.11.7 for 200 router pairs of Medium: 79,886 calls with no host
 and 318,364 with 2,000 hosts when the search looked up every new neighbour's
 node; 38,460 with either when it expanded only a per-node relay list.  A
 :class:`~repro.network.routing.PathComputer` reads each router's router
-neighbours from a map it builds at its first search, so once that map exists
-its router routes make no call per node: 800 calls for the same 200 pairs,
-with no host or with 2,000, i.e. four per route (``router_route``, the map
-lookup, the search and the path reconstruction).
+neighbours from a map it builds at its first search and rebuilds only when a
+router or a router link has been added, so once that map exists its router
+routes make no call per node: 800 calls for the same 200 pairs, with no host
+or with 2,000, i.e. four per route (``router_route``, the network's
+``router_changes`` it compares with the map's, the search and the path
+reconstruction).
 """
 
 import cProfile

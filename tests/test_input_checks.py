@@ -155,6 +155,11 @@ BAD_BATCHES = {
                     JoinAction("b", "r0", "r1", 10 * MBPS, at, HOST_CAPACITY, math.nan)], 1),
 }
 
+# The cause a refusal must also name, where more than one could apply: the
+# islands ``x0 - x1`` are added after the first route, so a join to them is
+# refused because no path reaches them, not because they are unknown.
+REASONS = {"join-between-unconnected-routers": "no path from 'r0' to 'x1'"}
+
 
 def _state(protocol):
     return (
@@ -171,8 +176,9 @@ def test_a_batch_with_a_bad_session_reference_changes_nothing(name, case):
     make_batch, bad_index = BAD_BATCHES[case]
     batch = make_batch(protocol.simulator.now + 1e-3)
     before = _state(protocol)
-    with pytest.raises(ValueError, match=re.escape(repr(batch[bad_index]))):
+    with pytest.raises(ValueError, match=re.escape(repr(batch[bad_index]))) as refusal:
         protocol.apply_actions(batch)
+    assert REASONS.get(case, "") in str(refusal.value)
     assert _state(protocol) == before
     for action in batch:
         if action.kind == "join" and action.session_id != "s0":

@@ -135,6 +135,23 @@ class TestTopologyQueries(object):
     def test_empty_network_is_connected(self):
         assert Network().is_connected()
 
+    def test_router_changes_moves_with_routers_and_links_not_with_hosts(self):
+        network = Network()
+        assert network.router_changes == 0
+        network.add_router("a")
+        network.add_router("b")
+        assert network.router_changes == 2
+        network.add_link("a", "b", 10 * MBPS, 1e-6)
+        assert network.router_changes == 3
+        with pytest.raises(ValueError, match="duplicate link"):
+            network.add_link("b", "a", 10 * MBPS, 1e-6)
+        host = network.attach_host("a", 10 * MBPS, 1e-6)
+        network.add_host("loose")
+        network.detach_host(host.node_id)
+        assert network.router_changes == 3
+        with pytest.raises(AttributeError):
+            network.router_changes = 0
+
 
 class TestHostAttachment(object):
     def test_attach_host_creates_both_directions(self, two_router_network):

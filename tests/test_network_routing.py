@@ -275,6 +275,58 @@ def test_a_batch_routes_each_join_once(monkeypatch):
         assert network.node(session.destination).attached_router == action.destination_router
 
 
+def _joined_line():
+    """``line_topology(3)`` with one session joined ``r0 -> r2``, so the
+    protocol's route search has built its router map."""
+    network = line_topology(3, capacity=100 * MBPS, delay=microseconds(1))
+    protocol = BNeckProtocol(network)
+    protocol.apply_actions([JoinAction("a", "r0", "r2", 10 * MBPS, milliseconds(1),
+                                       HOST_LINK_CAPACITY, HOST_LINK_DELAY)])
+    protocol.run_until_quiescent()
+    return protocol
+
+
+def test_a_router_added_after_the_first_route_can_be_joined_to():
+    protocol = _joined_line()
+    network = protocol.network
+    network.add_router("x0")
+    network.add_link("r0", "x0", 100 * MBPS, microseconds(1))
+    at = protocol.simulator.now + milliseconds(1)
+    sessions = protocol.apply_actions([JoinAction(
+        "b", "r0", "x0", 10 * MBPS, at, HOST_LINK_CAPACITY, HOST_LINK_DELAY)])
+    assert sessions["b"].node_path[1:-1] == ["r0", "x0"]
+    protocol.run_until_quiescent()
+    assert protocol.current_allocation().as_dict()["b"] == pytest.approx(10 * MBPS)
+
+
+def test_a_router_link_added_after_the_first_route_is_taken():
+    protocol = _joined_line()
+    network = protocol.network
+    network.add_link("r0", "r2", 100 * MBPS, microseconds(1))
+    at = protocol.simulator.now + milliseconds(1)
+    sessions = protocol.apply_actions([JoinAction(
+        "b", "r0", "r2", 10 * MBPS, at, HOST_LINK_CAPACITY, HOST_LINK_DELAY)])
+    fresh = PathComputer(network).router_route("r0", "r2")
+    assert fresh == ["r0", "r2"]
+    assert sessions["b"].node_path[1:-1] == fresh
+    assert protocol.session("a").node_path[1:-1] == ["r0", "r1", "r2"]
+
+
+def test_attaching_and_detaching_hosts_never_rebuilds_the_router_map(monkeypatch):
+    network = small_network(LAN, seed=1)
+    computer = PathComputer(network)
+    routers = sorted(node.node_id for node in network.routers())
+    computer.router_route(routers[0], routers[-1])
+    builds = []
+    monkeypatch.setattr(network, "routers", lambda: builds.append(1) or [])
+    hosts = [network.attach_host(router, HOST_LINK_CAPACITY, HOST_LINK_DELAY)
+             for router in routers]
+    network.detach_host(hosts[0].node_id)
+    assert computer.route(hosts[1].node_id, hosts[-1].node_id)[1:-1] == reference_bfs(
+        network, routers[1], routers[-1])
+    assert builds == []
+
+
 def test_path_computer_reports_unreachable_routers():
     network = Network("islands")
     for router in ("a", "b", "c"):
