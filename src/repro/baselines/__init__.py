@@ -20,7 +20,7 @@ continuous control traffic is exactly the behaviour the B-Neck paper contrasts
 against (Figures 7 and 8).
 """
 
-from repro.baselines.base import BaselineProtocol, LinkController, ProbeCycleResult
+from repro.baselines.base import BaselineProtocol, LinkController
 from repro.baselines.bfyz import BFYZProtocol
 from repro.baselines.cg import CGProtocol
 from repro.baselines.rcp import RCPProtocol
@@ -30,6 +30,5 @@ __all__ = [
     "BaselineProtocol",
     "CGProtocol",
     "LinkController",
-    "ProbeCycleResult",
     "RCPProtocol",
 ]

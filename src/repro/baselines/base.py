@@ -49,24 +49,6 @@ class LinkController(object):
         """
 
 
-class ProbeCycleResult(object):
-    """Outcome of one probe cycle: the granted rate and the cycle's RTT."""
-
-    __slots__ = ("session_id", "granted_rate", "round_trip_time")
-
-    def __init__(self, session_id, granted_rate, round_trip_time):
-        self.session_id = session_id
-        self.granted_rate = granted_rate
-        self.round_trip_time = round_trip_time
-
-    def __repr__(self):
-        return "ProbeCycleResult(%r, rate=%.4g, rtt=%.3g)" % (
-            self.session_id,
-            self.granted_rate,
-            self.round_trip_time,
-        )
-
-
 class BaselineProtocol(SessionProtocol):
     """A periodically probing, non-quiescent rate allocation protocol.
 
@@ -74,11 +56,14 @@ class BaselineProtocol(SessionProtocol):
     :class:`LinkController`.  The session lifecycle is
     :class:`~repro.core.actions.SessionProtocol`'s, the same as
     :class:`~repro.core.protocol.BNeckProtocol`'s, so the experiment harnesses
-    and the workload generator drive both interchangeably.  A departed
-    session is released as soon as its leave takes effect: its demand, and
-    the controllers of its access and egress links once its hosts are
-    detached.  Capacity changes are refused: a baseline has no bottleneck
-    computation to re-run.
+    and the workload generator drive both interchangeably.  The active
+    sessions are the registry's: a probe cycle reads the session's effective
+    demand from its :class:`~repro.network.session.Session` and stops once
+    the session has left the registry.  Per session, a baseline keeps only
+    its current rate.  A departed session is released as soon as its leave
+    takes effect: the controllers of its access and egress links go with its
+    detached hosts.  Capacity changes are refused: a baseline has no
+    bottleneck computation to re-run.
     """
 
     name = "baseline"
@@ -98,8 +83,6 @@ class BaselineProtocol(SessionProtocol):
         self.tracer = tracer or PacketTracer()
         self.probe_interval = probe_interval
         self._rates = {}
-        self._demands = {}
-        self._active = set()
         self.probe_cycles = 0
         self._ticking = False
 
@@ -119,8 +102,6 @@ class BaselineProtocol(SessionProtocol):
     def _activate(self, session):
         """Start the session's periodic probe loop."""
         session_id = session.session_id
-        self._active.add(session_id)
-        self._demands[session_id] = session.effective_demand()
         self._rates[session_id] = 0.0
         self._ensure_periodic_updates()
         self._probe(session_id)
@@ -128,7 +109,6 @@ class BaselineProtocol(SessionProtocol):
     def _deactivate(self, session):
         """Stop the session's probe loop, and release it at once."""
         session_id = session.session_id
-        self._active.discard(session_id)
         self._rates.pop(session_id, None)
         for link in session.links:
             controller = self._per_link.get(link.endpoints)
@@ -136,19 +116,13 @@ class BaselineProtocol(SessionProtocol):
                 controller.on_leave(session_id)
         self._release_departed()
 
-    def _change(self, session):
-        self._demands[session.session_id] = session.effective_demand()
-
-    def _release(self, session_id):
-        del self._demands[session_id]
-
     # ------------------------------------------------------------ probe cycle
 
     def _probe(self, session_id):
-        if session_id not in self._active:
+        session = self.registry.get(session_id)
+        if session is None:
             return
-        session = self._sessions[session_id]
-        demand = self._demands[session_id]
+        demand = session.effective_demand()
         current = self._rates.get(session_id, 0.0)
         now = self.simulator.now
         self.probe_cycles += 1
@@ -171,20 +145,19 @@ class BaselineProtocol(SessionProtocol):
             tracer.record(
                 now + elapsed, RESPONSE_PACKET, session_id, link=reverse.endpoints, direction="upstream"
             )
-        round_trip = elapsed
-        result = ProbeCycleResult(session_id, max(granted, 0.0), round_trip)
+        granted = max(granted, 0.0)
 
         def complete():
-            self._complete_probe(result)
+            self._complete_probe(session_id, granted, elapsed)
 
-        self.simulator.schedule(round_trip, complete, tag="%s.response" % self.name)
+        self.simulator.schedule(elapsed, complete, tag="%s.response" % self.name)
 
-    def _complete_probe(self, result):
-        session_id = result.session_id
-        if session_id not in self._active:
+    def _complete_probe(self, session_id, granted_rate, round_trip_time):
+        session = self.registry.get(session_id)
+        if session is None:
             return
-        self._rates[session_id] = min(result.granted_rate, self._demands[session_id])
-        remaining = max(self.probe_interval - result.round_trip_time, 0.0)
+        self._rates[session_id] = min(granted_rate, session.effective_demand())
+        remaining = max(self.probe_interval - round_trip_time, 0.0)
         self.simulator.schedule(
             remaining, lambda: self._probe(session_id), tag="%s.probe" % self.name
         )
@@ -202,13 +175,13 @@ class BaselineProtocol(SessionProtocol):
         )
 
     def _periodic_tick(self, interval):
-        if not self._active:
+        if not self.registry:
             # The loop stops when every session has left; it restarts on the
             # next join.
             self._ticking = False
             return
         rates_by_link = {}
-        for session in self.registry:
+        for session in self.registry.values():
             rate = self._rates.get(session.session_id, 0.0)
             for link in session.links:
                 rates_by_link.setdefault(link.endpoints, []).append(rate)
@@ -223,6 +196,6 @@ class BaselineProtocol(SessionProtocol):
     def current_allocation(self):
         """The rate each active session is currently using."""
         allocation = RateAllocation()
-        for session in self.registry:
-            allocation.set_rate(session.session_id, self._rates.get(session.session_id, 0.0))
+        for session_id in self.registry:
+            allocation.set_rate(session_id, self._rates.get(session_id, 0.0))
         return allocation

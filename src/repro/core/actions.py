@@ -30,7 +30,7 @@ batch always pushes the same events in the same relative order.
 import math
 
 from repro.network.routing import PathComputer, path_links
-from repro.network.session import Session, SessionRegistry, check_demand
+from repro.network.session import Session, check_demand
 from repro.simulator.simulation import Simulator
 
 
@@ -298,7 +298,9 @@ class SessionProtocol(object):
     it alike.  This base owns the whole lifecycle: batches
     (:meth:`apply_actions`), session creation, the refusals of each call, the
     ``(time, sequence)`` slot of every API call and the release of departed
-    sessions.  A protocol supplies only its own steps:
+    sessions.  ``registry`` maps the id of every active session (the paper's
+    ``S``) to its :class:`~repro.network.session.Session`, in activation
+    order.  A protocol supplies only its own steps:
 
     * ``_setup(session, application)`` builds what the session needs before
       it joins, and returns what :meth:`join` returns.  It may refuse with a
@@ -308,6 +310,9 @@ class SessionProtocol(object):
       effect;
     * ``_release(session_id)`` drops the per-session state of a departed
       session.
+
+    ``_setup`` returns ``application`` unchanged, and ``_change`` and
+    ``_release`` do nothing, unless the protocol supplies its own.
 
     A protocol keeps its per-link state (B-Neck's RouterLink tasks, a
     baseline's link controllers) in ``_per_link``, keyed by link endpoints.
@@ -333,7 +338,7 @@ class SessionProtocol(object):
     def __init__(self, network, simulator=None):
         self.network = network
         self.simulator = simulator or Simulator()
-        self.registry = SessionRegistry()
+        self.registry = {}
         self.path_computer = PathComputer(network)
         self._sessions = {}
         self._per_link = {}
@@ -346,6 +351,12 @@ class SessionProtocol(object):
 
     def _setup(self, session, application):
         return application
+
+    def _change(self, session):
+        pass
+
+    def _release(self, session_id):
+        pass
 
     def apply_actions(self, actions):
         """Apply a batch of session actions.
@@ -401,7 +412,7 @@ class SessionProtocol(object):
         session.joined_at = now if at is None or at < now else at
 
         def activate():
-            self.registry.add(session)
+            self.registry[session_id] = session
             self._activate(session)
 
         self._schedule_api_call(activate, at, "API.Join")
@@ -420,8 +431,7 @@ class SessionProtocol(object):
         session.left = True
 
         def deactivate():
-            if session_id in self.registry:
-                self.registry.remove(session_id)
+            if self.registry.pop(session_id, None) is not None:
                 self._departed.append(session_id)
             self._deactivate(session)
 
@@ -464,7 +474,7 @@ class SessionProtocol(object):
 
     def active_sessions(self):
         """The currently active sessions (the paper's set ``S``)."""
-        return self.registry.active_sessions()
+        return list(self.registry.values())
 
     def run(self, until=None):
         """Run up to a time horizon."""

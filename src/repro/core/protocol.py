@@ -140,8 +140,6 @@ class BNeckProtocol(SessionProtocol):
         # The simulator's heap and counter, pushed to directly on every hop.
         self._heap = self.simulator.heap
         self._sequence = self.simulator.sequence
-        self._sources = {}
-        self._destinations = {}
         self._applications = {}
         self._last_rate = {}
         self._pending_rates = {}
@@ -184,8 +182,6 @@ class BNeckProtocol(SessionProtocol):
         source = SourceNodeTask(self.simulator, self, session)
         _wire_stage(source, session.access_link, reverses[0])
         destination = DestinationNodeTask(self.simulator, self, session)
-        self._sources[session_id] = source
-        self._destinations[session_id] = destination
 
         stages = [source]
         for link, reverse in zip(session.transit_links, reverses[1:]):
@@ -195,19 +191,17 @@ class BNeckProtocol(SessionProtocol):
         return application
 
     def _activate(self, session):
-        self._sources[session.session_id].api_join(session.demand)
+        self.source(session.session_id).api_join(session.demand)
 
     def _deactivate(self, session):
-        self._sources[session.session_id].api_leave()
+        self.source(session.session_id).api_leave()
 
     def _change(self, session):
-        self._sources[session.session_id].api_change(session.demand)
+        self.source(session.session_id).api_change(session.demand)
 
     def _release(self, session_id):
-        """Drop the session's tasks and wiring; every RouterLink of its path
-        forgets it."""
-        del self._sources[session_id]
-        del self._destinations[session_id]
+        """Drop the session's wiring, and with it its tasks; every RouterLink
+        of its path forgets it."""
         for task in self._wirings.pop(session_id).stages[1:-1]:
             task.state.forget(session_id)
 
@@ -377,14 +371,14 @@ class BNeckProtocol(SessionProtocol):
     # -------------------------------------------------------------- inspection
 
     def source(self, session_id):
-        """The SourceNode task of a session (``KeyError`` once a departed
-        session is released)."""
-        return self._sources[session_id]
+        """The SourceNode task of a session, the first stage of its wiring
+        (``KeyError`` once a departed session is released)."""
+        return self._wirings[session_id].stages[0]
 
     def destination(self, session_id):
-        """The DestinationNode task of a session (``KeyError`` once a
-        departed session is released)."""
-        return self._destinations[session_id]
+        """The DestinationNode task of a session, the last stage of its
+        wiring (``KeyError`` once a departed session is released)."""
+        return self._wirings[session_id].stages[-1]
 
     def router_link(self, endpoints):
         """The RouterLink task controlling the directed link ``endpoints``.
@@ -404,11 +398,10 @@ class BNeckProtocol(SessionProtocol):
     def all_link_states(self):
         """Every link state: RouterLinks plus the access links owned by sources
         of currently active sessions."""
-        states = list(self.router_link_states())
-        for session in self.registry:
-            source = self._sources.get(session.session_id)
-            if source is not None:
-                states.append(source.state)
+        states = self.router_link_states()
+        wirings = self._wirings
+        for session_id in self.registry:
+            states.append(wirings[session_id].stages[0].state)
         return states
 
     def application(self, session_id):
@@ -428,17 +421,16 @@ class BNeckProtocol(SessionProtocol):
         arrived can exceed them.
         """
         allocation = RateAllocation()
-        for session in self.registry:
-            source = self._sources[session.session_id]
-            allocation.set_rate(session.session_id, source.current_rate())
+        wirings = self._wirings
+        for session_id in self.registry:
+            allocation.set_rate(session_id, wirings[session_id].stages[0].current_rate())
         return allocation
 
     def notified_allocation(self):
         """The last ``API.Rate`` value of every active session (0 if none yet)."""
         allocation = RateAllocation()
-        for session in self.registry:
-            rate = self._last_rate.get(session.session_id, 0.0)
-            allocation.set_rate(session.session_id, rate)
+        for session_id in self.registry:
+            allocation.set_rate(session_id, self._last_rate.get(session_id, 0.0))
         return allocation
 
     # --------------------------------------------------------------- execution

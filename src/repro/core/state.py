@@ -17,16 +17,17 @@ that no handler step has to recount a set:
   (``inf`` while ``R_e`` is empty).  It is reassigned, with the expression
   above, whenever ``C_e``, ``|R_e|`` or the ``F_e`` load changes.  ``C_e`` is
   therefore written only through :meth:`LinkState.set_capacity`;
-* the *busy* count, the ``R_e`` members that are not IDLE:
-  :meth:`LinkState.all_restricted_settled` is false while any member is
-  busy;
 * the *rate index*, a map from each recorded rate to the set of IDLE
   ``R_e`` members recorded at it.  Every member of a bucket holds that rate,
   so comparing a key with a rate compares each member exactly: the wake-up
   scan of :meth:`LinkState.process_new_restricted`, :meth:`LinkState.settled_at`
   and :meth:`LinkState.all_restricted_settled` walk the few distinct keys
   instead of every ``R_e`` member, and the woken and settled ids they return
-  are sorted;
+  are sorted.  The index alone decides
+  :meth:`LinkState.all_restricted_settled`: a member that is not IDLE, or
+  has no recorded rate, is in no bucket, so every ``R_e`` member is IDLE and
+  recorded at ``B_e`` exactly when every key is ``B_e`` and the buckets hold
+  ``|R_e|`` members;
 * the ``F_e`` *rate maximum*, the largest recorded ``F_e`` rate (``-inf``
   when no member has one): nobody in ``F_e`` offends ``B_e`` when it is
   below ``B_e``.  It goes stale (``None``) only when its holder lowers its
@@ -84,12 +85,11 @@ class LinkState(object):
         self._mu = {}                  # session id -> mu^e_s
         self._rate = {}                # session id -> lambda^e_s
         # The summaries below follow every mutation made through the methods
-        # of this class: the sum of the F_e rates, the number of R_e members
-        # whose mu is not IDLE, the IDLE R_e members with a recorded rate by
-        # that rate (no empty bucket is kept), and the largest recorded rate
-        # in F_e (None while stale, until the next read recounts it).
+        # of this class: the sum of the F_e rates, the IDLE R_e members with
+        # a recorded rate by that rate (no empty bucket is kept), and the
+        # largest recorded rate in F_e (None while stale, until the next read
+        # recounts it).
         self._unrestricted_load = 0
-        self._busy = 0
         self._idle_by_rate = {}
         self._unrestricted_max = _NO_RATE
         # Sets C_e and B_e (inf while R_e is empty).
@@ -157,10 +157,6 @@ class LinkState(object):
         """The F_e load summed from scratch; used by consistency tests."""
         return sum(self._rate.get(session_id, 0.0) for session_id in self.unrestricted)
 
-    def _recomputed_busy(self):
-        """The non-IDLE R_e members counted from scratch; used by consistency tests."""
-        return sum(self._mu.get(session_id, IDLE) != IDLE for session_id in self.restricted)
-
     def _recomputed_idle_by_rate(self):
         """The rate index built from scratch; used by consistency tests."""
         index = {}
@@ -206,7 +202,6 @@ class LinkState(object):
         if session_id in self.restricted:
             was_idle = self._mu.get(session_id, IDLE) == IDLE
             if was_idle != (state == IDLE):
-                self._busy += 1 if was_idle else -1
                 rate = self._rate.get(session_id)
                 if rate is not None:
                     if was_idle:
@@ -235,9 +230,7 @@ class LinkState(object):
         old = self._rate.get(session_id)
         if session_id in self.restricted:
             index = self._idle_by_rate
-            if self._mu.get(session_id, IDLE) != IDLE:
-                self._busy -= 1
-            elif old is not None:
+            if old is not None and self._mu.get(session_id, IDLE) == IDLE:
                 self._unindex(session_id, old)
             # _index, inlined: a Response settles at every hop.
             members = index.get(rate)
@@ -279,7 +272,6 @@ class LinkState(object):
         if mu.get(session_id, IDLE) != IDLE:
             return False
         if session_id in self.restricted:
-            self._busy += 1
             rate = self._rate.get(session_id)
             if rate is not None:
                 # _unindex, inlined: Updates wake sessions at every hop.
@@ -299,7 +291,6 @@ class LinkState(object):
         restricted = self.restricted
         if session_id in restricted:
             if self._mu.get(session_id, IDLE) == IDLE:
-                self._busy += 1
                 rate = self._rate.get(session_id)
                 if rate is not None:
                     # _unindex, inlined: a Probe arrives at every hop.
@@ -313,7 +304,6 @@ class LinkState(object):
                 self.unrestricted.remove(session_id)
                 self._drop_unrestricted_rate(session_id)
             restricted.add(session_id)
-            self._busy += 1
         self._mu[session_id] = WAITING_RESPONSE
         self.bottleneck_rate = (self.capacity - self._unrestricted_load) / len(restricted)
         return self.process_new_restricted()
@@ -325,9 +315,7 @@ class LinkState(object):
             self._drop_unrestricted_rate(session_id)
         if session_id not in self.restricted:
             self.restricted.add(session_id)
-            if self._mu.get(session_id, IDLE) != IDLE:
-                self._busy += 1
-            elif session_id in self._rate:
+            if self._mu.get(session_id, IDLE) == IDLE and session_id in self._rate:
                 self._index(session_id, self._rate[session_id])
         self.bottleneck_rate = (self.capacity - self._unrestricted_load) / len(self.restricted)
 
@@ -339,9 +327,7 @@ class LinkState(object):
         if session_id in restricted:
             # _unindex, inlined: SetBottleneck moves sessions to F_e hop by hop.
             restricted.remove(session_id)
-            if self._mu.get(session_id, IDLE) != IDLE:
-                self._busy -= 1
-            elif rate is not None:
+            if rate is not None and self._mu.get(session_id, IDLE) == IDLE:
                 members = self._idle_by_rate[rate]
                 if len(members) == 1:
                     del self._idle_by_rate[rate]
@@ -363,9 +349,7 @@ class LinkState(object):
         """Drop every trace of the session (used on ``Leave``)."""
         if session_id in self.restricted:
             self.restricted.remove(session_id)
-            if self._mu.get(session_id, IDLE) != IDLE:
-                self._busy -= 1
-            elif session_id in self._rate:
+            if self._mu.get(session_id, IDLE) == IDLE and session_id in self._rate:
                 self._unindex(session_id, self._rate[session_id])
         if session_id in self.unrestricted:
             self.unrestricted.remove(session_id)
@@ -436,7 +420,6 @@ class LinkState(object):
         mu = self._mu
         for session_id in woken:
             mu[session_id] = WAITING_PROBE
-        self._busy += len(woken)
         return woken
 
     # ------------------------------------------------------- stability checks
@@ -445,10 +428,10 @@ class LinkState(object):
         """The bottleneck-detection condition of Figure 2, lines 25 and 46:
 
         every session in ``R_e`` is IDLE and recorded at exactly ``B_e``.
-        With no member busy, that is: every rate key is ``B_e`` and the
-        buckets hold all of ``R_e`` (none is unrecorded).
+        Only those members are in the rate index, so that is: every rate key
+        is ``B_e`` and the buckets hold all of ``R_e``.
         """
-        if self._busy or not self.restricted:
+        if not self.restricted:
             return False
         rate = self.bottleneck_rate
         settled = 0
@@ -460,9 +443,9 @@ class LinkState(object):
 
     def is_stable(self):
         """The per-link stability predicate of Definition 2, read off ``B_e``
-        and the ``mu`` and ``lambda`` tables of the members: the busy count,
-        the rate index and the ``F_e`` maximum take no part, so the
-        predicate stays independent of them."""
+        and the ``mu`` and ``lambda`` tables of the members: the rate index
+        and the ``F_e`` maximum take no part, so the predicate stays
+        independent of them."""
         mu = self._mu
         rate_table = self._rate
         rate = self.bottleneck_rate

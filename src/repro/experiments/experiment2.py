@@ -90,14 +90,13 @@ class Experiment2Result(object):
     """
 
     def __init__(self, config, records, measurements, interval_series,
-                 rate_callbacks=0, final_allocation=None):
+                 rate_callbacks=0):
         self.config = config
         self.records = records
         self.measurements = measurements
         self.interval_series = interval_series
         self.validated = all(measurement.validated for measurement in measurements)
         self.rate_callbacks = rate_callbacks
-        self.final_allocation = final_allocation or {}
 
     def phase_rows(self):
         """``(phase, seconds until quiescence, measurement)`` per phase."""
@@ -137,5 +136,4 @@ def run_experiment2(config=None):
             measurements=measurements,
             interval_series=runner.tracer.interval_series(),
             rate_callbacks=runner.protocol.rate_callbacks,
-            final_allocation=runner.protocol.notified_allocation().as_dict(),
         )

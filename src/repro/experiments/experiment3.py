@@ -125,10 +125,9 @@ class ProtocolTimeSeries(object):
 class Experiment3Result(object):
     """Per-protocol time series, over an identical workload."""
 
-    def __init__(self, config, series_by_protocol, oracle):
+    def __init__(self, config, series_by_protocol):
         self.config = config
         self.series_by_protocol = series_by_protocol
-        self.oracle = oracle
 
     def series(self, name):
         return self.series_by_protocol[name]
@@ -209,17 +208,16 @@ def _drive_protocol(name, runner, config):
         series.source_error_series, config.tolerance_percent
     )
     series.quiescent = protocol.simulator.pending_events == 0
-    return series, oracle
+    return series
 
 
 def run_experiment3(config=None, progress=None):
     """Run Experiment 3 for every configured protocol on the same workload."""
     config = config or Experiment3Config()
     series_by_protocol = {}
-    oracle = None
     for name in config.protocols:
-        series, oracle = _run_one_protocol(name, config)
+        series = _run_one_protocol(name, config)
         series_by_protocol[name] = series
         if progress is not None:
             progress(series)
-    return Experiment3Result(config, series_by_protocol, oracle)
+    return Experiment3Result(config, series_by_protocol)

@@ -137,6 +137,8 @@ class RunMeasurement(object):
     ``packets`` and ``rate_callbacks`` are deltas relative to the previous
     :meth:`ExperimentRunner.checkpoint` call (equal to the totals on the
     first); ``total_packets`` / ``events_processed`` are run-wide totals.
+    ``reason`` names the first cause of a failed validation, and is ``None``
+    when the checkpoint is valid or was not validated.
     """
 
     __slots__ = (
@@ -148,10 +150,11 @@ class RunMeasurement(object):
         "events_processed",
         "rate_callbacks",
         "validated",
+        "reason",
     )
 
     def __init__(self, label, description, quiescence_time, packets, total_packets,
-                 events_processed, rate_callbacks, validated):
+                 events_processed, rate_callbacks, validated, reason):
         self.label = label
         self.description = description
         self.quiescence_time = quiescence_time
@@ -160,6 +163,7 @@ class RunMeasurement(object):
         self.events_processed = events_processed
         self.rate_callbacks = rate_callbacks
         self.validated = validated
+        self.reason = reason
 
     def as_dict(self):
         return {
@@ -265,7 +269,7 @@ class ExperimentRunner(object):
             if not measurement.validated:
                 raise RuntimeError(
                     "validation failed after round %r of workload %r: %s"
-                    % (label, workload.name, validate_against_oracle(self.protocol).reason)
+                    % (label, workload.name, measurement.reason)
                 )
             measurements.append(measurement)
         return measurements
@@ -298,9 +302,10 @@ class ExperimentRunner(object):
     def validate(self):
         """The checkpoint verdict of
         :func:`~repro.core.validation.validate_against_oracle` on the current
-        run: the network is stable (Definition 2), the allocation equals
-        Centralized B-Neck's and the max-min certificate finds no violation."""
-        return validate_against_oracle(self.protocol).valid
+        run, true when the network is stable (Definition 2), the allocation
+        equals Centralized B-Neck's and the max-min certificate finds no
+        violation; its ``reason`` names the first cause otherwise."""
+        return validate_against_oracle(self.protocol)
 
     def checkpoint(self, description=None):
         """Run to quiescence, validate (per the spec) and measure.
@@ -309,7 +314,7 @@ class ExperimentRunner(object):
         ``rate_callbacks`` count only the work since the previous checkpoint.
         """
         quiescence_time = self.run_to_quiescence()
-        validated = self.validate() if self.spec.validate else True
+        verdict = self.validate() if self.spec.validate else None
         total_packets = self.tracer.total
         rate_callbacks = getattr(self.protocol, "rate_callbacks", 0)
         measurement = RunMeasurement(
@@ -320,7 +325,8 @@ class ExperimentRunner(object):
             total_packets=total_packets,
             events_processed=self.protocol.simulator.events_processed,
             rate_callbacks=rate_callbacks - self._callbacks_at_checkpoint,
-            validated=validated,
+            validated=verdict is None or verdict.valid,
+            reason=None if verdict is None else verdict.reason,
         )
         self._packets_at_checkpoint = total_packets
         self._callbacks_at_checkpoint = rate_callbacks

@@ -10,7 +10,7 @@ examples).
 
 from repro.network.graph import Link, Network, Node
 from repro.network.routing import PathComputer
-from repro.network.session import Session, SessionRegistry
+from repro.network.session import Session
 from repro.network.topology import (
     dumbbell_topology,
     line_topology,
@@ -38,7 +38,6 @@ __all__ = [
     "Node",
     "PathComputer",
     "Session",
-    "SessionRegistry",
     "TransitStubParameters",
     "big_network",
     "dumbbell_topology",

@@ -61,8 +61,9 @@ class Link(object):
         capacity: bandwidth available to data traffic, in bits per second
             (``Ce`` in the paper).
         propagation_delay: one-way propagation delay in seconds.
-        control_packet_bits: size used to compute the transmission delay of a
-            control packet.
+
+    The constructor's ``control_packet_bits`` is the size of a control packet,
+    which sets the transmission part of :meth:`control_delay`.
     """
 
     __slots__ = (
@@ -70,7 +71,6 @@ class Link(object):
         "target",
         "capacity",
         "propagation_delay",
-        "control_packet_bits",
         "_control_delay",
     )
 
@@ -99,7 +99,6 @@ class Link(object):
         self.target = target
         self.capacity = capacity
         self.propagation_delay = propagation_delay
-        self.control_packet_bits = control_packet_bits
         # The per-packet control delay is computed once instead of on every
         # transmission.  It is *pinned* at the construction-time capacity even
         # when `set_capacity` later changes the data-plane bandwidth, because
@@ -217,24 +216,19 @@ class Network(object):
         capacity,
         propagation_delay,
         bidirectional=True,
-        control_packet_bits=DEFAULT_CONTROL_PACKET_BITS,
     ):
         """Add a link (and, by default, its reverse) and return the forward link.
 
         Section II: "Connected nodes have links in both directions", so
         ``bidirectional=True`` is the default.
         """
-        forward = self._add_directed_link(
-            source, target, capacity, propagation_delay, control_packet_bits
-        )
+        forward = self._add_directed_link(source, target, capacity, propagation_delay)
         if bidirectional and (target, source) not in self._links:
-            self._add_directed_link(
-                target, source, capacity, propagation_delay, control_packet_bits
-            )
+            self._add_directed_link(target, source, capacity, propagation_delay)
         self._router_changes += 1
         return forward
 
-    def _add_directed_link(self, source, target, capacity, propagation_delay, control_bits):
+    def _add_directed_link(self, source, target, capacity, propagation_delay):
         if source not in self._nodes or target not in self._nodes:
             raise KeyError("both endpoints must exist before adding a link")
         if source == target:
@@ -242,7 +236,7 @@ class Network(object):
         key = (source, target)
         if key in self._links:
             raise ValueError("duplicate link %r -> %r" % (source, target))
-        link = Link(source, target, capacity, propagation_delay, control_bits)
+        link = Link(source, target, capacity, propagation_delay)
         self._links[key] = link
         self._adjacency[source].append(target)
         return link
@@ -290,9 +284,7 @@ class Network(object):
         host = self.add_host(host_id, attached_router=router_id)
         # Not through add_link: attaching a host leaves router_changes as is.
         for source, target in ((host_id, router_id), (router_id, host_id)):
-            self._add_directed_link(
-                source, target, capacity, propagation_delay, DEFAULT_CONTROL_PACKET_BITS
-            )
+            self._add_directed_link(source, target, capacity, propagation_delay)
         return host
 
     def detach_host(self, host_id):

@@ -108,39 +108,3 @@ class Session(object):
     def __eq__(self, other):
         return isinstance(other, Session) and self.session_id == other.session_id
 
-
-class SessionRegistry(object):
-    """The set of active sessions, indexed by id.
-
-    This mirrors the paper's ``S`` (active sessions), in insertion order.
-    """
-
-    def __init__(self):
-        self._sessions = {}
-
-    def add(self, session):
-        """Register an active session."""
-        if session.session_id in self._sessions:
-            raise ValueError("duplicate session id %r" % (session.session_id,))
-        self._sessions[session.session_id] = session
-        return session
-
-    def remove(self, session_id):
-        """Remove a session (e.g. on ``API.Leave``) and return it."""
-        return self._sessions.pop(session_id)
-
-    def get(self, session_id):
-        return self._sessions[session_id]
-
-    def __contains__(self, session_id):
-        return session_id in self._sessions
-
-    def __len__(self):
-        return len(self._sessions)
-
-    def __iter__(self):
-        return iter(self._sessions.values())
-
-    def active_sessions(self):
-        """All active sessions, in insertion order."""
-        return list(self._sessions.values())

@@ -9,6 +9,7 @@ from repro.baselines.cg import CGProtocol, ConstantStateController
 from repro.baselines.rcp import RCPLinkController, RCPProtocol
 from repro.core.actions import JoinAction, LeaveAction
 from repro.core.centralized import centralized_bneck
+from repro.experiments.experiment3 import Experiment3Config, run_experiment3
 from repro.network.graph import Link
 from repro.network.topology import line_topology, single_link_topology
 from repro.network.units import MBPS
@@ -242,3 +243,53 @@ class TestBFYZTransientOverestimation(object):
         oracle = centralized_bneck(protocol.active_sessions())
         transient = protocol.current_allocation().rate("old")
         assert transient > oracle.rate("old") * 1.5
+
+
+# Experiment 3 on Small (seed 5, 40 joins, 4 leaves, 15 ms) pins each
+# baseline's schedule: the control packets per 3 ms interval and, at each
+# sample, the float.hex of the source errors' mean, median, p10 and p90.  The
+# three baselines probe on the same 1 ms cycle, so their packet counts agree;
+# their link controllers, and so their errors, differ.
+PINNED_PACKETS = [(0.0, 684), (0.003, 1530), (0.006, 1566), (0.009000000000000001, 1566),
+                  (0.012, 1566), (0.015, 4)]
+PINNED_SOURCE_ERRORS = {
+    "bfyz": [
+        ("-0x1.c1d097b425eccp+4", "0x0.0p+0", "-0x1.9000000000000p+6", "0x1.0aaaaaaaaaaa7p+4"),
+        ("-0x1.638e38e38e331p-3", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.392cb90d43fd4p-49", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.392cb90d43fd4p-49", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.392cb90d43fd4p-49", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    ],
+    "cg": [
+        ("-0x1.9855555555554p+4", "0x0.0p+0", "-0x1.9000000000000p+6", "0x1.3ffffffffffffp+5"),
+        ("0x1.9a00000000002p+3", "0x0.0p+0", "0x0.0p+0", "0x1.3ffffffffffffp+5"),
+        ("0x1.9a00000000002p+3", "0x0.0p+0", "0x0.0p+0", "0x1.3ffffffffffffp+5"),
+        ("0x1.e12d4d9ded09bp+2", "0x0.0p+0", "0x0.0p+0", "0x1.95898ceaaaaaap+4"),
+        ("0x1.71ace5b8b4f0ap+1", "0x0.0p+0", "0x0.0p+0", "0x1.534bcd91ffffbp+3"),
+    ],
+    "rcp": [
+        ("-0x1.9855555555554p+4", "0x0.0p+0", "-0x1.9000000000000p+6", "0x1.3ffffffffffffp+5"),
+        ("0x1.9a00000000002p+3", "0x0.0p+0", "0x0.0p+0", "0x1.3ffffffffffffp+5"),
+        ("0x1.69c962fc962fep+3", "0x0.0p+0", "0x0.0p+0", "0x1.3ffffffffffffp+5"),
+        ("0x1.1700f01effd1cp+3", "0x0.0p+0", "0x0.0p+0", "0x1.3ffffffffffffp+5"),
+        ("0x1.fbae4479139abp+1", "0x0.0p+0", "0x0.0p+0", "0x1.eb4bf8a087787p+3"),
+    ],
+}
+
+
+def test_experiment3_pins_every_baseline_schedule():
+    config = Experiment3Config(size="small", initial_sessions=40, leave_count=4,
+                               horizon=milliseconds(15), protocols=("bfyz", "cg", "rcp"),
+                               seed=5)
+    result = run_experiment3(config)
+    for name, expected_errors in PINNED_SOURCE_ERRORS.items():
+        series = result.series(name)
+        assert series.total_packets == 6916, name
+        assert series.packets_series == PINNED_PACKETS, name
+        assert [time for time, _ in series.source_error_series] == config.sample_times()
+        errors = [
+            tuple(float.hex(value) for value in (summary.mean, summary.median,
+                                                 summary.p10, summary.p90))
+            for _, summary in series.source_error_series
+        ]
+        assert errors == expected_errors, name

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.baselines.base import BaselineProtocol, LinkController, ProbeCycleResult
+from repro.baselines.base import BaselineProtocol, LinkController
 from repro.baselines.bfyz import BFYZProtocol
 from repro.baselines.rcp import RCPProtocol
 from repro.network.topology import single_link_topology
@@ -33,10 +33,6 @@ class TestAbstractPieces(object):
         # subclass-provided link controller.
         with pytest.raises(NotImplementedError):
             open_session(protocol, "s")
-
-    def test_probe_cycle_result_repr(self):
-        result = ProbeCycleResult("s1", 5.0, 0.001)
-        assert "s1" in repr(result)
 
 
 class TestProbeLoop(object):

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.core.centralized import centralized_bneck
+from repro.fairness.allocation import OracleError
 from repro.fairness.verification import is_max_min_fair
 from repro.fairness.waterfilling import water_filling
 from repro.network.transit_stub import small_network, stub_routers
@@ -16,6 +17,29 @@ from tests.conftest import exact_single_link_sessions, make_session
 
 def test_empty_input():
     assert len(centralized_bneck([])) == 0
+
+
+class _Unbounded(object):
+    """A session that crosses no link and has no demand: no oracle can bound
+    its rate."""
+
+    session_id = "loose"
+    links = []
+
+    def effective_demand(self):
+        return math.inf
+
+
+@pytest.mark.parametrize("oracle, name", [
+    (centralized_bneck, "centralized B-Neck"),
+    (water_filling, "water-filling"),
+])
+def test_an_unbounded_session_is_named_with_its_oracle(single_link_network, oracle, name):
+    bounded = make_session(single_link_network, "s0", "r0", "r1")
+    with pytest.raises(OracleError) as failure:
+        oracle([bounded, _Unbounded()])
+    assert failure.value.oracle == name
+    assert failure.value.session_ids == ["loose"]
 
 
 def test_single_bottleneck_even_split(single_link_network):

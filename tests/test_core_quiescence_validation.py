@@ -6,6 +6,7 @@ from repro.core import WAITING_PROBE, check_stability
 from repro.core.centralized import centralized_bneck
 from repro.core.validation import validate_against_oracle
 from repro.core.protocol import BNeckProtocol
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.fairness.allocation import RateAllocation
 from repro.fairness.verification import verify_allocation
@@ -147,7 +148,15 @@ class TestVerdictChecksDefinition2(object):
         assert not runner.validate()
         assert not runner.checkpoint().validated
 
-    def test_run_scenario_names_the_cause_of_a_failed_round(self):
+    def test_run_scenario_names_the_cause_of_a_failed_round(self, monkeypatch):
+        calls = []
+
+        def counted(protocol, allocation=None):
+            calls.append(protocol)
+            return validate_against_oracle(protocol, allocation)
+
+        monkeypatch.setattr(runner_module, "validate_against_oracle", counted)
+
         class UnsettlingWorkload(StochasticWorkload):
             name = "unsettling"
 
@@ -163,6 +172,8 @@ class TestVerdictChecksDefinition2(object):
         message = str(failure.value)
         assert "after round 'nothing' of workload 'unsettling'" in message
         assert "link %r is not stable (Definition 2)" % (workload.link_id,) in message
+        # One validation per round: the failed round's verdict names the cause.
+        assert len(calls) == 2
 
     def test_reason_names_the_first_certificate_violation(self):
         protocol = parking_lot_protocol()

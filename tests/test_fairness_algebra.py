@@ -332,8 +332,7 @@ def assert_await_response_matches_full_scan(state, session_id):
     assert state.state_of(session_id) == WAITING_RESPONSE
 
 
-# The busy count (non-IDLE R_e members), the index of the IDLE R_e members by
-# recorded rate, the F_e rate maximum that lets the offender pass exit early,
+# The index of the IDLE R_e members by recorded rate, the F_e rate maximum that lets the offender pass exit early,
 # and the B_e attribute must follow every mutation and transition, in any
 # order.
 
@@ -344,10 +343,8 @@ MUTATIONS = [
 
 
 def assert_summaries_match_recount(state):
-    """The busy count, the rate index and B_e equal their recounts, and the
-    F_e rate maximum equals its recount or is stale (None) and so recounted
-    at its next read."""
-    assert state._busy == state._recomputed_busy()
+    """The rate index and B_e equal their recounts, and the F_e rate maximum
+    equals its recount or is stale (None) and so recounted at its next read."""
     assert state.bottleneck_rate == state._recomputed_bottleneck_rate()
     assert state._idle_by_rate == state._recomputed_idle_by_rate()
     assert all(state._idle_by_rate.values()), "an empty bucket is kept"
@@ -367,7 +364,7 @@ def straddled_rate(data, state):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_busy_count_follows_every_mutation(data):
+def test_summaries_follow_every_mutation(data):
     state = LinkState(("a", "b"), data.draw(st.sampled_from([1.0, 700.0, 3e7])))
     sessions = ["s%d" % index for index in range(data.draw(st.integers(1, 5)))]
     for _ in range(data.draw(st.integers(1, 40))):

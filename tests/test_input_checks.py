@@ -165,7 +165,7 @@ def _state(protocol):
     return (
         protocol.simulator.pending_events,
         protocol.network.number_of_nodes(),
-        sorted(session.session_id for session in protocol.registry),
+        sorted(protocol.registry),
     )
 
 

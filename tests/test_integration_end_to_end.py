@@ -40,8 +40,8 @@ def test_mass_arrival_on_small_transit_stub(delay_model):
     assert validate_against_oracle(protocol).valid
     assert len(protocol.registry) == 80
     # Every active session got at least one API.Rate notification.
-    for session in protocol.registry:
-        assert protocol.application(session.session_id).notifications
+    for session_id in protocol.registry:
+        assert protocol.application(session_id).notifications
     # Packet accounting is closed: the interval series sums to the total.
     assert sum(total for _, total in tracer.totals_per_interval()) == tracer.total
 

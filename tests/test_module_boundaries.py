@@ -32,6 +32,14 @@ code that only its own tests keep alive.  Names are matched without types,
 and what a package lists in ``__all__`` counts as read.  The definitions that
 the tests of other modules use as fixtures are listed, with the reason, in
 ``TEST_FIXTURES``.
+
+The fifth reports each attribute that code under ``src/repro`` stores on
+``self`` and that nothing reads: no ``.name`` load anywhere under ``src/``,
+``tests/``, ``benchmarks/``, ``examples/``, ``perfbench/`` or ``scripts/``.
+A stored value nobody reads costs its store on every construction and one
+more fact to keep in step.  An augmented assignment (``self.n += 1``) stores
+and is not a read.  Names are matched without types, as in the fourth test,
+and the tests count as readers: some values exist only to be asserted on.
 """
 
 import ast
@@ -325,6 +333,9 @@ TEST_FIXTURES = {
     "BNeckProtocol.change_capacity",
     "BNeckProtocol.last_notified_rate",
     "BNeckProtocol.router_link",
+    # The last API.Rate of every active session, which the golden and
+    # property tests compare with the final allocation.
+    "BNeckProtocol.notified_allocation",
     "SessionApplication.notification_count",
     "RateAllocation.is_feasible",
     "LinkState.knows",
@@ -333,7 +344,6 @@ TEST_FIXTURES = {
     # values against after every mutation.
     "LinkState._recomputed_bottleneck_rate",
     "LinkState._recomputed_unrestricted_load",
-    "LinkState._recomputed_busy",
     "LinkState._recomputed_idle_by_rate",
 }
 
@@ -462,3 +472,78 @@ def test_every_library_definition_has_a_caller_outside_the_tests():
     dead = ["%s:%d: %s" % entry for entry in found if entry[2] not in TEST_FIXTURES]
     assert dead == []
     assert sorted(TEST_FIXTURES) == sorted(entry[2] for entry in found)
+
+
+def stored_attributes(source, filename="<source>"):
+    """``(line, name)`` of every attribute stored on ``self``."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def loaded_attributes(source, filename="<source>"):
+    """Every attribute name a module reads (an ``ast.Attribute`` load)."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_attributes(defining, referencing):
+    """``(path, line, name)`` of every ``self`` attribute stored in the
+    ``{path: source}`` map ``defining`` that no source in ``referencing``
+    reads."""
+    read = set()
+    for path, source in referencing.items():
+        read |= loaded_attributes(source, path)
+    return sorted(
+        (path, line, name)
+        for path, source in defining.items()
+        for line, name in stored_attributes(source, path)
+        if name not in read
+    )
+
+
+UNREAD = {
+    "stored-only": "class A(object):\n    def __init__(self):\n        self.x = 1\n",
+    "augmented": (
+        "class A(object):\n    def __init__(self):\n        self.n = 0\n"
+        "    def f(self):\n        self.n += 1\n"
+    ),
+    "unpacked": "class A(object):\n    def f(self):\n        a, self.b = 1, 2\n",
+}
+
+READ = {
+    "own-read": (
+        "class A(object):\n    def __init__(self):\n        self.x = 1\n"
+        "    def f(self):\n        return self.x\n"
+    ),
+    "outside-read": "class A(object):\n    def __init__(self):\n        self.x = 1\n\nprint(A().x)\n",
+    "not-self": "def f(other):\n    other.x = 1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD))
+def test_the_scan_catches_stored_attributes_nothing_reads(case):
+    assert unread_attributes({"m.py": UNREAD[case]}, {"m.py": UNREAD[case]})
+
+
+@pytest.mark.parametrize("case", sorted(READ))
+def test_the_scan_allows_read_attributes(case):
+    assert unread_attributes({"m.py": READ[case]}, {"m.py": READ[case]}) == []
+
+
+def test_every_stored_attribute_is_read_somewhere():
+    """A value the library stores on ``self`` and nobody reads is waste:
+    stop storing it, or read it where it matters."""
+    library = _sources([os.path.join("src", "repro")])
+    assert len(library) > 40
+    readers = _sources(REFERENCING_DIRECTORIES + ("tests",))
+    found = ["%s:%d: self.%s" % entry for entry in unread_attributes(library, readers)]
+    assert found == []

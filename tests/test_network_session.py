@@ -1,10 +1,12 @@
-"""Unit tests for sessions and the session registry."""
+"""Unit tests for sessions: paths, effective demands, construction checks and
+identity by id.  A protocol's registry of active sessions is a plain dict,
+tested with the session lifecycle."""
 
 import math
 
 import pytest
 
-from repro.network.session import Session, SessionRegistry
+from repro.network.session import Session
 from repro.network.topology import line_topology
 from repro.network.units import MBPS
 from tests.conftest import make_session
@@ -51,31 +53,3 @@ class TestSession(object):
         assert hash(first) == hash(second)
         assert len({first, second}) == 1
 
-
-class TestSessionRegistry(object):
-    def test_add_remove_and_lookup(self, parking_lot_network):
-        registry = SessionRegistry()
-        session = make_session(parking_lot_network, "s1", "r0", "r3")
-        registry.add(session)
-        assert "s1" in registry
-        assert registry.get("s1") is session
-        assert len(registry) == 1
-        removed = registry.remove("s1")
-        assert removed is session
-        assert "s1" not in registry
-        assert len(registry) == 0
-
-    def test_duplicate_add_rejected(self, parking_lot_network):
-        registry = SessionRegistry()
-        session = make_session(parking_lot_network, "s1", "r0", "r1")
-        registry.add(session)
-        with pytest.raises(ValueError):
-            registry.add(make_session(parking_lot_network, "s1", "r1", "r2"))
-
-    def test_iteration_and_active_sessions(self, parking_lot_network):
-        registry = SessionRegistry()
-        ids = ["a", "b", "c"]
-        for session_id in ids:
-            registry.add(make_session(parking_lot_network, session_id, "r0", "r1"))
-        assert [session.session_id for session in registry] == ids
-        assert [session.session_id for session in registry.active_sessions()] == ids

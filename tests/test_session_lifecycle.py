@@ -5,6 +5,8 @@ Every protocol extends :class:`~repro.core.actions.SessionProtocol`, so each
 test here runs on all four:
 
 * a second join of a session id is refused;
+* the registry maps the id of each active session to its session, in
+  activation order, and ``active_sessions`` lists them in that order;
 * a join at a NaN or infinite time is refused before the session is
   registered, so a corrected retry succeeds;
 * :meth:`session` raises ``KeyError`` for an id that never joined;
@@ -95,6 +97,22 @@ def test_a_join_at_a_non_finite_time_registers_nothing(name, at):
     _settle(protocol)
     assert [s.session_id for s in protocol.active_sessions()] == ["a"]
     assert protocol.current_allocation().as_dict()["a"] == pytest.approx(100 * MBPS)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_the_registry_holds_the_active_sessions_in_activation_order(name):
+    protocol, source, sink = _protocol(name)
+    now = protocol.simulator.now
+    sessions = {}
+    for session_id, at in (("c", now + 2e-6), ("a", None), ("b", now + 1e-6)):
+        sessions[session_id] = protocol.create_session(source, sink, session_id=session_id)
+        protocol.join(sessions[session_id], at=at)
+    _settle(protocol)
+    assert list(protocol.registry) == ["a", "b", "c"]
+    assert protocol.active_sessions() == [sessions[s] for s in ("a", "b", "c")]
+    protocol.leave("b")
+    assert protocol.registry == {"a": sessions["a"], "c": sessions["c"]}
+    assert protocol.active_sessions() == [sessions["a"], sessions["c"]]
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))

@@ -82,16 +82,20 @@ def test_event_limit_raises(simulator):
         simulator.schedule(0.1, reschedule)
 
     simulator.schedule(0.1, reschedule)
-    with pytest.raises(SimulationLimitExceeded):
+    with pytest.raises(SimulationLimitExceeded) as failure:
         simulator.run_until_quiescent()
     assert simulator.events_processed == 5
+    assert failure.value.events_processed == 5
+    assert failure.value.current_time == simulator.now == pytest.approx(0.5)
 
 
 def test_time_limit_raises():
     simulator = Simulator(max_time=1.0)
     simulator.schedule(2.0, lambda: None)
-    with pytest.raises(SimulationLimitExceeded):
+    with pytest.raises(SimulationLimitExceeded) as failure:
         simulator.run_until_quiescent()
+    # The event past the limit is refused before the clock moves to it.
+    assert failure.value.current_time == 0.0
 
 
 def test_step_returns_false_when_empty(simulator):

@@ -587,7 +587,6 @@ class TestEveryWorkload(object):
         }
         for state in protocol.all_link_states():
             assert state.is_stable(), state
-            assert state._busy == state._recomputed_busy() == 0, state
 
     def test_replays_bit_identically(self, name, delay_model):
         first = _workload_fingerprint(name, delay_model)[2]
