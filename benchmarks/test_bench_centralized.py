@@ -20,21 +20,8 @@ def _build_sessions(count, seed):
     """Build ``count`` random sessions over a Medium network, without simulating."""
     network = medium_network("lan", seed=seed)
     generator = WorkloadGenerator(network, seed=seed)
-    protocol = BNeckProtocol(network)
-    specs = generator.generate(count, demand_sampler=mixed_demand(0.5, 1e6, 80e6))
-    sessions = []
-    for spec in specs:
-        source_host = network.attach_host(spec.source_router, 100e6, 1e-6)
-        destination_host = network.attach_host(spec.destination_router, 100e6, 1e-6)
-        sessions.append(
-            protocol.create_session(
-                source_host.node_id,
-                destination_host.node_id,
-                demand=spec.demand,
-                session_id=spec.session_id,
-            )
-        )
-    return sessions
+    joins = generator.generate(count, demand_sampler=mixed_demand(0.5, 1e6, 80e6))
+    return list(BNeckProtocol(network).apply_actions(joins).values())
 
 
 def test_centralized_bneck_oracle(benchmark):

@@ -12,8 +12,10 @@ design-relevant sensitivities:
   scenarios transmit fewer packets than LAN).
 """
 
+import math
 import time
 
+from repro.core.actions import JoinAction
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
 from repro.network.topology import dumbbell_topology, parking_lot_topology
@@ -23,15 +25,22 @@ from repro.simulator.clock import microseconds, milliseconds
 from repro.workloads.generator import WorkloadGenerator
 
 
+def _join(session_id, source_router, destination_router):
+    """A greedy session joining at time 0 between two fresh hosts on
+    1000 Mbps access links."""
+    return JoinAction(session_id, source_router, destination_router, math.inf, 0.0,
+                      1000 * MBPS, microseconds(1))
+
+
 def _single_bottleneck_run(session_count, propagation_delay):
     network = dumbbell_topology(
         side_count=session_count, bottleneck_capacity=100 * MBPS, delay=propagation_delay
     )
     protocol = BNeckProtocol(network)
-    for index in range(session_count):
-        source = network.attach_host("west%d" % index, 1000 * MBPS, microseconds(1))
-        sink = network.attach_host("east%d" % index, 1000 * MBPS, microseconds(1))
-        protocol.open_session(source.node_id, sink.node_id, session_id="d%d" % index)
+    protocol.apply_actions(
+        [_join("d%d" % index, "west%d" % index, "east%d" % index)
+         for index in range(session_count)]
+    )
     protocol.run_until_quiescent()
     assert validate_against_oracle(protocol).valid
     return protocol.tracer.total
@@ -40,13 +49,10 @@ def _single_bottleneck_run(session_count, propagation_delay):
 def _parking_lot_run(hop_count):
     network = parking_lot_topology(hop_count, capacity=100 * MBPS)
     protocol = BNeckProtocol(network)
-    long_source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
-    long_sink = network.attach_host("r%d" % hop_count, 1000 * MBPS, microseconds(1))
-    protocol.open_session(long_source.node_id, long_sink.node_id, session_id="long")
-    for hop in range(hop_count):
-        source = network.attach_host("r%d" % hop, 1000 * MBPS, microseconds(1))
-        sink = network.attach_host("r%d" % (hop + 1), 1000 * MBPS, microseconds(1))
-        protocol.open_session(source.node_id, sink.node_id, session_id="short%d" % hop)
+    protocol.apply_actions(
+        [_join("long", "r0", "r%d" % hop_count)]
+        + [_join("short%d" % hop, "r%d" % hop, "r%d" % (hop + 1)) for hop in range(hop_count)]
+    )
     protocol.run_until_quiescent()
     assert validate_against_oracle(protocol).valid
     return protocol.tracer.total

@@ -10,15 +10,19 @@ topology, driven through the shared experiment entry point
 * ``API.Change`` -- a session lowers its maximum requested rate, freeing
   bandwidth for the others;
 * ``API.Leave`` -- a session departs and the remaining ones are upgraded;
-* ``API.Rate`` -- every renegotiated rate is delivered to the application
-  (a subclass of :class:`SessionApplication` that prints each notification).
-  Deliveries are batched per simulation instant -- the protocol default --
-  so an application sees one callback per renegotiated instant.
+* ``API.Rate`` -- every renegotiated rate is delivered to the session's
+  :class:`~repro.core.api.SessionApplication`, which records it.  Deliveries
+  are batched per simulation instant, so an application receives one
+  notification per renegotiated instant.
 
-After every change the protocol becomes quiescent again: each
-:meth:`~repro.experiments.runner.ExperimentRunner.checkpoint` validates the
-allocation against the centralized oracle and reports the number of control
-packets spent on the reconfiguration.
+Each step is one batch of :mod:`repro.core.actions` records dated at the
+current simulated time.  After every step the protocol becomes quiescent
+again: each :meth:`~repro.experiments.runner.ExperimentRunner.checkpoint`
+validates the allocation against the centralized oracle and reports the
+number of control packets spent on the reconfiguration, and the step's new
+``API.Rate`` notifications are printed in time order.  Notifications of
+one instant print in the order their sessions joined, which need not be
+the order the protocol delivered them in.
 
 Run with::
 
@@ -29,30 +33,9 @@ import argparse
 import sys
 
 from repro import MBPS, parking_lot_topology
-from repro.core import SessionApplication
+from repro.core import ChangeAction, JoinAction, LeaveAction
 from repro.experiments import ExperimentRunner, ScenarioSpec
 from repro.simulator.clock import microseconds
-
-
-class PrintingApplication(SessionApplication):
-    """An application that logs every API.Rate notification it receives."""
-
-    def on_rate(self, time, rate):
-        print(
-            "    [t=%7.3f ms] API.Rate(%s, %.2f Mbps)"
-            % (time * 1e3, self.session_id, rate / MBPS)
-        )
-
-
-def run_step(runner, description):
-    print("%s" % description)
-    measurement = runner.checkpoint(description)
-    assert measurement.validated
-    print(
-        "    quiescent again at t=%.3f ms (+%d control packets)"
-        % (measurement.quiescence_time * 1e3, measurement.packets)
-    )
-    print()
 
 
 def parse_arguments(argv=None):
@@ -68,36 +51,51 @@ def main(argv=None):
         network_builder=lambda: parking_lot_topology(3, capacity=100 * MBPS),
     )
     with ExperimentRunner(spec) as runner:
-        network, protocol = runner.network, runner.protocol
+        protocol = runner.protocol
+        # Session id -> how many of its notifications are printed already.
+        printed = {}
 
-        def new_session(name, source_router, destination_router, demand=float("inf")):
-            source = network.attach_host(source_router, 1000 * MBPS, microseconds(1))
-            sink = network.attach_host(destination_router, 1000 * MBPS, microseconds(1))
-            session = protocol.create_session(
-                source.node_id, sink.node_id, demand=demand, session_id=name
+        def step(description, *actions):
+            print("%s" % description)
+            runner.apply_actions(actions)
+            measurement = runner.checkpoint(description)
+            assert measurement.validated
+            new = []
+            for session_id in printed:
+                notifications = protocol.application(session_id).notifications
+                new.extend(notifications[printed[session_id]:])
+                printed[session_id] = len(notifications)
+            for notification in sorted(new, key=lambda notification: notification.time):
+                print(
+                    "    [t=%7.3f ms] API.Rate(%s, %.2f Mbps)"
+                    % (notification.time * 1e3, notification.session_id,
+                       notification.rate / MBPS)
+                )
+            print(
+                "    quiescent again at t=%.3f ms (+%d control packets)"
+                % (measurement.quiescence_time * 1e3, measurement.packets)
             )
-            application = PrintingApplication(name, demand)
-            protocol.join(session, application=application)
-            return application
+            print()
 
-        new_session("long", "r0", "r3")
-        run_step(runner, "1. 'long' joins and gets the whole path (100 Mbps)")
+        def join(name, source_router, destination_router):
+            printed[name] = 0
+            return JoinAction(name, source_router, destination_router, float("inf"),
+                              protocol.simulator.now, 1000 * MBPS, microseconds(1))
 
-        new_session("short-a", "r0", "r1")
-        run_step(runner, "2. 'short-a' joins on the first hop: both drop to 50 Mbps")
+        def now():
+            return protocol.simulator.now
 
-        new_session("short-b", "r1", "r2")
-        new_session("short-c", "r2", "r3")
-        run_step(runner, "3. 'short-b' and 'short-c' join: every link is now a 50/50 bottleneck")
-
-        protocol.change("short-a", 20 * MBPS)
-        run_step(runner, "4. 'short-a' caps itself at 20 Mbps: 'long' can only use 50 elsewhere")
-
-        protocol.leave("short-b")
-        run_step(runner, "5. 'short-b' leaves: 'long' is still limited by the last hop")
-
-        protocol.leave("short-c")
-        run_step(runner, "6. 'short-c' leaves too: 'long' grows to 80 Mbps (short-a keeps 20)")
+        step("1. 'long' joins and gets the whole path (100 Mbps)", join("long", "r0", "r3"))
+        step("2. 'short-a' joins on the first hop: both drop to 50 Mbps",
+             join("short-a", "r0", "r1"))
+        step("3. 'short-b' and 'short-c' join: every link is now a 50/50 bottleneck",
+             join("short-b", "r1", "r2"), join("short-c", "r2", "r3"))
+        step("4. 'short-a' caps itself at 20 Mbps: 'long' can only use 50 elsewhere",
+             ChangeAction("short-a", 20 * MBPS, now()))
+        step("5. 'short-b' leaves: 'long' is still limited by the last hop",
+             LeaveAction("short-b", now()))
+        step("6. 'short-c' leaves too: 'long' grows to 80 Mbps (short-a keeps 20)",
+             LeaveAction("short-c", now()))
 
         print("final rates:")
         allocation = protocol.current_allocation()

@@ -1,11 +1,12 @@
 """Quickstart: max-min fair rates on a dumbbell network with B-Neck.
 
 Builds a dumbbell topology (a single 100 Mbps bottleneck between two sets of
-edge routers), starts three sessions across the bottleneck plus one local
-session that never touches it, runs the distributed B-Neck protocol until it
-becomes quiescent, and validates the run: the network is stable (Definition 2
-of the paper), the rates equal Centralized B-Neck's and the max-min
-certificate finds no violation.
+edge routers), joins three sessions across the bottleneck plus one local
+session that never touches it, as one batch of
+:class:`~repro.core.actions.JoinAction` records, runs the distributed B-Neck
+protocol until it becomes quiescent, and validates the run: the network is
+stable (Definition 2 of the paper), the rates equal Centralized B-Neck's and
+the max-min certificate finds no violation.
 
 Run with::
 
@@ -13,6 +14,7 @@ Run with::
 """
 
 from repro import BNeckProtocol, MBPS, dumbbell_topology, validate_against_oracle
+from repro.core import JoinAction
 from repro.simulator.clock import microseconds
 
 
@@ -22,23 +24,20 @@ def main():
     network = dumbbell_topology(side_count=3, bottleneck_capacity=100 * MBPS)
     protocol = BNeckProtocol(network)
 
-    def add_session(name, source_router, destination_router, demand):
-        source = network.attach_host(source_router, 1000 * MBPS, microseconds(1))
-        sink = network.attach_host(destination_router, 1000 * MBPS, microseconds(1))
-        session = protocol.create_session(
-            source.node_id, sink.node_id, demand=demand, session_id=name
-        )
-        return protocol.join(session)
+    def join(name, source_router, destination_router, demand):
+        # API.Join at time 0 between two fresh hosts on 1000 Mbps access links.
+        return JoinAction(name, source_router, destination_router, demand, 0.0,
+                          1000 * MBPS, microseconds(1))
 
     # Three sessions across the bottleneck; one of them only wants 10 Mbps.
-    applications = {
-        "bulk-1": add_session("bulk-1", "west0", "east0", demand=float("inf")),
-        "bulk-2": add_session("bulk-2", "west1", "east1", demand=float("inf")),
-        "capped": add_session("capped", "west2", "east2", demand=10 * MBPS),
-    }
-    # A local session between two hosts on the same edge router: it is not
+    # A local session between two hosts on the same edge router is not
     # limited by the bottleneck at all.
-    applications["local"] = add_session("local", "west0", "west1", demand=float("inf"))
+    sessions = protocol.apply_actions([
+        join("bulk-1", "west0", "east0", demand=float("inf")),
+        join("bulk-2", "west1", "east1", demand=float("inf")),
+        join("capped", "west2", "east2", demand=10 * MBPS),
+        join("local", "west0", "west1", demand=float("inf")),
+    ])
 
     quiescence_time = protocol.run_until_quiescent()
 
@@ -46,8 +45,8 @@ def main():
     print("control packets transmitted: %d" % protocol.tracer.total)
     print()
     print("max-min fair rates notified through API.Rate:")
-    for name, application in sorted(applications.items()):
-        print("  %-8s -> %7.2f Mbps" % (name, application.current_rate / MBPS))
+    for name in sorted(sessions):
+        print("  %-8s -> %7.2f Mbps" % (name, protocol.application(name).current_rate / MBPS))
 
     # The "capped" session keeps 10 Mbps, so the two bulk sessions share the
     # remaining 90 Mbps of the bottleneck: 45 Mbps each.  The local session

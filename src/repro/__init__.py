@@ -16,14 +16,17 @@ The library is organised as one package per system of the paper:
 Quickstart::
 
     from repro import BNeckProtocol, dumbbell_topology, MBPS
+    from repro.core import JoinAction
 
     network = dumbbell_topology(side_count=2, bottleneck_capacity=100 * MBPS)
-    source = network.attach_host("west0", 1000 * MBPS, 1e-6)
-    sink = network.attach_host("east0", 1000 * MBPS, 1e-6)
     protocol = BNeckProtocol(network)
-    session, app = protocol.open_session(source.node_id, sink.node_id)
+    # Session "a" joins at time 0 between two fresh hosts, one attached to
+    # router west0 and one to east0, over 1000 Mbps, 1 us access links.
+    protocol.apply_actions(
+        [JoinAction("a", "west0", "east0", float("inf"), 0.0, 1000 * MBPS, 1e-6)]
+    )
     protocol.run_until_quiescent()
-    print(app.current_rate)
+    print(protocol.application("a").current_rate)
 """
 
 from repro.core import BNeckProtocol, centralized_bneck, validate_against_oracle

@@ -33,7 +33,6 @@ from repro.core.actions import (
     ChangeAction,
     JoinAction,
     LeaveAction,
-    replay_actions,
 )
 from repro.core.packets import (
     BOTTLENECK,
@@ -80,6 +79,5 @@ __all__ = [
     "WAITING_RESPONSE",
     "centralized_bneck",
     "check_stability",
-    "replay_actions",
     "validate_against_oracle",
 ]

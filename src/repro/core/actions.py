@@ -11,20 +11,22 @@ with what demand, when, and over what access links.
   host to its two routers, creates the session along the shortest path
   between them, and schedules its ``API.Join``;
 * a :class:`LeaveAction` / :class:`ChangeAction` schedule ``API.Leave`` /
-  ``API.Change`` on a session joined before it and not left: a protocol's
-  ``leave`` marks the session ``left``, and no later action may name it;
+  ``API.Change`` on a session joined before it and not left: replaying a
+  leave marks the session ``left``, and no later action may name it;
 * a :class:`CapacityChangeAction` schedules a change of one directed link's
   data-plane capacity, after which the owning RouterLink re-runs its
   bottleneck computation (see
   :meth:`repro.core.router_link.RouterLinkTask.capacity_changed`).
 
-Every protocol extends :class:`SessionProtocol`, the one session lifecycle:
-its ``apply_actions`` checks the whole batch against the protocol with
-:func:`validate_actions`, releases departed sessions, and then replays the
-batch through :func:`replay_actions` along the routes the check found.  A
-batch that fails the check changes nothing.  Replay is deterministic: host
-attachment, session creation and API scheduling happen in action order, so a
-batch always pushes the same events in the same relative order.
+A batch of these records is the one door into a protocol: nothing else
+joins, leaves or changes a session, or changes a link's capacity.  Every
+protocol extends :class:`SessionProtocol`, the one session lifecycle: its
+``apply_actions`` checks the whole batch against the protocol with
+:func:`validate_actions`, the one rulebook, releases departed sessions, and
+then replays the batch along the routes the check found.  A batch that fails
+the check changes nothing.  Replay is deterministic: host attachment,
+session creation and API scheduling happen in action order, so a batch
+always pushes the same events in the same relative order.
 """
 
 import math
@@ -135,36 +137,6 @@ class CapacityChangeAction(object):
             self.capacity,
             self.at,
         )
-
-
-def replay_actions(protocol, actions, routes):
-    """Apply a batch of session actions to ``protocol``, in order.
-
-    The batch must have passed :func:`validate_actions` against the same
-    protocol, whose result ``routes`` gives each join's router path: no join
-    is routed again.  Returns ``{session_id: session}`` for the joins.
-    """
-    network = protocol.network
-    joined = {}
-    for action in actions:
-        kind = action.kind
-        if kind == "join":
-            source, destination = (
-                network.attach_host(router, action.host_capacity, action.host_delay).node_id
-                for router in (action.source_router, action.destination_router)
-            )
-            node_path = [source] + routes[action.session_id] + [destination]
-            session = Session(action.session_id, source, destination, node_path,
-                              path_links(network, node_path), action.demand)
-            protocol.join(session, at=action.at)
-            joined[action.session_id] = session
-        elif kind == "leave":
-            protocol.leave(action.session_id, at=action.at)
-        elif kind == "change":
-            protocol.change(action.session_id, action.demand, at=action.at)
-        else:
-            protocol.schedule_capacity_change(action)
-    return joined
 
 
 def validate_actions(protocol, actions):
@@ -291,37 +263,48 @@ def _check_capacity(protocol, action):
 
 
 class SessionProtocol(object):
-    """The session lifecycle every protocol shares.
+    """The session lifecycle every protocol shares, and its one door.
 
     The paper's session API is ``API.Join``, ``API.Leave``, ``API.Change``
     and ``API.Rate``; Experiment 3 drives B-Neck and the baselines through
-    it alike.  This base owns the whole lifecycle: batches
-    (:meth:`apply_actions`), session creation, the refusals of each call, the
-    ``(time, sequence)`` slot of every API call and the release of departed
-    sessions.  ``registry`` maps the id of every active session (the paper's
-    ``S``) to its :class:`~repro.network.session.Session`, in activation
-    order.  A protocol supplies only its own steps:
+    it alike.  The first three, and a capacity change, reach a protocol only
+    as a batch of action records through :meth:`apply_actions`, and
+    :func:`validate_actions` is the one rulebook that refuses a call.  This
+    base owns the whole lifecycle: the batch, its replay, the ``(time,
+    sequence)`` slot of every API call and the release of departed sessions.
+    ``registry`` maps the id of every active session (the paper's ``S``) to
+    its :class:`~repro.network.session.Session`, in activation order.
 
-    * ``_setup(session, application)`` builds what the session needs before
-      it joins, and returns what :meth:`join` returns.  It may refuse with a
-      ``ValueError``, before anything is registered;
+    Replay schedules each action through one of three private steps, which
+    check nothing: the batch check has already passed.
+
+    * ``_join(session, at)`` builds what the session needs, records it and
+      schedules its ``API.Join``;
+    * ``_leave(session, at)`` marks the session ``left`` and schedules its
+      ``API.Leave``;
+    * ``_schedule_change(session, demand, at)`` schedules its ``API.Change``.
+
+    A protocol supplies only its own steps:
+
+    * ``_setup(session)`` builds what the session needs before it joins;
     * ``_activate(session)``, ``_deactivate(session)`` and
       ``_change(session)`` run when the session's join, leave or change takes
       effect;
     * ``_release(session_id)`` drops the per-session state of a departed
       session.
 
-    ``_setup`` returns ``application`` unchanged, and ``_change`` and
-    ``_release`` do nothing, unless the protocol supplies its own.
+    ``_setup``, ``_change`` and ``_release`` do nothing unless the protocol
+    supplies its own.
 
     A protocol keeps its per-link state (B-Neck's RouterLink tasks, a
     baseline's link controllers) in ``_per_link``, keyed by link endpoints.
 
     Once a session's leave has ended it, the session is departed.  Releasing
-    it runs the protocol's ``_release`` step and detaches each of its hosts
-    that no held (joined, not released) session names, through
-    :meth:`~repro.network.graph.Network.detach_host`, dropping the
-    ``_per_link`` entries of the host's two access links.  When a protocol
+    it runs the protocol's ``_release`` step and detaches both of its hosts
+    through :meth:`~repro.network.graph.Network.detach_host`, dropping the
+    ``_per_link`` entries of each host's two access links: a
+    :class:`JoinAction` attaches two fresh hosts that only its session
+    names, so no other session can still use them.  When a protocol
     releases differs:
 
     * B-Neck releases at the next :meth:`apply_actions` whose batch passes
@@ -331,8 +314,8 @@ class SessionProtocol(object):
       probe cycle of a departed session returns before it reads anything.
 
     A released session keeps its :class:`~repro.network.session.Session`, so
-    :meth:`session` still finds it and :meth:`join` still refuses its id,
-    and its packet counts in the tracer.
+    :meth:`session` still finds it and a batch that joins its id again is
+    still refused, and its packet counts in the tracer.
     """
 
     def __init__(self, network, simulator=None):
@@ -342,15 +325,12 @@ class SessionProtocol(object):
         self.path_computer = PathComputer(network)
         self._sessions = {}
         self._per_link = {}
-        # Host id -> the number of held sessions naming it.
-        self._host_users = {}
         # Ids of the sessions whose API.Leave has ended them and which are
         # not released yet, in leave order.
         self._departed = []
-        self._session_counter = 0
 
-    def _setup(self, session, application):
-        return application
+    def _setup(self, session):
+        pass
 
     def _change(self, session):
         pass
@@ -374,103 +354,77 @@ class SessionProtocol(object):
         routes = validate_actions(self, actions)
         if not self.simulator.heap:
             self._release_departed()
-        return replay_actions(self, actions, routes)
+        return self._replay(actions, routes)
 
-    def create_session(self, source_host, destination_host, demand=math.inf, session_id=None):
-        """Build a :class:`~repro.network.session.Session` along the shortest
-        path (``session-<n>`` when no id is given).
+    def _replay(self, actions, routes):
+        """Schedule a checked batch in order, along the routes
+        :func:`validate_actions` found: no join is routed again.  Host
+        attachment, session creation and API scheduling happen in action
+        order, so a batch always pushes the same events in the same relative
+        order."""
+        network = self.network
+        sessions = self._sessions
+        joined = {}
+        for action in actions:
+            kind = action.kind
+            if kind == "join":
+                source, destination = (
+                    network.attach_host(router, action.host_capacity, action.host_delay).node_id
+                    for router in (action.source_router, action.destination_router)
+                )
+                node_path = [source] + routes[action.session_id] + [destination]
+                session = Session(action.session_id, source, destination, node_path,
+                                  path_links(network, node_path), action.demand)
+                self._join(session, action.at)
+                joined[action.session_id] = session
+            elif kind == "leave":
+                self._leave(sessions[action.session_id], action.at)
+            elif kind == "change":
+                self._schedule_change(sessions[action.session_id], action.demand, action.at)
+            else:
+                self.schedule_capacity_change(action)
+        return joined
 
-        This only constructs the object; call :meth:`join` to activate it.
-        """
-        if session_id is None:
-            self._session_counter += 1
-            session_id = "session-%d" % self._session_counter
-        node_path = self.path_computer.route(source_host, destination_host)
-        links = path_links(self.network, node_path)
-        return Session(session_id, source_host, destination_host, node_path, links, demand)
-
-    def join(self, session, at=None, application=None):
-        """``API.Join``: activate a session, optionally at a future time.
-
-        Refuses a session id that has joined before, and a NaN or infinite
-        ``at``, before anything is registered.  Records the time the join
-        takes effect as the session's ``joined_at``.
-        """
+    def _join(self, session, at):
+        """``API.Join``: record the session and the time its join takes
+        effect (its ``joined_at``), and schedule its activation."""
+        self._setup(session)
         session_id = session.session_id
-        if session_id in self._sessions:
-            raise ValueError("session %r already joined" % (session_id,))
-        if at is not None and not at < math.inf:
-            # NaN or infinity: the scheduling below would raise after the
-            # session is registered.
-            raise ValueError("session %r cannot join at %r" % (session_id, at))
-        application = self._setup(session, application)
         self._sessions[session_id] = session
-        users = self._host_users
-        for host in (session.source, session.destination):
-            users[host] = users.get(host, 0) + 1
         now = self.simulator.now
-        session.joined_at = now if at is None or at < now else at
+        session.joined_at = now if at < now else at
 
         def activate():
             self.registry[session_id] = session
             self._activate(session)
 
         self._schedule_api_call(activate, at, "API.Join")
-        return application
 
-    def leave(self, session_id, at=None):
-        """``API.Leave``: terminate a session, optionally at a future time.
-
-        Marks the session ``left`` at once; once the leave has ended the
-        active session, the session is departed (see the class docstring).
-        """
-        session, when = self._held_session(session_id, at)
-        if when < session.changed_at:
-            raise ValueError("session %r cannot leave at %r, before its change at %r"
-                             % (session_id, when, session.changed_at))
+    def _leave(self, session, at):
+        """``API.Leave``: mark the session ``left`` at once; once the leave
+        has ended the active session, the session is departed."""
         session.left = True
 
         def deactivate():
-            if self.registry.pop(session_id, None) is not None:
-                self._departed.append(session_id)
+            if self.registry.pop(session.session_id, None) is not None:
+                self._departed.append(session.session_id)
             self._deactivate(session)
 
         self._schedule_api_call(deactivate, at, "API.Leave")
 
-    def change(self, session_id, requested_rate, at=None):
-        """``API.Change``: request a new maximum rate, optionally at a future time."""
-        check_demand(requested_rate, "session %r" % (session_id,))
-        session, when = self._held_session(session_id, at)
+    def _schedule_change(self, session, demand, at):
+        """``API.Change``: schedule the session's new maximum rate."""
 
         def apply_change():
-            session.demand = requested_rate
+            session.demand = demand
             self._change(session)
 
         self._schedule_api_call(apply_change, at, "API.Change")
-        session.changed_at = max(session.changed_at, when)
-
-    def _held_session(self, session_id, at):
-        """The session a leave or change at ``at`` names (joined, ``KeyError``
-        otherwise; not left; not dated before its join), and the date."""
-        session = self._sessions[session_id]
-        if session.left:
-            raise ValueError("session %r has already left" % (session_id,))
-        when = self.simulator.now if at is None else at
-        if when < session.joined_at:
-            raise ValueError(
-                "session %r cannot leave or change at %r, before its join at %r"
-                % (session_id, when, session.joined_at)
-            )
-        return session, when
+        session.changed_at = max(session.changed_at, at)
 
     def session(self, session_id):
         """The joined session ``session_id`` (``KeyError`` if it never joined)."""
         return self._sessions[session_id]
-
-    def open_session(self, source_host, destination_host, demand=math.inf, session_id=None, at=None):
-        """Create and immediately join a session; returns ``(session, application)``."""
-        session = self.create_session(source_host, destination_host, demand, session_id)
-        return session, self.join(session, at=at)
 
     def active_sessions(self):
         """The currently active sessions (the paper's set ``S``)."""
@@ -481,35 +435,31 @@ class SessionProtocol(object):
         return self.simulator.run(until=until)
 
     def _schedule_api_call(self, callback, at, tag):
-        # Calls with no requested time (or a time already in the past) execute
-        # immediately.  A call at exactly ``now`` is *enqueued*, not executed
-        # synchronously: it must take its (time, sequence) slot in the event
-        # queue so it interleaves deterministically with packet deliveries
-        # scheduled at the same instant.
-        if at is None or at < self.simulator.now:
+        # A call dated in the past executes immediately.  A call at exactly
+        # ``now`` is *enqueued*, not executed synchronously: it must take its
+        # (time, sequence) slot in the event queue so it interleaves
+        # deterministically with packet deliveries scheduled at the same
+        # instant.
+        if at < self.simulator.now:
             callback()
         else:
             self.simulator.schedule_at(at, callback, tag=tag)
 
     def _release_departed(self):
-        """Release every departed session: the protocol's step, then each
-        host no held session names, with the per-link state of its links."""
+        """Release every departed session: the protocol's step, then both
+        of its hosts, with the per-link state of their links."""
         departed, self._departed = self._departed, []
         sessions = self._sessions
-        users = self._host_users
         per_link = self._per_link
         for session_id in departed:
             self._release(session_id)
             session = sessions[session_id]
             for host, link in ((session.source, session.links[0]),
                                (session.destination, session.links[-1])):
-                users[host] -= 1
-                if not users[host]:
-                    # A host attaches to one router: these are its two links.
-                    del users[host]
-                    per_link.pop(link.endpoints, None)
-                    per_link.pop(link.endpoints[::-1], None)
-                    self.network.detach_host(host)
+                # A host attaches to one router: these are its two links.
+                per_link.pop(link.endpoints, None)
+                per_link.pop(link.endpoints[::-1], None)
+                self.network.detach_host(host)
 
     def __repr__(self):
         return "%s(network=%r, sessions=%d, now=%r)" % (

@@ -8,9 +8,11 @@ with four primitives:
 * ``API.Change(s, r)`` -- session ``s`` requests a new maximum rate ``r``;
 * ``API.Rate(s, lambda)`` -- the protocol notifies ``s`` of its max-min rate.
 
-The first three are exposed as methods of
-:class:`~repro.core.protocol.BNeckProtocol` (``join`` / ``leave`` / ``change``);
-``API.Rate`` materialises as :class:`RateNotification` records delivered to a
+The first three reach a protocol as the :class:`~repro.core.actions.JoinAction`,
+:class:`~repro.core.actions.LeaveAction` and
+:class:`~repro.core.actions.ChangeAction` records of a batch applied with
+:meth:`~repro.core.actions.SessionProtocol.apply_actions`; ``API.Rate``
+materialises as :class:`RateNotification` records delivered to a
 :class:`SessionApplication`.
 """
 
@@ -37,9 +39,10 @@ class SessionApplication(object):
     """The application behind a session.
 
     Applications are greedy: they want as much rate as possible up to the
-    maximum they requested.  The default implementation simply records every
-    rate notification; subclasses may override :meth:`on_rate` to react (the
-    examples use this to print or to trigger rate changes).
+    maximum they requested.  B-Neck builds one per session when the session
+    joins; it records every rate notification in ``notifications``, in
+    delivery order, and :meth:`~repro.core.protocol.BNeckProtocol.application`
+    returns it.
     """
 
     def __init__(self, session_id, requested_rate):
@@ -62,11 +65,7 @@ class SessionApplication(object):
         """Called by the protocol when ``API.Rate`` fires for this session."""
         notification = RateNotification(time, self.session_id, rate)
         self.notifications.append(notification)
-        self.on_rate(time, rate)
         return notification
-
-    def on_rate(self, time, rate):
-        """Hook for subclasses; the default does nothing."""
 
     def __repr__(self):
         return "SessionApplication(%r, requested=%r, notified=%d)" % (

@@ -13,9 +13,11 @@ network and a discrete-event simulator:
   :class:`~repro.simulator.tracing.PacketTracer` owns; each hop is one
   ``(time, sequence, handler, target, packet)`` entry on the simulator's
   event heap, and its delivery is the call ``handler(target, packet)``;
-* it exposes the session API (``join`` / ``leave`` / ``change``), delivers
-  every ``API.Rate`` notification, and provides quiescence and allocation
-  helpers used by the experiments and tests;
+* it supplies the steps that the action batches of
+  :class:`~repro.core.actions.SessionProtocol` (``API.Join`` / ``API.Leave``
+  / ``API.Change`` and capacity changes) run, delivers every ``API.Rate``
+  notification, and provides quiescence and allocation helpers used by the
+  experiments and tests;
 * it releases what a departed session leaves behind, as B-Neck's Leave
   erases the session's state at every link it crosses.
 
@@ -31,9 +33,9 @@ can still name the session).  B-Neck's release step drops the session's
 SourceNode and DestinationNode tasks and its wiring, and every RouterLink of
 its path forgets it (:meth:`~repro.core.state.LinkState.forget`), which
 clears the ``mu`` and ``rate`` entries a late Response or Update re-creates
-behind the Leave.  The base then detaches each of its hosts that no held
-session names (:meth:`~repro.network.graph.Network.detach_host`), with the
-RouterLink of the egress link into a detached destination host.
+behind the Leave.  The base then detaches both of its hosts, which only
+its join attached (:meth:`~repro.network.graph.Network.detach_host`), with
+the RouterLink of the egress link into its destination host.
 
 A departed session keeps its :class:`~repro.network.session.Session`, its
 :class:`~repro.core.api.SessionApplication` with the ``API.Rate`` history,
@@ -58,7 +60,7 @@ synchronously, ahead of the delivery.
 
 from heapq import heappush
 
-from repro.core.actions import CapacityChangeAction, SessionProtocol
+from repro.core.actions import SessionProtocol
 from repro.core.api import SessionApplication
 from repro.core.destination_node import DestinationNodeTask
 from repro.core.packets import PACKET_CLASSES
@@ -112,9 +114,8 @@ class BNeckProtocol(SessionProtocol):
     packet, and pushes one ``(time, sequence, handler, target, packet)``
     entry onto the simulator's heap, drawing one sequence number.  The
     handler is the unbound ``on_*`` function itself, so a delivery builds no
-    closure and runs no frame before it.  A join resolves every reverse
-    link first, so a path over a one-way link is refused before anything is
-    registered.
+    closure and runs no frame before it.  The batch check refuses a route
+    over a one-way link, so every link of a session's path has a reverse.
 
     Counting: each session's wiring holds the tracer's list of its per-type
     counts (``sent``), and a send adds one to the slot of the packet's
@@ -167,17 +168,13 @@ class BNeckProtocol(SessionProtocol):
 
     # ------------------------------------------------------------------ sessions
 
-    def _setup(self, session, application):
-        """Build the session's tasks and wiring, and return the
+    def _setup(self, session):
+        """Build the session's tasks and wiring, and the
         :class:`~repro.core.api.SessionApplication` that will receive its
         ``API.Rate`` notifications."""
         session_id = session.session_id
-        # Upstream packets cross each path link's reverse: look them all up
-        # before registering anything, so a one-way link leaves no trace.
-        reverses = [self._reverse_link(session_id, link) for link in session.links]
-        if application is None:
-            application = SessionApplication(session_id, session.demand)
-        self._applications[session_id] = application
+        reverses = [self.network.reverse_link(link) for link in session.links]
+        self._applications[session_id] = SessionApplication(session_id, session.demand)
 
         source = SourceNodeTask(self.simulator, self, session)
         _wire_stage(source, session.access_link, reverses[0])
@@ -188,7 +185,6 @@ class BNeckProtocol(SessionProtocol):
             stages.append(self._router_link_for(link, reverse))
         stages.append(destination)
         self._wirings[session_id] = _SessionWiring(stages, self._tracer.counts_for(session_id))
-        return application
 
     def _activate(self, session):
         self.source(session.session_id).api_join(session.demand)
@@ -205,33 +201,20 @@ class BNeckProtocol(SessionProtocol):
         for task in self._wirings.pop(session_id).stages[1:-1]:
             task.state.forget(session_id)
 
-    def change_capacity(self, source, target, capacity, at=None, both_directions=False):
-        """Change a router-to-router link's data-plane capacity, mid-flight.
-
-        The change is described as one (or, with ``both_directions``, a pair
-        of) :class:`~repro.core.actions.CapacityChangeAction` and applied
-        through :meth:`apply_actions`.  When the scheduled time arrives, the
-        network link is mutated and the affected RouterLink re-runs its
-        bottleneck computation
-        (:meth:`~repro.core.router_link.RouterLinkTask.capacity_changed`);
-        once the protocol requiesces, the run again passes
-        :func:`~repro.core.validation.validate_against_oracle` on the
-        *updated* capacities.  ``at=None`` pins the change to the current
-        time.
-        """
-        when = self.simulator.now if at is None else at
-        actions = [CapacityChangeAction(source, target, capacity, when)]
-        if both_directions:
-            actions.append(CapacityChangeAction(target, source, capacity, when))
-        return self.apply_actions(actions)
-
     def schedule_capacity_change(self, action):
         """Schedule one replayed :class:`~repro.core.actions.CapacityChangeAction`.
 
-        Called from :func:`repro.core.actions.replay_actions`, once
-        :func:`~repro.core.actions.validate_actions` has checked the link.
-        The change takes a deterministic ``(time, sequence)`` slot relative to
-        the packets in flight around it.
+        Called when :meth:`~repro.core.actions.SessionProtocol.apply_actions`
+        replays a batch, once :func:`~repro.core.actions.validate_actions`
+        has checked the link.  The change takes a deterministic ``(time,
+        sequence)`` slot relative to the packets in flight around it.  When
+        the slot arrives, the network link is mutated and the affected
+        RouterLink re-runs its bottleneck computation
+        (:meth:`~repro.core.router_link.RouterLinkTask.capacity_changed`);
+        once the protocol requiesces, the run again passes
+        :func:`~repro.core.validation.validate_against_oracle` on the
+        *updated* capacities.  Its presence is what the batch check asks
+        for: a protocol without it refuses capacity changes.
         """
         key = (action.source, action.target)
         link = self.network.link(*key)
@@ -243,15 +226,6 @@ class BNeckProtocol(SessionProtocol):
                 task.capacity_changed(action.capacity)
 
         self._schedule_api_call(apply_change, action.at, "CapacityChange")
-
-    def _reverse_link(self, session_id, link):
-        try:
-            return self.network.reverse_link(link)
-        except KeyError:
-            raise ValueError(
-                "session %r crosses link %r -> %r, which has no reverse link "
-                "for upstream packets" % (session_id, link.source, link.target)
-            ) from None
 
     def _router_link_for(self, link, reverse):
         key = link.endpoints
@@ -405,6 +379,8 @@ class BNeckProtocol(SessionProtocol):
         return states
 
     def application(self, session_id):
+        """The :class:`~repro.core.api.SessionApplication` of a session,
+        which records every ``API.Rate`` it was delivered."""
         return self._applications[session_id]
 
     # -------------------------------------------------------------- allocation

@@ -23,7 +23,6 @@ round per phase, so every phase is validated at its own quiescence point.
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.transit_stub import LAN
 from repro.workloads.generator import uniform_demand
-from repro.workloads.scenarios import NetworkScenario
 from repro.workloads.stochastic import DEFAULT_PHASES, PhaseChurnWorkload
 
 
@@ -58,9 +57,6 @@ class Experiment2Config(object):
 
     def phases(self):
         return DEFAULT_PHASES(self.initial_sessions, self.churn_fraction, self.window)
-
-    def scenario(self):
-        return NetworkScenario(self.size, self.delay_model, seed=self.seed)
 
     def spec(self):
         """The :class:`~repro.experiments.runner.ScenarioSpec` of this config."""

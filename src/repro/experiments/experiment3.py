@@ -31,7 +31,6 @@ from repro.experiments.metrics import (
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.transit_stub import LAN
 from repro.workloads.generator import infinite_demand
-from repro.workloads.scenarios import NetworkScenario
 
 BNECK = "bneck"
 BFYZ = "bfyz"
@@ -74,9 +73,6 @@ class Experiment3Config(object):
         self.demand_sampler = demand_sampler or infinite_demand()
         self.tolerance_percent = tolerance_percent
         self.seed = seed
-
-    def scenario(self):
-        return NetworkScenario(self.size, self.delay_model, seed=self.seed)
 
     def sample_times(self):
         times = []
@@ -187,9 +183,8 @@ def _drive_protocol(name, runner, config):
         leaves.append(LeaveAction(session_id, max(when, earliest)))
     runner.apply_actions(leaves)
 
-    surviving = [
-        session for session_id, session in installed.items() if session_id not in set(leavers)
-    ]
+    left = set(leavers)
+    surviving = [session for session_id, session in installed.items() if session_id not in left]
     oracle = centralized_bneck(surviving)
 
     series = ProtocolTimeSeries(name)

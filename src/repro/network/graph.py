@@ -118,9 +118,8 @@ class Link(object):
 
         Only the capacity used by the fairness computation changes; the
         control-packet delay keeps its construction-time value (see the
-        comment in ``__init__``).  Callers driving a live protocol should go
-        through :meth:`repro.core.protocol.BNeckProtocol.change_capacity`
-        (or a :class:`~repro.core.actions.CapacityChangeAction`),
+        comment in ``__init__``).  Callers driving a live protocol should
+        apply a :class:`~repro.core.actions.CapacityChangeAction` instead,
         which also re-runs the bottleneck computation at the affected
         RouterLink.
         """

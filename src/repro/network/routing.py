@@ -5,7 +5,8 @@ destination node", by hop count.  Hosts hang off routers through dedicated
 access links and never relay (Section II), so a session's path is its source
 host, a shortest router path between the two hosts' attached routers, and its
 destination host.  :class:`PathComputer` is the one route search: a
-breadth-first search between routers that keeps nothing per router pair.
+breadth-first search between routers that keeps nothing per router pair.  A
+join names its two routers, so the search never starts from a host.
 """
 
 import collections
@@ -47,37 +48,21 @@ def _reconstruct(predecessor, target):
 
 
 class PathComputer(object):
-    """Hop-count routes between hosts and between routers.
+    """Hop-count routes between routers.
 
-    A host-to-host route is ``[source_host] + router_path + [destination_host]``,
-    where ``router_path`` is a shortest path between the hosts' attached
-    routers.  The searches read each router's router neighbours from a map
-    that is rebuilt whenever :attr:`Network.router_changes` has moved since
-    it was built, that is after a router or a link was added.  Attaching and
-    detaching hosts leaves that count as is, so joins never rebuild the map.
+    A session's node path is ``[source_host] + router_path +
+    [destination_host]``, where ``router_path`` is a shortest path between
+    the routers its two hosts attach to.  The search reads each router's
+    router neighbours from a map that is rebuilt whenever
+    :attr:`Network.router_changes` has moved since it was built, that is
+    after a router or a link was added.  Attaching and detaching hosts leaves
+    that count as is, so joins never rebuild the map.
     """
 
     def __init__(self, network):
         self.network = network
         self._relays = None
         self._relays_built_at = None
-
-    def route(self, source_host, destination_host):
-        """Return the node path from ``source_host`` to ``destination_host``.
-
-        Raises ``ValueError`` naming an endpoint that is not a host attached
-        to a router, or when the attached routers are not connected.
-        """
-        routers = []
-        for host in (source_host, destination_host):
-            try:
-                node = self.network.node(host)
-            except KeyError:
-                node = None
-            if node is None or not node.is_host or node.attached_router is None:
-                raise ValueError("%r is not a host attached to a router" % (host,))
-            routers.append(node.attached_router)
-        return [source_host] + self.router_route(*routers) + [destination_host]
 
     def router_route(self, ingress, egress):
         """Return a new list: a shortest router path between two routers.

@@ -1,9 +1,12 @@
 """Shared fixtures and helpers of the test suite."""
 
 import fractions
+import itertools
+import math
 
 import pytest
 
+from repro.core.actions import ChangeAction, JoinAction, LeaveAction
 from repro.core.protocol import BNeckProtocol
 from repro.network.graph import Network
 from repro.network.routing import PathComputer, path_links
@@ -30,22 +33,13 @@ def simulator():
 # --------------------------------------------------------------------- helpers
 
 
-def attach_endpoints(network, source_router, destination_router,
-                     capacity=HOST_CAPACITY, delay=HOST_DELAY):
-    """Attach a fresh source host and destination host and return their ids."""
-    source = network.attach_host(source_router, capacity, delay)
-    destination = network.attach_host(destination_router, capacity, delay)
-    return source.node_id, destination.node_id
-
-
 def make_session(network, session_id, source_router, destination_router,
-                 demand=float("inf"), capacity=HOST_CAPACITY, delay=HOST_DELAY):
+                 demand=math.inf, capacity=HOST_CAPACITY, delay=HOST_DELAY):
     """Build a Session between two fresh hosts attached to the given routers."""
-    source_host, destination_host = attach_endpoints(
-        network, source_router, destination_router, capacity, delay
-    )
-    computer = PathComputer(network)
-    node_path = computer.route(source_host, destination_host)
+    source_host = network.attach_host(source_router, capacity, delay).node_id
+    destination_host = network.attach_host(destination_router, capacity, delay).node_id
+    router_path = PathComputer(network).router_route(source_router, destination_router)
+    node_path = [source_host] + router_path + [destination_host]
     links = path_links(network, node_path)
     return Session(session_id, source_host, destination_host, node_path, links, demand)
 
@@ -62,17 +56,73 @@ def exact_single_link_sessions(demands):
     ]
 
 
+def join_action(session_id, at=0.0, demand=math.inf, source_router="r0",
+                destination_router="r1", capacity=HOST_CAPACITY):
+    """A :class:`JoinAction` of a session between two fresh hosts attached
+    to the two routers, over access links of ``capacity`` and
+    ``HOST_DELAY``."""
+    return JoinAction(session_id, source_router, destination_router, demand, at,
+                      capacity, HOST_DELAY)
+
+
+def open_session(protocol, source_router, destination_router, session_id,
+                 demand=math.inf, at=None):
+    """Join a session between two fresh hosts on any protocol: a
+    one-:class:`JoinAction` batch, dated ``at`` or else the simulator's
+    current time.  Returns the session."""
+    when = protocol.simulator.now if at is None else at
+    join = join_action(session_id, when, demand, source_router, destination_router)
+    return protocol.apply_actions([join])[session_id]
+
+
 def open_bneck_session(protocol, source_router, destination_router,
-                       session_id, demand=float("inf"), at=None):
-    """Attach hosts and join a session on a running BNeckProtocol."""
-    source_host, destination_host = attach_endpoints(
-        protocol.network, source_router, destination_router
-    )
-    session = protocol.create_session(
-        source_host, destination_host, demand=demand, session_id=session_id
-    )
-    application = protocol.join(session, at=at)
-    return session, application
+                       session_id, demand=math.inf, at=None):
+    """:func:`open_session` on a BNeckProtocol.  Returns ``(session,
+    application)``."""
+    session = open_session(protocol, source_router, destination_router, session_id,
+                           demand, at)
+    return session, protocol.application(session_id)
+
+
+def script_access_links(network, hosts):
+    """Give the next hosts attached to ``network`` the access links listed
+    in ``hosts``: one ``(capacity, delay_to_router, delay_from_router)`` per
+    host, in attach order, where a join attaches its source, then its
+    destination.  Once the list is used up, hosts attach as usual.
+
+    A :class:`JoinAction` gives both of its hosts, and both directions of
+    each host's link, one capacity and one delay; this builds the sessions
+    whose access links differ.
+    """
+    hosts = iter(hosts)
+    host_ids = ("scripted-host-%d" % index for index in itertools.count(1))
+    attach_as_usual = network.attach_host
+
+    def attach_host(router_id, capacity, propagation_delay, host_id=None):
+        scripted = next(hosts, None)
+        if scripted is None:
+            return attach_as_usual(router_id, capacity, propagation_delay, host_id)
+        capacity, to_router, from_router = scripted
+        host = network.add_host(next(host_ids), attached_router=router_id)
+        network.add_link(host.node_id, router_id, capacity, to_router, bidirectional=False)
+        network.add_link(router_id, host.node_id, capacity, from_router, bidirectional=False)
+        return host
+
+    network.attach_host = attach_host
+
+
+def leave_session(protocol, session_id, at=None):
+    """``API.Leave`` of a session: a one-:class:`LeaveAction` batch, dated
+    ``at`` or else the simulator's current time."""
+    when = protocol.simulator.now if at is None else at
+    protocol.apply_actions([LeaveAction(session_id, when)])
+
+
+def change_session(protocol, session_id, demand, at=None):
+    """``API.Change`` of a session: a one-:class:`ChangeAction` batch, dated
+    ``at`` or else the simulator's current time."""
+    when = protocol.simulator.now if at is None else at
+    protocol.apply_actions([ChangeAction(session_id, demand, when)])
 
 
 def parking_lot_protocol(hop_count=3, capacity=100 * MBPS):

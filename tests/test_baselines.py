@@ -7,26 +7,19 @@ import pytest
 from repro.baselines.bfyz import BFYZProtocol, ConsistentMarkingController
 from repro.baselines.cg import CGProtocol, ConstantStateController
 from repro.baselines.rcp import RCPLinkController, RCPProtocol
-from repro.core.actions import JoinAction, LeaveAction
+from repro.core.actions import ChangeAction, LeaveAction
 from repro.core.centralized import centralized_bneck
 from repro.experiments.experiment3 import Experiment3Config, run_experiment3
 from repro.network.graph import Link
 from repro.network.topology import line_topology, single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds, milliseconds
-from tests.conftest import attach_endpoints
+from tests.conftest import join_action, open_session
 
 
 def make_protocol(protocol_class, network, **kwargs):
     kwargs.setdefault("probe_interval", milliseconds(1))
     return protocol_class(network, **kwargs)
-
-
-def open_session(protocol, source_router, destination_router, session_id, demand=float("inf"), at=None):
-    source_host, destination_host = attach_endpoints(protocol.network, source_router, destination_router)
-    session = protocol.create_session(source_host, destination_host, demand=demand, session_id=session_id)
-    protocol.join(session, at=at)
-    return session
 
 
 class TestConsistentMarkingController(object):
@@ -154,7 +147,7 @@ class TestBaselineProtocols(object):
         open_session(protocol, "r0", "r1", "temp")
         open_session(protocol, "r0", "r1", "perm")
         protocol.run(until=milliseconds(20))
-        protocol.leave("temp")
+        protocol.apply_actions([LeaveAction("temp", protocol.simulator.now)])
         protocol.run(until=milliseconds(40))
         assert "temp" not in protocol.current_allocation()
         by_session = protocol.tracer.by_session
@@ -174,7 +167,7 @@ class TestBaselineProtocols(object):
         network = single_link_topology(capacity=100 * MBPS)
         protocol = make_protocol(protocol_class, network)
         batch = [
-            JoinAction("j", "r0", "r1", 10 * MBPS, 1e-3, 1000 * MBPS, microseconds(1)),
+            join_action("j", 1e-3, 10 * MBPS),
             LeaveAction("j", math.nan),
         ]
         with pytest.raises(ValueError, match="finite absolute time"):
@@ -188,7 +181,7 @@ class TestBaselineProtocols(object):
         protocol = make_protocol(protocol_class, network)
         open_session(protocol, "r0", "r1", "s")
         protocol.run(until=milliseconds(40))
-        protocol.change("s", 5 * MBPS)
+        protocol.apply_actions([ChangeAction("s", 5 * MBPS, protocol.simulator.now)])
         protocol.run(until=milliseconds(80))
         assert protocol.current_allocation().rate("s") <= 5 * MBPS * 1.001
 
@@ -204,9 +197,8 @@ def test_departed_sessions_release_their_hosts_and_access_controllers(protocol_c
     for round_index in range(5):
         start = protocol.simulator.now + 1e-4
         joins = [
-            JoinAction("s%d-%d" % (round_index, index), routers[index % 3],
-                       routers[(index + 1) % 3], math.inf, start + index * 1e-5,
-                       1000 * MBPS, microseconds(1))
+            join_action("s%d-%d" % (round_index, index), start + index * 1e-5, math.inf,
+                        routers[index % 3], routers[(index + 1) % 3])
             for index in range(40)
         ]
         protocol.apply_actions(joins)
@@ -224,8 +216,7 @@ def test_departed_sessions_release_their_hosts_and_access_controllers(protocol_c
     # A released session keeps its record and its id.
     assert protocol.session("s0-0").left
     with pytest.raises(ValueError, match="already joined"):
-        protocol.apply_actions([JoinAction("s0-0", "r0", "r1", math.inf,
-                                           protocol.simulator.now, 1000 * MBPS, 0.0)])
+        protocol.apply_actions([join_action("s0-0", protocol.simulator.now)])
 
 
 class TestBFYZTransientOverestimation(object):

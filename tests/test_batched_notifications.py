@@ -15,7 +15,7 @@ Pinned guarantees:
 
 import pytest
 
-from repro.core.api import SessionApplication
+from repro.core.actions import ChangeAction
 from repro.core.protocol import BNeckProtocol
 from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
@@ -23,19 +23,18 @@ from repro.simulator.clock import microseconds
 from repro.simulator.simulation import Simulator
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import NetworkScenario
+from tests.conftest import join_action, open_bneck_session
+
 
 def _single_link_protocol(simulator=None):
     network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-    protocol = BNeckProtocol(network, simulator=simulator)
-    source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
-    sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
-    return protocol, source.node_id, sink.node_id
+    return BNeckProtocol(network, simulator=simulator)
 
 
 class TestPerInstantCoalescing(object):
     def _notify_twice_in_one_instant(self):
-        protocol, source, sink = _single_link_protocol()
-        session, application = protocol.open_session(source, sink, session_id="a")
+        protocol = _single_link_protocol()
+        _, application = open_bneck_session(protocol, "r0", "r1", "a")
         protocol.run_until_quiescent()
         baseline = application.notification_count
         simulator = protocol.simulator
@@ -61,18 +60,20 @@ class TestPerInstantCoalescing(object):
         last = application.notifications[-1]
         assert last.time == pytest.approx(protocol.simulator.now)
 
-    def test_batched_delivery_order_is_first_update_order(self):
-        protocol, source, sink = _single_link_protocol()
-        protocol.open_session(source, sink, session_id="a")
+    def test_batched_delivery_order_is_first_update_order(self, monkeypatch):
+        protocol = _single_link_protocol()
+        open_bneck_session(protocol, "r0", "r1", "a")
+        open_bneck_session(protocol, "r0", "r1", "b")
         protocol.run_until_quiescent()
         order = []
+        for session_id in ("a", "b"):
+            application = protocol.application(session_id)
 
-        class Recording(SessionApplication):
-            def on_rate(self, time, rate):
-                order.append((self.session_id, rate))
+            def recording(time, rate, session_id=session_id, deliver=application.deliver_rate):
+                order.append((session_id, rate))
+                return deliver(time, rate)
 
-        protocol._applications["a"] = Recording("a", 100 * MBPS)
-        protocol._applications["b"] = Recording("b", 100 * MBPS)
+            monkeypatch.setattr(application, "deliver_rate", recording)
 
         def burst():
             protocol.notify_rate("b", 1.0)
@@ -85,10 +86,12 @@ class TestPerInstantCoalescing(object):
         assert order == [("b", 3.0), ("a", 2.0)]
 
     def test_same_instant_join_then_change_yields_single_final_rate(self):
-        protocol, source, sink = _single_link_protocol()
-        session = protocol.create_session(source, sink, session_id="a")
-        application = protocol.join(session, at=0.0)
-        protocol.change("a", 40 * MBPS, at=0.0)
+        protocol = _single_link_protocol()
+        protocol.apply_actions([
+            join_action("a"),
+            ChangeAction("a", 40 * MBPS, 0.0),
+        ])
+        application = protocol.application("a")
         protocol.run_until_quiescent()
         # The final notified rate reflects the change, and no instant ever
         # delivered more than one notification to the application.
@@ -117,8 +120,8 @@ class TestDeliveryIsOutOfBand(object):
     """The coalesced delivery rides on the simulator's end-of-instant flush."""
 
     def _quiescent_session(self, simulator=None):
-        protocol, source, sink = _single_link_protocol(simulator)
-        _, application = protocol.open_session(source, sink, session_id="a")
+        protocol = _single_link_protocol(simulator)
+        _, application = open_bneck_session(protocol, "r0", "r1", "a")
         protocol.run_until_quiescent()
         return protocol, application
 

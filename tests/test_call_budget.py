@@ -71,6 +71,7 @@ import random
 from functools import partial
 
 import repro
+from repro.core.actions import ChangeAction, JoinAction, LeaveAction
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
 from repro.network.routing import PathComputer
@@ -103,21 +104,17 @@ def _flash_crowd():
         domains.setdefault(router.rsplit(".", 1)[0], []).append(router)
     targets = domains[sorted(domains)[0]]
     outside = [router for router in routers if router not in targets]
-    session_ids = []
-    for _ in range(SESSIONS):
-        source = network.attach_host(rng.choice(outside), HOST_LINK_CAPACITY, HOST_LINK_DELAY)
-        destination = network.attach_host(
-            rng.choice(targets), HOST_LINK_CAPACITY, HOST_LINK_DELAY
-        )
-        session, _ = protocol.open_session(
-            source.node_id, destination.node_id, math.inf, at=rng.uniform(1e-4, 1.1e-3)
-        )
-        session_ids.append(session.session_id)
-    churned = rng.sample(session_ids, SESSIONS * 2 // 5)
+    actions = []
+    for index in range(1, SESSIONS + 1):
+        source, destination = rng.choice(outside), rng.choice(targets)
+        actions.append(JoinAction("session-%d" % index, source, destination, math.inf,
+                                  rng.uniform(1e-4, 1.1e-3), HOST_LINK_CAPACITY, HOST_LINK_DELAY))
+    churned = rng.sample([join.session_id for join in actions], SESSIONS * 2 // 5)
     for session_id in churned[: SESSIONS // 5]:
-        protocol.leave(session_id, at=rng.uniform(3e-3, 4e-3))
+        actions.append(LeaveAction(session_id, rng.uniform(3e-3, 4e-3)))
     for session_id in churned[SESSIONS // 5:]:
-        protocol.change(session_id, 5e6, at=rng.uniform(6e-3, 7e-3))
+        actions.append(ChangeAction(session_id, 5e6, rng.uniform(6e-3, 7e-3)))
+    protocol.apply_actions(actions)
     return protocol
 
 

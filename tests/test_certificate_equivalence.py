@@ -166,7 +166,8 @@ def populations(draw):
         access = draw(st.sampled_from(CAPACITIES + [1e9]))
         source_host = network.attach_host("r%d" % source, access, 1e-6)
         sink_host = network.attach_host("r%d" % sink, 1e9, 1e-6)
-        node_path = computer.route(source_host.node_id, sink_host.node_id)
+        router_path = computer.router_route("r%d" % source, "r%d" % sink)
+        node_path = [source_host.node_id] + router_path + [sink_host.node_id]
         demand = draw(st.one_of(st.just(math.inf), st.sampled_from(CAPACITIES),
                                 st.floats(0.5, 2e8)))
         sessions.append(Session("s%d" % index, source_host.node_id, sink_host.node_id,

@@ -11,7 +11,12 @@ from repro.core import check_stability, validate_against_oracle
 from repro.core.protocol import BNeckProtocol
 from repro.network.topology import dumbbell_topology, star_topology
 from repro.network.units import MBPS
-from tests.conftest import open_bneck_session, parking_lot_protocol, parking_lot_workload
+from tests.conftest import (
+    leave_session,
+    open_bneck_session,
+    parking_lot_protocol,
+    parking_lot_workload,
+)
 
 
 class TestSingleSessions(object):
@@ -171,5 +176,5 @@ class TestProtocolApiMisuse(object):
         protocol = BNeckProtocol(single_link_network)
         with pytest.raises(KeyError):
             protocol.source("ghost")
-        with pytest.raises(KeyError):
-            protocol.leave("ghost")
+        with pytest.raises(ValueError, match="names session 'ghost', which has not joined"):
+            leave_session(protocol, "ghost")

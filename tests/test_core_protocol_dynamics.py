@@ -16,7 +16,12 @@ from repro.network.topology import dumbbell_topology, line_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import milliseconds
 from repro.workloads.stochastic import PoissonChurnWorkload
-from tests.conftest import attach_endpoints, open_bneck_session, parking_lot_protocol
+from tests.conftest import (
+    change_session,
+    leave_session,
+    open_bneck_session,
+    parking_lot_protocol,
+)
 
 
 class TestDepartures(object):
@@ -27,7 +32,7 @@ class TestDepartures(object):
         protocol.run_until_quiescent()
         assert staying.current_rate == pytest.approx(50 * MBPS)
 
-        protocol.leave("leaving")
+        leave_session(protocol, "leaving")
         protocol.run_until_quiescent()
         assert staying.current_rate == pytest.approx(100 * MBPS)
         assert len(protocol.registry) == 1
@@ -40,7 +45,7 @@ class TestDepartures(object):
         open_bneck_session(protocol, "r0", "r1", "staying")
         protocol.run_until_quiescent()
         notifications_at_departure = leaving.notification_count
-        protocol.leave("leaving")
+        leave_session(protocol, "leaving")
         protocol.run_until_quiescent()
         assert leaving.notification_count == notifications_at_departure
 
@@ -50,7 +55,7 @@ class TestDepartures(object):
             open_bneck_session(protocol, "r0", "r1", "s%d" % index)
         protocol.run_until_quiescent()
         for index in range(4):
-            protocol.leave("s%d" % index)
+            leave_session(protocol, "s%d" % index)
         protocol.run_until_quiescent()
         assert len(protocol.registry) == 0
         assert protocol.quiescent
@@ -66,7 +71,7 @@ class TestDepartures(object):
         assert long_app.current_rate == pytest.approx(50 * MBPS)
 
         for hop in range(3):
-            protocol.leave("short%d" % hop)
+            leave_session(protocol, "short%d" % hop)
             protocol.run_until_quiescent()
             assert validate_against_oracle(protocol).valid
         # All the shorts are gone: the long session takes a full link.
@@ -107,7 +112,7 @@ class TestRateChanges(object):
         protocol.run_until_quiescent()
         assert other.current_rate == pytest.approx(50 * MBPS)
 
-        protocol.change("changing", 10 * MBPS)
+        change_session(protocol, "changing", 10 * MBPS)
         protocol.run_until_quiescent()
         assert changing.current_rate == pytest.approx(10 * MBPS)
         assert other.current_rate == pytest.approx(90 * MBPS)
@@ -122,7 +127,7 @@ class TestRateChanges(object):
         assert changing.current_rate == pytest.approx(10 * MBPS)
         assert other.current_rate == pytest.approx(90 * MBPS)
 
-        protocol.change("changing", 500 * MBPS)
+        change_session(protocol, "changing", 500 * MBPS)
         protocol.run_until_quiescent()
         assert changing.current_rate == pytest.approx(50 * MBPS)
         assert other.current_rate == pytest.approx(50 * MBPS)
@@ -136,7 +141,7 @@ class TestRateChanges(object):
         packets_before = protocol.tracer.total
         # Changing the demand of "a" to exactly its current rate still triggers
         # a Probe cycle but converges immediately.
-        protocol.change("a", 50 * MBPS)
+        change_session(protocol, "a", 50 * MBPS)
         protocol.run_until_quiescent()
         assert validate_against_oracle(protocol).valid
         session_a_path = protocol.session("a").path_length
@@ -153,8 +158,8 @@ class TestMixedChurn(object):
         protocol.run_until_quiescent()
 
         now = protocol.simulator.now
-        protocol.leave("a", at=now + milliseconds(0.1))
-        protocol.change("b", 15 * MBPS, at=now + milliseconds(0.2))
+        leave_session(protocol, "a", at=now + milliseconds(0.1))
+        change_session(protocol, "b", 15 * MBPS, at=now + milliseconds(0.2))
         _, d = open_bneck_session(protocol, "west3", "east3", "d", at=now + milliseconds(0.3))
         protocol.run_until_quiescent()
 
@@ -172,7 +177,7 @@ class TestMixedChurn(object):
         now = protocol.simulator.now
         # Several demand changes scheduled before the previous ones settle.
         for index, demand in enumerate((10, 60, 5, 35)):
-            protocol.change("volatile", demand * MBPS, at=now + index * 1e-5)
+            change_session(protocol, "volatile", demand * MBPS, at=now + index * 1e-5)
         protocol.run_until_quiescent()
         assert app.current_rate == pytest.approx(35 * MBPS)
         assert validate_against_oracle(protocol).valid
@@ -297,7 +302,7 @@ class TestReleaseOfDepartedSessions(object):
         open_bneck_session(protocol, "r0", "r1", "leaving")
         open_bneck_session(protocol, "r0", "r1", "staying")
         protocol.run_until_quiescent()
-        protocol.leave("leaving")
+        leave_session(protocol, "leaving")
         # The Leave is still travelling: nothing may be released yet.
         protocol.apply_actions([LeaveAction("staying", protocol.simulator.now + 1e-3)])
         protocol.source("leaving")
@@ -308,26 +313,4 @@ class TestReleaseOfDepartedSessions(object):
         _assert_released(protocol, "staying")
         protocol.run_until_quiescent()
         assert protocol.current_allocation().as_dict() == {"next": pytest.approx(10 * MBPS)}
-        assert validate_against_oracle(protocol).valid
-
-    def test_a_host_a_held_session_names_is_kept(self, single_link_network):
-        """Sessions opened directly may share a destination host: it stays,
-        with its egress RouterLink, while a held session ends there."""
-        protocol = BNeckProtocol(single_link_network)
-        network = protocol.network
-        source_a, sink = attach_endpoints(network, "r0", "r1")
-        source_b = network.attach_host("r0", 1000 * MBPS, 1e-6).node_id
-        protocol.open_session(source_a, sink, session_id="a")
-        _, staying = protocol.open_session(source_b, sink, session_id="b")
-        protocol.run_until_quiescent()
-        protocol.leave("a")
-        protocol.run_until_quiescent()
-        protocol.apply_actions([])
-        with pytest.raises(KeyError):
-            network.node(source_a)
-        assert network.node(sink).is_host
-        assert not protocol.router_link(("r1", sink)).state.knows("a")
-        protocol.change("b", 30 * MBPS)
-        protocol.run_until_quiescent()
-        assert staying.current_rate == pytest.approx(30 * MBPS)
         assert validate_against_oracle(protocol).valid

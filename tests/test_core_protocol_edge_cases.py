@@ -14,29 +14,40 @@ from repro.network.graph import Network
 from repro.network.topology import line_topology, single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds, milliseconds
-from tests.conftest import open_bneck_session
+from tests.conftest import (
+    HOST_DELAY,
+    change_session,
+    leave_session,
+    open_bneck_session,
+    script_access_links,
+)
+
+
+def _join_over_access_links(protocol, session_id, source_capacity, destination_capacity):
+    """Join a greedy session across the link between two fresh hosts whose
+    access links carry the given capacities; returns its application."""
+    script_access_links(protocol.network, [
+        (source_capacity, HOST_DELAY, HOST_DELAY),
+        (destination_capacity, HOST_DELAY, HOST_DELAY),
+    ])
+    return open_bneck_session(protocol, "r0", "r1", session_id)[1]
 
 
 def test_access_link_is_the_bottleneck():
     # The host access link (20 Mbps) is tighter than the 100 Mbps backbone.
     network = single_link_topology(capacity=100 * MBPS)
     protocol = BNeckProtocol(network)
-    source = network.attach_host("r0", 20 * MBPS, microseconds(1))
-    sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
-    session = protocol.create_session(source.node_id, sink.node_id, session_id="narrow")
-    application = protocol.join(session)
+    application = _join_over_access_links(protocol, "narrow", 20 * MBPS, 1000 * MBPS)
     protocol.run_until_quiescent()
     assert application.current_rate == pytest.approx(20 * MBPS)
     assert validate_against_oracle(protocol).valid
 
 
 def test_destination_access_link_is_the_bottleneck():
+    # The egress link into the 30 Mbps destination host is a RouterLink's.
     network = single_link_topology(capacity=100 * MBPS)
     protocol = BNeckProtocol(network)
-    source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
-    sink = network.attach_host("r1", 30 * MBPS, microseconds(1))
-    session = protocol.create_session(source.node_id, sink.node_id, session_id="narrow-out")
-    application = protocol.join(session)
+    application = _join_over_access_links(protocol, "narrow-out", 1000 * MBPS, 30 * MBPS)
     protocol.run_until_quiescent()
     assert application.current_rate == pytest.approx(30 * MBPS)
     assert check_stability(protocol).stable
@@ -111,14 +122,11 @@ def test_wan_scale_delays_on_a_synthetic_chain():
 def test_change_demand_above_access_capacity_clamps_to_access_link():
     network = single_link_topology(capacity=100 * MBPS)
     protocol = BNeckProtocol(network)
-    source = network.attach_host("r0", 50 * MBPS, microseconds(1))
-    sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
-    session = protocol.create_session(source.node_id, sink.node_id, session_id="clamped")
-    application = protocol.join(session)
+    application = _join_over_access_links(protocol, "clamped", 50 * MBPS, 1000 * MBPS)
     protocol.run_until_quiescent()
     assert application.current_rate == pytest.approx(50 * MBPS)
     # Asking for more than the access link can carry changes nothing.
-    protocol.change("clamped", 400 * MBPS)
+    change_session(protocol, "clamped", 400 * MBPS)
     protocol.run_until_quiescent()
     assert application.current_rate == pytest.approx(50 * MBPS)
     assert validate_against_oracle(protocol).valid
@@ -130,7 +138,7 @@ def test_repeated_identical_change_requests_are_stable():
     _, application = open_bneck_session(protocol, "r0", "r1", "steady", demand=40 * MBPS)
     protocol.run_until_quiescent()
     for _ in range(3):
-        protocol.change("steady", 40 * MBPS)
+        change_session(protocol, "steady", 40 * MBPS)
         protocol.run_until_quiescent()
         assert application.current_rate == pytest.approx(40 * MBPS)
         assert check_stability(protocol).stable
@@ -144,7 +152,7 @@ def test_leave_immediately_after_join_converges():
     open_bneck_session(protocol, "r0", "r1", "ephemeral", at=microseconds(10))
     # The ephemeral session leaves only a few microseconds after joining,
     # while its own Join cycle is still in flight.
-    protocol.leave("ephemeral", at=microseconds(25))
+    leave_session(protocol, "ephemeral", at=microseconds(25))
     protocol.run_until_quiescent()
     assert staying.current_rate == pytest.approx(100 * MBPS)
     assert len(protocol.registry) == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import WAITING_PROBE, check_stability
+from repro.core.actions import ChangeAction, LeaveAction
 from repro.core.centralized import centralized_bneck
 from repro.core.validation import validate_against_oracle
 from repro.core.protocol import BNeckProtocol
@@ -13,9 +14,16 @@ from repro.fairness.verification import verify_allocation
 from repro.fairness.waterfilling import water_filling
 from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
-from repro.simulator.clock import microseconds
 from repro.workloads.stochastic import StochasticWorkload
-from tests.conftest import open_bneck_session, parking_lot_protocol, parking_lot_workload
+from tests.conftest import (
+    HOST_CAPACITY,
+    HOST_DELAY,
+    join_action,
+    open_bneck_session,
+    parking_lot_protocol,
+    parking_lot_workload,
+    script_access_links,
+)
 
 
 class TestStabilityChecker(object):
@@ -53,8 +61,8 @@ class TestStabilityChecker(object):
         open_bneck_session(protocol, "r0", "r1", "a")
         open_bneck_session(protocol, "r0", "r1", "b")
         protocol.run_until_quiescent()
-        protocol.leave("a")
-        protocol.change("b", 30 * MBPS)
+        now = protocol.simulator.now
+        protocol.apply_actions([LeaveAction("a", now), ChangeAction("b", 30 * MBPS, now)])
         protocol.run_until_quiescent()
         assert check_stability(protocol).stable
 
@@ -110,7 +118,10 @@ class TestValidation(object):
         protocol = BNeckProtocol(single_link_network)
         open_bneck_session(protocol, "r0", "r1", "a")
         open_bneck_session(protocol, "r0", "r1", "b")
-        # Before any Response arrives both sessions still believe 0.0.
+        # The two joins take effect at time 0; before any Response arrives
+        # both sessions still believe 0.0.
+        protocol.run(until=0.0)
+        assert len(protocol.registry) == 2
         result = validate_against_oracle(protocol)
         assert not result.matches_centralized
 
@@ -198,11 +209,9 @@ def test_centralized_comparison_is_stricter_than_the_certificate():
     rates_equal on B's own rate, rejects it.  The verdict needs both."""
     network = single_link_topology(capacity=100 * MBPS)
     protocol = BNeckProtocol(network)
-    for index in range(999):
-        source = network.attach_host("r0", 99000.0, microseconds(1))
-        sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
-        protocol.join(protocol.create_session(source.node_id, sink.node_id,
-                                              session_id="s%03d" % index))
+    script_access_links(network, [(99000.0, HOST_DELAY, HOST_DELAY),
+                                   (HOST_CAPACITY, HOST_DELAY, HOST_DELAY)] * 999)
+    protocol.apply_actions([join_action("s%03d" % index) for index in range(999)])
     open_bneck_session(protocol, "r0", "r1", "B")
     protocol.run_until_quiescent()
     assert validate_against_oracle(protocol).valid

@@ -42,6 +42,7 @@ from repro.simulator.tracing import PacketTracer
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import NetworkScenario
 from test_golden_invariance import GOLDENS, KEYS, run_golden
+from tests.conftest import join_action
 
 PACKET_CLASSES = (Join, Probe, Response, Update, Bottleneck, SetBottleneck, Leave)
 MASS_JOIN_KEY = "small-lan-s2-n20"
@@ -79,9 +80,7 @@ def _mass_join(key, protocol_factory):
 def _single_session():
     network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
     protocol = BNeckProtocol(network)
-    source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
-    sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
-    protocol.open_session(source.node_id, sink.node_id, session_id="a")
+    protocol.apply_actions([join_action("a")])
     protocol.run_until_quiescent()
     return protocol
 
@@ -107,11 +106,8 @@ def test_in_flight_packets_recount_mid_run():
 def test_in_flight_packets_skip_a_pending_join():
     protocol = _mass_join(MASS_JOIN_KEY, BNeckProtocol)
     simulator = protocol.simulator
-    network = protocol.network
-    routers = sorted(node.node_id for node in network.routers())
-    late_source = network.attach_host(routers[0], 1000 * MBPS, microseconds(1))
-    late_sink = network.attach_host(routers[-1], 1000 * MBPS, microseconds(1))
-    protocol.open_session(late_source.node_id, late_sink.node_id, session_id="late", at=1.0)
+    routers = sorted(node.node_id for node in protocol.network.routers())
+    protocol.apply_actions([join_action("late", 1.0, math.inf, routers[0], routers[-1])])
 
     def pending_joins():
         return [entry[4] for entry in simulator.heap].count("API.Join")
@@ -205,9 +201,7 @@ def _bfyz_packets(swap):
     first = protocol.tracer
     if swap:
         protocol.tracer = PacketTracer()
-    source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
-    sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
-    protocol.open_session(source.node_id, sink.node_id, math.inf, session_id="a")
+    protocol.apply_actions([join_action("a")])
     protocol.run(until=1e-3)
     if swap:
         assert first.total == 0

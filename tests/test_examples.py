@@ -1,14 +1,20 @@
-"""Smoke tests for the runnable examples.
+"""Smoke tests for the runnable examples and the package Quickstart.
 
 Each example is loaded from the ``examples/`` directory and executed with a
 small workload, so the documented entry points keep working as the library
-evolves.
+evolves; every example in the directory is loaded by some test here.  The
+Quickstart block of the ``repro`` package docstring is executed too.
 """
 
+import ast
+import glob
 import importlib.util
 import os
+import textwrap
 
 import pytest
+
+import repro
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 
@@ -93,3 +99,37 @@ def test_stochastic_churn_every_workload_validates(capsys, workload, delay_model
     assert "%s " % workload in output
     assert "NO" not in output
     assert "sessions active at the end" in output
+
+
+def test_baseline_comparison_runs_every_protocol(capsys):
+    module = load_example("baseline_comparison")
+    module.main()
+    output = capsys.readouterr().out
+    for name in ("bneck", "bfyz", "cg", "rcp"):
+        assert "finished %s" % name in output
+    assert "bneck  converged: 6.0 ms" in output
+    assert "quiescent: yes packets:  31482 (last third: 0)" in output
+
+
+def test_every_example_is_loaded_by_a_test():
+    with open(__file__) as handle:
+        tree = ast.parse(handle.read())
+    loaded = {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "load_example"
+        and isinstance(node.args[0], ast.Constant)
+    }
+    examples = {
+        os.path.splitext(os.path.basename(path))[0]
+        for path in glob.glob(os.path.join(EXAMPLES_DIR, "*.py"))
+    }
+    assert loaded == examples
+
+
+def test_the_package_quickstart_runs(capsys):
+    block = repro.__doc__.split("Quickstart::\n", 1)[1]
+    exec(textwrap.dedent(block), {})
+    assert capsys.readouterr().out == "100000000.0\n"

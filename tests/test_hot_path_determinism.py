@@ -22,6 +22,7 @@ import os
 
 import pytest
 
+from repro.core.actions import ChangeAction
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
 from repro.network.topology import single_link_topology
@@ -29,6 +30,7 @@ from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import NetworkScenario
+from tests.conftest import join_action
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "hot_path_goldens.json")
 CROSS_ENGINE_GOLDEN_PATH = os.path.join(
@@ -127,13 +129,17 @@ class TestMultiPhaseChurnDeterminism(object):
         } == golden["allocation"]
 
 
+def _single_session_protocol():
+    """Session ``a`` joins at time 0 across one 100 Mb/s link (not yet run)."""
+    network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
+    protocol = BNeckProtocol(network)
+    protocol.apply_actions([join_action("a")])
+    return protocol
+
+
 class TestQuiescenceAccounting(object):
     def test_protocol_quiescence_tracks_packets_in_flight(self):
-        network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-        protocol = BNeckProtocol(network)
-        source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
-        sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
-        protocol.open_session(source.node_id, sink.node_id, session_id="a")
+        protocol = _single_session_protocol()
         simulator = protocol.simulator
         # The API.Join fires and sends the session's first packet.
         assert simulator.step()
@@ -146,16 +152,8 @@ class TestQuiescenceAccounting(object):
 
 
 class TestSameInstantApiCalls(object):
-    def _single_session_protocol(self):
-        network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-        protocol = BNeckProtocol(network)
-        source = network.attach_host("r0", 1000 * MBPS, microseconds(1))
-        sink = network.attach_host("r1", 1000 * MBPS, microseconds(1))
-        return protocol, source.node_id, sink.node_id
-
     def test_api_call_at_now_runs_after_events_already_queued_at_that_time(self):
-        protocol, source, sink = self._single_session_protocol()
-        session, _ = protocol.open_session(source, sink, session_id="a")
+        protocol = _single_session_protocol()
         quiescence = protocol.run_until_quiescent()
         simulator = protocol.simulator
         trigger_time = quiescence + 1e-3
@@ -163,7 +161,7 @@ class TestSameInstantApiCalls(object):
 
         def trigger():
             # Requested at exactly `now`: must enqueue, not run synchronously.
-            protocol.change("a", 50 * MBPS, at=simulator.now)
+            protocol.apply_actions([ChangeAction("a", 50 * MBPS, simulator.now)])
 
         def probe_marker():
             # Queued after `trigger` but before the change's own slot: the

@@ -1,20 +1,22 @@
 """Bad demands, bad times and bad session references are refused before
 anything is applied.
 
-A session's demand must be positive (infinity is legal, NaN is not) at every
-entry point: a batch of actions, a direct ``change`` and a new session.  A
-batch is checked whole against the protocol before any of it is replayed: a
-leave or change of a session that has not joined, is dated before its join
-(in the batch, or in an earlier batch), a leave dated before a change of its
-session (likewise), or whose leave was applied before
-(in an earlier batch or earlier in the same one), a join id that is taken, a
-join router that is not a router, a router pair with no route, a route over
-a one-way router link and a bad access-link capacity or delay each raise a
-``ValueError`` naming the action, with no host attached, no session
-registered and no event scheduled.  Each case runs on B-Neck and on the BFYZ
-baseline, whose simulators carry an event cap: a bad value that slipped
-through would fail a test rather than livelock it.  The refusals of direct
-calls, on all four protocols, are in ``test_session_lifecycle.py``.
+A batch of actions is the one way into a protocol, and the batch check is
+the one place that refuses a call.  A session's demand must be positive
+(infinity is legal, NaN is not), for a join and for a change.  A batch is
+checked whole against the protocol before any of it is replayed: an action
+dated at NaN or at plus or minus infinity, a leave or change of a session
+that has not joined, is dated before its join (in the batch, or in an
+earlier batch), a leave dated before a change of its session (likewise), or
+whose leave was applied before (in an earlier batch or earlier in the same
+one), a join id that is taken, a join router that is not a router, a router
+pair with no route, a route over a one-way router link and a bad
+access-link capacity or delay each raise a ``ValueError`` naming the action,
+with no host attached, no session registered and no event scheduled.  Each
+case runs on B-Neck and on the three baselines, whose simulators carry an
+event cap: a bad value that slipped through would fail a test rather than
+livelock it.  The lifecycle of an accepted batch, on all four protocols, is
+in ``test_session_lifecycle.py``.
 """
 
 import math
@@ -23,21 +25,23 @@ import re
 import pytest
 
 from repro.baselines.bfyz import BFYZProtocol
+from repro.baselines.cg import CGProtocol
+from repro.baselines.rcp import RCPProtocol
 from repro.core.actions import CapacityChangeAction, ChangeAction, JoinAction, LeaveAction
 from repro.core.protocol import BNeckProtocol
 from repro.network.topology import line_topology, single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
 from repro.simulator.simulation import Simulator
+from tests.conftest import HOST_CAPACITY, join_action
 
-PROTOCOLS = {"bneck": BNeckProtocol, "bfyz": BFYZProtocol}
+PROTOCOLS = {
+    "bneck": BNeckProtocol,
+    "bfyz": BFYZProtocol,
+    "cg": CGProtocol,
+    "rcp": RCPProtocol,
+}
 BAD_DEMANDS = [math.nan, 0.0, -1.0]
-HOST_CAPACITY = 1000 * MBPS
-HOST_DELAY = microseconds(1)
-
-
-def _join(session_id, demand, at):
-    return JoinAction(session_id, "r0", "r1", demand, at, HOST_CAPACITY, HOST_DELAY)
 
 
 def _settle(protocol):
@@ -52,7 +56,7 @@ def _settle(protocol):
 def _protocol_with_one_session(name):
     network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
     protocol = PROTOCOLS[name](network, simulator=Simulator(max_events=100000))
-    protocol.apply_actions([_join("s0", 10 * MBPS, 0.0)])
+    protocol.apply_actions([join_action("s0", 0.0, 10 * MBPS)])
     _settle(protocol)
     return protocol
 
@@ -71,8 +75,8 @@ def _footprint(protocol):
 def test_a_bad_last_demand_leaves_the_batch_unapplied(name, kind, demand):
     protocol = _protocol_with_one_session(name)
     at = protocol.simulator.now + 1e-3
-    bad = _join("bad", demand, at) if kind == "join" else ChangeAction("s0", demand, at)
-    batch = [_join("a", 20 * MBPS, at), ChangeAction("s0", 5 * MBPS, at), bad]
+    bad = join_action("bad", at, demand) if kind == "join" else ChangeAction("s0", demand, at)
+    batch = [join_action("a", at, 20 * MBPS), ChangeAction("s0", 5 * MBPS, at), bad]
     before = _footprint(protocol)
     with pytest.raises(ValueError, match="demand must be positive"):
         protocol.apply_actions(batch)
@@ -83,13 +87,13 @@ def test_a_bad_last_demand_leaves_the_batch_unapplied(name, kind, demand):
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 @pytest.mark.parametrize("demand", BAD_DEMANDS, ids=repr)
-def test_a_direct_change_to_a_bad_demand_raises(name, demand):
+def test_a_lone_change_to_a_bad_demand_raises(name, demand):
     protocol = _protocol_with_one_session(name)
     pending = protocol.simulator.pending_events
-    with pytest.raises(ValueError, match="demand must be positive"):
-        protocol.change("s0", demand)
-    with pytest.raises(ValueError, match="demand must be positive"):
-        protocol.change("s0", demand, at=protocol.simulator.now + 1e-3)
+    now = protocol.simulator.now
+    for at in (now, now + 1e-3):
+        with pytest.raises(ValueError, match="demand must be positive"):
+            protocol.apply_actions([ChangeAction("s0", demand, at)])
     assert protocol.simulator.pending_events == pending
     _settle(protocol)
     assert protocol.current_allocation().as_dict()["s0"] == pytest.approx(10 * MBPS)
@@ -99,7 +103,7 @@ def _islands_protocol(name):
     """``s0`` joined and settled on ``r0 - r1``, next to an unconnected pair
     of routers ``x0 - x1``; ``gone`` joined and left in earlier batches."""
     protocol = _protocol_with_one_session(name)
-    protocol.apply_actions([_join("gone", 10 * MBPS, protocol.simulator.now + 1e-3)])
+    protocol.apply_actions([join_action("gone", protocol.simulator.now + 1e-3, 10 * MBPS)])
     _settle(protocol)
     protocol.apply_actions([LeaveAction("gone", protocol.simulator.now + 1e-3)])
     _settle(protocol)
@@ -110,50 +114,71 @@ def _islands_protocol(name):
     return protocol
 
 
-def _routed_join(session_id, source, destination, at):
-    return JoinAction(session_id, source, destination, 10 * MBPS, at, HOST_CAPACITY, HOST_DELAY)
-
-
 # Each case: the batch, given a time, and the index of the action it names.
 BAD_BATCHES = {
     "leave-of-unknown-session": (
-        lambda at: [_join("a", 10 * MBPS, at), LeaveAction("ghost", at)], 1),
+        lambda at: [join_action("a", at, 10 * MBPS), LeaveAction("ghost", at)], 1),
     "change-of-unknown-session": (
-        lambda at: [_join("a", 10 * MBPS, at), ChangeAction("ghost", 5 * MBPS, at)], 1),
+        lambda at: [join_action("a", at, 10 * MBPS), ChangeAction("ghost", 5 * MBPS, at)], 1),
     "leave-before-its-join": (
-        lambda at: [LeaveAction("a", at), _join("a", 10 * MBPS, at)], 0),
+        lambda at: [LeaveAction("a", at), join_action("a", at, 10 * MBPS)], 0),
     "change-before-its-join": (
-        lambda at: [ChangeAction("a", 5 * MBPS, at), _join("a", 10 * MBPS, at)], 0),
+        lambda at: [ChangeAction("a", 5 * MBPS, at), join_action("a", at, 10 * MBPS)], 0),
     "leave-of-a-departed-session": (
-        lambda at: [_join("a", 10 * MBPS, at), LeaveAction("gone", at)], 1),
+        lambda at: [join_action("a", at, 10 * MBPS), LeaveAction("gone", at)], 1),
     "change-of-a-departed-session": (
-        lambda at: [_join("a", 10 * MBPS, at), ChangeAction("gone", 5 * MBPS, at)], 1),
+        lambda at: [join_action("a", at, 10 * MBPS), ChangeAction("gone", 5 * MBPS, at)], 1),
     "leave-repeated-in-the-batch": (
-        lambda at: [_join("a", 10 * MBPS, at), LeaveAction("a", at), LeaveAction("a", at)], 2),
+        lambda at: [join_action("a", at, 10 * MBPS), LeaveAction("a", at),
+                    LeaveAction("a", at)], 2),
     "leave-dated-before-its-join": (
-        lambda at: [_join("a", 10 * MBPS, at + 1e-3), LeaveAction("a", at)], 1),
+        lambda at: [join_action("a", at + 1e-3, 10 * MBPS), LeaveAction("a", at)], 1),
     "change-dated-before-its-join": (
-        lambda at: [_join("a", 10 * MBPS, at + 1e-3), ChangeAction("a", 5 * MBPS, at)], 1),
+        lambda at: [join_action("a", at + 1e-3, 10 * MBPS), ChangeAction("a", 5 * MBPS, at)], 1),
     "change-after-its-leave-in-the-batch": (
-        lambda at: [_join("a", 10 * MBPS, at), LeaveAction("a", at),
+        lambda at: [join_action("a", at, 10 * MBPS), LeaveAction("a", at),
                     ChangeAction("a", 5 * MBPS, at)], 2),
     "join-repeated-in-the-batch": (
-        lambda at: [_join("a", 10 * MBPS, at), _join("a", 20 * MBPS, at)], 1),
+        lambda at: [join_action("a", at, 10 * MBPS), join_action("a", at, 20 * MBPS)], 1),
     "join-of-a-joined-session": (
-        lambda at: [_join("a", 10 * MBPS, at), _join("s0", 10 * MBPS, at)], 1),
+        lambda at: [join_action("a", at, 10 * MBPS), join_action("s0", at, 10 * MBPS)], 1),
     "join-to-an-unknown-router": (
-        lambda at: [_join("a", 10 * MBPS, at), _routed_join("b", "r0", "nowhere", at)], 1),
+        lambda at: [join_action("a", at, 10 * MBPS),
+                    join_action("b", at, 10 * MBPS, "r0", "nowhere")], 1),
     "join-from-a-host": (
-        lambda at: [_join("a", 10 * MBPS, at), _routed_join("b", "host-1", "r1", at)], 1),
+        lambda at: [join_action("a", at, 10 * MBPS),
+                    join_action("b", at, 10 * MBPS, "host-1", "r1")], 1),
     "join-between-unconnected-routers": (
-        lambda at: [_join("a", 10 * MBPS, at), _routed_join("b", "r0", "x1", at)], 1),
+        lambda at: [join_action("a", at, 10 * MBPS),
+                    join_action("b", at, 10 * MBPS, "r0", "x1")], 1),
     "join-with-a-zero-host-capacity": (
-        lambda at: [_join("a", 10 * MBPS, at),
-                    JoinAction("b", "r0", "r1", 10 * MBPS, at, 0.0, HOST_DELAY)], 1),
+        lambda at: [join_action("a", at, 10 * MBPS),
+                    join_action("b", at, 10 * MBPS, capacity=0.0)], 1),
     "join-with-a-nan-host-delay": (
-        lambda at: [_join("a", 10 * MBPS, at),
+        lambda at: [join_action("a", at, 10 * MBPS),
                     JoinAction("b", "r0", "r1", 10 * MBPS, at, HOST_CAPACITY, math.nan)], 1),
 }
+
+
+def _dated(kind, when):
+    """A batch maker: a good join, then a ``kind`` action dated ``when``."""
+    def make_batch(at):
+        if kind == "join":
+            bad = join_action("b", when, 10 * MBPS)
+        elif kind == "leave":
+            bad = LeaveAction("s0", when)
+        else:
+            bad = ChangeAction("s0", 5 * MBPS, when)
+        return [join_action("a", at, 10 * MBPS), bad]
+    return make_batch, 1
+
+
+# An event at a non-finite time would move the clock there, or never run.
+BAD_BATCHES.update(
+    ("%s-at-%s" % (kind, label), _dated(kind, when))
+    for kind in ("join", "leave", "change")
+    for label, when in (("nan", math.nan), ("inf", math.inf), ("minus-inf", -math.inf))
+)
 
 # The cause a refusal must also name, where more than one could apply: the
 # islands ``x0 - x1`` are added after the first route, so a join to them is
@@ -199,7 +224,7 @@ def test_an_action_dated_before_a_join_of_an_earlier_batch_changes_nothing(name,
     for good, and a change would reach links that do not know ``a`` yet."""
     network = line_topology(3, capacity=100 * MBPS, delay=microseconds(1))
     protocol = PROTOCOLS[name](network, simulator=Simulator(max_events=100000))
-    protocol.apply_actions([_routed_join("a", "r0", "r2", 5e-3)])
+    protocol.apply_actions([join_action("a", 5e-3, 10 * MBPS, "r0", "r2")])
     bad = LeaveAction("a", 1e-3) if kind == "leave" else ChangeAction("a", 5 * MBPS, 1e-3)
     before = _state(protocol)
     with pytest.raises(ValueError, match=re.escape(
@@ -226,7 +251,7 @@ def test_a_leave_dated_before_a_pending_change_changes_nothing(name, split):
     and BFYZ keeps a demand for it."""
     network = line_topology(3, capacity=100 * MBPS, delay=microseconds(1))
     protocol = PROTOCOLS[name](network, simulator=Simulator(max_events=100000))
-    protocol.apply_actions([_join("a", 10 * MBPS, 0.0)])
+    protocol.apply_actions([join_action("a", 0.0, 10 * MBPS)])
     protocol.run(until=2e-3)
     change = ChangeAction("a", 5 * MBPS, 5e-3)
     leave = LeaveAction("a", 3e-3)
@@ -253,7 +278,7 @@ def test_a_baseline_refuses_a_capacity_change_before_applying_the_batch():
     before = _state(protocol)
     with pytest.raises(ValueError, match="capacity-change"):
         protocol.apply_actions(
-            [_join("a", 10 * MBPS, at), CapacityChangeAction("r0", "r1", 50 * MBPS, at)]
+            [join_action("a", at, 10 * MBPS), CapacityChangeAction("r0", "r1", 50 * MBPS, at)]
         )
     assert _state(protocol) == before
 
@@ -265,10 +290,11 @@ def test_a_join_over_a_one_way_router_link_changes_nothing(name):
     network = line_topology(3, capacity=100 * MBPS, delay=microseconds(1))
     network.add_link("r2", "r0", 100 * MBPS, microseconds(1), bidirectional=False)
     protocol = PROTOCOLS[name](network, simulator=Simulator(max_events=100000))
-    protocol.apply_actions([_routed_join("s0", "r0", "r2", 0.0)])
+    protocol.apply_actions([join_action("s0", 0.0, 10 * MBPS, "r0", "r2")])
     _settle(protocol)
     at = protocol.simulator.now + 1e-3
-    batch = [_routed_join("a", "r0", "r2", at), _routed_join("b", "r2", "r0", at)]
+    batch = [join_action("a", at, 10 * MBPS, "r0", "r2"),
+             join_action("b", at, 10 * MBPS, "r2", "r0")]
     before = _state(protocol)
     with pytest.raises(ValueError, match=re.escape("%r routes over the one-way link 'r2' -> 'r0'"
                                                    % (batch[1],))):

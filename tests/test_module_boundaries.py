@@ -29,9 +29,12 @@ The fourth reports each function, method or class under ``src/repro`` whose
 name nothing outside the tests reads: not the library itself, the examples,
 the benchmarks, ``perfbench/`` or the scripts.  Such a definition is dead
 code that only its own tests keep alive.  Names are matched without types,
-and what a package lists in ``__all__`` counts as read.  The definitions that
-the tests of other modules use as fixtures are listed, with the reason, in
-``TEST_FIXTURES``.
+and what a package lists in ``__all__`` counts as read.  A method (a
+function defined in a class body) is read only through an attribute load
+(``x.name``), a ``getattr``-style string or ``__all__``: a bare name, such
+as a local variable that happens to share it, does not keep it alive.  The
+definitions that the tests of other modules use as fixtures are listed,
+with the reason, in ``TEST_FIXTURES``.
 
 The fifth reports each attribute that code under ``src/repro`` stores on
 ``self`` and that nothing reads: no ``.name`` load anywhere under ``src/``,
@@ -321,6 +324,9 @@ TEST_FIXTURES = {
     # Graph and session inspection the topology, workload and protocol tests
     # assert on.
     "Network.hosts",
+    # The detach tests compare every node, in insertion order, before and
+    # after a host comes and goes.
+    "Network.nodes",
     "Network.number_of_nodes",
     "Network.number_of_links",
     "Network.is_connected",
@@ -328,9 +334,7 @@ TEST_FIXTURES = {
     "transit_routers",
     # The one dispatch left for tests that hand a packet to a task directly.
     "Process.receive",
-    # Protocol inspection and the capacity-change shorthand of the protocol,
-    # property and stochastic tests.
-    "BNeckProtocol.change_capacity",
+    # Protocol inspection of the protocol, property and stochastic tests.
     "BNeckProtocol.last_notified_rate",
     "BNeckProtocol.router_link",
     # The last API.Rate of every active session, which the golden and
@@ -349,8 +353,9 @@ TEST_FIXTURES = {
 
 
 def definitions(source, filename="<source>"):
-    """``(line, qualified name, name)`` of every function and class defined in
-    the module body or a class body, dunder methods excepted."""
+    """``(line, qualified name, name, is method)`` of every function and
+    class defined in the module body or a class body, dunder methods
+    excepted; a method is a function defined in a class body."""
     found = []
     scopes = [(ast.parse(source, filename), "")]
     while scopes:
@@ -359,23 +364,29 @@ def definitions(source, filename="<source>"):
             if not isinstance(node, DEFINITIONS):
                 continue
             if not (node.name.startswith("__") and node.name.endswith("__")):
-                found.append((node.lineno, prefix + node.name, node.name))
+                method = isinstance(scope, ast.ClassDef) and not isinstance(node, ast.ClassDef)
+                found.append((node.lineno, prefix + node.name, node.name, method))
             if isinstance(node, ast.ClassDef):
                 scopes.append((node, prefix + node.name + "."))
     return sorted(found)
 
 
 def references(source, filename="<source>"):
-    """Every name a module reads: bare names, attribute names, the string
-    names of ``getattr``-style calls, and the entries of ``__all__`` (what a
-    package exports is its API)."""
+    """``(bare names, attribute reads)``: the bare names a module reads, and
+    the names it reads as attributes -- attribute loads, the string names of
+    ``getattr``-style calls and the entries of ``__all__`` (what a package
+    exports is its API)."""
     tree = ast.parse(source, filename)
-    names = _exported_names(tree)
+    names = set()
+    attributes = _exported_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+            else:
+                names.add(node.attr)
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -383,23 +394,26 @@ def references(source, filename="<source>"):
             and len(node.args) >= 2
             and isinstance(node.args[1], ast.Constant)
         ):
-            names.add(node.args[1].value)
-    return names
+            attributes.add(node.args[1].value)
+    return names, attributes
 
 
 def unreferenced(defining, referencing):
     """``(path, line, qualified name)`` of every definition in the
     ``{path: source}`` map ``defining`` whose name no source in
-    ``referencing`` reads.  Names are matched without types: any read of the
+    ``referencing`` reads: a method must be read as an attribute, a function
+    or class in any way.  Names are matched without types: any read of the
     name anywhere keeps every definition of it."""
-    read = set()
+    names, attributes = set(), set()
     for path, source in referencing.items():
-        read |= references(source, path)
+        bare, read = references(source, path)
+        names |= bare
+        attributes |= read
     return sorted(
         (path, line, qualified)
         for path, source in defining.items()
-        for line, qualified, name in definitions(source, path)
-        if name not in read
+        for line, qualified, name, method in definitions(source, path)
+        if name not in attributes and (method or name not in names)
     )
 
 
@@ -430,6 +444,11 @@ DEAD = {
         "class A(object):\n    class B(object):\n        def dead(self):\n"
         "            pass\n\nA.B\n",
         ["A.B.dead"],
+    ),
+    "method-named-like-a-local": (
+        "class A(object):\n    def scenario(self):\n        pass\n\n"
+        "def f():\n    scenario = A()\n    return scenario\n\nf()\n",
+        ["A.scenario"],
     ),
 }
 

@@ -215,14 +215,13 @@ class TestHostDetachment(object):
         network = line_topology(3, capacity=100 * MBPS, delay=microseconds(1))
         paths = PathComputer(network)
         first = network.attach_host("r0", 10 * MBPS, 1e-6)
-        sink = network.attach_host("r2", 10 * MBPS, 1e-6)
-        before = paths.route(first.node_id, sink.node_id)
+        network.attach_host("r2", 10 * MBPS, 1e-6)
+        before = paths.router_route("r0", "r2")
         network.detach_host(first.node_id)
-        with pytest.raises(ValueError, match="not a host attached to a router"):
-            paths.route(first.node_id, sink.node_id)
         second = network.attach_host("r0", 10 * MBPS, 1e-6)
         assert second.node_id != first.node_id
-        assert paths.route(second.node_id, sink.node_id) == [second.node_id] + before[1:]
+        assert second.attached_router == "r0"
+        assert paths.router_route("r0", "r2") == before == ["r0", "r1", "r2"]
         # The route search's router -> router-neighbour map holds no host.
         assert set(paths._relays) == {"r0", "r1", "r2"}
         assert all(network.node(n).is_router for relays in paths._relays.values() for n in relays)

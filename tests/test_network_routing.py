@@ -47,8 +47,7 @@ def test_router_route_prefers_fewer_hops():
 
 def test_a_host_never_relays():
     # A host wired to two routers is still a leaf: the only two-hop route
-    # through it must lose to the router-only one, and a route from it
-    # leaves through its attached router.
+    # through it must lose to the router-only one.
     network = Network()
     for name in ("a", "b", "c"):
         network.add_router(name)
@@ -56,10 +55,8 @@ def test_a_host_never_relays():
     network.add_link("h", "b", 10 * MBPS, microseconds(1))
     network.add_link("a", "c", 10 * MBPS, microseconds(1))
     network.add_link("c", "b", 10 * MBPS, microseconds(1))
-    sink = network.attach_host("b", 10 * MBPS, microseconds(1)).node_id
-    computer = PathComputer(network)
-    assert computer.router_route("a", "b") == ["a", "c", "b"]
-    assert computer.route("h", sink) == ["h", "a", "c", "b", sink]
+    network.attach_host("b", 10 * MBPS, microseconds(1))
+    assert PathComputer(network).router_route("a", "b") == ["a", "c", "b"]
 
 
 def test_attached_hosts_leave_router_routes_unchanged():
@@ -84,22 +81,24 @@ def test_path_links_matches_node_path():
 class TestPathComputer(object):
     def test_host_to_host_route_goes_through_attached_routers(self):
         network = star_topology(3)
-        source = network.attach_host("leaf0", 100 * MBPS, microseconds(1))
-        sink = network.attach_host("leaf2", 100 * MBPS, microseconds(1))
-        computer = PathComputer(network)
-        route = computer.route(source.node_id, sink.node_id)
-        assert route[0] == source.node_id
-        assert route[-1] == sink.node_id
+        protocol = BNeckProtocol(network)
+        session = protocol.apply_actions([JoinAction(
+            "s", "leaf0", "leaf2", 10 * MBPS, 0.0, HOST_LINK_CAPACITY, HOST_LINK_DELAY)])["s"]
+        route = session.node_path
+        assert route[0] == session.source
+        assert route[-1] == session.destination
         assert route[1:-1] == ["leaf0", "hub", "leaf2"]
+        for host, router in ((session.source, "leaf0"), (session.destination, "leaf2")):
+            assert network.node(host).attached_router == router
 
     def test_path_links_cover_a_host_route(self):
         network = star_topology(2)
-        source = network.attach_host("leaf0", 100 * MBPS, microseconds(1))
-        sink = network.attach_host("leaf1", 100 * MBPS, microseconds(1))
-        computer = PathComputer(network)
-        links = path_links(network, computer.route(source.node_id, sink.node_id))
-        assert links[0].source == source.node_id
-        assert links[-1].target == sink.node_id
+        source = network.attach_host("leaf0", 100 * MBPS, microseconds(1)).node_id
+        sink = network.attach_host("leaf1", 100 * MBPS, microseconds(1)).node_id
+        route = [source] + PathComputer(network).router_route("leaf0", "leaf1") + [sink]
+        links = path_links(network, route)
+        assert links[0].source == source
+        assert links[-1].target == sink
         for first, second in zip(links, links[1:]):
             assert first.target == second.source
 
@@ -110,17 +109,6 @@ class TestPathComputer(object):
         first.append("tampered")
         second = computer.router_route("leaf0", "leaf1")
         assert "tampered" not in second
-
-    def test_route_refuses_endpoints_that_are_not_attached_hosts(self):
-        network = star_topology(2)
-        host = network.attach_host("leaf0", 100 * MBPS, microseconds(1)).node_id
-        network.add_host("loose")
-        computer = PathComputer(network)
-        for endpoint in ("leaf1", "nowhere", "loose"):
-            with pytest.raises(ValueError, match="%r is not a host attached" % endpoint):
-                computer.route(host, endpoint)
-            with pytest.raises(ValueError, match="%r is not a host attached" % endpoint):
-                computer.route(endpoint, host)
 
 
 # ------------------------------------------------------- route equivalence
@@ -201,8 +189,8 @@ def test_host_routes_match_the_full_scan():
             continue
         ingress = network.node(source).attached_router
         egress = network.node(target).attached_router
-        route = computer.route(source, target)
-        assert route == [source] + reference_bfs(network, ingress, egress) + [target]
+        route = [source] + computer.router_route(ingress, egress) + [target]
+        assert route[1:-1] == reference_bfs(network, ingress, egress)
         assert route == reference_bfs(network, source, target)
 
 
@@ -235,24 +223,17 @@ def test_path_computer_router_routes_match_the_full_scan():
 
 def test_a_batch_routes_each_join_once(monkeypatch):
     """``apply_actions`` searches each join's router path once, when it
-    checks the batch, and the replay builds the session along that path
-    without asking for a host-to-host route.  Nothing is kept per router
-    pair: the pair the batch names twice is searched twice."""
+    checks the batch, and the replay builds the session along that path.
+    Nothing is kept per router pair: the pair the batch names twice is
+    searched twice."""
     searches = []
-    host_routes = []
 
     def counting_search(relays, source, target):
         searches.append((source, target))
         return search(relays, source, target)
 
-    def counting_route(computer, source_host, destination_host):
-        host_routes.append((source_host, destination_host))
-        return route(computer, source_host, destination_host)
-
     search = routing._shortest_router_path
-    route = PathComputer.route
     monkeypatch.setattr(routing, "_shortest_router_path", counting_search)
-    monkeypatch.setattr(PathComputer, "route", counting_route)
     network = small_network(LAN, seed=1)
     routers = sorted(node.node_id for node in network.routers())
     rng = random.Random(10)
@@ -265,7 +246,6 @@ def test_a_batch_routes_each_join_once(monkeypatch):
     ]
     sessions = BNeckProtocol(network).apply_actions(batch)
     assert searches == pairs
-    assert host_routes == []
     for action in batch:
         session = sessions[action.session_id]
         assert session.node_path == [session.source] + reference_bfs(
@@ -322,7 +302,7 @@ def test_attaching_and_detaching_hosts_never_rebuilds_the_router_map(monkeypatch
     hosts = [network.attach_host(router, HOST_LINK_CAPACITY, HOST_LINK_DELAY)
              for router in routers]
     network.detach_host(hosts[0].node_id)
-    assert computer.route(hosts[1].node_id, hosts[-1].node_id)[1:-1] == reference_bfs(
+    assert computer.router_route(routers[1], routers[-1]) == reference_bfs(
         network, routers[1], routers[-1])
     assert builds == []
 

@@ -27,6 +27,7 @@ from repro.simulator.tracing import PacketTracer
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import NetworkScenario
 from test_golden_invariance import GOLDENS
+from tests.conftest import change_session, join_action, leave_session
 
 KEY = "small-lan-s2-n20"
 # Events processed before the tracer is swapped: two thirds of
@@ -75,19 +76,14 @@ def _recount(records):
 def test_a_session_that_left_keeps_its_counts_and_a_silent_one_is_absent():
     network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
     protocol = BNeckProtocol(network)
-    hosts = [network.attach_host(router, 1000 * MBPS, microseconds(1))
-             for router in ("r0", "r1", "r0", "r1", "r0", "r1")]
-    for session_id, (source, sink) in zip(("temp", "perm", "late"),
-                                          zip(hosts[::2], hosts[1::2])):
-        protocol.open_session(source.node_id, sink.node_id, session_id=session_id,
-                              at=1.0 if session_id == "late" else None)
+    protocol.apply_actions([join_action("temp"), join_action("perm"), join_action("late", 1.0)])
     protocol.run(until=0.1)
-    protocol.leave("temp")
+    leave_session(protocol, "temp")
     protocol.run(until=0.2)
     tracer = protocol.tracer
     left = tracer.by_session["temp"]
     assert tracer.by_type["Leave"] == protocol.session("temp").path_length
-    protocol.change("perm", 10 * MBPS)
+    change_session(protocol, "perm", 10 * MBPS)
     protocol.run(until=0.3)
     by_session = tracer.by_session
     assert by_session["temp"] == left

@@ -7,11 +7,13 @@ key of that link's reverse (``back_delay``/``back_key``).  Forwarding reads
 only those, so they must match the network's links exactly.
 """
 
+import math
+
 import pytest
 
+from repro.core.actions import JoinAction
 from repro.core.packets import Update
 from repro.core.protocol import BNeckProtocol
-from repro.core.validation import validate_against_oracle
 from repro.network.graph import Network
 from repro.network.transit_stub import (
     HOST_LINK_CAPACITY,
@@ -23,14 +25,7 @@ from repro.network.transit_stub import (
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
 from repro.simulator.tracing import PacketTracer
-
-
-def _open(protocol, source_router, destination_router):
-    network = protocol.network
-    source = network.attach_host(source_router, HOST_LINK_CAPACITY, HOST_LINK_DELAY)
-    destination = network.attach_host(destination_router, HOST_LINK_CAPACITY, HOST_LINK_DELAY)
-    session, _ = protocol.open_session(source.node_id, destination.node_id)
-    return session
+from tests.conftest import join_action, script_access_links
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +37,13 @@ def medium_run():
     routers = stub_routers(network)
     pairs = [(routers[0], routers[-1]), (routers[3], routers[len(routers) // 2]),
              (routers[-1], routers[0]), (routers[7], routers[7])]
-    sessions = [_open(protocol, source, destination) for source, destination in pairs]
+    joined = protocol.apply_actions([
+        JoinAction("s%d" % index, source, destination, math.inf, 0.0,
+                   HOST_LINK_CAPACITY, HOST_LINK_DELAY)
+        for index, (source, destination) in enumerate(pairs)
+    ])
     protocol.run_until_quiescent()
-    return protocol, sessions
+    return protocol, list(joined.values())
 
 
 def _stages_with_links(protocol, session):
@@ -105,46 +104,23 @@ def test_hops_use_the_delay_of_the_link_they_cross():
     one arrives."""
     network = Network("asymmetric")
     network.add_router("r")
-    network.add_host("h1", attached_router="r")
-    network.add_host("h2", attached_router="r")
-    delays = {("h1", "r"): 1, ("r", "h2"): 2, ("h2", "r"): 4, ("r", "h1"): 8}
-    for (source, target), micros in delays.items():
-        network.add_link(source, target, 100 * MBPS, microseconds(micros),
-                         bidirectional=False)
+    script_access_links(network, [
+        (100 * MBPS, microseconds(1), microseconds(8)),  # h1 -> r, r -> h1
+        (100 * MBPS, microseconds(4), microseconds(2)),  # h2 -> r, r -> h2
+    ])
     protocol = BNeckProtocol(network, tracer=PacketTracer(keep_records=True))
-    protocol.open_session("h1", "h2", session_id="s")
+    session = protocol.apply_actions([join_action("s", source_router="r", destination_router="r")])["s"]
     quiescence = protocol.run_until_quiescent()
 
+    h1, h2 = session.source, session.destination
     records = protocol.tracer.records
     assert [(record.packet_type, record.link) for record in records] == [
-        ("Join", ("h1", "r")), ("Join", ("r", "h2")),
-        ("Response", ("h2", "r")), ("Response", ("r", "h1")),
-        ("SetBottleneck", ("h1", "r")), ("SetBottleneck", ("r", "h2")),
+        ("Join", (h1, "r")), ("Join", ("r", h2)),
+        ("Response", (h2, "r")), ("Response", ("r", h1)),
+        ("SetBottleneck", (h1, "r")), ("SetBottleneck", ("r", h2)),
     ]
     arrival = 0.0
     for record in records:
         assert record.time == pytest.approx(arrival, rel=1e-12)
         arrival = record.time + network.link(*record.link).control_delay()
     assert quiescence == pytest.approx(arrival, rel=1e-12)
-
-
-def test_join_over_a_one_way_link_is_refused_before_registering():
-    network = Network("one-way")
-    network.add_router("r")
-    network.add_host("h1", attached_router="r")
-    network.add_host("h2", attached_router="r")
-    network.add_link("h1", "r", 100 * MBPS, microseconds(1))
-    network.add_link("r", "h2", 100 * MBPS, microseconds(1), bidirectional=False)
-    protocol = BNeckProtocol(network)
-    session = protocol.create_session("h1", "h2", session_id="s")
-    with pytest.raises(ValueError, match=r"'r' -> 'h2'.*no reverse link"):
-        protocol.join(session)
-    with pytest.raises(KeyError):
-        protocol.session("s")
-    assert protocol.router_link_states() == []
-
-    # Once the reverse link exists the same session object joins cleanly.
-    network.add_link("h2", "r", 100 * MBPS, microseconds(1), bidirectional=False)
-    protocol.join(session)
-    protocol.run_until_quiescent()
-    assert validate_against_oracle(protocol).valid

@@ -81,7 +81,8 @@ def random_workload(draw, max_routers=6, max_sessions=8):
             sink_index = (sink_index + 1) % router_count
         source_host = network.attach_host("r%d" % source_index, 1000 * MBPS, microseconds(1))
         sink_host = network.attach_host("r%d" % sink_index, 1000 * MBPS, microseconds(1))
-        node_path = computer.route(source_host.node_id, sink_host.node_id)
+        router_path = computer.router_route("r%d" % source_index, "r%d" % sink_index)
+        node_path = [source_host.node_id] + router_path + [sink_host.node_id]
         links = path_links(network, node_path)
         sessions.append(
             Session("p%d" % index, source_host.node_id, sink_host.node_id, node_path, links, demand)

@@ -17,6 +17,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.core import check_stability
+from repro.core.actions import CapacityChangeAction, ChangeAction, JoinAction, LeaveAction
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
 from repro.fairness.waterfilling import water_filling
@@ -73,20 +74,16 @@ def build_protocol(router_count, capacities):
 
 
 def install_sessions(protocol, session_specs, router_count):
-    applications = {}
+    """Join every session in one batch; returns ``{id: application}``."""
+    joins = []
     for index, (source_index, sink_index, demand, join_fraction) in enumerate(session_specs):
         if source_index == sink_index:
             sink_index = (sink_index + 1) % router_count
-        network = protocol.network
-        source_host = network.attach_host("r%d" % source_index, 1000 * MBPS, microseconds(1))
-        sink_host = network.attach_host("r%d" % sink_index, 1000 * MBPS, microseconds(1))
-        session = protocol.create_session(
-            source_host.node_id, sink_host.node_id, demand=demand, session_id="p%d" % index
-        )
-        applications["p%d" % index] = protocol.join(
-            session, at=join_fraction * milliseconds(1)
-        )
-    return applications
+        joins.append(JoinAction("p%d" % index, "r%d" % source_index, "r%d" % sink_index,
+                                demand, join_fraction * milliseconds(1),
+                                1000 * MBPS, microseconds(1)))
+    return {session_id: protocol.application(session_id)
+            for session_id in protocol.apply_actions(joins)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,16 +110,18 @@ def test_theorem1_still_holds_after_churn(scenario):
 
     active = {"p%d" % index for index in range(len(session_specs))}
     base_time = protocol.simulator.now
+    actions = []
     for offset, (session_index, action, new_demand) in enumerate(churn):
         session_id = "p%d" % session_index
         if session_id not in active:
             continue
         when = base_time + (offset + 1) * microseconds(50)
         if action == "leave":
-            protocol.leave(session_id, at=when)
+            actions.append(LeaveAction(session_id, when))
             active.discard(session_id)
         else:
-            protocol.change(session_id, new_demand, at=when)
+            actions.append(ChangeAction(session_id, new_demand, when))
+    protocol.apply_actions(actions)
     protocol.run_until_quiescent()
 
     assert protocol.quiescent
@@ -189,7 +188,9 @@ def test_capacity_changes_reconverge_to_waterfilling(plan):
     for link_index, factor in events:
         source, target = "r%d" % link_index, "r%d" % (link_index + 1)
         new_capacity = capacities[link_index] * factor
-        protocol.change_capacity(source, target, new_capacity, both_directions=True)
+        now = protocol.simulator.now
+        protocol.apply_actions([CapacityChangeAction(source, target, new_capacity, now),
+                                CapacityChangeAction(target, source, new_capacity, now)])
         protocol.run_until_quiescent()
 
         assert protocol.quiescent

@@ -28,12 +28,14 @@ import math
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.actions import CapacityChangeAction, ChangeAction, JoinAction, LeaveAction
 from repro.core.packets import PACKET_CLASSES
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
 from repro.network.graph import Network
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
+from tests.conftest import script_access_links
 
 # Equal shares everywhere: 30 Mbps splits into 10/15/30, 60 into 15/20/30,
 # and 100 Mbps into thirds that floats can only round -- the case where the
@@ -110,40 +112,41 @@ def build(links, sessions):
         network.add_link(target, source, capacity, microseconds(backward_us), bidirectional=False)
     protocol = BNeckProtocol(network)
     protocol.simulator.max_events = 2_000_000
+    hosts = []  # each host's access links: its own delay, up and down
+    joins = []
     joined_at = []
     for index, spec in enumerate(sessions):
         source_index, sink_index, demand, access, up_us, down_us, join_us = spec
         if sink_index >= source_index:
             sink_index += 1
-        source_host = network.attach_host("r%d" % source_index, access, microseconds(up_us))
-        sink_host = network.attach_host("r%d" % sink_index, access, microseconds(down_us))
-        session = protocol.create_session(
-            source_host.node_id, sink_host.node_id, demand=demand, session_id="s%d" % index
-        )
-        protocol.join(session, at=microseconds(join_us))
+        hosts += [(access, microseconds(up_us), microseconds(up_us)),
+                  (access, microseconds(down_us), microseconds(down_us))]
+        joins.append(JoinAction("s%d" % index, "r%d" % source_index, "r%d" % sink_index, demand,
+                                microseconds(join_us), access, microseconds(up_us)))
         joined_at.append(join_us)
+    script_access_links(network, hosts)
+    protocol.apply_actions(joins)
     return protocol, joined_at
 
 
 def churn_and_capacity(protocol, links, churn, capacity_changes, base_us, joined_at=None):
     """Schedule leaves, demand changes and capacity changes after ``base_us``
-    (and, for churn, after the session's own join)."""
+    (and, for churn, after the session's own join), as one batch; a capacity
+    change sets both directions of its link."""
+    actions = []
     for action, index, demand, offset_us in churn:
         start_us = base_us if joined_at is None else max(base_us, joined_at[index])
         when = microseconds(start_us + 1 + offset_us)
         if action == "leave":
-            protocol.leave("s%d" % index, at=when)
+            actions.append(LeaveAction("s%d" % index, when))
         else:
-            protocol.change("s%d" % index, demand, at=when)
+            actions.append(ChangeAction("s%d" % index, demand, when))
     for link_index, capacity, offset_us in capacity_changes:
-        first, second = links[link_index][:2]
-        protocol.change_capacity(
-            "r%d" % first,
-            "r%d" % second,
-            capacity,
-            at=microseconds(base_us + offset_us),
-            both_directions=True,
-        )
+        first, second = "r%d" % links[link_index][0], "r%d" % links[link_index][1]
+        when = microseconds(base_us + offset_us)
+        actions += [CapacityChangeAction(first, second, capacity, when),
+                    CapacityChangeAction(second, first, capacity, when)]
+    protocol.apply_actions(actions)
 
 
 def run_checking_packet_ownership(protocol):

@@ -13,6 +13,7 @@ from repro import (
     validate_against_oracle,
     water_filling,
 )
+from repro.core import JoinAction
 
 
 def test_version_is_exposed():
@@ -28,14 +29,11 @@ def test_readme_quickstart_flow():
     # The flow documented in the README, end to end.
     network = dumbbell_topology(side_count=2, bottleneck_capacity=100 * MBPS)
     protocol = BNeckProtocol(network)
-
-    source_a = network.attach_host("west0", 1000 * MBPS, 1e-6)
-    sink_a = network.attach_host("east0", 1000 * MBPS, 1e-6)
-    _, app_a = protocol.open_session(source_a.node_id, sink_a.node_id)
-
-    source_b = network.attach_host("west1", 1000 * MBPS, 1e-6)
-    sink_b = network.attach_host("east1", 1000 * MBPS, 1e-6)
-    _, app_b = protocol.open_session(source_b.node_id, sink_b.node_id, demand=10 * MBPS)
+    protocol.apply_actions([
+        JoinAction("a", "west0", "east0", math.inf, 0.0, 1000 * MBPS, 1e-6),
+        JoinAction("b", "west1", "east1", 10 * MBPS, 0.0, 1000 * MBPS, 1e-6),
+    ])
+    app_a, app_b = protocol.application("a"), protocol.application("b")
 
     protocol.run_until_quiescent()
 

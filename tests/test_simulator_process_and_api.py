@@ -55,17 +55,6 @@ class TestSessionApplication(object):
         assert application.current_rate == 25 * MBPS
         assert [n.rate for n in application.notifications] == [40 * MBPS, 25 * MBPS]
 
-    def test_on_rate_hook_is_invoked(self):
-        calls = []
-
-        class Reactive(SessionApplication):
-            def on_rate(self, time, rate):
-                calls.append((time, rate))
-
-        application = Reactive("s1", 10 * MBPS)
-        application.deliver_rate(0.5, 5 * MBPS)
-        assert calls == [(0.5, 5 * MBPS)]
-
     def test_notification_record_fields(self):
         notification = RateNotification(0.25, "s1", 12.5)
         assert notification.time == 0.25

@@ -56,6 +56,7 @@ from repro.workloads.stochastic import (
     destination_subtrees,
     make_workload,
 )
+from tests.conftest import join_action
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "cross_engine_goldens.json"
@@ -149,18 +150,29 @@ BAD_LAST_ACTIONS = [
 ]
 
 
+# The middle link of the parking lot, in both directions.
+BOTH_WAYS = (("r1", "r2"), ("r2", "r1"))
+
+
 class TestCapacityChangeSemantics(object):
     def _two_session_parking_lot(self):
         network = parking_lot_topology(3, capacity=100 * MBPS)
         protocol = BNeckProtocol(network)
-
-        def host(router):
-            return network.attach_host(router, 1000 * MBPS, microseconds(1)).node_id
-
-        protocol.open_session(host("r0"), host("r3"), session_id="long")
-        protocol.open_session(host("r0"), host("r1"), session_id="short")
+        protocol.apply_actions([
+            join_action(session_id, destination_router=router)
+            for session_id, router in (("long", "r3"), ("short", "r1"))
+        ])
         protocol.run_until_quiescent()
         return network, protocol
+
+    @staticmethod
+    def _change_capacity(protocol, capacity, links=(("r1", "r2"),), at=None):
+        """One batch that sets every link of ``links`` to ``capacity``,
+        dated ``at`` or else now."""
+        when = protocol.simulator.now if at is None else at
+        protocol.apply_actions(
+            [CapacityChangeAction(source, target, capacity, when) for source, target in links]
+        )
 
     def test_cut_and_restore_reconverge_to_the_oracle(self):
         network, protocol = self._two_session_parking_lot()
@@ -168,7 +180,7 @@ class TestCapacityChangeSemantics(object):
             "long": pytest.approx(50 * MBPS),
             "short": pytest.approx(50 * MBPS),
         }
-        protocol.change_capacity("r1", "r2", 30 * MBPS, both_directions=True)
+        self._change_capacity(protocol, 30 * MBPS, links=BOTH_WAYS)
         protocol.run_until_quiescent()
         # `long` was in F_e at r1->r2 (restricted at r0->r1) with R_e empty:
         # the cut below its recorded rate must still pull it back and repair.
@@ -179,7 +191,7 @@ class TestCapacityChangeSemantics(object):
         assert network.link("r1", "r2").capacity == 30 * MBPS
         assert validate_against_oracle(protocol).valid
 
-        protocol.change_capacity("r1", "r2", 100 * MBPS, both_directions=True)
+        self._change_capacity(protocol, 100 * MBPS, links=BOTH_WAYS)
         protocol.run_until_quiescent()
         assert protocol.current_allocation().as_dict() == {
             "long": pytest.approx(50 * MBPS),
@@ -191,12 +203,12 @@ class TestCapacityChangeSemantics(object):
         network, protocol = self._two_session_parking_lot()
         # Make r1->r2 the binding bottleneck, then raise it: the settled
         # session must re-probe and claim the new headroom.
-        protocol.change_capacity("r1", "r2", 20 * MBPS)
+        self._change_capacity(protocol, 20 * MBPS)
         protocol.run_until_quiescent()
         assert protocol.current_allocation().as_dict()["long"] == pytest.approx(
             20 * MBPS
         )
-        protocol.change_capacity("r1", "r2", 40 * MBPS)
+        self._change_capacity(protocol, 40 * MBPS)
         protocol.run_until_quiescent()
         assert protocol.current_allocation().as_dict()["long"] == pytest.approx(
             40 * MBPS
@@ -206,7 +218,7 @@ class TestCapacityChangeSemantics(object):
     def test_scheduled_capacity_change_takes_its_time_slot(self):
         network, protocol = self._two_session_parking_lot()
         quiescence = protocol.simulator.now
-        protocol.change_capacity("r1", "r2", 30 * MBPS, at=quiescence + 5e-3)
+        self._change_capacity(protocol, 30 * MBPS, at=quiescence + 5e-3)
         protocol.run(until=quiescence + 4e-3)
         # Not yet due: the network still carries the old capacity.
         assert network.link("r1", "r2").capacity == 100 * MBPS
@@ -218,10 +230,11 @@ class TestCapacityChangeSemantics(object):
         network, protocol = self._two_session_parking_lot()
         host_id = network.hosts()[0].node_id
         router = network.hosts()[0].attached_router
+        now = protocol.simulator.now
         with pytest.raises(ValueError, match="router-to-router"):
-            protocol.change_capacity(host_id, router, 10 * MBPS)
+            protocol.apply_actions([CapacityChangeAction(host_id, router, 10 * MBPS, now)])
         with pytest.raises(KeyError):
-            protocol.change_capacity("r0", "nowhere", 10 * MBPS)
+            protocol.apply_actions([CapacityChangeAction("r0", "nowhere", 10 * MBPS, now)])
 
     @pytest.mark.parametrize("flavour", ["joins", "churn"])
     @pytest.mark.parametrize("bad, error", BAD_LAST_ACTIONS)
