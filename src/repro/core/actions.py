@@ -175,7 +175,8 @@ def validate_actions(protocol, actions):
         if kind == "capacity":
             _check_capacity(protocol, action)
             continue
-        if kind in ("join", "change"):
+        if kind in ("join", "change") and not action.demand > 0:
+            # Named only for a demand check_demand refuses.
             check_demand(action.demand, "action %r" % (action,))
         session_id = action.session_id
         session = _session_or_none(protocol, session_id)

@@ -28,9 +28,10 @@ class DestinationNodeTask(Process):
         )
         self.protocol = protocol
         self.session = session
-        self.session_id = session.session_id
         # The destination sits past the last link of the path.
         self.link_id = ("destination", session.session_id)
+        # session id -> (None, previous stage, per-type counts): set by the protocol.
+        self.hops = {}
         self.closed_probe_cycles = 0
         self.no_bottleneck_updates = 0
         self.left = False
@@ -42,9 +43,8 @@ class DestinationNodeTask(Process):
         if self.left:
             return
         self.closed_probe_cycles += 1
-        self.protocol.forward_upstream_from_destination(
-            self.session_id,
-            Response(message.session_id, RESPONSE, message.rate, message.restricting_link)
+        self.protocol.forward_upstream(
+            self, Response(message.session_id, RESPONSE, message.rate, message.restricting_link)
         )
 
     def on_set_bottleneck(self, message):
@@ -53,9 +53,7 @@ class DestinationNodeTask(Process):
             return
         if not message.found_bottleneck:
             self.no_bottleneck_updates += 1
-            self.protocol.forward_upstream_from_destination(
-                self.session_id, Update(message.session_id)
-            )
+            self.protocol.forward_upstream(self, Update(message.session_id))
 
     def on_leave(self, message):
         self.left = True

@@ -10,9 +10,12 @@ network and a discrete-event simulator:
 * it routes packets hop by hop along session paths (downstream) and reverse
   paths (upstream), applying each link's control-packet delay and counting
   every transmission in its session's list of per-type counts, which the
-  :class:`~repro.simulator.tracing.PacketTracer` owns; each hop is one
-  ``(time, sequence, handler, target, packet)`` entry on the simulator's
-  event heap, and its delivery is the call ``handler(target, packet)``;
+  :class:`~repro.simulator.tracing.PacketTracer` owns.  Every stage of a
+  path holds one *hop row* per session crossing it, its ``hops[session_id]
+  = (next stage, previous stage, counts)``, so a hop finds its target and
+  its counts in one lookup.  Each hop is one ``(time, sequence, handler,
+  target, packet)`` entry on the simulator's event heap, and its delivery
+  is the call ``handler(target, packet)``;
 * it supplies the steps that the action batches of
   :class:`~repro.core.actions.SessionProtocol` (``API.Join`` / ``API.Leave``
   / ``API.Change`` and capacity changes) run, delivers every ``API.Rate``
@@ -30,12 +33,15 @@ ended it and releases it at the next
 :meth:`~repro.core.actions.SessionProtocol.apply_actions` whose batch passes
 validation, made while the simulator's heap is empty (so no pending delivery
 can still name the session).  B-Neck's release step drops the session's
-SourceNode and DestinationNode tasks and its wiring, and every RouterLink of
-its path forgets it (:meth:`~repro.core.state.LinkState.forget`), which
-clears the ``mu`` and ``rate`` entries a late Response or Update re-creates
-behind the Leave.  The base then detaches both of its hosts, which only
-its join attached (:meth:`~repro.network.graph.Network.detach_host`), with
-the RouterLink of the egress link into its destination host.
+SourceNode and DestinationNode tasks and its path, and every RouterLink of
+its path drops its hop row and forgets it
+(:meth:`~repro.core.state.LinkState.forget`), which clears the ``mu`` and
+``rate`` entries a late Response or Update re-creates behind the Leave.
+With the RouterLinks' rows gone nothing refers to the session's tasks, so
+reference counting alone frees them.  The base then detaches both of its
+hosts, which only its join attached
+(:meth:`~repro.network.graph.Network.detach_host`), with the RouterLink of
+the egress link into its destination host.
 
 A departed session keeps its :class:`~repro.network.session.Session`, its
 :class:`~repro.core.api.SessionApplication` with the ``API.Rate`` history,
@@ -73,17 +79,14 @@ DOWNSTREAM = "downstream"
 UPSTREAM = "upstream"
 
 
-class _SessionWiring(object):
-    """Per-session forwarding table: the path's stages, each one's index, and
-    the session's per-type packet counts (the tracer's list, see
-    :meth:`~repro.simulator.tracing.PacketTracer.counts_for`)."""
-
-    __slots__ = ("stages", "index_of", "sent")
-
-    def __init__(self, stages, sent):
-        self.stages = stages
-        self.index_of = {stage: index for index, stage in enumerate(stages)}
-        self.sent = sent
+def _wire_hops(session_id, stages, sent):
+    """Give each stage of a session's path its hop row: the next stage, the
+    previous one (``None`` past either end) and the session's per-type
+    counts ``sent``."""
+    previous = None
+    for stage, following in zip(stages, stages[1:] + [None]):
+        stage.hops[session_id] = (following, previous, sent)
+        previous = stage
 
 
 def _wire_stage(stage, link, reverse):
@@ -105,7 +108,12 @@ class BNeckProtocol(SessionProtocol):
 
     Forwarding: a session's path is a list of *stages* (source, the
     RouterLinks of its transit links, destination), and a task sends by
-    calling a ``forward_*`` method with itself as the sender.  A downstream
+    calling :meth:`forward_downstream` or :meth:`forward_upstream` with
+    itself as the sender; the destination sends its Responses and Updates
+    upstream like any other stage.  Each stage holds a hop row per session
+    crossing it, ``hops[session_id] = (next stage, previous stage, sent)``,
+    built by :meth:`_setup` and dropped by :meth:`_release`, so a send finds
+    its target and the session's counts with one dict lookup.  A downstream
     hop crosses the sender's link (``hop_delay``, keyed ``link_id``), an
     upstream hop the reverse of the target's (``back_delay``/``back_key``);
     :func:`_wire_stage` stores both once per stage, so a hop resolves no
@@ -117,9 +125,10 @@ class BNeckProtocol(SessionProtocol):
     closure and runs no frame before it.  The batch check refuses a route
     over a one-way link, so every link of a session's path has a reverse.
 
-    Counting: each session's wiring holds the tracer's list of its per-type
-    counts (``sent``), and a send adds one to the slot of the packet's
-    ``kind`` -- no call into the tracer.  Only a timed tracer (one with an
+    Counting: every hop row of a session holds the tracer's list of its
+    per-type counts (``sent``), and a send adds one to the slot of the
+    packet's ``kind`` -- no call into the tracer.  Assigning a tracer
+    rebuilds the rows with its lists.  Only a timed tracer (one with an
     interval or keeping records) needs each packet's time and link, so with
     one a send calls :meth:`~repro.simulator.tracing.PacketTracer.record`
     instead, which counts into the same list.
@@ -136,7 +145,7 @@ class BNeckProtocol(SessionProtocol):
 
     def __init__(self, network, simulator=None, tracer=None):
         super(BNeckProtocol, self).__init__(network, simulator)
-        self._wirings = {}
+        self._paths = {}
         self.tracer = tracer or PacketTracer()
         # The simulator's heap and counter, pushed to directly on every hop.
         self._heap = self.simulator.heap
@@ -157,8 +166,8 @@ class BNeckProtocol(SessionProtocol):
         self._tracer = tracer
         # Read once here, not per packet.
         self._timed = tracer.timed
-        for session_id, wiring in self._wirings.items():
-            wiring.sent = tracer.counts_for(session_id)
+        for session_id, stages in self._paths.items():
+            _wire_hops(session_id, stages, tracer.counts_for(session_id))
 
     @property
     def in_flight_packets(self):
@@ -169,7 +178,7 @@ class BNeckProtocol(SessionProtocol):
     # ------------------------------------------------------------------ sessions
 
     def _setup(self, session):
-        """Build the session's tasks and wiring, and the
+        """Build the session's tasks and their hop rows, and the
         :class:`~repro.core.api.SessionApplication` that will receive its
         ``API.Rate`` notifications."""
         session_id = session.session_id
@@ -184,7 +193,8 @@ class BNeckProtocol(SessionProtocol):
         for link, reverse in zip(session.transit_links, reverses[1:]):
             stages.append(self._router_link_for(link, reverse))
         stages.append(destination)
-        self._wirings[session_id] = _SessionWiring(stages, self._tracer.counts_for(session_id))
+        self._paths[session_id] = stages
+        _wire_hops(session_id, stages, self._tracer.counts_for(session_id))
 
     def _activate(self, session):
         self.source(session.session_id).api_join(session.demand)
@@ -196,9 +206,10 @@ class BNeckProtocol(SessionProtocol):
         self.source(session.session_id).api_change(session.demand)
 
     def _release(self, session_id):
-        """Drop the session's wiring, and with it its tasks; every RouterLink
-        of its path forgets it."""
-        for task in self._wirings.pop(session_id).stages[1:-1]:
+        """Drop the session's path, and with it its tasks; every RouterLink
+        of its path drops the session's hop row and forgets it."""
+        for task in self._paths.pop(session_id)[1:-1]:
+            del task.hops[session_id]
             task.state.forget(session_id)
 
     def schedule_capacity_change(self, action):
@@ -237,16 +248,15 @@ class BNeckProtocol(SessionProtocol):
 
     # ---------------------------------------------------------------- forwarding
 
-    # Each method below is one whole send: resolve the target stage and its
-    # handler, count the packet, push one heap entry.
-    # They are spelled out three times because a shared helper would put a
-    # frame on every packet's path.
+    # Each method below is one whole send: read the sender's hop row for the
+    # target stage and the counts, resolve the handler, count the packet,
+    # push one heap entry.  They are spelled out twice because a shared
+    # helper would put a frame on every packet's path.
 
     def forward_downstream(self, sender, packet):
         """Send ``packet`` from stage ``sender`` to the next stage of its
         session's path, across the link ``sender`` transmits on."""
-        wiring = self._wirings[packet.session_id]
-        target = wiring.stages[wiring.index_of[sender] + 1]
+        target, _, sent = sender.hops[packet.session_id]
         try:
             handler = target.delivery[packet.__class__]
         except KeyError:
@@ -256,7 +266,7 @@ class BNeckProtocol(SessionProtocol):
             self._tracer.record(now, packet.type_name, packet.session_id, sender.link_id,
                                 DOWNSTREAM)
         else:
-            wiring.sent[packet.kind] += 1
+            sent[packet.kind] += 1
         heappush(self._heap, (now + sender.hop_delay, next(self._sequence),
                               handler, target, packet))
 
@@ -267,12 +277,7 @@ class BNeckProtocol(SessionProtocol):
         A RouterLink also sends Update/Bottleneck packets of *other*
         sessions this way: they start at its position in that session's
         path."""
-        wiring = self._wirings[packet.session_id]
-        index = wiring.index_of[sender] - 1
-        if index < 0:
-            # The source is the first stage; nothing lies upstream of it.
-            return
-        target = wiring.stages[index]
+        _, target, sent = sender.hops[packet.session_id]
         try:
             handler = target.delivery[packet.__class__]
         except KeyError:
@@ -282,25 +287,7 @@ class BNeckProtocol(SessionProtocol):
             self._tracer.record(now, packet.type_name, packet.session_id, target.back_key,
                                 UPSTREAM)
         else:
-            wiring.sent[packet.kind] += 1
-        heappush(self._heap, (now + target.back_delay, next(self._sequence),
-                              handler, target, packet))
-
-    def forward_upstream_from_destination(self, session_id, packet):
-        """Send a packet upstream from the destination node of ``session_id``."""
-        wiring = self._wirings[session_id]
-        stages = wiring.stages
-        target = stages[len(stages) - 2]
-        try:
-            handler = target.delivery[packet.__class__]
-        except KeyError:
-            raise _unhandled(target, packet) from None
-        now = self.simulator.now
-        if self._timed:
-            self._tracer.record(now, packet.type_name, packet.session_id, target.back_key,
-                                UPSTREAM)
-        else:
-            wiring.sent[packet.kind] += 1
+            sent[packet.kind] += 1
         heappush(self._heap, (now + target.back_delay, next(self._sequence),
                               handler, target, packet))
 
@@ -330,13 +317,9 @@ class BNeckProtocol(SessionProtocol):
         time = self.simulator.now
         batch, self._pending_rates = self._pending_rates, {}
         applications = self._applications
-        delivered = 0
         for session_id, rate in batch.items():
-            application = applications.get(session_id)
-            if application is not None:
-                delivered += 1
-                application.deliver_rate(time, rate)
-        self.rate_callbacks += delivered
+            applications[session_id].deliver_rate(time, rate)
+        self.rate_callbacks += len(batch)
 
     def last_notified_rate(self, session_id):
         """The last rate notified to a session (``None`` before the first)."""
@@ -345,14 +328,14 @@ class BNeckProtocol(SessionProtocol):
     # -------------------------------------------------------------- inspection
 
     def source(self, session_id):
-        """The SourceNode task of a session, the first stage of its wiring
+        """The SourceNode task of a session, the first stage of its path
         (``KeyError`` once a departed session is released)."""
-        return self._wirings[session_id].stages[0]
+        return self._paths[session_id][0]
 
     def destination(self, session_id):
         """The DestinationNode task of a session, the last stage of its
-        wiring (``KeyError`` once a departed session is released)."""
-        return self._wirings[session_id].stages[-1]
+        path (``KeyError`` once a departed session is released)."""
+        return self._paths[session_id][-1]
 
     def router_link(self, endpoints):
         """The RouterLink task controlling the directed link ``endpoints``.
@@ -373,9 +356,9 @@ class BNeckProtocol(SessionProtocol):
         """Every link state: RouterLinks plus the access links owned by sources
         of currently active sessions."""
         states = self.router_link_states()
-        wirings = self._wirings
+        paths = self._paths
         for session_id in self.registry:
-            states.append(wirings[session_id].stages[0].state)
+            states.append(paths[session_id][0].state)
         return states
 
     def application(self, session_id):
@@ -397,9 +380,9 @@ class BNeckProtocol(SessionProtocol):
         arrived can exceed them.
         """
         allocation = RateAllocation()
-        wirings = self._wirings
+        paths = self._paths
         for session_id in self.registry:
-            allocation.set_rate(session_id, wirings[session_id].stages[0].current_rate())
+            allocation.set_rate(session_id, paths[session_id][0].current_rate())
         return allocation
 
     def notified_allocation(self):

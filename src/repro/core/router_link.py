@@ -16,10 +16,11 @@ transcription of Figure 2, with four presentational differences:
   ``R_e``; ``idle_rate``: the rate an IDLE session recorded) and performs
   Figure 2's transitions whole: ``await_response`` (a Join or Probe arrives:
   the session joins ``R_e`` as WAITING_RESPONSE, then lines 4-10 run),
-  ``settle`` (an accepted Response), ``wake`` (IDLE to WAITING_PROBE) and
-  ``process_new_restricted`` (lines 4-10).  The transitions that run lines
-  4-10 return the woken sessions, and the handler sends each an Update.  A
-  capacity change goes through ``set_capacity``, so ``B_e`` follows it;
+  ``settle`` (an accepted Response, which also answers line 25's test),
+  ``wake`` (IDLE to WAITING_PROBE) and ``process_new_restricted`` (lines
+  4-10).  The transitions that run lines 4-10 return the woken sessions,
+  and the handler sends each an Update.  A capacity change goes through
+  ``set_capacity``, so ``B_e`` follows it;
 * a hop forwards the packet object it was given, as Figure 2 forwards the
   message: a delivered packet belongs to the one handler running it, which
   changes at most its ``lambda``/``eta`` (a Join or Probe clamped to
@@ -29,11 +30,15 @@ transcription of Figure 2, with four presentational differences:
 * packet forwarding is delegated to the protocol orchestrator
   (:class:`~repro.core.protocol.BNeckProtocol`): a handler calls its
   ``forward_downstream``/``forward_upstream`` with the task itself as the
-  sender.  A hop's link key is the sender's ``link_id`` or the target's
-  ``back_key``, and its delay the ``hop_delay``/``back_delay`` the
-  orchestrator stored on the stages when it wired them.  The orchestrator
-  looks the packet's handler up in the target's :attr:`RouterLinkTask.delivery`
-  table when it sends, so a delivery calls the ``on_*`` handler directly.
+  sender.  The orchestrator finds the next or previous stage of the
+  packet's session, and the session's packet counts, in the task's
+  ``hops`` row for the session, which it builds when the session joins and
+  drops when it releases the session.  A hop's link key is the sender's
+  ``link_id`` or the target's ``back_key``, and its delay the
+  ``hop_delay``/``back_delay`` the orchestrator stored on the stages when
+  it wired them.  The orchestrator looks the packet's handler up in the
+  target's :attr:`RouterLinkTask.delivery` table when it sends, so a
+  delivery calls the ``on_*`` handler directly.
 """
 
 from math import isclose
@@ -66,6 +71,9 @@ class RouterLinkTask(Process):
         self.state = LinkState(self.link_id, link.capacity)
         # Delay of this link, and delay and key of its reverse: set by the protocol.
         self.hop_delay = self.back_delay = self.back_key = None
+        # session id -> (next stage, previous stage, per-type counts): the
+        # hop row of each session crossing the link, kept by the protocol.
+        self.hops = {}
 
     # ---------------------------------------------------------------- handlers
 
@@ -116,14 +124,15 @@ class RouterLinkTask(Process):
                 accepted = rate <= local_rate or isclose(
                     rate, local_rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
             if accepted:
-                state.settle(session_id, rate)
+                settled = state.settle(session_id, rate)
             else:
                 # Either this link believed it was the restriction but its
                 # bottleneck rate changed meanwhile, or the rate now exceeds
                 # the local bottleneck rate: ask for a new Probe cycle.
                 packet.tau = UPDATE
                 state.set_state(session_id, WAITING_PROBE)
-            if state.all_restricted_settled():
+                settled = state.all_restricted_settled()
+            if settled:
                 packet.tau = BOTTLENECK
                 packet.restricting_link = self.link_id
                 for other_id in sorted(state.restricted):

@@ -42,6 +42,8 @@ class SourceNodeTask(Process):
         self.state = LinkState(self.link_id, self.access_link.capacity)
         # Delay of the access link, and delay and key of its reverse: set by the protocol.
         self.hop_delay = self.back_delay = self.back_key = None
+        # session id -> (next stage, None, per-type counts): set by the protocol.
+        self.hops = {}
         self.demand = None                # D_s
         self.update_received = False      # upd_rcv_s
         self.bottleneck_received = False  # bneck_rcv_s

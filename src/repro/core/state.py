@@ -38,9 +38,9 @@ of Figure 2, each in one call:
 
 * :meth:`LinkState.await_response` -- a Join or Probe arrives (lines 13-14
   and 31-32): the session joins ``R_e`` as WAITING_RESPONSE and
-  ProcessNewRestricted runs;
+  ProcessNewRestricted runs, when it can act;
 * :meth:`LinkState.settle` -- a Response is accepted: ``mu = IDLE`` and
-  ``lambda`` recorded;
+  ``lambda`` recorded, and the answer to line 25's test returned;
 * :meth:`LinkState.wake` -- an IDLE session is asked for a new Probe cycle
   (``mu = WAITING_PROBE``);
 * :meth:`LinkState.process_new_restricted` -- ProcessNewRestricted (lines
@@ -226,9 +226,12 @@ class LinkState(object):
 
     def settle(self, session_id, rate):
         """An accepted Response: ``mu^e_s = IDLE`` and ``lambda^e_s = rate``,
-        in one call."""
+        in one call.  Returns what :meth:`all_restricted_settled` returns
+        afterwards, the test of Figure 2, line 25, so a RouterLink accepting
+        a Response makes one call to the link state."""
         old = self._rate.get(session_id)
-        if session_id in self.restricted:
+        restricted = self.restricted
+        if session_id in restricted:
             index = self._idle_by_rate
             if old is not None and self._mu.get(session_id, IDLE) == IDLE:
                 self._unindex(session_id, old)
@@ -242,7 +245,6 @@ class LinkState(object):
             if old is None:
                 old = 0
             self._unrestricted_load = self._unrestricted_load - old + rate
-            restricted = self.restricted
             self.bottleneck_rate = (
                 (self.capacity - self._unrestricted_load) / len(restricted) if restricted else math.inf
             )
@@ -254,6 +256,16 @@ class LinkState(object):
                     self._unrestricted_max = None
         self._mu[session_id] = IDLE
         self._rate[session_id] = rate
+        # all_restricted_settled, inlined: a Response settles at every hop.
+        if not restricted:
+            return False
+        bottleneck = self.bottleneck_rate
+        settled = 0
+        for recorded, members in self._idle_by_rate.items():
+            if not isclose(recorded, bottleneck, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+                return False
+            settled += len(members)
+        return settled == len(restricted)
 
     def set_rate(self, session_id, rate):
         """Record ``lambda^e_s``, leaving ``mu^e_s`` as it is: a
@@ -287,7 +299,13 @@ class LinkState(object):
         """A Join or Probe arrives, Figure 2, lines 13-14 and 31-32: put the
         session in ``R_e`` (moving it from ``F_e`` if it is there), set
         ``mu^e_s = WAITING_RESPONSE`` and run ProcessNewRestricted.  Returns
-        the sorted ids of the sessions it woke."""
+        the sorted ids of the sessions it woke.
+
+        ProcessNewRestricted is called only when it can act: ``F_e`` is not
+        empty, or some rate-index key is above the new ``B_e`` by a plain
+        compare.  Its wake-up test is ``recorded > B_e and not isclose(...)``,
+        so with ``F_e`` empty a key that is not above ``B_e`` by a plain
+        compare wakes nobody, and the call would return no session."""
         restricted = self.restricted
         if session_id in restricted:
             if self._mu.get(session_id, IDLE) == IDLE:
@@ -305,8 +323,11 @@ class LinkState(object):
                 self._drop_unrestricted_rate(session_id)
             restricted.add(session_id)
         self._mu[session_id] = WAITING_RESPONSE
-        self.bottleneck_rate = (self.capacity - self._unrestricted_load) / len(restricted)
-        return self.process_new_restricted()
+        rate = self.bottleneck_rate = (self.capacity - self._unrestricted_load) / len(restricted)
+        index = self._idle_by_rate
+        if self.unrestricted or index and max(index) > rate:
+            return self.process_new_restricted()
+        return []
 
     def add_restricted(self, session_id):
         """Put the session in ``R_e`` (removing it from ``F_e`` if needed)."""

@@ -198,9 +198,6 @@ class ForwardingRecorder(object):
     def forward_upstream(self, sender, packet):
         self.upstream.append((sender.link_id, packet))
 
-    def forward_upstream_from_destination(self, session_id, packet):
-        self.upstream.append((("destination", session_id), packet))
-
     def notify_rate(self, session_id, rate):
         self.notifications.append((session_id, rate))
         self._last_rates[session_id] = rate

@@ -40,8 +40,12 @@ the packet as plain fields, so a delivery calls the handler with no
 rates with an inline ``isclose`` and ask the link state one query instead of
 ``state_of`` plus a membership test or ``rate_of``; 4.22 once
 ``add_unrestricted`` moves a session from ``R_e`` to ``F_e`` in one frame
-instead of three.  Nearly every event is a
-packet delivery, so one more frame per packet adds about 1.0.  The default
+instead of three; 3.77 once every stage holds a hop row per session, so the
+destination sends through ``forward_upstream`` (no
+``forward_upstream_from_destination``), a Join or Probe calls
+ProcessNewRestricted only when it can act, and an accepted Response settles
+and answers Figure 2's line-25 test in one link-state call.  Nearly every
+event is a packet delivery, so one more frame per packet adds about 1.0.  The default
 tracer must see no call at all per packet, and no delivery goes through
 :meth:`Process.receive`: the flash crowd makes none to ``record`` or to
 ``receive``.  No ``functools.partial`` may sit on the heap at any point of
@@ -87,8 +91,8 @@ from repro.simulator.process import Process
 from repro.simulator.tracing import PacketTracer
 
 SESSIONS = 40
-# Calls per processed event: the measured 4.2 plus 0.4 of a frame per event.
-CALLS_PER_EVENT_BUDGET = 4.6
+# Calls per processed event: the measured 3.77 plus 0.4 of a frame per event.
+CALLS_PER_EVENT_BUDGET = 4.2
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 

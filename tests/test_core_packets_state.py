@@ -156,6 +156,20 @@ class TestLinkState(object):
         state.set_rate("s2", 40 * MBPS)
         assert not state.all_restricted_settled()
 
+    def test_settle_answers_whether_all_restricted_are_settled(self):
+        state = self.make_state(100 * MBPS)
+        state.add_restricted("s1")
+        state.add_restricted("s2")
+        state.set_state("s1", WAITING_RESPONSE)
+        state.set_state("s2", WAITING_RESPONSE)
+        assert not state.settle("s1", 50 * MBPS)  # s2 still waits
+        assert state.settle("s2", 50 * MBPS)
+        assert not state.settle("s2", 40 * MBPS)  # below B_e
+        # A session outside R_e and F_e (a late Response behind its Leave)
+        # is recorded, and the answer is about R_e alone.
+        state.settle("s2", 50 * MBPS)
+        assert state.settle("gone", 10 * MBPS)
+
     def test_is_stable_definition2(self):
         state = self.make_state(100 * MBPS)
         # Empty link state is trivially stable.

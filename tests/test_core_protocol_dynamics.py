@@ -6,6 +6,9 @@ becomes quiescent again.  These tests drive exactly those transitions and check
 rates, re-notifications, packet activity and stability after every step.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import check_stability, validate_against_oracle
@@ -222,6 +225,7 @@ def _assert_released(protocol, session_id):
             protocol.network.node(host)
     for state in protocol.router_link_states():
         assert state.link_id[1] != session.destination
+        assert session_id not in protocol.router_link(state.link_id).hops
         snapshot = state.snapshot()
         assert session_id not in snapshot["mu"]
         assert session_id not in snapshot["rate"]
@@ -295,6 +299,31 @@ class TestReleaseOfDepartedSessions(object):
         assert ("r0", "r1") in ghosts
         protocol.apply_actions([])
         _assert_released(protocol, "quick")
+        assert validate_against_oracle(protocol).valid
+
+    def test_a_released_session_is_freed_by_reference_counting(self):
+        """Once released, nothing reachable refers to a session's tasks: no
+        RouterLink keeps its hop row, and with the cyclic collector off its
+        SourceNode and DestinationNode tasks die as the release drops them.
+        A hop row that referred back to its own stage would form a cycle
+        that only the collector frees."""
+        protocol = BNeckProtocol(line_topology(4, capacity=100 * MBPS, delay=1e-6))
+        protocol.apply_actions([JoinAction("stay", "r0", "r3", 50 * MBPS, 0.0, 1000 * MBPS, 1e-6),
+                                JoinAction("gone", "r0", "r3", 10 * MBPS, 0.0, 1000 * MBPS, 1e-6)])
+        protocol.run_until_quiescent()
+        gc.disable()
+        try:
+            source = weakref.ref(protocol.source("gone"))
+            destination = weakref.ref(protocol.destination("gone"))
+            protocol.apply_actions([LeaveAction("gone", protocol.simulator.now + 1e-3)])
+            protocol.run_until_quiescent()
+            assert source() is not None
+            protocol.apply_actions([])
+            _assert_released(protocol, "gone")
+            assert source() is None
+            assert destination() is None
+        finally:
+            gc.enable()
         assert validate_against_oracle(protocol).valid
 
     def test_no_release_while_events_are_pending(self, single_link_network):

@@ -164,7 +164,7 @@ def _last_router_link(protocol):
     (lambda protocol: protocol.forward_downstream(
         _last_router_link(protocol), Response("a", RESPONSE, 1.0, None)),
      lambda protocol: protocol.destination("a")),
-    (lambda protocol: protocol.forward_upstream_from_destination("a", Stray("a")),
+    (lambda protocol: protocol.forward_upstream(protocol.destination("a"), Stray("a")),
      _last_router_link),
 ], ids=["to-router-link", "to-source", "to-destination", "from-destination"])
 def test_unknown_packet_class_raises_at_send_and_queues_nothing(send, target):

@@ -375,9 +375,12 @@ def test_summaries_follow_every_mutation(data):
         elif mutation in ("set_rate", "settle"):
             before = state.state_of(session_id)
             rate = straddled_rate(data, state)
-            getattr(state, mutation)(session_id, rate)
+            answer = getattr(state, mutation)(session_id, rate)
             assert state.rate_of(session_id) == rate
             assert state.state_of(session_id) == (IDLE if mutation == "settle" else before)
+            if mutation == "settle":
+                # Figure 2, line 25, answered by the settle itself.
+                assert answer == state.all_restricted_settled()
         elif mutation == "wake":
             before = state.state_of(session_id)
             assert state.wake(session_id) == (before == IDLE)

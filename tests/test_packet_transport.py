@@ -87,12 +87,16 @@ def test_every_record_names_a_link_of_its_session(medium_run):
             assert record.link in [(link.target, link.source) for link in links]
 
 
-def test_upstream_from_the_source_is_dropped_and_not_counted(medium_run):
+def test_upstream_from_the_source_raises_and_counts_nothing(medium_run):
+    """The source's hop row has no previous stage: no task sends upstream
+    from it, and a send that tried would fail before counting or queueing."""
     protocol, sessions = medium_run
     session_id = sessions[0].session_id
     simulator = protocol.simulator
     before = (protocol.tracer.total, simulator.pending_events, protocol.in_flight_packets)
-    protocol.forward_upstream(protocol.source(session_id), Update(session_id))
+    assert protocol.source(session_id).hops[session_id][1] is None
+    with pytest.raises(AttributeError):
+        protocol.forward_upstream(protocol.source(session_id), Update(session_id))
     assert (protocol.tracer.total, simulator.pending_events,
             protocol.in_flight_packets) == before
 
