@@ -144,15 +144,17 @@ def validate_actions(protocol, actions):
 
     Every action needs a finite absolute time (``at=None`` is resolved before
     an action is built, so a batch means the same schedule whenever it is
-    replayed); every join and change a positive, possibly infinite, demand;
-    every capacity change a positive finite capacity on a router-to-router
-    link of a protocol that supports capacity changes.  A join needs a new
-    session id, new to the batch too, valid access links, and two connected
-    routers whose route crosses no one-way link, since upstream packets
-    travel each link's reverse.  A leave or a change needs a session joined
-    on the protocol or earlier in the batch, whose leave was applied neither
-    in an earlier batch nor earlier in this one, and is not dated before the
-    session's join: the join's time in the batch, or the
+    replayed), not dated before the simulator's clock, since every API call
+    takes its ``(time, sequence)`` slot on the event heap; every join and
+    change a positive, possibly infinite, demand; every capacity change a
+    positive finite capacity on a router-to-router link of a protocol that
+    supports capacity changes.  A join needs a new session id, new to the
+    batch too, valid access links, and two connected routers whose route
+    crosses no one-way link, since upstream packets travel each link's
+    reverse.  A leave or a change needs a session joined on the protocol or
+    earlier in the batch, whose leave was applied neither in an earlier batch
+    nor earlier in this one, and is not dated before the session's join: the
+    join's time in the batch, or the
     :attr:`~repro.network.session.Session.joined_at` its protocol recorded
     when an earlier batch joined it; nor a leave before a change of it.  A
     failure raises a ``ValueError`` naming the action (``KeyError`` for an
@@ -161,6 +163,7 @@ def validate_actions(protocol, actions):
     dates = {}  # session id -> (join time, latest change time), so far
     left = set()
     routes = {}
+    now = protocol.simulator.now
     for action in actions:
         kind = action.kind
         if kind not in ("join", "leave", "change", "capacity"):
@@ -171,6 +174,10 @@ def validate_actions(protocol, actions):
             # every later action into the past.
             raise ValueError(
                 "action %r needs a finite absolute time, got %r" % (action, at)
+            )
+        if at < now:
+            raise ValueError(
+                "action %r is dated before the simulator's clock at %r" % (action, now)
             )
         if kind == "capacity":
             _check_capacity(protocol, action)
@@ -392,14 +399,13 @@ class SessionProtocol(object):
         self._setup(session)
         session_id = session.session_id
         self._sessions[session_id] = session
-        now = self.simulator.now
-        session.joined_at = now if at < now else at
+        session.joined_at = at
 
         def activate():
             self.registry[session_id] = session
             self._activate(session)
 
-        self._schedule_api_call(activate, at, "API.Join")
+        self.simulator.schedule_at(at, activate, tag="API.Join")
 
     def _leave(self, session, at):
         """``API.Leave``: mark the session ``left`` at once; once the leave
@@ -411,7 +417,7 @@ class SessionProtocol(object):
                 self._departed.append(session.session_id)
             self._deactivate(session)
 
-        self._schedule_api_call(deactivate, at, "API.Leave")
+        self.simulator.schedule_at(at, deactivate, tag="API.Leave")
 
     def _schedule_change(self, session, demand, at):
         """``API.Change``: schedule the session's new maximum rate."""
@@ -420,7 +426,7 @@ class SessionProtocol(object):
             session.demand = demand
             self._change(session)
 
-        self._schedule_api_call(apply_change, at, "API.Change")
+        self.simulator.schedule_at(at, apply_change, tag="API.Change")
         session.changed_at = max(session.changed_at, at)
 
     def session(self, session_id):
@@ -434,17 +440,6 @@ class SessionProtocol(object):
     def run(self, until=None):
         """Run up to a time horizon."""
         return self.simulator.run(until=until)
-
-    def _schedule_api_call(self, callback, at, tag):
-        # A call dated in the past executes immediately.  A call at exactly
-        # ``now`` is *enqueued*, not executed synchronously: it must take its
-        # (time, sequence) slot in the event queue so it interleaves
-        # deterministically with packet deliveries scheduled at the same
-        # instant.
-        if at < self.simulator.now:
-            callback()
-        else:
-            self.simulator.schedule_at(at, callback, tag=tag)
 
     def _release_departed(self):
         """Release every departed session: the protocol's step, then both

@@ -27,7 +27,6 @@ class DestinationNodeTask(Process):
             simulator, "DN(%s)" % session.session_id
         )
         self.protocol = protocol
-        self.session = session
         # The destination sits past the last link of the path.
         self.link_id = ("destination", session.session_id)
         # session id -> (None, previous stage, per-type counts): set by the protocol.

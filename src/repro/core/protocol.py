@@ -89,10 +89,13 @@ def _wire_hops(session_id, stages, sent):
         previous = stage
 
 
-def _wire_stage(stage, link, reverse):
+def _wire_stage(stage, link, network):
     """Store the delay of the link ``stage`` transmits on (its key is the
-    stage's ``link_id``) and the delay and key of its reverse, which carries
-    upstream packets to the stage."""
+    stage's ``link_id``) and the delay and key of its reverse in
+    ``network``, which carries upstream packets to the stage.  Only a new
+    stage is wired, so a session's setup looks up the reverse of its access
+    link and of each link it is the first to cross, not of every link."""
+    reverse = network.reverse_link(link)
     stage.hop_delay = link.control_delay()
     stage.back_delay = reverse.control_delay()
     stage.back_key = reverse.endpoints
@@ -182,17 +185,14 @@ class BNeckProtocol(SessionProtocol):
         :class:`~repro.core.api.SessionApplication` that will receive its
         ``API.Rate`` notifications."""
         session_id = session.session_id
-        reverses = [self.network.reverse_link(link) for link in session.links]
         self._applications[session_id] = SessionApplication(session_id, session.demand)
 
         source = SourceNodeTask(self.simulator, self, session)
-        _wire_stage(source, session.access_link, reverses[0])
-        destination = DestinationNodeTask(self.simulator, self, session)
-
+        _wire_stage(source, session.access_link, self.network)
         stages = [source]
-        for link, reverse in zip(session.transit_links, reverses[1:]):
-            stages.append(self._router_link_for(link, reverse))
-        stages.append(destination)
+        for link in session.transit_links:
+            stages.append(self._router_link_for(link))
+        stages.append(DestinationNodeTask(self.simulator, self, session))
         self._paths[session_id] = stages
         _wire_hops(session_id, stages, self._tracer.counts_for(session_id))
 
@@ -236,13 +236,13 @@ class BNeckProtocol(SessionProtocol):
             if task is not None:
                 task.capacity_changed(action.capacity)
 
-        self._schedule_api_call(apply_change, action.at, "CapacityChange")
+        self.simulator.schedule_at(action.at, apply_change, tag="CapacityChange")
 
-    def _router_link_for(self, link, reverse):
+    def _router_link_for(self, link):
         key = link.endpoints
         if key not in self._per_link:
             task = RouterLinkTask(self.simulator, self, link)
-            _wire_stage(task, link, reverse)
+            _wire_stage(task, link, self.network)
             self._per_link[key] = task
         return self._per_link[key]
 

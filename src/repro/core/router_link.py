@@ -66,7 +66,6 @@ class RouterLinkTask(Process):
     def __init__(self, simulator, protocol, link):
         super(RouterLinkTask, self).__init__(simulator, "RL(%s->%s)" % link.endpoints)
         self.protocol = protocol
-        self.link = link
         self.link_id = link.endpoints
         self.state = LinkState(self.link_id, link.capacity)
         # Delay of this link, and delay and key of its reverse: set by the protocol.

@@ -35,7 +35,6 @@ class SourceNodeTask(Process):
     def __init__(self, simulator, protocol, session):
         super(SourceNodeTask, self).__init__(simulator, "SN(%s)" % session.session_id)
         self.protocol = protocol
-        self.session = session
         self.session_id = session.session_id
         self.access_link = session.access_link
         self.link_id = self.access_link.endpoints

@@ -222,6 +222,9 @@ class TestHostDetachment(object):
         assert second.node_id != first.node_id
         assert second.attached_router == "r0"
         assert paths.router_route("r0", "r2") == before == ["r0", "r1", "r2"]
-        # The route search's router -> router-neighbour map holds no host.
-        assert set(paths._relays) == {"r0", "r1", "r2"}
-        assert all(network.node(n).is_router for relays in paths._relays.values() for n in relays)
+        # The route search knows routers only: neither the new host nor the
+        # detached one is an endpoint.
+        for host in (first.node_id, second.node_id):
+            for ends in (("r0", host), (host, "r2")):
+                with pytest.raises(ValueError, match="%r is not a router" % (host,)):
+                    paths.router_route(*ends)

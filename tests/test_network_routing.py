@@ -2,6 +2,7 @@
 
 import collections
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,10 @@ from repro.network.transit_stub import (
     HOST_LINK_CAPACITY,
     HOST_LINK_DELAY,
     LAN,
+    PAPER_BIG_PARAMETERS,
+    PAPER_MEDIUM_PARAMETERS,
+    big_network,
+    generate_transit_stub,
     medium_network,
     small_network,
 )
@@ -113,9 +118,11 @@ class TestPathComputer(object):
 
 # ------------------------------------------------------- route equivalence
 #
-# The search reads a router -> router-neighbour map and enters the target
-# from the first popped router linked to it.  The reference below scans
-# every out-neighbour and skips hosts that are not the target; every route
+# The search is bidirectional over a dense router index and, past the level
+# where its two halves meet, follows the routers of the shortest paths alone.
+# The reference below is the plain breadth-first search it must agree with:
+# it scans every out-neighbour, skips hosts that are not the target, and
+# enters each router from the first popped router linked to it.  Every route
 # must match its route exactly.
 
 
@@ -168,14 +175,90 @@ def test_every_router_pair_of_small_matches_the_full_scan():
 
 def test_sampled_router_pairs_of_medium_match_the_full_scan():
     network = with_hosts(medium_network(LAN, seed=1), 400, seed=3)
+    _assert_sampled_pairs_match(network, 2000, seed=4)
+
+
+def test_sampled_router_pairs_of_big_match_the_full_scan():
+    network = with_hosts(big_network(LAN, seed=1), 400, seed=11)
+    _assert_sampled_pairs_match(network, 1000, seed=12)
+
+
+def _assert_sampled_pairs_match(network, count, seed):
     routers = [node.node_id for node in network.routers()]
     computer = PathComputer(network)
-    rng = random.Random(4)
-    for _ in range(2000):
+    rng = random.Random(seed)
+    for _ in range(count):
         source, target = rng.choice(routers), rng.choice(routers)
         assert computer.router_route(source, target) == reference_bfs(
             network, source, target
         )
+
+
+def _one_way_mesh(seed):
+    """40 routers joined by 100 random links, about two thirds of them one
+    way, with hosts attached: many router pairs are routed over one-way
+    links, in-neighbours differ from out-neighbours, and some pairs have no
+    path at all."""
+    rng = random.Random(seed)
+    network = Network("one-way mesh")
+    routers = ["r%d" % index for index in range(40)]
+    for router in routers:
+        network.add_router(router)
+    while network.number_of_links() < 100:
+        source, target = rng.sample(routers, 2)
+        if not network.has_link(source, target) and not network.has_link(target, source):
+            network.add_link(source, target, 10 * MBPS, microseconds(1),
+                             bidirectional=rng.random() < 0.35)
+    return with_hosts(network, 60, seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_router_pair_of_a_one_way_mesh_matches_the_full_scan(seed):
+    network = _one_way_mesh(seed)
+    routers = [node.node_id for node in network.routers()]
+    computer = PathComputer(network)
+    one_way_routes = unreachable = 0
+    for source in routers:
+        for target in routers:
+            expected = reference_bfs(network, source, target)
+            if expected is None:
+                unreachable += 1
+                with pytest.raises(ValueError, match=re.escape(
+                        "no path from %r to %r" % (source, target))):
+                    computer.router_route(source, target)
+                continue
+            assert computer.router_route(source, target) == expected
+            one_way_routes += any(not network.has_link(downstream, upstream)
+                                  for upstream, downstream in zip(expected, expected[1:]))
+    assert one_way_routes > 100
+    assert unreachable > 0
+
+
+@pytest.mark.parametrize("source, target", [("c", "a"), ("h", "a"), ("b", "h")])
+def test_a_router_pair_with_no_path_either_way_is_reported(source, target):
+    """``a -> b -> c`` and ``a -> h -> x0, x1, x2`` are one-way links: from
+    ``c`` the forward search runs dry at once; from ``h`` to ``a`` the
+    backward one does, since ``a`` has no in-neighbour and the forward
+    frontier is the larger; ``b`` reaches ``c`` only."""
+    network = Network("one-way")
+    for router in ("a", "b", "c", "h", "x0", "x1", "x2"):
+        network.add_router(router)
+    for upstream, downstream in (("a", "b"), ("b", "c"), ("a", "h"),
+                                 ("h", "x0"), ("h", "x1"), ("h", "x2")):
+        network.add_link(upstream, downstream, 10 * MBPS, microseconds(1),
+                         bidirectional=False)
+    assert reference_bfs(network, source, target) is None
+    with pytest.raises(ValueError, match=re.escape("no path from %r to %r" % (source, target))):
+        PathComputer(network).router_route(source, target)
+    assert PathComputer(network).router_route("a", "x2") == ["a", "h", "x2"]
+
+
+@pytest.mark.slow_bench
+@pytest.mark.parametrize("parameters", [PAPER_MEDIUM_PARAMETERS, PAPER_BIG_PARAMETERS],
+                         ids=["paper-medium", "paper-big"])
+def test_sampled_router_pairs_at_paper_scale_match_the_full_scan(parameters):
+    network = with_hosts(generate_transit_stub(parameters, scenario=LAN, seed=1), 1000, seed=13)
+    _assert_sampled_pairs_match(network, 1000, seed=14)
 
 
 def test_host_routes_match_the_full_scan():
