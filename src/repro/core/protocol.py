@@ -239,12 +239,14 @@ class BNeckProtocol(SessionProtocol):
         self.simulator.schedule_at(action.at, apply_change, tag="CapacityChange")
 
     def _router_link_for(self, link):
-        key = link.endpoints
-        if key not in self._per_link:
-            task = RouterLinkTask(self.simulator, self, link)
+        """The RouterLink task of ``link``, created and wired at the first
+        session to cross it: one lookup per transit link of a join."""
+        key = (link.source, link.target)
+        task = self._per_link.get(key)
+        if task is None:
+            task = self._per_link[key] = RouterLinkTask(self.simulator, self, link)
             _wire_stage(task, link, self.network)
-            self._per_link[key] = task
-        return self._per_link[key]
+        return task
 
     # ---------------------------------------------------------------- forwarding
 
@@ -258,7 +260,7 @@ class BNeckProtocol(SessionProtocol):
         session's path, across the link ``sender`` transmits on."""
         target, _, sent = sender.hops[packet.session_id]
         try:
-            handler = target.delivery[packet.__class__]
+            handler = target.delivery[type(packet)]
         except KeyError:
             raise _unhandled(target, packet) from None
         now = self.simulator.now
@@ -279,7 +281,7 @@ class BNeckProtocol(SessionProtocol):
         path."""
         _, target, sent = sender.hops[packet.session_id]
         try:
-            handler = target.delivery[packet.__class__]
+            handler = target.delivery[type(packet)]
         except KeyError:
             raise _unhandled(target, packet) from None
         now = self.simulator.now

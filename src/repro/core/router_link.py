@@ -10,17 +10,19 @@ transcription of Figure 2, with four presentational differences:
   writes them: ``a == b`` is ``isclose(a, b, rel_tol=REL_TOL,
   abs_tol=ABS_TOL)`` and ``a < b`` is ``a < b and not isclose(...)``, so no
   compare puts a frame on a packet's path;
-* each step of a handler on the link's state is one call to the link state,
-  which keeps ``B_e`` as its attribute ``bottleneck_rate``, answers a
-  handler's test of a session in one query (``idle_restricted``: IDLE in
-  ``R_e``; ``idle_rate``: the rate an IDLE session recorded) and performs
-  Figure 2's transitions whole: ``await_response`` (a Join or Probe arrives:
-  the session joins ``R_e`` as WAITING_RESPONSE, then lines 4-10 run),
-  ``settle`` (an accepted Response, which also answers line 25's test),
-  ``wake`` (IDLE to WAITING_PROBE) and ``process_new_restricted`` (lines
-  4-10).  The transitions that run lines 4-10 return the woken sessions,
-  and the handler sends each an Update.  A capacity change goes through
-  ``set_capacity``, so ``B_e`` follows it;
+* a handler makes one call to the link state per delivery, which keeps
+  ``B_e`` as its attribute ``bottleneck_rate``, answers a Bottleneck's test
+  in one query (``idle_restricted``: IDLE in ``R_e``) and performs each of
+  Figure 2's transitions whole: ``await_response`` (a Join or Probe
+  arrives: the session joins ``R_e`` as WAITING_RESPONSE, then lines 4-10
+  run), ``settle`` and ``refuse`` (an accepted or a refused Response; both
+  also answer line 25's test), ``set_state`` (a Response already turned
+  into an Update), ``wake`` (an Update: IDLE to WAITING_PROBE),
+  ``set_bottleneck`` (lines 45-55: line 46's test, or the move to ``F_e``)
+  and ``leave`` (lines 57-62).  The transitions that wake sessions return
+  them sorted, and the handler sends each an Update.  A capacity change
+  goes through ``set_capacity``, so ``B_e`` follows it, then runs
+  ``process_new_restricted`` (lines 4-10);
 * a hop forwards the packet object it was given, as Figure 2 forwards the
   message: a delivered packet belongs to the one handler running it, which
   changes at most its ``lambda``/``eta`` (a Join or Probe clamped to
@@ -129,8 +131,7 @@ class RouterLinkTask(Process):
                 # bottleneck rate changed meanwhile, or the rate now exceeds
                 # the local bottleneck rate: ask for a new Probe cycle.
                 packet.tau = UPDATE
-                state.set_state(session_id, WAITING_PROBE)
-                settled = state.all_restricted_settled()
+                settled = state.refuse(session_id)
             if settled:
                 packet.tau = BOTTLENECK
                 packet.restricting_link = self.link_id
@@ -151,32 +152,22 @@ class RouterLinkTask(Process):
 
     def on_set_bottleneck(self, packet):
         """Figure 2, lines 45-55."""
-        state = self.state
-        if state.all_restricted_settled():
+        woken = self.state.set_bottleneck(packet.session_id)
+        if woken is None:
+            # A new Probe cycle for the session is already under way at this
+            # link, or its recorded rate exceeds B_e: the stale SetBottleneck
+            # is dropped.
+            return
+        if woken is True:
             # This link is itself a bottleneck, so a bottleneck exists for the
             # session: forward with beta = TRUE.
             packet.found_bottleneck = True
-            self.protocol.forward_downstream(self, packet)
-            return
-        session_id = packet.session_id
-        recorded = state.idle_rate(session_id)
-        if recorded is None:
-            # A new Probe cycle for the session is already under way at this
-            # link; the stale SetBottleneck is dropped (also below when the
-            # recorded rate exceeds B_e).
-            return
-        rate = state.bottleneck_rate
-        if recorded < rate and not isclose(recorded, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-            # The session is not restricted here: move it to F_e and wake the
-            # sessions that were settled at the old bottleneck rate, since the
-            # recomputed B_e can only grow.
-            for other_id in state.settled_at(rate):
-                state.wake(other_id)
+        else:
+            # Below B_e the session moved to F_e, and the sessions settled at
+            # the old bottleneck rate were woken, since B_e can only grow.
+            for other_id in woken:
                 self.protocol.forward_upstream(self, Update(other_id))
-            state.add_unrestricted(session_id)
-            self.protocol.forward_downstream(self, packet)
-        elif isclose(recorded, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-            self.protocol.forward_downstream(self, packet)
+        self.protocol.forward_downstream(self, packet)
 
     # --------------------------------------------------- capacity dynamics
 
@@ -237,16 +228,7 @@ class RouterLinkTask(Process):
 
     def on_leave(self, packet):
         """Figure 2, lines 57-62."""
-        state = self.state
-        session_id = packet.session_id
-        to_update = [
-            other_id
-            for other_id in state.settled_at(state.bottleneck_rate)
-            if other_id != session_id
-        ]
-        state.forget(session_id)
-        for other_id in to_update:
-            state.wake(other_id)
+        for other_id in self.state.leave(packet.session_id):
             self.protocol.forward_upstream(self, Update(other_id))
         self.protocol.forward_downstream(self, packet)
 

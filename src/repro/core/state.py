@@ -20,32 +20,42 @@ that no handler step has to recount a set:
 * the *rate index*, a map from each recorded rate to the set of IDLE
   ``R_e`` members recorded at it.  Every member of a bucket holds that rate,
   so comparing a key with a rate compares each member exactly: the wake-up
-  scan of :meth:`LinkState.process_new_restricted`, :meth:`LinkState.settled_at`
-  and :meth:`LinkState.all_restricted_settled` walk the few distinct keys
-  instead of every ``R_e`` member, and the woken and settled ids they return
-  are sorted.  The index alone decides
-  :meth:`LinkState.all_restricted_settled`: a member that is not IDLE, or
-  has no recorded rate, is in no bucket, so every ``R_e`` member is IDLE and
-  recorded at ``B_e`` exactly when every key is ``B_e`` and the buckets hold
-  ``|R_e|`` members;
+  scans of :meth:`LinkState.process_new_restricted`,
+  :meth:`LinkState.set_bottleneck` and :meth:`LinkState.leave` walk the few
+  distinct keys instead of every ``R_e`` member, and the woken ids they
+  return are sorted.  The index alone decides the test of Figure 2, lines
+  25 and 46 (every ``R_e`` member is IDLE and recorded at ``B_e``): a member
+  that is not IDLE, or has no recorded rate, is in no bucket, so the test
+  holds exactly when ``R_e`` is not empty, every key is ``B_e`` and the
+  buckets hold ``|R_e|`` members;
 * the ``F_e`` *rate maximum*, the largest recorded ``F_e`` rate (``-inf``
   when no member has one): nobody in ``F_e`` offends ``B_e`` when it is
   below ``B_e``.  It goes stale (``None``) only when its holder lowers its
   rate or leaves ``F_e``, and is recounted at its next read.
 
-Besides the single-field mutations, four methods perform whole transitions
-of Figure 2, each in one call:
+Besides the single-field mutations, six methods perform whole transitions
+of Figure 2, each in one call, so a RouterLink handler makes one call to
+its link state per delivery:
 
 * :meth:`LinkState.await_response` -- a Join or Probe arrives (lines 13-14
   and 31-32): the session joins ``R_e`` as WAITING_RESPONSE and
-  ProcessNewRestricted runs, when it can act;
+  ProcessNewRestricted runs, when some ``F_e`` rate can offend ``B_e`` or
+  some IDLE ``R_e`` member is recorded above it;
 * :meth:`LinkState.settle` -- a Response is accepted: ``mu = IDLE`` and
   ``lambda`` recorded, and the answer to line 25's test returned;
+* :meth:`LinkState.refuse` -- a Response is refused: ``mu = WAITING_PROBE``,
+  and the answer to line 25's test returned;
 * :meth:`LinkState.wake` -- an IDLE session is asked for a new Probe cycle
   (``mu = WAITING_PROBE``);
-* :meth:`LinkState.process_new_restricted` -- ProcessNewRestricted (lines
-  4-10): the ``F_e`` offenders move to ``R_e`` and the IDLE ``R_e`` members
-  recorded above ``B_e`` are woken.
+* :meth:`LinkState.set_bottleneck` -- a SetBottleneck arrives (lines
+  45-55): line 46's test, then the session's move to ``F_e`` and the wake-up
+  of the members settled at the old ``B_e``;
+* :meth:`LinkState.leave` -- a Leave arrives (lines 57-62): the members
+  settled at ``B_e`` are woken and the session is forgotten.
+
+:meth:`LinkState.process_new_restricted` -- ProcessNewRestricted (lines
+4-10) -- moves the ``F_e`` offenders to ``R_e`` and wakes the IDLE ``R_e``
+members recorded above ``B_e``; a capacity change runs it on its own.
 
 The same container is used by the RouterLink task, by the SourceNode task (for
 the session's access link) and by the stability checker of Definition 2.
@@ -117,13 +127,6 @@ class LinkState(object):
         """True when the session is in ``R_e`` with ``mu^e_s = IDLE``."""
         return session_id in self.restricted and self._mu.get(session_id, IDLE) == IDLE
 
-    def idle_rate(self, session_id):
-        """``lambda^e_s`` of an IDLE session; ``None`` when ``mu^e_s`` is not
-        IDLE or the link has not recorded a rate."""
-        if self._mu.get(session_id, IDLE) != IDLE:
-            return None
-        return self._rate.get(session_id)
-
     def unrestricted_load(self):
         """The maintained sum of the ``F_e`` rates (unknown rates count as 0)."""
         return self._unrestricted_load
@@ -136,15 +139,6 @@ class LinkState(object):
             for session_id in self.unrestricted
             if session_id in rate_table
         ]
-
-    def settled_at(self, rate):
-        """Sorted ids of the IDLE ``R_e`` members recorded at ``rate``."""
-        settled = []
-        for recorded, members in self._idle_by_rate.items():
-            if isclose(recorded, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-                settled.extend(members)
-        settled.sort()
-        return settled
 
     def _recomputed_bottleneck_rate(self):
         """``B_e`` from the stored capacity and the maintained ``F_e`` load,
@@ -226,9 +220,10 @@ class LinkState(object):
 
     def settle(self, session_id, rate):
         """An accepted Response: ``mu^e_s = IDLE`` and ``lambda^e_s = rate``,
-        in one call.  Returns what :meth:`all_restricted_settled` returns
-        afterwards, the test of Figure 2, line 25, so a RouterLink accepting
-        a Response makes one call to the link state."""
+        in one call.  Returns the test of Figure 2, line 25, afterwards
+        (``R_e`` is not empty and every member is IDLE and recorded at
+        ``B_e``), so a RouterLink accepting a Response makes one call to the
+        link state."""
         old = self._rate.get(session_id)
         restricted = self.restricted
         if session_id in restricted:
@@ -256,7 +251,40 @@ class LinkState(object):
                     self._unrestricted_max = None
         self._mu[session_id] = IDLE
         self._rate[session_id] = rate
-        # all_restricted_settled, inlined: a Response settles at every hop.
+        # _restricted_settled, inlined: a Response settles at every hop.
+        if not restricted:
+            return False
+        bottleneck = self.bottleneck_rate
+        settled = 0
+        for recorded, members in self._idle_by_rate.items():
+            if not isclose(recorded, bottleneck, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+                return False
+            settled += len(members)
+        return settled == len(restricted)
+
+    def refuse(self, session_id):
+        """A refused Response (Figure 2, lines 18-28): ``mu^e_s =
+        WAITING_PROBE``, so the session runs a new Probe cycle, in one call.
+        Returns the test of line 25 afterwards, as :meth:`settle` does."""
+        mu = self._mu
+        if session_id not in self.restricted:
+            # A session outside R_e: the test is about the others.
+            mu[session_id] = WAITING_PROBE
+            return self._restricted_settled()
+        if mu.get(session_id, IDLE) == IDLE:
+            rate = self._rate.get(session_id)
+            if rate is not None:
+                self._unindex(session_id, rate)
+        mu[session_id] = WAITING_PROBE
+        # The session itself now waits for a Probe, so R_e is not settled.
+        return False
+
+    def _restricted_settled(self):
+        """The test of Figure 2, lines 25 and 46: ``R_e`` is not empty and
+        every member is IDLE and recorded at ``B_e``.  Only those members
+        are in the rate index, so that is: every key is ``B_e`` and the
+        buckets hold all of ``R_e``."""
+        restricted = self.restricted
         if not restricted:
             return False
         bottleneck = self.bottleneck_rate
@@ -301,11 +329,15 @@ class LinkState(object):
         ``mu^e_s = WAITING_RESPONSE`` and run ProcessNewRestricted.  Returns
         the sorted ids of the sessions it woke.
 
-        ProcessNewRestricted is called only when it can act: ``F_e`` is not
-        empty, or some rate-index key is above the new ``B_e`` by a plain
-        compare.  Its wake-up test is ``recorded > B_e and not isclose(...)``,
-        so with ``F_e`` empty a key that is not above ``B_e`` by a plain
-        compare wakes nobody, and the call would return no session."""
+        ProcessNewRestricted is called only when it can act: the ``F_e``
+        rate maximum is stale, or is not below the new ``B_e`` by the test
+        that ends its offender loop (``largest < B_e and not isclose(...)``),
+        or some rate-index key is above ``B_e`` by a plain compare.  A known
+        maximum below ``B_e`` moves nobody, since every ``F_e`` rate is at
+        most it, and the wake-up test is ``recorded > B_e and not
+        isclose(...)``, so a key that is not above ``B_e`` by a plain compare
+        wakes nobody: otherwise the call would change nothing and return no
+        session."""
         restricted = self.restricted
         if session_id in restricted:
             if self._mu.get(session_id, IDLE) == IDLE:
@@ -324,8 +356,14 @@ class LinkState(object):
             restricted.add(session_id)
         self._mu[session_id] = WAITING_RESPONSE
         rate = self.bottleneck_rate = (self.capacity - self._unrestricted_load) / len(restricted)
+        largest = self._unrestricted_max
         index = self._idle_by_rate
-        if self.unrestricted or index and max(index) > rate:
+        if (
+            largest is None
+            or largest >= rate
+            or isclose(largest, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+            or index and max(index) > rate
+        ):
             return self.process_new_restricted()
         return []
 
@@ -366,6 +404,74 @@ class LinkState(object):
             (self.capacity - self._unrestricted_load) / len(restricted) if restricted else math.inf
         )
 
+    def set_bottleneck(self, session_id):
+        """A SetBottleneck arrives, Figure 2, lines 45-55, in one call.
+
+        Returns ``True`` when line 46's test holds (``R_e`` is not empty and
+        every member is IDLE and recorded at ``B_e``): the link is itself a
+        bottleneck, and the packet goes on with ``beta = TRUE``.  Returns
+        ``None`` when the packet is dropped: the session is not IDLE here or
+        has no recorded rate (a new Probe cycle is under way), or is
+        recorded above ``B_e``.  Otherwise the packet goes on unchanged and
+        the sorted ids of the sessions woken are returned; the caller sends
+        each an Update.  A session recorded below ``B_e`` is not restricted
+        here: it moves to ``F_e``, and the IDLE ``R_e`` members recorded at
+        the old ``B_e``, which can only grow, are woken.  A session recorded
+        at ``B_e`` changes nothing and wakes nobody.
+
+        One pass over the rate index answers line 46's test and finds the
+        buckets at ``B_e``; the session's own bucket is not among them when
+        it moves, since its rate is below ``B_e``."""
+        restricted = self.restricted
+        index = self._idle_by_rate
+        bottleneck = self.bottleneck_rate
+        at_bottleneck = []
+        settled = 0
+        all_at_bottleneck = True
+        for recorded, members in index.items():
+            if isclose(recorded, bottleneck, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+                at_bottleneck.append(recorded)
+                settled += len(members)
+            else:
+                all_at_bottleneck = False
+        if all_at_bottleneck and restricted and settled == len(restricted):
+            return True
+        mu = self._mu
+        if mu.get(session_id, IDLE) != IDLE:
+            return None
+        rate = self._rate.get(session_id)
+        if rate is None:
+            return None
+        if isclose(rate, bottleneck, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+            return []
+        if not rate < bottleneck:
+            return None
+        woken = []
+        for recorded in at_bottleneck:
+            woken.extend(index.pop(recorded))
+        woken.sort()
+        for other_id in woken:
+            mu[other_id] = WAITING_PROBE
+        # add_unrestricted, inlined: the session is IDLE with a rate.
+        if session_id in restricted:
+            restricted.remove(session_id)
+            members = index[rate]
+            if len(members) == 1:
+                del index[rate]
+            else:
+                members.remove(session_id)
+        unrestricted = self.unrestricted
+        if session_id not in unrestricted:
+            unrestricted.add(session_id)
+            self._unrestricted_load += rate
+            largest = self._unrestricted_max
+            if largest is not None and rate > largest:
+                self._unrestricted_max = rate
+        self.bottleneck_rate = (
+            (self.capacity - self._unrestricted_load) / len(restricted) if restricted else math.inf
+        )
+        return woken
+
     def forget(self, session_id):
         """Drop every trace of the session (used on ``Leave``)."""
         if session_id in self.restricted:
@@ -381,6 +487,31 @@ class LinkState(object):
         self.bottleneck_rate = (
             (self.capacity - self._unrestricted_load) / len(restricted) if restricted else math.inf
         )
+
+    def leave(self, session_id):
+        """A Leave arrives, Figure 2, lines 57-62, in one call: every other
+        IDLE ``R_e`` member recorded at ``B_e`` is woken, since ``B_e`` can
+        only grow once the session goes, and every trace of the session is
+        dropped (:meth:`forget`).  Returns the sorted ids of the woken
+        sessions; the caller sends each an Update."""
+        index = self._idle_by_rate
+        bottleneck = self.bottleneck_rate
+        at_bottleneck = []
+        for recorded in index:
+            if isclose(recorded, bottleneck, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+                at_bottleneck.append(recorded)
+        self.forget(session_id)
+        woken = []
+        for recorded in at_bottleneck:
+            # Gone when the session was its one member.
+            members = index.pop(recorded, None)
+            if members:
+                woken.extend(members)
+        woken.sort()
+        mu = self._mu
+        for other_id in woken:
+            mu[other_id] = WAITING_PROBE
+        return woken
 
     def _drop_unrestricted_rate(self, session_id):
         if self.unrestricted:
@@ -444,23 +575,6 @@ class LinkState(object):
         return woken
 
     # ------------------------------------------------------- stability checks
-
-    def all_restricted_settled(self):
-        """The bottleneck-detection condition of Figure 2, lines 25 and 46:
-
-        every session in ``R_e`` is IDLE and recorded at exactly ``B_e``.
-        Only those members are in the rate index, so that is: every rate key
-        is ``B_e`` and the buckets hold all of ``R_e``.
-        """
-        if not self.restricted:
-            return False
-        rate = self.bottleneck_rate
-        settled = 0
-        for recorded, members in self._idle_by_rate.items():
-            if not isclose(recorded, rate, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-                return False
-            settled += len(members)
-        return settled == len(self.restricted)
 
     def is_stable(self):
         """The per-link stability predicate of Definition 2, read off ``B_e``

@@ -44,13 +44,26 @@ instead of three; 3.77 once every stage holds a hop row per session, so the
 destination sends through ``forward_upstream`` (no
 ``forward_upstream_from_destination``), a Join or Probe calls
 ProcessNewRestricted only when it can act, and an accepted Response settles
-and answers Figure 2's line-25 test in one link-state call.  Nearly every
+and answers Figure 2's line-25 test in one link-state call; 3.48 once a
+SetBottleneck, a Leave and a refused Response each became one link-state
+call (``set_bottleneck``, ``leave``, ``refuse``) instead of up to four, and
+a Join or Probe calls ProcessNewRestricted only when some ``F_e`` rate can
+offend ``B_e``, not whenever ``F_e`` is not empty.  Nearly every
 event is a packet delivery, so one more frame per packet adds about 1.0.  The default
 tracer must see no call at all per packet, and no delivery goes through
 :meth:`Process.receive`: the flash crowd makes none to ``record`` or to
 ``receive``.  No ``functools.partial`` may sit on the heap at any point of
 the flash crowd, so a closure per hop cannot come back unnoticed (a
 ``partial`` call runs in C and would not show in the call count).
+
+Every RouterLink delivery makes exactly one call to its link state, which
+performs the handler's whole step of Figure 2: on a finite-demand Poisson
+churn, where SetBottlenecks move sessions to ``F_e`` and Leaves wake the
+sessions settled at ``B_e``, the calls from RouterLink handlers into
+:mod:`repro.core.state` equal the deliveries.  Measured on that run (11,825
+deliveries): 1.588 such calls per delivery while a SetBottleneck asked up
+to four queries and transitions in turn, a Leave woke the settled sessions
+one call at a time and a refused Response asked line 25's test apart.
 
 Routing has a budget of its own: the hosts a workload attaches are leaves
 that never relay, so routing a fixed set of router pairs must make the same
@@ -76,9 +89,12 @@ import random
 from functools import partial
 
 import repro
+from repro.core import state as link_state
 from repro.core.actions import ChangeAction, JoinAction, LeaveAction
 from repro.core.protocol import BNeckProtocol
+from repro.core.router_link import RouterLinkTask
 from repro.core.validation import validate_against_oracle
+from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.routing import PathComputer
 from repro.network.transit_stub import (
     HOST_LINK_CAPACITY,
@@ -92,8 +108,8 @@ from repro.simulator.process import Process
 from repro.simulator.tracing import PacketTracer
 
 SESSIONS = 40
-# Calls per processed event: the measured 3.77 plus 0.4 of a frame per event.
-CALLS_PER_EVENT_BUDGET = 4.2
+# Calls per processed event: the measured 3.48 plus 0.4 of a frame per event.
+CALLS_PER_EVENT_BUDGET = 3.9
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
 
@@ -124,15 +140,15 @@ def _flash_crowd():
 
 
 def _profile(function):
-    """``{function label: calls}`` of the Python functions called while
-    ``function`` runs."""
+    """``{function label: (calls, {caller label: calls})}`` of the Python
+    functions called while ``function`` runs."""
     profile = cProfile.Profile()
     profile.enable()
     function()
     profile.disable()
     return {
-        label: total_calls
-        for label, (_, total_calls, _, _, _) in pstats.Stats(profile).stats.items()
+        label: (total_calls, {caller: counts[0] for caller, counts in callers.items()})
+        for label, (_, total_calls, _, _, callers) in pstats.Stats(profile).stats.items()
     }
 
 
@@ -140,14 +156,14 @@ def _package_calls(calls):
     """The calls of a :func:`_profile` into the package's functions."""
     return sum(
         count
-        for (filename, _, _), count in calls.items()
+        for (filename, _, _), (count, _) in calls.items()
         if os.path.abspath(filename).startswith(PACKAGE_DIR)
     )
 
 
 def _calls_to(calls, function):
     """The calls of a :func:`_profile` to the Python ``function``."""
-    return calls.get(cProfile.label(function.__code__), 0)
+    return calls.get(cProfile.label(function.__code__), (0, {}))[0]
 
 
 def test_python_calls_per_event_within_budget():
@@ -162,6 +178,43 @@ def test_python_calls_per_event_within_budget():
     assert calls_per_event <= CALLS_PER_EVENT_BUDGET, (
         "%.2f package calls per event exceed the budget of %.1f: something "
         "added work to every event or packet" % (calls_per_event, CALLS_PER_EVENT_BUDGET)
+    )
+
+
+def _link_state_calls_per_delivery(calls):
+    """``(calls from RouterLink handlers into core/state.py, RouterLink
+    deliveries)`` in a :func:`_profile`."""
+    handlers = {cProfile.label(handler.__code__) for handler in RouterLinkTask.delivery.values()}
+    state_file = os.path.abspath(link_state.__file__)
+    from_handlers = sum(
+        count
+        for (filename, _, _), (_, callers) in calls.items()
+        if os.path.abspath(filename) == state_file
+        for caller, count in callers.items()
+        if caller in handlers
+    )
+    deliveries = sum(calls.get(handler, (0, {}))[0] for handler in handlers)
+    return from_handlers, deliveries
+
+
+def test_every_router_link_delivery_makes_one_link_state_call():
+    """Poisson churn shaped as perfbench's ``poisson`` (about 150 sessions
+    held, arrivals at 25,000 per simulated second, finite demands), on Small
+    so that the sessions contend for links."""
+    with ExperimentRunner(ScenarioSpec(size="small", seed=1)) as runner:
+        calls = _profile(lambda: runner.run_scenario(
+            "poisson-churn", arrival_rate=25000.0, mean_holding=6e-3, horizon=2e-3,
+            segments=3, demand_low=10e6, demand_high=100e6))
+    from_handlers, deliveries = _link_state_calls_per_delivery(calls)
+    assert deliveries > 10000
+    # The run takes every fused transition.
+    for transition in (link_state.LinkState.set_bottleneck, link_state.LinkState.leave,
+                       link_state.LinkState.refuse):
+        assert _calls_to(calls, transition) > 50, transition.__name__
+    assert from_handlers == deliveries, (
+        "%d calls into the link state for %d RouterLink deliveries (%.3f per "
+        "delivery): a handler's step of Figure 2 is one call"
+        % (from_handlers, deliveries, from_handlers / deliveries)
     )
 
 

@@ -140,21 +140,73 @@ class TestLinkState(object):
         assert state.rate_of("s1") is None
         assert state.state_of("s1") == IDLE
 
-    def test_all_restricted_settled(self):
+    def test_set_bottleneck_answers_whether_all_restricted_are_settled(self):
         state = self.make_state(100 * MBPS)
-        assert not state.all_restricted_settled()  # empty R_e
+        # Empty R_e is no bottleneck; an unknown session is dropped.
+        assert state.set_bottleneck("s1") is None
         state.add_restricted("s1")
         state.add_restricted("s2")
         state.set_state("s1", IDLE)
         state.set_state("s2", IDLE)
         state.set_rate("s1", 50 * MBPS)
         state.set_rate("s2", 50 * MBPS)
-        assert state.all_restricted_settled()
+        assert state.set_bottleneck("s1") is True
+        # s2 waits: s1 is at B_e, so it goes on, and nobody is woken.
         state.set_state("s2", WAITING_RESPONSE)
-        assert not state.all_restricted_settled()
+        assert state.set_bottleneck("s1") == []
+        assert state.set_bottleneck("s2") is None
         state.set_state("s2", IDLE)
-        state.set_rate("s2", 40 * MBPS)
-        assert not state.all_restricted_settled()
+        state.set_rate("s2", 60 * MBPS)
+        assert state.set_bottleneck("s1") == []  # s2 is not at B_e
+        assert state.set_bottleneck("s2") is None  # recorded above B_e
+        assert state.restricted == {"s1", "s2"}
+
+    def test_set_bottleneck_moves_a_session_below_b_e_to_f_and_wakes_the_settled(self):
+        state = self.make_state(100 * MBPS)
+        third = 100 * MBPS / 3
+        for session_id, rate in (("s1", 20 * MBPS), ("s2", third), ("s3", third)):
+            state.add_restricted(session_id)
+            state.settle(session_id, rate)
+        assert state.set_bottleneck("s1") == ["s2", "s3"]
+        assert state.unrestricted == {"s1"}
+        assert state.bottleneck_rate == pytest.approx(40 * MBPS)
+        assert [state.state_of(session_id) for session_id in ("s1", "s2", "s3")] == [
+            IDLE, WAITING_PROBE, WAITING_PROBE]
+
+    def test_leave_forgets_the_session_and_wakes_the_others_at_b_e(self):
+        state = self.make_state(90 * MBPS)
+        for session_id, rate in (("a", 30 * MBPS), ("b", 30 * MBPS), ("c", 10 * MBPS)):
+            state.add_restricted(session_id)
+            state.settle(session_id, rate)
+        state.add_unrestricted("f")
+        state.settle("f", 20 * MBPS)
+        # B_e = (90 - 20) / 3: nobody is at it, so nobody is woken.
+        assert state.leave("c") == []
+        # B_e = (90 - 20) / 2 = 35.
+        state.settle("a", 35 * MBPS)
+        state.settle("b", 35 * MBPS)
+        assert state.leave("a") == ["b"]
+        assert not state.knows("a")
+        assert state.state_of("b") == WAITING_PROBE
+        assert state.state_of("f") == IDLE
+        assert state.leave("ghost") == []
+
+    def test_refuse_answers_whether_all_restricted_are_settled(self):
+        state = self.make_state(100 * MBPS)
+        state.add_restricted("s1")
+        state.add_restricted("s2")
+        state.settle("s1", 50 * MBPS)
+        state.settle("s2", 50 * MBPS)
+        assert not state.refuse("s1")  # s1 itself now waits for a Probe
+        assert state.state_of("s1") == WAITING_PROBE
+        assert not state.idle_restricted("s1")
+        # A session outside R_e and F_e (a late Response behind its Leave):
+        # the answer is about R_e alone.
+        state.settle("s1", 50 * MBPS)
+        assert state.refuse("gone")
+        assert state.state_of("gone") == WAITING_PROBE
+        state.set_state("s2", WAITING_PROBE)
+        assert not state.refuse("gone")
 
     def test_settle_answers_whether_all_restricted_are_settled(self):
         state = self.make_state(100 * MBPS)

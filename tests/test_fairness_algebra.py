@@ -1,8 +1,11 @@
 """Unit tests for the library's rate compares: ``rates_equal``, the oracles'
 ``at_most`` and the protocol's inlined float compares."""
 
+import copy
+import itertools
 import math
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core import router_link, source_node
@@ -192,32 +195,42 @@ def pinned_state(restricted_offsets):
 # not exit the wake-up scan of process_new_restricted, yet the scan finds
 # nobody strictly above.
 @example(pinned_state([0.5, 0.0, -3.0]))
-# The R_e maximum within tolerance below B_e: settled_at must not exit.
+# The R_e maximum within tolerance below B_e: the wake sets of a
+# SetBottleneck and a Leave must not miss it.
 @example(pinned_state([-0.5, -3.0]))
 def test_link_state_queries_match_float_algebra(state):
     assert_queries_match_full_scan(state)
+    for transition in REFERENCES:
+        for session_id in sorted(state.sessions()) + ["unknown"]:
+            assert_matches_reference(copy.deepcopy(state), transition, session_id)
     assert_process_new_restricted_matches_full_scan(state)
+
+
+def scan_settled_at(state, rate):
+    """Sorted ids of the IDLE R_e members recorded at ``rate``, by a scan of
+    every member with FloatAlgebra."""
+    return sorted(
+        session_id
+        for session_id in state.restricted
+        if state.state_of(session_id) == IDLE
+        and state.rate_of(session_id) is not None
+        and FLOAT.equal(state.rate_of(session_id), rate)
+    )
+
+
+def scan_restricted_settled(state):
+    """Figure 2, lines 25 and 46, by a scan of every member: R_e is not
+    empty and every member is IDLE and recorded at B_e."""
+    return bool(state.restricted) and len(scan_settled_at(state, state.bottleneck_rate)) == len(
+        state.restricted
+    )
 
 
 def assert_queries_match_full_scan(state):
     """Each R_e query equals a scan of every member with FloatAlgebra."""
     assert state.bottleneck_rate == state._recomputed_bottleneck_rate()
     rate = state.bottleneck_rate
-    idle_rated = sorted(
-        session_id
-        for session_id in state.restricted
-        if state.state_of(session_id) == IDLE and state.rate_of(session_id) is not None
-    )
-    assert state.settled_at(rate) == [
-        session_id for session_id in idle_rated if FLOAT.equal(state.rate_of(session_id), rate)
-    ]
-    settled = all(
-        state.state_of(session_id) == IDLE
-        and state.rate_of(session_id) is not None
-        and FLOAT.equal(state.rate_of(session_id), rate)
-        for session_id in state.restricted
-    )
-    assert state.all_restricted_settled() == (bool(state.restricted) and settled)
+    settled = len(scan_settled_at(state, rate)) == len(state.restricted)
     stable = (
         all(state.state_of(session_id) == IDLE for session_id in state.sessions())
         and settled
@@ -234,7 +247,69 @@ def assert_queries_match_full_scan(state):
     for session_id in sorted(state.sessions()) + ["unknown"]:
         idle = state.state_of(session_id) == IDLE
         assert state.idle_restricted(session_id) == (idle and session_id in state.restricted)
-        assert state.idle_rate(session_id) == (state.rate_of(session_id) if idle else None)
+
+
+# The fused transitions of a SetBottleneck, a Leave and a refused Response,
+# each against the step-by-step sequence it replaced: full-scan queries,
+# then wake, add_unrestricted, forget or set_state one at a time.
+
+def reference_set_bottleneck(state, session_id):
+    """Figure 2, lines 45-55, step by step on ``state`` (changed in place):
+    what ``set_bottleneck`` returns."""
+    if scan_restricted_settled(state):
+        return True
+    recorded = state.rate_of(session_id)
+    if state.state_of(session_id) != IDLE or recorded is None:
+        return None
+    rate = state.bottleneck_rate
+    if FLOAT.less(recorded, rate):
+        woken = scan_settled_at(state, rate)
+        for other_id in woken:
+            assert state.wake(other_id)
+        state.add_unrestricted(session_id)
+        return woken
+    return [] if FLOAT.equal(recorded, rate) else None
+
+
+def reference_leave(state, session_id):
+    """Figure 2, lines 57-62, step by step on ``state``: the sorted ids
+    ``leave`` wakes."""
+    woken = [
+        other_id
+        for other_id in scan_settled_at(state, state.bottleneck_rate)
+        if other_id != session_id
+    ]
+    state.forget(session_id)
+    for other_id in woken:
+        assert state.wake(other_id)
+    return woken
+
+
+def reference_refuse(state, session_id):
+    """A refused Response, step by step on ``state``: what ``refuse``
+    returns, Figure 2, line 25's test."""
+    state.set_state(session_id, WAITING_PROBE)
+    return scan_restricted_settled(state)
+
+
+REFERENCES = {
+    "set_bottleneck": reference_set_bottleneck,
+    "leave": reference_leave,
+    "refuse": reference_refuse,
+}
+
+
+def assert_matches_reference(state, transition, session_id):
+    """``state.<transition>(session_id)`` returns what its reference returns
+    on a copy of the state, and leaves the state as the reference leaves the
+    copy, with every maintained summary equal to its recount."""
+    expected_state = copy.deepcopy(state)
+    expected = REFERENCES[transition](expected_state, session_id)
+    answer = getattr(state, transition)(session_id)
+    assert (type(answer), answer) == (type(expected), expected)
+    assert state.snapshot() == expected_state.snapshot()
+    assert state.unrestricted_load() == expected_state.unrestricted_load()
+    assert_summaries_match_recount(state)
 
 
 def link_tables(state):
@@ -315,10 +390,53 @@ def assert_process_new_restricted_matches_full_scan(state):
     assert_transition_matches(state, state.process_new_restricted, expected)
 
 
-def assert_await_response_matches_full_scan(state, session_id):
+def join_tie(state, session_id):
+    """The rate at which an added F_e member ties with the B_e that
+    ``await_response(session_id)`` computes: ``(C_e - other F_e load) /
+    (|R_e| after the join + 1)``, the same B_e whether the member stays in
+    F_e or moves to R_e."""
+    load = state.unrestricted_load()
+    restricted = len(state.restricted | {session_id})
+    if session_id in state.unrestricted:
+        load -= state.rate_of(session_id) or 0.0
+    return (state.capacity - load) / (restricted + 1)
+
+
+def add_at_join_tie(state, session_id, offset, nudge):
+    """Add a new F_e member recorded ``offset`` tolerance widths (and
+    ``nudge`` ulps) from the B_e of ``await_response(session_id)``."""
+    known = state.snapshot()
+    member = next(
+        name
+        for name in ("tie%d" % index for index in itertools.count())
+        if name not in known["mu"] and name not in known["rate"] and not state.knows(name)
+    )
+    state.set_rate(member, straddle(join_tie(state, session_id), offset, nudge))
+    state.add_unrestricted(member)
+    return member
+
+
+# Widths from a tie: within the tolerance on either side, on its edges and
+# beyond them.
+TIE_OFFSETS = st.sampled_from([0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0]) | st.floats(-3.0, 3.0)
+
+
+def assert_await_response_matches_full_scan(state, session_id, data):
     """await_response puts the session in R_e as WAITING_RESPONSE (taking
     its rate off the F_e load, re-anchored to 0 when F_e empties), then
-    moves, wakes and returns what the full scans do."""
+    moves, wakes and returns what the full scans do.
+
+    First it may add an F_e member recorded on either side of the B_e that
+    the join computes, or within the tolerance of it, so ProcessNewRestricted
+    is (or is not) called on every side of its precondition."""
+    if data.draw(st.booleans()):
+        add_at_join_tie(state, session_id, data.draw(TIE_OFFSETS), data.draw(st.integers(-2, 2)))
+    assert_await_response_moves_and_wakes(state, session_id)
+
+
+def assert_await_response_moves_and_wakes(state, session_id):
+    """The check of :func:`assert_await_response_matches_full_scan`, on the
+    state as it is."""
     restricted, unrestricted, rates, mu, load = link_tables(state)
     if session_id in unrestricted:
         unrestricted.remove(session_id)
@@ -332,6 +450,23 @@ def assert_await_response_matches_full_scan(state, session_id):
     assert state.state_of(session_id) == WAITING_RESPONSE
 
 
+@pytest.mark.parametrize("offset, moves", [
+    (-2.0, False), (-0.5, True), (0.0, True), (0.5, True), (2.0, True),
+])
+def test_an_f_e_rate_within_tolerance_of_a_joins_b_e_offends(offset, moves):
+    """An F_e member recorded within the tolerance of the B_e a join
+    computes offends it even when below it by a plain compare, so the join
+    runs ProcessNewRestricted on a known, fresh F_e maximum and moves the
+    member to R_e."""
+    state = LinkState(("a", "b"), 1e9)
+    for session_id in ("r0", "r1"):
+        state.add_restricted(session_id)
+    member = add_at_join_tie(state, "new", offset, 0)
+    assert state._unrestricted_max == state.rate_of(member)
+    assert_await_response_moves_and_wakes(state, "new")
+    assert (member in state.restricted) == moves
+
+
 # The index of the IDLE R_e members by recorded rate, the F_e rate maximum that lets the offender pass exit early,
 # and the B_e attribute must follow every mutation and transition, in any
 # order.
@@ -339,6 +474,7 @@ def assert_await_response_matches_full_scan(state, session_id):
 MUTATIONS = [
     "add_restricted", "add_unrestricted", "set_state", "set_rate", "settle", "wake",
     "set_capacity", "process_new_restricted", "await_response", "forget",
+    "set_bottleneck", "leave", "refuse",
 ]
 
 
@@ -380,7 +516,7 @@ def test_summaries_follow_every_mutation(data):
             assert state.state_of(session_id) == (IDLE if mutation == "settle" else before)
             if mutation == "settle":
                 # Figure 2, line 25, answered by the settle itself.
-                assert answer == state.all_restricted_settled()
+                assert answer == scan_restricted_settled(state)
         elif mutation == "wake":
             before = state.state_of(session_id)
             assert state.wake(session_id) == (before == IDLE)
@@ -390,7 +526,9 @@ def test_summaries_follow_every_mutation(data):
         elif mutation == "process_new_restricted":
             assert_process_new_restricted_matches_full_scan(state)
         elif mutation == "await_response":
-            assert_await_response_matches_full_scan(state, session_id)
+            assert_await_response_matches_full_scan(state, session_id, data)
+        elif mutation in REFERENCES:
+            assert_matches_reference(state, mutation, session_id)
         else:
             getattr(state, mutation)(session_id)
         assert_summaries_match_recount(state)
