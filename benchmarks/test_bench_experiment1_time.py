@@ -19,7 +19,6 @@ from repro.experiments.experiment1 import (
     run_experiment1_case,
 )
 from repro.experiments.reporting import format_experiment1_table
-from repro.workloads.scenarios import NetworkScenario
 
 SWEEP_CONFIG = Experiment1Config(
     session_counts=(10, 50, 150, 400),
@@ -53,10 +52,9 @@ def test_figure5_left_time_to_quiescence(benchmark, print_table):
 
 
 def test_figure5_left_big_network_single_point(benchmark, print_table):
-    scenario = NetworkScenario("big", "lan", seed=7)
     config = Experiment1Config(seed=7)
     row = benchmark.pedantic(
-        run_experiment1_case, args=(scenario, 200, config), iterations=1, rounds=1
+        run_experiment1_case, args=(("big", "lan"), 200, config), iterations=1, rounds=1
     )
     assert row.validated
     print_table(

@@ -3,7 +3,7 @@
 This example exercises the full session API of the paper on a parking-lot
 topology, driven through the shared experiment entry point
 (:class:`~repro.experiments.runner.ExperimentRunner` over a
-:class:`~repro.experiments.runner.ScenarioSpec` with a custom topology):
+:class:`~repro.experiments.runner.ScenarioSpec` with a prebuilt network):
 
 * ``API.Join`` -- sessions arrive one after the other and B-Neck renegotiates
   the max-min rates each time;
@@ -46,10 +46,7 @@ def parse_arguments(argv=None):
 def main(argv=None):
     parse_arguments(argv)
     # Three 100 Mbps links in a row: r0 - r1 - r2 - r3.
-    spec = ScenarioSpec(
-        name="parking-lot",
-        network_builder=lambda: parking_lot_topology(3, capacity=100 * MBPS),
-    )
+    spec = ScenarioSpec(network=parking_lot_topology(3, capacity=100 * MBPS))
     with ExperimentRunner(spec) as runner:
         protocol = runner.protocol
         # Session id -> how many of its notifications are printed already.

@@ -1,6 +1,6 @@
 """Stochastic scenario walkthrough: open-loop churn, validated round by round.
 
-Runs one of the registered workloads from :mod:`repro.workloads.stochastic`
+Runs one of the workloads of :mod:`repro.workloads.stochastic`
 through the shared :class:`~repro.experiments.runner.ExperimentRunner` entry
 point and prints one row per round (quiescence time, control packets,
 ``API.Rate`` callbacks, oracle validation):
@@ -63,11 +63,10 @@ def main(argv=None):
         size=arguments.size,
         delay_model=arguments.delay_model,
         seed=arguments.seed,
-        workload=arguments.workload,
     )
     with ExperimentRunner(spec) as runner:
         try:
-            measurements = runner.run_scenario()
+            measurements = runner.run_scenario(WORKLOADS[arguments.workload]())
         except RuntimeError as error:
             # run_scenario fails fast on the first round whose allocation
             # diverges from the oracles.

@@ -20,7 +20,6 @@ preserved.  Pass larger ``session_counts`` to push further.
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.transit_stub import LAN, WAN
 from repro.workloads.generator import infinite_demand
-from repro.workloads.scenarios import NetworkScenario
 
 DEFAULT_SESSION_COUNTS = (10, 30, 100, 300, 1000)
 DEFAULT_SIZES = ("small", "medium", "big")
@@ -38,7 +37,6 @@ class Experiment1Config(object):
         join_window=1e-3,
         demand_sampler=None,
         seed=0,
-        validate=True,
     ):
         self.session_counts = tuple(session_counts)
         self.sizes = tuple(sizes)
@@ -46,11 +44,12 @@ class Experiment1Config(object):
         self.join_window = join_window
         self.demand_sampler = demand_sampler or infinite_demand()
         self.seed = seed
-        self.validate = validate
 
     def scenarios(self):
+        """The ``(size, delay_model)`` pairs of the sweep, each built with
+        :attr:`seed`."""
         return [
-            NetworkScenario(size, delay_model, seed=self.seed)
+            (size, delay_model)
             for size in self.sizes
             for delay_model in self.delay_models
         ]
@@ -109,12 +108,15 @@ class Experiment1Row(object):
 
 
 def run_experiment1_case(scenario, session_count, config=None):
-    """Run one (scenario, session count) cell and return its :class:`Experiment1Row`."""
+    """Run one cell and return its :class:`Experiment1Row`.
+
+    ``scenario`` is a ``(size, delay_model)`` pair; the network is built
+    with ``config.seed``.
+    """
     config = config or Experiment1Config()
-    with ExperimentRunner(
-        ScenarioSpec.from_network_scenario(scenario, validate=config.validate),
-        generator_seed=config.seed + session_count,
-    ) as runner:
+    size, delay_model = scenario
+    spec = ScenarioSpec(size=size, delay_model=delay_model, seed=config.seed)
+    with ExperimentRunner(spec, generator_seed=config.seed + session_count) as runner:
         runner.populate(
             session_count,
             join_window=(0.0, config.join_window),
@@ -122,7 +124,7 @@ def run_experiment1_case(scenario, session_count, config=None):
         )
         measurement = runner.checkpoint("mass join of %d sessions" % session_count)
     return Experiment1Row(
-        scenario_label=scenario.label,
+        scenario_label=spec.label,
         session_count=session_count,
         time_to_quiescence=measurement.quiescence_time,
         total_packets=measurement.total_packets,

@@ -41,7 +41,6 @@ class Experiment2Config(object):
         demand_low=1e6,
         demand_high=80e6,
         seed=0,
-        validate=True,
     ):
         self.size = size
         self.delay_model = delay_model
@@ -53,7 +52,6 @@ class Experiment2Config(object):
         self.demand_low = demand_low
         self.demand_high = demand_high
         self.seed = seed
-        self.validate = validate
 
     def phases(self):
         return DEFAULT_PHASES(self.initial_sessions, self.churn_fraction, self.window)
@@ -65,7 +63,6 @@ class Experiment2Config(object):
             delay_model=self.delay_model,
             seed=self.seed,
             tracer_interval=self.interval,
-            validate=self.validate,
         )
 
     def __repr__(self):

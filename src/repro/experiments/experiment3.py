@@ -153,7 +153,6 @@ def _run_one_protocol(name, config):
         size=config.size,
         delay_model=config.delay_model,
         seed=config.seed,
-        name=name,
         tracer_interval=config.sample_interval,
         protocol_factory=lambda network, tracer: _build_protocol(
             name, network, tracer, config

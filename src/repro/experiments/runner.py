@@ -17,10 +17,11 @@ Typical use::
     measurement = runner.checkpoint("mass join")
     assert measurement.validated
 
-Custom topologies plug in through ``network_builder`` (the examples use this
-with the hand-built teaching topologies), and the baseline protocols through
-``protocol_factory`` (Experiment 3 runs B-Neck and BFYZ/CG/RCP over identical
-workloads this way).
+A hand-built teaching topology comes in as a prebuilt ``network``, which
+the run uses as is (and changes: hosts attach, capacities move), so build
+one runner per spec.  The baseline protocols plug in through
+``protocol_factory`` (Experiment 3 runs B-Neck and BFYZ/CG/RCP over
+identical workloads this way).
 """
 
 from repro.core.protocol import BNeckProtocol
@@ -28,36 +29,29 @@ from repro.core.validation import validate_against_oracle
 from repro.network.transit_stub import LAN
 from repro.simulator.tracing import PacketTracer
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.scenarios import NetworkScenario
-from repro.workloads.stochastic import make_workload
+from repro.workloads.scenarios import build_network
 
 
 class ScenarioSpec(object):
     """Declarative description of a protocol-under-workload run.
 
-    Exactly one network source applies, checked in this order: an explicit
-    ``network`` object, a zero-argument ``network_builder`` callable, or a
-    named transit-stub scenario (``size`` + ``delay_model`` + ``seed``).
+    A spec names its network in exactly one way: a named transit-stub size
+    (``size`` + ``delay_model`` + ``seed``, generated by
+    :func:`~repro.workloads.scenarios.build_network`), or a prebuilt
+    ``network``.  A prebuilt network is used as is, and a run changes it,
+    so build one runner per spec.
 
     Args:
         size: named topology size (``"small"`` ... ``"paper-big"``).
         delay_model: ``"lan"`` or ``"wan"``.
         seed: topology-generation seed (also the default generator seed).
-        name: label override used in reports.
         network: a prebuilt :class:`~repro.network.graph.Network`.
-        network_builder: zero-argument callable returning a network.
         protocol_factory: ``(network, tracer) -> protocol`` override; defaults
             to :class:`~repro.core.protocol.BNeckProtocol`.
         tracer_interval: bucket width for per-interval packet accounting
             (``None`` keeps a plain counting tracer, which the protocol
             counts into without a call per packet; with an interval every
             packet is recorded with its time).
-        validate: whether :meth:`ExperimentRunner.checkpoint` validates
-            the run with :meth:`ExperimentRunner.validate`.
-        workload: optional stochastic-workload reference (a registered name
-            like ``"poisson-churn"``, a class, or an instance -- see
-            :mod:`repro.workloads.stochastic`), the default for
-            :meth:`ExperimentRunner.run_scenario`.
     """
 
     def __init__(
@@ -65,59 +59,35 @@ class ScenarioSpec(object):
         size=None,
         delay_model=LAN,
         seed=0,
-        name=None,
         network=None,
-        network_builder=None,
         protocol_factory=None,
         tracer_interval=None,
-        validate=True,
-        workload=None,
     ):
-        if network is None and network_builder is None and size is None:
-            raise ValueError("need a network, a network_builder or a named size")
+        if (size is None) == (network is None):
+            raise ValueError(
+                "a ScenarioSpec names its network by exactly one of size or "
+                "network, got size=%r and network=%r" % (size, network)
+            )
         self.size = size
         self.delay_model = delay_model
         self.seed = seed
-        self.name = name
         self.network = network
-        self.network_builder = network_builder
         self.protocol_factory = protocol_factory
         self.tracer_interval = tracer_interval
-        self.validate = validate
-        self.workload = workload
-
-    @classmethod
-    def from_network_scenario(cls, scenario, **overrides):
-        """Build a spec from a :class:`~repro.workloads.scenarios.NetworkScenario`.
-
-        The scenario's own ``build`` is kept as the network builder, so a
-        subclass with customized topology construction stays in charge.
-        """
-        overrides.setdefault("size", scenario.size)
-        overrides.setdefault("delay_model", scenario.delay_model)
-        overrides.setdefault("seed", scenario.seed)
-        overrides.setdefault("network_builder", scenario.build)
-        return cls(**overrides)
 
     @property
     def label(self):
-        if self.name is not None:
-            return self.name
-        if self.size is not None:
+        """``"size-delay"`` (``"small-lan"``), or the prebuilt network's name."""
+        if self.network is None:
             return "%s-%s" % (self.size, self.delay_model)
-        network = self.network
-        if network is not None and getattr(network, "name", None):
-            return network.name
-        return "custom"
+        return self.network.name
 
     # ----------------------------------------------------------------- builders
 
     def build_network(self):
         if self.network is not None:
             return self.network
-        if self.network_builder is not None:
-            return self.network_builder()
-        return NetworkScenario(self.size, self.delay_model, seed=self.seed).build()
+        return build_network(self.size, self.delay_model, self.seed)
 
     def build_tracer(self):
         return PacketTracer(interval=self.tracer_interval)
@@ -137,8 +107,9 @@ class RunMeasurement(object):
     ``packets`` and ``rate_callbacks`` are deltas relative to the previous
     :meth:`ExperimentRunner.checkpoint` call (equal to the totals on the
     first); ``total_packets`` / ``events_processed`` are run-wide totals.
-    ``reason`` names the first cause of a failed validation, and is ``None``
-    when the checkpoint is valid or was not validated.
+    ``validated`` and ``reason`` are the checkpoint verdict's: ``reason``
+    names the first cause of a failed validation, and is ``None`` when the
+    checkpoint is valid.
     """
 
     __slots__ = (
@@ -242,26 +213,17 @@ class ExperimentRunner(object):
         ] + [session_id for session_id in joined if session_id not in left]
         return result
 
-    def run_scenario(self, workload=None, **parameters):
+    def run_scenario(self, workload):
         """Drive a workload end to end; returns the measurements.
 
-        ``workload`` (default: the spec's ``workload``) resolves through
-        :func:`repro.workloads.stochastic.make_workload`; extra keyword
-        arguments construct it when a name or class is given.  Each round the
-        workload yields is applied, run to quiescence, measured and -- per
-        the spec -- validated by :meth:`validate`, so every capacity change
-        is checked on the *updated* network.  Returns one
-        :class:`RunMeasurement` per round; a round that fails validation
-        raises a ``RuntimeError`` naming the first cause.
+        ``workload`` is a :class:`~repro.workloads.stochastic.StochasticWorkload`
+        instance (``WORKLOADS[name](...)`` builds one by name).  Each round
+        it yields is applied, run to quiescence, validated and measured by
+        :meth:`checkpoint`, so every capacity change is checked on the
+        *updated* network.  Returns one :class:`RunMeasurement` per round; a
+        round that fails validation raises a ``RuntimeError`` naming the
+        first cause.
         """
-        if workload is None:
-            workload = self.spec.workload
-        if workload is None:
-            raise ValueError(
-                "no workload given and the ScenarioSpec names none; pass "
-                "run_scenario(workload=...) or ScenarioSpec(workload=...)"
-            )
-        workload = make_workload(workload, **parameters)
         measurements = []
         for label, actions in workload.rounds(self):
             self.apply_actions(actions)
@@ -308,13 +270,13 @@ class ExperimentRunner(object):
         return validate_against_oracle(self.protocol)
 
     def checkpoint(self, description=None):
-        """Run to quiescence, validate (per the spec) and measure.
+        """Run to quiescence, validate and measure.
 
         Returns a :class:`RunMeasurement` whose ``packets`` and
         ``rate_callbacks`` count only the work since the previous checkpoint.
         """
         quiescence_time = self.run_to_quiescence()
-        verdict = self.validate() if self.spec.validate else None
+        verdict = self.validate()
         total_packets = self.tracer.total
         rate_callbacks = getattr(self.protocol, "rate_callbacks", 0)
         measurement = RunMeasurement(
@@ -325,8 +287,8 @@ class ExperimentRunner(object):
             total_packets=total_packets,
             events_processed=self.protocol.simulator.events_processed,
             rate_callbacks=rate_callbacks - self._callbacks_at_checkpoint,
-            validated=verdict is None or verdict.valid,
-            reason=None if verdict is None else verdict.reason,
+            validated=verdict.valid,
+            reason=verdict.reason,
         )
         self._packets_at_checkpoint = total_packets
         self._callbacks_at_checkpoint = rate_callbacks

@@ -29,7 +29,6 @@ from repro.fairness.bottleneck import (
     LinkTable,
     analyze_bottlenecks,
     link_load,
-    session_bottlenecks,
 )
 from repro.fairness.verification import (
     MaxMinViolation,
@@ -47,7 +46,6 @@ __all__ = [
     "is_max_min_fair",
     "link_load",
     "rates_equal",
-    "session_bottlenecks",
     "verify_allocation",
     "water_filling",
 ]

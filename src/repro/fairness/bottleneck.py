@@ -24,8 +24,6 @@ the set of its bottleneck links.  These are used by the Experiment 3 metrics
 tests.
 """
 
-import math
-
 from repro.fairness.algebra import rates_equal
 
 
@@ -103,23 +101,6 @@ def link_load(sessions, allocation, link):
         for session in sessions
         if session.crosses(link)
     )
-
-
-def session_bottlenecks(session, sessions, allocation):
-    """Return the links of ``session`` that are bottlenecks of it."""
-    table = LinkTable(sessions)
-    loads, maxima = table.loads_and_maxima(table.rates(allocation))
-    own_rate = float(allocation.get(session.session_id, 0.0))
-    result = []
-    for link in session.links:
-        link_index = table.index.get(link.endpoints)
-        if link_index is None:
-            load, largest = 0, -math.inf          # no session of the population crosses it
-        else:
-            load, largest = loads[link_index], maxima[link_index]
-        if rates_equal(load, link.capacity) and at_most(largest, own_rate):
-            result.append(link)
-    return result
 
 
 class BottleneckAnalysis(object):

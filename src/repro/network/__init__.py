@@ -15,10 +15,8 @@ from repro.network.topology import (
     dumbbell_topology,
     line_topology,
     parking_lot_topology,
-    random_mesh_topology,
     single_link_topology,
     star_topology,
-    tree_topology,
 )
 from repro.network.transit_stub import (
     TransitStubParameters,
@@ -45,9 +43,7 @@ __all__ = [
     "line_topology",
     "medium_network",
     "parking_lot_topology",
-    "random_mesh_topology",
     "single_link_topology",
     "small_network",
     "star_topology",
-    "tree_topology",
 ]

@@ -3,7 +3,7 @@
 These builders produce the classic textbook configurations used by the unit
 tests, the examples and the ablation benchmarks: a single shared link, the
 parking-lot / line topology whose max-min allocation is the canonical
-water-filling example, stars, dumbbells, trees and random connected meshes.
+water-filling example, stars and dumbbells.
 
 Every builder returns a :class:`~repro.network.graph.Network` containing only
 routers; hosts are attached per session by the workload generator (or manually
@@ -13,7 +13,6 @@ through :meth:`Network.attach_host`).
 from repro.network.graph import Network
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
-from repro.simulator.random_source import RandomSource
 
 DEFAULT_CAPACITY = 100 * MBPS
 DEFAULT_DELAY = microseconds(1)
@@ -90,58 +89,4 @@ def dumbbell_topology(
         network.add_router(east)
         network.add_link(west, "left", edge_capacity, delay)
         network.add_link("right", east, edge_capacity, delay)
-    return network
-
-
-def tree_topology(depth, fanout, capacity=DEFAULT_CAPACITY, delay=DEFAULT_DELAY):
-    """A complete ``fanout``-ary tree of routers with the given ``depth``.
-
-    Depth 0 is a single root router.
-    """
-    if depth < 0 or fanout < 1:
-        raise ValueError("depth must be >= 0 and fanout >= 1")
-    network = Network("tree-d%d-f%d" % (depth, fanout))
-    root = "t-root"
-    network.add_router(root)
-    current_level = [root]
-    for level in range(1, depth + 1):
-        next_level = []
-        for parent_index, parent in enumerate(current_level):
-            for child_index in range(fanout):
-                child = "t-%d-%d-%d" % (level, parent_index, child_index)
-                network.add_router(child)
-                network.add_link(parent, child, capacity, delay)
-                next_level.append(child)
-        current_level = next_level
-    return network
-
-
-def random_mesh_topology(
-    router_count,
-    extra_edge_probability=0.1,
-    capacity=DEFAULT_CAPACITY,
-    delay=DEFAULT_DELAY,
-    random_source=None,
-):
-    """A connected random graph: a random spanning tree plus random extra edges."""
-    if router_count < 2:
-        raise ValueError("a mesh needs at least two routers")
-    if random_source is None:
-        random_source = RandomSource(0)
-    network = Network("mesh-%d" % router_count)
-    names = ["m%d" % index for index in range(router_count)]
-    for name in names:
-        network.add_router(name)
-    # Random spanning tree: each new router connects to a previously added one.
-    for index in range(1, router_count):
-        parent = names[random_source.randint(0, index - 1)]
-        network.add_link(parent, names[index], capacity, delay)
-    # Extra edges.
-    for first_index in range(router_count):
-        for second_index in range(first_index + 1, router_count):
-            first, second = names[first_index], names[second_index]
-            if network.has_link(first, second):
-                continue
-            if random_source.random() < extra_edge_probability:
-                network.add_link(first, second, capacity, delay)
     return network

@@ -20,7 +20,6 @@ from repro.simulator.clock import (
     MICROSECOND,
     MILLISECOND,
     SECOND,
-    format_time,
     microseconds,
     milliseconds,
     seconds,
@@ -44,7 +43,6 @@ __all__ = [
     "SimulationLimitExceeded",
     "Simulator",
     "SummaryStatistics",
-    "format_time",
     "microseconds",
     "milliseconds",
     "percentile",

@@ -24,18 +24,3 @@ def milliseconds(value):
 def microseconds(value):
     """Return ``value`` microseconds expressed in simulator time units."""
     return float(value) * MICROSECOND
-
-
-def format_time(time_value):
-    """Format a simulator time with a human-friendly unit.
-
-    >>> format_time(0.0025)
-    '2.500 ms'
-    >>> format_time(3e-6)
-    '3.000 us'
-    """
-    if time_value >= SECOND:
-        return "%.3f s" % time_value
-    if time_value >= MILLISECOND:
-        return "%.3f ms" % (time_value / MILLISECOND)
-    return "%.3f us" % (time_value / MICROSECOND)

@@ -4,17 +4,20 @@ The evaluation of the paper is driven by three ingredients, which this package
 provides as reusable building blocks:
 
 * :mod:`~repro.workloads.scenarios` -- the Small/Medium/Big transit-stub
-  networks in their LAN and WAN flavours;
+  networks in their LAN and WAN flavours, built by size, delay model and
+  seed (:func:`~repro.workloads.scenarios.build_network`);
 * :mod:`~repro.workloads.generator` -- populations of sessions with random
   endpoints (uniform over stub routers), random demands and random join times
   inside a window;
 * :mod:`~repro.workloads.stochastic` -- workloads emitted as rounds of
   action batches that a seed pins exactly: Experiment 2's phases of joins,
   leaves and rate changes, and open-loop stochastic scenarios (Poisson
-  churn, flash crowds, heavy-tailed demand storms, link-capacity dynamics).
+  churn, flash crowds, heavy-tailed demand storms, link-capacity dynamics),
+  listed by name in :data:`~repro.workloads.stochastic.WORKLOADS`.
 
 Every workload is driven by
-:meth:`repro.experiments.runner.ExperimentRunner.run_scenario`.
+:meth:`repro.experiments.runner.ExperimentRunner.run_scenario`, which takes
+one workload instance.
 """
 
 from repro.workloads.generator import (
@@ -26,7 +29,6 @@ from repro.workloads.generator import (
 from repro.network.transit_stub import HOST_LINK_CAPACITY, HOST_LINK_DELAY
 from repro.workloads.scenarios import (
     NETWORK_SIZES,
-    NetworkScenario,
     build_network,
 )
 from repro.workloads.stochastic import (
@@ -38,8 +40,6 @@ from repro.workloads.stochastic import (
     PhaseChurnWorkload,
     PoissonChurnWorkload,
     StochasticWorkload,
-    make_workload,
-    register_workload,
 )
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "HOST_LINK_CAPACITY",
     "HOST_LINK_DELAY",
     "NETWORK_SIZES",
-    "NetworkScenario",
     "PhaseChurnWorkload",
     "PoissonChurnWorkload",
     "StochasticWorkload",
@@ -58,8 +57,6 @@ __all__ = [
     "WorkloadGenerator",
     "build_network",
     "infinite_demand",
-    "make_workload",
     "mixed_demand",
-    "register_workload",
     "uniform_demand",
 ]

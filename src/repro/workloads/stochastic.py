@@ -35,8 +35,8 @@ dated in the past.
 :meth:`repro.experiments.runner.ExperimentRunner.run_scenario` is the one
 driver of every workload -- apply a round, run to quiescence, validate
 with the checkpoint verdict of :mod:`repro.core.validation`, measure,
-repeat -- and
-``ScenarioSpec(workload=...)`` names one declaratively (see
+repeat.  :data:`WORKLOADS` maps each workload's ``name`` to its class, so
+``WORKLOADS["poisson-churn"]()`` builds one by name (see
 ``docs/workloads.md`` for the authoring guide).
 """
 
@@ -51,47 +51,6 @@ from repro.core.actions import (
 )
 from repro.network.transit_stub import STUB_TIER
 from repro.workloads.generator import uniform_demand
-
-#: Registry of named workloads (name -> class), fed by ``@register_workload``.
-WORKLOADS = {}
-
-
-def register_workload(cls):
-    """Class decorator: make a workload constructible by its ``name``."""
-    if not cls.name:
-        raise ValueError("workload %r needs a non-empty `name`" % (cls,))
-    WORKLOADS[cls.name] = cls
-    return cls
-
-
-def make_workload(ref, **parameters):
-    """Resolve a workload reference into an instance.
-
-    ``ref`` may be an instance (returned as-is; parameters disallowed), a
-    workload class, or a registered name like ``"poisson-churn"``.
-    """
-    if isinstance(ref, StochasticWorkload):
-        if parameters:
-            raise ValueError(
-                "workload %r is already constructed; parameters %r cannot be "
-                "applied (pass the name or class instead)"
-                % (ref.name, sorted(parameters))
-            )
-        return ref
-    if isinstance(ref, type) and issubclass(ref, StochasticWorkload):
-        return ref(**parameters)
-    if isinstance(ref, str):
-        try:
-            cls = WORKLOADS[ref]
-        except KeyError:
-            raise ValueError(
-                "unknown workload %r (registered: %s)" % (ref, sorted(WORKLOADS))
-            ) from None
-        return cls(**parameters)
-    raise TypeError(
-        "workload must be a StochasticWorkload, a workload class or a "
-        "registered name, got %r" % (ref,)
-    )
 
 
 def destination_subtrees(network):
@@ -136,7 +95,8 @@ class StochasticWorkload(object):
     ``runner.protocol.simulator.now`` afresh and date its actions strictly
     inside the future.  All randomness must come from the runner's generator
     streams (``runner.generator.random_source`` et al.) so a seed pins the
-    entire scenario.
+    entire scenario.  A workload has a non-empty ``name`` and is listed in
+    :data:`WORKLOADS` under it.
     """
 
     name = None
@@ -248,7 +208,6 @@ def phase_actions(generator, phase, active_ids, start_time, demand_sampler):
 PhaseRecord = namedtuple("PhaseRecord", ("phase", "start_time", "shortfalls"))
 
 
-@register_workload
 class PhaseChurnWorkload(StochasticWorkload):
     """The paper's Experiment 2: consecutive phases of churn, one per round.
 
@@ -287,7 +246,6 @@ class PhaseChurnWorkload(StochasticWorkload):
             yield ("%s %s" % (self.name, phase.name), actions)
 
 
-@register_workload
 class PoissonChurnWorkload(StochasticWorkload):
     """Open-loop Poisson arrivals with exponential holding times.
 
@@ -366,7 +324,6 @@ class PoissonChurnWorkload(StochasticWorkload):
             yield ("%s segment %d (%d arrivals)" % (self.name, segment, arrivals), actions)
 
 
-@register_workload
 class FlashCrowdWorkload(StochasticWorkload):
     """A flash crowd: many correlated joins onto one destination subtree.
 
@@ -461,7 +418,6 @@ class FlashCrowdWorkload(StochasticWorkload):
             yield ("%s crowd departs" % self.name, actions)
 
 
-@register_workload
 class HeavyTailedDemandWorkload(StochasticWorkload):
     """Storms of rate changes with Pareto (heavy-tailed) new demands.
 
@@ -535,7 +491,6 @@ class HeavyTailedDemandWorkload(StochasticWorkload):
             yield ("%s burst %d (%d changes)" % (self.name, burst, len(actions)), actions)
 
 
-@register_workload
 class CapacityDynamicsWorkload(StochasticWorkload):
     """Link-capacity degradations and recovery under a live population.
 
@@ -633,3 +588,16 @@ class CapacityDynamicsWorkload(StochasticWorkload):
                 "%s restore (%d links)" % (self.name, len(originals) // 2),
                 actions,
             )
+
+
+#: The workloads by name, for the command line and the tests.
+WORKLOADS = {
+    cls.name: cls
+    for cls in (
+        PhaseChurnWorkload,
+        PoissonChurnWorkload,
+        FlashCrowdWorkload,
+        HeavyTailedDemandWorkload,
+        CapacityDynamicsWorkload,
+    )
+}

@@ -22,7 +22,7 @@ from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
 from repro.simulator.simulation import Simulator
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.scenarios import NetworkScenario
+from repro.workloads.scenarios import build_network
 from tests.conftest import join_action, open_bneck_session
 
 
@@ -101,7 +101,7 @@ class TestPerInstantCoalescing(object):
         assert len(times) == len(set(times))
 
     def test_churn_run_never_delivers_twice_per_instant(self):
-        network = NetworkScenario("small", "lan", seed=11).build()
+        network = build_network("small", "lan", 11)
         protocol = BNeckProtocol(network)
         generator = WorkloadGenerator(network, seed=11)
         protocol.apply_actions(generator.generate(30, join_window=(0.0, 1e-3)))

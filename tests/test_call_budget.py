@@ -106,6 +106,7 @@ from repro.network.transit_stub import (
 )
 from repro.simulator.process import Process
 from repro.simulator.tracing import PacketTracer
+from repro.workloads.stochastic import PoissonChurnWorkload
 
 SESSIONS = 40
 # Calls per processed event: the measured 3.48 plus 0.4 of a frame per event.
@@ -202,9 +203,9 @@ def test_every_router_link_delivery_makes_one_link_state_call():
     held, arrivals at 25,000 per simulated second, finite demands), on Small
     so that the sessions contend for links."""
     with ExperimentRunner(ScenarioSpec(size="small", seed=1)) as runner:
-        calls = _profile(lambda: runner.run_scenario(
-            "poisson-churn", arrival_rate=25000.0, mean_holding=6e-3, horizon=2e-3,
-            segments=3, demand_low=10e6, demand_high=100e6))
+        calls = _profile(lambda: runner.run_scenario(PoissonChurnWorkload(
+            arrival_rate=25000.0, mean_holding=6e-3, horizon=2e-3,
+            segments=3, demand_low=10e6, demand_high=100e6)))
     from_handlers, deliveries = _link_state_calls_per_delivery(calls)
     assert deliveries > 10000
     # The run takes every fused transition.

@@ -8,8 +8,7 @@ with every member of every saturated path link, through the reference
 and allocations -- max-min fair ones with planted overloads, excess rates,
 missing bottlenecks, missing rates and rates a tolerance width apart -- the
 linear certificate must return exactly the reference's violation list, and
-``session_bottlenecks``/``analyze_bottlenecks`` exactly the reference
-analyses.
+``analyze_bottlenecks`` exactly the reference analysis.
 """
 
 import math
@@ -17,7 +16,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.fairness.allocation import RateAllocation
-from repro.fairness.bottleneck import analyze_bottlenecks, session_bottlenecks
+from repro.fairness.bottleneck import analyze_bottlenecks
 from repro.fairness.verification import MaxMinViolation, verify_allocation
 from repro.fairness.waterfilling import water_filling
 from repro.network.graph import Network
@@ -99,20 +98,6 @@ def crossing(sessions, link):
 
 def rate_of(allocation, session):
     return float(allocation.get(session.session_id, 0.0))
-
-
-def reference_session_bottlenecks(session, sessions, allocation):
-    """Definition 1 tested against every member of each path link."""
-    own_rate = rate_of(allocation, session)
-    result = []
-    for link in session.links:
-        members = crossing(sessions, link)
-        load = sum(rate_of(allocation, other) for other in members)
-        if FLOAT.equal(load, link.capacity) and all(
-            FLOAT.less_equal(rate_of(allocation, other), own_rate) for other in members
-        ):
-            result.append(link)
-    return result
 
 
 def reference_analysis(sessions, allocation):
@@ -225,10 +210,6 @@ def test_linear_certificate_returns_the_quadratic_violation_list(case):
 @given(checked_allocations())
 def test_bottleneck_analyses_match_the_quadratic_references(case):
     sessions, allocation = case
-    for session in sessions:
-        assert session_bottlenecks(session, sessions, allocation) == (
-            reference_session_bottlenecks(session, sessions, allocation)
-        )
     analysis = analyze_bottlenecks(sessions, allocation)
     restricted, unrestricted, bottleneck_rate, bottleneck_links_of = reference_analysis(
         sessions, allocation

@@ -40,7 +40,7 @@ from repro.simulator.clock import microseconds
 from repro.simulator.process import Process
 from repro.simulator.tracing import PacketTracer
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.scenarios import NetworkScenario
+from repro.workloads.scenarios import build_network
 from test_golden_invariance import GOLDENS, KEYS, run_golden
 from tests.conftest import join_action
 
@@ -69,7 +69,7 @@ def _mass_join(key, protocol_factory):
     """Hot-path golden ``key``: its sessions join within 1 ms (not yet run)."""
     size, delay, seed, count = key.split("-")
     seed, count = int(seed[1:]), int(count[1:])
-    network = NetworkScenario(size, delay, seed=seed).build()
+    network = build_network(size, delay, seed)
     protocol = protocol_factory(network)
     protocol.apply_actions(
         WorkloadGenerator(network, seed=seed + count).generate(count, join_window=(0.0, 1e-3))

@@ -21,7 +21,6 @@ from repro.experiments.reporting import (
 from repro.fairness.allocation import RateAllocation
 from repro.fairness.waterfilling import water_filling
 from repro.simulator.statistics import summarize
-from repro.workloads.scenarios import NetworkScenario
 from tests.conftest import make_session
 
 
@@ -81,14 +80,23 @@ class TestMetrics(object):
 
 class TestExperiment1(object):
     def test_single_case(self):
-        scenario = NetworkScenario("small", "lan", seed=2)
-        row = run_experiment1_case(scenario, 20, Experiment1Config(seed=2))
+        row = run_experiment1_case(("small", "lan"), 20, Experiment1Config(seed=2))
         assert row.validated
+        assert row.scenario_label == "small-lan"
         assert row.session_count == 20
         assert row.time_to_quiescence > 0
         assert row.total_packets > 0
         assert row.packets_per_session == pytest.approx(row.total_packets / 20.0)
         assert set(row.as_dict()) >= {"scenario", "sessions", "packets", "validated"}
+
+    def test_scenarios_pair_every_size_with_every_delay_model(self):
+        config = Experiment1Config(sizes=("small", "medium"), delay_models=("lan", "wan"))
+        assert config.scenarios() == [
+            ("small", "lan"),
+            ("small", "wan"),
+            ("medium", "lan"),
+            ("medium", "wan"),
+        ]
 
     def test_sweep_covers_all_cells_and_reports_progress(self):
         config = Experiment1Config(

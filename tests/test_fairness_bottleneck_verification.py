@@ -8,7 +8,6 @@ from repro.fairness.bottleneck import (
     LinkTable,
     analyze_bottlenecks,
     link_load,
-    session_bottlenecks,
 )
 from repro.fairness.verification import is_max_min_fair, verify_allocation, verify_allocation_on
 from repro.fairness.waterfilling import water_filling
@@ -97,13 +96,6 @@ class TestBottleneckAnalysis(object):
         network, sessions, allocation = parking_lot_case
         first_hop = network.link("r0", "r1")
         assert link_load(sessions, allocation, first_hop) == pytest.approx(100 * MBPS)
-
-    def test_session_bottlenecks_identifies_the_tight_link(self, parking_lot_case):
-        network, sessions, allocation = parking_lot_case
-        long_session = sessions[0]
-        bottlenecks = session_bottlenecks(long_session, sessions, allocation)
-        assert network.link("r0", "r1") in bottlenecks
-        assert network.link("r2", "r3") not in bottlenecks
 
     def test_restricted_and_unrestricted_sets(self, parking_lot_case):
         network, sessions, allocation = parking_lot_case

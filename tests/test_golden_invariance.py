@@ -36,8 +36,8 @@ from repro.core.protocol import BNeckProtocol
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.simulator.tracing import PacketTracer
 from repro.workloads.generator import WorkloadGenerator, uniform_demand
-from repro.workloads.scenarios import NetworkScenario
-from repro.workloads.stochastic import DynamicPhase, PhaseChurnWorkload
+from repro.workloads.scenarios import build_network
+from repro.workloads.stochastic import WORKLOADS, DynamicPhase, PhaseChurnWorkload
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -70,7 +70,7 @@ def _mass_join(key, tracer):
     """A hot-path golden: ``count`` sessions join within 1 ms, run to quiescence."""
     size, delay, seed, count = key.split("-")
     seed, count = int(seed[1:]), int(count[1:])
-    network = NetworkScenario(size, delay, seed=seed).build()
+    network = build_network(size, delay, seed)
     protocol = BNeckProtocol(network, tracer=tracer)
     protocol.apply_actions(
         WorkloadGenerator(network, seed=seed + count).generate(count, join_window=(0.0, 1e-3))
@@ -122,10 +122,9 @@ def _stochastic(key, tracer):
         size=size,
         delay_model=delay,
         seed=int(seed[1:]),
-        workload=GOLDENS[key]["workload"],
     )
     with ExperimentRunner(spec) as runner:
-        measurements = runner.run_scenario()
+        measurements = runner.run_scenario(WORKLOADS[GOLDENS[key]["workload"]]())
         assert all(m.validated for m in measurements)
         protocol = runner.protocol
         return protocol, {

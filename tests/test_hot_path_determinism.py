@@ -29,7 +29,7 @@ from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.scenarios import NetworkScenario
+from repro.workloads.scenarios import build_network
 from tests.conftest import join_action
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "hot_path_goldens.json")
@@ -48,7 +48,7 @@ def _run_scenario(key):
     size, delay, seed, count = key.split("-")
     seed = int(seed[1:])
     count = int(count[1:])
-    network = NetworkScenario(size, delay, seed=seed).build()
+    network = build_network(size, delay, seed)
     protocol = BNeckProtocol(network)
     generator = WorkloadGenerator(network, seed=seed + count)
     protocol.apply_actions(generator.generate(count, join_window=(0.0, 1e-3)))

@@ -28,11 +28,12 @@ exported, so both are exempt.
 The fourth reports each function, method or class under ``src/repro`` whose
 name nothing outside the tests reads: not the library itself, the examples,
 the benchmarks, ``perfbench/`` or the scripts.  Such a definition is dead
-code that only its own tests keep alive.  Names are matched without types,
-and what a package lists in ``__all__`` counts as read.  A method (a
+code that only its own tests keep alive.  Names are matched without types.
+A name a package lists in ``__all__`` is not read by being listed: what a
+package exports and only the tests import is still dead.  A method (a
 function defined in a class body) is read only through an attribute load
-(``x.name``), a ``getattr``-style string or ``__all__``: a bare name, such
-as a local variable that happens to share it, does not keep it alive.  The
+(``x.name``) or a ``getattr``-style string: a bare name, such as a local
+variable that happens to share it, does not keep it alive.  The
 definitions that the tests of other modules use as fixtures are listed,
 with the reason, in ``TEST_FIXTURES``.
 
@@ -332,6 +333,11 @@ TEST_FIXTURES = {
     "Network.is_connected",
     "Session.path_length",
     "transit_routers",
+    # Topology builders the protocol, baseline, routing and centralized tests
+    # run on: one shared link, a star, and the Small transit-stub network.
+    "single_link_topology",
+    "star_topology",
+    "small_network",
     # The one dispatch left for tests that hand a packet to a task directly.
     "Process.receive",
     # Protocol inspection of the protocol, property and stochastic tests.
@@ -342,6 +348,9 @@ TEST_FIXTURES = {
     "BNeckProtocol.notified_allocation",
     "SessionApplication.notification_count",
     "RateAllocation.is_feasible",
+    # The plain per-link recount that the certificate tests check the link
+    # table's loads against.
+    "link_load",
     "LinkState.knows",
     "LinkState.snapshot",
     # From-scratch recounts that the link-state tests compare the maintained
@@ -373,12 +382,10 @@ def definitions(source, filename="<source>"):
 
 def references(source, filename="<source>"):
     """``(bare names, attribute reads)``: the bare names a module reads, and
-    the names it reads as attributes -- attribute loads, the string names of
-    ``getattr``-style calls and the entries of ``__all__`` (what a package
-    exports is its API)."""
+    the names it reads as attributes -- attribute loads and the string names
+    of ``getattr``-style calls.  An ``__all__`` entry is not a read."""
     tree = ast.parse(source, filename)
-    names = set()
-    attributes = _exported_names(tree)
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
@@ -450,6 +457,8 @@ DEAD = {
         "def f():\n    scenario = A()\n    return scenario\n\nf()\n",
         ["A.scenario"],
     ),
+    # An exported function read only by tests is reported.
+    "exported": ("def f():\n    pass\n\n__all__ = ['f']\n", ["f"]),
 }
 
 LIVE = {
@@ -459,7 +468,6 @@ LIVE = {
         "print(A().size)\n"
     ),
     "getattr-string": "def f():\n    pass\n\nprint(getattr(object, 'f', None))\n",
-    "exported": "def f():\n    pass\n\n__all__ = ['f']\n",
     "dunder": "class A(object):\n    def __repr__(self):\n        return 'A'\n\nA()\n",
 }
 

@@ -6,13 +6,10 @@ from repro.network.topology import (
     dumbbell_topology,
     line_topology,
     parking_lot_topology,
-    random_mesh_topology,
     single_link_topology,
     star_topology,
-    tree_topology,
 )
 from repro.network.units import MBPS
-from repro.simulator.random_source import RandomSource
 
 
 def test_single_link_topology():
@@ -74,48 +71,3 @@ def test_dumbbell_explicit_edge_capacity():
 def test_dumbbell_requires_a_side_router():
     with pytest.raises(ValueError):
         dumbbell_topology(0)
-
-
-def test_tree_topology_counts():
-    network = tree_topology(depth=2, fanout=3)
-    # 1 + 3 + 9 routers.
-    assert network.number_of_nodes() == 13
-    assert network.is_connected()
-
-
-def test_tree_depth_zero_is_single_router():
-    network = tree_topology(depth=0, fanout=2)
-    assert network.number_of_nodes() == 1
-
-
-def test_tree_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        tree_topology(depth=-1, fanout=2)
-    with pytest.raises(ValueError):
-        tree_topology(depth=1, fanout=0)
-
-
-def test_random_mesh_is_connected_for_any_seed():
-    for seed in range(5):
-        network = random_mesh_topology(20, random_source=RandomSource(seed))
-        assert network.is_connected()
-        assert network.number_of_nodes() == 20
-
-
-def test_random_mesh_extra_edges_increase_with_probability():
-    sparse = random_mesh_topology(15, extra_edge_probability=0.0, random_source=RandomSource(1))
-    dense = random_mesh_topology(15, extra_edge_probability=0.9, random_source=RandomSource(1))
-    assert dense.number_of_links() > sparse.number_of_links()
-    # With no extra edges the mesh is exactly a spanning tree: 14 segments.
-    assert sparse.number_of_links() == 2 * 14
-
-
-def test_random_mesh_is_deterministic_per_seed():
-    first = random_mesh_topology(12, random_source=RandomSource(7))
-    second = random_mesh_topology(12, random_source=RandomSource(7))
-    assert {link.endpoints for link in first.links()} == {link.endpoints for link in second.links()}
-
-
-def test_random_mesh_requires_two_routers():
-    with pytest.raises(ValueError):
-        random_mesh_topology(1)

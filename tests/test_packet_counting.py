@@ -25,7 +25,7 @@ from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
 from repro.simulator.tracing import PacketTracer
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.scenarios import NetworkScenario
+from repro.workloads.scenarios import build_network
 from test_golden_invariance import GOLDENS
 from tests.conftest import change_session, join_action, leave_session
 
@@ -37,7 +37,7 @@ MIDPOINT = 400
 
 def _mass_join(tracer):
     """Golden ``KEY``'s sessions, joined within 1 ms but not yet run."""
-    network = NetworkScenario("small", "lan", seed=2).build()
+    network = build_network("small", "lan", 2)
     protocol = BNeckProtocol(network, tracer=tracer)
     protocol.apply_actions(WorkloadGenerator(network, seed=22).generate(20, join_window=(0.0, 1e-3)))
     return protocol

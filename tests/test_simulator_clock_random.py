@@ -9,7 +9,6 @@ import sys
 import pytest
 
 from repro.simulator.clock import (
-    format_time,
     microseconds,
     milliseconds,
     seconds,
@@ -44,11 +43,6 @@ class TestClock(object):
         assert microseconds(1) == pytest.approx(1e-6)
         assert milliseconds(1000) == pytest.approx(seconds(1))
         assert microseconds(1000) == pytest.approx(milliseconds(1))
-
-    def test_format_time_picks_unit(self):
-        assert format_time(2.5) == "2.500 s"
-        assert format_time(milliseconds(2.5)) == "2.500 ms"
-        assert format_time(microseconds(3)) == "3.000 us"
 
 
 class TestRandomSource(object):

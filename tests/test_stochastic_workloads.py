@@ -31,6 +31,7 @@ import pickle
 
 import pytest
 
+import repro.workloads.stochastic as stochastic
 from repro.core.actions import (
     CapacityChangeAction,
     ChangeAction,
@@ -54,7 +55,6 @@ from repro.workloads.stochastic import (
     PoissonChurnWorkload,
     StochasticWorkload,
     destination_subtrees,
-    make_workload,
 )
 from tests.conftest import join_action
 
@@ -74,10 +74,9 @@ def _run_golden_scenario(key):
         size=size,
         delay_model=delay,
         seed=int(seed[1:]),
-        workload=golden["workload"],
     )
     with ExperimentRunner(spec) as runner:
-        return runner, runner.run_scenario(), golden
+        return runner, runner.run_scenario(WORKLOADS[golden["workload"]]()), golden
 
 
 class TestStochasticGoldens(object):
@@ -242,7 +241,7 @@ class TestCapacityChangeSemantics(object):
         """Joins (or a leave, a change and a join) followed by one bad action
         -- a bad time, a bad capacity, a host or unknown link, an unknown
         kind -- must raise before any action of the batch is applied."""
-        spec = ScenarioSpec(size="small", seed=4, validate=False)
+        spec = ScenarioSpec(size="small", seed=4)
         with ExperimentRunner(spec) as runner:
             runner.populate(8, join_window=(0.0, 1e-3))
             runner.checkpoint("join")
@@ -341,16 +340,11 @@ class TestCapacityChangeSemantics(object):
         """Events rescale both directions, so picking a link's reverse in a
         later event must cut from the first-seen bandwidth (no compounding)
         and the restore round must return to the true original."""
-        import repro.workloads.stochastic as stochastic
-
         picks = iter([[("r1", "r2")], [("r2", "r1")]])
         monkeypatch.setattr(
             stochastic, "crossed_router_links", lambda protocol: next(picks)
         )
-        spec = ScenarioSpec(
-            name="parking-lot",
-            network_builder=lambda: parking_lot_topology(3, capacity=100 * MBPS),
-        )
+        spec = ScenarioSpec(network=parking_lot_topology(3, capacity=100 * MBPS))
         workload = CapacityDynamicsWorkload(
             sessions=4, events=2, factor_low=0.5, factor_high=0.5
         )
@@ -371,8 +365,6 @@ class TestCapacityChangeSemantics(object):
     def test_asymmetric_per_direction_capacities_are_preserved(self, monkeypatch):
         """Each direction is cut from and restored to its *own* original
         bandwidth, so asymmetric links survive a cut-and-restore cycle."""
-        import repro.workloads.stochastic as stochastic
-
         def build():
             network = Network("asym")
             for router in ("r0", "r1", "r2"):
@@ -386,7 +378,7 @@ class TestCapacityChangeSemantics(object):
         monkeypatch.setattr(
             stochastic, "crossed_router_links", lambda protocol: next(picks)
         )
-        spec = ScenarioSpec(name="asym", network_builder=build)
+        spec = ScenarioSpec(network=build())
         workload = CapacityDynamicsWorkload(
             sessions=2, events=1, factor_low=0.5, factor_high=0.5
         )
@@ -474,27 +466,37 @@ class TestWorkloadRegistryAndRunner(object):
             "capacity-dynamics",
         } <= set(WORKLOADS)
 
-    def test_make_workload_resolution(self):
-        workload = make_workload("poisson-churn", segments=1)
+    def test_every_workload_is_listed_under_its_name(self):
+        """``WORKLOADS`` lists every workload class the module defines, each
+        under its own non-empty ``name``."""
+        for name, cls in WORKLOADS.items():
+            assert cls.name and name == cls.name
+        defined = {
+            value
+            for value in vars(stochastic).values()
+            if isinstance(value, type)
+            and issubclass(value, StochasticWorkload)
+            and value is not StochasticWorkload
+            and value.__module__ == stochastic.__name__
+        }
+        assert defined == set(WORKLOADS.values())
+
+    def test_listed_workloads_take_their_parameters(self):
+        workload = WORKLOADS["poisson-churn"](segments=1)
         assert isinstance(workload, PoissonChurnWorkload)
         assert workload.segments == 1
-        assert make_workload(workload) is workload
-        with pytest.raises(ValueError, match="already constructed"):
-            make_workload(workload, segments=2)
-        with pytest.raises(ValueError, match="unknown workload"):
-            make_workload("no-such-workload")
-        with pytest.raises(TypeError):
-            make_workload(42)
+        with pytest.raises(KeyError):
+            WORKLOADS["no-such-workload"]
 
     def test_run_scenario_needs_a_workload(self):
         with ExperimentRunner(ScenarioSpec(size="small", seed=1)) as runner:
-            with pytest.raises(ValueError, match="names none"):
+            with pytest.raises(TypeError):
                 runner.run_scenario()
 
     def test_run_scenario_tracks_membership(self):
         spec = ScenarioSpec(size="small", delay_model="lan", seed=11)
         with ExperimentRunner(spec) as runner:
-            measurements = runner.run_scenario("poisson-churn", segments=1)
+            measurements = runner.run_scenario(PoissonChurnWorkload(segments=1))
             assert measurements and all(m.validated for m in measurements)
             assert set(runner.active_ids) == {
                 session.session_id
@@ -504,7 +506,7 @@ class TestWorkloadRegistryAndRunner(object):
     def test_flash_crowd_targets_one_subtree(self):
         spec = ScenarioSpec(size="small", delay_model="lan", seed=5)
         with ExperimentRunner(spec) as runner:
-            workload = make_workload("flash-crowd", crowd_size=12, depart=False)
+            workload = WORKLOADS["flash-crowd"](crowd_size=12, depart=False)
             runner.run_scenario(workload)
             subtrees = destination_subtrees(runner.network)
             crowd = [
@@ -528,7 +530,7 @@ class TestWorkloadRegistryAndRunner(object):
         holding time), so the population converges instead of only growing."""
         spec = ScenarioSpec(size="small", delay_model="lan", seed=11)
         with ExperimentRunner(spec) as runner:
-            workload = make_workload("poisson-churn", segments=2)
+            workload = PoissonChurnWorkload(segments=2)
             batches = []
             for label, actions in workload.rounds(runner):
                 batches.append(actions)
@@ -546,7 +548,9 @@ class TestWorkloadRegistryAndRunner(object):
         spec = ScenarioSpec(size="small", delay_model="lan", seed=5)
         with ExperimentRunner(spec) as runner:
             runner.run_scenario(
-                "heavy-tailed-demand", sessions=12, bursts=1, changes_per_burst=8
+                WORKLOADS["heavy-tailed-demand"](
+                    sessions=12, bursts=1, changes_per_burst=8
+                )
             )
             demands = [
                 session.demand for session in runner.protocol.active_sessions()
@@ -564,9 +568,9 @@ class TestWorkloadRegistryAndRunner(object):
 
 def _workload_fingerprint(name, delay_model, generator_seed=None):
     """Run workload ``name`` on Small; return the runner and its replayable result."""
-    spec = ScenarioSpec(size="small", delay_model=delay_model, seed=3, workload=name)
+    spec = ScenarioSpec(size="small", delay_model=delay_model, seed=3)
     with ExperimentRunner(spec, generator_seed=generator_seed) as runner:
-        measurements = runner.run_scenario()
+        measurements = runner.run_scenario(WORKLOADS[name]())
         protocol = runner.protocol
         return runner, measurements, {
             "rounds": [

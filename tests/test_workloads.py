@@ -16,7 +16,7 @@ from repro.workloads.generator import (
     mixed_demand,
     uniform_demand,
 )
-from repro.workloads.scenarios import NETWORK_SIZES, NetworkScenario, build_network
+from repro.workloads.scenarios import NETWORK_SIZES, build_network
 from repro.workloads.stochastic import DynamicPhase, PhaseChurnWorkload
 from repro.simulator.random_source import RandomSource
 
@@ -26,22 +26,21 @@ class TestScenarios(object):
         assert {"small", "medium", "big"} <= set(NETWORK_SIZES)
 
     def test_build_small_lan(self):
-        scenario = NetworkScenario("small", LAN, seed=1)
-        network = scenario.build()
+        network = build_network("small", LAN, seed=1)
         assert network.number_of_nodes() == NETWORK_SIZES["small"].total_routers()
-        assert scenario.label == "small-lan"
+        assert network.name == "small-lan"
 
-    def test_build_network_shorthand(self):
+    def test_build_small_wan_is_connected(self):
         network = build_network("small", WAN, seed=2)
         assert network.is_connected()
 
     def test_unknown_size_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkScenario("gigantic", LAN)
+        with pytest.raises(ValueError, match="unknown network size 'gigantic'"):
+            build_network("gigantic", LAN)
 
     def test_unknown_delay_model_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkScenario("small", "metro")
+        with pytest.raises(ValueError, match="unknown delay model 'metro'"):
+            build_network("small", "metro")
 
 
 class TestDemandSamplers(object):
