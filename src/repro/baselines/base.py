@@ -72,14 +72,8 @@ class BaselineProtocol(SessionProtocol):
     # (RCP, CG) need a periodic per-link control loop in addition to probes.
     needs_periodic_updates = False
 
-    def __init__(
-        self,
-        network,
-        simulator=None,
-        tracer=None,
-        probe_interval=1e-3,
-    ):
-        super(BaselineProtocol, self).__init__(network, simulator)
+    def __init__(self, network, tracer=None, probe_interval=1e-3):
+        super(BaselineProtocol, self).__init__(network)
         self.tracer = tracer or PacketTracer()
         self.probe_interval = probe_interval
         self._rates = {}
@@ -132,19 +126,14 @@ class BaselineProtocol(SessionProtocol):
         elapsed = 0.0
         for link in session.links:
             elapsed += link.control_delay()
-            tracer.record(
-                now + elapsed, PROBE_PACKET, session_id, link=link.endpoints, direction="downstream"
-            )
+            tracer.record(now + elapsed, PROBE_PACKET, session_id)
             controller = self._controller_for(link)
             advertised = controller.on_probe(session_id, demand, current)
             if advertised < granted:
                 granted = advertised
         for link in reversed(session.links):
-            reverse = self.network.reverse_link(link)
-            elapsed += reverse.control_delay()
-            tracer.record(
-                now + elapsed, RESPONSE_PACKET, session_id, link=reverse.endpoints, direction="upstream"
-            )
+            elapsed += self.network.reverse_link(link).control_delay()
+            tracer.record(now + elapsed, RESPONSE_PACKET, session_id)
         granted = max(granted, 0.0)
 
         def complete():

@@ -66,9 +66,5 @@ class CGProtocol(BaselineProtocol):
     uses_per_session_state = False
     needs_periodic_updates = True
 
-    def __init__(self, network, gain=0.25, **kwargs):
-        super(CGProtocol, self).__init__(network, **kwargs)
-        self.gain = gain
-
     def _make_controller(self, link):
-        return ConstantStateController(link, gain=self.gain)
+        return ConstantStateController(link)

@@ -20,15 +20,19 @@ observed no convergence in the allotted time beyond 500 sessions.
 
 from repro.baselines.base import BaselineProtocol, LinkController
 
+#: The gain ``alpha`` of the RCP law.
+ALPHA = 0.4
+#: The advertised rate never falls below this fraction of the capacity.
+MINIMUM_FRACTION = 1e-4
+
 
 class RCPLinkController(LinkController):
     """Single-rate link controller implementing the (queue-less) RCP law."""
 
-    def __init__(self, link, alpha=0.4, average_rtt=1e-3, minimum_fraction=1e-4):
+    def __init__(self, link, average_rtt=1e-3):
         super(RCPLinkController, self).__init__(link)
-        self.alpha = alpha
         self.average_rtt = average_rtt
-        self.minimum_rate = minimum_fraction * link.capacity
+        self.minimum_rate = MINIMUM_FRACTION * link.capacity
         self.advertised = link.capacity
 
     def on_probe(self, session_id, demand, current_rate):
@@ -38,7 +42,7 @@ class RCPLinkController(LinkController):
         capacity = self.link.capacity
         aggregate = sum(crossing_rates)
         spare_fraction = (capacity - aggregate) / capacity
-        factor = 1.0 + (interval / self.average_rtt) * self.alpha * spare_fraction
+        factor = 1.0 + (interval / self.average_rtt) * ALPHA * spare_fraction
         # Keep the advertised rate within sane bounds: multiplicative updates
         # must neither collapse to zero nor explode past the capacity.
         factor = max(factor, 0.1)
@@ -52,11 +56,5 @@ class RCPProtocol(BaselineProtocol):
     uses_per_session_state = False
     needs_periodic_updates = True
 
-    def __init__(self, network, alpha=0.4, **kwargs):
-        super(RCPProtocol, self).__init__(network, **kwargs)
-        self.alpha = alpha
-
     def _make_controller(self, link):
-        return RCPLinkController(
-            link, alpha=self.alpha, average_rtt=self.probe_interval
-        )
+        return RCPLinkController(link, average_rtt=self.probe_interval)

@@ -326,9 +326,9 @@ class SessionProtocol(object):
     still refused, and its packet counts in the tracer.
     """
 
-    def __init__(self, network, simulator=None):
+    def __init__(self, network):
         self.network = network
-        self.simulator = simulator or Simulator()
+        self.simulator = Simulator()
         self.registry = {}
         self.path_computer = PathComputer(network)
         self._sessions = {}

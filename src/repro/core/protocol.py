@@ -75,9 +75,6 @@ from repro.core.source_node import SourceNodeTask
 from repro.fairness.allocation import RateAllocation
 from repro.simulator.tracing import PacketTracer
 
-DOWNSTREAM = "downstream"
-UPSTREAM = "upstream"
-
 
 def _wire_hops(session_id, stages, sent):
     """Give each stage of a session's path its hop row: the next stage, the
@@ -130,15 +127,13 @@ class BNeckProtocol(SessionProtocol):
 
     Counting: every hop row of a session holds the tracer's list of its
     per-type counts (``sent``), and a send adds one to the slot of the
-    packet's ``kind`` -- no call into the tracer.  Assigning a tracer
-    rebuilds the rows with its lists.  Only a timed tracer (one with an
-    interval or keeping records) needs each packet's time and link, so with
-    one a send calls :meth:`~repro.simulator.tracing.PacketTracer.record`
-    instead, which counts into the same list.
+    packet's ``kind`` -- no call into the tracer.  Only a timed tracer (one
+    with an interval) needs each packet's time, so with one a send calls
+    :meth:`~repro.simulator.tracing.PacketTracer.record` instead, which
+    counts into the same list.  The tracer is fixed at construction.
 
     Args:
         network: the :class:`~repro.network.graph.Network` to run over.
-        simulator: optional simulator (one is created if omitted).
         tracer: optional :class:`~repro.simulator.tracing.PacketTracer`
             (a counting one is created if omitted).
 
@@ -146,10 +141,12 @@ class BNeckProtocol(SessionProtocol):
     to (:class:`~repro.network.routing.PathComputer`), as in the paper.
     """
 
-    def __init__(self, network, simulator=None, tracer=None):
-        super(BNeckProtocol, self).__init__(network, simulator)
+    def __init__(self, network, tracer=None):
+        super(BNeckProtocol, self).__init__(network)
         self._paths = {}
-        self.tracer = tracer or PacketTracer()
+        self._tracer = tracer or PacketTracer()
+        # Read once here, not per packet.
+        self._timed = self._tracer.timed
         # The simulator's heap and counter, pushed to directly on every hop.
         self._heap = self.simulator.heap
         self._sequence = self.simulator.sequence
@@ -160,17 +157,9 @@ class BNeckProtocol(SessionProtocol):
 
     @property
     def tracer(self):
-        """The packet tracer.  Assigning one moves every session's counting
-        to it: packets sent after the swap count in the new tracer only."""
+        """The packet tracer, fixed at construction: every hop row holds
+        its lists, so it cannot be replaced."""
         return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer):
-        self._tracer = tracer
-        # Read once here, not per packet.
-        self._timed = tracer.timed
-        for session_id, stages in self._paths.items():
-            _wire_hops(session_id, stages, tracer.counts_for(session_id))
 
     @property
     def in_flight_packets(self):
@@ -265,8 +254,7 @@ class BNeckProtocol(SessionProtocol):
             raise _unhandled(target, packet) from None
         now = self.simulator.now
         if self._timed:
-            self._tracer.record(now, packet.type_name, packet.session_id, sender.link_id,
-                                DOWNSTREAM)
+            self._tracer.record(now, packet.type_name, packet.session_id)
         else:
             sent[packet.kind] += 1
         heappush(self._heap, (now + sender.hop_delay, next(self._sequence),
@@ -286,8 +274,7 @@ class BNeckProtocol(SessionProtocol):
             raise _unhandled(target, packet) from None
         now = self.simulator.now
         if self._timed:
-            self._tracer.record(now, packet.type_name, packet.session_id, target.back_key,
-                                UPSTREAM)
+            self._tracer.record(now, packet.type_name, packet.session_id)
         else:
             sent[packet.kind] += 1
         heappush(self._heap, (now + target.back_delay, next(self._sequence),

@@ -19,7 +19,6 @@ preserved.  Pass larger ``session_counts`` to push further.
 
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.transit_stub import LAN, WAN
-from repro.workloads.generator import infinite_demand
 
 DEFAULT_SESSION_COUNTS = (10, 30, 100, 300, 1000)
 DEFAULT_SIZES = ("small", "medium", "big")
@@ -27,22 +26,19 @@ DEFAULT_DELAY_MODELS = (LAN, WAN)
 
 
 class Experiment1Config(object):
-    """Knobs of the Experiment 1 sweep."""
+    """Knobs of the Experiment 1 sweep.  Every session is greedy (an
+    infinite demand) and joins in the first millisecond."""
 
     def __init__(
         self,
         session_counts=DEFAULT_SESSION_COUNTS,
         sizes=DEFAULT_SIZES,
         delay_models=DEFAULT_DELAY_MODELS,
-        join_window=1e-3,
-        demand_sampler=None,
         seed=0,
     ):
         self.session_counts = tuple(session_counts)
         self.sizes = tuple(sizes)
         self.delay_models = tuple(delay_models)
-        self.join_window = join_window
-        self.demand_sampler = demand_sampler or infinite_demand()
         self.seed = seed
 
     def scenarios(self):
@@ -117,11 +113,7 @@ def run_experiment1_case(scenario, session_count, config=None):
     size, delay_model = scenario
     spec = ScenarioSpec(size=size, delay_model=delay_model, seed=config.seed)
     with ExperimentRunner(spec, generator_seed=config.seed + session_count) as runner:
-        runner.populate(
-            session_count,
-            join_window=(0.0, config.join_window),
-            demand_sampler=config.demand_sampler,
-        )
+        runner.populate(session_count)
         measurement = runner.checkpoint("mass join of %d sessions" % session_count)
     return Experiment1Row(
         scenario_label=spec.label,

@@ -22,48 +22,28 @@ round per phase, so every phase is validated at its own quiescence point.
 
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.transit_stub import LAN
-from repro.workloads.generator import uniform_demand
 from repro.workloads.stochastic import DEFAULT_PHASES, PhaseChurnWorkload
 
 
 class Experiment2Config(object):
-    """Knobs of the Experiment 2 run."""
+    """Knobs of the Experiment 2 run.  It runs on LAN delays; each phase's
+    actions fall in its first millisecond, a phase starts 1 ms after the
+    previous one's quiescence, demands are uniform in ``[1, 80]`` Mb/s, and
+    packets are counted per 5 ms interval."""
 
-    def __init__(
-        self,
-        size="medium",
-        delay_model=LAN,
-        initial_sessions=500,
-        churn_fraction=0.2,
-        window=1e-3,
-        interval=5e-3,
-        inter_phase_gap=1e-3,
-        demand_low=1e6,
-        demand_high=80e6,
-        seed=0,
-    ):
+    def __init__(self, size="medium", initial_sessions=500, churn_fraction=0.2, seed=0):
         self.size = size
-        self.delay_model = delay_model
         self.initial_sessions = initial_sessions
         self.churn_fraction = churn_fraction
-        self.window = window
-        self.interval = interval
-        self.inter_phase_gap = inter_phase_gap
-        self.demand_low = demand_low
-        self.demand_high = demand_high
         self.seed = seed
 
     def phases(self):
-        return DEFAULT_PHASES(self.initial_sessions, self.churn_fraction, self.window)
+        return DEFAULT_PHASES(self.initial_sessions, self.churn_fraction)
 
     def spec(self):
         """The :class:`~repro.experiments.runner.ScenarioSpec` of this config."""
-        return ScenarioSpec(
-            size=self.size,
-            delay_model=self.delay_model,
-            seed=self.seed,
-            tracer_interval=self.interval,
-        )
+        return ScenarioSpec(size=self.size, delay_model=LAN, seed=self.seed,
+                            tracer_interval=5e-3)
 
     def __repr__(self):
         return "Experiment2Config(size=%r, sessions=%d, churn=%.0f%%)" % (
@@ -116,11 +96,7 @@ class Experiment2Result(object):
 def run_experiment2(config=None):
     """Run Experiment 2 and return an :class:`Experiment2Result`."""
     config = config or Experiment2Config()
-    workload = PhaseChurnWorkload(
-        config.phases(),
-        uniform_demand(config.demand_low, config.demand_high),
-        gap=config.inter_phase_gap,
-    )
+    workload = PhaseChurnWorkload(config.phases())
     with ExperimentRunner(config.spec()) as runner:
         measurements = runner.run_scenario(workload)
         return Experiment2Result(

@@ -30,48 +30,42 @@ from repro.experiments.metrics import (
 )
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
 from repro.network.transit_stub import LAN
-from repro.workloads.generator import infinite_demand
 
 BNECK = "bneck"
 BFYZ = "bfyz"
 CG = "cg"
 RCP = "rcp"
 
-PROTOCOL_NAMES = (BNECK, BFYZ, CG, RCP)
+PROTOCOLS = {BNECK: BNeckProtocol, BFYZ: BFYZProtocol, CG: CGProtocol, RCP: RCPProtocol}
 
 
 class Experiment3Config(object):
-    """Knobs of the Experiment 3 comparison."""
+    """Knobs of the Experiment 3 comparison.  It runs on LAN delays, every
+    session is greedy (an infinite demand), the baselines probe every
+    millisecond, and a protocol has converged once every source's error
+    stays within 1%."""
 
     def __init__(
         self,
         size="medium",
-        delay_model=LAN,
         initial_sessions=300,
         leave_count=30,
         churn_window=5e-3,
         sample_interval=3e-3,
         horizon=120e-3,
         protocols=(BNECK, BFYZ),
-        probe_interval=1e-3,
-        demand_sampler=None,
-        tolerance_percent=1.0,
         seed=0,
     ):
-        unknown = set(protocols) - set(PROTOCOL_NAMES)
+        unknown = set(protocols) - set(PROTOCOLS)
         if unknown:
             raise ValueError("unknown protocols %r" % sorted(unknown))
         self.size = size
-        self.delay_model = delay_model
         self.initial_sessions = initial_sessions
         self.leave_count = leave_count
         self.churn_window = churn_window
         self.sample_interval = sample_interval
         self.horizon = horizon
         self.protocols = tuple(protocols)
-        self.probe_interval = probe_interval
-        self.demand_sampler = demand_sampler or infinite_demand()
-        self.tolerance_percent = tolerance_percent
         self.seed = seed
 
     def sample_times(self):
@@ -135,28 +129,14 @@ class Experiment3Result(object):
         return "Experiment3Result(protocols=%r)" % (self.protocol_names(),)
 
 
-def _build_protocol(name, network, tracer, config):
-    if name == BNECK:
-        return BNeckProtocol(network, tracer=tracer)
-    if name == BFYZ:
-        return BFYZProtocol(network, tracer=tracer, probe_interval=config.probe_interval)
-    if name == CG:
-        return CGProtocol(network, tracer=tracer, probe_interval=config.probe_interval)
-    if name == RCP:
-        return RCPProtocol(network, tracer=tracer, probe_interval=config.probe_interval)
-    raise ValueError("unknown protocol %r" % (name,))
-
-
 def _run_one_protocol(name, config):
     """Run one protocol over the (re-generated, identical) workload."""
     spec = ScenarioSpec(
         size=config.size,
-        delay_model=config.delay_model,
+        delay_model=LAN,
         seed=config.seed,
         tracer_interval=config.sample_interval,
-        protocol_factory=lambda network, tracer: _build_protocol(
-            name, network, tracer, config
-        ),
+        protocol_factory=lambda network, tracer: PROTOCOLS[name](network, tracer=tracer),
     )
     with ExperimentRunner(spec, generator_seed=config.seed) as runner:
         return _drive_protocol(name, runner, config)
@@ -165,11 +145,7 @@ def _run_one_protocol(name, config):
 def _drive_protocol(name, runner, config):
     protocol, generator = runner.protocol, runner.generator
 
-    joins = generator.generate(
-        config.initial_sessions,
-        join_window=(0.0, config.churn_window),
-        demand_sampler=config.demand_sampler,
-    )
+    joins = generator.generate(config.initial_sessions, join_window=(0.0, config.churn_window))
     installed = runner.apply_actions(joins)
     join_time_of = {join.session_id: join.at for join in joins}
     leavers = generator.pick_sessions(list(installed), config.leave_count)
@@ -198,9 +174,7 @@ def _drive_protocol(name, runner, config):
             series.link_error_series.append((sample_time, error_summary(link_errors)))
     series.packets_series = runner.tracer.totals_per_interval()
     series.total_packets = runner.tracer.total
-    series.convergence_time = convergence_time(
-        series.source_error_series, config.tolerance_percent
-    )
+    series.convergence_time = convergence_time(series.source_error_series)
     series.quiescent = protocol.simulator.pending_events == 0
     return series
 

@@ -17,18 +17,15 @@ from repro.fairness.bottleneck import analyze_bottlenecks
 from repro.simulator.statistics import summarize
 
 
-def relative_errors(assigned, reference, session_ids=None):
-    """Per-session percentage errors ``100 * (assigned - reference) / reference``.
+def relative_errors(assigned, reference):
+    """Per-session percentage errors ``100 * (assigned - reference) / reference``,
+    over the sessions of ``reference``.
 
-    Sessions without a reference rate, or with a zero reference rate, are
-    skipped (they carry no information about accuracy).
+    Sessions with a zero reference rate are skipped (they carry no
+    information about accuracy).
     """
-    if session_ids is None:
-        session_ids = reference.session_ids()
     errors = []
-    for session_id in session_ids:
-        if session_id not in reference:
-            continue
+    for session_id in reference.session_ids():
         expected = float(reference.rate(session_id))
         if expected <= 0.0:
             continue

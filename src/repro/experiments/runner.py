@@ -187,12 +187,10 @@ class ExperimentRunner(object):
 
     # ----------------------------------------------------------------- workload
 
-    def populate(self, count, join_window=(0.0, 1e-3), demand_sampler=None, prefix="s"):
-        """Apply ``count`` random joins from :attr:`generator`; returns
-        ``{id: session}``."""
-        return self.apply_actions(
-            self.generator.generate(count, join_window, demand_sampler, prefix)
-        )
+    def populate(self, count, join_window=(0.0, 1e-3)):
+        """Apply ``count`` random greedy joins from :attr:`generator`;
+        returns ``{id: session}``."""
+        return self.apply_actions(self.generator.generate(count, join_window))
 
     def apply_actions(self, actions):
         """Apply a pre-resolved action batch and maintain membership.

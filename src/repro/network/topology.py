@@ -39,17 +39,17 @@ def line_topology(router_count, capacity=DEFAULT_CAPACITY, delay=DEFAULT_DELAY):
     return network
 
 
-def parking_lot_topology(hop_count, capacity=DEFAULT_CAPACITY, delay=DEFAULT_DELAY):
+def parking_lot_topology(hop_count, capacity=DEFAULT_CAPACITY):
     """The parking-lot topology: ``hop_count`` links in a row.
 
     With one long session crossing every link and one short session per link,
     the max-min fair allocation is the standard example used to validate
     water-filling implementations.
     """
-    return line_topology(hop_count + 1, capacity=capacity, delay=delay)
+    return line_topology(hop_count + 1, capacity=capacity)
 
 
-def star_topology(leaf_count, capacity=DEFAULT_CAPACITY, delay=DEFAULT_DELAY):
+def star_topology(leaf_count, capacity=DEFAULT_CAPACITY):
     """A hub router connected to ``leaf_count`` leaf routers."""
     if leaf_count < 1:
         raise ValueError("a star needs at least one leaf")
@@ -58,7 +58,7 @@ def star_topology(leaf_count, capacity=DEFAULT_CAPACITY, delay=DEFAULT_DELAY):
     for index in range(leaf_count):
         leaf = "leaf%d" % index
         network.add_router(leaf)
-        network.add_link("hub", leaf, capacity, delay)
+        network.add_link("hub", leaf, capacity, DEFAULT_DELAY)
     return network
 
 

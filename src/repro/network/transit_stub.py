@@ -43,6 +43,10 @@ LAN_LINK_DELAY = microseconds(1)
 WAN_MIN_DELAY = milliseconds(1)
 WAN_MAX_DELAY = milliseconds(10)
 
+# Probability of adding a redundant intra-domain edge beyond the connecting
+# ring.
+EXTRA_EDGE_PROBABILITY = 0.15
+
 
 class TransitStubParameters(object):
     """Size parameters of a transit-stub topology.
@@ -53,8 +57,6 @@ class TransitStubParameters(object):
         stub_domains_per_transit_router: stub domains sponsored by each
             transit router.
         stub_routers_per_domain: routers inside each stub domain.
-        extra_edge_probability: probability of adding a redundant intra-domain
-            edge beyond the connecting ring.
     """
 
     def __init__(
@@ -63,7 +65,6 @@ class TransitStubParameters(object):
         transit_routers_per_domain,
         stub_domains_per_transit_router,
         stub_routers_per_domain,
-        extra_edge_probability=0.15,
     ):
         if min(
             transit_domains,
@@ -76,7 +77,6 @@ class TransitStubParameters(object):
         self.transit_routers_per_domain = transit_routers_per_domain
         self.stub_domains_per_transit_router = stub_domains_per_transit_router
         self.stub_routers_per_domain = stub_routers_per_domain
-        self.extra_edge_probability = extra_edge_probability
 
     def total_routers(self):
         """Total number of routers the generator will create."""
@@ -119,8 +119,7 @@ def _router_link_delay(scenario, delay_source):
     raise ValueError("unknown scenario %r (expected %r or %r)" % (scenario, LAN, WAN))
 
 
-def _connect_domain(network, members, capacity, scenario, structure_source, delay_source,
-                    extra_probability):
+def _connect_domain(network, members, capacity, scenario, structure_source, delay_source):
     """Connect ``members`` into a ring plus random chords (a connected mesh).
 
     Structural choices (which chords exist) and delay choices draw from two
@@ -144,7 +143,7 @@ def _connect_domain(network, members, capacity, scenario, structure_source, dela
             first, second = members[first_index], members[second_index]
             if network.has_link(first, second):
                 continue
-            if structure_source.random() < extra_probability:
+            if structure_source.random() < EXTRA_EDGE_PROBABILITY:
                 network.add_link(
                     first, second, capacity, _router_link_delay(scenario, delay_source)
                 )
@@ -183,7 +182,6 @@ def generate_transit_stub(parameters, scenario=LAN, seed=0, name=None):
             scenario,
             structure_source,
             delay_source,
-            parameters.extra_edge_probability,
         )
         transit_by_domain.append(members)
 
@@ -225,7 +223,6 @@ def generate_transit_stub(parameters, scenario=LAN, seed=0, name=None):
                     scenario,
                     structure_source,
                     delay_source,
-                    parameters.extra_edge_probability,
                 )
                 gateway = structure_source.choice(stub_members)
                 network.add_link(

@@ -24,23 +24,19 @@ from repro.simulator.clock import (
     milliseconds,
     seconds,
 )
-from repro.simulator.errors import SimulationError, SimulationLimitExceeded
 from repro.simulator.process import Process
 from repro.simulator.random_source import RandomSource
 from repro.simulator.simulation import Simulator
 from repro.simulator.statistics import SummaryStatistics, percentile, summarize
-from repro.simulator.tracing import PacketRecord, PacketTracer
+from repro.simulator.tracing import PacketTracer
 
 __all__ = [
     "MICROSECOND",
     "MILLISECOND",
-    "PacketRecord",
     "PacketTracer",
     "Process",
     "RandomSource",
     "SECOND",
-    "SimulationError",
-    "SimulationLimitExceeded",
     "Simulator",
     "SummaryStatistics",
     "microseconds",

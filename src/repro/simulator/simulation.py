@@ -67,16 +67,14 @@ Out-of-band work
 ----------------
 
 End-of-instant callbacks are the simulator's only work outside the event
-heap.  They never show in ``events_processed``, never stretch a reported
-quiescence time and never count against ``max_events`` / ``max_time``.  The
-protocol's per-instant ``API.Rate`` delivery is their one user.
+heap.  They never show in ``events_processed`` and never stretch a reported
+quiescence time.  The protocol's per-instant ``API.Rate`` delivery is their
+one user.
 """
 
 import itertools
 import math
 from heapq import heappop, heappush
-
-from repro.simulator.errors import SimulationLimitExceeded
 
 
 def _call(callback, tag):
@@ -87,11 +85,6 @@ def _call(callback, tag):
 
 class Simulator(object):
     """Discrete-event simulation loop with quiescence detection.
-
-    Args:
-        max_events: optional safety cap on processed events; exceeded caps
-            raise :class:`SimulationLimitExceeded`.
-        max_time: optional safety cap on the simulation clock.
 
     Attributes:
         now: current simulation time in seconds.  Only the run loop writes
@@ -106,14 +99,12 @@ class Simulator(object):
             entry draws its tie-breaking sequence number from.
     """
 
-    def __init__(self, max_events=None, max_time=None):
+    def __init__(self):
         self.heap = []
         self.sequence = itertools.count()
         self.now = 0.0
         self._events_processed = 0
         self._instant_callbacks = []
-        self.max_events = max_events
-        self.max_time = max_time
 
     # ------------------------------------------------------------------ clock
 
@@ -122,8 +113,8 @@ class Simulator(object):
         """Number of events executed so far.
 
         Exact between runs, also after a callback raised.  While a run with
-        no horizon and no limits drains the heap, it is brought up to date
-        only when the drain returns or raises."""
+        no horizon drains the heap, it is brought up to date only when the
+        drain returns or raises."""
         return self._events_processed
 
     @property
@@ -201,39 +192,26 @@ class Simulator(object):
         handler(target, packet)
         return True
 
-    def _unconstrained(self):
-        """True when no per-event limit check is needed."""
-        return self.max_events is None and self.max_time is None
-
     def run(self, until=None):
         """Run the simulation.
 
         Args:
             until: optional absolute time horizon, finite and not before
                 :attr:`now`.  Events scheduled after the horizon stay in the
-                heap; the clock is advanced to ``until`` when the horizon is
-                hit with work still pending.
+                heap, and the run ends with the clock at ``until``.  Without
+                one the run drains the heap (:meth:`run_until_quiescent`).
 
         Returns:
             The simulation time at which the run stopped.
         """
-        if until is not None and not self.now <= until < math.inf:
+        if until is None:
+            self._drain()
+            return self.now
+        if not self.now <= until < math.inf:
             raise ValueError(
                 "run horizon must be finite and not in the past (now=%r), got %r"
                 % (self.now, until)
             )
-        if until is None and self._unconstrained():
-            self._drain_fast()
-        else:
-            self._run_general(until)
-        if until is not None and not self.heap and self.now < until:
-            # The heap drained before the horizon: advance the clock so
-            # repeated run(until=...) calls observe monotonic time.
-            self.now = until
-        return self.now
-
-    def _run_general(self, until):
-        """The fully-featured run loop: horizon and limits."""
         heap = self.heap
         while True:
             if self._instant_callbacks and self._instant_finished():
@@ -241,26 +219,23 @@ class Simulator(object):
                 # before the clock may advance (or the run return).
                 self._flush_instant()
                 continue
-            if not heap:
+            if not heap or heap[0][0] > until:
                 break
-            next_time = heap[0][0]
-            if until is not None and next_time > until:
-                self.now = until
-                break
-            self._check_limits(next_time)
             self.step()
+        # Also when the heap drained first, so that a run to a later horizon
+        # never sees the clock behind its previous one.
+        self.now = until
+        return until
 
-    def _drain_fast(self):
-        """Drain the heap with no limit checks.
+    def _drain(self):
+        """Run until the heap drains.
 
-        Processes exactly the same events in exactly the same order as the
-        general loop; it only skips the per-event limit checks, which are
-        no-ops when ``max_events``/``max_time`` are unset.  The heap and the
-        end-of-instant list are bound to locals once (:meth:`_flush_instant`
-        empties the list in place), so an event costs the pop, the call and
-        one test of the list.  It counts the events it runs in a local and
-        adds them to ``events_processed`` on the way out, also when a
-        callback raises.
+        Processes exactly the events :meth:`run` with a horizon past the
+        last one would, in the same order.  The heap and the end-of-instant
+        list are bound to locals once (:meth:`_flush_instant` empties the
+        list in place), so an event costs the pop, the call and one test of
+        the list.  It counts the events it runs in a local and adds them to
+        ``events_processed`` on the way out, also when a callback raises.
         """
         heap = self.heap
         callbacks = self._instant_callbacks
@@ -289,21 +264,6 @@ class Simulator(object):
         event (or is untouched when the heap was already empty).
         """
         return self.run()
-
-    def _check_limits(self, next_time):
-        if self.max_events is not None and self._events_processed >= self.max_events:
-            raise SimulationLimitExceeded(
-                "event limit of %d exceeded at t=%r (possible livelock)"
-                % (self.max_events, self.now),
-                events_processed=self._events_processed,
-                current_time=self.now,
-            )
-        if self.max_time is not None and next_time > self.max_time:
-            raise SimulationLimitExceeded(
-                "time limit of %r exceeded (next event at %r)" % (self.max_time, next_time),
-                events_processed=self._events_processed,
-                current_time=self.now,
-            )
 
     def __repr__(self):
         return "Simulator(now=%r, pending=%d, processed=%d)" % (

@@ -11,9 +11,9 @@ per-type counts per session, indexed by :data:`PACKET_TYPES`.  A protocol
 fetches a session's list once with :meth:`PacketTracer.counts_for` and
 counts each packet it puts on a link with one increment of that list, so an
 untimed tracer is never called per packet.  Only a *timed* tracer -- one
-with an ``interval`` or with ``keep_records`` -- needs each packet's time
-and link, so the protocols call :meth:`PacketTracer.record` for every packet
-instead; ``record`` counts into the same lists.
+with an ``interval`` -- needs each packet's time, so the protocols call
+:meth:`PacketTracer.record` for every packet instead; ``record`` counts into
+the same lists.
 """
 
 import collections
@@ -26,55 +26,32 @@ PACKET_TYPES = ("Join", "Probe", "Response", "Update", "Bottleneck",
 _KIND = {name: kind for kind, name in enumerate(PACKET_TYPES)}
 
 
-class PacketRecord(object):
-    """One packet transmission across one link."""
-
-    __slots__ = ("time", "packet_type", "session_id", "link", "direction")
-
-    def __init__(self, time, packet_type, session_id, link=None, direction=None):
-        self.time = time
-        self.packet_type = packet_type
-        self.session_id = session_id
-        self.link = link
-        self.direction = direction
-
-    def __repr__(self):
-        return "PacketRecord(t=%r, type=%r, session=%r, link=%r, dir=%r)" % (
-            self.time,
-            self.packet_type,
-            self.session_id,
-            self.link,
-            self.direction,
-        )
-
-
 class PacketTracer(object):
     """Accounts every control packet put on a link.
 
     Counts are kept per session and per packet type, in the lists
     :meth:`counts_for` hands out; ``total``, ``by_type`` and ``by_session``
-    sum them when read.  Two options make the tracer *timed* (``timed`` is
-    true), and the protocols then call :meth:`record` for every packet,
-    because only that call carries the packet's time and link:
-
-    * ``interval``, when given, is the bucket width in seconds of the
-      per-interval histograms (Experiments 2 and 3); it must be positive and
-      finite;
-    * ``keep_records=True`` keeps every :class:`PacketRecord`, which the
-      tests use to assert fine-grained properties.
+    sum them when read.  ``interval``, when given, is the bucket width in
+    seconds of the per-interval histograms (Experiments 2 and 3); it must be
+    positive and finite.  It makes the tracer *timed*, and the protocols
+    then call :meth:`record` for every packet, because only that call
+    carries the packet's time.
     """
 
-    def __init__(self, keep_records=False, interval=None):
+    def __init__(self, interval=None):
         if interval is not None and not (interval > 0 and math.isfinite(interval)):
             raise ValueError(
                 "PacketTracer interval must be positive and finite, got %r" % (interval,)
             )
-        self.keep_records = keep_records
         self.interval = interval
-        self.timed = keep_records or interval is not None
-        self.records = []
         self._counts = {}
         self._interval_counts = collections.defaultdict(collections.Counter)
+
+    @property
+    def timed(self):
+        """True when the tracer buckets packets by time (it has an
+        ``interval``)."""
+        return self.interval is not None
 
     def counts_for(self, session_id):
         """The list of per-type counts of ``session_id``, indexed by
@@ -84,16 +61,12 @@ class PacketTracer(object):
             counts = self._counts[session_id] = [0] * len(PACKET_TYPES)
         return counts
 
-    def record(self, time, packet_type, session_id, link=None, direction=None):
-        """Record a packet transmission at ``time`` across ``link``."""
+    def record(self, time, packet_type, session_id):
+        """Count a packet of ``session_id`` put on a link at ``time``."""
         self.counts_for(session_id)[_KIND[packet_type]] += 1
         if self.interval is not None:
             bucket = int(time / self.interval)
             self._interval_counts[bucket][packet_type] += 1
-        if self.keep_records:
-            self.records.append(
-                PacketRecord(time, packet_type, session_id, link=link, direction=direction)
-            )
 
     # ------------------------------------------------------------ aggregates
 
@@ -126,12 +99,8 @@ class PacketTracer(object):
             return 0.0
         return sum(by_session.values()) / float(len(by_session))
 
-    def interval_series(self, packet_types=None):
-        """Return ``[(interval_start_time, {type: count})]`` sorted by time.
-
-        Args:
-            packet_types: optional iterable restricting the reported types.
-        """
+    def interval_series(self):
+        """Return ``[(interval_start_time, {type: count})]`` sorted by time."""
         if self.interval is None:
             raise ValueError("PacketTracer was created without an interval")
         series = []
@@ -140,10 +109,6 @@ class PacketTracer(object):
         last_bucket = max(self._interval_counts)
         for bucket in range(0, last_bucket + 1):
             counts = self._interval_counts.get(bucket, collections.Counter())
-            if packet_types is not None:
-                counts = collections.Counter(
-                    {ptype: counts.get(ptype, 0) for ptype in packet_types}
-                )
             series.append((bucket * self.interval, dict(counts)))
         return series
 

@@ -61,17 +61,8 @@ class WorkloadGenerator(object):
     :class:`~repro.core.protocol.BNeckProtocol` and the baselines share it.
     """
 
-    def __init__(
-        self,
-        network,
-        seed=0,
-        host_capacity=HOST_LINK_CAPACITY,
-        host_delay=HOST_LINK_DELAY,
-        attachment_routers=None,
-    ):
+    def __init__(self, network, seed=0, attachment_routers=None):
         self.random_source = RandomSource(seed).fork("workload")
-        self.host_capacity = host_capacity
-        self.host_delay = host_delay
         if attachment_routers is None:
             attachment_routers = stub_routers(network)
             if not attachment_routers:
@@ -85,7 +76,8 @@ class WorkloadGenerator(object):
 
     def generate(self, count, join_window=(0.0, 1e-3), demand_sampler=None, prefix="s"):
         """``count`` :class:`~repro.core.actions.JoinAction` records joining
-        inside ``join_window``, with this generator's access links.
+        inside ``join_window``, each host on a ``HOST_LINK_CAPACITY``,
+        ``HOST_LINK_DELAY`` access link.
 
         Per session it draws the router pair, then the demand, then the join
         time.  Apply the result with a protocol's (or an
@@ -108,8 +100,8 @@ class WorkloadGenerator(object):
                     destination_router=destination_router,
                     demand=demand_sampler(self.random_source),
                     at=self.random_source.uniform(start, end),
-                    host_capacity=self.host_capacity,
-                    host_delay=self.host_delay,
+                    host_capacity=HOST_LINK_CAPACITY,
+                    host_delay=HOST_LINK_DELAY,
                 )
             )
         return joins

@@ -29,8 +29,8 @@ data applied through the protocol's ``apply_actions``, a seed pins the whole
 scenario, packet for packet (the goldens in
 ``tests/data/cross_engine_goldens.json`` enforce this).  Rounds are generated
 lazily: each one anchors at the simulator clock *after* the previous round
-reached quiescence, so no action of a sustained process of any length is
-dated in the past.
+reached quiescence (the stochastic ones :data:`START_OFFSET` after it), so
+no action of a sustained process of any length is dated in the past.
 
 :meth:`repro.experiments.runner.ExperimentRunner.run_scenario` is the one
 driver of every workload -- apply a round, run to quiescence, validate
@@ -49,8 +49,23 @@ from repro.core.actions import (
     JoinAction,
     LeaveAction,
 )
-from repro.network.transit_stub import STUB_TIER
+from repro.network.transit_stub import HOST_LINK_CAPACITY, HOST_LINK_DELAY, STUB_TIER
 from repro.workloads.generator import uniform_demand
+
+#: Each round of a stochastic workload starts this long (s) after the
+#: simulator clock at which it is drawn, the previous round's quiescence.
+START_OFFSET = 1e-4
+#: The window (s) a population's joins, a burst's changes and a crowd's
+#: departures spread over.
+WINDOW = 1e-3
+#: The demands of every population join: uniform in ``[1, 80]`` Mb/s.
+UNIFORM_DEMAND = uniform_demand(1e6, 80e6)
+#: A flash crowd's base population, and the window (s) its crowd joins in.
+CROWD_BASE_SESSIONS = 20
+CROWD_WINDOW = 2e-4
+#: A heavy-tailed change draws ``PARETO_SCALE * Pareto(PARETO_ALPHA)`` b/s.
+PARETO_ALPHA = 1.5
+PARETO_SCALE = 2e6
 
 
 def destination_subtrees(network):
@@ -140,15 +155,16 @@ class DynamicPhase(object):
         )
 
 
-def DEFAULT_PHASES(initial_sessions, churn_fraction=0.2, window=1e-3):
-    """The paper's five phases, scaled to ``initial_sessions``."""
+def DEFAULT_PHASES(initial_sessions, churn_fraction=0.2):
+    """The paper's five phases, scaled to ``initial_sessions``, each with a
+    1 ms window."""
     churn = max(1, int(round(initial_sessions * churn_fraction)))
     return [
-        DynamicPhase("join", joins=initial_sessions, window=window),
-        DynamicPhase("leave", leaves=churn, window=window),
-        DynamicPhase("change", changes=churn, window=window),
-        DynamicPhase("join2", joins=churn, window=window),
-        DynamicPhase("mixed", joins=churn, leaves=churn, changes=churn, window=window),
+        DynamicPhase("join", joins=initial_sessions),
+        DynamicPhase("leave", leaves=churn),
+        DynamicPhase("change", changes=churn),
+        DynamicPhase("join2", joins=churn),
+        DynamicPhase("mixed", joins=churn, leaves=churn, changes=churn),
     ]
 
 
@@ -192,7 +208,7 @@ def phase_actions(generator, phase, active_ids, start_time, demand_sampler):
     for session_id, when in zip(changed_ids, generator.random_times(len(changed_ids), window)):
         new_demand = generator.random_demand(demand_sampler)
         if math.isinf(new_demand):
-            new_demand = generator.host_capacity
+            new_demand = HOST_LINK_CAPACITY
         actions.append(ChangeAction(session_id, new_demand, when))
     if phase.joins:
         actions += generator.generate(
@@ -228,9 +244,7 @@ class PhaseChurnWorkload(StochasticWorkload):
 
     def __init__(self, phases=None, demand_sampler=None, gap=1e-3):
         self.phases = DEFAULT_PHASES(40) if phases is None else list(phases)
-        self.demand_sampler = (
-            uniform_demand(1e6, 80e6) if demand_sampler is None else demand_sampler
-        )
+        self.demand_sampler = UNIFORM_DEMAND if demand_sampler is None else demand_sampler
         self.gap = gap
         self.records = []
 
@@ -271,10 +285,11 @@ class PoissonChurnWorkload(StochasticWorkload):
         segments=2,
         demand_low=1e6,
         demand_high=80e6,
-        start_offset=1e-4,
     ):
-        if arrival_rate <= 0 or mean_holding <= 0 or horizon <= 0:
-            raise ValueError("arrival_rate, mean_holding and horizon must be positive")
+        for name, value in (("arrival_rate", arrival_rate), ("mean_holding", mean_holding),
+                            ("horizon", horizon)):
+            if not 0 < value < math.inf:
+                raise ValueError("%s must be positive and finite, got %r" % (name, value))
         if segments < 1:
             raise ValueError("need at least one segment")
         self.arrival_rate = arrival_rate
@@ -283,7 +298,6 @@ class PoissonChurnWorkload(StochasticWorkload):
         self.segments = segments
         self.demand_low = demand_low
         self.demand_high = demand_high
-        self.start_offset = start_offset
 
     def rounds(self, runner):
         generator = runner.generator
@@ -291,7 +305,7 @@ class PoissonChurnWorkload(StochasticWorkload):
         sampler = uniform_demand(self.demand_low, self.demand_high)
         carried = []  # (session_id, residual holding beyond the previous segment)
         for segment in range(1, self.segments + 1):
-            start = runner.protocol.simulator.now + self.start_offset
+            start = runner.protocol.simulator.now + START_OFFSET
             end = start + self.horizon
             actions = []
             next_carried = []
@@ -327,58 +341,40 @@ class PoissonChurnWorkload(StochasticWorkload):
 class FlashCrowdWorkload(StochasticWorkload):
     """A flash crowd: many correlated joins onto one destination subtree.
 
-    A base population joins first; then ``crowd_size`` sessions arrive within
-    a ``crowd_window`` burst, every destination attached inside a single
-    randomly chosen stub domain (the 'subtree' under one sponsoring transit
-    router) while sources stay uniform -- the hot-spot pattern that
-    concentrates load on the domain's gateway links.  With ``depart`` the
-    crowd drains away in a final round, returning the network to its base
-    allocation.
+    A base population of :data:`CROWD_BASE_SESSIONS` joins first; then
+    ``crowd_size`` sessions arrive within a :data:`CROWD_WINDOW` burst, every
+    destination attached inside a single randomly chosen stub domain (the
+    'subtree' under one sponsoring transit router) while sources stay
+    uniform -- the hot-spot pattern that concentrates load on the domain's
+    gateway links.  With ``depart`` the crowd drains away in a final round,
+    returning the network to its base allocation.
     """
 
     name = "flash-crowd"
 
-    def __init__(
-        self,
-        base_sessions=20,
-        crowd_size=40,
-        crowd_window=2e-4,
-        base_window=1e-3,
-        demand_low=1e6,
-        demand_high=80e6,
-        depart=True,
-        start_offset=1e-4,
-    ):
-        if base_sessions < 0 or crowd_size < 1:
-            raise ValueError("need a non-negative base and at least one crowd session")
-        self.base_sessions = base_sessions
+    def __init__(self, crowd_size=40, depart=True):
+        if crowd_size < 1:
+            raise ValueError("need at least one crowd session")
         self.crowd_size = crowd_size
-        self.crowd_window = crowd_window
-        self.base_window = base_window
-        self.demand_low = demand_low
-        self.demand_high = demand_high
         self.depart = depart
-        self.start_offset = start_offset
 
     def rounds(self, runner):
         generator = runner.generator
         rng = generator.random_source
-        sampler = uniform_demand(self.demand_low, self.demand_high)
 
-        if self.base_sessions:
-            start = runner.protocol.simulator.now + self.start_offset
-            actions = generator.generate(
-                self.base_sessions,
-                join_window=(start, start + self.base_window),
-                demand_sampler=sampler,
-                prefix="%s-base-" % self.name,
-            )
-            yield ("%s base population (%d)" % (self.name, self.base_sessions), actions)
+        start = runner.protocol.simulator.now + START_OFFSET
+        actions = generator.generate(
+            CROWD_BASE_SESSIONS,
+            join_window=(start, start + WINDOW),
+            demand_sampler=UNIFORM_DEMAND,
+            prefix="%s-base-" % self.name,
+        )
+        yield ("%s base population (%d)" % (self.name, CROWD_BASE_SESSIONS), actions)
 
         subtrees = destination_subtrees(runner.network)
         subtree = rng.choice(sorted(subtrees))
         targets = subtrees[subtree]
-        start = runner.protocol.simulator.now + self.start_offset
+        start = runner.protocol.simulator.now + START_OFFSET
         crowd_ids = []
         actions = []
         for index in range(1, self.crowd_size + 1):
@@ -395,10 +391,10 @@ class FlashCrowdWorkload(StochasticWorkload):
                     session_id=session_id,
                     source_router=rng.choice(sources),
                     destination_router=destination,
-                    demand=sampler(rng),
-                    at=rng.uniform(start, start + self.crowd_window),
-                    host_capacity=generator.host_capacity,
-                    host_delay=generator.host_delay,
+                    demand=UNIFORM_DEMAND(rng),
+                    at=rng.uniform(start, start + CROWD_WINDOW),
+                    host_capacity=HOST_LINK_CAPACITY,
+                    host_delay=HOST_LINK_DELAY,
                 )
             )
         yield (
@@ -407,10 +403,8 @@ class FlashCrowdWorkload(StochasticWorkload):
         )
 
         if self.depart:
-            start = runner.protocol.simulator.now + self.start_offset
-            times = generator.random_times(
-                len(crowd_ids), (start, start + self.base_window)
-            )
+            start = runner.protocol.simulator.now + START_OFFSET
+            times = generator.random_times(len(crowd_ids), (start, start + WINDOW))
             actions = [
                 LeaveAction(session_id, when)
                 for session_id, when in zip(crowd_ids, times)
@@ -421,72 +415,48 @@ class FlashCrowdWorkload(StochasticWorkload):
 class HeavyTailedDemandWorkload(StochasticWorkload):
     """Storms of rate changes with Pareto (heavy-tailed) new demands.
 
-    A fixed population joins with uniform demands; then each of ``bursts``
-    rounds re-negotiates ``changes_per_burst`` distinct sessions to demands
-    drawn from ``scale * Pareto(alpha)`` (clamped to the host access
-    capacity).  With ``alpha <= 2`` the demand distribution has infinite
-    variance: most changes are small, a few are enormous -- the elephant/mice
-    mix that shifts bottlenecks between bursts.
+    A fixed population joins with demands uniform in ``[1, 40]`` Mb/s; then
+    each of ``bursts`` rounds re-negotiates ``changes_per_burst`` distinct
+    sessions to demands drawn from ``PARETO_SCALE * Pareto(PARETO_ALPHA)``
+    (clamped to the host access capacity).  With an alpha of at most 2 the
+    demand distribution has infinite variance: most changes are small, a few
+    are enormous -- the elephant/mice mix that shifts bottlenecks between
+    bursts.
     """
 
     name = "heavy-tailed-demand"
 
-    def __init__(
-        self,
-        sessions=30,
-        bursts=2,
-        changes_per_burst=20,
-        alpha=1.5,
-        scale=2e6,
-        window=1e-3,
-        demand_low=1e6,
-        demand_high=40e6,
-        start_offset=1e-4,
-    ):
+    def __init__(self, sessions=30, bursts=2, changes_per_burst=20):
         if changes_per_burst > sessions:
             raise ValueError(
                 "changes_per_burst (%d) cannot exceed the population (%d): "
                 "changes pick distinct sessions" % (changes_per_burst, sessions)
             )
-        if alpha <= 0 or scale <= 0:
-            raise ValueError("alpha and scale must be positive")
         self.sessions = sessions
         self.bursts = bursts
         self.changes_per_burst = changes_per_burst
-        self.alpha = alpha
-        self.scale = scale
-        self.window = window
-        self.demand_low = demand_low
-        self.demand_high = demand_high
-        self.start_offset = start_offset
 
     def rounds(self, runner):
         generator = runner.generator
         rng = generator.random_source
-        sampler = uniform_demand(self.demand_low, self.demand_high)
 
-        start = runner.protocol.simulator.now + self.start_offset
+        start = runner.protocol.simulator.now + START_OFFSET
         actions = generator.generate(
             self.sessions,
-            join_window=(start, start + self.window),
-            demand_sampler=sampler,
+            join_window=(start, start + WINDOW),
+            demand_sampler=uniform_demand(1e6, 40e6),
             prefix="%s-" % self.name,
         )
         population = [join.session_id for join in actions]
         yield ("%s population (%d)" % (self.name, self.sessions), actions)
 
         for burst in range(1, self.bursts + 1):
-            start = runner.protocol.simulator.now + self.start_offset
+            start = runner.protocol.simulator.now + START_OFFSET
             victims = generator.pick_sessions(population, self.changes_per_burst)
-            times = generator.random_times(
-                len(victims), (start, start + self.window)
-            )
+            times = generator.random_times(len(victims), (start, start + WINDOW))
             actions = []
             for session_id, when in zip(victims, times):
-                demand = min(
-                    self.scale * rng.paretovariate(self.alpha),
-                    generator.host_capacity,
-                )
+                demand = min(PARETO_SCALE * rng.paretovariate(PARETO_ALPHA), HOST_LINK_CAPACITY)
                 actions.append(ChangeAction(session_id, demand, when))
             yield ("%s burst %d (%d changes)" % (self.name, burst, len(actions)), actions)
 
@@ -500,25 +470,13 @@ class CapacityDynamicsWorkload(StochasticWorkload):
     ``[factor_low, factor_high]`` of the link's *original* bandwidth --
     modelling partial degradation (factors < 1) or upgrades (factors > 1).
     Every event is followed by a quiescence point where the allocation is
-    validated on the *updated* capacities;
-    a final round (``restore``) returns every touched link to its original
-    bandwidth and validates once more.
+    validated on the *updated* capacities; a final round returns every
+    touched link to its original bandwidth and validates once more.
     """
 
     name = "capacity-dynamics"
 
-    def __init__(
-        self,
-        sessions=30,
-        events=3,
-        factor_low=0.08,
-        factor_high=0.5,
-        restore=True,
-        window=1e-3,
-        demand_low=1e6,
-        demand_high=80e6,
-        start_offset=1e-4,
-    ):
+    def __init__(self, sessions=30, events=3, factor_low=0.08, factor_high=0.5):
         if events < 1:
             raise ValueError("need at least one capacity event")
         if factor_low <= 0 or factor_high < factor_low:
@@ -527,22 +485,16 @@ class CapacityDynamicsWorkload(StochasticWorkload):
         self.events = events
         self.factor_low = factor_low
         self.factor_high = factor_high
-        self.restore = restore
-        self.window = window
-        self.demand_low = demand_low
-        self.demand_high = demand_high
-        self.start_offset = start_offset
 
     def rounds(self, runner):
         generator = runner.generator
         rng = generator.random_source
-        sampler = uniform_demand(self.demand_low, self.demand_high)
 
-        start = runner.protocol.simulator.now + self.start_offset
+        start = runner.protocol.simulator.now + START_OFFSET
         actions = generator.generate(
             self.sessions,
-            join_window=(start, start + self.window),
-            demand_sampler=sampler,
+            join_window=(start, start + WINDOW),
+            demand_sampler=UNIFORM_DEMAND,
             prefix="%s-" % self.name,
         )
         yield ("%s population (%d)" % (self.name, self.sessions), actions)
@@ -564,7 +516,7 @@ class CapacityDynamicsWorkload(StochasticWorkload):
                 if endpoints not in originals:
                     originals[endpoints] = network.link(*endpoints).capacity
             factor = rng.uniform(self.factor_low, self.factor_high)
-            at = runner.protocol.simulator.now + self.start_offset
+            at = runner.protocol.simulator.now + START_OFFSET
             actions = [
                 CapacityChangeAction(
                     source, target, originals[(source, target)] * factor, at
@@ -578,8 +530,8 @@ class CapacityDynamicsWorkload(StochasticWorkload):
                 actions,
             )
 
-        if self.restore and originals:
-            at = runner.protocol.simulator.now + self.start_offset
+        if originals:
+            at = runner.protocol.simulator.now + START_OFFSET
             actions = [
                 CapacityChangeAction(source, target, capacity, at)
                 for (source, target), capacity in sorted(originals.items())

@@ -1,5 +1,6 @@
 """Shared fixtures and helpers of the test suite."""
 
+import collections
 import fractions
 import itertools
 import math
@@ -222,3 +223,55 @@ class ForwardingRecorder(object):
 @pytest.fixture
 def recorder():
     return ForwardingRecorder()
+
+
+# ------------------------------------------------------------- bounded runs
+
+
+def run_bounded(simulator, max_events, until=None):
+    """Run ``simulator`` as ``run_until_quiescent()`` does -- or, with
+    ``until``, as ``run(until=until)`` does -- one :meth:`Simulator.step` at
+    a time, with the same end-of-instant flushes, and fail once more than
+    ``max_events`` events have run since the simulator was built: a
+    livelock fails loudly instead of hanging the suite.  Returns the clock."""
+    heap = simulator.heap
+    while not (until is not None and heap and heap[0][0] > until) and simulator.step():
+        if simulator.events_processed > max_events:
+            pytest.fail("more than %d events by t=%r: a livelock?" % (max_events, simulator.now))
+    if until is not None:
+        # Flushes the last instant before the horizon and moves the clock
+        # to it; no event is left at or before the horizon.
+        simulator.run(until=until)
+    return simulator.now
+
+
+# ------------------------------------------------------------ send recorder
+
+#: One packet a B-Neck stage put on a link: its time, type name, session,
+#: the link's key and ``"downstream"`` or ``"upstream"``.
+Send = collections.namedtuple("Send", ("time", "packet_type", "session_id", "link", "direction"))
+
+
+def record_sends(protocol):
+    """Wrap ``forward_downstream``/``forward_upstream`` on this one
+    :class:`BNeckProtocol` instance and return the list of every
+    :data:`Send` it makes from then on, in send order.  A downstream packet
+    crosses the sender's ``link_id``, an upstream one the reverse of its
+    target's link, keyed ``back_key``."""
+    sends = []
+    forward_downstream, forward_upstream = protocol.forward_downstream, protocol.forward_upstream
+
+    def downstream(sender, packet):
+        forward_downstream(sender, packet)
+        sends.append(Send(protocol.simulator.now, packet.type_name, packet.session_id,
+                          sender.link_id, "downstream"))
+
+    def upstream(sender, packet):
+        forward_upstream(sender, packet)
+        target = sender.hops[packet.session_id][1]
+        sends.append(Send(protocol.simulator.now, packet.type_name, packet.session_id,
+                          target.back_key, "upstream"))
+
+    protocol.forward_downstream = downstream
+    protocol.forward_upstream = upstream
+    return sends

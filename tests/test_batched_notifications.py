@@ -9,8 +9,8 @@ Pinned guarantees:
 * ``last_notified_rate`` stays synchronously up to date with every
   ``notify_rate`` call, ahead of the coalesced delivery.
 * Delivery is out-of-band work of the simulator: it is not an event, never
-  moves the quiescence time, never trips a safety cap, and a run returns only
-  after the delivery of its last instant.
+  moves the quiescence time, never counts against a bound on the events of a
+  run, and a run returns only after the delivery of its last instant.
 """
 
 import pytest
@@ -20,15 +20,14 @@ from repro.core.protocol import BNeckProtocol
 from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
-from repro.simulator.simulation import Simulator
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import build_network
-from tests.conftest import join_action, open_bneck_session
+from tests.conftest import join_action, open_bneck_session, run_bounded
 
 
-def _single_link_protocol(simulator=None):
+def _single_link_protocol():
     network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-    return BNeckProtocol(network, simulator=simulator)
+    return BNeckProtocol(network)
 
 
 class TestPerInstantCoalescing(object):
@@ -119,8 +118,8 @@ class TestPerInstantCoalescing(object):
 class TestDeliveryIsOutOfBand(object):
     """The coalesced delivery rides on the simulator's end-of-instant flush."""
 
-    def _quiescent_session(self, simulator=None):
-        protocol = _single_link_protocol(simulator)
+    def _quiescent_session(self):
+        protocol = _single_link_protocol()
         _, application = open_bneck_session(protocol, "r0", "r1", "a")
         protocol.run_until_quiescent()
         return protocol, application
@@ -152,13 +151,15 @@ class TestDeliveryIsOutOfBand(object):
         assert application.current_rate == protocol.last_notified_rate("a")
         assert protocol.rate_callbacks == application.notification_count
 
-    def test_delivery_does_not_trip_safety_caps(self):
+    def test_delivery_does_not_count_against_an_event_bound(self):
         protocol, application = self._quiescent_session()
-        # A fresh run whose event cap is exactly its event count: the
-        # deliveries of its instants must not count against the cap.
-        capped = Simulator(max_events=protocol.simulator.events_processed)
-        again, replayed = self._quiescent_session(capped)
-        assert capped.events_processed == protocol.simulator.events_processed
+        # A fresh run bounded at exactly its event count: the deliveries of
+        # its instants must not count against the bound.
+        events = protocol.simulator.events_processed
+        again = _single_link_protocol()
+        _, replayed = open_bneck_session(again, "r0", "r1", "a")
+        run_bounded(again.simulator, events)
+        assert again.simulator.events_processed == events
         assert [(n.time, n.rate) for n in replayed.notifications] == [
             (n.time, n.rate) for n in application.notifications
         ]

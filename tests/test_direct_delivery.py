@@ -11,8 +11,9 @@ These tests pin down what that path promises:
   quiescence of every golden scenario;
 * a packet class the target has no handler for raises ``TypeError``
   naming the target when it is sent, and leaves nothing queued or counted;
-* a tracer swapped in after the sessions joined counts every packet and
-  the one it replaced counts none, for B-Neck and for the baselines.
+* a tracer swapped into a baseline after construction counts every
+  packet and the one it replaced counts none (B-Neck's tracer is fixed at
+  construction, see ``test_packet_counting.py``).
 """
 
 import math
@@ -181,18 +182,6 @@ def test_unknown_packet_class_raises_at_send_and_queues_nothing(send, target):
 
 
 # ------------------------------------------------------------- tracer swaps
-
-
-@pytest.mark.parametrize("keep_records", [False, True], ids=["counting", "recording"])
-@pytest.mark.parametrize("key", ["small-lan-s2-n20", "small-wan-s2-n20"])
-def test_tracer_assigned_after_construction_counts_every_packet(key, keep_records):
-    protocol = _mass_join(key, BNeckProtocol)
-    first = protocol.tracer
-    protocol.tracer = PacketTracer(keep_records=keep_records)
-    protocol.run_until_quiescent()
-    assert protocol.tracer.total == GOLDENS[key]["packets"]
-    assert dict(protocol.tracer.by_type) == GOLDENS[key]["by_type"]
-    assert first.total == 0
 
 
 def _bfyz_packets(swap):

@@ -4,14 +4,13 @@ The goldens (``tests/data/hot_path_goldens.json`` and the ``sequential``
 entries of ``tests/data/cross_engine_goldens.json``) pin one schedule per
 scenario.  The packet tracer changes how packets are counted but not what is
 sent: the default tracer is counted into by the protocol without a call per
-packet, while a timed one -- with an interval, or keeping every record -- is
-called for each packet.
+packet, while a timed one -- with an interval -- is called for each packet.
 
 Each scenario is run under each tracer, and every golden field must come out
 bit-identical: event counts, quiescence times, packet counts per type and per
-round, callbacks and the final allocation.  A tracer keeping records must
-also count exactly what the default one counts, per type and per session,
-and both must equal a recount of its records.
+round, callbacks and the final allocation.  The timed tracer must also count
+exactly what the default one counts, per type and per session, and its
+interval series must add up to its totals.
 
 One default run of every scenario also checks the applications, the single
 record of ``API.Rate``: each active session's agrees with
@@ -172,15 +171,19 @@ def default_run(request):
     return request.param, protocol, result
 
 
-def test_recording_tracer_counts_what_the_default_tracer_counts(default_run):
+def test_an_interval_tracer_counts_what_the_default_tracer_counts(default_run):
+    """The two counting paths -- one increment of the hop row's list, and a
+    ``record`` call per packet -- count the same packets, per type and per
+    session, and the timed one's interval series adds up to its totals."""
     key, protocol, _ = default_run
-    recording, result = run_golden(key, PacketTracer(keep_records=True))
+    timed, result = run_golden(key, PacketTracer(interval=1e-4))
     assert result == GOLDENS[key]
-    records = recording.tracer.records
-    for tracer in (protocol.tracer, recording.tracer):
-        assert tracer.total == len(records)
-        assert tracer.by_type == collections.Counter(r.packet_type for r in records)
-        assert tracer.by_session == collections.Counter(r.session_id for r in records)
+    counting, interval = protocol.tracer, timed.tracer
+    assert interval.total == counting.total > 0
+    assert interval.by_type == counting.by_type
+    assert interval.by_session == counting.by_session
+    series = [collections.Counter(counts) for _, counts in interval.interval_series()]
+    assert sum(series, collections.Counter()) == interval.by_type
 
 
 def test_applications_record_the_last_notified_rate(default_run):

@@ -14,8 +14,8 @@ not a router, a router pair with no route, a route over a one-way router
 link and a bad access-link capacity or delay each raise a ``ValueError``
 naming the action, with no host attached, no session registered and no
 event scheduled.  Each case runs on B-Neck and on the three baselines (a
-capacity change on B-Neck alone, the one protocol that accepts it), whose
-simulators carry an event cap: a bad value that slipped through would fail
+capacity change on B-Neck alone, the one protocol that accepts it), and every
+run is bounded (``run_bounded``): a bad value that slipped through would fail
 a test rather than livelock it.  The lifecycle of an accepted batch, on all four protocols, is
 in ``test_session_lifecycle.py``.
 """
@@ -33,8 +33,7 @@ from repro.core.protocol import BNeckProtocol
 from repro.network.topology import line_topology, single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
-from repro.simulator.simulation import Simulator
-from tests.conftest import HOST_CAPACITY, join_action
+from tests.conftest import HOST_CAPACITY, join_action, run_bounded
 
 PROTOCOLS = {
     "bneck": BNeckProtocol,
@@ -43,20 +42,23 @@ PROTOCOLS = {
     "rcp": RCPProtocol,
 }
 BAD_DEMANDS = [math.nan, 0.0, -1.0]
+# The most events any test here may run.
+MAX_EVENTS = 100000
 
 
 def _settle(protocol):
     """Run a while: B-Neck to quiescence, a baseline (which never quiesces)
     for a few probe intervals."""
+    simulator = protocol.simulator
     if isinstance(protocol, BNeckProtocol):
-        protocol.run_until_quiescent()
+        run_bounded(simulator, MAX_EVENTS)
     else:
-        protocol.run(until=protocol.simulator.now + 5e-3)
+        run_bounded(simulator, MAX_EVENTS, until=simulator.now + 5e-3)
 
 
 def _protocol_with_one_session(name):
     network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-    protocol = PROTOCOLS[name](network, simulator=Simulator(max_events=100000))
+    protocol = PROTOCOLS[name](network)
     protocol.apply_actions([join_action("s0", 0.0, 10 * MBPS)])
     _settle(protocol)
     return protocol
@@ -243,7 +245,7 @@ def test_an_action_dated_before_a_join_of_an_earlier_batch_changes_nothing(name,
     join has run.  Accepted, a leave would run first and leave ``a`` active
     for good, and a change would reach links that do not know ``a`` yet."""
     network = line_topology(3, capacity=100 * MBPS, delay=microseconds(1))
-    protocol = PROTOCOLS[name](network, simulator=Simulator(max_events=100000))
+    protocol = PROTOCOLS[name](network)
     protocol.apply_actions([join_action("a", 5e-3, 10 * MBPS, "r0", "r2")])
     bad = LeaveAction("a", 1e-3) if kind == "leave" else ChangeAction("a", 5 * MBPS, 1e-3)
     before = _state(protocol)
@@ -256,7 +258,7 @@ def test_an_action_dated_before_a_join_of_an_earlier_batch_changes_nothing(name,
     # Dated at the join, the same action applies and settles.
     bad.at = 5e-3
     protocol.apply_actions([bad])
-    protocol.run(until=12e-3)
+    run_bounded(protocol.simulator, MAX_EVENTS, until=12e-3)
     rates = protocol.current_allocation().as_dict()
     assert rates == ({} if kind == "leave" else {"a": pytest.approx(5 * MBPS)})
 
@@ -270,9 +272,9 @@ def test_a_leave_dated_before_a_pending_change_changes_nothing(name, split):
     departed session: B-Neck's Probe meets links that no longer know ``a``,
     and BFYZ keeps a demand for it."""
     network = line_topology(3, capacity=100 * MBPS, delay=microseconds(1))
-    protocol = PROTOCOLS[name](network, simulator=Simulator(max_events=100000))
+    protocol = PROTOCOLS[name](network)
     protocol.apply_actions([join_action("a", 0.0, 10 * MBPS)])
-    protocol.run(until=2e-3)
+    run_bounded(protocol.simulator, MAX_EVENTS, until=2e-3)
     change = ChangeAction("a", 5 * MBPS, 5e-3)
     leave = LeaveAction("a", 3e-3)
     batch = [change, leave]
@@ -287,7 +289,7 @@ def test_a_leave_dated_before_a_pending_change_changes_nothing(name, split):
     # Dated at the change, the same leave applies after it and settles.
     leave.at = 5e-3
     protocol.apply_actions(batch)
-    protocol.run(until=12e-3)
+    run_bounded(protocol.simulator, MAX_EVENTS, until=12e-3)
     assert protocol.active_sessions() == []
     assert protocol.current_allocation().as_dict() == {}
 
@@ -309,7 +311,7 @@ def test_a_join_over_a_one_way_router_link_changes_nothing(name):
     a one-way router link is refused before any host is attached."""
     network = line_topology(3, capacity=100 * MBPS, delay=microseconds(1))
     network.add_link("r2", "r0", 100 * MBPS, microseconds(1), bidirectional=False)
-    protocol = PROTOCOLS[name](network, simulator=Simulator(max_events=100000))
+    protocol = PROTOCOLS[name](network)
     protocol.apply_actions([join_action("s0", 0.0, 10 * MBPS, "r0", "r2")])
     _settle(protocol)
     at = protocol.simulator.now + 1e-3

@@ -44,6 +44,19 @@ A stored value nobody reads costs its store on every construction and one
 more fact to keep in step.  An augmented assignment (``self.n += 1``) stores
 and is not a read.  Names are matched without types, as in the fourth test,
 and the tests count as readers: some values exist only to be asserted on.
+
+The sixth reports each defaulted parameter of a function, method or class
+under ``src/repro`` that no call in ``src/``, ``tests/``, ``benchmarks/``,
+``examples/``, ``perfbench/`` or ``scripts/`` passes, by keyword or by
+position.  Such an option has one value in use and should be a constant.
+Callees are matched by name, as in the fourth test: ``x.f(...)`` calls every
+``f``; ``table[key](...)`` calls every name a ``table = {...}`` dictionary
+maps to; ``super().__init__(...)`` calls the enclosing class's bases; and
+the call of a class that inherits its ``__init__`` counts for the base that
+defines it.  A ``*`` or ``**`` argument passes only what it spells out (a
+list, tuple or dict display), so an option that only forwarded ``**kwargs``
+reach is reported.  The exceptions are listed, with the reason, in
+``UNSET_PARAMETERS``.
 """
 
 import ast
@@ -574,3 +587,268 @@ def test_every_stored_attribute_is_read_somewhere():
     readers = _sources(REFERENCING_DIRECTORIES + ("tests",))
     found = ["%s:%d: self.%s" % entry for entry in unread_attributes(library, readers)]
     assert found == []
+
+
+# Defaulted parameters that no call passes, kept on purpose.  Each entry is
+# ``"Qualified.name(parameter)"`` with its reason, and must still be one the
+# scan reports; a stale entry fails the test below.
+UNSET_PARAMETERS = {}
+
+CALLING_DIRECTORIES = REFERENCING_DIRECTORIES + ("tests",)
+
+
+def _defaulted(arguments, skip):
+    """``(name, position)`` of every parameter with a default; ``position``
+    counts from the first parameter after the ``skip`` bound ones
+    (``self``, ``cls``), and is ``None`` for a keyword-only parameter."""
+    positional = arguments.posonlyargs + arguments.args
+    first_default = len(positional) - len(arguments.defaults)
+    found = [
+        (argument.arg, index - skip)
+        for index, argument in enumerate(positional)
+        if index >= max(first_default, skip)
+    ]
+    found += [
+        (argument.arg, None)
+        for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+        if default is not None
+    ]
+    return found
+
+
+def settable_parameters(source, filename="<source>"):
+    """``(line, qualified name, callee, parameter, position)`` of every
+    defaulted parameter of a function or class defined in the module body
+    or a class body.  A class's parameters are its ``__init__``'s, and its
+    callee is the class name."""
+    found = []
+    scopes = [(ast.parse(source, filename), "", None)]
+    while scopes:
+        scope, prefix, owner = scopes.pop()
+        for node in scope.body:
+            if isinstance(node, ast.ClassDef):
+                scopes.append((node, prefix + node.name + ".", node.name))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if owner is not None and node.name == "__init__":
+                    callee, qualified = owner, prefix[:-1]
+                else:
+                    callee, qualified = node.name, prefix + node.name
+                static = any(
+                    isinstance(decorator, ast.Name) and decorator.id == "staticmethod"
+                    for decorator in node.decorator_list
+                )
+                skip = 1 if owner is not None and not static else 0
+                for parameter, position in _defaulted(node.args, skip):
+                    found.append((node.lineno, qualified, callee, parameter, position))
+    return sorted(found)
+
+
+def dispatch_tables(source, filename="<source>"):
+    """``{table: class or function names}`` of every dictionary a module
+    assigns to a name whose values are names -- a literal, or a
+    comprehension over a tuple or list of names -- so that a call
+    ``table[key](...)`` counts as a call of each of them."""
+    tables = {}
+    for node in ast.walk(ast.parse(source, filename)):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            continue
+        value = node.value
+        if isinstance(value, ast.Dict):
+            values = value.values
+        elif (isinstance(value, ast.DictComp) and len(value.generators) == 1
+              and isinstance(value.generators[0].iter, (ast.Tuple, ast.List))):
+            values = value.generators[0].iter.elts
+        else:
+            continue
+        names = {element.id for element in values if isinstance(element, ast.Name)}
+        if names:
+            tables.setdefault(node.targets[0].id, set()).update(names)
+    return tables
+
+
+def _positions(argument):
+    """How many positions a call argument fills that the scan can see."""
+    if not isinstance(argument, ast.Starred):
+        return 1
+    if isinstance(argument.value, (ast.List, ast.Tuple)):
+        return len(argument.value.elts)
+    return 0
+
+
+def passed_arguments(source, tables, filename="<source>"):
+    """``(callee, keywords, positional count)`` of every call in a module.
+
+    A callee is matched by name: ``f(...)`` and ``x.f(...)`` call ``f``,
+    ``table[key](...)`` each entry of a dispatch table, and
+    ``super(...).__init__(...)`` inside a class body the class's bases.  A
+    ``*sequence`` or ``**mapping`` passes only what it spells out: the
+    items of a list or tuple display, the constant keys of a dict display.
+    Forwarded ``*args`` and ``**kwargs`` pass nothing the scan can see."""
+    tree = ast.parse(source, filename)
+    bases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            names = [base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+                     for base in node.bases]
+            for child in ast.walk(node):
+                bases[id(child)] = names
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        function = node.func
+        count = sum(_positions(argument) for argument in node.args)
+        if isinstance(function, ast.Name):
+            callees = [function.id]
+        elif isinstance(function, ast.Subscript) and isinstance(function.value, ast.Name):
+            callees = sorted(tables.get(function.value.id, ()))
+        elif not isinstance(function, ast.Attribute):
+            continue
+        elif function.attr != "__init__":
+            callees = [function.attr]
+        elif (isinstance(function.value, ast.Call) and isinstance(function.value.func, ast.Name)
+              and function.value.func.id == "super"):
+            callees = bases.get(id(node), [])
+        else:
+            # ``Base.__init__(self, ...)``: the first argument is bound.
+            callees = [ast.unparse(function.value).split(".")[-1]]
+            count -= 1
+        keywords = set()
+        for keyword in node.keywords:
+            if keyword.arg is not None:
+                keywords.add(keyword.arg)
+            elif isinstance(keyword.value, ast.Dict):
+                keywords.update(key.value for key in keyword.value.keys
+                                if isinstance(key, ast.Constant))
+        found.extend((callee, keywords, count) for callee in callees)
+    return found
+
+
+def unset_parameters(defining, calling):
+    """``(path, line, "name(parameter)")`` of every defaulted parameter in
+    the ``{path: source}`` map ``defining`` that no call in ``calling``
+    passes, by keyword or by position.  A call of a class that inherits its
+    ``__init__`` counts for the base class that defines it."""
+    own_init, subclasses = {}, {}
+    for path, source in defining.items():
+        for node in ast.walk(ast.parse(source, path)):
+            if isinstance(node, ast.ClassDef):
+                own_init[node.name] = any(
+                    isinstance(child, ast.FunctionDef) and child.name == "__init__"
+                    for child in node.body
+                )
+                for base in node.bases:
+                    if isinstance(base, ast.Name):
+                        subclasses.setdefault(base.id, []).append(node.name)
+    tables = {}
+    for path, source in calling.items():
+        for table, names in dispatch_tables(source, path).items():
+            tables.setdefault(table, set()).update(names)
+    calls = {}
+    for path, source in calling.items():
+        for callee, keywords, count in passed_arguments(source, tables, path):
+            calls.setdefault(callee, []).append((keywords, count))
+
+    def callers(name):
+        """``name`` and every subclass that inherits its ``__init__``."""
+        names, pending = [], [name]
+        while pending:
+            current = pending.pop()
+            names.append(current)
+            pending += [child for child in subclasses.get(current, ()) if not own_init[child]]
+        return names
+
+    found = []
+    for path, source in defining.items():
+        for line, qualified, callee, parameter, position in settable_parameters(source, path):
+            names = callers(callee) if callee in own_init else [callee]
+            if not any(
+                parameter in keywords or (position is not None and position < count)
+                for name in names
+                for keywords, count in calls.get(name, ())
+            ):
+                found.append((path, line, "%s(%s)" % (qualified, parameter)))
+    return sorted(found)
+
+
+UNSET = {
+    # The planted option: a start offset nothing passes.
+    "planted-start-offset": (
+        "class Workload(object):\n"
+        "    def __init__(self, rate=1.0, start_offset=1e-4):\n"
+        "        pass\n\nWorkload(rate=2.0)\n",
+        ["Workload(start_offset)"],
+    ),
+    "function": ("def f(a, b=1, c=2):\n    pass\n\nf(0, 1)\n", ["f(c)"]),
+    "method": (
+        "class A(object):\n    def f(self, b=1):\n        pass\n\nA().f()\n",
+        ["A.f(b)"],
+    ),
+    "keyword-only": ("def f(*, b=1):\n    pass\n\nf()\n", ["f(b)"]),
+    "forwarded-arguments": (
+        "def f(a=1, b=2):\n    pass\n\ndef g(*args, **kwargs):\n    f(*args, **kwargs)\n",
+        ["f(a)", "f(b)"],
+    ),
+    "subclass-with-its-own-init": (
+        "class A(object):\n    def __init__(self, b=1):\n        pass\n\n"
+        "class B(A):\n    def __init__(self):\n        super().__init__()\n\nB()\n",
+        ["A(b)"],
+    ),
+}
+
+PASSED = {
+    "keyword": "def f(b=1):\n    pass\n\nf(b=2)\n",
+    "position": "def f(a, b=1):\n    pass\n\nf(0, 2)\n",
+    "method-position": "class A(object):\n    def f(self, b=1):\n        pass\n\nA().f(2)\n",
+    "star-arguments": "def f(a, b=1):\n    pass\n\nf(*[0, 2])\n",
+    "double-star-arguments": "def f(b=1):\n    pass\n\nf(**{'b': 2})\n",
+    "inherited-init": (
+        "class A(object):\n    def __init__(self, b=1):\n        pass\n\n"
+        "class B(A):\n    pass\n\nB(b=2)\n"
+    ),
+    "super-init": (
+        "class A(object):\n    def __init__(self, b=1):\n        pass\n\n"
+        "class B(A):\n    def __init__(self, b):\n        super(B, self).__init__(b)\n\nB(2)\n"
+    ),
+    "explicit-base-init": (
+        "class A(object):\n    def __init__(self, b=1):\n        pass\n\n"
+        "class B(A):\n    def __init__(self):\n        A.__init__(self, 2)\n\nB()\n"
+    ),
+    "dispatch-table": (
+        "class A(object):\n    def __init__(self, b=1):\n        pass\n\n"
+        "TABLE = {cls.__name__: cls for cls in (A,)}\nTABLE['A'](b=2)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSET))
+def test_the_scan_catches_parameters_nothing_passes(case):
+    source, unset = UNSET[case]
+    assert [name for _, _, name in unset_parameters({"m.py": source}, {"m.py": source})] == unset
+
+
+@pytest.mark.parametrize("case", sorted(PASSED))
+def test_the_scan_allows_passed_parameters(case):
+    assert unset_parameters({"m.py": PASSED[case]}, {"m.py": PASSED[case]}) == []
+
+
+def test_a_call_from_another_module_counts():
+    defining = {"m.py": "def f(b=1):\n    pass\n"}
+    assert unset_parameters(defining, dict(defining, **{"user.py": "f(b=2)\n"})) == []
+    assert unset_parameters(defining, dict(defining, **{"user.py": "g(b=2)\n"})) == [
+        ("m.py", 1, "f(b)")
+    ]
+
+
+def test_every_library_option_is_set_by_some_call():
+    """A defaulted parameter that no call anywhere passes is an option with
+    one value in use: make it a constant.  The exceptions are listed, with
+    the reason, in ``UNSET_PARAMETERS``."""
+    library = _sources([os.path.join("src", "repro")])
+    assert len(library) > 40
+    assert sum(len(settable_parameters(source)) for source in library.values()) > 50
+    found = unset_parameters(library, _sources(CALLING_DIRECTORIES))
+    unset = ["%s:%d: %s" % entry for entry in found if entry[2] not in UNSET_PARAMETERS]
+    assert unset == []
+    assert sorted(UNSET_PARAMETERS) == sorted(entry[2] for entry in found)

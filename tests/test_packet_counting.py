@@ -1,4 +1,4 @@
-"""Packet counts are exact, however the tracer is read or swapped.
+"""Packet counts are exact, however the tracer is read.
 
 B-Neck counts each control packet with one increment of its session's list
 of per-type counts, a list the tracer owns and hands out with
@@ -7,15 +7,10 @@ goldens:
 
 * a session that left keeps its counts, and one that joined but never sent
   a packet is absent from ``by_session``;
-* after a tracer swap in mid-run, the new tracer counts exactly the packets
-  sent after the swap, and the old tracer's counts stop changing.
-
-The mid-run checks compare against a run of the same schedule whose tracer
-keeps every record from the start: the records after the first ``k`` are
-exactly the packets sent after the point where ``k`` had been sent.
+* the tracer is fixed at construction, since every hop row holds its lists:
+  assigning another one raises instead of leaving the rows counting into
+  the old one.
 """
-
-import collections
 
 import pytest
 
@@ -24,53 +19,7 @@ from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
 from repro.simulator.tracing import PacketTracer
-from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.scenarios import build_network
-from test_golden_invariance import GOLDENS
 from tests.conftest import change_session, join_action, leave_session
-
-KEY = "small-lan-s2-n20"
-# Events processed before the tracer is swapped: two thirds of
-# the way through the golden run's 595 events.
-MIDPOINT = 400
-
-
-def _mass_join(tracer):
-    """Golden ``KEY``'s sessions, joined within 1 ms but not yet run."""
-    network = build_network("small", "lan", 2)
-    protocol = BNeckProtocol(network, tracer=tracer)
-    protocol.apply_actions(WorkloadGenerator(network, seed=22).generate(20, join_window=(0.0, 1e-3)))
-    return protocol
-
-
-def _run_to(protocol, events):
-    simulator = protocol.simulator
-    while simulator.events_processed < events:
-        assert simulator.step()
-
-
-def _counters(tracer):
-    return tracer.total, tracer.by_type, tracer.by_session
-
-
-@pytest.fixture(scope="module")
-def records():
-    """Every record of the golden run, and how many were sent by
-    ``MIDPOINT``."""
-    protocol = _mass_join(PacketTracer(keep_records=True))
-    _run_to(protocol, MIDPOINT)
-    sent_by_midpoint = len(protocol.tracer.records)
-    protocol.run_until_quiescent()
-    assert protocol.tracer.total == GOLDENS[KEY]["packets"]
-    return protocol.tracer.records, sent_by_midpoint
-
-
-def _recount(records):
-    return (
-        len(records),
-        collections.Counter(r.packet_type for r in records),
-        collections.Counter(r.session_id for r in records),
-    )
 
 
 def test_a_session_that_left_keeps_its_counts_and_a_silent_one_is_absent():
@@ -95,16 +44,13 @@ def test_a_session_that_left_keeps_its_counts_and_a_silent_one_is_absent():
     assert tracer.by_session["late"] > 0
 
 
-@pytest.mark.parametrize("new_records", [False, True], ids=["to-counting", "to-recording"])
-@pytest.mark.parametrize("old_records", [False, True], ids=["counting", "recording"])
-def test_swap_mid_run_splits_the_packets_at_the_swap(records, old_records, new_records):
-    all_records, sent_by_midpoint = records
-    protocol = _mass_join(PacketTracer(keep_records=old_records))
-    _run_to(protocol, MIDPOINT)
-    old = protocol.tracer
-    at_swap = _counters(old)
-    assert at_swap == _recount(all_records[:sent_by_midpoint])
-    protocol.tracer = new = PacketTracer(keep_records=new_records)
+def test_the_tracer_cannot_be_replaced():
+    network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
+    tracer = PacketTracer()
+    protocol = BNeckProtocol(network, tracer=tracer)
+    with pytest.raises(AttributeError):
+        protocol.tracer = PacketTracer()
+    protocol.apply_actions([join_action("a")])
     protocol.run_until_quiescent()
-    assert _counters(old) == at_swap
-    assert _counters(new) == _recount(all_records[sent_by_midpoint:])
+    assert protocol.tracer is tracer
+    assert tracer.total > 0

@@ -4,7 +4,8 @@ Every stage that transmits (a session's source and the RouterLinks of its
 transit links) stores, once, the control delay of the link it sends on
 (``hop_delay``; the link's key is the stage's ``link_id``) and the delay and
 key of that link's reverse (``back_delay``/``back_key``).  Forwarding reads
-only those, so they must match the network's links exactly.
+only those, so they must match the network's links exactly.  The sends are
+observed with the test-side recorder of ``tests/conftest.py``.
 """
 
 import math
@@ -24,8 +25,7 @@ from repro.network.transit_stub import (
 )
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
-from repro.simulator.tracing import PacketTracer
-from tests.conftest import join_action, script_access_links
+from tests.conftest import join_action, record_sends, script_access_links
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,8 @@ def medium_run():
     """Sessions across a Medium LAN network, plus one whose two hosts hang
     off the same router (path host -> router -> host), run to quiescence."""
     network = medium_network(LAN, seed=4)
-    protocol = BNeckProtocol(network, tracer=PacketTracer(keep_records=True))
+    protocol = BNeckProtocol(network)
+    sends = record_sends(protocol)
     routers = stub_routers(network)
     pairs = [(routers[0], routers[-1]), (routers[3], routers[len(routers) // 2]),
              (routers[-1], routers[0]), (routers[7], routers[7])]
@@ -43,7 +44,7 @@ def medium_run():
         for index, (source, destination) in enumerate(pairs)
     ])
     protocol.run_until_quiescent()
-    return protocol, list(joined.values())
+    return protocol, list(joined.values()), sends
 
 
 def _stages_with_links(protocol, session):
@@ -53,14 +54,14 @@ def _stages_with_links(protocol, session):
 
 
 def test_same_router_session_has_one_transit_stage(medium_run):
-    _protocol, sessions = medium_run
+    _protocol, sessions, _sends = medium_run
     shared = sessions[-1]
     assert len(shared.links) == 2
     assert shared.links[0].target == shared.links[1].source
 
 
 def test_every_stage_stores_its_link_and_reverse(medium_run):
-    protocol, sessions = medium_run
+    protocol, sessions, _sends = medium_run
     network = protocol.network
     checked = 0
     for session in sessions:
@@ -74,23 +75,22 @@ def test_every_stage_stores_its_link_and_reverse(medium_run):
     assert checked == sum(len(session.links) for session in sessions)
 
 
-def test_every_record_names_a_link_of_its_session(medium_run):
-    protocol, sessions = medium_run
+def test_every_send_names_a_link_of_its_session(medium_run):
+    protocol, sessions, sends = medium_run
     by_id = {session.session_id: session for session in sessions}
-    records = protocol.tracer.records
-    assert len(records) == protocol.tracer.total > 0
-    for record in records:
-        links = by_id[record.session_id].links
-        if record.direction == "downstream":
-            assert record.link in [link.endpoints for link in links]
+    assert len(sends) == protocol.tracer.total > 0
+    for send in sends:
+        links = by_id[send.session_id].links
+        if send.direction == "downstream":
+            assert send.link in [link.endpoints for link in links]
         else:
-            assert record.link in [(link.target, link.source) for link in links]
+            assert send.link in [(link.target, link.source) for link in links]
 
 
 def test_upstream_from_the_source_raises_and_counts_nothing(medium_run):
     """The source's hop row has no previous stage: no task sends upstream
     from it, and a send that tried would fail before counting or queueing."""
-    protocol, sessions = medium_run
+    protocol, sessions, _sends = medium_run
     session_id = sessions[0].session_id
     simulator = protocol.simulator
     before = (protocol.tracer.total, simulator.pending_events, protocol.in_flight_packets)
@@ -112,19 +112,20 @@ def test_hops_use_the_delay_of_the_link_they_cross():
         (100 * MBPS, microseconds(1), microseconds(8)),  # h1 -> r, r -> h1
         (100 * MBPS, microseconds(4), microseconds(2)),  # h2 -> r, r -> h2
     ])
-    protocol = BNeckProtocol(network, tracer=PacketTracer(keep_records=True))
+    protocol = BNeckProtocol(network)
+    sends = record_sends(protocol)
     session = protocol.apply_actions([join_action("s", source_router="r", destination_router="r")])["s"]
     quiescence = protocol.run_until_quiescent()
 
     h1, h2 = session.source, session.destination
-    records = protocol.tracer.records
-    assert [(record.packet_type, record.link) for record in records] == [
+    assert [(send.packet_type, send.link) for send in sends] == [
         ("Join", (h1, "r")), ("Join", ("r", h2)),
         ("Response", (h2, "r")), ("Response", ("r", h1)),
         ("SetBottleneck", (h1, "r")), ("SetBottleneck", ("r", h2)),
     ]
+    assert len(sends) == protocol.tracer.total
     arrival = 0.0
-    for record in records:
-        assert record.time == pytest.approx(arrival, rel=1e-12)
-        arrival = record.time + network.link(*record.link).control_delay()
+    for send in sends:
+        assert send.time == pytest.approx(arrival, rel=1e-12)
+        arrival = send.time + network.link(*send.link).control_delay()
     assert quiescence == pytest.approx(arrival, rel=1e-12)

@@ -24,6 +24,7 @@ from repro.fairness.waterfilling import water_filling
 from repro.network.graph import Network
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds, milliseconds
+from tests.conftest import run_bounded
 
 CAPACITY_CHOICES = [10 * MBPS, 50 * MBPS, 100 * MBPS]
 DEMAND_CHOICES = [math.inf, 5 * MBPS, 20 * MBPS, 60 * MBPS]
@@ -180,10 +181,9 @@ def test_capacity_changes_reconverge_to_waterfilling(plan):
     of Theorem 1 the capacity-dynamics workload relies on)."""
     router_count, capacities, session_specs, events = plan
     protocol = build_protocol(router_count, capacities)
-    # A livelock after a capacity change should fail loudly, not hang CI.
-    protocol.simulator.max_events = 2_000_000
     install_sessions(protocol, session_specs, router_count)
-    protocol.run_until_quiescent()
+    # A livelock after a capacity change should fail loudly, not hang CI.
+    run_bounded(protocol.simulator, 2_000_000)
 
     for link_index, factor in events:
         source, target = "r%d" % link_index, "r%d" % (link_index + 1)
@@ -191,7 +191,7 @@ def test_capacity_changes_reconverge_to_waterfilling(plan):
         now = protocol.simulator.now
         protocol.apply_actions([CapacityChangeAction(source, target, new_capacity, now),
                                 CapacityChangeAction(target, source, new_capacity, now)])
-        protocol.run_until_quiescent()
+        run_bounded(protocol.simulator, 2_000_000)
 
         assert protocol.quiescent
         assert protocol.network.link(source, target).capacity == new_capacity

@@ -46,6 +46,8 @@ ACCESS_CAPACITIES = [30 * MBPS, 1000 * MBPS]
 DELAYS_US = st.integers(1, 50)
 # Join, churn and capacity-change times, inside the first convergence.
 TIMES_US = st.integers(0, 150)
+# The most events one schedule may run.
+MAX_EVENTS = 2_000_000
 
 
 @st.composite
@@ -111,7 +113,6 @@ def build(links, sessions):
         network.add_link(source, target, capacity, microseconds(forward_us), bidirectional=False)
         network.add_link(target, source, capacity, microseconds(backward_us), bidirectional=False)
     protocol = BNeckProtocol(network)
-    protocol.simulator.max_events = 2_000_000
     hosts = []  # each host's access links: its own delay, up and down
     joins = []
     joined_at = []
@@ -154,11 +155,12 @@ def run_checking_packet_ownership(protocol):
     object is held by two pending heap entries.  A delivery's entry is
     ``(time, sequence, handler, target, packet)``.  Every run this is given
     has a join or a leave to send, so a run that never sees a pending packet
-    has missed the deliveries and would pass vacuously."""
+    has missed the deliveries and would pass vacuously.  More than
+    ``MAX_EVENTS`` events fail the run: a livelock must not hang CI."""
     simulator = protocol.simulator
     seen = 0
     while simulator.step():
-        assert simulator.events_processed <= simulator.max_events
+        assert simulator.events_processed <= MAX_EVENTS
         packets = [
             entry[4] for entry in simulator.heap if isinstance(entry[4], PACKET_CLASSES)
         ]

@@ -37,8 +37,7 @@ from repro.core.protocol import BNeckProtocol
 from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
-from repro.simulator.simulation import Simulator
-from tests.conftest import join_action
+from tests.conftest import join_action, run_bounded
 
 PROTOCOLS = {
     "bneck": BNeckProtocol,
@@ -46,22 +45,24 @@ PROTOCOLS = {
     "cg": CGProtocol,
     "rcp": RCPProtocol,
 }
+# The most events any test here may run: a livelock fails instead of hanging.
+MAX_EVENTS = 100000
 
 
 def _protocol(name):
-    """A protocol on one 100 Mb/s link; the simulator's event cap turns a
-    livelock into a failure."""
+    """A protocol on one 100 Mb/s link."""
     network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-    return PROTOCOLS[name](network, simulator=Simulator(max_events=100000))
+    return PROTOCOLS[name](network)
 
 
 def _settle(protocol):
     """Run a while: B-Neck to quiescence, a baseline (which never quiesces)
     for a few probe intervals."""
+    simulator = protocol.simulator
     if isinstance(protocol, BNeckProtocol):
-        protocol.run_until_quiescent()
+        run_bounded(simulator, MAX_EVENTS)
     else:
-        protocol.run(until=protocol.simulator.now + 5e-3)
+        run_bounded(simulator, MAX_EVENTS, until=simulator.now + 5e-3)
 
 
 def _tags(protocol):
@@ -167,7 +168,7 @@ def test_a_leave_or_change_before_the_join_or_after_the_leave_is_refused(name):
     for action in (LeaveAction("a", 7e-3), ChangeAction("a", 5 * MBPS, 7e-3)):
         with pytest.raises(ValueError, match="already left"):
             protocol.apply_actions([action])
-    protocol.run(until=8e-3)
+    run_bounded(protocol.simulator, MAX_EVENTS, until=8e-3)
     assert protocol.active_sessions() == []
 
 
@@ -184,5 +185,5 @@ def test_a_leave_before_a_scheduled_change_is_refused(name):
     assert protocol.simulator.pending_events == pending
     assert not protocol.session("a").left
     protocol.apply_actions([LeaveAction("a", 5e-3)])
-    protocol.run(until=8e-3)
+    run_bounded(protocol.simulator, MAX_EVENTS, until=8e-3)
     assert protocol.active_sessions() == []

@@ -6,7 +6,6 @@ import re
 
 import pytest
 
-from repro.simulator.errors import SimulationLimitExceeded
 from repro.simulator.simulation import Simulator, _call
 
 
@@ -73,29 +72,6 @@ def test_schedule_at_absolute_time(simulator):
     simulator.schedule_at(2.5, lambda: fired.append(simulator.now))
     simulator.run_until_quiescent()
     assert fired == [2.5]
-
-
-def test_event_limit_raises(simulator):
-    simulator.max_events = 5
-
-    def reschedule():
-        simulator.schedule(0.1, reschedule)
-
-    simulator.schedule(0.1, reschedule)
-    with pytest.raises(SimulationLimitExceeded) as failure:
-        simulator.run_until_quiescent()
-    assert simulator.events_processed == 5
-    assert failure.value.events_processed == 5
-    assert failure.value.current_time == simulator.now == pytest.approx(0.5)
-
-
-def test_time_limit_raises():
-    simulator = Simulator(max_time=1.0)
-    simulator.schedule(2.0, lambda: None)
-    with pytest.raises(SimulationLimitExceeded) as failure:
-        simulator.run_until_quiescent()
-    # The event past the limit is refused before the clock moves to it.
-    assert failure.value.current_time == 0.0
 
 
 def test_step_returns_false_when_empty(simulator):
@@ -222,20 +198,20 @@ def _schedule_a_raise_between(simulator, fired):
     simulator.schedule_at(4.0, lambda: fired.append(4.0))
 
 
-@pytest.mark.parametrize("limits", [{}, {"max_events": 100}], ids=["drain", "general"])
-def test_events_processed_stays_exact_when_a_callback_raises(limits):
-    simulator = Simulator(**limits)
+@pytest.mark.parametrize("until", [None, 100.0], ids=["drain", "horizon"])
+def test_events_processed_stays_exact_when_a_callback_raises(until):
+    simulator = Simulator()
     fired = []
     _schedule_a_raise_between(simulator, fired)
     with pytest.raises(Boom, match="boom"):
-        simulator.run()
+        simulator.run(until=until)
     # The two events before it and the raising one ran.
     assert fired == [1.0, 2.0]
     assert simulator.events_processed == 3
     assert simulator.now == 3.0
     assert simulator.pending_events == 2
     # A following run carries on from the right count.
-    assert simulator.run() == 4.0
+    assert simulator.run(until=until) == (4.0 if until is None else until)
     assert fired == [1.0, 2.0, 3.0, 4.0]
     assert simulator.events_processed == 5
     assert simulator.pending_events == 0
@@ -389,9 +365,8 @@ def test_instant_callbacks_flush_before_horizon_return(simulator):
     assert fired == ["flushed"]
 
 
-def test_instant_callbacks_flush_in_general_loop(simulator):
-    # max_events forces the fully-featured run loop instead of the fast drain.
-    simulator.max_events = 100
+def test_instant_callbacks_flush_in_the_horizon_loop(simulator):
+    # A horizon runs the loop that steps event by event, not the drain.
     fired = []
 
     def first():
@@ -400,8 +375,9 @@ def test_instant_callbacks_flush_in_general_loop(simulator):
 
     simulator.schedule(1.0, first)
     simulator.schedule(1.0, lambda: fired.append("second"))
-    simulator.run_until_quiescent()
-    assert fired == ["first", "second", "deferred"]
+    simulator.schedule(2.0, lambda: fired.append("next-instant"))
+    simulator.run(until=10.0)
+    assert fired == ["first", "second", "deferred", "next-instant"]
 
 
 def test_step_completes_the_instant_before_advancing(simulator):
@@ -437,8 +413,7 @@ def test_horizon_run_leaves_later_instants_untouched(simulator):
     assert fired == ["deferred"]
 
 
-def test_instant_flush_does_not_count_against_max_events(simulator):
-    simulator.max_events = 2
+def test_instant_flush_is_not_an_event_in_the_horizon_loop(simulator):
     fired = []
 
     def redefer(count):
@@ -448,29 +423,27 @@ def test_instant_flush_does_not_count_against_max_events(simulator):
 
     simulator.schedule(1.0, lambda: simulator.call_at_instant_end(lambda: redefer(1)))
     simulator.schedule(2.0, lambda: None)
-    assert simulator.run_until_quiescent() == 2.0
+    assert simulator.run(until=10.0) == 10.0
     assert fired == [1, 2, 3, 4, 5]
     assert simulator.events_processed == 2
 
 
-def test_instant_flush_at_max_time_does_not_raise(simulator):
-    simulator.max_time = 1.0
+def test_instant_flush_at_the_horizon_runs_before_the_return(simulator):
     fired = []
     simulator.schedule(1.0, lambda: simulator.call_at_instant_end(
         lambda: fired.append(simulator.now)))
-    assert simulator.run() == 1.0
+    assert simulator.run(until=1.0) == 1.0
     assert fired == [1.0]
 
 
-def test_general_loop_quiescence_ignores_the_flush(simulator):
-    # max_events forces the fully-featured loop; the flush of the last
-    # instant runs but the reported quiescence time is that instant's.
-    simulator.max_events = 100
+def test_horizon_loop_flushes_at_the_instant_not_the_horizon(simulator):
+    # The flush of the last instant runs at that instant's time; only then
+    # does the clock move on to the horizon.
     fired = []
     simulator.schedule(0.5, lambda: None)
     simulator.schedule(1.0, lambda: simulator.call_at_instant_end(
         lambda: fired.append(simulator.now)))
-    assert simulator.run_until_quiescent() == 1.0
+    assert simulator.run(until=5.0) == 5.0
     assert fired == [1.0]
-    assert simulator.now == 1.0
+    assert simulator.now == 5.0
     assert simulator.events_processed == 2

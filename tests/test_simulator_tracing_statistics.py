@@ -25,15 +25,6 @@ class TestPacketTracer(object):
         tracer.record(0.2, "Join", "s2")
         assert tracer.packets_per_session() == pytest.approx(1.5)
 
-    def test_records_kept_only_when_requested(self):
-        counting = PacketTracer(keep_records=False)
-        counting.record(0.0, "Join", "s1")
-        assert counting.records == []
-        full = PacketTracer(keep_records=True)
-        full.record(0.0, "Join", "s1", link=("a", "b"), direction="downstream")
-        assert len(full.records) == 1
-        assert full.records[0].link == ("a", "b")
-
     def test_interval_series_buckets(self):
         tracer = PacketTracer(interval=1.0)
         tracer.record(0.2, "Join", "s1")
@@ -76,10 +67,9 @@ class TestPacketTracer(object):
         # s2 has a list but sent nothing.
         assert tracer.by_session == {"s1": 3}
 
-    def test_only_interval_or_record_keeping_tracers_are_timed(self):
+    def test_only_interval_tracers_are_timed(self):
         assert not PacketTracer().timed
         assert PacketTracer(interval=1.0).timed
-        assert PacketTracer(keep_records=True).timed
 
 
 class TestStatistics(object):

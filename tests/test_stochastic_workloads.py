@@ -615,3 +615,14 @@ def test_the_generator_seed_drives_the_workload(name):
     """Same topology, another generator seed: another schedule."""
     first = _workload_fingerprint(name, "lan", generator_seed=1)[2]
     assert _workload_fingerprint(name, "lan", generator_seed=2)[2] != first
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("parameter", ["arrival_rate", "mean_holding", "horizon"])
+def test_poisson_churn_refuses_a_rate_or_time_outside_zero_to_infinity(parameter, value):
+    """A NaN or infinite arrival rate, or an infinite horizon, would make the
+    first round's arrival loop run forever; every such value is refused up
+    front, with its name."""
+    with pytest.raises(ValueError, match="^%s must be positive and finite, got %s$"
+                       % (parameter, value)):
+        PoissonChurnWorkload(**{parameter: value})

@@ -8,7 +8,7 @@ from repro.core.actions import JoinAction
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
 from repro.experiments.runner import ExperimentRunner, ScenarioSpec
-from repro.network.transit_stub import LAN, WAN
+from repro.network.transit_stub import HOST_LINK_CAPACITY, HOST_LINK_DELAY, LAN, WAN
 from repro.network.units import MBPS
 from repro.workloads.generator import (
     WorkloadGenerator,
@@ -88,8 +88,8 @@ class TestWorkloadGenerator(object):
             assert join.source_router != join.destination_router
             assert 0.0 <= join.at <= 1e-3
             assert join.demand > 0
-            assert join.host_capacity == generator.host_capacity
-            assert join.host_delay == generator.host_delay
+            assert join.host_capacity == HOST_LINK_CAPACITY
+            assert join.host_delay == HOST_LINK_DELAY
 
     def test_generation_is_deterministic_per_seed(self):
         _, first = self.make_generator(seed=5)
