@@ -22,7 +22,6 @@ negligible at the LAN delays used by Experiment 3.
 
 from repro.core.actions import SessionProtocol
 from repro.fairness.allocation import RateAllocation
-from repro.simulator.tracing import PacketTracer
 
 PROBE_PACKET = "Probe"
 RESPONSE_PACKET = "Response"
@@ -73,8 +72,7 @@ class BaselineProtocol(SessionProtocol):
     needs_periodic_updates = False
 
     def __init__(self, network, tracer=None, probe_interval=1e-3):
-        super(BaselineProtocol, self).__init__(network)
-        self.tracer = tracer or PacketTracer()
+        super(BaselineProtocol, self).__init__(network, tracer)
         self.probe_interval = probe_interval
         self._rates = {}
         self.probe_cycles = 0

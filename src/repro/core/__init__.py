@@ -15,7 +15,8 @@ The package mirrors the paper's Section III structure:
 * :mod:`~repro.core.api` -- the session-facing primitives
   (``API.Join`` / ``API.Leave`` / ``API.Change`` / ``API.Rate``);
   ``SessionApplication.notifications`` is the record of every ``API.Rate``
-  delivered, once per session per simulation instant.
+  delivered, once per session per simulation instant; the protocol holds an
+  instant's notifications until a later instant notifies or the run returns.
 * :mod:`~repro.core.actions` -- joins, leaves, rate and capacity changes as
   data records: the workloads' schedule format.
 * :mod:`~repro.core.protocol` -- :class:`BNeckProtocol`, which instantiates the

@@ -34,6 +34,7 @@ import math
 from repro.network.routing import PathComputer, path_links
 from repro.network.session import Session, check_demand
 from repro.simulator.simulation import Simulator
+from repro.simulator.tracing import PacketTracer
 
 
 class JoinAction(object):
@@ -306,6 +307,9 @@ class SessionProtocol(object):
 
     A protocol keeps its per-link state (B-Neck's RouterLink tasks, a
     baseline's link controllers) in ``_per_link``, keyed by link endpoints.
+    Its packets are counted by ``tracer``, the
+    :class:`~repro.simulator.tracing.PacketTracer` it was built with (a
+    counting one if none), which is fixed at construction.
 
     Once a session's leave has ended it, the session is departed.  Releasing
     it runs the protocol's ``_release`` step and detaches both of its hosts
@@ -326,9 +330,10 @@ class SessionProtocol(object):
     still refused, and its packet counts in the tracer.
     """
 
-    def __init__(self, network):
+    def __init__(self, network, tracer=None):
         self.network = network
         self.simulator = Simulator()
+        self._tracer = tracer or PacketTracer()
         self.registry = {}
         self.path_computer = PathComputer(network)
         self._sessions = {}
@@ -336,6 +341,12 @@ class SessionProtocol(object):
         # Ids of the sessions whose API.Leave has ended them and which are
         # not released yet, in leave order.
         self._departed = []
+
+    @property
+    def tracer(self):
+        """The packet tracer, fixed at construction: B-Neck's hop rows hold
+        its lists, so no protocol may replace it."""
+        return self._tracer
 
     def _setup(self, session):
         pass

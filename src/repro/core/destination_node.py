@@ -16,16 +16,13 @@ from repro.core.packets import (
     SetBottleneck,
     Update,
 )
-from repro.simulator.process import Process
 
 
-class DestinationNodeTask(Process):
+class DestinationNodeTask(object):
     """Runs the B-Neck destination algorithm for one session."""
 
-    def __init__(self, simulator, protocol, session):
-        super(DestinationNodeTask, self).__init__(
-            simulator, "DN(%s)" % session.session_id
-        )
+    def __init__(self, protocol, session):
+        self.name = "DN(%s)" % session.session_id
         self.protocol = protocol
         # The destination sits past the last link of the path.
         self.link_id = ("destination", session.session_id)

@@ -55,13 +55,18 @@ Notification delivery
 ``API.Rate`` reaches a session's :class:`~repro.core.api.SessionApplication`
 once per simulation instant: however many times the session's rate is
 renegotiated within one timestamp, the application receives a single
-``deliver_rate`` callback carrying the final value, executed at the end of the
-instant through
-:meth:`~repro.simulator.simulation.Simulator.call_at_instant_end`.  Delivery
-schedules no events, so it never alters the simulation.  The application's
-``notifications`` list is the record of every delivered ``API.Rate``;
-:meth:`BNeckProtocol.last_notified_rate` tracks each ``notify_rate`` call
-synchronously, ahead of the delivery.
+``deliver_rate`` callback carrying the final value and the instant's time.
+The protocol holds one batch, ``{session_id: rate}`` in the order of each
+session's first update, stamped with the instant it was made in.  The first
+``notify_rate`` of a later instant delivers the held batch before it starts
+the next one, and :meth:`BNeckProtocol.run` and
+:meth:`BNeckProtocol.run_until_quiescent` deliver it before they return, so
+after a run no notification is held.  Delivery schedules no events, so it
+never alters the simulation, and the simulator's heap stays the run's whole
+pending state.  The application's ``notifications`` list is the record of
+every delivered ``API.Rate``; :meth:`BNeckProtocol.last_notified_rate` reads
+the held batch first, so it follows each ``notify_rate`` call at once, ahead
+of the delivery.
 """
 
 from heapq import heappush
@@ -73,7 +78,6 @@ from repro.core.packets import PACKET_CLASSES
 from repro.core.router_link import RouterLinkTask
 from repro.core.source_node import SourceNodeTask
 from repro.fairness.allocation import RateAllocation
-from repro.simulator.tracing import PacketTracer
 
 
 def _wire_hops(session_id, stages, sent):
@@ -87,15 +91,13 @@ def _wire_hops(session_id, stages, sent):
 
 
 def _wire_stage(stage, link, network):
-    """Store the delay of the link ``stage`` transmits on (its key is the
-    stage's ``link_id``) and the delay and key of its reverse in
-    ``network``, which carries upstream packets to the stage.  Only a new
-    stage is wired, so a session's setup looks up the reverse of its access
-    link and of each link it is the first to cross, not of every link."""
-    reverse = network.reverse_link(link)
+    """Store the delay of the link ``stage`` transmits on and the delay of
+    its reverse in ``network``, which carries upstream packets to the
+    stage.  Only a new stage is wired, so a session's setup looks up the
+    reverse of its access link and of each link it is the first to cross,
+    not of every link."""
     stage.hop_delay = link.control_delay()
-    stage.back_delay = reverse.control_delay()
-    stage.back_key = reverse.endpoints
+    stage.back_delay = network.reverse_link(link).control_delay()
 
 
 def _unhandled(target, packet):
@@ -114,52 +116,46 @@ class BNeckProtocol(SessionProtocol):
     crossing it, ``hops[session_id] = (next stage, previous stage, sent)``,
     built by :meth:`_setup` and dropped by :meth:`_release`, so a send finds
     its target and the session's counts with one dict lookup.  A downstream
-    hop crosses the sender's link (``hop_delay``, keyed ``link_id``), an
-    upstream hop the reverse of the target's (``back_delay``/``back_key``);
-    :func:`_wire_stage` stores both once per stage, so a hop resolves no
-    link.  The ``forward_*`` method does the whole send: it looks the
-    packet's handler up in the target's ``delivery`` table, counts the
-    packet, and pushes one ``(time, sequence, handler, target, packet)``
-    entry onto the simulator's heap, drawing one sequence number.  The
-    handler is the unbound ``on_*`` function itself, so a delivery builds no
-    closure and runs no frame before it.  The batch check refuses a route
-    over a one-way link, so every link of a session's path has a reverse.
+    hop crosses the sender's link (``hop_delay``), an upstream hop the
+    reverse of the target's (``back_delay``); :func:`_wire_stage` stores
+    both once per stage, so a hop resolves no link.  The ``forward_*``
+    method does the whole send: it looks the packet's handler up in the
+    target's ``delivery`` table, counts the packet, and pushes one
+    ``(time, sequence, handler, target, packet)`` entry onto the
+    simulator's heap, drawing one sequence number.  The handler is the
+    unbound ``on_*`` function itself, so a delivery builds no closure and
+    runs no frame before it.  The batch check refuses a route over a
+    one-way link, so every link of a session's path has a reverse.
 
     Counting: every hop row of a session holds the tracer's list of its
     per-type counts (``sent``), and a send adds one to the slot of the
     packet's ``kind`` -- no call into the tracer.  Only a timed tracer (one
     with an interval) needs each packet's time, so with one a send calls
     :meth:`~repro.simulator.tracing.PacketTracer.record` instead, which
-    counts into the same list.  The tracer is fixed at construction.
+    counts into the same list.
 
     Args:
         network: the :class:`~repro.network.graph.Network` to run over.
         tracer: optional :class:`~repro.simulator.tracing.PacketTracer`
-            (a counting one is created if omitted).
+            (a counting one is created if omitted), fixed at construction.
 
     Sessions are routed by hop count between the routers their hosts attach
     to (:class:`~repro.network.routing.PathComputer`), as in the paper.
     """
 
     def __init__(self, network, tracer=None):
-        super(BNeckProtocol, self).__init__(network)
+        super(BNeckProtocol, self).__init__(network, tracer)
         self._paths = {}
-        self._tracer = tracer or PacketTracer()
         # Read once here, not per packet.
         self._timed = self._tracer.timed
         # The simulator's heap and counter, pushed to directly on every hop.
         self._heap = self.simulator.heap
         self._sequence = self.simulator.sequence
         self._applications = {}
-        self._last_rate = {}
-        self._pending_rates = {}
+        # The held API.Rate batch and the instant it was made in.
+        self._rates = {}
+        self._rates_at = 0.0
         self.rate_callbacks = 0
-
-    @property
-    def tracer(self):
-        """The packet tracer, fixed at construction: every hop row holds
-        its lists, so it cannot be replaced."""
-        return self._tracer
 
     @property
     def in_flight_packets(self):
@@ -176,12 +172,12 @@ class BNeckProtocol(SessionProtocol):
         session_id = session.session_id
         self._applications[session_id] = SessionApplication(session_id, session.demand)
 
-        source = SourceNodeTask(self.simulator, self, session)
+        source = SourceNodeTask(self, session)
         _wire_stage(source, session.access_link, self.network)
         stages = [source]
         for link in session.transit_links:
             stages.append(self._router_link_for(link))
-        stages.append(DestinationNodeTask(self.simulator, self, session))
+        stages.append(DestinationNodeTask(self, session))
         self._paths[session_id] = stages
         _wire_hops(session_id, stages, self._tracer.counts_for(session_id))
 
@@ -233,7 +229,7 @@ class BNeckProtocol(SessionProtocol):
         key = (link.source, link.target)
         task = self._per_link.get(key)
         if task is None:
-            task = self._per_link[key] = RouterLinkTask(self.simulator, self, link)
+            task = self._per_link[key] = RouterLinkTask(self, link)
             _wire_stage(task, link, self.network)
         return task
 
@@ -283,36 +279,46 @@ class BNeckProtocol(SessionProtocol):
     # --------------------------------------------------------------- API.Rate
 
     def notify_rate(self, session_id, rate):
-        """``API.Rate``: tell a session its rate, delivered at the instant's end.
+        """``API.Rate``: tell a session its rate, delivered once per instant.
 
-        The application callback is deferred to the end of the current
-        simulation instant and coalesced: only the last rate a session was
-        notified within the instant reaches ``deliver_rate``.
-        ``last_notified_rate`` reflects every invocation at once.
+        The rate joins the held batch, replacing the session's earlier rate
+        of the same instant; the first call of a later instant delivers the
+        held batch first.  ``last_notified_rate`` reflects every call at
+        once.
         """
-        self._last_rate[session_id] = rate
-        pending = self._pending_rates
-        if not pending:
-            self.simulator.call_at_instant_end(self._flush_pending_rates)
-        pending[session_id] = rate
+        now = self.simulator.now
+        if now != self._rates_at:
+            self._deliver_rates()
+            self._rates_at = now
+        # The attribute, not a local bound before the delivery: delivering
+        # starts a new batch.
+        self._rates[session_id] = rate
 
-    def _flush_pending_rates(self):
-        """End-of-instant hook: deliver one coalesced ``API.Rate`` per session.
+    def _deliver_rates(self):
+        """Deliver the held batch, one coalesced ``API.Rate`` per session,
+        stamped with the batch's instant.
 
         Dict insertion order makes delivery order deterministic: sessions are
         notified in the order of their *first* rate update within the instant,
         each carrying its *final* rate.
         """
-        time = self.simulator.now
-        batch, self._pending_rates = self._pending_rates, {}
+        batch = self._rates
+        if not batch:
+            return
+        self._rates = {}
+        time = self._rates_at
         applications = self._applications
         for session_id, rate in batch.items():
             applications[session_id].deliver_rate(time, rate)
         self.rate_callbacks += len(batch)
 
     def last_notified_rate(self, session_id):
-        """The last rate notified to a session (``None`` before the first)."""
-        return self._last_rate.get(session_id)
+        """The last rate notified to a session (``None`` before the first),
+        delivered or still held."""
+        batch = self._rates
+        if session_id in batch:
+            return batch[session_id]
+        return self._applications[session_id].current_rate
 
     # -------------------------------------------------------------- inspection
 
@@ -378,7 +384,8 @@ class BNeckProtocol(SessionProtocol):
         """The last ``API.Rate`` value of every active session (0 if none yet)."""
         allocation = RateAllocation()
         for session_id in self.registry:
-            allocation.set_rate(session_id, self._last_rate.get(session_id, 0.0))
+            rate = self.last_notified_rate(session_id)
+            allocation.set_rate(session_id, 0.0 if rate is None else rate)
         return allocation
 
     # --------------------------------------------------------------- execution
@@ -388,7 +395,15 @@ class BNeckProtocol(SessionProtocol):
         """True when no event (packet delivery or pending API call) remains."""
         return self.simulator.pending_events == 0
 
+    def run(self, until=None):
+        """Run up to a time horizon, or until the heap drains without one,
+        and deliver the last instant's ``API.Rate`` batch."""
+        stopped = self.simulator.run(until=until)
+        self._deliver_rates()
+        return stopped
+
     def run_until_quiescent(self):
-        """Run until the event queue drains; returns the quiescence time."""
-        return self.simulator.run_until_quiescent()
+        """Run until the event queue drains, and deliver the last instant's
+        ``API.Rate`` batch; returns the quiescence time."""
+        return self.run()
 

@@ -35,12 +35,11 @@ transcription of Figure 2, with four presentational differences:
   sender.  The orchestrator finds the next or previous stage of the
   packet's session, and the session's packet counts, in the task's
   ``hops`` row for the session, which it builds when the session joins and
-  drops when it releases the session.  A hop's link key is the sender's
-  ``link_id`` or the target's ``back_key``, and its delay the
-  ``hop_delay``/``back_delay`` the orchestrator stored on the stages when
-  it wired them.  The orchestrator looks the packet's handler up in the
-  target's :attr:`RouterLinkTask.delivery` table when it sends, so a
-  delivery calls the ``on_*`` handler directly.
+  drops when it releases the session.  A hop's delay is the sender's
+  ``hop_delay`` or the target's ``back_delay``, which the orchestrator
+  stored on the stages when it wired them.  The orchestrator looks the
+  packet's handler up in the target's :attr:`RouterLinkTask.delivery` table
+  when it sends, so a delivery calls the ``on_*`` handler directly.
 """
 
 from math import isclose
@@ -59,19 +58,18 @@ from repro.core.packets import (
 from repro.core.state import IDLE, WAITING_PROBE, LinkState
 from repro.fairness.algebra import ABSOLUTE_TOLERANCE as ABS_TOL
 from repro.fairness.algebra import RELATIVE_TOLERANCE as REL_TOL
-from repro.simulator.process import Process
 
 
-class RouterLinkTask(Process):
+class RouterLinkTask(object):
     """Runs the B-Neck link algorithm for one directed link."""
 
-    def __init__(self, simulator, protocol, link):
-        super(RouterLinkTask, self).__init__(simulator, "RL(%s->%s)" % link.endpoints)
+    def __init__(self, protocol, link):
+        self.name = "RL(%s->%s)" % link.endpoints
         self.protocol = protocol
         self.link_id = link.endpoints
         self.state = LinkState(self.link_id, link.capacity)
-        # Delay of this link, and delay and key of its reverse: set by the protocol.
-        self.hop_delay = self.back_delay = self.back_key = None
+        # Delay of this link and of its reverse: set by the protocol.
+        self.hop_delay = self.back_delay = None
         # session id -> (next stage, previous stage, per-type counts): the
         # hop row of each session crossing the link, kept by the protocol.
         self.hops = {}

@@ -26,21 +26,20 @@ from repro.core.packets import (
 )
 from repro.core.state import IDLE, LinkState, WAITING_RESPONSE
 from repro.fairness.algebra import rates_equal
-from repro.simulator.process import Process
 
 
-class SourceNodeTask(Process):
+class SourceNodeTask(object):
     """Runs the B-Neck source algorithm for one session."""
 
-    def __init__(self, simulator, protocol, session):
-        super(SourceNodeTask, self).__init__(simulator, "SN(%s)" % session.session_id)
+    def __init__(self, protocol, session):
+        self.name = "SN(%s)" % session.session_id
         self.protocol = protocol
         self.session_id = session.session_id
         self.access_link = session.access_link
         self.link_id = self.access_link.endpoints
         self.state = LinkState(self.link_id, self.access_link.capacity)
-        # Delay of the access link, and delay and key of its reverse: set by the protocol.
-        self.hop_delay = self.back_delay = self.back_key = None
+        # Delay of the access link and of its reverse: set by the protocol.
+        self.hop_delay = self.back_delay = None
         # session id -> (next stage, None, per-type counts): set by the protocol.
         self.hops = {}
         self.demand = None                # D_s

@@ -16,6 +16,8 @@ converge in the allotted time beyond 500 sessions); this harness runs any
 subset of {B-Neck, BFYZ, CG, RCP} on the *same* workload.
 """
 
+import math
+
 from repro.baselines.bfyz import BFYZProtocol
 from repro.baselines.cg import CGProtocol
 from repro.baselines.rcp import RCPProtocol
@@ -59,6 +61,11 @@ class Experiment3Config(object):
         unknown = set(protocols) - set(PROTOCOLS)
         if unknown:
             raise ValueError("unknown protocols %r" % sorted(unknown))
+        # Either one out of range would give a sample list that never ends
+        # (or, for a NaN horizon, is silently empty).
+        for name, value in (("sample_interval", sample_interval), ("horizon", horizon)):
+            if not 0 < value < math.inf:
+                raise ValueError("%s must be positive and finite, got %r" % (name, value))
         self.size = size
         self.initial_sessions = initial_sessions
         self.leave_count = leave_count

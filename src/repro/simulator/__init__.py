@@ -6,8 +6,6 @@ small, deterministic, pure-Python discrete-event engine.  It provides:
 * :class:`~repro.simulator.simulation.Simulator` -- the simulation loop: a
   heap of timed callbacks with deterministic ``(time, sequence)``
   tie-breaking, run until it drains (*quiescence*) or until a time horizon.
-* :class:`~repro.simulator.process.Process` -- base class for simulated actors
-  (protocol tasks) whose handlers execute atomically.
 * :class:`~repro.simulator.tracing.PacketTracer` -- control-packet accounting
   (per type, per time interval) used by the experiment harnesses.
 * :mod:`~repro.simulator.statistics` -- summary statistics used for the
@@ -24,7 +22,6 @@ from repro.simulator.clock import (
     milliseconds,
     seconds,
 )
-from repro.simulator.process import Process
 from repro.simulator.random_source import RandomSource
 from repro.simulator.simulation import Simulator
 from repro.simulator.statistics import SummaryStatistics, percentile, summarize
@@ -34,7 +31,6 @@ __all__ = [
     "MICROSECOND",
     "MILLISECOND",
     "PacketTracer",
-    "Process",
     "RandomSource",
     "SECOND",
     "Simulator",

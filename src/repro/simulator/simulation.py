@@ -42,34 +42,9 @@ tag)``, where ``_call(callback, tag)`` calls ``callback()``.  Times are
 finite and never behind the clock: :meth:`Simulator.schedule`,
 :meth:`Simulator.schedule_at` and ``run(until=)`` reject any other value.
 
-End-of-instant batching
------------------------
-
-All events sharing one timestamp form an *instant*.  Work registered through
-:meth:`Simulator.call_at_instant_end` during an instant is deferred until every
-event of that instant (including events scheduled *for* the instant while it
-runs) has been processed, and executes before the clock advances to the next
-event time.  Deferred callbacks run in registration order, so the mechanism
-preserves the (time, sequence) determinism contract; they may schedule new
-events (same-instant or later) and re-register themselves, in which case the
-flush repeats until the instant is truly exhausted.  The B-Neck protocol layer
-uses this to coalesce ``API.Rate`` notifications: however many rate updates a
-session receives within one instant, its application sees a single batched
-callback carrying the final value (see
-:meth:`repro.core.protocol.BNeckProtocol.notify_rate`).
-
-A run ends only when the heap drains or a time horizon is crossed, and it
-flushes the instant first; so after a run no deferred callback is pending.
-Only :meth:`Simulator.step`, which executes a single unit of work, can leave
-an instant half done.
-
-Out-of-band work
-----------------
-
-End-of-instant callbacks are the simulator's only work outside the event
-heap.  They never show in ``events_processed`` and never stretch a reported
-quiescence time.  The protocol's per-instant ``API.Rate`` delivery is their
-one user.
+The heap is a run's whole pending state: the simulator runs nothing that is
+not one of its entries, so the heap and the clock fix everything a run does
+next.
 """
 
 import itertools
@@ -104,7 +79,6 @@ class Simulator(object):
         self.sequence = itertools.count()
         self.now = 0.0
         self._events_processed = 0
-        self._instant_callbacks = []
 
     # ------------------------------------------------------------------ clock
 
@@ -145,46 +119,11 @@ class Simulator(object):
             )
         heappush(self.heap, (time, next(self.sequence), _call, callback, tag))
 
-    def call_at_instant_end(self, callback):
-        """Defer ``callback`` to the end of the current instant.
-
-        The callback runs after every event carrying the current timestamp has
-        been processed and before the clock advances (or the run returns, when
-        the heap drains or a horizon is crossed).  Callbacks run in
-        registration order and may register further deferred callbacks or
-        schedule new events.  See the module docstring for the full contract.
-        """
-        self._instant_callbacks.append(callback)
-
     # ---------------------------------------------------------------- running
 
-    def _flush_instant(self):
-        """Run one batch of end-of-instant callbacks (registration order).
-
-        The list is emptied in place, so a loop that bound it keeps seeing
-        the callbacks registered later; those registered by this batch run
-        in the next one."""
-        callbacks = self._instant_callbacks
-        batch = callbacks[:]
-        callbacks.clear()
-        for callback in batch:
-            callback()
-
-    def _instant_finished(self):
-        """True when no event shares the current timestamp."""
-        heap = self.heap
-        return not heap or heap[0][0] > self.now
-
     def step(self):
-        """Execute the next pending unit of work.
-
-        Runs either one batch of end-of-instant callbacks (when the current
-        instant is exhausted) or the next event.  Returns ``False`` only when
-        neither remains.
-        """
-        if self._instant_callbacks and self._instant_finished():
-            self._flush_instant()
-            return True
+        """Run the next event.  Returns ``False`` only when the heap is
+        empty."""
         if not self.heap:
             return False
         self.now, _, handler, target, packet = heappop(self.heap)
@@ -213,14 +152,7 @@ class Simulator(object):
                 % (self.now, until)
             )
         heap = self.heap
-        while True:
-            if self._instant_callbacks and self._instant_finished():
-                # The current instant is exhausted: flush its deferred work
-                # before the clock may advance (or the run return).
-                self._flush_instant()
-                continue
-            if not heap or heap[0][0] > until:
-                break
+        while heap and heap[0][0] <= until:
             self.step()
         # Also when the heap drained first, so that a run to a later horizon
         # never sees the clock behind its previous one.
@@ -231,22 +163,15 @@ class Simulator(object):
         """Run until the heap drains.
 
         Processes exactly the events :meth:`run` with a horizon past the
-        last one would, in the same order.  The heap and the end-of-instant
-        list are bound to locals once (:meth:`_flush_instant` empties the
-        list in place), so an event costs the pop, the call and one test of
-        the list.  It counts the events it runs in a local and adds them to
-        ``events_processed`` on the way out, also when a callback raises.
+        last one would, in the same order.  The heap is bound to a local
+        once, so an event costs the pop and the call.  It counts the events
+        it runs in a local and adds them to ``events_processed`` on the way
+        out, also when a callback raises.
         """
         heap = self.heap
-        callbacks = self._instant_callbacks
         processed = 0
         try:
-            while True:
-                if callbacks and self._instant_finished():
-                    self._flush_instant()
-                    continue
-                if not heap:
-                    break
+            while heap:
                 self.now, _, handler, target, packet = heappop(heap)
                 processed += 1
                 handler(target, packet)
@@ -258,10 +183,9 @@ class Simulator(object):
 
         The returned value is the timestamp of the last processed event, i.e.
         the instant at which the network stopped carrying control traffic.
-        End-of-instant callbacks do not delay the reported time: they execute
-        at the timestamp of the instant they belong to.  This is :meth:`run`
-        with no horizon: after a drain the clock sits on the last processed
-        event (or is untouched when the heap was already empty).
+        This is :meth:`run` with no horizon: after a drain the clock sits on
+        the last processed event (or is untouched when the heap was already
+        empty).
         """
         return self.run()
 

@@ -225,24 +225,32 @@ def recorder():
     return ForwardingRecorder()
 
 
+def deliver(task, packet):
+    """Hand ``packet`` to a B-Neck task now: call the handler the task's
+    ``delivery`` table names for the packet's class, as a delivery off the
+    simulator's heap does."""
+    task.delivery[type(packet)](task, packet)
+
+
 # ------------------------------------------------------------- bounded runs
 
 
-def run_bounded(simulator, max_events, until=None):
-    """Run ``simulator`` as ``run_until_quiescent()`` does -- or, with
+def run_bounded(protocol, max_events, until=None):
+    """Run ``protocol`` as ``run_until_quiescent()`` does -- or, with
     ``until``, as ``run(until=until)`` does -- one :meth:`Simulator.step` at
-    a time, with the same end-of-instant flushes, and fail once more than
-    ``max_events`` events have run since the simulator was built: a
-    livelock fails loudly instead of hanging the suite.  Returns the clock."""
+    a time, and fail once more than ``max_events`` events have run since its
+    simulator was built: a livelock fails loudly instead of hanging the
+    suite.  It ends with the protocol's own run, which finds no event left
+    at or before the horizon but delivers B-Neck's last ``API.Rate`` batch
+    and, with ``until``, moves the clock to the horizon.  Returns the
+    clock."""
+    simulator = protocol.simulator
     heap = simulator.heap
-    while not (until is not None and heap and heap[0][0] > until) and simulator.step():
+    while heap and (until is None or heap[0][0] <= until):
+        simulator.step()
         if simulator.events_processed > max_events:
             pytest.fail("more than %d events by t=%r: a livelock?" % (max_events, simulator.now))
-    if until is not None:
-        # Flushes the last instant before the horizon and moves the clock
-        # to it; no event is left at or before the horizon.
-        simulator.run(until=until)
-    return simulator.now
+    return protocol.run(until=until)
 
 
 # ------------------------------------------------------------ send recorder
@@ -257,7 +265,7 @@ def record_sends(protocol):
     :class:`BNeckProtocol` instance and return the list of every
     :data:`Send` it makes from then on, in send order.  A downstream packet
     crosses the sender's ``link_id``, an upstream one the reverse of its
-    target's link, keyed ``back_key``."""
+    target's link, keyed ``link_id[::-1]``."""
     sends = []
     forward_downstream, forward_upstream = protocol.forward_downstream, protocol.forward_upstream
 
@@ -270,7 +278,7 @@ def record_sends(protocol):
         forward_upstream(sender, packet)
         target = sender.hops[packet.session_id][1]
         sends.append(Send(protocol.simulator.now, packet.type_name, packet.session_id,
-                          target.back_key, "upstream"))
+                          target.link_id[::-1], "upstream"))
 
     protocol.forward_downstream = downstream
     protocol.forward_upstream = upstream

@@ -8,9 +8,12 @@ Pinned guarantees:
   timestamp, after every event of the instant.
 * ``last_notified_rate`` stays synchronously up to date with every
   ``notify_rate`` call, ahead of the coalesced delivery.
-* Delivery is out-of-band work of the simulator: it is not an event, never
-  moves the quiescence time, never counts against a bound on the events of a
-  run, and a run returns only after the delivery of its last instant.
+* Delivery is the protocol's own work, not the simulator's: the protocol
+  holds an instant's batch until the first notification of a later instant
+  or the end of a protocol run, whichever comes first.  It is not an event,
+  never moves the quiescence time, never counts against a bound on the
+  events of a run, and a run, with or without a horizon, returns only after
+  the delivery of its last instant.
 """
 
 import pytest
@@ -116,7 +119,7 @@ class TestPerInstantCoalescing(object):
 
 
 class TestDeliveryIsOutOfBand(object):
-    """The coalesced delivery rides on the simulator's end-of-instant flush."""
+    """The coalesced delivery is the protocol's, off the simulator's heap."""
 
     def _quiescent_session(self):
         protocol = _single_link_protocol()
@@ -151,6 +154,42 @@ class TestDeliveryIsOutOfBand(object):
         assert application.current_rate == protocol.last_notified_rate("a")
         assert protocol.rate_callbacks == application.notification_count
 
+    def test_a_horizon_run_delivers_its_last_instant_before_it_returns(self):
+        protocol, application = self._quiescent_session()
+        baseline = application.notification_count
+        simulator = protocol.simulator
+        start = simulator.now
+        simulator.schedule(1e-3, lambda: protocol.notify_rate("a", 10 * MBPS))
+        simulator.schedule(5e-3, lambda: protocol.notify_rate("a", 20 * MBPS))
+        assert protocol.run(until=start + 2e-3) == start + 2e-3
+        delivered = application.notifications[baseline:]
+        assert [(n.time, n.rate) for n in delivered] == [(start + 1e-3, 10 * MBPS)]
+        assert protocol.rate_callbacks == application.notification_count
+        assert simulator.pending_events == 1
+
+    def test_a_step_holds_the_instant_until_a_later_instant_notifies(self):
+        protocol, application = self._quiescent_session()
+        baseline = application.notification_count
+        simulator = protocol.simulator
+        first = simulator.now + 1e-3
+        simulator.schedule_at(first, lambda: protocol.notify_rate("a", 10 * MBPS))
+        simulator.schedule_at(first + 1e-3, lambda: protocol.notify_rate("a", 20 * MBPS))
+        assert simulator.step()
+        # Held: the protocol reports the rate, the application has not had it.
+        assert protocol.last_notified_rate("a") == 10 * MBPS
+        assert protocol.notified_allocation().as_dict() == {"a": 10 * MBPS}
+        assert application.notification_count == baseline
+        assert simulator.step()
+        # The next instant's first notify delivered it, at its own instant.
+        delivered = application.notifications[baseline:]
+        assert [(n.time, n.rate) for n in delivered] == [(first, 10 * MBPS)]
+        assert protocol.last_notified_rate("a") == 20 * MBPS
+        protocol.run_until_quiescent()
+        delivered = application.notifications[baseline:]
+        assert [(n.time, n.rate) for n in delivered] == [
+            (first, 10 * MBPS), (first + 1e-3, 20 * MBPS)]
+        assert protocol.rate_callbacks == application.notification_count
+
     def test_delivery_does_not_count_against_an_event_bound(self):
         protocol, application = self._quiescent_session()
         # A fresh run bounded at exactly its event count: the deliveries of
@@ -158,7 +197,7 @@ class TestDeliveryIsOutOfBand(object):
         events = protocol.simulator.events_processed
         again = _single_link_protocol()
         _, replayed = open_bneck_session(again, "r0", "r1", "a")
-        run_bounded(again.simulator, events)
+        run_bounded(again, events)
         assert again.simulator.events_processed == events
         assert [(n.time, n.rate) for n in replayed.notifications] == [
             (n.time, n.rate) for n in application.notifications

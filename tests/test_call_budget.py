@@ -50,9 +50,8 @@ call (``set_bottleneck``, ``leave``, ``refuse``) instead of up to four, and
 a Join or Probe calls ProcessNewRestricted only when some ``F_e`` rate can
 offend ``B_e``, not whenever ``F_e`` is not empty.  Nearly every
 event is a packet delivery, so one more frame per packet adds about 1.0.  The default
-tracer must see no call at all per packet, and no delivery goes through
-:meth:`Process.receive`: the flash crowd makes none to ``record`` or to
-``receive``.  No ``functools.partial`` may sit on the heap at any point of
+tracer must see no call at all per packet: the flash crowd makes none to
+``record``.  No ``functools.partial`` may sit on the heap at any point of
 the flash crowd, so a closure per hop cannot come back unnoticed (a
 ``partial`` call runs in C and would not show in the call count).
 
@@ -104,7 +103,6 @@ from repro.network.transit_stub import (
     small_network,
     stub_routers,
 )
-from repro.simulator.process import Process
 from repro.simulator.tracing import PacketTracer
 from repro.workloads.stochastic import PoissonChurnWorkload
 
@@ -174,7 +172,6 @@ def test_python_calls_per_event_within_budget():
     assert protocol.tracer.total > 10000
     assert _calls_to(calls, BNeckProtocol.forward_downstream) > 0
     assert _calls_to(calls, PacketTracer.record) == 0
-    assert _calls_to(calls, Process.receive) == 0
     assert validate_against_oracle(protocol).valid
     assert calls_per_event <= CALLS_PER_EVENT_BUDGET, (
         "%.2f package calls per event exceed the budget of %.1f: something "

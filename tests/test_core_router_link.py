@@ -26,7 +26,7 @@ from repro.core.router_link import RouterLinkTask
 from repro.core.state import IDLE, WAITING_PROBE, WAITING_RESPONSE
 from repro.network.graph import Link
 from repro.network.units import MBPS
-from repro.simulator.simulation import Simulator
+from tests.conftest import deliver
 
 
 LINK_ID = ("r1", "r2")
@@ -35,7 +35,7 @@ LINK_ID = ("r1", "r2")
 @pytest.fixture
 def task(recorder):
     link = Link("r1", "r2", 100 * MBPS, 1e-6)
-    return RouterLinkTask(Simulator(), recorder, link)
+    return RouterLinkTask(recorder, link)
 
 
 def settle(task, session_id, rate, restricted=True):
@@ -50,7 +50,7 @@ def settle(task, session_id, rate, restricted=True):
 
 class TestJoin(object):
     def test_join_registers_session_and_forwards(self, task, recorder):
-        task.receive(Join("s1", 500 * MBPS, ("h", "r1")), None)
+        deliver(task, Join("s1", 500 * MBPS, ("h", "r1")))
         assert "s1" in task.state.restricted
         assert task.state.state_of("s1") == WAITING_RESPONSE
         forwarded = recorder.downstream_packets()
@@ -61,14 +61,14 @@ class TestJoin(object):
         assert forwarded[0].restricting_link == LINK_ID
 
     def test_join_keeps_smaller_incoming_rate(self, task, recorder):
-        task.receive(Join("s1", 10 * MBPS, ("h", "r1")), None)
+        deliver(task, Join("s1", 10 * MBPS, ("h", "r1")))
         forwarded = recorder.downstream_packets()[0]
         assert forwarded.rate == pytest.approx(10 * MBPS)
         assert forwarded.restricting_link == ("h", "r1")
 
     def test_join_triggers_updates_for_settled_sessions_above_new_rate(self, task, recorder):
         settle(task, "old", 100 * MBPS)
-        task.receive(Join("new", 500 * MBPS, ("h", "r1")), None)
+        deliver(task, Join("new", 500 * MBPS, ("h", "r1")))
         # B_e dropped to 50: the settled session at 100 must re-probe.
         updates = [p for p in recorder.upstream_packets() if isinstance(p, Update)]
         assert [p.session_id for p in updates] == ["old"]
@@ -76,7 +76,7 @@ class TestJoin(object):
 
     def test_join_does_not_update_sessions_already_below_new_rate(self, task, recorder):
         settle(task, "small", 10 * MBPS, restricted=False)
-        task.receive(Join("new", 500 * MBPS, ("h", "r1")), None)
+        deliver(task, Join("new", 500 * MBPS, ("h", "r1")))
         updates = [p for p in recorder.upstream_packets() if isinstance(p, Update)]
         assert updates == []
 
@@ -84,7 +84,7 @@ class TestJoin(object):
 class TestProbe(object):
     def test_probe_moves_session_back_to_restricted(self, task, recorder):
         settle(task, "s1", 10 * MBPS, restricted=False)
-        task.receive(Probe("s1", 200 * MBPS, ("h", "r1")), None)
+        deliver(task, Probe("s1", 200 * MBPS, ("h", "r1")))
         assert "s1" in task.state.restricted
         assert task.state.state_of("s1") == WAITING_RESPONSE
         assert isinstance(recorder.downstream_packets()[0], Probe)
@@ -92,7 +92,7 @@ class TestProbe(object):
     def test_probe_clamps_rate_like_join(self, task, recorder):
         settle(task, "other", 30 * MBPS, restricted=False)
         task.state.add_restricted("s1")
-        task.receive(Probe("s1", 200 * MBPS, ("h", "r1")), None)
+        deliver(task, Probe("s1", 200 * MBPS, ("h", "r1")))
         forwarded = recorder.downstream_packets()[0]
         # B_e = (100 - 30) / 1 = 70 for the probing session.
         assert forwarded.rate == pytest.approx(70 * MBPS)
@@ -101,18 +101,18 @@ class TestProbe(object):
 
 class TestResponse(object):
     def test_accepted_when_this_link_restricts_at_its_rate(self, task, recorder):
-        task.receive(Join("s1", 500 * MBPS, ("h", "r1")), None)
+        deliver(task, Join("s1", 500 * MBPS, ("h", "r1")))
         recorder.clear()
-        task.receive(Response("s1", RESPONSE, 100 * MBPS, LINK_ID), None)
+        deliver(task, Response("s1", RESPONSE, 100 * MBPS, LINK_ID))
         assert task.state.state_of("s1") == IDLE
         assert task.state.rate_of("s1") == pytest.approx(100 * MBPS)
         responses = [p for p in recorder.upstream_packets() if isinstance(p, Response)]
         assert len(responses) == 1
 
     def test_accepted_response_from_elsewhere_below_local_rate(self, task, recorder):
-        task.receive(Join("s1", 500 * MBPS, ("h", "r1")), None)
+        deliver(task, Join("s1", 500 * MBPS, ("h", "r1")))
         recorder.clear()
-        task.receive(Response("s1", RESPONSE, 30 * MBPS, ("r5", "r6")), None)
+        deliver(task, Response("s1", RESPONSE, 30 * MBPS, ("r5", "r6")))
         assert task.state.state_of("s1") == IDLE
         assert task.state.rate_of("s1") == pytest.approx(30 * MBPS)
 
@@ -120,27 +120,27 @@ class TestResponse(object):
         # s1 probed when it was alone (clamped at 100 here), but a second
         # session joined before the Response came back: the rate no longer
         # matches B_e, so the Response is turned into an UPDATE.
-        task.receive(Join("s1", 500 * MBPS, ("h", "r1")), None)
-        task.receive(Join("s2", 500 * MBPS, ("h2", "r1")), None)
+        deliver(task, Join("s1", 500 * MBPS, ("h", "r1")))
+        deliver(task, Join("s2", 500 * MBPS, ("h2", "r1")))
         recorder.clear()
-        task.receive(Response("s1", RESPONSE, 100 * MBPS, LINK_ID), None)
+        deliver(task, Response("s1", RESPONSE, 100 * MBPS, LINK_ID))
         assert task.state.state_of("s1") == WAITING_PROBE
         response = [p for p in recorder.upstream_packets() if isinstance(p, Response)][0]
         assert response.tau == UPDATE
 
     def test_update_tau_marks_waiting_probe_and_passes_through(self, task, recorder):
-        task.receive(Join("s1", 500 * MBPS, ("h", "r1")), None)
+        deliver(task, Join("s1", 500 * MBPS, ("h", "r1")))
         recorder.clear()
-        task.receive(Response("s1", UPDATE, 70 * MBPS, ("r5", "r6")), None)
+        deliver(task, Response("s1", UPDATE, 70 * MBPS, ("r5", "r6")))
         assert task.state.state_of("s1") == WAITING_PROBE
         response = [p for p in recorder.upstream_packets() if isinstance(p, Response)][0]
         assert response.tau == UPDATE
 
     def test_bottleneck_detected_when_all_restricted_settle(self, task, recorder):
         settle(task, "s2", 50 * MBPS)
-        task.receive(Join("s1", 500 * MBPS, ("h", "r1")), None)
+        deliver(task, Join("s1", 500 * MBPS, ("h", "r1")))
         recorder.clear()
-        task.receive(Response("s1", RESPONSE, 50 * MBPS, LINK_ID), None)
+        deliver(task, Response("s1", RESPONSE, 50 * MBPS, LINK_ID))
         response = [p for p in recorder.upstream_packets() if isinstance(p, Response)][0]
         assert response.tau == BOTTLENECK
         assert response.restricting_link == LINK_ID
@@ -149,10 +149,10 @@ class TestResponse(object):
         assert [p.session_id for p in bottlenecks] == ["s2"]
 
     def test_no_bottleneck_while_someone_still_probes(self, task, recorder):
-        task.receive(Join("s2", 500 * MBPS, ("h2", "r1")), None)  # still WAITING_RESPONSE
-        task.receive(Join("s1", 500 * MBPS, ("h", "r1")), None)
+        deliver(task, Join("s2", 500 * MBPS, ("h2", "r1")))  # still WAITING_RESPONSE
+        deliver(task, Join("s1", 500 * MBPS, ("h", "r1")))
         recorder.clear()
-        task.receive(Response("s1", RESPONSE, 50 * MBPS, LINK_ID), None)
+        deliver(task, Response("s1", RESPONSE, 50 * MBPS, LINK_ID))
         response = [p for p in recorder.upstream_packets() if isinstance(p, Response)][0]
         assert response.tau == RESPONSE
 
@@ -160,26 +160,26 @@ class TestResponse(object):
 class TestUpdateAndBottleneck(object):
     def test_update_forwarded_once_for_idle_sessions(self, task, recorder):
         settle(task, "s1", 40 * MBPS)
-        task.receive(Update("s1"), None)
+        deliver(task, Update("s1"))
         assert task.state.state_of("s1") == WAITING_PROBE
         assert len([p for p in recorder.upstream_packets() if isinstance(p, Update)]) == 1
         recorder.clear()
         # A second Update while already WAITING_PROBE is absorbed.
-        task.receive(Update("s1"), None)
+        deliver(task, Update("s1"))
         assert recorder.upstream_packets() == []
 
     def test_bottleneck_forwarded_only_for_idle_restricted_sessions(self, task, recorder):
         settle(task, "s1", 40 * MBPS)
-        task.receive(Bottleneck("s1"), None)
+        deliver(task, Bottleneck("s1"))
         assert len(recorder.upstream_packets()) == 1
         recorder.clear()
         task.state.set_state("s1", WAITING_PROBE)
-        task.receive(Bottleneck("s1"), None)
+        deliver(task, Bottleneck("s1"))
         assert recorder.upstream_packets() == []
         recorder.clear()
         task.state.set_state("s1", IDLE)
         task.state.add_unrestricted("s1")
-        task.receive(Bottleneck("s1"), None)
+        deliver(task, Bottleneck("s1"))
         assert recorder.upstream_packets() == []
 
 
@@ -187,7 +187,7 @@ class TestSetBottleneck(object):
     def test_forwarded_with_beta_true_when_link_is_a_bottleneck(self, task, recorder):
         settle(task, "s1", 50 * MBPS)
         settle(task, "s2", 50 * MBPS)
-        task.receive(SetBottleneck("s1", False), None)
+        deliver(task, SetBottleneck("s1", False))
         forwarded = recorder.downstream_packets()[0]
         assert isinstance(forwarded, SetBottleneck)
         assert forwarded.found_bottleneck is True
@@ -199,7 +199,7 @@ class TestSetBottleneck(object):
         settle(task, "s2", 40 * MBPS)
         # B_e = 50, s1 sits below it -> moved to F_e; s2... is below B_e too,
         # so nobody is woken; beta passes through unchanged.
-        task.receive(SetBottleneck("s1", False), None)
+        deliver(task, SetBottleneck("s1", False))
         assert "s1" in task.state.unrestricted
         forwarded = recorder.downstream_packets()[0]
         assert forwarded.found_bottleneck is False
@@ -212,7 +212,7 @@ class TestSetBottleneck(object):
         settle(task, "s1", 20 * MBPS)
         settle(task, "s2", third)
         settle(task, "s3", third)
-        task.receive(SetBottleneck("s1", False), None)
+        deliver(task, SetBottleneck("s1", False))
         updates = sorted(p.session_id for p in recorder.upstream_packets() if isinstance(p, Update))
         assert updates == ["s2", "s3"]
         assert task.state.state_of("s2") == WAITING_PROBE
@@ -222,14 +222,14 @@ class TestSetBottleneck(object):
         settle(task, "s2", 60 * MBPS)
         task.state.add_restricted("s1")
         task.state.set_state("s1", WAITING_RESPONSE)
-        task.receive(SetBottleneck("s1", False), None)
+        deliver(task, SetBottleneck("s1", False))
         assert recorder.downstream_packets() == []
 
 
 class TestLeave(object):
     def test_leave_forgets_session_and_forwards(self, task, recorder):
         settle(task, "s1", 50 * MBPS)
-        task.receive(Leave("s1"), None)
+        deliver(task, Leave("s1"))
         assert not task.state.knows("s1")
         assert isinstance(recorder.downstream_packets()[0], Leave)
 
@@ -238,7 +238,7 @@ class TestLeave(object):
         settle(task, "leaving", 45 * MBPS)
         settle(task, "staying", 45 * MBPS)
         settle(task, "small", 10 * MBPS, restricted=False)
-        task.receive(Leave("leaving"), None)
+        deliver(task, Leave("leaving"))
         updates = [p.session_id for p in recorder.upstream_packets() if isinstance(p, Update)]
         assert updates == ["staying"]
         assert task.state.state_of("staying") == WAITING_PROBE
@@ -246,7 +246,7 @@ class TestLeave(object):
         assert task.state.state_of("small") == IDLE
 
     def test_leave_of_unknown_session_is_harmless(self, task, recorder):
-        task.receive(Leave("ghost"), None)
+        deliver(task, Leave("ghost"))
         assert isinstance(recorder.downstream_packets()[0], Leave)
 
 
@@ -313,7 +313,7 @@ class TestForwardInPlace(object):
         prepare, make_packet, direction, fields = FORWARDED[case]
         prepare(task)
         packet = make_packet()
-        task.receive(packet, None)
+        deliver(task, packet)
         sent = recorder.downstream if direction == "downstream" else recorder.upstream
         forwarded = [p for _, p in sent if p.session_id == "s1"]
         assert len(forwarded) == 1
@@ -325,7 +325,7 @@ class TestForwardInPlace(object):
         settle(task, "a", 50 * MBPS)
         settle(task, "b", 50 * MBPS)
         join = Join("new", 500 * MBPS, ("h", "r1"))
-        task.receive(join, None)
+        deliver(task, join)
         updates = recorder.upstream_packets()
         assert [(type(p), p.session_id) for p in updates] == [(Update, "a"), (Update, "b")]
         assert updates[0] is not updates[1]
@@ -337,7 +337,7 @@ class TestForwardInPlace(object):
         task.state.add_restricted("s1")
         task.state.set_state("s1", WAITING_RESPONSE)
         response = Response("s1", RESPONSE, 100 * MBPS / 3, LINK_ID)
-        task.receive(response, None)
+        deliver(task, response)
         sent = recorder.upstream_packets()
         assert sent[-1] is response and response.tau == BOTTLENECK
         bottlenecks = sent[:-1]
@@ -349,7 +349,7 @@ class TestForwardInPlace(object):
         settle(task, "leaving", 50 * MBPS)
         settle(task, "staying", 50 * MBPS)
         leave = Leave("leaving")
-        task.receive(leave, None)
+        deliver(task, leave)
         assert recorder.downstream_packets() == [leave]
         [update] = recorder.upstream_packets()
         assert isinstance(update, Update) and update.session_id == "staying"

@@ -18,8 +18,7 @@ from repro.core.packets import (
 from repro.core.source_node import SourceNodeTask
 from repro.core.state import IDLE, WAITING_RESPONSE
 from repro.network.units import MBPS
-from repro.simulator.simulation import Simulator
-from tests.conftest import make_session
+from tests.conftest import deliver, make_session
 
 
 @pytest.fixture
@@ -30,12 +29,12 @@ def session(single_link_network):
 
 @pytest.fixture
 def source(recorder, session):
-    return SourceNodeTask(Simulator(), recorder, session)
+    return SourceNodeTask(recorder, session)
 
 
 @pytest.fixture
 def destination(recorder, session):
-    return DestinationNodeTask(Simulator(), recorder, session)
+    return DestinationNodeTask(recorder, session)
 
 
 class TestSourceJoinLeaveChange(object):
@@ -70,8 +69,8 @@ class TestSourceJoinLeaveChange(object):
         source.api_join(float("inf"))
         source.api_leave()
         recorder.clear()
-        source.receive(Response("s1", RESPONSE, 10 * MBPS, ("x", "y")), None)
-        source.receive(Update("s1"), None)
+        deliver(source, Response("s1", RESPONSE, 10 * MBPS, ("x", "y")))
+        deliver(source, Update("s1"))
         assert recorder.downstream_packets() == []
 
     # One packet per handler, each of which would make the handler send or
@@ -92,14 +91,14 @@ class TestSourceJoinLeaveChange(object):
         source.api_join(float("inf"))
         source.api_leave()
         recorder.clear()
-        source.receive(packet, None)
+        deliver(source, packet)
         assert recorder.downstream_packets() == []
         assert recorder.notifications == []
         assert not source.state.knows("s1")
 
     def test_api_change_reprobes_when_idle(self, source, recorder):
         source.api_join(float("inf"))
-        source.receive(Response("s1", RESPONSE, 40 * MBPS, ("r0", "r1")), None)
+        deliver(source, Response("s1", RESPONSE, 40 * MBPS, ("r0", "r1")))
         recorder.clear()
         source.api_change(20 * MBPS)
         probes = [p for p in recorder.downstream_packets() if isinstance(p, Probe)]
@@ -115,7 +114,7 @@ class TestSourceJoinLeaveChange(object):
         assert source.update_received
         # When the in-flight Response finally arrives, a new Probe fires even
         # though the Response itself was a plain RESPONSE.
-        source.receive(Response("s1", RESPONSE, 40 * MBPS, ("r0", "r1")), None)
+        deliver(source, Response("s1", RESPONSE, 40 * MBPS, ("r0", "r1")))
         probes = [p for p in recorder.downstream_packets() if isinstance(p, Probe)]
         assert len(probes) == 1
         assert probes[0].rate == pytest.approx(20 * MBPS)
@@ -124,7 +123,7 @@ class TestSourceJoinLeaveChange(object):
 class TestSourceResponses(object):
     def test_plain_response_records_rate_without_notification(self, source, recorder):
         source.api_join(float("inf"))
-        source.receive(Response("s1", RESPONSE, 40 * MBPS, ("r0", "r1")), None)
+        deliver(source, Response("s1", RESPONSE, 40 * MBPS, ("r0", "r1")))
         assert source.current_rate() == pytest.approx(40 * MBPS)
         assert source.state.state_of("s1") == IDLE
         # The rate (40) is below the demand (1000): no API.Rate yet, the
@@ -134,7 +133,7 @@ class TestSourceResponses(object):
 
     def test_response_at_full_demand_declares_bottleneck(self, source, recorder):
         source.api_join(30 * MBPS)
-        source.receive(Response("s1", RESPONSE, 30 * MBPS, source.link_id), None)
+        deliver(source, Response("s1", RESPONSE, 30 * MBPS, source.link_id))
         assert recorder.notifications == [("s1", pytest.approx(30 * MBPS))]
         assert source.bottleneck_received
         set_bottlenecks = [p for p in recorder.downstream_packets() if isinstance(p, SetBottleneck)]
@@ -142,7 +141,7 @@ class TestSourceResponses(object):
 
     def test_bottleneck_response_notifies_and_sets_beta(self, source, recorder):
         source.api_join(float("inf"))
-        source.receive(Response("s1", BOTTLENECK, 40 * MBPS, ("r0", "r1")), None)
+        deliver(source, Response("s1", BOTTLENECK, 40 * MBPS, ("r0", "r1")))
         assert recorder.notifications == [("s1", pytest.approx(40 * MBPS))]
         set_bottlenecks = [p for p in recorder.downstream_packets() if isinstance(p, SetBottleneck)]
         assert len(set_bottlenecks) == 1
@@ -154,7 +153,7 @@ class TestSourceResponses(object):
     def test_update_response_triggers_new_probe(self, source, recorder):
         source.api_join(float("inf"))
         recorder.clear()
-        source.receive(Response("s1", UPDATE, 40 * MBPS, ("r0", "r1")), None)
+        deliver(source, Response("s1", UPDATE, 40 * MBPS, ("r0", "r1")))
         probes = [p for p in recorder.downstream_packets() if isinstance(p, Probe)]
         assert len(probes) == 1
         assert source.state.state_of("s1") == WAITING_RESPONSE
@@ -164,9 +163,9 @@ class TestSourceResponses(object):
 class TestSourceUpdateAndBottleneckPackets(object):
     def test_update_when_idle_triggers_probe(self, source, recorder):
         source.api_join(float("inf"))
-        source.receive(Response("s1", RESPONSE, 40 * MBPS, ("r0", "r1")), None)
+        deliver(source, Response("s1", RESPONSE, 40 * MBPS, ("r0", "r1")))
         recorder.clear()
-        source.receive(Update("s1"), None)
+        deliver(source, Update("s1"))
         probes = [p for p in recorder.downstream_packets() if isinstance(p, Probe)]
         assert len(probes) == 1
         assert source.state.state_of("s1") == WAITING_RESPONSE
@@ -174,35 +173,35 @@ class TestSourceUpdateAndBottleneckPackets(object):
     def test_update_while_probing_is_remembered(self, source, recorder):
         source.api_join(float("inf"))
         recorder.clear()
-        source.receive(Update("s1"), None)
+        deliver(source, Update("s1"))
         assert recorder.downstream_packets() == []
         assert source.update_received
 
     def test_bottleneck_packet_notifies_once(self, source, recorder):
         source.api_join(float("inf"))
-        source.receive(Response("s1", RESPONSE, 40 * MBPS, ("r0", "r1")), None)
+        deliver(source, Response("s1", RESPONSE, 40 * MBPS, ("r0", "r1")))
         recorder.clear()
-        source.receive(Bottleneck("s1"), None)
+        deliver(source, Bottleneck("s1"))
         assert recorder.notifications == [("s1", pytest.approx(40 * MBPS))]
         assert source.state.state_of("s1") == IDLE
         assert source.bottleneck_received
         recorder.clear()
         # A duplicate Bottleneck changes nothing (bneck_rcv guard).
-        source.receive(Bottleneck("s1"), None)
+        deliver(source, Bottleneck("s1"))
         assert recorder.notifications == []
         assert recorder.downstream_packets() == []
 
     def test_bottleneck_packet_ignored_while_probing(self, source, recorder):
         source.api_join(float("inf"))
         recorder.clear()
-        source.receive(Bottleneck("s1"), None)
+        deliver(source, Bottleneck("s1"))
         assert recorder.notifications == []
         assert recorder.downstream_packets() == []
 
 
 class TestDestinationNode(object):
     def test_join_is_answered_with_a_response(self, destination, recorder):
-        destination.receive(Join("s1", 25 * MBPS, ("r0", "r1")), None)
+        deliver(destination, Join("s1", 25 * MBPS, ("r0", "r1")))
         packets = recorder.upstream_packets()
         assert len(packets) == 1
         assert isinstance(packets[0], Response)
@@ -212,19 +211,19 @@ class TestDestinationNode(object):
         assert destination.closed_probe_cycles == 1
 
     def test_probe_is_answered_with_a_response(self, destination, recorder):
-        destination.receive(Probe("s1", 30 * MBPS, ("r0", "r1")), None)
+        deliver(destination, Probe("s1", 30 * MBPS, ("r0", "r1")))
         assert isinstance(recorder.upstream_packets()[0], Response)
         assert destination.closed_probe_cycles == 1
 
     def test_set_bottleneck_without_bottleneck_triggers_update(self, destination, recorder):
-        destination.receive(SetBottleneck("s1", False), None)
+        deliver(destination, SetBottleneck("s1", False))
         packets = recorder.upstream_packets()
         assert len(packets) == 1
         assert isinstance(packets[0], Update)
         assert destination.no_bottleneck_updates == 1
 
     def test_set_bottleneck_with_bottleneck_is_absorbed(self, destination, recorder):
-        destination.receive(SetBottleneck("s1", True), None)
+        deliver(destination, SetBottleneck("s1", True))
         assert recorder.upstream_packets() == []
 
     @pytest.mark.parametrize(
@@ -237,13 +236,13 @@ class TestDestinationNode(object):
         ids=lambda packet: packet.type_name,
     )
     def test_each_handler_drops_packets_after_leave(self, destination, recorder, packet):
-        destination.receive(Leave("s1"), None)
-        destination.receive(packet, None)
+        deliver(destination, Leave("s1"))
+        deliver(destination, packet)
         assert recorder.upstream_packets() == []
         assert destination.closed_probe_cycles == destination.no_bottleneck_updates == 0
 
     def test_leave_silences_the_destination(self, destination, recorder):
-        destination.receive(Leave("s1"), None)
-        destination.receive(Probe("s1", 10 * MBPS, ("r0", "r1")), None)
+        deliver(destination, Leave("s1"))
+        deliver(destination, Probe("s1", 10 * MBPS, ("r0", "r1")))
         assert recorder.upstream_packets() == []
         assert destination.left

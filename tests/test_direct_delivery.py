@@ -10,10 +10,7 @@ These tests pin down what that path promises:
   any point of a run, never counts a pending API call, and is 0 at the
   quiescence of every golden scenario;
 * a packet class the target has no handler for raises ``TypeError``
-  naming the target when it is sent, and leaves nothing queued or counted;
-* a tracer swapped into a baseline after construction counts every
-  packet and the one it replaced counts none (B-Neck's tracer is fixed at
-  construction, see ``test_packet_counting.py``).
+  naming the target when it is sent, and leaves nothing queued or counted.
 """
 
 import math
@@ -22,7 +19,6 @@ from functools import partial
 
 import pytest
 
-from repro.baselines.bfyz import BFYZProtocol
 from repro.core.packets import (
     Bottleneck,
     Join,
@@ -33,19 +29,20 @@ from repro.core.packets import (
     SetBottleneck,
     Update,
 )
+from repro.core.destination_node import DestinationNodeTask
 from repro.core.protocol import BNeckProtocol
 from repro.core.router_link import RouterLinkTask
+from repro.core.source_node import SourceNodeTask
 from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds
-from repro.simulator.process import Process
-from repro.simulator.tracing import PacketTracer
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import build_network
 from test_golden_invariance import GOLDENS, KEYS, run_golden
 from tests.conftest import join_action
 
 PACKET_CLASSES = (Join, Probe, Response, Update, Bottleneck, SetBottleneck, Leave)
+TASK_CLASSES = (SourceNodeTask, RouterLinkTask, DestinationNodeTask)
 MASS_JOIN_KEY = "small-lan-s2-n20"
 
 
@@ -62,7 +59,7 @@ def _queued_deliveries(protocol):
     return sum(
         1
         for entry in protocol.simulator.heap
-        if isinstance(entry[3], Process) and isinstance(entry[4], PACKET_CLASSES)
+        if isinstance(entry[3], TASK_CLASSES) and isinstance(entry[4], PACKET_CLASSES)
     )
 
 
@@ -179,25 +176,3 @@ def test_unknown_packet_class_raises_at_send_and_queues_nothing(send, target):
         send(protocol)
     assert (protocol.tracer.total, simulator.pending_events,
             len(simulator.heap), protocol.in_flight_packets) == before
-
-
-# ------------------------------------------------------------- tracer swaps
-
-
-def _bfyz_packets(swap):
-    network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
-    protocol = BFYZProtocol(network, probe_interval=1e-4)
-    first = protocol.tracer
-    if swap:
-        protocol.tracer = PacketTracer()
-    protocol.apply_actions([join_action("a")])
-    protocol.run(until=1e-3)
-    if swap:
-        assert first.total == 0
-    return protocol.tracer.total
-
-
-def test_baseline_tracer_assigned_after_construction_counts_every_packet():
-    traced = _bfyz_packets(swap=False)
-    assert traced > 0
-    assert _bfyz_packets(swap=True) == traced

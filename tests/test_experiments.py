@@ -1,5 +1,8 @@
 """Tests for the experiment harnesses, metrics and reporting."""
 
+import math
+import re
+
 import pytest
 
 from repro.experiments.experiment1 import Experiment1Config, run_experiment1, run_experiment1_case
@@ -179,6 +182,17 @@ class TestExperiment3(object):
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):
             Experiment3Config(protocols=("bneck", "mystery"))
+
+    @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf], ids=repr)
+    @pytest.mark.parametrize("parameter", ["sample_interval", "horizon"])
+    def test_a_sample_interval_or_horizon_outside_zero_to_infinity_is_refused(
+            self, parameter, value):
+        """An infinite horizon or a non-positive interval would make
+        ``sample_times`` append forever, and a NaN horizon would sample
+        nothing; each is refused up front, with its name."""
+        with pytest.raises(ValueError, match="^%s must be positive and finite, got %s$"
+                           % (parameter, re.escape(repr(value)))):
+            Experiment3Config(**{parameter: value})
 
     def test_leavers_drop_out_of_the_runner_membership(self, monkeypatch):
         """The leaves go through ``ExperimentRunner.apply_actions``, so the

@@ -16,7 +16,8 @@ One default run of every scenario also checks the applications, the single
 record of ``API.Rate``: each active session's agrees with
 ``last_notified_rate`` and never got two deliveries at one timestamp; all of
 them together hold exactly ``rate_callbacks`` deliveries, in time order and
-within the run; and ``notified_allocation`` is the final allocation.  The
+within the run, already when each protocol run returns; and
+``notified_allocation`` is the final allocation.  The
 same fingerprints are also computed in a fresh interpreter under a fixed
 ``PYTHONHASHSEED``, so no result depends on string hashing.
 
@@ -171,6 +172,34 @@ def default_run(request):
     return request.param, protocol, result
 
 
+def _delivered(protocol):
+    """The ``API.Rate`` deliveries the applications of every session ever
+    joined hold (a departed session keeps its application)."""
+    return sum(application.notification_count
+               for application in protocol._applications.values())
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_every_protocol_run_returns_with_its_rates_delivered(key, monkeypatch):
+    """Each run of a golden scenario -- one per round where the runner
+    checkpoints -- returns with every rate it notified delivered, so a
+    reader of ``rate_callbacks`` after a run, as every checkpoint is, sees
+    the whole round."""
+    seen = []
+    run = BNeckProtocol.run
+
+    def checked_run(protocol, until=None):
+        stopped = run(protocol, until)
+        assert protocol.rate_callbacks == _delivered(protocol) > 0
+        seen.append(protocol.rate_callbacks)
+        return stopped
+
+    monkeypatch.setattr(BNeckProtocol, "run", checked_run)
+    protocol, result = run_golden(key)
+    assert result == GOLDENS[key]
+    assert seen and seen[-1] == protocol.rate_callbacks
+
+
 def test_an_interval_tracer_counts_what_the_default_tracer_counts(default_run):
     """The two counting paths -- one increment of the hop row's list, and a
     ``record`` call per packet -- count the same packets, per type and per
@@ -202,10 +231,7 @@ def test_applications_hold_every_delivered_rate(default_run):
     # Departed sessions keep their application, so the records of every
     # session ever joined add up to the protocol's callback count.
     key, protocol, _ = default_run
-    recorded = sum(
-        application.notification_count
-        for application in protocol._applications.values()
-    )
+    recorded = _delivered(protocol)
     assert recorded == protocol.rate_callbacks
     if "rate_callbacks" in GOLDENS[key]:
         assert recorded == GOLDENS[key]["rate_callbacks"]

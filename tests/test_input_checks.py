@@ -49,11 +49,10 @@ MAX_EVENTS = 100000
 def _settle(protocol):
     """Run a while: B-Neck to quiescence, a baseline (which never quiesces)
     for a few probe intervals."""
-    simulator = protocol.simulator
     if isinstance(protocol, BNeckProtocol):
-        run_bounded(simulator, MAX_EVENTS)
+        run_bounded(protocol, MAX_EVENTS)
     else:
-        run_bounded(simulator, MAX_EVENTS, until=simulator.now + 5e-3)
+        run_bounded(protocol, MAX_EVENTS, until=protocol.simulator.now + 5e-3)
 
 
 def _protocol_with_one_session(name):
@@ -258,7 +257,7 @@ def test_an_action_dated_before_a_join_of_an_earlier_batch_changes_nothing(name,
     # Dated at the join, the same action applies and settles.
     bad.at = 5e-3
     protocol.apply_actions([bad])
-    run_bounded(protocol.simulator, MAX_EVENTS, until=12e-3)
+    run_bounded(protocol, MAX_EVENTS, until=12e-3)
     rates = protocol.current_allocation().as_dict()
     assert rates == ({} if kind == "leave" else {"a": pytest.approx(5 * MBPS)})
 
@@ -274,7 +273,7 @@ def test_a_leave_dated_before_a_pending_change_changes_nothing(name, split):
     network = line_topology(3, capacity=100 * MBPS, delay=microseconds(1))
     protocol = PROTOCOLS[name](network)
     protocol.apply_actions([join_action("a", 0.0, 10 * MBPS)])
-    run_bounded(protocol.simulator, MAX_EVENTS, until=2e-3)
+    run_bounded(protocol, MAX_EVENTS, until=2e-3)
     change = ChangeAction("a", 5 * MBPS, 5e-3)
     leave = LeaveAction("a", 3e-3)
     batch = [change, leave]
@@ -289,7 +288,7 @@ def test_a_leave_dated_before_a_pending_change_changes_nothing(name, split):
     # Dated at the change, the same leave applies after it and settles.
     leave.at = 5e-3
     protocol.apply_actions(batch)
-    run_bounded(protocol.simulator, MAX_EVENTS, until=12e-3)
+    run_bounded(protocol, MAX_EVENTS, until=12e-3)
     assert protocol.active_sessions() == []
     assert protocol.current_allocation().as_dict() == {}
 

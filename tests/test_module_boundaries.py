@@ -351,10 +351,7 @@ TEST_FIXTURES = {
     "single_link_topology",
     "star_topology",
     "small_network",
-    # The one dispatch left for tests that hand a packet to a task directly.
-    "Process.receive",
     # Protocol inspection of the protocol, property and stochastic tests.
-    "BNeckProtocol.last_notified_rate",
     "BNeckProtocol.router_link",
     # The last API.Rate of every active session, which the golden and
     # property tests compare with the final allocation.

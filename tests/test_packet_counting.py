@@ -9,11 +9,15 @@ goldens:
   a packet is absent from ``by_session``;
 * the tracer is fixed at construction, since every hop row holds its lists:
   assigning another one raises instead of leaving the rows counting into
-  the old one.
+  the old one.  The baselines share the rule, so every protocol's tracer is
+  the one it was built with.
 """
 
 import pytest
 
+from repro.baselines.bfyz import BFYZProtocol
+from repro.baselines.cg import CGProtocol
+from repro.baselines.rcp import RCPProtocol
 from repro.core.protocol import BNeckProtocol
 from repro.network.topology import single_link_topology
 from repro.network.units import MBPS
@@ -44,13 +48,17 @@ def test_a_session_that_left_keeps_its_counts_and_a_silent_one_is_absent():
     assert tracer.by_session["late"] > 0
 
 
-def test_the_tracer_cannot_be_replaced():
+@pytest.mark.parametrize("protocol_class",
+                         [BNeckProtocol, BFYZProtocol, CGProtocol, RCPProtocol],
+                         ids=lambda protocol_class: protocol_class.__name__)
+def test_the_tracer_cannot_be_replaced(protocol_class):
     network = single_link_topology(capacity=100 * MBPS, delay=microseconds(1))
     tracer = PacketTracer()
-    protocol = BNeckProtocol(network, tracer=tracer)
+    protocol = protocol_class(network, tracer=tracer)
     with pytest.raises(AttributeError):
         protocol.tracer = PacketTracer()
     protocol.apply_actions([join_action("a")])
-    protocol.run_until_quiescent()
+    # B-Neck quiesces long before the horizon; a baseline probes on.
+    protocol.run(until=1e-3)
     assert protocol.tracer is tracer
     assert tracer.total > 0

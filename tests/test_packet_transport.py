@@ -2,10 +2,10 @@
 
 Every stage that transmits (a session's source and the RouterLinks of its
 transit links) stores, once, the control delay of the link it sends on
-(``hop_delay``; the link's key is the stage's ``link_id``) and the delay and
-key of that link's reverse (``back_delay``/``back_key``).  Forwarding reads
-only those, so they must match the network's links exactly.  The sends are
-observed with the test-side recorder of ``tests/conftest.py``.
+(``hop_delay``; the link's key is the stage's ``link_id``) and the delay of
+that link's reverse (``back_delay``; its key is ``link_id[::-1]``).
+Forwarding reads only those, so they must match the network's links exactly.
+The sends are observed with the test-side recorder of ``tests/conftest.py``.
 """
 
 import math
@@ -70,7 +70,7 @@ def test_every_stage_stores_its_link_and_reverse(medium_run):
             assert stage.hop_delay == link.control_delay()
             assert stage.link_id == link.endpoints
             assert stage.back_delay == reverse.control_delay()
-            assert stage.back_key == reverse.endpoints
+            assert reverse.endpoints == stage.link_id[::-1]
             checked += 1
     assert checked == sum(len(session.links) for session in sessions)
 

@@ -183,7 +183,7 @@ def test_capacity_changes_reconverge_to_waterfilling(plan):
     protocol = build_protocol(router_count, capacities)
     install_sessions(protocol, session_specs, router_count)
     # A livelock after a capacity change should fail loudly, not hang CI.
-    run_bounded(protocol.simulator, 2_000_000)
+    run_bounded(protocol, 2_000_000)
 
     for link_index, factor in events:
         source, target = "r%d" % link_index, "r%d" % (link_index + 1)
@@ -191,7 +191,7 @@ def test_capacity_changes_reconverge_to_waterfilling(plan):
         now = protocol.simulator.now
         protocol.apply_actions([CapacityChangeAction(source, target, new_capacity, now),
                                 CapacityChangeAction(target, source, new_capacity, now)])
-        run_bounded(protocol.simulator, 2_000_000)
+        run_bounded(protocol, 2_000_000)
 
         assert protocol.quiescent
         assert protocol.network.link(source, target).capacity == new_capacity

@@ -58,11 +58,10 @@ def _protocol(name):
 def _settle(protocol):
     """Run a while: B-Neck to quiescence, a baseline (which never quiesces)
     for a few probe intervals."""
-    simulator = protocol.simulator
     if isinstance(protocol, BNeckProtocol):
-        run_bounded(simulator, MAX_EVENTS)
+        run_bounded(protocol, MAX_EVENTS)
     else:
-        run_bounded(simulator, MAX_EVENTS, until=simulator.now + 5e-3)
+        run_bounded(protocol, MAX_EVENTS, until=protocol.simulator.now + 5e-3)
 
 
 def _tags(protocol):
@@ -168,7 +167,7 @@ def test_a_leave_or_change_before_the_join_or_after_the_leave_is_refused(name):
     for action in (LeaveAction("a", 7e-3), ChangeAction("a", 5 * MBPS, 7e-3)):
         with pytest.raises(ValueError, match="already left"):
             protocol.apply_actions([action])
-    run_bounded(protocol.simulator, MAX_EVENTS, until=8e-3)
+    run_bounded(protocol, MAX_EVENTS, until=8e-3)
     assert protocol.active_sessions() == []
 
 
@@ -185,5 +184,5 @@ def test_a_leave_before_a_scheduled_change_is_refused(name):
     assert protocol.simulator.pending_events == pending
     assert not protocol.session("a").left
     protocol.apply_actions([LeaveAction("a", 5e-3)])
-    run_bounded(protocol.simulator, MAX_EVENTS, until=8e-3)
+    run_bounded(protocol, MAX_EVENTS, until=8e-3)
     assert protocol.active_sessions() == []

@@ -288,162 +288,36 @@ def test_run_rejects_a_horizon_behind_the_clock(simulator):
     assert simulator.pending_events == 1
 
 
-# ------------------------------------------------------ end-of-instant hooks
+# ------------------------------------------------------ one event per step
 
 
-def test_instant_callback_runs_after_all_same_instant_events(simulator):
+def test_step_runs_one_event_per_call_within_an_instant(simulator):
     fired = []
-
-    def first():
-        fired.append("first")
-        simulator.call_at_instant_end(lambda: fired.append("deferred"))
-
-    simulator.schedule(1.0, first)
+    simulator.schedule(1.0, lambda: fired.append("first"))
     simulator.schedule(1.0, lambda: fired.append("second"))
-    simulator.schedule(2.0, lambda: fired.append("next-instant"))
-    simulator.run_until_quiescent()
-    assert fired == ["first", "second", "deferred", "next-instant"]
-
-
-def test_instant_callbacks_preserve_registration_order(simulator):
-    fired = []
-
-    def register_two():
-        simulator.call_at_instant_end(lambda: fired.append("a"))
-        simulator.call_at_instant_end(lambda: fired.append("b"))
-
-    simulator.schedule(1.0, register_two)
-    simulator.run_until_quiescent()
-    assert fired == ["a", "b"]
-
-
-def test_instant_callback_sees_the_instant_clock(simulator):
-    seen = []
-    simulator.schedule(1.5, lambda: simulator.call_at_instant_end(
-        lambda: seen.append(simulator.now)))
-    simulator.schedule(3.0, lambda: None)
-    simulator.run_until_quiescent()
-    assert seen == [1.5]
-
-
-def test_instant_callback_may_schedule_same_instant_events(simulator):
-    fired = []
-
-    def deferred():
-        fired.append("deferred")
-        simulator.schedule(0.0, lambda: fired.append("late-arrival"))
-
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(deferred))
-    simulator.run_until_quiescent()
-    # The event scheduled *by* the flush still belongs to the instant and runs
-    # before the clock may advance.
-    assert fired == ["deferred", "late-arrival"]
-    assert simulator.now == 1.0
-
-
-def test_instant_callback_may_redefer(simulator):
-    fired = []
-
-    def again():
-        fired.append("again")
-
-    def deferred():
-        fired.append("deferred")
-        simulator.call_at_instant_end(again)
-
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(deferred))
-    simulator.run_until_quiescent()
-    assert fired == ["deferred", "again"]
-
-
-def test_instant_callbacks_flush_before_horizon_return(simulator):
-    fired = []
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(
-        lambda: fired.append("flushed")))
-    simulator.schedule(5.0, lambda: fired.append("beyond"))
-    simulator.run(until=2.0)
-    assert fired == ["flushed"]
-
-
-def test_instant_callbacks_flush_in_the_horizon_loop(simulator):
-    # A horizon runs the loop that steps event by event, not the drain.
-    fired = []
-
-    def first():
-        fired.append("first")
-        simulator.call_at_instant_end(lambda: fired.append("deferred"))
-
-    simulator.schedule(1.0, first)
-    simulator.schedule(1.0, lambda: fired.append("second"))
-    simulator.schedule(2.0, lambda: fired.append("next-instant"))
-    simulator.run(until=10.0)
-    assert fired == ["first", "second", "deferred", "next-instant"]
-
-
-def test_step_completes_the_instant_before_advancing(simulator):
-    fired = []
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(
-        lambda: fired.append("deferred")))
-    simulator.schedule(2.0, lambda: fired.append("later"))
-    assert simulator.step()           # the t=1.0 event
-    assert fired == []
-    assert simulator.step()           # the flush (not an event)
-    assert fired == ["deferred"]
+    assert simulator.step()
+    assert fired == ["first"]
     assert simulator.events_processed == 1
-    assert simulator.step()           # the t=2.0 event
-    assert fired == ["deferred", "later"]
+    assert simulator.step()
+    assert fired == ["first", "second"]
+    assert simulator.events_processed == 2
     assert not simulator.step()
-
-
-def test_instant_flush_is_not_an_event(simulator):
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(lambda: None))
-    simulator.run_until_quiescent()
-    assert simulator.events_processed == 1
-    assert simulator.now == 1.0
 
 
 def test_horizon_run_leaves_later_instants_untouched(simulator):
     fired = []
-    simulator.schedule(9.0, lambda: simulator.call_at_instant_end(
-        lambda: fired.append("deferred")))
+    simulator.schedule(9.0, lambda: fired.append(simulator.now))
     simulator.run(until=5.0)
     assert fired == []
     assert simulator.pending_events == 1
     simulator.run_until_quiescent()
-    assert fired == ["deferred"]
+    assert fired == [9.0]
 
 
-def test_instant_flush_is_not_an_event_in_the_horizon_loop(simulator):
+def test_horizon_run_runs_the_events_at_the_horizon(simulator):
     fired = []
-
-    def redefer(count):
-        fired.append(count)
-        if count < 5:
-            simulator.call_at_instant_end(lambda: redefer(count + 1))
-
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(lambda: redefer(1)))
-    simulator.schedule(2.0, lambda: None)
-    assert simulator.run(until=10.0) == 10.0
-    assert fired == [1, 2, 3, 4, 5]
-    assert simulator.events_processed == 2
-
-
-def test_instant_flush_at_the_horizon_runs_before_the_return(simulator):
-    fired = []
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(
-        lambda: fired.append(simulator.now)))
+    simulator.schedule(1.0, lambda: fired.append(simulator.now))
+    simulator.schedule(1.0, lambda: fired.append(simulator.now))
     assert simulator.run(until=1.0) == 1.0
-    assert fired == [1.0]
-
-
-def test_horizon_loop_flushes_at_the_instant_not_the_horizon(simulator):
-    # The flush of the last instant runs at that instant's time; only then
-    # does the clock move on to the horizon.
-    fired = []
-    simulator.schedule(0.5, lambda: None)
-    simulator.schedule(1.0, lambda: simulator.call_at_instant_end(
-        lambda: fired.append(simulator.now)))
-    assert simulator.run(until=5.0) == 5.0
-    assert fired == [1.0]
-    assert simulator.now == 5.0
-    assert simulator.events_processed == 2
+    assert fired == [1.0, 1.0]
+    assert simulator.pending_events == 0
