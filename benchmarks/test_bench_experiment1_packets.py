@@ -26,7 +26,7 @@ def test_figure5_right_packet_counts(benchmark, print_table):
 
     by_label = {}
     for row in rows:
-        by_label[(row.scenario_label, row.session_count)] = row
+        by_label[(row.label, row.sessions)] = row
 
     counts = SWEEP_CONFIG.session_counts
     for size in ("small", "medium"):

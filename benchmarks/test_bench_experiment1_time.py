@@ -34,17 +34,17 @@ def test_figure5_left_time_to_quiescence(benchmark, print_table):
     # LAN quiescence times must be far below WAN quiescence times at equal size.
     by_label = {}
     for row in rows:
-        by_label.setdefault((row.scenario_label, row.session_count), row)
+        by_label.setdefault((row.label, row.sessions), row)
     for size in ("small", "medium"):
         for count in SWEEP_CONFIG.session_counts:
             lan = by_label[("%s-lan" % size, count)]
             wan = by_label[("%s-wan" % size, count)]
-            assert lan.time_to_quiescence < wan.time_to_quiescence
+            assert lan.quiescence_time < wan.quiescence_time
     # Quiescence time grows with the number of sessions once they interact.
     for size in ("small", "medium"):
         first = by_label[("%s-lan" % size, SWEEP_CONFIG.session_counts[0])]
         last = by_label[("%s-lan" % size, SWEEP_CONFIG.session_counts[-1])]
-        assert last.time_to_quiescence >= first.time_to_quiescence
+        assert last.quiescence_time >= first.quiescence_time
     print_table(
         "Figure 5 (left) -- time until quiescence [ms] vs sessions",
         format_experiment1_table(rows),

@@ -55,7 +55,7 @@ def main(argv=None):
         delay_models=tuple(arguments.delay_models),
         seed=arguments.seed,
     )
-    rows = run_experiment1(config, progress=lambda row: print("finished %r" % row))
+    rows = run_experiment1(config, progress=lambda row: print("finished %r" % (row,)))
     print()
     print(format_experiment1_table(rows))
     if not all(row.validated for row in rows):

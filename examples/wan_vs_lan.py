@@ -32,19 +32,19 @@ def main(argv=None):
         delay_models=("lan", "wan"),
         seed=17,
     )
-    rows = run_experiment1(config, progress=lambda row: print("finished %r" % row))
+    rows = run_experiment1(config, progress=lambda row: print("finished %r" % (row,)))
     print()
     print(format_experiment1_table(rows))
     print()
-    lan_rows = [row for row in rows if row.scenario_label.endswith("lan")]
-    wan_rows = [row for row in rows if row.scenario_label.endswith("wan")]
+    lan_rows = [row for row in rows if row.label.endswith("lan")]
+    wan_rows = [row for row in rows if row.label.endswith("wan")]
     for lan_row, wan_row in zip(lan_rows, wan_rows):
-        ratio = wan_row.time_to_quiescence / max(lan_row.time_to_quiescence, 1e-12)
+        ratio = wan_row.quiescence_time / max(lan_row.quiescence_time, 1e-12)
         print(
             "%4d sessions: WAN takes %.0fx longer to become quiescent, "
             "LAN sends %.1fx the packets"
             % (
-                lan_row.session_count,
+                lan_row.sessions,
                 ratio,
                 lan_row.total_packets / max(wan_row.total_packets, 1),
             )

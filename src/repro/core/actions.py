@@ -1,7 +1,7 @@
 """Session actions: joins, leaves, rate and capacity changes as data.
 
 Every workload, generated population and test scenario describes its
-schedule with the four action records below: plain data resolving every
+schedule with the four action records below: named tuples resolving every
 random choice (endpoints, demands, times) before anything is applied, so a
 seeded schedule can be built, inspected and replayed.  :class:`JoinAction` is
 the only record of a session to create: who joins, between which routers,
@@ -30,6 +30,7 @@ always pushes the same events in the same relative order.
 """
 
 import math
+from collections import namedtuple
 
 from repro.network.routing import PathComputer, path_links
 from repro.network.session import Session, check_demand
@@ -37,7 +38,8 @@ from repro.simulator.simulation import Simulator
 from repro.simulator.tracing import PacketTracer
 
 
-class JoinAction(object):
+class JoinAction(namedtuple("JoinAction", "session_id source_router destination_router "
+                                           "demand at host_capacity host_delay")):
     """``API.Join`` of a new session, with its host attachments.
 
     ``source_router`` / ``destination_router`` name the (stub) routers the
@@ -46,71 +48,25 @@ class JoinAction(object):
     draws these records for random populations.
     """
 
+    __slots__ = ()
     kind = "join"
-    __slots__ = (
-        "session_id",
-        "source_router",
-        "destination_router",
-        "demand",
-        "at",
-        "host_capacity",
-        "host_delay",
-    )
-
-    def __init__(self, session_id, source_router, destination_router, demand,
-                 at, host_capacity, host_delay):
-        self.session_id = session_id
-        self.source_router = source_router
-        self.destination_router = destination_router
-        self.demand = demand
-        self.at = at
-        self.host_capacity = host_capacity
-        self.host_delay = host_delay
-
-    def __repr__(self):
-        return "JoinAction(%r, %r -> %r, demand=%r, at=%r)" % (
-            self.session_id,
-            self.source_router,
-            self.destination_router,
-            self.demand,
-            self.at,
-        )
 
 
-class LeaveAction(object):
+class LeaveAction(namedtuple("LeaveAction", "session_id at")):
     """``API.Leave`` of an active session at an absolute time."""
 
+    __slots__ = ()
     kind = "leave"
-    __slots__ = ("session_id", "at")
-
-    def __init__(self, session_id, at):
-        self.session_id = session_id
-        self.at = at
-
-    def __repr__(self):
-        return "LeaveAction(%r, at=%r)" % (self.session_id, self.at)
 
 
-class ChangeAction(object):
+class ChangeAction(namedtuple("ChangeAction", "session_id demand at")):
     """``API.Change`` of an active session's maximum rate at an absolute time."""
 
+    __slots__ = ()
     kind = "change"
-    __slots__ = ("session_id", "demand", "at")
-
-    def __init__(self, session_id, demand, at):
-        self.session_id = session_id
-        self.demand = demand
-        self.at = at
-
-    def __repr__(self):
-        return "ChangeAction(%r, demand=%r, at=%r)" % (
-            self.session_id,
-            self.demand,
-            self.at,
-        )
 
 
-class CapacityChangeAction(object):
+class CapacityChangeAction(namedtuple("CapacityChangeAction", "source target capacity at")):
     """A change of one directed link's data-plane capacity at an absolute time.
 
     ``source`` / ``target`` name the directed router-to-router link whose
@@ -122,22 +78,8 @@ class CapacityChangeAction(object):
     :meth:`repro.network.graph.Link.set_capacity`).
     """
 
+    __slots__ = ()
     kind = "capacity"
-    __slots__ = ("source", "target", "capacity", "at")
-
-    def __init__(self, source, target, capacity, at):
-        self.source = source
-        self.target = target
-        self.capacity = capacity
-        self.at = at
-
-    def __repr__(self):
-        return "CapacityChangeAction(%r -> %r, capacity=%r, at=%r)" % (
-            self.source,
-            self.target,
-            self.capacity,
-            self.at,
-        )
 
 
 def validate_actions(protocol, actions):

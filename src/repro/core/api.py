@@ -16,23 +16,13 @@ materialises as :class:`RateNotification` records delivered to a
 :class:`SessionApplication`.
 """
 
+from collections import namedtuple
 
-class RateNotification(object):
+
+class RateNotification(namedtuple("RateNotification", "time session_id rate")):
     """One ``API.Rate`` invocation: at ``time`` session ``session_id`` was told ``rate``."""
 
-    __slots__ = ("time", "session_id", "rate")
-
-    def __init__(self, time, session_id, rate):
-        self.time = time
-        self.session_id = session_id
-        self.rate = rate
-
-    def __repr__(self):
-        return "RateNotification(t=%r, session=%r, rate=%r)" % (
-            self.time,
-            self.session_id,
-            self.rate,
-        )
+    __slots__ = ()
 
 
 class SessionApplication(object):

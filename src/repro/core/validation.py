@@ -17,29 +17,22 @@ a fast link admits a small member rate that ``rates_equal`` rejects.
 Water-filling is not run here; the tests compare it with Centralized B-Neck.
 """
 
+from collections import namedtuple
+
 from repro.core.centralized import centralized_bneck_on
 from repro.fairness.algebra import rates_equal
 from repro.fairness.bottleneck import LinkTable
 from repro.fairness.verification import verify_allocation_on
 
 
-class StabilityReport(object):
+class StabilityReport(namedtuple("StabilityReport",
+                                   "stable unstable_links in_flight_packets checked_links")):
     """The outcome of a stability check."""
 
-    def __init__(self, stable, unstable_links, in_flight_packets, checked_links):
-        self.stable = stable
-        self.unstable_links = unstable_links
-        self.in_flight_packets = in_flight_packets
-        self.checked_links = checked_links
+    __slots__ = ()
 
     def __bool__(self):
         return self.stable
-
-    def __repr__(self):
-        return (
-            "StabilityReport(stable=%r, unstable_links=%d, in_flight=%d, checked=%d)"
-            % (self.stable, len(self.unstable_links), self.in_flight_packets, self.checked_links)
-        )
 
 
 def check_stability(protocol):

@@ -6,7 +6,8 @@ the series plotted in the corresponding paper figure:
 
 * :mod:`~repro.experiments.experiment1` -- Figure 5: time to quiescence and
   total control packets vs. number of simultaneously arriving sessions, over
-  the Small/Medium/Big networks in LAN and WAN flavours;
+  the Small/Medium/Big networks in LAN and WAN flavours, one checkpoint
+  :class:`~repro.experiments.runner.RunMeasurement` per point;
 * :mod:`~repro.experiments.experiment2` -- Figure 6: packets of each type per
   interval across five phases of churn, plus per-phase quiescence times;
 * :mod:`~repro.experiments.experiment3` -- Figures 7 and 8: relative rate error
@@ -27,7 +28,6 @@ same entry point.
 
 from repro.experiments.experiment1 import (
     Experiment1Config,
-    Experiment1Row,
     run_experiment1,
     run_experiment1_case,
 )
@@ -63,7 +63,6 @@ from repro.experiments.runner import (
 __all__ = [
     "DEFAULT_PHASES",
     "Experiment1Config",
-    "Experiment1Row",
     "Experiment2Config",
     "Experiment2Result",
     "Experiment3Config",

@@ -25,9 +25,17 @@ DEFAULT_SIZES = ("small", "medium", "big")
 DEFAULT_DELAY_MODELS = (LAN, WAN)
 
 
+def _check_session_count(session_count):
+    if not session_count >= 1:
+        raise ValueError(
+            "Experiment 1 needs a session count of at least 1, got %r" % (session_count,)
+        )
+
+
 class Experiment1Config(object):
     """Knobs of the Experiment 1 sweep.  Every session is greedy (an
-    infinite demand) and joins in the first millisecond."""
+    infinite demand) and joins in the first millisecond; a session count
+    below 1 is refused with a ``ValueError``."""
 
     def __init__(
         self,
@@ -37,6 +45,8 @@ class Experiment1Config(object):
         seed=0,
     ):
         self.session_counts = tuple(session_counts)
+        for session_count in self.session_counts:
+            _check_session_count(session_count)
         self.sizes = tuple(sizes)
         self.delay_models = tuple(delay_models)
         self.seed = seed
@@ -58,76 +68,25 @@ class Experiment1Config(object):
         )
 
 
-class Experiment1Row(object):
-    """One point of Figure 5: a (scenario, session count) measurement."""
-
-    def __init__(
-        self,
-        scenario_label,
-        session_count,
-        time_to_quiescence,
-        total_packets,
-        packets_per_session,
-        events_processed,
-        validated,
-    ):
-        self.scenario_label = scenario_label
-        self.session_count = session_count
-        self.time_to_quiescence = time_to_quiescence
-        self.total_packets = total_packets
-        self.packets_per_session = packets_per_session
-        self.events_processed = events_processed
-        self.validated = validated
-
-    def as_dict(self):
-        return {
-            "scenario": self.scenario_label,
-            "sessions": self.session_count,
-            "time_to_quiescence_ms": self.time_to_quiescence * 1e3,
-            "packets": self.total_packets,
-            "packets_per_session": self.packets_per_session,
-            "events": self.events_processed,
-            "validated": self.validated,
-        }
-
-    def __repr__(self):
-        return (
-            "Experiment1Row(%s, sessions=%d, quiescence=%.4g ms, packets=%d, valid=%r)"
-            % (
-                self.scenario_label,
-                self.session_count,
-                self.time_to_quiescence * 1e3,
-                self.total_packets,
-                self.validated,
-            )
-        )
-
-
 def run_experiment1_case(scenario, session_count, config=None):
-    """Run one cell and return its :class:`Experiment1Row`.
+    """Run one cell and return its checkpoint's
+    :class:`~repro.experiments.runner.RunMeasurement`.
 
     ``scenario`` is a ``(size, delay_model)`` pair; the network is built
     with ``config.seed``.
     """
+    _check_session_count(session_count)
     config = config or Experiment1Config()
     size, delay_model = scenario
     spec = ScenarioSpec(size=size, delay_model=delay_model, seed=config.seed)
     with ExperimentRunner(spec, generator_seed=config.seed + session_count) as runner:
         runner.populate(session_count)
-        measurement = runner.checkpoint("mass join of %d sessions" % session_count)
-    return Experiment1Row(
-        scenario_label=spec.label,
-        session_count=session_count,
-        time_to_quiescence=measurement.quiescence_time,
-        total_packets=measurement.total_packets,
-        packets_per_session=measurement.total_packets / float(session_count),
-        events_processed=measurement.events_processed,
-        validated=measurement.validated,
-    )
+        return runner.checkpoint("mass join of %d sessions" % session_count)
 
 
 def run_experiment1(config=None, progress=None):
-    """Run the full Experiment 1 sweep; returns a list of :class:`Experiment1Row`.
+    """Run the full Experiment 1 sweep; returns one
+    :class:`~repro.experiments.runner.RunMeasurement` per cell.
 
     Args:
         config: an :class:`Experiment1Config` (defaults are scaled-down).

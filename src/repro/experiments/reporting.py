@@ -42,11 +42,11 @@ def format_experiment1_table(rows):
     )
     table_rows = [
         (
-            row.scenario_label,
-            row.session_count,
-            row.time_to_quiescence * 1e3,
+            row.label,
+            row.sessions,
+            row.quiescence_time * 1e3,
             row.total_packets,
-            row.packets_per_session,
+            row.total_packets / float(row.sessions),
             "yes" if row.validated else "NO",
         )
         for row in rows

@@ -24,6 +24,8 @@ one runner per spec.  The baseline protocols plug in through
 identical workloads this way).
 """
 
+from collections import namedtuple
+
 from repro.core.protocol import BNeckProtocol
 from repro.core.validation import validate_against_oracle
 from repro.network.transit_stub import LAN
@@ -101,10 +103,13 @@ class ScenarioSpec(object):
         return "ScenarioSpec(%r, seed=%d)" % (self.label, self.seed)
 
 
-class RunMeasurement(object):
+class RunMeasurement(namedtuple("RunMeasurement", "label description sessions quiescence_time "
+                                                   "packets total_packets events_processed "
+                                                   "rate_callbacks validated reason")):
     """One measured checkpoint: counters since the previous checkpoint.
 
-    ``packets`` and ``rate_callbacks`` are deltas relative to the previous
+    ``sessions`` counts the sessions active at the checkpoint.  ``packets``
+    and ``rate_callbacks`` are deltas relative to the previous
     :meth:`ExperimentRunner.checkpoint` call (equal to the totals on the
     first); ``total_packets`` / ``events_processed`` are run-wide totals.
     ``validated`` and ``reason`` are the checkpoint verdict's: ``reason``
@@ -112,49 +117,7 @@ class RunMeasurement(object):
     checkpoint is valid.
     """
 
-    __slots__ = (
-        "label",
-        "description",
-        "quiescence_time",
-        "packets",
-        "total_packets",
-        "events_processed",
-        "rate_callbacks",
-        "validated",
-        "reason",
-    )
-
-    def __init__(self, label, description, quiescence_time, packets, total_packets,
-                 events_processed, rate_callbacks, validated, reason):
-        self.label = label
-        self.description = description
-        self.quiescence_time = quiescence_time
-        self.packets = packets
-        self.total_packets = total_packets
-        self.events_processed = events_processed
-        self.rate_callbacks = rate_callbacks
-        self.validated = validated
-        self.reason = reason
-
-    def as_dict(self):
-        return {
-            "label": self.label,
-            "description": self.description,
-            "quiescence_time_ms": self.quiescence_time * 1e3,
-            "packets": self.packets,
-            "total_packets": self.total_packets,
-            "events": self.events_processed,
-            "rate_callbacks": self.rate_callbacks,
-            "validated": self.validated,
-        }
-
-    def __repr__(self):
-        return "RunMeasurement(%r, quiescence=%.4g ms, packets=%d, valid=%r)" % (
-            self.label,
-            self.quiescence_time * 1e3,
-            self.packets,
-            self.validated,
-        )
+    __slots__ = ()
 
 
 class ExperimentRunner(object):
@@ -280,6 +243,7 @@ class ExperimentRunner(object):
         measurement = RunMeasurement(
             label=self.spec.label,
             description=description,
+            sessions=len(self.protocol.registry),
             quiescence_time=quiescence_time,
             packets=total_packets - self._packets_at_checkpoint,
             total_packets=total_packets,

@@ -17,22 +17,16 @@ largest member rate, and a session below its demand has a bottleneck iff some
 saturated link on its path has a maximum at most its rate (within tolerance).
 """
 
+from collections import namedtuple
+
 from repro.fairness.algebra import rates_equal
 from repro.fairness.bottleneck import LinkTable, at_most
 
 
-class MaxMinViolation(object):
+class MaxMinViolation(namedtuple("MaxMinViolation", "kind subject detail")):
     """A reason why an allocation fails to be max-min fair."""
 
-    __slots__ = ("kind", "subject", "detail")
-
-    def __init__(self, kind, subject, detail):
-        self.kind = kind
-        self.subject = subject
-        self.detail = detail
-
-    def __repr__(self):
-        return "MaxMinViolation(%s, %r, %s)" % (self.kind, self.subject, self.detail)
+    __slots__ = ()
 
 
 def verify_allocation(sessions, allocation):

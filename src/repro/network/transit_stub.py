@@ -23,10 +23,12 @@ reasonable time; the generator accepts arbitrary sizes for users who want the
 paper's full scale.
 """
 
+import random
+
 from repro.network.graph import Network
 from repro.network.units import MBPS
 from repro.simulator.clock import microseconds, milliseconds
-from repro.simulator.random_source import RandomSource
+from repro.simulator.random_source import fork_seed
 
 LAN = "lan"
 WAN = "wan"
@@ -162,8 +164,8 @@ def generate_transit_stub(parameters, scenario=LAN, seed=0, name=None):
         A connected :class:`~repro.network.graph.Network` whose routers carry a
         ``tier`` of either ``"transit"`` or ``"stub"``.
     """
-    structure_source = RandomSource(seed).fork("transit-stub")
-    delay_source = RandomSource(seed).fork("transit-stub-delays")
+    structure_source = random.Random(fork_seed(seed, "transit-stub"))
+    delay_source = random.Random(fork_seed(seed, "transit-stub-delays"))
     if name is None:
         name = "transit-stub-%d-%s" % (parameters.total_routers(), scenario)
     network = Network(name)

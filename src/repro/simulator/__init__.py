@@ -12,6 +12,9 @@ small, deterministic, pure-Python discrete-event engine.  It provides:
   figures.
 * :mod:`~repro.simulator.clock` -- time-unit helpers (the simulator clock is a
   float number of seconds).
+* :func:`~repro.simulator.random_source.fork_seed` -- the stable derivation
+  of each seeded :class:`random.Random` stream (topology structure, topology
+  delays, workload) from one experiment seed.
 """
 
 from repro.simulator.clock import (
@@ -22,7 +25,7 @@ from repro.simulator.clock import (
     milliseconds,
     seconds,
 )
-from repro.simulator.random_source import RandomSource
+from repro.simulator.random_source import fork_seed
 from repro.simulator.simulation import Simulator
 from repro.simulator.statistics import SummaryStatistics, percentile, summarize
 from repro.simulator.tracing import PacketTracer
@@ -31,10 +34,10 @@ __all__ = [
     "MICROSECOND",
     "MILLISECOND",
     "PacketTracer",
-    "RandomSource",
     "SECOND",
     "Simulator",
     "SummaryStatistics",
+    "fork_seed",
     "microseconds",
     "milliseconds",
     "percentile",

@@ -138,10 +138,14 @@ class Simulator(object):
             until: optional absolute time horizon, finite and not before
                 :attr:`now`.  Events scheduled after the horizon stay in the
                 heap, and the run ends with the clock at ``until``.  Without
-                one the run drains the heap (:meth:`run_until_quiescent`).
+                one the run drains the heap (*quiescence*), and the clock
+                sits on the last processed event (or is untouched when the
+                heap was already empty).
 
         Returns:
-            The simulation time at which the run stopped.
+            The simulation time at which the run stopped: without a horizon,
+            the quiescence time, the instant at which the network stopped
+            carrying control traffic.
         """
         if until is None:
             self._drain()
@@ -177,17 +181,6 @@ class Simulator(object):
                 handler(target, packet)
         finally:
             self._events_processed += processed
-
-    def run_until_quiescent(self):
-        """Run until the event heap drains and return the quiescence time.
-
-        The returned value is the timestamp of the last processed event, i.e.
-        the instant at which the network stopped carrying control traffic.
-        This is :meth:`run` with no horizon: after a drain the clock sits on
-        the last processed event (or is untouched when the heap was already
-        empty).
-        """
-        return self.run()
 
     def __repr__(self):
         return "Simulator(now=%r, pending=%d, processed=%d)" % (

@@ -7,6 +7,7 @@ dependencies.
 """
 
 import math
+from collections import namedtuple
 
 
 def percentile(values, fraction):
@@ -38,36 +39,11 @@ def mean(values):
     return sum(data) / float(len(data))
 
 
-class SummaryStatistics(object):
+class SummaryStatistics(namedtuple("SummaryStatistics",
+                                     "count mean median p10 p90 minimum maximum")):
     """The aggregate the paper plots: 10th/50th/90th percentiles and mean."""
 
-    __slots__ = ("count", "mean", "median", "p10", "p90", "minimum", "maximum")
-
-    def __init__(self, count, mean_value, median, p10, p90, minimum, maximum):
-        self.count = count
-        self.mean = mean_value
-        self.median = median
-        self.p10 = p10
-        self.p90 = p90
-        self.minimum = minimum
-        self.maximum = maximum
-
-    def as_dict(self):
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "median": self.median,
-            "p10": self.p10,
-            "p90": self.p90,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
-    def __repr__(self):
-        return (
-            "SummaryStatistics(count=%d, mean=%.4g, median=%.4g, p10=%.4g, p90=%.4g)"
-            % (self.count, self.mean, self.median, self.p10, self.p90)
-        )
+    __slots__ = ()
 
 
 def summarize(values):
@@ -77,7 +53,7 @@ def summarize(values):
         raise ValueError("cannot summarize an empty sequence")
     return SummaryStatistics(
         count=len(data),
-        mean_value=mean(data),
+        mean=mean(data),
         median=percentile(data, 0.5),
         p10=percentile(data, 0.1),
         p90=percentile(data, 0.9),

@@ -92,13 +92,6 @@ class PacketTracer(object):
              for session_id, counts in self._counts.items() if any(counts)}
         )
 
-    def packets_per_session(self):
-        """Average number of packets per session (0.0 when no sessions)."""
-        by_session = self.by_session
-        if not by_session:
-            return 0.0
-        return sum(by_session.values()) / float(len(by_session))
-
     def interval_series(self):
         """Return ``[(interval_start_time, {type: count})]`` sorted by time."""
         if self.interval is None:

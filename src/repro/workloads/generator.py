@@ -9,21 +9,22 @@ attaches one fresh source host and one fresh destination host to them.  The
 generator only draws; a protocol's ``apply_actions`` applies the joins, like
 every other batch of actions.
 
-Demands are drawn from a *demand sampler*: a callable taking the random source
-and returning a maximum requested rate (possibly infinite).
+Demands are drawn from a *demand sampler*: a callable taking the generator's
+:class:`random.Random` and returning a maximum requested rate (possibly infinite).
 """
 
 import math
+import random
 
 from repro.core.actions import JoinAction
 from repro.network.transit_stub import HOST_LINK_CAPACITY, HOST_LINK_DELAY, stub_routers
-from repro.simulator.random_source import RandomSource
+from repro.simulator.random_source import fork_seed
 
 
 def infinite_demand():
     """Demand sampler: every session requests an unbounded rate."""
 
-    def sample(random_source):
+    def sample(rng):
         return math.inf
 
     return sample
@@ -34,8 +35,8 @@ def uniform_demand(low, high):
     if low <= 0 or high < low:
         raise ValueError("need 0 < low <= high")
 
-    def sample(random_source):
-        return random_source.uniform(low, high)
+    def sample(rng):
+        return rng.uniform(low, high)
 
     return sample
 
@@ -46,10 +47,10 @@ def mixed_demand(infinite_fraction, low, high):
         raise ValueError("infinite_fraction must be in [0, 1]")
     bounded = uniform_demand(low, high)
 
-    def sample(random_source):
-        if random_source.random() < infinite_fraction:
+    def sample(rng):
+        if rng.random() < infinite_fraction:
             return math.inf
-        return bounded(random_source)
+        return bounded(rng)
 
     return sample
 
@@ -62,7 +63,7 @@ class WorkloadGenerator(object):
     """
 
     def __init__(self, network, seed=0, attachment_routers=None):
-        self.random_source = RandomSource(seed).fork("workload")
+        self.rng = random.Random(fork_seed(seed, "workload"))
         if attachment_routers is None:
             attachment_routers = stub_routers(network)
             if not attachment_routers:
@@ -92,14 +93,14 @@ class WorkloadGenerator(object):
         joins = []
         for _ in range(count):
             self._join_counter += 1
-            source_router, destination_router = self.random_source.pair(self.attachment_routers)
+            source_router, destination_router = self.rng.sample(self.attachment_routers, 2)
             joins.append(
                 JoinAction(
                     session_id="%s%d" % (prefix, self._join_counter),
                     source_router=source_router,
                     destination_router=destination_router,
-                    demand=demand_sampler(self.random_source),
-                    at=self.random_source.uniform(start, end),
+                    demand=demand_sampler(self.rng),
+                    at=self.rng.uniform(start, end),
                     host_capacity=HOST_LINK_CAPACITY,
                     host_delay=HOST_LINK_DELAY,
                 )
@@ -126,7 +127,7 @@ class WorkloadGenerator(object):
                     % (count, len(session_ids))
                 )
             count = len(session_ids)
-        return self.random_source.sample(session_ids, count)
+        return self.rng.sample(session_ids, count)
 
     def random_times(self, count, window):
         """``count`` action times drawn uniformly from ``window``."""
@@ -138,9 +139,9 @@ class WorkloadGenerator(object):
                 "random_times window start %r exceeds its end %r; pass the "
                 "window as (start, end) with start <= end" % (start, end)
             )
-        return [self.random_source.uniform(start, end) for _ in range(count)]
+        return [self.rng.uniform(start, end) for _ in range(count)]
 
     def random_demand(self, demand_sampler=None):
         if demand_sampler is None:
             demand_sampler = infinite_demand()
-        return demand_sampler(self.random_source)
+        return demand_sampler(self.rng)

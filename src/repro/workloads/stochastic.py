@@ -109,9 +109,9 @@ class StochasticWorkload(object):
     the batch and runs the protocol to quiescence, so each round must read
     ``runner.protocol.simulator.now`` afresh and date its actions strictly
     inside the future.  All randomness must come from the runner's generator
-    streams (``runner.generator.random_source`` et al.) so a seed pins the
-    entire scenario.  A workload has a non-empty ``name`` and is listed in
-    :data:`WORKLOADS` under it.
+    (``runner.generator`` and its :class:`random.Random` ``rng``) so a seed
+    pins the entire scenario.  A workload has a non-empty ``name`` and is
+    listed in :data:`WORKLOADS` under it.
     """
 
     name = None
@@ -137,8 +137,8 @@ class DynamicPhase(object):
     def __init__(self, name, joins=0, leaves=0, changes=0, window=1e-3):
         if min(joins, leaves, changes) < 0:
             raise ValueError("phase action counts must be non-negative")
-        if window <= 0:
-            raise ValueError("phase window must be positive")
+        if not 0 < window < math.inf:
+            raise ValueError("phase window must be positive and finite, got %r" % (window,))
         self.name = name
         self.joins = joins
         self.leaves = leaves
@@ -301,7 +301,7 @@ class PoissonChurnWorkload(StochasticWorkload):
 
     def rounds(self, runner):
         generator = runner.generator
-        rng = generator.random_source
+        rng = generator.rng
         sampler = uniform_demand(self.demand_low, self.demand_high)
         carried = []  # (session_id, residual holding beyond the previous segment)
         for segment in range(1, self.segments + 1):
@@ -360,7 +360,7 @@ class FlashCrowdWorkload(StochasticWorkload):
 
     def rounds(self, runner):
         generator = runner.generator
-        rng = generator.random_source
+        rng = generator.rng
 
         start = runner.protocol.simulator.now + START_OFFSET
         actions = generator.generate(
@@ -438,7 +438,7 @@ class HeavyTailedDemandWorkload(StochasticWorkload):
 
     def rounds(self, runner):
         generator = runner.generator
-        rng = generator.random_source
+        rng = generator.rng
 
         start = runner.protocol.simulator.now + START_OFFSET
         actions = generator.generate(
@@ -479,8 +479,9 @@ class CapacityDynamicsWorkload(StochasticWorkload):
     def __init__(self, sessions=30, events=3, factor_low=0.08, factor_high=0.5):
         if events < 1:
             raise ValueError("need at least one capacity event")
-        if factor_low <= 0 or factor_high < factor_low:
-            raise ValueError("need 0 < factor_low <= factor_high")
+        if not 0 < factor_low <= factor_high < math.inf:
+            raise ValueError("need 0 < factor_low <= factor_high < inf, got %r and %r"
+                             % (factor_low, factor_high))
         self.sessions = sessions
         self.events = events
         self.factor_low = factor_low
@@ -488,7 +489,7 @@ class CapacityDynamicsWorkload(StochasticWorkload):
 
     def rounds(self, runner):
         generator = runner.generator
-        rng = generator.random_source
+        rng = generator.rng
 
         start = runner.protocol.simulator.now + START_OFFSET
         actions = generator.generate(

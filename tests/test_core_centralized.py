@@ -2,6 +2,7 @@
 
 import fractions
 import math
+import random
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.fairness.verification import is_max_min_fair
 from repro.fairness.waterfilling import water_filling
 from repro.network.transit_stub import small_network, stub_routers
 from repro.network.units import MBPS
-from repro.simulator.random_source import RandomSource
 from tests.conftest import exact_single_link_sessions, make_session
 
 
@@ -88,12 +88,12 @@ def test_bottlenecks_discovered_in_increasing_rate_order(dumbbell_network):
 
 
 def test_agrees_with_water_filling_on_structured_topologies(star_network):
-    random_source = RandomSource(5)
+    rng = random.Random(5)
     leaves = ["leaf%d" % index for index in range(4)]
     sessions = []
     for index in range(12):
-        source, sink = random_source.pair(leaves)
-        demand = math.inf if random_source.random() < 0.5 else random_source.uniform(1 * MBPS, 60 * MBPS)
+        source, sink = rng.sample(leaves, 2)
+        demand = math.inf if rng.random() < 0.5 else rng.uniform(1 * MBPS, 60 * MBPS)
         sessions.append(make_session(star_network, "s%d" % index, source, sink, demand=demand))
     centralized = centralized_bneck(sessions)
     filled = water_filling(sessions)
@@ -104,11 +104,11 @@ def test_agrees_with_water_filling_on_structured_topologies(star_network):
 def test_agrees_with_water_filling_on_transit_stub():
     network = small_network("lan", seed=13)
     stubs = stub_routers(network)
-    random_source = RandomSource(17)
+    rng = random.Random(17)
     sessions = []
     for index in range(60):
-        source, sink = random_source.pair(stubs)
-        demand = math.inf if index % 2 else random_source.uniform(1 * MBPS, 80 * MBPS)
+        source, sink = rng.sample(stubs, 2)
+        demand = math.inf if index % 2 else rng.uniform(1 * MBPS, 80 * MBPS)
         sessions.append(
             make_session(network, "s%d" % index, source, sink, demand=demand, capacity=100 * MBPS)
         )

@@ -123,7 +123,8 @@ class TestExperimentRunner(object):
         assert measurement.packets > 0
         assert measurement.packets == measurement.total_packets
         assert measurement.rate_callbacks >= 20
-        assert measurement.as_dict()["validated"]
+        assert measurement.sessions == 20
+        assert measurement.description == "mass join"
 
     def test_checkpoint_measures_deltas(self):
         runner = ExperimentRunner(ScenarioSpec(size="small", seed=2), generator_seed=22)

@@ -85,12 +85,31 @@ class TestExperiment1(object):
     def test_single_case(self):
         row = run_experiment1_case(("small", "lan"), 20, Experiment1Config(seed=2))
         assert row.validated
-        assert row.scenario_label == "small-lan"
-        assert row.session_count == 20
-        assert row.time_to_quiescence > 0
+        assert row.label == "small-lan"
+        assert row.sessions == 20
+        assert row.quiescence_time > 0
         assert row.total_packets > 0
-        assert row.packets_per_session == pytest.approx(row.total_packets / 20.0)
-        assert set(row.as_dict()) >= {"scenario", "sessions", "packets", "validated"}
+        assert format_experiment1_table([row]).splitlines()[2].split() == [
+            "small-lan", "20", "%.4g" % (row.quiescence_time * 1e3), str(row.total_packets),
+            "%.4g" % (row.total_packets / 20.0), "yes",
+        ]
+
+    @pytest.mark.parametrize("session_count", [0, -3])
+    def test_a_session_count_below_one_is_refused_before_any_network_is_built(
+            self, session_count, monkeypatch):
+        """No sessions used to divide by zero, and a negative count returned
+        a validated point claiming that many sessions."""
+        import repro.experiments.runner as runner
+
+        def build_network(*arguments):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(runner, "build_network", build_network)
+        message = "^Experiment 1 needs a session count of at least 1, got %d$" % session_count
+        with pytest.raises(ValueError, match=message):
+            run_experiment1_case(("small", "lan"), session_count)
+        with pytest.raises(ValueError, match=message):
+            run_experiment1(Experiment1Config(session_counts=(10, session_count)))
 
     def test_scenarios_pair_every_size_with_every_delay_model(self):
         config = Experiment1Config(sizes=("small", "medium"), delay_models=("lan", "wan"))
@@ -110,15 +129,15 @@ class TestExperiment1(object):
         assert len(rows) == 4
         assert len(seen) == 4
         assert all(row.validated for row in rows)
-        labels = {row.scenario_label for row in rows}
+        labels = {row.label for row in rows}
         assert labels == {"small-lan", "small-wan"}
 
     def test_wan_slower_than_lan(self):
         config = Experiment1Config(
             session_counts=(20,), sizes=("small",), delay_models=("lan", "wan"), seed=4
         )
-        rows = {row.scenario_label: row for row in run_experiment1(config)}
-        assert rows["small-wan"].time_to_quiescence > rows["small-lan"].time_to_quiescence
+        rows = {row.label: row for row in run_experiment1(config)}
+        assert rows["small-wan"].quiescence_time > rows["small-lan"].quiescence_time
 
 
 class TestExperiment2(object):

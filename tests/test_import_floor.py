@@ -1,8 +1,9 @@
 """A validated run loads no OpenSSL.
 
 Importing ``hashlib`` loads OpenSSL's ``_hashlib``, about 3.5 MiB of resident
-memory; the library's one hash (:meth:`RandomSource.fork`) takes SHA-256 from
-the interpreter's built-in module instead.  A fresh interpreter imports the
+memory; the library's one hash
+(:func:`~repro.simulator.random_source.fork_seed`) takes SHA-256 from the
+interpreter's built-in module instead.  A fresh interpreter imports the
 package and the experiment runner, builds a Small run, applies and validates
 one round of joins, and reports which of ``hashlib``, ``_hashlib`` and
 ``ssl`` were added to ``sys.modules``.  Only modules added after the start

@@ -255,8 +255,7 @@ def test_an_action_dated_before_a_join_of_an_earlier_batch_changes_nothing(name,
     assert not protocol.session("a").left
     assert protocol.session("a").joined_at == 5e-3
     # Dated at the join, the same action applies and settles.
-    bad.at = 5e-3
-    protocol.apply_actions([bad])
+    protocol.apply_actions([bad._replace(at=5e-3)])
     run_bounded(protocol, MAX_EVENTS, until=12e-3)
     rates = protocol.current_allocation().as_dict()
     assert rates == ({} if kind == "leave" else {"a": pytest.approx(5 * MBPS)})
@@ -286,7 +285,7 @@ def test_a_leave_dated_before_a_pending_change_changes_nothing(name, split):
     assert _state(protocol) == before
     assert not protocol.session("a").left
     # Dated at the change, the same leave applies after it and settles.
-    leave.at = 5e-3
+    batch[-1] = leave._replace(at=5e-3)
     protocol.apply_actions(batch)
     run_bounded(protocol, MAX_EVENTS, until=12e-3)
     assert protocol.active_sessions() == []

@@ -45,6 +45,13 @@ more fact to keep in step.  An augmented assignment (``self.n += 1``) stores
 and is not a read.  Names are matched without types, as in the fourth test,
 and the tests count as readers: some values exist only to be asserted on.
 
+The seventh reports each class under ``src/repro`` that is a hand-written
+record: its only methods are an ``__init__`` that stores each of its
+parameters on ``self`` unchanged and does nothing else, plus any of
+``__repr__``, ``as_dict`` and ``__bool__``.  A ``collections.namedtuple``
+subclass with ``__slots__ = ()`` gives the constructor, the repr and
+``_asdict`` for free, and keeps a ``__bool__`` of its own.
+
 The sixth reports each defaulted parameter of a function, method or class
 under ``src/repro`` that no call in ``src/``, ``tests/``, ``benchmarks/``,
 ``examples/``, ``perfbench/`` or ``scripts/`` passes, by keyword or by
@@ -368,6 +375,9 @@ TEST_FIXTURES = {
     "LinkState._recomputed_bottleneck_rate",
     "LinkState._recomputed_unrestricted_load",
     "LinkState._recomputed_idle_by_rate",
+    # Per-session packet counts that the packet-counting, golden, baseline
+    # and protocol-dynamics tests assert on.
+    "PacketTracer.by_session",
 }
 
 
@@ -849,3 +859,162 @@ def test_every_library_option_is_set_by_some_call():
     unset = ["%s:%d: %s" % entry for entry in found if entry[2] not in UNSET_PARAMETERS]
     assert unset == []
     assert sorted(UNSET_PARAMETERS) == sorted(entry[2] for entry in found)
+
+
+# What a hand-written record may add to its constructor: a namedtuple gives
+# the first two for free (``_asdict`` for ``as_dict``) and keeps the third.
+RECORD_METHODS = {"__repr__", "as_dict", "__bool__"}
+
+
+def _stores_each_parameter(init):
+    """True when ``init`` takes at least one named parameter and its body,
+    past a docstring, only stores each of them on ``self`` as it came."""
+    arguments = init.args
+    if arguments.vararg or arguments.kwarg:
+        return False
+    parameters = [
+        argument.arg
+        for argument in arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+    ][1:]
+    body = init.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    stored = []
+    for statement in body:
+        if not (
+            isinstance(statement, ast.Assign)
+            and len(statement.targets) == 1
+            and isinstance(statement.targets[0], ast.Attribute)
+            and isinstance(statement.targets[0].value, ast.Name)
+            and statement.targets[0].value.id == "self"
+            and isinstance(statement.value, ast.Name)
+        ):
+            return False
+        stored.append(statement.value.id)
+    return bool(parameters) and sorted(stored) == sorted(parameters)
+
+
+def hand_written_records(source, filename="<source>"):
+    """``(line, name)`` of every class whose only methods are an ``__init__``
+    that stores each parameter unchanged, plus ``RECORD_METHODS``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        methods = {
+            item.name: item
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        init = methods.pop("__init__", None)
+        if init is not None and set(methods) <= RECORD_METHODS and _stores_each_parameter(init):
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+RECORDS = {
+    # The planted record: a constructor and a repr, nothing a namedtuple lacks.
+    "planted-point": (
+        "class Point(object):\n"
+        "    def __init__(self, x, y):\n"
+        "        self.x = x\n"
+        "        self.y = y\n\n"
+        "    def __repr__(self):\n"
+        "        return 'Point(%r, %r)' % (self.x, self.y)\n"
+    ),
+    "renamed-fields-and-as-dict": (
+        "class Row(object):\n"
+        "    \"\"\"A row.\"\"\"\n\n"
+        "    __slots__ = ('label', 'mean')\n\n"
+        "    def __init__(self, label, mean_value):\n"
+        "        \"\"\"Store.\"\"\"\n"
+        "        self.mean = mean_value\n"
+        "        self.label = label\n\n"
+        "    def as_dict(self):\n"
+        "        return {'label': self.label, 'mean': self.mean}\n"
+    ),
+    "truth-value": (
+        "class Report(object):\n"
+        "    def __init__(self, stable, links):\n"
+        "        self.stable = stable\n"
+        "        self.links = links\n\n"
+        "    def __bool__(self):\n"
+        "        return self.stable\n"
+    ),
+    "keyword-only": (
+        "class Row(object):\n"
+        "    def __init__(self, *, label):\n"
+        "        self.label = label\n"
+    ),
+}
+
+NOT_RECORDS = {
+    "namedtuple": (
+        "from collections import namedtuple\n\n"
+        "class Point(namedtuple('Point', 'x y')):\n"
+        "    __slots__ = ()\n\n"
+        "    def __bool__(self):\n"
+        "        return bool(self.x)\n"
+    ),
+    "converts-a-parameter": (
+        "class Config(object):\n"
+        "    def __init__(self, counts):\n"
+        "        self.counts = tuple(counts)\n"
+    ),
+    "checks-a-parameter": (
+        "class Phase(object):\n"
+        "    def __init__(self, window):\n"
+        "        if window <= 0:\n"
+        "            raise ValueError(window)\n"
+        "        self.window = window\n"
+    ),
+    "extra-state": (
+        "class Application(object):\n"
+        "    def __init__(self, session_id):\n"
+        "        self.session_id = session_id\n"
+        "        self.notifications = []\n"
+    ),
+    "a-parameter-not-stored": (
+        "class A(object):\n"
+        "    def __init__(self, x, y):\n"
+        "        self.x = x\n"
+    ),
+    "another-method": (
+        "class Spec(object):\n"
+        "    def __init__(self, size):\n"
+        "        self.size = size\n\n"
+        "    def build(self):\n"
+        "        return self.size\n"
+    ),
+    "no-parameters": (
+        "class Marker(object):\n"
+        "    def __init__(self):\n"
+        "        \"\"\"Nothing to store.\"\"\"\n\n"
+        "    def __repr__(self):\n"
+        "        return 'Marker()'\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORDS))
+def test_the_scan_catches_hand_written_records(case):
+    assert len(hand_written_records(RECORDS[case])) == 1
+
+
+@pytest.mark.parametrize("case", sorted(NOT_RECORDS))
+def test_the_scan_allows_classes_that_do_more_than_store(case):
+    assert hand_written_records(NOT_RECORDS[case]) == []
+
+
+def test_no_library_class_is_a_hand_written_record():
+    """A class that only stores its parameters, with a repr, an ``as_dict``
+    or a truth value, is a ``collections.namedtuple``: subclass one, with
+    ``__slots__ = ()``, and keep the docstring and class attributes."""
+    library = _sources([os.path.join("src", "repro")])
+    assert len(library) > 40
+    found = [
+        "%s:%d: %s" % (path, line, name)
+        for path, source in sorted(library.items())
+        for line, name in hand_written_records(source, path)
+    ]
+    assert found == []

@@ -1,8 +1,9 @@
-"""Unit tests for clock helpers and the seeded random source."""
+"""Unit tests for clock helpers and the seeded random streams."""
 
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -13,11 +14,11 @@ from repro.simulator.clock import (
     milliseconds,
     seconds,
 )
-from repro.simulator.random_source import RandomSource
+from repro.simulator.random_source import fork_seed
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
-# ``RandomSource(seed).fork(label).seed`` for every label the library forks
+# ``fork_seed(seed, label)`` for every label the library forks
 # (transit-stub structure and delays, workload generator).  Every seeded
 # topology, delay and workload stream follows from these values.
 FORKED_SEEDS = {
@@ -45,20 +46,23 @@ class TestClock(object):
         assert microseconds(1000) == pytest.approx(milliseconds(1))
 
 
-class TestRandomSource(object):
+def _stream(seed, label="workload"):
+    return random.Random(fork_seed(seed, label))
+
+
+class TestForkedStreams(object):
     def test_same_seed_same_sequence(self):
-        first = RandomSource(7)
-        second = RandomSource(7)
+        first = _stream(7)
+        second = _stream(7)
         assert [first.random() for _ in range(5)] == [second.random() for _ in range(5)]
 
     def test_different_seeds_differ(self):
-        assert RandomSource(1).random() != RandomSource(2).random()
+        assert _stream(1).random() != _stream(2).random()
 
     def test_fork_is_deterministic_and_independent(self):
-        base = RandomSource(3)
-        fork_a = base.fork("topology")
-        fork_b = RandomSource(3).fork("topology")
-        other = RandomSource(3).fork("workload")
+        fork_a = _stream(3, "topology")
+        fork_b = _stream(3, "topology")
+        other = _stream(3, "workload")
         sequence_a = [fork_a.random() for _ in range(3)]
         sequence_b = [fork_b.random() for _ in range(3)]
         assert sequence_a == sequence_b
@@ -66,21 +70,19 @@ class TestRandomSource(object):
 
     @pytest.mark.parametrize("seed", sorted(FORKED_SEEDS))
     def test_forked_seeds_are_pinned(self, seed):
-        assert {label: RandomSource(seed).fork(label).seed for label in LABELS} == (
-            FORKED_SEEDS[seed])
+        assert {label: fork_seed(seed, label) for label in LABELS} == FORKED_SEEDS[seed]
 
     def test_fork_is_the_sha256_derivation(self):
         labels = LABELS + ["", "topology", "é", 7, ("a", 1), None]
         for seed in list(range(-3, 40)) + [2**31 - 1, 2**31, 2**64 + 5, "s", 1.5]:
             for label in labels:
-                assert RandomSource(seed).fork(label).seed == _hashlib_derivation(
-                    seed, label), (seed, label)
+                assert fork_seed(seed, label) == _hashlib_derivation(seed, label), (seed, label)
 
     def test_forked_seeds_do_not_depend_on_the_hash_seed(self):
         script = (
             "import json\n"
-            "from repro.simulator.random_source import RandomSource\n"
-            "print(json.dumps({seed: {label: RandomSource(seed).fork(label).seed\n"
+            "from repro.simulator.random_source import fork_seed\n"
+            "print(json.dumps({seed: {label: fork_seed(seed, label)\n"
             "                         for label in %r} for seed in %r}))\n"
             % (LABELS, sorted(FORKED_SEEDS))
         )
@@ -99,18 +101,18 @@ class TestRandomSource(object):
             FORKED_SEEDS)
 
     def test_uniform_respects_bounds(self):
-        source = RandomSource(11)
+        source = _stream(11)
         for _ in range(100):
             value = source.uniform(2.0, 5.0)
             assert 2.0 <= value <= 5.0
 
     def test_randint_respects_bounds(self):
-        source = RandomSource(12)
+        source = _stream(12)
         values = {source.randint(1, 3) for _ in range(200)}
         assert values == {1, 2, 3}
 
     def test_choice_and_sample(self):
-        source = RandomSource(13)
+        source = _stream(13)
         population = ["a", "b", "c", "d"]
         assert source.choice(population) in population
         sample = source.sample(population, 2)
@@ -118,18 +120,18 @@ class TestRandomSource(object):
         assert len(set(sample)) == 2
 
     def test_pair_returns_distinct_elements(self):
-        source = RandomSource(14)
+        source = _stream(14)
         for _ in range(50):
-            first, second = source.pair(["x", "y", "z"])
+            first, second = source.sample(["x", "y", "z"], 2)
             assert first != second
 
     def test_shuffle_preserves_elements(self):
-        source = RandomSource(15)
+        source = _stream(15)
         items = list(range(10))
         shuffled = list(items)
         source.shuffle(shuffled)
         assert sorted(shuffled) == items
 
     def test_expovariate_positive(self):
-        source = RandomSource(16)
+        source = _stream(16)
         assert all(source.expovariate(10.0) > 0 for _ in range(20))

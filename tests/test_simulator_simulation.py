@@ -18,7 +18,7 @@ def test_schedule_and_run_until_quiescent(simulator):
     fired = []
     simulator.schedule(0.5, lambda: fired.append(simulator.now))
     simulator.schedule(0.2, lambda: fired.append(simulator.now))
-    quiescence_time = simulator.run_until_quiescent()
+    quiescence_time = simulator.run()
     assert fired == [0.2, 0.5]
     assert quiescence_time == 0.5
     assert simulator.pending_events == 0
@@ -32,7 +32,7 @@ def test_events_can_schedule_more_events(simulator):
         simulator.schedule(0.1, lambda: fired.append("second"))
 
     simulator.schedule(1.0, first)
-    simulator.run_until_quiescent()
+    simulator.run()
     assert fired == ["first", "second"]
     assert simulator.now == pytest.approx(1.1)
 
@@ -62,7 +62,7 @@ def test_schedule_negative_delay_rejected(simulator):
 
 def test_schedule_at_in_the_past_rejected(simulator):
     simulator.schedule(1.0, lambda: None)
-    simulator.run_until_quiescent()
+    simulator.run()
     with pytest.raises(ValueError):
         simulator.schedule_at(0.5, lambda: None)
 
@@ -70,7 +70,7 @@ def test_schedule_at_in_the_past_rejected(simulator):
 def test_schedule_at_absolute_time(simulator):
     fired = []
     simulator.schedule_at(2.5, lambda: fired.append(simulator.now))
-    simulator.run_until_quiescent()
+    simulator.run()
     assert fired == [2.5]
 
 
@@ -84,7 +84,7 @@ def test_step_returns_false_when_empty(simulator):
 def test_events_processed_counts(simulator):
     for index in range(4):
         simulator.schedule(0.1 * (index + 1), lambda: None)
-    simulator.run_until_quiescent()
+    simulator.run()
     assert simulator.events_processed == 4
 
 
@@ -95,7 +95,7 @@ def test_events_fire_in_time_order(simulator):
     fired = []
     simulator.schedule_at(2.0, lambda: fired.append(simulator.now))
     simulator.schedule_at(1.0, lambda: fired.append(simulator.now))
-    simulator.run_until_quiescent()
+    simulator.run()
     assert fired == [1.0, 2.0]
 
 
@@ -103,7 +103,7 @@ def test_ties_break_by_insertion_order(simulator):
     fired = []
     for name in ("first", "second", "third"):
         simulator.schedule_at(1.0, lambda name=name: fired.append(name))
-    simulator.run_until_quiescent()
+    simulator.run()
     assert fired == ["first", "second", "third"]
 
 
@@ -113,7 +113,7 @@ def test_many_events_keep_global_order(simulator):
     for time in times:
         simulator.schedule_at(time, lambda: fired.append(simulator.now))
     assert simulator.pending_events == len(times)
-    simulator.run_until_quiescent()
+    simulator.run()
     assert fired == sorted(times)
 
 
@@ -151,7 +151,7 @@ def test_bare_entries_fire_in_order_with_events(simulator):
     simulator.schedule(0.2, lambda: fired.append("event"))
     heapq.heappush(heap, (0.1, next(sequence), list.append, fired, "bare-early"))
     heapq.heappush(heap, (0.2, next(sequence), list.append, fired, "bare-tied"))
-    simulator.run_until_quiescent()
+    simulator.run()
     # The tie at t=0.2 breaks by sequence number: the event came first.
     assert fired == ["bare-early", "event", "bare-tied"]
     assert simulator.events_processed == 3
@@ -160,7 +160,7 @@ def test_bare_entries_fire_in_order_with_events(simulator):
 def test_bare_entries_count_as_pending(simulator):
     heapq.heappush(simulator.heap, (0.5, next(simulator.sequence), list.append, [], "bare"))
     assert simulator.pending_events == 1
-    simulator.run_until_quiescent()
+    simulator.run()
     assert simulator.pending_events == 0
 
 
@@ -172,7 +172,7 @@ def test_bare_entries_interleave_with_events_by_sequence_number(simulator):
     assert simulator.pending_events == 3
     assert simulator.step()
     assert simulator.pending_events == 2
-    simulator.run_until_quiescent()
+    simulator.run()
     assert fired == ["event", "bare", "event-2"]
     assert simulator.pending_events == 0
 
@@ -224,9 +224,9 @@ def test_a_raise_inside_a_drain_keeps_the_count_of_earlier_runs(simulator):
     fired = []
     _schedule_a_raise_between(simulator, fired)
     with pytest.raises(Boom):
-        simulator.run_until_quiescent()
+        simulator.run()
     assert simulator.events_processed == 4
-    simulator.run_until_quiescent()
+    simulator.run()
     assert simulator.events_processed == 6
 
 
@@ -255,7 +255,7 @@ def test_a_rejected_time_leaves_the_clock_and_the_run_alone(simulator):
             simulator.schedule_at(bad, lambda: fired.append("bad"))
         with pytest.raises(ValueError):
             simulator.schedule(bad, lambda: fired.append("bad"))
-    assert simulator.run_until_quiescent() == 1.0
+    assert simulator.run() == 1.0
     assert fired == [1.0]
 
 
@@ -310,7 +310,7 @@ def test_horizon_run_leaves_later_instants_untouched(simulator):
     simulator.run(until=5.0)
     assert fired == []
     assert simulator.pending_events == 1
-    simulator.run_until_quiescent()
+    simulator.run()
     assert fired == [9.0]
 
 

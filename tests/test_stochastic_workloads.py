@@ -300,11 +300,11 @@ class TestCapacityChangeSemantics(object):
         ids=lambda action: action.kind,
     )
     def test_actions_pickle_with_every_field(self, action):
-        """Actions are plain slotted data: a batch can be stored and replayed."""
+        """Actions are plain named tuples: a batch can be stored and replayed."""
         clone = pickle.loads(pickle.dumps(action))
         assert type(clone) is type(action)
-        assert [getattr(clone, name) for name in type(action).__slots__] == [
-            getattr(action, name) for name in type(action).__slots__
+        assert [getattr(clone, name) for name in type(action)._fields] == [
+            getattr(action, name) for name in type(action)._fields
         ]
         assert repr(clone) == repr(action)
 
@@ -626,3 +626,18 @@ def test_poisson_churn_refuses_a_rate_or_time_outside_zero_to_infinity(parameter
     with pytest.raises(ValueError, match="^%s must be positive and finite, got %s$"
                        % (parameter, value)):
         PoissonChurnWorkload(**{parameter: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("parameter", ["factor_low", "factor_high"])
+def test_capacity_dynamics_refuses_a_factor_outside_zero_to_infinity(parameter, value):
+    """A NaN or infinite factor used to pass construction and fail only
+    mid-run, when the rescaled capacity reached the network."""
+    with pytest.raises(ValueError, match=r"^need 0 < factor_low <= factor_high < inf, got "):
+        CapacityDynamicsWorkload(**{parameter: value})
+
+
+def test_capacity_dynamics_refuses_a_low_factor_above_the_high_one():
+    with pytest.raises(ValueError, match=r"^need 0 < factor_low <= factor_high < inf, "
+                                         r"got 0\.5 and 0\.2$"):
+        CapacityDynamicsWorkload(factor_low=0.5, factor_high=0.2)

@@ -1,6 +1,8 @@
 """Tests for the workload generation package (scenarios, generator, phase churn)."""
 
 import math
+import random
+import re
 
 import pytest
 
@@ -18,7 +20,6 @@ from repro.workloads.generator import (
 )
 from repro.workloads.scenarios import NETWORK_SIZES, build_network
 from repro.workloads.stochastic import DynamicPhase, PhaseChurnWorkload
-from repro.simulator.random_source import RandomSource
 
 
 class TestScenarios(object):
@@ -46,11 +47,11 @@ class TestScenarios(object):
 class TestDemandSamplers(object):
     def test_infinite(self):
         sampler = infinite_demand()
-        assert math.isinf(sampler(RandomSource(1)))
+        assert math.isinf(sampler(random.Random(1)))
 
     def test_uniform_range(self):
         sampler = uniform_demand(1 * MBPS, 10 * MBPS)
-        source = RandomSource(2)
+        source = random.Random(2)
         for _ in range(50):
             value = sampler(source)
             assert 1 * MBPS <= value <= 10 * MBPS
@@ -63,7 +64,7 @@ class TestDemandSamplers(object):
 
     def test_mixed_produces_both_kinds(self):
         sampler = mixed_demand(0.5, 1 * MBPS, 10 * MBPS)
-        source = RandomSource(3)
+        source = random.Random(3)
         values = [sampler(source) for _ in range(100)]
         assert any(math.isinf(value) for value in values)
         assert any(not math.isinf(value) for value in values)
@@ -151,6 +152,13 @@ class TestDynamicPhases(object):
             DynamicPhase("bad", window=0.0)
         phase = DynamicPhase("ok", joins=2, leaves=1, changes=3)
         assert (phase.joins, phase.leaves, phase.changes) == (2, 1, 3)
+
+    @pytest.mark.parametrize("window", [0.0, -1e-3, math.nan, math.inf], ids=repr)
+    def test_phase_refuses_a_window_outside_zero_to_infinity(self, window):
+        """A NaN window used to pass construction and fail only mid-run."""
+        with pytest.raises(ValueError, match="^phase window must be positive and finite, got %s$"
+                           % re.escape(repr(window))):
+            DynamicPhase("bad", joins=1, window=window)
 
     def test_apply_join_phase(self):
         workload = PhaseChurnWorkload([DynamicPhase("join", joins=20)], infinite_demand())
